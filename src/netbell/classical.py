@@ -5,7 +5,8 @@ from a product distribution; every agent answers with a deterministic
 +/-1 table over its settings and the labels it can see.  The
 deterministic scan enumerates response tables together with point-mass
 label assignments and maximizes the same objective the quantum engine
-reports; a stochastic pass then probes mixed label distributions with
+reports; the full scan is a single-process numpy scan in bounded
+slices.  A stochastic pass then probes mixed label distributions with
 random restarts and hill climbing.  The scan is falsification pressure
 for the analytic bound, not a search for new physics: the objective
 must never come out above 1 (or beta + 1 tilted).
@@ -17,7 +18,6 @@ import itertools
 import json
 import math
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,8 +33,9 @@ REFINE_TOL = 1e-9
 # them; the default budget refuses them outright.
 WARN_LIMIT = 10**8
 DEFAULT_BUDGET = 10**8
-# Below this many evaluations the process pool costs more than it saves.
-PARALLEL_THRESHOLD = 4_000_000
+# Entries per numpy slice of the full scan: keeps its working memory to
+# a few MB whatever the scan size.
+_SLICE = 1 << 16
 
 
 class BoundViolation(RuntimeError):
@@ -245,42 +246,64 @@ class ClassicalCorrelators:
     p_value: float | None = None
 
 
-def correlators(strategy: HiddenStrategy) -> ClassicalCorrelators:
-    """Exact I, J (and P when present) by summing the label grid."""
-    shape = strategy.shape
-    alphabet = strategy.alphabet
+def _label_grid(shape: NetworkShape, alphabet) -> list:
+    """Every label tuple in product order, with the table column each
+    source agent and each receiver reads under it."""
     blocks = [shape.block(s) for s in range(1, shape.k + 1)]
+    return [
+        (
+            labels,
+            tuple(_flat(block, labels, alphabet) for block in blocks),
+            tuple(_flat(reach, labels, alphabet) for reach in shape.reach),
+        )
+        for labels in itertools.product(*(range(size) for size in alphabet))
+    ]
+
+
+def _grid_sums(grid, weights, a_tables, b_tables, p_tables) -> ClassicalCorrelators:
+    """I, J (and P when p_tables is given) summed over a label grid.
+
+    Tables may be tuples or lists; the summation order is fixed, so the
+    same strategy always gives the same floats.
+    """
     i_total = 0.0
     j_total = 0.0
-    p_total = 0.0 if strategy.p_tables is not None else None
-    for labels in itertools.product(*(range(size) for size in alphabet)):
-        weight = math.prod(
-            strategy.weights[i][labels[i]] for i in range(shape.n)
-        )
+    p_total = 0.0 if p_tables is not None else None
+    for labels, a_cols, b_cols in grid:
+        weight = math.prod(w[v] for w, v in zip(weights, labels))
         if weight == 0.0:
             continue
         half_sum = 1.0
         half_diff = 1.0
-        for s, block in enumerate(blocks):
-            column = _flat(block, labels, alphabet)
-            a0 = strategy.a_tables[s][0][column]
-            a1 = strategy.a_tables[s][1][column]
+        for table, column in zip(a_tables, a_cols):
+            a0 = table[0][column]
+            a1 = table[1][column]
             half_sum *= (a0 + a1) / 2
             half_diff *= (a0 - a1) / 2
         b0 = 1
         b1 = 1
         p = 1
-        for m in range(shape.m):
-            column = _flat(shape.reach[m], labels, alphabet)
-            b0 *= strategy.b_tables[m][0][column]
-            b1 *= strategy.b_tables[m][1][column]
-            if strategy.p_tables is not None:
-                p *= strategy.p_tables[m][column]
+        for m, column in enumerate(b_cols):
+            b0 *= b_tables[m][0][column]
+            b1 *= b_tables[m][1][column]
+            if p_tables is not None:
+                p *= p_tables[m][column]
         i_total += weight * half_sum * b0
         j_total += weight * half_diff * b1
         if p_total is not None:
             p_total += weight * p
     return ClassicalCorrelators(i_total, j_total, p_total)
+
+
+def correlators(strategy: HiddenStrategy) -> ClassicalCorrelators:
+    """Exact I, J (and P when present) by summing the label grid."""
+    return _grid_sums(
+        _label_grid(strategy.shape, strategy.alphabet),
+        strategy.weights,
+        strategy.a_tables,
+        strategy.b_tables,
+        strategy.p_tables,
+    )
 
 
 def bell_value(corr: ClassicalCorrelators, k: int) -> float:
@@ -380,49 +403,68 @@ def scan_size(shape: NetworkShape, alphabet, *, tilted: bool = False) -> int:
     return tables * math.prod(alphabet)
 
 
-def _scan_chunk(shape, alphabet, beta, label_lo, label_hi):
-    """Scan all response tables for a slice of point-label assignments.
+def _scan_full(shape, alphabet, beta):
+    """Scan every response table for every point-label assignment.
 
     Returns (best value, best key, combos scanned); the key is
-    (label index, table integers) so ties resolve to the earliest
-    combination in enumeration order no matter how the space is split.
+    (label index, table integers), and ties resolve to the earliest
+    combination in enumeration order.  Under a fixed point label each
+    table reaches I, J and P only through the entries at its active
+    column, so the objective over the table grid is an outer product of
+    per-table vectors in {-1, 0, +1}.  The trailing tables form one
+    grid of at most _SLICE entries (or the last table alone, if larger),
+    and the leading tables are iterated around it.
     """
     tilted = beta is not None
     k, m = shape.k, shape.m
     blocks = [shape.block(s) for s in range(1, k + 1)]
-    block_sizes, reach_sizes, widths = _table_bits(shape, alphabet, tilted)
+    _, _, widths = _table_bits(shape, alphabet, tilted)
     root = 1.0 / k
+    split = len(widths) - 1
+    trail = 1 << widths[split]
+    while split > 0 and trail << widths[split - 1] <= _SLICE:
+        split -= 1
+        trail <<= widths[split]
+    trail_shape = [1 << w for w in widths[split:]]
+
     best_value = -1.0
     best_key = None
     scanned = 0
-    for label_index in range(label_lo, label_hi):
+    for label_index in range(math.prod(alphabet)):
         labels = _decode_labels(label_index, alphabet)
-        a_cols = [_flat(block, labels, alphabet) for block in blocks]
-        b_cols = [_flat(reach, labels, alphabet) for reach in shape.reach]
-        for combo in itertools.product(*(range(1 << w) for w in widths)):
-            scanned += 1
-            i_sign = 1
-            j_sign = 1
-            for s in range(k):
-                bits = combo[s]
-                a0 = 1 - 2 * ((bits >> a_cols[s]) & 1)
-                a1 = 1 - 2 * ((bits >> (block_sizes[s] + a_cols[s])) & 1)
-                i_sign *= (a0 + a1) // 2
-                j_sign *= (a0 - a1) // 2
-            for r in range(m):
-                bits = combo[k + r]
-                i_sign *= 1 - 2 * ((bits >> b_cols[r]) & 1)
-                j_sign *= 1 - 2 * ((bits >> (reach_sizes[r] + b_cols[r])) & 1)
-            value = abs(i_sign) ** root + abs(j_sign) ** root
+        columns = [_flat(block, labels, alphabet) for block in blocks]
+        columns += [_flat(r, labels, alphabet) for r in shape.reach] * (1 + tilted)
+        # rows I, J, P of each table's factor, indexed by the table integer
+        factors = []
+        for j, (width, column) in enumerate(zip(widths, columns)):
+            t = np.arange(1 << width)
+            x0 = 1 - 2 * ((t >> column) & 1)
+            x1 = 1 - 2 * ((t >> (width // 2 + column)) & 1)
+            one = np.ones_like(t)
+            if j < k:  # source agent: (a0 + a1) / 2 and (a0 - a1) / 2
+                rows = ((x0 + x1) // 2, (x0 - x1) // 2, one)
+            elif j < k + m:  # receiver: b0 and b1
+                rows = (x0, x1, one)
+            else:  # receiver's p table: one row, x1 unused
+                rows = (one, one, x0)
+            factors.append(np.array(rows, dtype=np.int8))
+        grid = np.ones((3, 1), dtype=np.int8)
+        for factor in factors[split:]:
+            grid = (grid[:, :, None] * factor[:, None, :]).reshape(3, -1)
+        for lead in itertools.product(*(range(1 << w) for w in widths[:split])):
+            scale = np.ones(3, dtype=np.int8)
+            for factor, t in zip(factors[:split], lead):
+                scale = scale * factor[:, t]
+            powered = np.abs(scale[:, None] * grid) ** root
+            values = powered[0] + powered[1]
             if tilted:
-                p_sign = 1
-                for r in range(m):
-                    bits = combo[k + m + r]
-                    p_sign *= 1 - 2 * ((bits >> b_cols[r]) & 1)
-                value += beta * abs(p_sign) ** root
-            if value > best_value:
-                best_value = value
-                best_key = (label_index, combo)
+                values += beta * powered[2]
+            scanned += values.size
+            index = int(np.argmax(values))
+            if values[index] > best_value:
+                best_value = float(values[index])
+                trail_key = np.unravel_index(index, trail_shape)
+                best_key = (label_index, lead + tuple(int(t) for t in trail_key))
     return best_value, best_key, scanned
 
 
@@ -549,61 +591,43 @@ def _refine(shape, alphabet, beta, seed_strategy, rng, draws, steps):
     Restarts alternate between the deterministic argmax tables and fresh
     random tables; each restart greedily flips table entries, then walks
     the label weights toward random vertices, keeping improvements.
+    Tables are flipped in place on lists; a HiddenStrategy is built only
+    for a restart that beats the best so far.
     """
     tilted = beta is not None
     k = shape.k
+    grid = _label_grid(shape, alphabet)
 
-    def score(strategy):
-        return objective_value(correlators(strategy), k, beta)
+    def score(weights, tables):
+        return objective_value(_grid_sums(grid, weights, *tables), k, beta)
 
-    best_value = score(seed_strategy)
+    seed_tables = (seed_strategy.a_tables, seed_strategy.b_tables, seed_strategy.p_tables)
+    best_value = score(seed_strategy.weights, seed_tables)
     best_strategy = seed_strategy
     for draw in range(draws):
-        if draw == 0:
-            a_tables, b_tables, p_tables = (
-                seed_strategy.a_tables,
-                seed_strategy.b_tables,
-                seed_strategy.p_tables,
-            )
-        else:
-            a_tables, b_tables, p_tables = _random_tables(
-                shape, alphabet, tilted, rng
-            )
-        weights = tuple(
-            tuple(rng.dirichlet(np.ones(size))) for size in alphabet
-        )
-        current = HiddenStrategy(
-            shape=shape,
-            alphabet=alphabet,
-            weights=weights,
-            a_tables=a_tables,
-            b_tables=b_tables,
-            p_tables=p_tables,
-        )
-        current_value = score(current)
+        start = seed_tables if draw == 0 else _random_tables(shape, alphabet, tilted, rng)
+        a_tables = [[list(row) for row in table] for table in start[0]]
+        b_tables = [[list(row) for row in table] for table in start[1]]
+        p_tables = None if start[2] is None else [list(row) for row in start[2]]
+        tables = (a_tables, b_tables, p_tables)
+        weights = [tuple(map(float, rng.dirichlet(np.ones(size)))) for size in alphabet]
+        current_value = score(weights, tables)
 
+        rows = [row for table in a_tables + b_tables for row in table] + (p_tables or [])
         improved = True
         sweeps = 0
         while improved and sweeps < 4:
             improved = False
             sweeps += 1
-            tables = current.to_json()
-            for group in ("a_tables", "b_tables", "p_tables"):
-                rows = tables.get(group)
-                if rows is None:
-                    continue
-                for table in rows:
-                    table_rows = [table] if group == "p_tables" else table
-                    for row in table_rows:
-                        for e in range(len(row)):
-                            row[e] = -row[e]
-                            candidate = HiddenStrategy.from_json(tables)
-                            candidate_value = score(candidate)
-                            if candidate_value > current_value + 1e-15:
-                                current, current_value = candidate, candidate_value
-                                improved = True
-                            else:
-                                row[e] = -row[e]
+            for row in rows:
+                for e in range(len(row)):
+                    row[e] = -row[e]
+                    candidate_value = score(weights, tables)
+                    if candidate_value > current_value + 1e-15:
+                        current_value = candidate_value
+                        improved = True
+                    else:
+                        row[e] = -row[e]
 
         for _ in range(steps):
             source = int(rng.integers(shape.n))
@@ -612,25 +636,18 @@ def _refine(shape, alphabet, beta, seed_strategy, rng, draws, steps):
             eta = float(rng.uniform(0.1, 1.0))
             mixed = [
                 (1 - eta) * w + (eta if v == vertex else 0.0)
-                for v, w in enumerate(current.weights[source])
+                for v, w in enumerate(weights[source])
             ]
             total = sum(mixed)
-            new_weights = list(current.weights)
-            new_weights[source] = tuple(w / total for w in mixed)
-            candidate = HiddenStrategy(
-                shape=shape,
-                alphabet=alphabet,
-                weights=tuple(new_weights),
-                a_tables=current.a_tables,
-                b_tables=current.b_tables,
-                p_tables=current.p_tables,
-            )
-            candidate_value = score(candidate)
+            candidate = list(weights)
+            candidate[source] = tuple(w / total for w in mixed)
+            candidate_value = score(candidate, tables)
             if candidate_value > current_value:
-                current, current_value = candidate, candidate_value
+                weights, current_value = candidate, candidate_value
 
         if current_value > best_value:
-            best_value, best_strategy = current_value, current
+            best_value = current_value
+            best_strategy = HiddenStrategy(shape, alphabet, weights, *tables)
     return best_value, best_strategy
 
 
@@ -666,16 +683,15 @@ def max_deterministic(
     seed: int | None = 0,
     refine_draws: int = 40,
     refine_steps: int = 60,
-    processes: int | None = None,
 ) -> ScanReport:
     """Exhaustive deterministic maximum plus a stochastic refinement pass.
 
     mode "full" enumerates every response table literally; "reachable"
     enumerates response values at the active label column, which reaches
     the same maximum because unread table entries cannot move the
-    objective; "auto" picks "full" when it fits the budget.  Chunks of
-    the label space run concurrently when the scan is large; the result
-    never depends on the chunking.
+    objective; "auto" picks "full" when it fits the budget.  The full
+    scan runs in one process, as numpy slices of bounded size; ties go to
+    the first combination in enumeration order.
     """
     if beta is not None and beta < 0:
         raise ValueError(f"beta must be nonnegative, got {beta}")
@@ -698,7 +714,7 @@ def max_deterministic(
             warnings.warn(
                 f"enumerating {size:.3e} strategy combinations", stacklevel=2
             )
-        value, key, scanned = _run_full_scan(shape, alphabet, beta, size, processes)
+        value, key, scanned = _scan_full(shape, alphabet, beta)
         strategy = _strategy_from_key(shape, alphabet, beta, key)
     else:
         value, strategy, scanned = _scan_reachable(shape, alphabet, beta)
@@ -717,31 +733,6 @@ def max_deterministic(
         alphabet=alphabet,
         beta=beta,
     )
-
-
-def _run_full_scan(shape, alphabet, beta, size, processes):
-    label_total = math.prod(alphabet)
-    if processes is None:
-        processes = 1 if size < PARALLEL_THRESHOLD else None
-    if processes == 1 or label_total == 1:
-        return _scan_chunk(shape, alphabet, beta, 0, label_total)
-
-    chunks = []
-    workers = processes
-    step = max(1, label_total // (workers * 4 if workers else 16))
-    starts = list(range(0, label_total, step))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(_scan_chunk, shape, alphabet, beta, lo, min(lo + step, label_total))
-            for lo in starts
-        ]
-        chunks = [f.result() for f in futures]
-    best_value, best_key, scanned = -1.0, None, 0
-    for value, key, count in chunks:
-        scanned += count
-        if value > best_value or (value == best_value and key < best_key):
-            best_value, best_key = value, key
-    return best_value, best_key, scanned
 
 
 @dataclass(frozen=True)

@@ -318,9 +318,10 @@ def codeword(code: StabilizerCode, amplitudes: Sequence[complex]) -> SourceState
 
     for g in code.generators:
         value = state.expectation(g)
-        assert abs(value - 1.0) < EXPECTATION_TOL, (
-            f"generator {g} has expectation {value!r} on synthesized codeword"
-        )
+        if abs(value - 1.0) >= EXPECTATION_TOL:
+            raise RuntimeError(
+                f"generator {g} has expectation {value!r} on synthesized codeword"
+            )
     return SourceState(code=code, amplitudes=tuple(amps.tolist()), state=state)
 
 
@@ -407,7 +408,8 @@ def builtin(name: str) -> StabilizerCode:
         raise ValueError(f"unknown builtin code {name!r}")
 
     report = validate(code)
-    assert report.passed, f"builtin {name} failed validation:\n{report}"
+    if not report.passed:
+        raise RuntimeError(f"builtin {name} failed validation:\n{report}")
     return code
 
 

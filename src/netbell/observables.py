@@ -158,7 +158,10 @@ def build_source(
         t_local, t_glob = _restricted(
             layout, qubits, lambda i, j: selection.h[i - 1].letter(j - 1)
         )
-        assert s_local.anticommutes(t_local)
+        if not s_local.anticommutes(t_local):
+            raise RuntimeError(
+                f"agent {layout.agent_label(agent)}: restricted s and t do not anticommute"
+            )
         out.append(
             SourceObservables(
                 agent=agent,
@@ -341,7 +344,8 @@ def build_tilted(
     combined = PauliString.product(
         [tr.p_part_global for tr in per_receiver], n=layout.total_qubits
     )
-    assert combined == p_full, "per-receiver phase-flip parts do not recompose"
+    if combined != p_full:
+        raise RuntimeError("per-receiver phase-flip parts do not recompose")
 
     return TiltedBlock(
         tilt_sources=tilt_sources,

@@ -282,7 +282,8 @@ def _build_frame(
 
     probabilities = np.abs(amps) ** 2
     total = probabilities.sum()
-    assert abs(total - 1.0) < PROB_TOL, f"frame probabilities sum to {total!r}"
+    if abs(total - 1.0) >= PROB_TOL:
+        raise RuntimeError(f"frame probabilities sum to {total!r}")
     probabilities = probabilities / total
 
     source_masks = tuple(_string_mask(layout, src.s_global) for src in sources)

@@ -160,11 +160,12 @@ class StateVector:
 
     def expectation(self, p: PauliString) -> float:
         """<psi|P|psi> for a hermitian string; the tiny imaginary residue is
-        asserted below 1e-10 and discarded."""
+        checked below 1e-10 and discarded."""
         if not p.is_hermitian():
             raise ValueError(f"expectation of non-hermitian operator {p}")
         value = self.inner(self.apply(p))
-        assert abs(value.imag) < IMAG_TOL, f"imaginary residue {value.imag!r} in expectation"
+        if abs(value.imag) >= IMAG_TOL:
+            raise RuntimeError(f"imaginary residue {value.imag!r} in expectation")
         return float(value.real)
 
     def expectation_combo(self, terms: ObservableTerms) -> float:

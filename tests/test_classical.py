@@ -1,5 +1,6 @@
 """Classical hidden-strategy certification tests."""
 
+import itertools
 import json
 import math
 
@@ -65,6 +66,51 @@ def random_strategy(shape, alphabet, rng, tilted=False):
     )
 
 
+def loop_scan(shape, alphabet, beta):
+    """Reference full scan: one Python evaluation per combination.
+
+    Returns (best value, best key, combos scanned) with the key and the
+    first-in-enumeration-order tie-break of classical._scan_full.
+    """
+    tilted = beta is not None
+    k, m = shape.k, shape.m
+    blocks = [shape.block(s) for s in range(1, k + 1)]
+    block_sizes, reach_sizes, widths = classical._table_bits(shape, alphabet, tilted)
+    root = 1.0 / k
+    best_value = -1.0
+    best_key = None
+    scanned = 0
+    for label_index in range(math.prod(alphabet)):
+        labels = classical._decode_labels(label_index, alphabet)
+        a_cols = [classical._flat(block, labels, alphabet) for block in blocks]
+        b_cols = [classical._flat(reach, labels, alphabet) for reach in shape.reach]
+        for combo in itertools.product(*(range(1 << w) for w in widths)):
+            scanned += 1
+            i_sign = 1
+            j_sign = 1
+            for s in range(k):
+                bits = combo[s]
+                a0 = 1 - 2 * ((bits >> a_cols[s]) & 1)
+                a1 = 1 - 2 * ((bits >> (block_sizes[s] + a_cols[s])) & 1)
+                i_sign *= (a0 + a1) // 2
+                j_sign *= (a0 - a1) // 2
+            for r in range(m):
+                bits = combo[k + r]
+                i_sign *= 1 - 2 * ((bits >> b_cols[r]) & 1)
+                j_sign *= 1 - 2 * ((bits >> (reach_sizes[r] + b_cols[r])) & 1)
+            value = abs(i_sign) ** root + abs(j_sign) ** root
+            if tilted:
+                p_sign = 1
+                for r in range(m):
+                    bits = combo[k + m + r]
+                    p_sign *= 1 - 2 * ((bits >> b_cols[r]) & 1)
+                value += beta * abs(p_sign) ** root
+            if value > best_value:
+                best_value = value
+                best_key = (label_index, combo)
+    return best_value, best_key, scanned
+
+
 class TestShapes:
     def test_from_layouts(self):
         assert NetworkShape.from_layout(bilocal_layout()) == BILOCAL
@@ -83,6 +129,32 @@ class TestShapes:
             NetworkShape(k=1, m=2, n=1, partition=(0, 1), reach=((1,),))
         with pytest.raises(ValueError, match="source ids"):
             NetworkShape(k=1, m=1, n=1, partition=(0, 1), reach=((2,),))
+
+
+# (I, J, P) as float.hex for 20 seeded random strategies, pinned: any
+# change to the summation order of correlators() moves them
+PINNED_CORRELATORS = [
+    ("0x0.0p+0", "0x1.1599423482a7ap-3", None),
+    ("-0x1.5a6ec8ee0eb96p-1", "-0x1.b3fb99ecec480p-3", None),
+    ("0x1.1ec42ea625930p-2", "0x1.709de8aced368p-1", None),
+    ("-0x1.024629ea80785p-3", "-0x1.0dbb82811387fp-3", None),
+    ("-0x1.47aeaeb0df510p-3", "0x0.0p+0", "0x1.e6e954a55a19ep-4"),
+    ("0x1.53addd8ef4edap-1", "-0x1.58a444e21624dp-2", "0x1.4eb7763bd3b67p-2"),
+    ("-0x1.309f512658886p-1", "-0x1.9ec15db34eef4p-2", "-0x1.0000000000000p+0"),
+    ("0x1.32c27b48c38a5p-5", "0x1.2a0b977f61e6cp-5", "0x1.5444782a4009dp-3"),
+    ("0x1.46bb1cecaeb4ap-1", "-0x1.7289c626a296bp-2", "0x1.1aec73b2bad29p-2"),
+    ("0x1.485da70abcab8p-5", "0x0.0p+0", "0x1.0000000000000p+0"),
+    ("0x1.4796dc0695811p-6", "-0x1.712a1421987fbp-1", "0x1.23cd0a96b9f2ep-3"),
+    ("0x1.be58a490245f2p-3", "0x1.b53ab58ab3758p-2", None),
+    ("0x1.16e188d34f84bp-2", "-0x1.7c0dcbb56aea6p-7", "-0x1.00e8e00abd0b8p-1"),
+    ("0x1.8ba1a56fccbf6p-4", "0x1.ce8bcb5206681p-1", None),
+    ("0x0.0p+0", "-0x1.ad72a0e029566p-4", None),
+    ("0x0.0p+0", "0x1.ddd91c7fbdd20p-2", "-0x1.f3b5f5b854bd6p-2"),
+    ("0x0.0p+0", "0x0.0p+0", None),
+    ("0x1.43e1f246a070ep-4", "-0x1.ec4ffc934b8b6p-5", None),
+    ("0x0.0p+0", "-0x1.a3de685414390p-1", None),
+    ("-0x1.0000000000000p+0", "0x0.0p+0", None),
+]
 
 
 class TestCorrelators:
@@ -165,6 +237,17 @@ class TestCorrelators:
         assert abs(after.i_value - base.i_value) < 1e-12
         assert abs(after.j_value - base.j_value) < 1e-12
 
+    def test_correlators_are_pinned(self):
+        rng = np.random.default_rng(2024)
+        for expected in PINNED_CORRELATORS:
+            shape = (SINGLE, BILOCAL)[int(rng.integers(2))]
+            strategy = random_strategy(
+                shape, int(rng.integers(2, 5)), rng, tilted=bool(rng.integers(2))
+            )
+            corr = correlators(strategy)
+            p_hex = None if corr.p_value is None else corr.p_value.hex()
+            assert (corr.i_value.hex(), corr.j_value.hex(), p_hex) == expected
+
 
 class TestStrategyValidation:
     def test_unnormalized_weights(self):
@@ -241,12 +324,41 @@ class TestScan:
         )
         assert abs(report.value - 1.5) < 1e-12
 
-    def test_chunked_scan_matches_serial(self):
-        serial = max_deterministic(BILOCAL, 2, processes=1, refine_draws=0)
-        chunked = max_deterministic(BILOCAL, 2, processes=2, refine_draws=0)
-        assert serial.value == chunked.value
-        assert serial.strategy == chunked.strategy
-        assert serial.scanned == chunked.scanned
+    @pytest.mark.parametrize(
+        "shape, alphabet, beta",
+        [
+            (SINGLE, 2, None),
+            (SINGLE, 2, 0.7),
+            (SINGLE, 3, None),
+            (SINGLE, 3, 0.7),
+            (BILOCAL, 2, None),
+            (BILOCAL, 2, 0.3),
+            (BILOCAL, (2, 3), None),
+        ],
+        ids=[
+            "single2",
+            "single2-tilted",
+            "single3",
+            "single3-tilted",
+            "bilocal2",
+            "bilocal2-tilted",
+            "bilocal23",
+        ],
+    )
+    def test_vectorized_scan_matches_loop(self, shape, alphabet, beta):
+        sizes = classical._normalize_alphabet(shape, alphabet)
+        expected = loop_scan(shape, sizes, beta)
+        assert classical._scan_full(shape, sizes, beta) == expected
+        assert expected[2] == scan_size(shape, sizes, tilted=beta is not None)
+
+    @pytest.mark.parametrize("shape, beta", [(SINGLE, 0.7), (BILOCAL, None)])
+    def test_slice_size_does_not_change_the_scan(self, monkeypatch, shape, beta):
+        # a slice smaller than the last table: every other table is
+        # iterated in Python around it
+        sizes = classical._normalize_alphabet(shape, 2)
+        expected = loop_scan(shape, sizes, beta)
+        monkeypatch.setattr(classical, "_SLICE", 2)
+        assert classical._scan_full(shape, sizes, beta) == expected
 
     def test_budget_refusal(self):
         with pytest.raises(ValueError, match="budget"):
@@ -272,6 +384,62 @@ class TestScan:
         one = max_deterministic(BILOCAL, 2, mode="reachable", seed=5)
         two = max_deterministic(BILOCAL, 2, mode="reachable", seed=5)
         assert one.stochastic_value == two.stochastic_value
+
+    @pytest.mark.parametrize(
+        "shape, alphabet, beta, value, strategy",
+        [
+            (
+                SINGLE,
+                4,
+                0.7,
+                "1.7000000000000002",
+                {
+                    "shape": {"k": 1, "m": 1, "n": 1, "partition": [0, 1], "reach": [[1]]},
+                    "alphabet": [4],
+                    "weights": [
+                        [
+                            0.19686770150711563,
+                            0.3958741018069986,
+                            0.1581968045246664,
+                            0.24906139216121942,
+                        ]
+                    ],
+                    "a_tables": [[[1, 1, 1, 1], [1, 1, 1, 1]]],
+                    "b_tables": [[[1, 1, 1, 1], [1, 1, 1, 1]]],
+                    "p_tables": [[1, 1, 1, 1]],
+                },
+            ),
+            (
+                BILOCAL,
+                2,
+                None,
+                "1.0000000000000002",
+                {
+                    "shape": {
+                        "k": 2,
+                        "m": 1,
+                        "n": 2,
+                        "partition": [0, 1, 2],
+                        "reach": [[1, 2]],
+                    },
+                    "alphabet": [2, 2],
+                    "weights": [
+                        [0.7203506230908565, 0.27964937690914354],
+                        [0.8012864101461495, 0.1987135898538506],
+                    ],
+                    "a_tables": [[[-1, -1], [-1, -1]], [[1, -1], [1, -1]]],
+                    "b_tables": [[[-1, 1, -1, 1], [-1, 1, 1, 1]]],
+                },
+            ),
+        ],
+        ids=["single4-tilted", "bilocal2"],
+    )
+    def test_seeded_refinement_is_pinned(self, shape, alphabet, beta, value, strategy):
+        # seed-7 results of the refine pass, pinned: any change to its
+        # draw order or summation order moves them
+        report = max_deterministic(shape, alphabet, beta=beta, seed=7)
+        assert repr(report.stochastic_value) == value
+        assert report.stochastic_strategy.to_json() == strategy
 
 
 class TestMahlerChain:

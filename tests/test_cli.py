@@ -274,3 +274,12 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert proc.stdout.strip().endswith("PASS")
+
+    def test_optimized_invocation(self):
+        # python -O strips assert statements; validation must not lean on them
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "netbell", "validate", "chsh"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0

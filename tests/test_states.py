@@ -154,6 +154,12 @@ class TestExpectation:
         a0 = [(np.cos(np.pi / 4), PauliString("Z")), (np.sin(np.pi / 4), PauliString("X"))]
         assert StateVector.zero(1).expectation_combo(a0) == pytest.approx(1 / np.sqrt(2))
 
+    def test_imaginary_residue_raises(self, monkeypatch):
+        # a runtime check, not an assert, so it also holds under python -O
+        monkeypatch.setattr("netbell.states.IMAG_TOL", 0.0)
+        with pytest.raises(RuntimeError, match="imaginary residue"):
+            StateVector.zero(1).expectation(PauliString("Z"))
+
 
 class TestMeasure:
     def test_z_on_zero_is_certain(self):
