@@ -105,13 +105,14 @@ def _cached_expectation(state: StateVector, op: PauliString, cache: dict) -> com
 
     Cross terms in the expanded products carry +/-i phases; those phases
     factor out of the amplitude sum, so the cache stores the plus-phase
-    value once per letter pattern.
+    value once per letter pattern, keyed on the (x, z) masks.
     """
-    value = cache.get(op.letters)
+    key = (op.x, op.z)
+    value = cache.get(key)
     if value is None:
         plain = op.with_phase_exponent(0)
         value = complex(np.vdot(state.amplitudes, state.apply(plain).amplitudes))
-        cache[op.letters] = value
+        cache[key] = value
     return op.phase * value
 
 

@@ -105,50 +105,26 @@ class SourceState:
 # validation
 
 
-def _symplectic_rows(ops: Iterable[PauliString]) -> list[np.ndarray]:
-    return [np.concatenate([p.x_bits, p.z_bits]).astype(np.uint8) for p in ops]
-
-
-def _gf2_rank(rows: Sequence[np.ndarray]) -> int:
-    if not rows:
-        return 0
-    mat = np.array(rows, dtype=np.uint8) % 2
-    rank = 0
-    for col in range(mat.shape[1]):
-        pivot = None
-        for r in range(rank, mat.shape[0]):
-            if mat[r, col]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        mat[[rank, pivot]] = mat[[pivot, rank]]
-        for r in range(mat.shape[0]):
-            if r != rank and mat[r, col]:
-                mat[r] ^= mat[rank]
-        rank += 1
-    return rank
-
-
 def _reduce_with_phases(ops: Sequence[PauliString]) -> tuple[int, PauliString | None]:
     """Gaussian elimination with exact phase tracking.
 
-    Returns (rank, witness) where witness is a product of input operators
-    that collapses to identity letters (None when the set is independent).
+    Each operator is the symplectic row (x << n) | z, so the leading
+    column (x of qubit 0 first, z of the last qubit last) is the highest
+    set bit. Returns (rank, witness) where witness is a product of input
+    operators that collapses to identity letters (None when the set is
+    independent).
     """
-    pivots: list[tuple[int, PauliString]] = []
+    pivots: dict[int, PauliString] = {}
     for op in ops:
         r = op
         while True:
-            bits = np.concatenate([r.x_bits, r.z_bits])
-            live = np.flatnonzero(bits)
-            if live.size == 0:
+            row = (r.x << r.n) | r.z
+            if not row:
                 return len(pivots), r
-            lead = int(live[0])
-            hit = next((p for col, p in pivots if col == lead), None)
+            lead = row.bit_length()
+            hit = pivots.get(lead)
             if hit is None:
-                pivots.append((lead, r))
-                pivots.sort(key=lambda item: item[0])
+                pivots[lead] = r
                 break
             r = r * hit
     return len(pivots), None
@@ -335,12 +311,12 @@ def codeword_angle(code: StabilizerCode, phi: float) -> SourceState:
 # ----------------------------------------------------------------------
 # built-in codes
 
-_BUILTIN_PATTERN = re.compile(r"^([a-z-]+)(?:\((\d+)(?:,(\d+))?\))?$")
+BUILTIN_NAME_PATTERN = re.compile(r"^([a-z-]+)(?:\((\d+)(?:,(\d+))?\))?$")
 
 
 def builtin(name: str) -> StabilizerCode:
     """Built-in code by name: two-one-two, five-one-three, ghz(n), ghz-split(n,m)."""
-    match = _BUILTIN_PATTERN.match(name.strip())
+    match = BUILTIN_NAME_PATTERN.match(name.strip())
     if not match:
         raise ValueError(f"unknown builtin code {name!r}")
     head, first, second = match.groups()

@@ -5,9 +5,14 @@ W_j in {I, X, Y, Z} and the phase exponent k in {0, 1, 2, 3}. The phase
 is never touched by floating point: products, commutators and sign
 flips stay exact no matter how many operators are multiplied.
 
-Qubit 0 is the leftmost tensor factor and the most significant bit of
-computational basis labels; this convention is shared by every module
-that consumes PauliString.
+The letters are stored symplectically as two Python ints x and z
+(I=(0,0), X=(1,0), Y=(1,1), Z=(0,1)), so a string of any length is two
+integers plus k and n. Qubit 0 is the leftmost tensor factor and the most
+significant bit, bit n-1, of x, of z and of computational basis labels;
+this convention is shared by every module that consumes PauliString, so
+x and z are directly the bit-flip and sign masks of the string's action
+on a basis state. Products and commutation are popcounts on those masks
+(the symplectic rule of Aaronson & Gottesman, quant-ph/0406196).
 """
 
 from __future__ import annotations
@@ -17,12 +22,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-_LETTERS = "IXYZ"
-
-# Symplectic encoding of a letter: I=(0,0), X=(1,0), Y=(1,1), Z=(0,1).
-_XBIT = {"I": 0, "X": 1, "Y": 1, "Z": 0}
-_ZBIT = {"I": 0, "X": 0, "Y": 1, "Z": 1}
-_LETTER_OF_BITS = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
+# Symplectic encoding of a letter as (x bit, z bit), and its inverse
+# indexed by x | z << 1.
+_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
+_LETTER_OF_BITS = "IXZY"
 
 _PHASE_VALUES = (1 + 0j, 1j, -1 + 0j, -1j)
 _PHASE_PREFIX = {0: "+", 1: "+i", 2: "-", 3: "-i"}
@@ -38,6 +41,16 @@ _SINGLE_MATRICES = {
 MATRIX_QUBIT_CAP = 12
 
 
+def _raw(x: int, z: int, k: int, n: int) -> "PauliString":
+    """A string from already-valid masks, reduced phase and length."""
+    out = object.__new__(PauliString)
+    out._x = x
+    out._z = z
+    out._k = k
+    out._n = n
+    return out
+
+
 class PauliString:
     """Immutable phased Pauli operator on n >= 1 qubits.
 
@@ -49,22 +62,26 @@ class PauliString:
         Power k of i in the overall phase i**k; reduced mod 4.
     """
 
-    __slots__ = ("_x", "_z", "_k")
+    __slots__ = ("_x", "_z", "_k", "_n")
 
     def __init__(self, letters: Iterable[str], phase_exponent: int = 0):
-        letters = tuple(letters)
-        if len(letters) < 1:
+        x = z = n = 0
+        for c in letters:
+            try:
+                xb, zb = _BITS[c]
+            except KeyError:
+                raise ValueError(
+                    f"unknown Pauli letter {c!r}; expected one of I, X, Y, Z"
+                ) from None
+            x = (x << 1) | xb
+            z = (z << 1) | zb
+            n += 1
+        if n < 1:
             raise ValueError("a PauliString needs at least one qubit")
-        try:
-            x = np.array([_XBIT[c] for c in letters], dtype=np.uint8)
-            z = np.array([_ZBIT[c] for c in letters], dtype=np.uint8)
-        except KeyError as bad:
-            raise ValueError(f"unknown Pauli letter {bad}; expected one of I, X, Y, Z")
-        x.setflags(write=False)
-        z.setflags(write=False)
         self._x = x
         self._z = z
         self._k = int(phase_exponent) % 4
+        self._n = n
 
     # ------------------------------------------------------------------
     # constructors
@@ -111,10 +128,20 @@ class PauliString:
 
     @property
     def n(self) -> int:
-        return self._x.shape[0]
+        return self._n
 
     def __len__(self) -> int:
-        return self.n
+        return self._n
+
+    @property
+    def x(self) -> int:
+        """Symplectic x mask: bit n-1-j is set iff letter j is X or Y."""
+        return self._x
+
+    @property
+    def z(self) -> int:
+        """Symplectic z mask: bit n-1-j is set iff letter j is Z or Y."""
+        return self._z
 
     @property
     def phase_exponent(self) -> int:
@@ -128,36 +155,32 @@ class PauliString:
     @property
     def letters(self) -> str:
         """Letters without the phase, e.g. "ZZXIX"."""
+        x, z = self._x, self._z
         return "".join(
-            _LETTER_OF_BITS[(int(xb), int(zb))] for xb, zb in zip(self._x, self._z)
+            _LETTER_OF_BITS[(x >> s & 1) | (z >> s & 1) << 1]
+            for s in range(self._n - 1, -1, -1)
         )
 
     def letter(self, j: int) -> str:
-        return _LETTER_OF_BITS[(int(self._x[j]), int(self._z[j]))]
-
-    @property
-    def x_bits(self) -> np.ndarray:
-        """Symplectic x row (read-only uint8 array)."""
-        return self._x
-
-    @property
-    def z_bits(self) -> np.ndarray:
-        """Symplectic z row (read-only uint8 array)."""
-        return self._z
+        if not 0 <= j < self._n:
+            raise IndexError(f"qubit {j} out of range for {self._n} qubits")
+        s = self._n - 1 - j
+        return _LETTER_OF_BITS[(self._x >> s & 1) | (self._z >> s & 1) << 1]
 
     @property
     def weight(self) -> int:
         """Number of non-identity letters."""
-        return int(np.count_nonzero(self._x | self._z))
+        return (self._x | self._z).bit_count()
 
     @property
     def support(self) -> tuple[int, ...]:
         """Indices of non-identity letters, ascending."""
-        return tuple(int(j) for j in np.flatnonzero(self._x | self._z))
+        mask, top = self._x | self._z, self._n - 1
+        return tuple(j for j in range(self._n) if mask >> (top - j) & 1)
 
     def is_identity(self) -> bool:
         """True iff every letter is I (any phase)."""
-        return self.weight == 0
+        return not (self._x | self._z)
 
     def is_hermitian(self) -> bool:
         """True iff the phase is real (+1 or -1)."""
@@ -169,48 +192,41 @@ class PauliString:
     def __mul__(self, other: "PauliString") -> "PauliString":
         if not isinstance(other, PauliString):
             return NotImplemented
-        if self.n != other.n:
+        if self._n != other._n:
             raise ValueError(
-                f"length mismatch: cannot multiply strings on {self.n} and {other.n} qubits"
+                f"length mismatch: cannot multiply strings on {self._n} and {other._n} qubits"
             )
-        x1 = self._x.astype(np.int64)
-        z1 = self._z.astype(np.int64)
-        x2 = other._x.astype(np.int64)
-        z2 = other._z.astype(np.int64)
+        x1, z1, x2, z2 = self._x, self._z, other._x, other._z
         x3 = x1 ^ x2
         z3 = z1 ^ z2
         # Per-qubit phase from W(x1,z1)W(x2,z2) = i**d W(x3,z3), derived by
-        # passing through the X^x Z^z form (Y = i X Z).
-        d = x1 * z1 + x2 * z2 + 2 * (z1 * x2) - x3 * z3
-        k = (self._k + other._k + int(d.sum())) % 4
-        out = PauliString.__new__(PauliString)
-        x3u = x3.astype(np.uint8)
-        z3u = z3.astype(np.uint8)
-        x3u.setflags(write=False)
-        z3u.setflags(write=False)
-        out._x = x3u
-        out._z = z3u
-        out._k = k
-        return out
+        # passing through the X^x Z^z form (Y = i X Z), summed over qubits.
+        d = (
+            (x1 & z1).bit_count()
+            + (x2 & z2).bit_count()
+            + 2 * (z1 & x2).bit_count()
+            - (x3 & z3).bit_count()
+        )
+        return _raw(x3, z3, (self._k + other._k + d) % 4, self._n)
 
     def commutes(self, other: "PauliString") -> bool:
         """True iff self and other commute (parity of anticommuting positions)."""
-        if self.n != other.n:
+        if self._n != other._n:
             raise ValueError(
-                f"length mismatch: cannot compare strings on {self.n} and {other.n} qubits"
+                f"length mismatch: cannot compare strings on {self._n} and {other._n} qubits"
             )
         clashes = (self._x & other._z) ^ (self._z & other._x)
-        return int(np.count_nonzero(clashes)) % 2 == 0
+        return clashes.bit_count() % 2 == 0
 
     def anticommutes(self, other: "PauliString") -> bool:
         return not self.commutes(other)
 
     def adjoint(self) -> "PauliString":
         """Hermitian conjugate: letters unchanged, phase conjugated."""
-        return self.with_phase_exponent((-self._k) % 4)
+        return self.with_phase_exponent(-self._k)
 
     def with_phase_exponent(self, k: int) -> "PauliString":
-        return PauliString(self.letters, phase_exponent=k)
+        return _raw(self._x, self._z, int(k) % 4, self._n)
 
     def __neg__(self) -> "PauliString":
         return self.with_phase_exponent(self._k + 2)
@@ -225,18 +241,20 @@ class PauliString:
         global index of this string's qubit j.
         """
         positions = list(positions)
-        if len(positions) != self.n:
+        if len(positions) != self._n:
             raise ValueError(
-                f"need {self.n} positions for a {self.n}-qubit string, got {len(positions)}"
+                f"need {self._n} positions for a {self._n}-qubit string, got {len(positions)}"
             )
         if len(set(positions)) != len(positions):
             raise ValueError(f"duplicate positions in {positions}")
-        letters = ["I"] * n
+        x = z = 0
         for j, pos in enumerate(positions):
             if not 0 <= pos < n:
                 raise ValueError(f"position {pos} out of range for {n} qubits")
-            letters[pos] = self.letter(j)
-        return PauliString(letters, phase_exponent=self._k)
+            s, t = self._n - 1 - j, n - 1 - pos
+            x |= (self._x >> s & 1) << t
+            z |= (self._z >> s & 1) << t
+        return _raw(x, z, self._k, n)
 
     def restrict(self, positions: Sequence[int]) -> "PauliString":
         """Letters at the given positions as a new string with phase +1.
@@ -246,19 +264,24 @@ class PauliString:
         """
         positions = list(positions)
         for pos in positions:
-            if not 0 <= pos < self.n:
-                raise ValueError(f"position {pos} out of range for {self.n} qubits")
+            if not 0 <= pos < self._n:
+                raise ValueError(f"position {pos} out of range for {self._n} qubits")
         if not positions:
             raise ValueError("cannot restrict to an empty position list")
-        return PauliString([self.letter(pos) for pos in positions])
+        x = z = 0
+        for pos in positions:
+            s = self._n - 1 - pos
+            x = (x << 1) | (self._x >> s & 1)
+            z = (z << 1) | (self._z >> s & 1)
+        return _raw(x, z, 0, len(positions))
 
     # ------------------------------------------------------------------
     # dense oracle
 
     def to_matrix(self) -> np.ndarray:
         """Dense 2**n x 2**n matrix; entries are exact Gaussian integers."""
-        if self.n > MATRIX_QUBIT_CAP:
-            raise ValueError(f"dense matrix capped at {MATRIX_QUBIT_CAP} qubits, got {self.n}")
+        if self._n > MATRIX_QUBIT_CAP:
+            raise ValueError(f"dense matrix capped at {MATRIX_QUBIT_CAP} qubits, got {self._n}")
         mats = [_SINGLE_MATRICES[c] for c in self.letters]
         return self.phase * functools.reduce(np.kron, mats)
 
@@ -276,10 +299,10 @@ class PauliString:
             return NotImplemented
         return (
             self._k == other._k
-            and self.n == other.n
-            and bool(np.array_equal(self._x, other._x))
-            and bool(np.array_equal(self._z, other._z))
+            and self._n == other._n
+            and self._x == other._x
+            and self._z == other._z
         )
 
     def __hash__(self) -> int:
-        return hash((self._k, self._x.tobytes(), self._z.tobytes()))
+        return hash((self._k, self._n, self._x, self._z))

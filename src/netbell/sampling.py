@@ -45,7 +45,7 @@ import numpy as np
 from .network import NetworkLayout, OperatorSelection, classify
 from .observables import ReceiverObservables, SourceObservables, TiltedBlock
 from .pauli import PauliString
-from .states import StateVector, make_rng
+from .states import StateVector, _parity, make_rng
 
 MODES = ("direct-observable", "per-qubit-discard")
 
@@ -180,22 +180,11 @@ class _Frame:
     qubit_masks: tuple[_Mask, ...]
 
 
-def _parity(values: np.ndarray) -> np.ndarray:
-    v = values.astype(np.int64, copy=True)
-    for shift in (32, 16, 8, 4, 2, 1):
-        v ^= v >> shift
-    return v & 1
-
-
-def _string_mask(layout: NetworkLayout, op: PauliString) -> _Mask:
+def _string_mask(op: PauliString) -> _Mask:
     phase = op.phase
     if phase.imag != 0 or phase.real not in (1.0, -1.0):
         raise ValueError(f"measured string must carry a real sign, got phase {phase}")
-    n = layout.total_qubits
-    bits = 0
-    for q in op.support:
-        bits |= 1 << (n - 1 - q)
-    return _Mask(bits=bits, sign=int(phase.real))
+    return _Mask(bits=op.x | op.z, sign=int(phase.real))
 
 
 def _mask_outcomes(indices: np.ndarray, mask: _Mask) -> np.ndarray:
@@ -209,14 +198,17 @@ def _apply_one_qubit(amps: np.ndarray, n: int, q: int, gate: np.ndarray) -> np.n
     return np.einsum("ab,ibj->iaj", gate, amps.reshape(left, 2, right)).reshape(-1)
 
 
+def _add_letter(target: dict[int, str], q: int, letter: str, where: str) -> None:
+    if target.setdefault(q, letter) != letter:
+        raise RuntimeError(
+            f"{where}: qubit {q} would be measured in both "
+            f"{target[q]} and {letter} bases"
+        )
+
+
 def _add_letters(target: dict[int, str], op: PauliString, where: str) -> None:
     for q in op.support:
-        letter = op.letter(q)
-        if target.setdefault(q, letter) != letter:
-            raise RuntimeError(
-                f"{where}: qubit {q} would be measured in both "
-                f"{target[q]} and {letter} bases"
-            )
+        _add_letter(target, q, op.letter(q), where)
 
 
 def _build_frame(
@@ -266,14 +258,9 @@ def _build_frame(
                 if letter == "I":
                     letter = classification.o_letter(i, j)
                 if letter is not None:
-                    q = layout.global_index(i, j)
-                    if letters.setdefault(q, letter) != letter:
-                        raise RuntimeError(
-                            f"{where}: qubit {q} would be measured in both "
-                            f"{letters[q]} and {letter} bases"
-                        )
+                    _add_letter(letters, layout.global_index(i, j), letter, where)
         if tilted_now:
-            p_masks.append(_string_mask(layout, tilt.receivers[pos_r].p_part_global))
+            p_masks.append(_string_mask(tilt.receivers[pos_r].p_part_global))
 
     for q, letter in letters.items():
         gate = _BASIS_ROTATION[letter]
@@ -286,9 +273,9 @@ def _build_frame(
         raise RuntimeError(f"frame probabilities sum to {total!r}")
     probabilities = probabilities / total
 
-    source_masks = tuple(_string_mask(layout, src.s_global) for src in sources)
+    source_masks = tuple(_string_mask(src.s_global) for src in sources)
     receiver_masks = tuple(
-        _string_mask(layout, rec.b0_global if ym == 0 else rec.b1_global)
+        _string_mask(rec.b0_global if ym == 0 else rec.b1_global)
         for ym, rec in zip(y, receivers)
     )
     # Per-qubit records cover the receiver-held measured qubits only; the

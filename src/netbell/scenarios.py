@@ -42,7 +42,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import re
 from dataclasses import dataclass, field
 
 from . import codes as code_lib
@@ -575,7 +574,12 @@ def _star(
 ) -> dict:
     if n < 1:
         raise ScenarioError(f"star needs at least one source, got {n}")
-    tilted = n if tilt_count is None else tilt_count
+    # Tilt by default only at a given phibar: the fallback angle phi = pi/4
+    # lies outside the (0, pi/4) range that tilt_parameters accepts.
+    if tilt_count is None:
+        tilted = 0 if phibar is None else n
+    else:
+        tilted = tilt_count
     if not 0 <= tilted <= n:
         raise ScenarioError(f"tilt_count must lie in 0..{n}, got {tilted}")
     angle = phi if phibar is None else phibar
@@ -615,13 +619,10 @@ BUILTIN_SCENARIOS = {
     "star": _star,
 }
 
-_NAME_PATTERN = re.compile(r"^([a-z-]+)(?:\((\d+)(?:,(\d+))?\))?$")
-
-
 def builtin_scenario(name: str, **params) -> Scenario:
     """Resolve a named built-in scenario. Accepts star(3) / ghz-split(4,2)
     argument forms; keyword parameters override the parsed ones."""
-    match = _NAME_PATTERN.match(name.strip())
+    match = code_lib.BUILTIN_NAME_PATTERN.match(name.strip())
     if not match or match.group(1) not in BUILTIN_SCENARIOS:
         known = ", ".join(sorted(BUILTIN_SCENARIOS))
         raise ScenarioError(f"unknown builtin scenario {name!r}; known: {known}")

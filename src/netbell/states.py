@@ -36,13 +36,10 @@ def spawn_rngs(seed: int | None, count: int) -> list[np.random.Generator]:
 
 
 def _parity(values: np.ndarray) -> np.ndarray:
-    """Bitwise popcount parity of each entry (values below 2**32)."""
-    v = values.copy()
-    v ^= v >> 16
-    v ^= v >> 8
-    v ^= v >> 4
-    v ^= v >> 2
-    v ^= v >> 1
+    """Bitwise popcount parity of each entry, as int64 (values below 2**63)."""
+    v = values.astype(np.int64, copy=True)
+    for shift in (32, 16, 8, 4, 2, 1):
+        v ^= v >> shift
     return v & 1
 
 
@@ -141,17 +138,10 @@ class StateVector:
         if p.n != self._n:
             raise ValueError(f"operator on {p.n} qubits applied to {self._n}-qubit state")
         n = self._n
-        # Qubit j is bit (n-1-j) of the basis index.
-        xmask = 0
-        zmask = 0
-        for j in range(n):
-            bit = 1 << (n - 1 - j)
-            if p.x_bits[j]:
-                xmask |= bit
-            if p.z_bits[j]:
-                zmask |= bit
-        y_count = int(np.count_nonzero(p.x_bits & p.z_bits))
-        phase = (1j) ** ((p.phase_exponent + y_count) % 4)
+        # The string's masks are the basis-index bit-flip and sign masks,
+        # since qubit j is bit (n-1-j) of both.
+        xmask, zmask = p.x, p.z
+        phase = (1j) ** ((p.phase_exponent + (xmask & zmask).bit_count()) % 4)
         idx = np.arange(1 << n)
         signs = 1.0 - 2.0 * _parity(idx & zmask)
         out = np.empty(1 << n, dtype=complex)

@@ -18,6 +18,7 @@ from conftest import (
     star_layout,
     star_selection,
 )
+from netbell import bell
 from netbell.bell import (
     evaluate,
     evaluate_tilted,
@@ -183,6 +184,20 @@ class TestMaximize:
         report = maximize(layout, star_selection(3, tilted=False))
         assert abs(report.quantum_value - math.sqrt(2)) < TOL
         assert report.k == 3
+
+    def test_star_expectation_cache_size_is_pinned(self, monkeypatch):
+        # 16 distinct letter patterns across the best angle and the whole
+        # grid, the count of the cache when it was keyed on letter text.
+        caches = {}
+        original = bell._cached_expectation
+
+        def spy(state, op, cache):
+            caches[id(cache)] = cache
+            return original(state, op, cache)
+
+        monkeypatch.setattr(bell, "_cached_expectation", spy)
+        maximize(star_layout(3, math.pi / 4), star_selection(3, tilted=False))
+        assert [len(cache) for cache in caches.values()] == [16]
 
     def test_product_sources_sit_on_the_bound(self):
         # phi = 0 kills every c_i, so the best angle is zero mixing

@@ -5,6 +5,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +14,7 @@ from netbell.cli import EXIT_ACCEPTANCE, EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
 
 PI_4 = "0.7853981633974483"
 PI_8 = "0.39269908169872414"
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture
@@ -221,6 +223,45 @@ class TestSample:
         assert len(lines) == 251
         leftovers = [p.name for p in tmp_path.iterdir() if p.suffix == ".tmp"]
         assert leftovers == []
+
+
+class TestBuiltinStar:
+    """star(N) is untilted unless --phibar or --tilt-count asks for a tilt."""
+
+    def test_evaluate(self, out_dir):
+        assert main(["evaluate", "star(3)"]) == EXIT_OK
+        payload = json.load(open(out_dir / "star(3)-evaluate.json"))
+        assert payload["quantum_value"] == pytest.approx(math.sqrt(2.0), abs=1e-9)
+        assert read_csv_row(out_dir / "star(3)-evaluate.csv")["beta"] == ""
+
+    def test_sample(self, out_dir):
+        assert main(["sample", "star(3)", "--rounds", "20000", "--seed", "1"]) == EXIT_OK
+        payload = json.load(open(out_dir / "star(3)-sample.json"))
+        assert abs(payload["value"] - math.sqrt(2.0)) < 4 * payload["value_se"]
+        assert payload["beta"] is None
+
+    def test_classical_bound(self, out_dir):
+        assert main(["classical-bound", "star(3)"]) == EXIT_OK
+        payload = json.load(open(out_dir / "star(3)-classical-bound.json"))
+        assert payload["classical_bound"] == 1.0
+        assert payload["deterministic_max"] == pytest.approx(1.0, abs=classical.BOUND_TOL)
+        assert payload["beta"] is None
+
+    @pytest.mark.parametrize(
+        "argv,stem",
+        [
+            (["evaluate", "star(3)", "--tilt-count", "0"], "evaluate"),
+            (["maximize", "star(3)", "--tilt-count", "0"], "maximize"),
+            (["tilted", "star", "--N", "3", "--phibar", "0.3927", "--beta", "auto"], "tilted"),
+        ],
+    )
+    def test_reports_are_byte_identical_to_pinned(self, out_dir, argv, stem):
+        # Pinned from the numpy-array PauliString (numpy 2.4, OpenBLAS 0.3.31,
+        # x86-64); the int encoding must not move a single digit.
+        assert main(argv) == EXIT_OK
+        for ext in ("json", "csv"):
+            written = (out_dir / f"star(3)-{stem}.{ext}").read_bytes()
+            assert written == (DATA / f"star3-{stem}.{ext}").read_bytes()
 
 
 class TestOutputRouting:

@@ -176,6 +176,76 @@ class TestEmbedRestrict:
             PauliString("XX").restrict([])
 
 
+# Single-qubit products W_a W_b = i**k W_c as (k, c): the letter-by-letter
+# oracle for strings too long for dense matrices.
+SINGLE_PRODUCT = {
+    ("I", "I"): (0, "I"), ("I", "X"): (0, "X"), ("I", "Y"): (0, "Y"), ("I", "Z"): (0, "Z"),
+    ("X", "I"): (0, "X"), ("X", "X"): (0, "I"), ("X", "Y"): (1, "Z"), ("X", "Z"): (3, "Y"),
+    ("Y", "I"): (0, "Y"), ("Y", "X"): (3, "Z"), ("Y", "Y"): (0, "I"), ("Y", "Z"): (1, "X"),
+    ("Z", "I"): (0, "Z"), ("Z", "X"): (1, "Y"), ("Z", "Y"): (3, "X"), ("Z", "Z"): (0, "I"),
+}
+
+
+def table_product(letters_a, ka, letters_b, kb):
+    """(letters, phase exponent) of i**ka A * i**kb B, qubit by qubit."""
+    k = ka + kb
+    out = []
+    for la, lb in zip(letters_a, letters_b):
+        dk, lc = SINGLE_PRODUCT[la, lb]
+        k += dk
+        out.append(lc)
+    return "".join(out), k % 4
+
+
+def wide_letter_pairs(max_n=70):
+    """Raw (letters_a, ka, letters_b, kb) on up to 70 qubits, past one 64-bit word."""
+    return st.integers(1, max_n).flatmap(
+        lambda n: st.tuples(
+            st.text(alphabet="IXYZ", min_size=n, max_size=n),
+            st.integers(0, 7),
+            st.text(alphabet="IXYZ", min_size=n, max_size=n),
+            st.integers(0, 7),
+        )
+    )
+
+
+class TestWideStrings:
+    @given(wide_letter_pairs())
+    def test_product_matches_single_qubit_table(self, raw):
+        la, ka, lb, kb = raw
+        product = PauliString(la, ka) * PauliString(lb, kb)
+        assert (product.letters, product.phase_exponent) == table_product(la, ka, lb, kb)
+
+    @given(wide_letter_pairs())
+    def test_commutes_matches_single_qubit_table(self, raw):
+        la, _, lb, _ = raw
+        ab = table_product(la, 0, lb, 0)
+        ba = table_product(lb, 0, la, 0)
+        assert PauliString(la).commutes(PauliString(lb)) == (ab == ba)
+
+    @given(wide_letter_pairs(), st.data())
+    def test_equality_and_hash_follow_letters_and_phase(self, raw, data):
+        # b differs from a in at most one letter, so near misses are common.
+        la, ka, _, kb = raw
+        j = data.draw(st.integers(0, len(la) - 1))
+        lb = la[:j] + data.draw(st.sampled_from("IXYZ")) + la[j + 1 :]
+        a, b = PauliString(la, ka), PauliString(lb, kb)
+        same = (la, ka % 4) == (lb, kb % 4)
+        assert (a == b) == same
+        assert a == PauliString(la, ka)
+        assert hash(a) == hash(PauliString(la, ka))
+        assert len({a, b}) == (1 if same else 2)
+
+    @given(wide_letter_pairs())
+    def test_accessors_read_back_the_letters(self, raw):
+        la, ka, _, _ = raw
+        p = PauliString(la, ka)
+        assert (p.letters, p.n, p.phase_exponent) == (la, len(la), ka % 4)
+        assert p.support == tuple(j for j, c in enumerate(la) if c != "I")
+        assert p.weight == len(p.support)
+        assert [p.letter(j) for j in range(p.n)] == list(la)
+
+
 class TestDenseOracle:
     @given(pauli_pairs(max_n=5))
     def test_product_matches_matrix_arithmetic_exactly(self, pair):
