@@ -51,6 +51,11 @@ MODES = ("direct-observable", "per-qubit-discard")
 
 PROB_TOL = 1e-9
 
+# Rounds per write of the round record: bounds the text held at once.
+_RECORD_CHUNK = 8192
+# Widest outcome row whose base-3 code fits in int64 (3**39 < 2**63).
+_MAX_CODED_WIDTH = 39
+
 _H = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
 _S_DAG = np.array([[1.0, 0.0], [0.0, -1.0j]], dtype=complex)
 _BASIS_ROTATION = {"X": _H, "Y": _H @ _S_DAG, "Z": None}
@@ -423,11 +428,13 @@ def run(
 ) -> TallyReport:
     """Sample finite rounds and report correlator estimates.
 
-    record_path, when given, receives one CSV row per round: the round
-    index, the settings (x bits, a bar, y bits), then the recorded
-    outcomes. Direct mode records per-agent observable outcomes (phase-flip
-    columns hold 0 in rounds where they are not collected); per-qubit mode
-    records every measured qubit outcome after the source-agent columns.
+    record_path, when given, receives one CSV row per round, in a frozen
+    format: the columns round, settings, a1..aK, then b1..bM (and p1..pM
+    for a tilted block) in direct mode or one q(i,j) per measured receiver
+    qubit in per-qubit mode. settings is the text "x|y" of x bits and y
+    bits, such as "01|1"; every outcome is -1 or +1, except that phase-flip
+    columns hold 0 in rounds where they are not collected. Lines end in
+    CRLF, and the same seed writes the same bytes.
     """
     if beta is not None:
         if tilt is None:
@@ -451,8 +458,17 @@ def run(
     rng = make_rng(config.seed)
     counts = rng.multinomial(config.rounds, weights)
 
+    if record_path is not None:
+        measured_qubits = ()
+        if config.strategy == "per-qubit-discard":
+            measured_qubits = _measured_qubits_for_header(
+                layout, classification, sources, receivers, config.strategy, tilt
+            )
+        header = _csv_header(config.strategy, k, m, tilt is not None, measured_qubits)
+        codes = []  # per setting block, each round's index into texts
+        texts = []  # the line text after the round index, once per distinct round
+
     tallies = []
-    blocks = []
     for (x, y), count in zip(combos, (int(c) for c in counts)):
         tilted_now = tilt is not None and all(b == 0 for b in y)
         if count == 0:
@@ -494,7 +510,7 @@ def run(
                     _mask_outcomes(indices, mask) for mask in frame.qubit_masks
                 ]
             settings_text = "".join(map(str, x)) + "|" + "".join(map(str, y))
-            blocks.append((settings_text, np.stack(outcome_cols, axis=1)))
+            codes.append(_encode_block(settings_text, outcome_cols, len(header) - 2, texts))
 
     i_est, i_se, j_est, j_se = _correlator_estimates(tallies, k)
     p_est, p_se = _phase_flip_estimate(tallies)
@@ -516,12 +532,7 @@ def run(
             g_se = math.sqrt(value_se**2 + (beta * p_root_se) ** 2)
 
     if record_path is not None:
-        measured_qubits = ()
-        if config.strategy == "per-qubit-discard":
-            measured_qubits = _measured_qubits_for_header(
-                layout, classification, sources, receivers, config.strategy, tilt
-            )
-        _write_rounds(record_path, config, k, m, tilt is not None, blocks, rng, measured_qubits)
+        _write_rounds(record_path, header, codes, texts, rng)
 
     return TallyReport(
         mode=config.strategy,
@@ -552,24 +563,40 @@ def _measured_qubits_for_header(
     return frame.measured_qubits
 
 
-def _write_rounds(path, config, k, m, tilted, blocks, rng, measured_qubits) -> None:
-    header = _csv_header(config.strategy, k, m, tilted, measured_qubits)
-    width = len(header) - 2
-    rows = []
-    settings = []
-    for settings_text, outcomes in blocks:
-        if outcomes.shape[1] != width:
-            raise RuntimeError(
-                f"round record width {outcomes.shape[1]} does not match header {width}"
-            )
-        rows.append(outcomes)
-        settings.extend([settings_text] * outcomes.shape[0])
-    stacked = np.concatenate(rows, axis=0) if rows else np.zeros((0, width), dtype=int)
-    order = rng.permutation(stacked.shape[0])
+def _encode_block(settings_text, columns, width, texts) -> np.ndarray:
+    """Index every round of one setting block into texts, appending the text
+    of each distinct round once.
+
+    Outcomes lie in {-1, 0, +1}, so an outcome row reads as a base-3 number.
+    """
+    if len(columns) != width:
+        raise RuntimeError(
+            f"round record width {len(columns)} does not match header {width}"
+        )
+    if width > _MAX_CODED_WIDTH:
+        raise RuntimeError(
+            f"round record width {width} exceeds {_MAX_CODED_WIDTH} coded columns"
+        )
+    row_codes = np.zeros(len(columns[0]), dtype=np.int64)
+    for column in columns:
+        row_codes = 3 * row_codes + (column + 1)
+    _, first, inverse = np.unique(row_codes, return_index=True, return_inverse=True)
+    offset = len(texts)
+    rows = zip(*(column[first].tolist() for column in columns))
+    texts.extend(f",{settings_text},{','.join(map(str, row))}\r\n" for row in rows)
+    return inverse + offset
+
+
+def _write_rounds(path, header, codes, texts, rng) -> None:
+    """Shuffle the rounds of all blocks and write them under the header, one
+    write per chunk of rounds."""
+    codes = np.concatenate(codes)
+    shuffled = codes[rng.permutation(codes.size)]
+    texts = np.array(texts, dtype=object)
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        for round_index, source_row in enumerate(order):
-            writer.writerow(
-                [round_index, settings[source_row], *map(int, stacked[source_row])]
+        csv.writer(handle).writerow(header)
+        for start in range(0, len(shuffled), _RECORD_CHUNK):
+            chunk = texts[shuffled[start : start + _RECORD_CHUNK]]
+            handle.write(
+                "".join([f"{index}{text}" for index, text in enumerate(chunk, start)])
             )

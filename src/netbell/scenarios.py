@@ -574,14 +574,16 @@ def _star(
 ) -> dict:
     if n < 1:
         raise ScenarioError(f"star needs at least one source, got {n}")
-    # Tilt by default only at a given phibar: the fallback angle phi = pi/4
-    # lies outside the (0, pi/4) range that tilt_parameters accepts.
+    # Tilt only at a given phibar: the untilted angle phi = pi/4 lies outside
+    # the (0, pi/4) range that tilt_parameters accepts.
     if tilt_count is None:
         tilted = 0 if phibar is None else n
     else:
         tilted = tilt_count
     if not 0 <= tilted <= n:
         raise ScenarioError(f"tilt_count must lie in 0..{n}, got {tilted}")
+    if tilted and phibar is None:
+        raise ScenarioError("a tilted star needs phibar (--phibar)")
     angle = phi if phibar is None else phibar
     receiver = n + 1
     assignment = [[i, 2, i] for i in range(1, n + 1)]

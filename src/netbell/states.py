@@ -29,12 +29,6 @@ def make_rng(seed: int | None) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def spawn_rngs(seed: int | None, count: int) -> list[np.random.Generator]:
-    """Independent child generators split deterministically from one seed."""
-    children = np.random.SeedSequence(seed).spawn(count)
-    return [np.random.default_rng(c) for c in children]
-
-
 def _parity(values: np.ndarray) -> np.ndarray:
     """Bitwise popcount parity of each entry, as int64 (values below 2**63)."""
     v = values.astype(np.int64, copy=True)

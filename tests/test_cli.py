@@ -226,7 +226,8 @@ class TestSample:
 
 
 class TestBuiltinStar:
-    """star(N) is untilted unless --phibar or --tilt-count asks for a tilt."""
+    """star(N) is untilted unless --phibar is given; a --tilt-count above 0
+    needs --phibar too."""
 
     def test_evaluate(self, out_dir):
         assert main(["evaluate", "star(3)"]) == EXIT_OK
@@ -246,6 +247,11 @@ class TestBuiltinStar:
         assert payload["classical_bound"] == 1.0
         assert payload["deterministic_max"] == pytest.approx(1.0, abs=classical.BOUND_TOL)
         assert payload["beta"] is None
+
+    def test_tilt_count_without_phibar_names_the_option(self, out_dir, capsys):
+        assert main(["evaluate", "star(3)", "--tilt-count", "2"]) == EXIT_VALIDATION
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: a tilted star needs phibar (--phibar)"]
 
     @pytest.mark.parametrize(
         "argv,stem",

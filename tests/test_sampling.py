@@ -9,6 +9,7 @@ quantile for its cell count.
 
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,13 +24,39 @@ from conftest import (
     star_layout,
     star_selection,
 )
-from netbell import bell, sampling
+from netbell import bell, sampling, scenarios
 from netbell.network import classify
 from netbell.observables import build_receiver, build_source, build_tilted
 from netbell.sampling import RunConfig, outcome_distribution, run
 
 # 0.999 chi-squared quantiles by degrees of freedom.
 CHI2_999 = {3: 16.266, 7: 24.322}
+
+DATA = Path(__file__).parent / "data"
+
+# Round records pinned as files in tests/data/rounds-<name>.csv, written by
+# the earlier writer that made one csv.writerow call per round; each entry is
+# (builtin scenario, RunConfig keywords, beta). The weighted entry leaves
+# four of the eight setting cells empty.
+PINNED_RECORDS = {
+    "example-a-direct": ("example-a", dict(rounds=500, seed=1), None),
+    "example-a-per-qubit": (
+        "example-a",
+        dict(rounds=500, seed=1, strategy="per-qubit-discard"),
+        None,
+    ),
+    "chsh-tilted-direct": ("chsh-tilted", dict(rounds=500, seed=1), 0.7),
+    "chsh-tilted-per-qubit": (
+        "chsh-tilted",
+        dict(rounds=500, seed=1, strategy="per-qubit-discard"),
+        0.7,
+    ),
+    "example-a-weighted": (
+        "example-a",
+        dict(rounds=500, seed=2, setting_weights=(1, 0, 0, 2, 3, 0, 0, 1)),
+        None,
+    ),
+}
 
 
 def synth(layout, selection, thetas, *, tilted=False, allow=False):
@@ -42,6 +69,22 @@ def synth(layout, selection, thetas, *, tilted=False, allow=False):
         build_tilted(layout, classification, selection, receivers) if tilted else None
     )
     return sources, receivers, tilt
+
+
+def write_pinned_record(name, path):
+    builtin, config, beta = PINNED_RECORDS[name]
+    scenario = scenarios.builtin_scenario(builtin)
+    synthesis = scenarios.synthesize(scenario)
+    run(
+        scenario.layout,
+        scenario.selection,
+        synthesis.sources,
+        synthesis.receivers,
+        RunConfig(**config),
+        tilt=synthesis.tilt,
+        beta=beta,
+        record_path=path,
+    )
 
 
 def joint_oracle(state, observables):
@@ -541,6 +584,23 @@ class TestRoundRecord:
                 record_path=path,
             )
         assert first.read_bytes() == second.read_bytes()
+
+    @pytest.mark.parametrize("name", sorted(PINNED_RECORDS))
+    def test_record_is_pinned(self, tmp_path, name):
+        path = tmp_path / "rounds.csv"
+        write_pinned_record(name, path)
+        assert path.read_bytes() == (DATA / f"rounds-{name}.csv").read_bytes()
+
+    def test_chunk_size_does_not_change_the_record(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(sampling, "_RECORD_CHUNK", 7)
+        path = tmp_path / "rounds.csv"
+        write_pinned_record("example-a-per-qubit", path)
+        assert path.read_bytes() == (DATA / "rounds-example-a-per-qubit.csv").read_bytes()
+
+    def test_record_wider_than_its_code_is_refused(self):
+        columns = [np.ones(3, dtype=int)] * (sampling._MAX_CODED_WIDTH + 1)
+        with pytest.raises(RuntimeError, match="coded columns"):
+            sampling._encode_block("0|0", columns, len(columns), [])
 
     def test_record_does_not_change_estimates(self, tmp_path):
         layout = chsh_layout(np.pi / 8)

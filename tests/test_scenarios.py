@@ -327,7 +327,7 @@ class TestResolveBeta:
             resolve_beta(builtin_scenario("chsh"), "auto")
 
     def test_auto_needs_a_shared_angle(self):
-        scenario = builtin_scenario("star", n=2, tilt_count=2)
+        scenario = builtin_scenario("star", n=2, tilt_count=2, phibar=0.2)
         data = scenario_to_dict(scenario)
         del data["options"]["phibar"]
         phi = 0.3

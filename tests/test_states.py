@@ -234,10 +234,3 @@ class TestRng:
         a = make_rng(42).random(5)
         b = make_rng(42).random(5)
         assert np.array_equal(a, b)
-
-    def test_spawn_streams_differ(self):
-        from netbell.states import spawn_rngs
-
-        streams = spawn_rngs(42, 3)
-        draws = [r.random() for r in streams]
-        assert len(set(draws)) == 3
