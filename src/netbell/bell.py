@@ -239,20 +239,6 @@ def evaluate_tilted(
     return replace(base, tilt=tilted)
 
 
-def _synthesize_at(
-    layout: NetworkLayout,
-    selection: OperatorSelection,
-    theta: float,
-    allow_commuting_pair: bool,
-):
-    classification = classify(layout, selection)
-    sources = build_source(layout, classification, selection, [theta] * layout.K)
-    receivers = build_receiver(
-        layout, classification, selection, allow_commuting_pair=allow_commuting_pair
-    )
-    return sources, receivers
-
-
 def maximize(
     layout: NetworkLayout,
     selection: OperatorSelection,
@@ -278,8 +264,13 @@ def maximize(
     theta_best = math.atan(big_c)
     bound = math.sqrt(1.0 + big_c**2)
 
+    # Only the source observables depend on the angle.
+    classification = classify(layout, selection)
+    sources = build_source(layout, classification, selection, [theta_best] * k)
+    receivers = build_receiver(
+        layout, classification, selection, allow_commuting_pair=allow_commuting_pair
+    )
     cache: dict = {}
-    sources, receivers = _synthesize_at(layout, selection, theta_best, allow_commuting_pair)
     best = _evaluate(layout, selection, sources, receivers, cache)
     if abs(best.quantum_value - bound) > CROSS_CHECK_TOL:
         raise RuntimeError(
@@ -287,9 +278,7 @@ def maximize(
             f"expected sqrt(1 + C^2) = {bound:.12f}"
         )
     for theta in np.linspace(0.0, math.pi / 2, grid_points):
-        sources, receivers = _synthesize_at(
-            layout, selection, float(theta), allow_commuting_pair
-        )
+        sources = build_source(layout, classification, selection, [float(theta)] * k)
         report = _evaluate(layout, selection, sources, receivers, cache)
         if report.quantum_value > bound + GRID_MARGIN:
             raise RuntimeError(

@@ -318,67 +318,6 @@ def objective_value(corr: ClassicalCorrelators, k: int, beta: float | None) -> f
     return beta * abs(corr.p_value) ** (1.0 / k) + bell_value(corr, k)
 
 
-@dataclass(frozen=True)
-class MahlerChain:
-    """Stages of the classical bounding chain for one strategy."""
-
-    value: float
-    factored: float
-    product_bound: float
-
-    @property
-    def holds(self) -> bool:
-        return (
-            self.value <= self.factored + BOUND_TOL
-            and self.factored <= self.product_bound + BOUND_TOL
-            and self.product_bound <= 1.0 + BOUND_TOL
-        )
-
-
-def mahler_chain(strategy: HiddenStrategy) -> MahlerChain:
-    """Numeric check of the bounding chain on one strategy.
-
-    value is the objective; factored bounds it using per-agent averages
-    u_s = E|<A0+A1>/2| and v_s = E|<A0-A1>/2| (receiver answers only
-    contribute their modulus 1); product_bound applies the product
-    inequality, and u_s + v_s = 1 pointwise pins it at 1.
-    """
-    shape = strategy.shape
-    alphabet = strategy.alphabet
-    k = shape.k
-    corr = correlators(strategy)
-    u = [0.0] * k
-    v = [0.0] * k
-    for s in range(1, k + 1):
-        block = shape.block(s)
-        for labels in itertools.product(
-            *(range(alphabet[i - 1]) for i in block)
-        ):
-            weight = math.prod(
-                strategy.weights[i - 1][value]
-                for i, value in zip(block, labels)
-            )
-            full = [0] * shape.n
-            for i, value in zip(block, labels):
-                full[i - 1] = value
-            column = _flat(block, full, alphabet)
-            a0 = strategy.a_tables[s - 1][0][column]
-            a1 = strategy.a_tables[s - 1][1][column]
-            u[s - 1] += weight * abs(a0 + a1) / 2
-            v[s - 1] += weight * abs(a0 - a1) / 2
-    factored = (
-        math.prod(u) ** (1.0 / k) + math.prod(v) ** (1.0 / k)
-    )
-    product_bound = math.prod(
-        (u[s] + v[s]) ** (1.0 / k) for s in range(k)
-    )
-    return MahlerChain(
-        value=bell_value(corr, k),
-        factored=factored,
-        product_bound=product_bound,
-    )
-
-
 def _table_bits(shape: NetworkShape, alphabet, tilted: bool):
     """Bit widths of every enumerated table, in scan order."""
     block_sizes = [

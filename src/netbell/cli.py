@@ -14,7 +14,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 
 from . import bell, classical, reports, sampling, scenarios
 from .classical import BoundViolation, NetworkShape
@@ -395,13 +394,6 @@ def _cmd_sample(args) -> int:
     )
     digest = scenarios.fingerprint(scenario)
     out_dir = _out_dir(args)
-    record = args.rounds_csv
-    temp_record = None
-    if record is not None:
-        directory = os.path.dirname(os.path.abspath(record)) or "."
-        os.makedirs(directory, exist_ok=True)
-        handle, temp_record = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        os.close(handle)
     try:
         report = sampling.run(
             scenario.layout,
@@ -411,19 +403,12 @@ def _cmd_sample(args) -> int:
             config,
             tilt=synthesis.tilt,
             beta=beta,
-            record_path=temp_record,
+            record_path=args.rounds_csv,
         )
-        if temp_record is not None:
-            os.replace(temp_record, record)
-            temp_record = None
     except OSError as err:
-        raise CliError(EXIT_IO, f"cannot write round record {record}: {err}") from err
-    finally:
-        if temp_record is not None:
-            try:
-                os.unlink(temp_record)
-            except OSError:
-                pass
+        raise CliError(
+            EXIT_IO, f"cannot write round record {args.rounds_csv}: {err}"
+        ) from err
     payload = report.as_dict()
     payload["name"] = scenario.name
     payload["scenario_hash"] = digest

@@ -251,6 +251,13 @@ def classify(layout: NetworkLayout, selection: OperatorSelection) -> Classificat
     )
 
 
+def anticommuting_count(
+    layout: NetworkLayout, classification: Classification, agent: int
+) -> int:
+    """How many of the agent's qubits carry anticommuting (g, h) letters."""
+    return sum(classification.delta(i, j) for i, j in layout.qubits_of(agent))
+
+
 @dataclass(frozen=True)
 class ParityReport:
     """Outcome of the anticommuting-count conditions, one fact per line.
@@ -300,21 +307,8 @@ def check_parity(layout: NetworkLayout, classification: Classification) -> Parit
                 f"count={count}",
             )
         )
-    for agent in layout.source_agents:
-        total = sum(
-            classification.delta(i, j) for i, j in layout.qubits_of(agent)
-        )
-        checks.append(
-            CheckResult(
-                f"agent {layout.agent_label(agent)} anticommuting count odd",
-                total % 2 == 1,
-                f"count={total}",
-            )
-        )
-    for agent in layout.receivers:
-        total = sum(
-            classification.delta(i, j) for i, j in layout.qubits_of(agent)
-        )
+    for agent in layout.source_agents + layout.receivers:
+        total = anticommuting_count(layout, classification, agent)
         checks.append(
             CheckResult(
                 f"agent {layout.agent_label(agent)} anticommuting count odd",

@@ -18,7 +18,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from netbell.network import Classification, NetworkLayout, OperatorSelection
+from netbell.network import (
+    Classification,
+    NetworkLayout,
+    OperatorSelection,
+    anticommuting_count,
+)
 from netbell.pauli import PauliString
 
 
@@ -127,8 +132,13 @@ def _restricted(layout, qubits, letter_of) -> tuple[PauliString, PauliString]:
     return local, local.embed(positions, layout.total_qubits)
 
 
-def _agent_parity_odd(layout, classification, agent) -> bool:
-    return sum(classification.delta(i, j) for i, j in layout.qubits_of(agent)) % 2 == 1
+def _cut_g_h(layout, selection, qubits):
+    """The selected g and h cut to the given qubits, each as (local, global)."""
+
+    def cut(ops):
+        return _restricted(layout, qubits, lambda i, j: ops[i - 1].letter(j - 1))
+
+    return cut(selection.g), cut(selection.h)
 
 
 def build_source(
@@ -146,18 +156,13 @@ def build_source(
 
     out = []
     for agent in layout.source_agents:
-        if not _agent_parity_odd(layout, classification, agent):
+        if anticommuting_count(layout, classification, agent) % 2 == 0:
             raise ValueError(
                 f"agent {layout.agent_label(agent)} holds an even anticommuting "
                 "count; its A pair would not anticommute"
             )
         qubits = layout.qubits_of(agent)
-        s_local, s_glob = _restricted(
-            layout, qubits, lambda i, j: selection.g[i - 1].letter(j - 1)
-        )
-        t_local, t_glob = _restricted(
-            layout, qubits, lambda i, j: selection.h[i - 1].letter(j - 1)
-        )
+        (s_local, s_glob), (t_local, t_glob) = _cut_g_h(layout, selection, qubits)
         if not s_local.anticommutes(t_local):
             raise RuntimeError(
                 f"agent {layout.agent_label(agent)}: restricted s and t do not anticommute"
@@ -188,19 +193,15 @@ def build_receiver(
     allowed (the two-branch correlators stay well defined either way)."""
     out = []
     for agent in layout.receivers:
-        if not _agent_parity_odd(layout, classification, agent) and not allow_commuting_pair:
+        even = anticommuting_count(layout, classification, agent) % 2 == 0
+        if even and not allow_commuting_pair:
             raise ValueError(
                 f"agent {layout.agent_label(agent)} holds an even "
                 "anticommuting count; B0 and B1 would commute "
                 "(pass allow_commuting_pair=True to accept)"
             )
         qubits = layout.qubits_of(agent)
-        b0_local, b0_glob = _restricted(
-            layout, qubits, lambda i, j: selection.g[i - 1].letter(j - 1)
-        )
-        b1_local, b1_glob = _restricted(
-            layout, qubits, lambda i, j: selection.h[i - 1].letter(j - 1)
-        )
+        (b0_local, b0_glob), (b1_local, b1_glob) = _cut_g_h(layout, selection, qubits)
         out.append(
             ReceiverObservables(
                 agent=agent,

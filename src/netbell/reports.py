@@ -1,7 +1,8 @@
 """Report files: JSON and CSV emission with frozen column orders.
 
-Every writer goes through a temp file in the target directory followed by
-an atomic rename, so a crashed run never leaves a half-written report.
+Every file, reports and sampling round records alike, goes through a temp
+file in the target directory followed by an atomic rename, so a crashed
+run never leaves a half-written file; file modes follow the umask.
 
 CSV column orders (one row per evaluated point):
 
@@ -78,13 +79,18 @@ SAMPLE_COLUMNS = [
 ]
 
 
-def _atomic_write(path, writer) -> None:
+def atomic_write(path, writer) -> None:
+    """Call writer(handle) on a temp file beside path, then rename it onto
+    path. The file's mode follows the umask, as with a plain open()."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     descriptor, temp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(descriptor, "w", newline="") as handle:
             writer(handle)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(temp_path, 0o666 & ~umask)
         os.replace(temp_path, path)
     except BaseException:
         try:
@@ -95,7 +101,7 @@ def _atomic_write(path, writer) -> None:
 
 
 def write_json(path, payload: dict) -> None:
-    _atomic_write(path, lambda h: (json.dump(payload, h, indent=2), h.write("\n")))
+    atomic_write(path, lambda h: (json.dump(payload, h, indent=2), h.write("\n")))
 
 
 def write_csv(path, columns: list[str], rows: list[dict]) -> None:
@@ -108,7 +114,7 @@ def write_csv(path, columns: list[str], rows: list[dict]) -> None:
         for row in rows:
             writer.writerow({key: _cell(value) for key, value in row.items()})
 
-    _atomic_write(path, emit)
+    atomic_write(path, emit)
 
 
 def _cell(value):

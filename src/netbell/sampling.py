@@ -45,6 +45,7 @@ import numpy as np
 from .network import NetworkLayout, OperatorSelection, classify
 from .observables import ReceiverObservables, SourceObservables, TiltedBlock
 from .pauli import PauliString
+from .reports import atomic_write
 from .states import StateVector, _parity, make_rng
 
 MODES = ("direct-observable", "per-qubit-discard")
@@ -181,8 +182,6 @@ class _Frame:
     source_masks: tuple[_Mask, ...]
     receiver_masks: tuple[_Mask, ...]
     p_masks: tuple[_Mask, ...] | None
-    measured_qubits: tuple[tuple[int, int], ...]
-    qubit_masks: tuple[_Mask, ...]
 
 
 def _string_mask(op: PauliString) -> _Mask:
@@ -283,28 +282,11 @@ def _build_frame(
         _string_mask(rec.b0_global if ym == 0 else rec.b1_global)
         for ym, rec in zip(y, receivers)
     )
-    # Per-qubit records cover the receiver-held measured qubits only; the
-    # source-agent columns already carry the source side.
-    index_of = {
-        layout.global_index(i, j): (i, j)
-        for i in range(1, layout.N + 1)
-        for j in range(1, layout.source_sizes[i - 1] + 1)
-    }
-    measured = tuple(
-        q
-        for q in sorted(letters)
-        if layout.is_receiver(layout.agent_of(*index_of[q]))
-    )
-    qubit_masks = tuple(_Mask(bits=1 << (n - 1 - q), sign=1) for q in measured)
-    measured_qubits = tuple(index_of[q] for q in measured)
-
     return _Frame(
         probabilities=probabilities,
         source_masks=source_masks,
         receiver_masks=receiver_masks,
         p_masks=tuple(p_masks) if p_masks is not None else None,
-        measured_qubits=measured_qubits,
-        qubit_masks=qubit_masks,
     )
 
 
@@ -434,7 +416,8 @@ def run(
     qubit in per-qubit mode. settings is the text "x|y" of x bits and y
     bits, such as "01|1"; every outcome is -1 or +1, except that phase-flip
     columns hold 0 in rounds where they are not collected. Lines end in
-    CRLF, and the same seed writes the same bytes.
+    CRLF, and the same seed writes the same bytes. The file is written
+    atomically, like the reports.
     """
     if beta is not None:
         if tilt is None:
@@ -459,12 +442,19 @@ def run(
     counts = rng.multinomial(config.rounds, weights)
 
     if record_path is not None:
-        measured_qubits = ()
-        if config.strategy == "per-qubit-discard":
-            measured_qubits = _measured_qubits_for_header(
-                layout, classification, sources, receivers, config.strategy, tilt
-            )
-        header = _csv_header(config.strategy, k, m, tilt is not None, measured_qubits)
+        # Per-qubit records cover the receiver-held qubits where g or h acts,
+        # in global-index order: the qubits every setting's frame measures.
+        measured = sorted(
+            (layout.global_index(i, j), (i, j))
+            for rec in receivers
+            for pos, (i, j) in enumerate(rec.qubits)
+            if rec.b0.letter(pos) != "I" or rec.b1.letter(pos) != "I"
+        )
+        n = layout.total_qubits
+        qubit_masks = [_Mask(bits=1 << (n - 1 - q), sign=1) for q, _ in measured]
+        header = _csv_header(
+            config.strategy, k, m, tilt is not None, [ij for _, ij in measured]
+        )
         codes = []  # per setting block, each round's index into texts
         texts = []  # the line text after the round index, once per distinct round
 
@@ -507,7 +497,7 @@ def run(
                     outcome_cols += pad
             else:
                 outcome_cols = a_cols + [
-                    _mask_outcomes(indices, mask) for mask in frame.qubit_masks
+                    _mask_outcomes(indices, mask) for mask in qubit_masks
                 ]
             settings_text = "".join(map(str, x)) + "|" + "".join(map(str, y))
             codes.append(_encode_block(settings_text, outcome_cols, len(header) - 2, texts))
@@ -554,15 +544,6 @@ def run(
     )
 
 
-def _measured_qubits_for_header(
-    layout, classification, sources, receivers, mode, tilt
-) -> tuple[tuple[int, int], ...]:
-    x = tuple(0 for _ in range(layout.K))
-    y = tuple(0 for _ in range(layout.M))
-    frame = _build_frame(layout, classification, sources, receivers, x, y, mode, tilt)
-    return frame.measured_qubits
-
-
 def _encode_block(settings_text, columns, width, texts) -> np.ndarray:
     """Index every round of one setting block into texts, appending the text
     of each distinct round once.
@@ -589,14 +570,17 @@ def _encode_block(settings_text, columns, width, texts) -> np.ndarray:
 
 def _write_rounds(path, header, codes, texts, rng) -> None:
     """Shuffle the rounds of all blocks and write them under the header, one
-    write per chunk of rounds."""
+    write per chunk of rounds, through the reports' atomic writer."""
     codes = np.concatenate(codes)
     shuffled = codes[rng.permutation(codes.size)]
     texts = np.array(texts, dtype=object)
-    with open(path, "w", newline="") as handle:
+
+    def emit(handle):
         csv.writer(handle).writerow(header)
         for start in range(0, len(shuffled), _RECORD_CHUNK):
             chunk = texts[shuffled[start : start + _RECORD_CHUNK]]
             handle.write(
                 "".join([f"{index}{text}" for index, text in enumerate(chunk, start)])
             )
+
+    atomic_write(path, emit)

@@ -105,6 +105,14 @@ def _parse_amplitude(entry) -> complex:
     raise ScenarioError(f"amplitude entries must be numbers or [re, im], got {entry!r}")
 
 
+def _shaped(value, kind, what: str):
+    """value itself when it is a JSON array (kind list) or object (kind dict)."""
+    if isinstance(value, (list, tuple) if kind is list else kind):
+        return value
+    shape = "an array" if kind is list else "an object"
+    raise ScenarioError(f"{what} must be {shape}, got {value!r}")
+
+
 def _resolve_code(name: str, custom: dict[str, StabilizerCode]) -> StabilizerCode:
     if name in custom:
         return custom[name]
@@ -132,7 +140,8 @@ def _resolve_source(entry, custom) -> SourceState:
         phi = float(entry["phi"])
         amplitudes = [math.cos(phi), math.sin(phi)]
     else:
-        amplitudes = [_parse_amplitude(a) for a in entry["amplitudes"]]
+        entries = _shaped(entry["amplitudes"], list, "source 'amplitudes'")
+        amplitudes = [_parse_amplitude(a) for a in entries]
         if len(amplitudes) != 2**code.k:
             raise ScenarioError(
                 f"code {code.name!r} needs {2 ** code.k} amplitudes, got {len(amplitudes)}"
@@ -167,7 +176,7 @@ def scenario_from_dict(data: dict) -> Scenario:
             raise ScenarioError(f"scenario is missing the {key!r} field")
 
     custom: dict[str, StabilizerCode] = {}
-    for raw in data.get("codes", []):
+    for raw in _shaped(data.get("codes", []), list, "'codes'"):
         try:
             code = StabilizerCode.from_json(raw)
         except (KeyError, ValueError, TypeError) as err:
@@ -178,7 +187,8 @@ def scenario_from_dict(data: dict) -> Scenario:
             raise ScenarioError(f"custom code {code.name!r} fails validation: {failed}")
         custom[code.name] = code
 
-    sources = tuple(_resolve_source(entry, custom) for entry in data["sources"])
+    entries = _shaped(data["sources"], list, "'sources'")
+    sources = tuple(_resolve_source(entry, custom) for entry in entries)
 
     net = data["network"]
     try:
@@ -194,11 +204,11 @@ def scenario_from_dict(data: dict) -> Scenario:
     except ValueError as err:
         raise ScenarioError(f"network does not resolve: {err}") from err
 
-    sel = data["selection"]
+    sel = _shaped(data["selection"], dict, "'selection'")
     sizes = layout.source_sizes
     n_src = layout.N
     for key in ("g", "h"):
-        if key not in sel or len(sel[key]) != n_src:
+        if key not in sel or len(_shaped(sel[key], list, f"selection {key!r}")) != n_src:
             raise ScenarioError(f"selection needs one {key!r} entry per source")
     g = tuple(
         _parse_pauli(text, sizes[i], f"selection g[{i}]")
@@ -212,7 +222,7 @@ def scenario_from_dict(data: dict) -> Scenario:
     if primes is None:
         h_prime: tuple = ()
     else:
-        if len(primes) != n_src:
+        if len(_shaped(primes, list, "selection 'h_prime'")) != n_src:
             raise ScenarioError("selection h_prime needs one entry (or null) per source")
         h_prime = tuple(
             None
@@ -227,7 +237,7 @@ def scenario_from_dict(data: dict) -> Scenario:
     except ValueError as err:
         raise ScenarioError(f"selection does not resolve: {err}") from err
 
-    options = data.get("options", {})
+    options = _shaped(data.get("options", {}), dict, "'options'")
     thetas = options.get("thetas", DEFAULT_THETA)
     if isinstance(thetas, (int, float)):
         thetas = (float(thetas),) * layout.K

@@ -1,4 +1,4 @@
-"""Dense statevector engine: Pauli application, expectations, projective sampling.
+"""Dense statevector engine: Pauli application and expectations.
 
 States are immutable complex128 vectors over the computational basis.
 Qubit 0 is the most significant bit of the basis label, matching the
@@ -18,9 +18,8 @@ STATE_QUBIT_CAP = 20
 NORM_TOL = 1e-12
 IMAG_TOL = 1e-10
 
-# A measurable observable: a single hermitian PauliString, or a real
-# combination sum_i c_i P_i of pairwise anticommuting hermitian strings
-# with sum c_i^2 = 1 (so that the observable squares to the identity).
+# An observable: a single hermitian PauliString, or a real combination
+# sum_i c_i P_i of hermitian strings.
 ObservableTerms = Union[PauliString, Sequence[tuple[float, PauliString]]]
 
 
@@ -153,64 +152,11 @@ class StateVector:
         return float(value.real)
 
     def expectation_combo(self, terms: ObservableTerms) -> float:
-        """Expectation of a real combination of hermitian strings."""
-        return sum(c * self.expectation(p) for c, p in _as_terms(terms))
-
-    # ------------------------------------------------------------------
-    # measurement
-
-    def measure(
-        self,
-        observable: ObservableTerms,
-        rng: np.random.Generator,
-        outcome: int | None = None,
-    ) -> tuple[int, "StateVector"]:
-        """Projective measurement of an involutory observable.
-
-        Samples +1/-1 with the Born probabilities <(I +/- O)/2> and returns
-        the renormalized projection. Passing outcome forces that branch and
-        raises if its probability is (near) zero.
-        """
-        terms = _check_involutory(_as_terms(observable), n=self._n)
-        applied = np.zeros_like(self._amps)
-        for c, p in terms:
-            applied = applied + c * self.apply(p).amplitudes
-        plus = (self._amps + applied) / 2.0
-        minus = (self._amps - applied) / 2.0
-        p_plus = float(np.linalg.norm(plus)) ** 2
-        if outcome is None:
-            outcome = 1 if rng.random() < p_plus else -1
-        branch = plus if outcome == 1 else minus
-        prob = p_plus if outcome == 1 else 1.0 - p_plus
-        if prob < NORM_TOL:
-            raise ValueError(f"projection onto outcome {outcome:+d} has probability {prob!r}")
-        return outcome, StateVector.from_unnormalized(branch)
-
-
-def _as_terms(observable: ObservableTerms) -> list[tuple[float, PauliString]]:
-    if isinstance(observable, PauliString):
-        return [(1.0, observable)]
-    return [(float(c), p) for c, p in observable]
-
-
-def _check_involutory(terms: list[tuple[float, PauliString]], n: int) -> list[tuple[float, PauliString]]:
-    if not terms:
-        raise ValueError("empty observable")
-    for _, p in terms:
-        if p.n != n:
-            raise ValueError(f"observable on {p.n} qubits measured on {n}-qubit state")
-        if not p.is_hermitian():
-            raise ValueError(f"observable term {p} is not hermitian")
-    for a in range(len(terms)):
-        for b in range(a + 1, len(terms)):
-            if not terms[a][1].anticommutes(terms[b][1]):
-                raise ValueError(
-                    f"observable terms {terms[a][1]} and {terms[b][1]} do not anticommute"
-                )
-    weight = sum(c * c for c, _ in terms)
-    if abs(weight - 1.0) > 1e-9:
-        raise ValueError(f"observable does not square to identity: sum of c^2 = {weight!r}")
-    return terms
+        """Expectation of a real combination of hermitian strings; tests
+        compare sampled correlators against it."""
+        if isinstance(terms, PauliString):
+            terms = [(1.0, terms)]
+        return sum(float(c) * self.expectation(p) for c, p in terms)
 
 
 def tensor(states: Iterable[StateVector]) -> StateVector:

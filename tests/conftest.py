@@ -1,6 +1,9 @@
-"""Shared layout and selection builders for the test suite."""
+"""Shared layout and selection builders, and fixtures, for the test suite."""
+
+import os
 
 import numpy as np
+import pytest
 
 from netbell.codes import builtin, codeword_angle
 from netbell.network import NetworkLayout, OperatorSelection
@@ -101,6 +104,16 @@ def chsh_selection(tilted=False):
         h=(PauliString("XX"),),
         h_prime=(PauliString("IZ"),) if tilted else (),
     )
+
+
+@pytest.fixture
+def umask_022():
+    """Run the test under umask 0o022, then restore the previous umask."""
+    previous = os.umask(0o022)
+    try:
+        yield
+    finally:
+        os.umask(previous)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

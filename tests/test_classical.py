@@ -16,7 +16,6 @@ from netbell.classical import (
     bell_value,
     correlators,
     default_alphabet,
-    mahler_chain,
     max_deterministic,
     objective_value,
     scan_size,
@@ -440,24 +439,6 @@ class TestScan:
         report = max_deterministic(shape, alphabet, beta=beta, seed=7)
         assert repr(report.stochastic_value) == value
         assert report.stochastic_strategy.to_json() == strategy
-
-
-class TestMahlerChain:
-    def test_constant_chain(self):
-        chain = mahler_chain(constant_strategy(BILOCAL))
-        assert chain.value == 1.0
-        assert abs(chain.factored - 1.0) < 1e-12
-        assert abs(chain.product_bound - 1.0) < 1e-12
-        assert chain.holds
-
-    @pytest.mark.parametrize("shape", [SINGLE, BILOCAL])
-    def test_random_strategies_respect_the_chain(self, shape):
-        rng = np.random.default_rng(23)
-        for _ in range(30):
-            strategy = random_strategy(shape, int(rng.integers(2, 5)), rng)
-            chain = mahler_chain(strategy)
-            assert chain.holds
-            assert chain.value <= 1.0 + 1e-12
 
 
 class TestVerifyBound:

@@ -63,6 +63,29 @@ class TestValidate:
         assert main(["validate", str(path)]) == EXIT_VALIDATION
         assert capsys.readouterr().out.strip().endswith("FAIL")
 
+    @pytest.mark.parametrize(
+        "field,mutate",
+        [
+            ("sources", lambda d: d.update(sources=5)),
+            ("codes", lambda d: d.update(codes=5)),
+            ("options", lambda d: d.update(options=[1])),
+            ("selection", lambda d: d.update(selection=5)),
+            ("g", lambda d: d["selection"].update(g=5)),
+            ("h_prime", lambda d: d["selection"].update(h_prime=5)),
+            ("amplitudes", lambda d: d["sources"][0].update(amplitudes=5)),
+        ],
+    )
+    def test_misshapen_field_is_one_error_line(self, tmp_path, capsys, field, mutate):
+        data = scenarios.scenario_to_dict(scenarios.builtin_scenario("example-a"))
+        mutate(data)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        assert main(["validate", str(path)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error:")
+        assert f"'{field}'" in err[0]
+
     def test_builtin_flags_rejected_on_paths(self, tmp_path, capsys):
         path = tmp_path / "s.json"
         scenarios.save_scenario(scenarios.builtin_scenario("chsh"), path)
@@ -224,6 +247,27 @@ class TestSample:
         leftovers = [p.name for p in tmp_path.iterdir() if p.suffix == ".tmp"]
         assert leftovers == []
 
+    def test_round_record_mode_follows_umask(self, out_dir, tmp_path, umask_022):
+        record = tmp_path / "rounds.csv"
+        argv = [
+            "sample", "chsh", "--rounds", "50", "--seed", "1",
+            "--rounds-csv", str(record),
+        ]
+        assert main(argv) == EXIT_OK
+        assert record.stat().st_mode & 0o777 == 0o644
+
+    def test_failed_round_record_exits_io(self, out_dir, tmp_path, capsys):
+        record = tmp_path / "taken"
+        record.mkdir()
+        argv = [
+            "sample", "chsh", "--rounds", "50", "--seed", "1",
+            "--rounds-csv", str(record),
+        ]
+        assert main(argv) == EXIT_IO
+        assert capsys.readouterr().err.startswith("error: cannot write round record")
+        leftovers = [p.name for p in tmp_path.iterdir() if p.suffix == ".tmp"]
+        assert leftovers == []
+
 
 class TestBuiltinStar:
     """star(N) is untilted unless --phibar is given; a --tilt-count above 0
@@ -268,6 +312,29 @@ class TestBuiltinStar:
         for ext in ("json", "csv"):
             written = (out_dir / f"star(3)-{stem}.{ext}").read_bytes()
             assert written == (DATA / f"star3-{stem}.{ext}").read_bytes()
+
+
+class TestPinnedReports:
+    """Reports written before maximize synthesized its receivers once and
+    before the per-qubit header lost its extra frame; not regenerated."""
+
+    def test_maximize_commuting_pair_is_pinned(self, out_dir):
+        # example-a allows a commuting receiver pair
+        assert main(["maximize", "example-a"]) == EXIT_OK
+        for ext in ("json", "csv"):
+            written = (out_dir / f"example-a-maximize.{ext}").read_bytes()
+            assert written == (DATA / f"example-a-maximize.{ext}").read_bytes()
+
+    def test_star_per_qubit_record_is_pinned(self, out_dir, tmp_path):
+        # the receiver holds qubits from all three sources
+        record = tmp_path / "rounds.csv"
+        argv = [
+            "sample", "star(3)", "--tilt-count", "0", "--strategy",
+            "per-qubit-discard", "--rounds", "500", "--seed", "1",
+            "--rounds-csv", str(record),
+        ]
+        assert main(argv) == EXIT_OK
+        assert record.read_bytes() == (DATA / "rounds-star3-per-qubit.csv").read_bytes()
 
 
 class TestOutputRouting:

@@ -108,3 +108,8 @@ class TestWriters:
         with pytest.raises(TypeError):
             reports.write_json(tmp_path / "out.json", {"v": Unserializable()})
         assert os.listdir(tmp_path) == []
+
+    def test_mode_follows_umask(self, tmp_path, umask_022):
+        path = tmp_path / "out.json"
+        reports.write_json(path, {"v": 1})
+        assert os.stat(path).st_mode & 0o777 == 0o644

@@ -161,74 +161,6 @@ class TestExpectation:
             StateVector.zero(1).expectation(PauliString("Z"))
 
 
-class TestMeasure:
-    def test_z_on_zero_is_certain(self):
-        outcome, post = StateVector.zero(1).measure(PauliString("Z"), make_rng(0))
-        assert outcome == 1
-        assert post.fidelity(StateVector.zero(1)) == pytest.approx(1.0)
-
-    def test_x_on_zero_is_fair(self):
-        rng = make_rng(1234)
-        state = StateVector.zero(1)
-        draws = 10_000
-        ups = sum(state.measure(PauliString("X"), rng)[0] == 1 for _ in range(draws))
-        chi2 = (ups - draws / 2) ** 2 / (draws / 4)
-        # one degree of freedom; p > 0.001 means chi2 < 10.83
-        assert chi2 < 10.83
-
-    def test_rotated_observable_born_weight(self):
-        observable = [
-            (np.cos(np.pi / 4), PauliString("Z")),
-            (np.sin(np.pi / 4), PauliString("X")),
-        ]
-        rng = make_rng(99)
-        draws = 20_000
-        ups = sum(
-            StateVector.zero(1).measure(observable, rng)[0] == 1 for _ in range(draws)
-        )
-        expected = np.cos(np.pi / 8) ** 2
-        sigma = np.sqrt(expected * (1 - expected) / draws)
-        assert abs(ups / draws - expected) < 4 * sigma
-
-    def test_projection_idempotent(self):
-        rng = make_rng(5)
-        state = StateVector.plus(2)
-        observable = PauliString("ZZ")
-        outcome, post = state.measure(observable, rng)
-        for _ in range(3):
-            again, post = post.measure(observable, rng)
-            assert again == outcome
-
-    def test_forced_zero_probability_raises(self):
-        with pytest.raises(ValueError, match="probability"):
-            StateVector.zero(1).measure(PauliString("Z"), make_rng(0), outcome=-1)
-
-    def test_rejects_non_involutory(self):
-        with pytest.raises(ValueError, match="square"):
-            StateVector.zero(1).measure([(0.5, PauliString("Z")), (0.5, PauliString("X"))], make_rng(0))
-        with pytest.raises(ValueError, match="anticommute"):
-            StateVector.zero(2).measure(
-                [(0.6, PauliString("ZI")), (0.8, PauliString("IZ"))], make_rng(0)
-            )
-
-    def test_measurement_statistics_match_born_rule(self):
-        # chi-squared over the four ZZ/XX joint outcomes of a Bell state
-        bell = StateVector(np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2))
-        rng = make_rng(2024)
-        counts = {(1, 1): 0, (1, -1): 0, (-1, 1): 0, (-1, -1): 0}
-        draws = 4_000
-        for _ in range(draws):
-            o1, post = bell.measure(PauliString("ZI"), rng)
-            o2, _ = post.measure(PauliString("IZ"), rng)
-            counts[(o1, o2)] += 1
-        # perfectly correlated: only (+1,+1) and (-1,-1), each 1/2
-        assert counts[(1, -1)] == 0 and counts[(-1, 1)] == 0
-        chi2 = sum(
-            (counts[key] - draws / 2) ** 2 / (draws / 2) for key in [(1, 1), (-1, -1)]
-        )
-        assert chi2 < 10.83
-
-
 class TestRng:
     def test_seed_reproducible(self):
         a = make_rng(42).random(5)
