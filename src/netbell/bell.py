@@ -152,7 +152,7 @@ def _evaluate(
     i_raw = scale * _correlator(state, sources, receivers, 0, cache)
     j_raw = scale * _correlator(state, sources, receivers, 1, cache)
     for name, value in (("I", i_raw), ("J", j_raw)):
-        if abs(value.imag) > CROSS_CHECK_TOL:
+        if not abs(value.imag) <= CROSS_CHECK_TOL:
             raise RuntimeError(
                 f"{name} came out complex ({value:.3e}); "
                 "the observable product is not hermitian"
@@ -171,7 +171,10 @@ def _evaluate(
     sin_all = math.prod(math.sin(t) for t in thetas)
     i_closed = cos_all * _cached_expectation(state, g_product, cache).real
     j_closed = sin_all * math.prod(c_values)
-    if abs(i_value - i_closed) > CROSS_CHECK_TOL or abs(j_value - j_closed) > CROSS_CHECK_TOL:
+    if not (
+        abs(i_value - i_closed) <= CROSS_CHECK_TOL
+        and abs(j_value - j_closed) <= CROSS_CHECK_TOL
+    ):
         raise RuntimeError(
             "correlators disagree with the stabilizer closed forms "
             f"(I {i_value:+.12f} vs {i_closed:+.12f}, "
@@ -213,7 +216,7 @@ def evaluate_tilted(
     beta: float,
 ) -> BellReport:
     """Evaluate the tilted value G = beta|P|^(1/K) + |I|^(1/K) + |J|^(1/K)."""
-    if beta < 0:
+    if not beta >= 0:
         raise ValueError(f"beta must be nonnegative, got {beta}")
     base = _evaluate(layout, selection, sources, receivers, {})
     p_value = layout.state.expectation(tilt.p_full)
@@ -221,7 +224,7 @@ def evaluate_tilted(
     for i in tilt.tilt_sources:
         prime = selection.for_source(i)[2]
         closed *= layout.sources[i - 1].state.expectation(prime)
-    if abs(p_value - closed) > CROSS_CHECK_TOL:
+    if not abs(p_value - closed) <= CROSS_CHECK_TOL:
         raise RuntimeError(
             f"P disagrees with the per-source product ({p_value:+.12f} vs "
             f"{closed:+.12f}); the tilt operators do not factor over sources"
@@ -272,7 +275,7 @@ def maximize(
     )
     cache: dict = {}
     best = _evaluate(layout, selection, sources, receivers, cache)
-    if abs(best.quantum_value - bound) > CROSS_CHECK_TOL:
+    if not abs(best.quantum_value - bound) <= CROSS_CHECK_TOL:
         raise RuntimeError(
             f"value at the best angle is {best.quantum_value:.12f}, "
             f"expected sqrt(1 + C^2) = {bound:.12f}"
@@ -280,7 +283,7 @@ def maximize(
     for theta in np.linspace(0.0, math.pi / 2, grid_points):
         sources = build_source(layout, classification, selection, [float(theta)] * k)
         report = _evaluate(layout, selection, sources, receivers, cache)
-        if report.quantum_value > bound + GRID_MARGIN:
+        if not report.quantum_value <= bound + GRID_MARGIN:
             raise RuntimeError(
                 f"grid angle {theta:.6f} beats the closed-form maximum "
                 f"({report.quantum_value:.12f} > {bound:.12f})"
@@ -346,7 +349,7 @@ def tilt_parameters(phibar: float, tilt_count: int, k: int) -> TiltParameters:
         - g_closed_form(beta_max, phibar, theta_max - step, ratio)
     ) / (2 * step)
     gradient = math.hypot(d_phi, d_theta)
-    if gradient > STATIONARY_TOL:
+    if not gradient <= STATIONARY_TOL:
         raise RuntimeError(
             f"closed-form tilt point is not stationary (|grad| = {gradient:.3e})"
         )

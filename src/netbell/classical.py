@@ -219,25 +219,6 @@ class HiddenStrategy:
             data["p_tables"] = [list(t) for t in self.p_tables]
         return data
 
-    @classmethod
-    def from_json(cls, data: dict) -> "HiddenStrategy":
-        shape = NetworkShape(
-            k=data["shape"]["k"],
-            m=data["shape"]["m"],
-            n=data["shape"]["n"],
-            partition=tuple(data["shape"]["partition"]),
-            reach=tuple(tuple(r) for r in data["shape"]["reach"]),
-        )
-        p_tables = data.get("p_tables")
-        return cls(
-            shape=shape,
-            alphabet=tuple(data["alphabet"]),
-            weights=tuple(tuple(w) for w in data["weights"]),
-            a_tables=tuple(tuple(tuple(row) for row in t) for t in data["a_tables"]),
-            b_tables=tuple(tuple(tuple(row) for row in t) for t in data["b_tables"]),
-            p_tables=tuple(tuple(t) for t in p_tables) if p_tables else None,
-        )
-
 
 @dataclass(frozen=True)
 class ClassicalCorrelators:
@@ -295,17 +276,6 @@ def _grid_sums(grid, weights, a_tables, b_tables, p_tables) -> ClassicalCorrelat
     return ClassicalCorrelators(i_total, j_total, p_total)
 
 
-def correlators(strategy: HiddenStrategy) -> ClassicalCorrelators:
-    """Exact I, J (and P when present) by summing the label grid."""
-    return _grid_sums(
-        _label_grid(strategy.shape, strategy.alphabet),
-        strategy.weights,
-        strategy.a_tables,
-        strategy.b_tables,
-        strategy.p_tables,
-    )
-
-
 def bell_value(corr: ClassicalCorrelators, k: int) -> float:
     return abs(corr.i_value) ** (1.0 / k) + abs(corr.j_value) ** (1.0 / k)
 
@@ -334,12 +304,33 @@ def _table_bits(shape: NetworkShape, alphabet, tilted: bool):
     return block_sizes, reach_sizes, widths
 
 
-def scan_size(shape: NetworkShape, alphabet, *, tilted: bool = False) -> int:
-    """How many (tables, point-label) combinations the full scan visits."""
-    alphabet = _normalize_alphabet(shape, alphabet)
-    _, _, widths = _table_bits(shape, alphabet, tilted)
-    tables = math.prod(1 << w for w in widths)
-    return tables * math.prod(alphabet)
+def _scan_extent(shape, alphabet, tilted, mode) -> tuple[int, int]:
+    """(labels, bits): a scan in this mode visits labels << bits combinations,
+    every table integer (full) or every response pair (reachable) under
+    each point label."""
+    if mode == "full":
+        bits = sum(_table_bits(shape, alphabet, tilted)[2])
+    else:
+        bits = 2 * (shape.k + shape.m) + (shape.m if tilted else 0)
+    return math.prod(alphabet), bits
+
+
+def scan_size(
+    shape: NetworkShape,
+    alphabet,
+    *,
+    tilted: bool = False,
+    mode: str = "full",
+    budget: int = DEFAULT_BUDGET,
+) -> int | None:
+    """How many combinations a scan in this mode visits, or None when that
+    is over the budget.  The budget is compared by bit length first, so no
+    integer wider than the budget is ever built."""
+    labels, bits = _scan_extent(shape, _normalize_alphabet(shape, alphabet), tilted, mode)
+    if labels.bit_length() + bits > budget.bit_length():
+        return None
+    size = labels << bits
+    return size if size <= budget else None
 
 
 def _scan_full(shape, alphabet, beta):
@@ -607,7 +598,7 @@ class ScanReport:
 def default_alphabet(shape: NetworkShape, *, tilted: bool = False, budget: int = DEFAULT_BUDGET) -> int:
     """Largest uniform label alphabet (at most 4) the full scan affords."""
     for size in (4, 3, 2):
-        if scan_size(shape, size, tilted=tilted) <= budget:
+        if scan_size(shape, size, tilted=tilted, budget=budget) is not None:
             return size
     return 2
 
@@ -632,7 +623,7 @@ def max_deterministic(
     scan runs in one process, as numpy slices of bounded size; ties go to
     the first combination in enumeration order.
     """
-    if beta is not None and beta < 0:
+    if beta is not None and not beta >= 0:
         raise ValueError(f"beta must be nonnegative, got {beta}")
     if mode not in ("auto", "full", "reachable"):
         raise ValueError(f"unknown scan mode {mode!r}")
@@ -640,15 +631,19 @@ def max_deterministic(
         alphabet = default_alphabet(shape, tilted=beta is not None, budget=budget)
     alphabet = _normalize_alphabet(shape, alphabet)
 
-    size = scan_size(shape, alphabet, tilted=beta is not None)
+    tilted = beta is not None
     if mode == "auto":
-        mode = "full" if size <= budget else "reachable"
+        fits = scan_size(shape, alphabet, tilted=tilted, budget=budget) is not None
+        mode = "full" if fits else "reachable"
+    size = scan_size(shape, alphabet, tilted=tilted, mode=mode, budget=budget)
+    if size is None:
+        labels, bits = _scan_extent(shape, alphabet, tilted, mode)
+        hint = "; shrink the alphabet or use reachable mode" if mode == "full" else ""
+        raise ValueError(
+            f"{mode} scan of about 10^{math.log10(labels) + bits * math.log10(2):.1f} "
+            f"combinations exceeds the budget of {budget:.3e}{hint}"
+        )
     if mode == "full":
-        if size > budget:
-            raise ValueError(
-                f"full scan of {size:.3e} combinations exceeds the budget "
-                f"of {budget:.3e}; shrink the alphabet or use reachable mode"
-            )
         if size > WARN_LIMIT:
             warnings.warn(
                 f"enumerating {size:.3e} strategy combinations", stacklevel=2
@@ -701,13 +696,13 @@ def verify_bound(
     """
     scan = max_deterministic(shape, alphabet, beta=beta, seed=seed, **scan_options)
     bound = 1.0 if beta is None else beta + 1.0
-    if scan.value > bound + BOUND_TOL:
+    if not scan.value <= bound + BOUND_TOL:
         raise BoundViolation(
             f"deterministic strategy scored {scan.value:.12f} above the "
             f"classical bound {bound}: {json.dumps(scan.strategy.to_json())}",
             scan.strategy,
         )
-    if scan.stochastic_value > scan.value + REFINE_TOL:
+    if not scan.stochastic_value <= scan.value + REFINE_TOL:
         raise BoundViolation(
             f"stochastic refinement scored {scan.stochastic_value:.12f} above "
             f"the deterministic maximum {scan.value:.12f}: "

@@ -156,9 +156,9 @@ def _load_scenario(args) -> Scenario:
 def _require_valid(scenario: Scenario) -> None:
     report = scenarios.diagnose(scenario)
     if not report.passed:
-        lines = "\n".join(f"  {check}" for check in report.failures())
+        failed = "; ".join(str(check) for check in report.failures())
         raise CliError(
-            EXIT_VALIDATION, f"scenario {scenario.name!r} fails validation:\n{lines}"
+            EXIT_VALIDATION, f"scenario {scenario.name!r} fails validation: {failed}"
         )
 
 
@@ -191,6 +191,8 @@ def _parse_thetas(text: str | None, scenario: Scenario) -> tuple[float, ...] | N
         values = tuple(float(p) for p in parts)
     except ValueError as err:
         raise CliError(EXIT_VALIDATION, f"bad --theta value: {err}") from err
+    if not all(math.isfinite(v) for v in values):
+        raise CliError(EXIT_VALIDATION, f"--theta values must be finite, got {text!r}")
     if len(values) == 1:
         return values * scenario.layout.K
     if len(values) != scenario.layout.K:
@@ -222,6 +224,8 @@ def _cmd_validate(args) -> int:
         print(f"  {check}")
     for warning in report.warnings:
         print(f"  [warn] {warning}")
+    for line in report.details:
+        print(f"  {line}")
     print("PASS" if report.passed else "FAIL")
     return EXIT_OK if report.passed else EXIT_VALIDATION
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -34,8 +34,12 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class ValidationReport:
+    """Checks and warnings, plus detail lines shown after them (validate
+    lists the synthesized observables there)."""
+
     checks: tuple[CheckResult, ...]
     warnings: tuple[str, ...] = ()
+    details: tuple[str, ...] = ()
 
     @property
     def passed(self) -> bool:
@@ -66,9 +70,6 @@ class StabilizerCode:
         object.__setattr__(self, "generators", tuple(self.generators))
         object.__setattr__(self, "logical_x", tuple(self.logical_x))
         object.__setattr__(self, "logical_z", tuple(self.logical_z))
-
-    def validate(self) -> ValidationReport:
-        return validate(self)
 
     def to_json(self) -> dict:
         return {
@@ -264,7 +265,7 @@ def codeword(code: StabilizerCode, amplitudes: Sequence[complex]) -> SourceState
     amps = np.asarray(list(amplitudes), dtype=complex)
     if amps.shape != (1 << code.k,):
         raise ValueError(f"need {1 << code.k} logical amplitudes, got {amps.shape}")
-    if abs(float(np.linalg.norm(amps)) - 1.0) > 1e-9:
+    if not abs(float(np.linalg.norm(amps)) - 1.0) <= 1e-9:
         raise ValueError("logical amplitudes must be normalized")
 
     projectors = list(code.generators) + list(code.logical_z)
@@ -294,18 +295,11 @@ def codeword(code: StabilizerCode, amplitudes: Sequence[complex]) -> SourceState
 
     for g in code.generators:
         value = state.expectation(g)
-        if abs(value - 1.0) >= EXPECTATION_TOL:
+        if not abs(value - 1.0) < EXPECTATION_TOL:
             raise RuntimeError(
                 f"generator {g} has expectation {value!r} on synthesized codeword"
             )
     return SourceState(code=code, amplitudes=tuple(amps.tolist()), state=state)
-
-
-def codeword_angle(code: StabilizerCode, phi: float) -> SourceState:
-    """The k=1 family cos(phi)|0-bar> + sin(phi)|1-bar>."""
-    if code.k != 1:
-        raise ValueError("angle parameterization applies to k=1 codes only")
-    return codeword(code, (np.cos(phi), np.sin(phi)))
 
 
 # ----------------------------------------------------------------------
@@ -387,37 +381,3 @@ def builtin(name: str) -> StabilizerCode:
     if not report.passed:
         raise RuntimeError(f"builtin {name} failed validation:\n{report}")
     return code
-
-
-# ----------------------------------------------------------------------
-# logical representative search
-
-
-def logical_representative(
-    code: StabilizerCode,
-    base: PauliString,
-    constraints: Mapping[int, str | Iterable[str]],
-) -> PauliString | None:
-    """First element of base * (stabilizer group) whose letters satisfy the
-    per-qubit constraints, or None.
-
-    constraints maps a qubit index to the allowed letter or set of letters
-    there; unconstrained qubits are free. Enumeration order is the subset
-    integer over generators (bit j = generators[j]), ascending, so the
-    result is deterministic.
-    """
-    if base.n != code.n:
-        raise ValueError("base operator does not match the code's qubit count")
-    allowed = {
-        int(q): {letters} if isinstance(letters, str) else set(letters)
-        for q, letters in constraints.items()
-    }
-    gens = code.generators
-    for subset in range(1 << len(gens)):
-        candidate = base
-        for j in range(len(gens)):
-            if (subset >> j) & 1:
-                candidate = gens[j] * candidate
-        if all(candidate.letter(q) in letters for q, letters in allowed.items()):
-            return candidate
-    return None

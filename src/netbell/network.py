@@ -259,7 +259,7 @@ def anticommuting_count(
 
 
 @dataclass(frozen=True)
-class ParityReport:
+class ParityReport(ValidationReport):
     """Outcome of the anticommuting-count conditions, one fact per line.
 
     The per-source and per-source-agent facts gate observable synthesis:
@@ -267,18 +267,6 @@ class ParityReport:
     decide whether the B pair anticommutes; layouts that fail them can
     still be evaluated when commuting B pairs are explicitly allowed.
     """
-
-    checks: tuple[CheckResult, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    @property
-    def source_side_passed(self) -> bool:
-        return all(
-            c.passed for c in self.checks if c.name.startswith(("source", "agent S"))
-        )
 
     @property
     def receiver_side_passed(self) -> bool:
@@ -288,11 +276,11 @@ class ParityReport:
             if c.name.startswith(("agent R", "agent count"))
         )
 
-    def failures(self) -> tuple[CheckResult, ...]:
-        return tuple(c for c in self.checks if not c.passed)
-
-    def __str__(self) -> str:
-        return "\n".join(str(c) for c in self.checks)
+    def source_side_failures(self) -> tuple[CheckResult, ...]:
+        """Failed per-source and per-source-agent facts."""
+        return tuple(
+            c for c in self.failures() if c.name.startswith(("source", "agent S"))
+        )
 
 
 def check_parity(layout: NetworkLayout, classification: Classification) -> ParityReport:

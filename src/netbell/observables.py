@@ -222,7 +222,8 @@ def tilt_constraints(
     source: int,
 ) -> dict[int, set[str]]:
     """Per-qubit letter constraints (0-based within the source) that a
-    phase-flip representative must satisfy; feed to the coset search."""
+    phase-flip representative must satisfy; the coset search that finds
+    one is logical_representative in tests/oracles.py."""
     g = selection.g[source - 1]
     constraints: dict[int, set[str]] = {}
     for j in range(1, layout.source_sizes[source - 1] + 1):

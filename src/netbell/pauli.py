@@ -17,10 +17,7 @@ on a basis state. Products and commutation are popcounts on those masks
 
 from __future__ import annotations
 
-import functools
 from typing import Iterable, Sequence
-
-import numpy as np
 
 # Symplectic encoding of a letter as (x bit, z bit), and its inverse
 # indexed by x | z << 1.
@@ -29,16 +26,6 @@ _LETTER_OF_BITS = "IXZY"
 
 _PHASE_VALUES = (1 + 0j, 1j, -1 + 0j, -1j)
 _PHASE_PREFIX = {0: "+", 1: "+i", 2: "-", 3: "-i"}
-
-_SINGLE_MATRICES = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-
-# Largest register for which a dense matrix is built on request.
-MATRIX_QUBIT_CAP = 12
 
 
 def _raw(x: int, z: int, k: int, n: int) -> "PauliString":
@@ -178,10 +165,6 @@ class PauliString:
         mask, top = self._x | self._z, self._n - 1
         return tuple(j for j in range(self._n) if mask >> (top - j) & 1)
 
-    def is_identity(self) -> bool:
-        """True iff every letter is I (any phase)."""
-        return not (self._x | self._z)
-
     def is_hermitian(self) -> bool:
         """True iff the phase is real (+1 or -1)."""
         return self._k % 2 == 0
@@ -220,10 +203,6 @@ class PauliString:
 
     def anticommutes(self, other: "PauliString") -> bool:
         return not self.commutes(other)
-
-    def adjoint(self) -> "PauliString":
-        """Hermitian conjugate: letters unchanged, phase conjugated."""
-        return self.with_phase_exponent(-self._k)
 
     def with_phase_exponent(self, k: int) -> "PauliString":
         return _raw(self._x, self._z, int(k) % 4, self._n)
@@ -274,16 +253,6 @@ class PauliString:
             x = (x << 1) | (self._x >> s & 1)
             z = (z << 1) | (self._z >> s & 1)
         return _raw(x, z, 0, len(positions))
-
-    # ------------------------------------------------------------------
-    # dense oracle
-
-    def to_matrix(self) -> np.ndarray:
-        """Dense 2**n x 2**n matrix; entries are exact Gaussian integers."""
-        if self._n > MATRIX_QUBIT_CAP:
-            raise ValueError(f"dense matrix capped at {MATRIX_QUBIT_CAP} qubits, got {self._n}")
-        mats = [_SINGLE_MATRICES[c] for c in self.letters]
-        return self.phase * functools.reduce(np.kron, mats)
 
     # ------------------------------------------------------------------
     # text form and value semantics

@@ -273,7 +273,7 @@ def _build_frame(
 
     probabilities = np.abs(amps) ** 2
     total = probabilities.sum()
-    if abs(total - 1.0) >= PROB_TOL:
+    if not abs(total - 1.0) < PROB_TOL:
         raise RuntimeError(f"frame probabilities sum to {total!r}")
     probabilities = probabilities / total
 
@@ -296,40 +296,6 @@ def _setting_combos(k: int, m: int) -> list[tuple[tuple[int, ...], tuple[int, ..
         for x in itertools.product((0, 1), repeat=k)
         for y in itertools.product((0, 1), repeat=m)
     ]
-
-
-def outcome_distribution(
-    layout: NetworkLayout,
-    selection: OperatorSelection,
-    sources: tuple[SourceObservables, ...],
-    receivers: tuple[ReceiverObservables, ...],
-    x: tuple[int, ...],
-    y: tuple[int, ...],
-    *,
-    mode: str = "direct-observable",
-    tilt: TiltedBlock | None = None,
-) -> dict[tuple[int, ...], float]:
-    """Exact joint distribution of the recorded outcomes at one setting.
-
-    Keys are (a_1..a_K, b_1..b_M) tuples, extended by (p_1..p_M) when a
-    tilted block is given and every receiver is on setting 0.
-    """
-    if mode not in MODES:
-        raise ValueError(f"unknown strategy {mode!r}; expected one of {MODES}")
-    classification = classify(layout, selection)
-    frame = _build_frame(layout, classification, sources, receivers, x, y, mode, tilt)
-    dim = frame.probabilities.size
-    indices = np.arange(dim)
-    columns = [_mask_outcomes(indices, mask) for mask in frame.source_masks]
-    columns += [_mask_outcomes(indices, mask) for mask in frame.receiver_masks]
-    if frame.p_masks is not None:
-        columns += [_mask_outcomes(indices, mask) for mask in frame.p_masks]
-    stacked = np.stack(columns, axis=1)
-    out: dict[tuple[int, ...], float] = {}
-    for idx in np.flatnonzero(frame.probabilities > 0):
-        key = tuple(int(v) for v in stacked[idx])
-        out[key] = out.get(key, 0.0) + float(frame.probabilities[idx])
-    return out
 
 
 # ----------------------------------------------------------------------
@@ -422,7 +388,7 @@ def run(
     if beta is not None:
         if tilt is None:
             raise ValueError("beta without a tilted block has no meaning")
-        if beta < 0:
+        if not beta >= 0:
             raise ValueError(f"beta must be nonnegative, got {beta}")
     k = layout.K
     m = layout.M

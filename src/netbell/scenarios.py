@@ -48,7 +48,7 @@ from . import codes as code_lib
 from .bell import TiltParameters, tilt_parameters
 from .codes import CheckResult, SourceState, StabilizerCode, ValidationReport, codeword
 from .network import NetworkLayout, OperatorSelection, check_parity, check_selection, classify
-from .observables import build_receiver, build_source, build_tilted
+from .observables import build_receiver, build_source, build_tilted, describe_observables
 from .pauli import PauliString
 from .sampling import MODES
 
@@ -56,8 +56,6 @@ DEFAULT_THETA = math.pi / 4
 DEFAULT_ROUNDS = 100000
 DEFAULT_GRID = 181
 ANGLE_TOL = 1e-12
-
-BUILTIN_CODE_NAMES = ("two-one-two", "five-one-three", "ghz", "ghz-split")
 
 
 class ScenarioError(ValueError):
@@ -97,11 +95,25 @@ class Synthesis:
 # resolution
 
 
+def _number(value, convert, what: str):
+    """convert(value) for the scenario field named by what; a value of the
+    wrong type, too large to convert, or a float that is not finite is a
+    ScenarioError."""
+    try:
+        number = convert(value)
+    except (TypeError, ValueError, OverflowError):
+        number = math.nan
+    if isinstance(number, float) and not math.isfinite(number):
+        raise ScenarioError(f"{what} must be a finite number, got {value!r}")
+    return number
+
+
 def _parse_amplitude(entry) -> complex:
+    what = "source 'amplitudes' entry"
     if isinstance(entry, (int, float)):
-        return complex(float(entry), 0.0)
+        return complex(_number(entry, float, what), 0.0)
     if isinstance(entry, (list, tuple)) and len(entry) == 2:
-        return complex(float(entry[0]), float(entry[1]))
+        return complex(_number(entry[0], float, what), _number(entry[1], float, what))
     raise ScenarioError(f"amplitude entries must be numbers or [re, im], got {entry!r}")
 
 
@@ -137,7 +149,7 @@ def _resolve_source(entry, custom) -> SourceState:
             raise ScenarioError(
                 f"'phi' shorthand needs a k=1 code, {code.name!r} has k={code.k}"
             )
-        phi = float(entry["phi"])
+        phi = _number(entry["phi"], float, "source 'phi'")
         amplitudes = [math.cos(phi), math.sin(phi)]
     else:
         entries = _shaped(entry["amplitudes"], list, "source 'amplitudes'")
@@ -146,7 +158,10 @@ def _resolve_source(entry, custom) -> SourceState:
             raise ScenarioError(
                 f"code {code.name!r} needs {2 ** code.k} amplitudes, got {len(amplitudes)}"
             )
-        norm = math.sqrt(sum(abs(a) ** 2 for a in amplitudes))
+        try:
+            norm = math.sqrt(sum(abs(a) ** 2 for a in amplitudes))
+        except OverflowError as err:
+            raise ScenarioError(f"source 'amplitudes' overflow: {err}") from err
         if norm < ANGLE_TOL:
             raise ScenarioError("source amplitudes must not all vanish")
         amplitudes = [a / norm for a in amplitudes]
@@ -179,7 +194,7 @@ def scenario_from_dict(data: dict) -> Scenario:
     for raw in _shaped(data.get("codes", []), list, "'codes'"):
         try:
             code = StabilizerCode.from_json(raw)
-        except (KeyError, ValueError, TypeError) as err:
+        except (KeyError, ValueError, TypeError, OverflowError) as err:
             raise ScenarioError(f"bad custom code definition: {err}") from err
         report = code_lib.validate(code)
         if not report.passed:
@@ -199,7 +214,7 @@ def scenario_from_dict(data: dict) -> Scenario:
             partition=tuple(int(v) for v in net["partition"]),
             assignment=[(int(i), int(j), int(a)) for i, j, a in net["assignment"]],
         )
-    except (KeyError, TypeError) as err:
+    except (KeyError, TypeError, OverflowError) as err:
         raise ScenarioError(f"bad network block: {err}") from err
     except ValueError as err:
         raise ScenarioError(f"network does not resolve: {err}") from err
@@ -240,28 +255,29 @@ def scenario_from_dict(data: dict) -> Scenario:
     options = _shaped(data.get("options", {}), dict, "'options'")
     thetas = options.get("thetas", DEFAULT_THETA)
     if isinstance(thetas, (int, float)):
-        thetas = (float(thetas),) * layout.K
+        thetas = (_number(thetas, float, "options 'thetas'"),) * layout.K
     else:
-        thetas = tuple(float(t) for t in thetas)
+        entries = _shaped(thetas, list, "options 'thetas'")
+        thetas = tuple(_number(t, float, "options 'thetas' entry") for t in entries)
         if len(thetas) != layout.K:
             raise ScenarioError(f"need {layout.K} thetas, got {len(thetas)}")
 
     beta = options.get("beta")
     if beta is not None and beta != "auto":
-        beta = float(beta)
+        beta = _number(beta, float, "options 'beta'")
         if beta < 0:
             raise ScenarioError(f"beta must be nonnegative, got {beta}")
     if beta is not None and not selection.tilt_sources:
         raise ScenarioError("beta given but no source has an h_prime entry")
 
     phibar = options.get("phibar")
-    phibar = None if phibar is None else float(phibar)
-    rounds = int(options.get("rounds", DEFAULT_ROUNDS))
+    phibar = None if phibar is None else _number(phibar, float, "options 'phibar'")
+    rounds = _number(options.get("rounds", DEFAULT_ROUNDS), int, "options 'rounds'")
     if rounds < 1:
         raise ScenarioError(f"rounds must be at least 1, got {rounds}")
     seed = options.get("seed")
-    seed = None if seed is None else int(seed)
-    grid_points = int(options.get("grid_points", DEFAULT_GRID))
+    seed = None if seed is None else _number(seed, int, "options 'seed'")
+    grid_points = _number(options.get("grid_points", DEFAULT_GRID), int, "options 'grid_points'")
     if grid_points < 2:
         raise ScenarioError(f"grid_points must be at least 2, got {grid_points}")
     strategy = str(options.get("strategy", MODES[0]))
@@ -350,12 +366,6 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     return out
 
 
-def save_scenario(scenario: Scenario, path) -> None:
-    with open(path, "w") as handle:
-        json.dump(scenario_to_dict(scenario), handle, indent=2)
-        handle.write("\n")
-
-
 def fingerprint(scenario: Scenario) -> str:
     """Stable 12-hex-digit digest of the canonical scenario form."""
     text = json.dumps(scenario_to_dict(scenario), sort_keys=True, separators=(",", ":"))
@@ -408,7 +418,7 @@ def resolve_beta(
     if raw is None:
         return None, None
     if raw != "auto":
-        value = float(raw)
+        value = _number(raw, float, "beta")
         if value < 0:
             raise ScenarioError(f"beta must be nonnegative, got {value}")
         return value, None
@@ -437,17 +447,18 @@ def resolve_beta(
 
 def diagnose(scenario: Scenario) -> ValidationReport:
     """Full validation report: selection structure, parity conditions, and
-    an observable-synthesis dry run."""
+    observable synthesis, whose observables the report's details list."""
     checks: list[CheckResult] = list(
         check_selection(scenario.layout, scenario.selection).checks
     )
     classification = classify(scenario.layout, scenario.selection)
     parity = check_parity(scenario.layout, classification)
+    source_failures = parity.source_side_failures()
     checks.append(
         CheckResult(
             "source-side parity conditions",
-            parity.source_side_passed,
-            "; ".join(str(c) for c in parity.failures()) or "all hold",
+            not source_failures,
+            "; ".join(str(c) for c in source_failures) or "all hold",
         )
     )
     receiver_ok = parity.receiver_side_passed
@@ -465,12 +476,15 @@ def diagnose(scenario: Scenario) -> ValidationReport:
         )
     )
     try:
-        synthesize(scenario)
+        synthesis = synthesize(scenario)
     except (ValueError, RuntimeError) as err:
         checks.append(CheckResult("observable synthesis", False, str(err)))
-    else:
-        checks.append(CheckResult("observable synthesis", True))
-    return ValidationReport(tuple(checks))
+        return ValidationReport(tuple(checks))
+    checks.append(CheckResult("observable synthesis", True))
+    listing = describe_observables(
+        scenario.layout, synthesis.sources, synthesis.receivers, synthesis.tilt
+    )
+    return ValidationReport(tuple(checks), details=tuple(listing.splitlines()))
 
 
 # ----------------------------------------------------------------------

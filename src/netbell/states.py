@@ -8,7 +8,7 @@ letter order of PauliString.
 from __future__ import annotations
 
 import functools
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -17,10 +17,6 @@ from netbell.pauli import PauliString
 STATE_QUBIT_CAP = 20
 NORM_TOL = 1e-12
 IMAG_TOL = 1e-10
-
-# An observable: a single hermitian PauliString, or a real combination
-# sum_i c_i P_i of hermitian strings.
-ObservableTerms = Union[PauliString, Sequence[tuple[float, PauliString]]]
 
 
 def make_rng(seed: int | None) -> np.random.Generator:
@@ -49,7 +45,7 @@ class StateVector:
         if n > STATE_QUBIT_CAP:
             raise ValueError(f"{n} qubits exceeds the cap of {STATE_QUBIT_CAP}")
         norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > NORM_TOL:
+        if not abs(norm - 1.0) <= NORM_TOL:
             raise ValueError(f"state norm {norm!r} is not 1 within {NORM_TOL}")
         amps = amps.copy()
         amps.setflags(write=False)
@@ -85,16 +81,6 @@ class StateVector:
         amps[index] = 1.0
         return cls(amps)
 
-    @classmethod
-    def zero(cls, n: int) -> "StateVector":
-        return cls.basis(n, 0)
-
-    @classmethod
-    def plus(cls, n: int) -> "StateVector":
-        """The uniform |+...+> state."""
-        dim = 1 << n
-        return cls(np.full(dim, 1.0 / np.sqrt(dim), dtype=complex))
-
     # ------------------------------------------------------------------
     # accessors
 
@@ -112,9 +98,6 @@ class StateVector:
         if self._n != other._n:
             raise ValueError("qubit count mismatch in inner product")
         return complex(np.vdot(self._amps, other._amps))
-
-    def fidelity(self, other: "StateVector") -> float:
-        return abs(self.inner(other)) ** 2
 
     def with_canonical_phase(self) -> "StateVector":
         """Rotate the global phase so the first nonzero amplitude is real positive."""
@@ -147,16 +130,9 @@ class StateVector:
         if not p.is_hermitian():
             raise ValueError(f"expectation of non-hermitian operator {p}")
         value = self.inner(self.apply(p))
-        if abs(value.imag) >= IMAG_TOL:
+        if not abs(value.imag) < IMAG_TOL:
             raise RuntimeError(f"imaginary residue {value.imag!r} in expectation")
         return float(value.real)
-
-    def expectation_combo(self, terms: ObservableTerms) -> float:
-        """Expectation of a real combination of hermitian strings; tests
-        compare sampled correlators against it."""
-        if isinstance(terms, PauliString):
-            terms = [(1.0, terms)]
-        return sum(float(c) * self.expectation(p) for c, p in terms)
 
 
 def tensor(states: Iterable[StateVector]) -> StateVector:

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from netbell.codes import builtin, codeword_angle
+from netbell.codes import builtin, codeword
 from netbell.network import NetworkLayout, OperatorSelection
 from netbell.pauli import PauliString
 
@@ -13,6 +13,11 @@ FIVE = builtin("five-one-three")
 G_PRODUCT = PauliString("ZZXIX")  # product of all four five-qubit generators
 H_FLIP = PauliString("XXXXX")
 H_PRIME_STAR = PauliString("ZIXXI", phase_exponent=2)  # -ZIXXI
+
+
+def codeword_angle(code, phi):
+    """The k=1 source state cos(phi)|0-bar> + sin(phi)|1-bar>."""
+    return codeword(code, (np.cos(phi), np.sin(phi)))
 
 
 def bilocal_layout(phi=np.pi / 4, phi2=None):

@@ -1,0 +1,252 @@
+"""Reference implementations that the tests compare netbell against.
+
+Each function reaches a quantity by a slower or more literal route than
+the package takes, and lives here so that `src/` keeps only what a
+command runs:
+
+* `dense` builds the Kronecker matrix of a Pauli string and
+  `table_product` multiplies strings letter by letter from the
+  single-qubit table;
+* `expectation_combo` takes an observable combination's expectation term
+  by term, and `joint_oracle` builds the outcome distribution of
+  commuting two-outcome observables from the expectations of their
+  products;
+* `outcome_distribution` is the exact distribution of the sampler's
+  frame at one setting, which sampled counts are compared against;
+* `logical_representative` searches a stabilizer coset for a phase-flip
+  representative that meets per-qubit letter constraints;
+* `loop_scan` is the classical full scan with one Python evaluation per
+  combination, and `correlators` sums a hidden strategy's label grid.
+"""
+
+from __future__ import annotations
+
+import functools
+import itertools
+import math
+from typing import Iterable, Mapping, Sequence, Union
+
+import numpy as np
+
+from netbell import classical
+from netbell.codes import StabilizerCode
+from netbell.network import NetworkLayout, OperatorSelection, classify
+from netbell.observables import ReceiverObservables, SourceObservables, TiltedBlock
+from netbell.pauli import PauliString
+from netbell.sampling import MODES, _build_frame, _mask_outcomes
+from netbell.states import StateVector
+
+# ----------------------------------------------------------------------
+# Pauli strings
+
+# Largest register for which a dense matrix is built.
+MATRIX_QUBIT_CAP = 12
+
+_SINGLE_MATRICES = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+}
+
+
+def dense(op: PauliString) -> np.ndarray:
+    """Dense 2**n x 2**n matrix of op; entries are exact Gaussian integers."""
+    if op.n > MATRIX_QUBIT_CAP:
+        raise ValueError(f"dense matrix capped at {MATRIX_QUBIT_CAP} qubits, got {op.n}")
+    mats = [_SINGLE_MATRICES[c] for c in op.letters]
+    return op.phase * functools.reduce(np.kron, mats)
+
+
+# Single-qubit products W_a W_b = i**k W_c as (k, c): the letter-by-letter
+# oracle for strings too long for dense matrices.
+SINGLE_PRODUCT = {
+    ("I", "I"): (0, "I"), ("I", "X"): (0, "X"), ("I", "Y"): (0, "Y"), ("I", "Z"): (0, "Z"),
+    ("X", "I"): (0, "X"), ("X", "X"): (0, "I"), ("X", "Y"): (1, "Z"), ("X", "Z"): (3, "Y"),
+    ("Y", "I"): (0, "Y"), ("Y", "X"): (3, "Z"), ("Y", "Y"): (0, "I"), ("Y", "Z"): (1, "X"),
+    ("Z", "I"): (0, "Z"), ("Z", "X"): (1, "Y"), ("Z", "Y"): (3, "X"), ("Z", "Z"): (0, "I"),
+}
+
+
+def table_product(letters_a, ka, letters_b, kb):
+    """(letters, phase exponent) of i**ka A * i**kb B, qubit by qubit."""
+    k = ka + kb
+    out = []
+    for la, lb in zip(letters_a, letters_b):
+        dk, lc = SINGLE_PRODUCT[la, lb]
+        k += dk
+        out.append(lc)
+    return "".join(out), k % 4
+
+
+# ----------------------------------------------------------------------
+# expectations and outcome distributions
+
+# An observable: a single hermitian PauliString, or a real combination
+# sum_i c_i P_i of hermitian strings.
+ObservableTerms = Union[PauliString, Sequence[tuple[float, PauliString]]]
+
+
+def _as_terms(terms: ObservableTerms) -> list[tuple[float, PauliString]]:
+    return [(1.0, terms)] if isinstance(terms, PauliString) else list(terms)
+
+
+def expectation_combo(state: StateVector, terms: ObservableTerms) -> float:
+    """Expectation of a real combination of hermitian strings, term by term."""
+    return sum(float(c) * state.expectation(p) for c, p in _as_terms(terms))
+
+
+def joint_oracle(state: StateVector, observables: Sequence[ObservableTerms]) -> dict:
+    """Exact distribution of commuting two-outcome observables, from the
+    expectations of all their products."""
+    observables = [_as_terms(o) for o in observables]
+    labels = len(observables)
+    out = {}
+    for signs in np.ndindex(*([2] * labels)):
+        outcome = tuple(1 - 2 * s for s in signs)
+        total = 0.0
+        for subset in range(1 << labels):
+            factor = 1.0
+            combo = None
+            for pos in range(labels):
+                if subset >> pos & 1:
+                    factor *= outcome[pos]
+                    combo = observables[pos] if combo is None else [
+                        (cl * cr, pl * pr)
+                        for cl, pl in combo
+                        for cr, pr in observables[pos]
+                    ]
+            if combo is None:
+                total += 1.0
+            else:
+                total += factor * expectation_combo(state, combo)
+        out[outcome] = total / 2.0**labels
+    return out
+
+
+def outcome_distribution(
+    layout: NetworkLayout,
+    selection: OperatorSelection,
+    sources: tuple[SourceObservables, ...],
+    receivers: tuple[ReceiverObservables, ...],
+    x: tuple[int, ...],
+    y: tuple[int, ...],
+    *,
+    mode: str = "direct-observable",
+    tilt: TiltedBlock | None = None,
+) -> dict[tuple[int, ...], float]:
+    """Exact joint distribution of the recorded outcomes at one setting.
+
+    Keys are (a_1..a_K, b_1..b_M) tuples, extended by (p_1..p_M) when a
+    tilted block is given and every receiver is on setting 0.
+    """
+    if mode not in MODES:
+        raise ValueError(f"unknown strategy {mode!r}; expected one of {MODES}")
+    classification = classify(layout, selection)
+    frame = _build_frame(layout, classification, sources, receivers, x, y, mode, tilt)
+    dim = frame.probabilities.size
+    indices = np.arange(dim)
+    columns = [_mask_outcomes(indices, mask) for mask in frame.source_masks]
+    columns += [_mask_outcomes(indices, mask) for mask in frame.receiver_masks]
+    if frame.p_masks is not None:
+        columns += [_mask_outcomes(indices, mask) for mask in frame.p_masks]
+    stacked = np.stack(columns, axis=1)
+    out: dict[tuple[int, ...], float] = {}
+    for idx in np.flatnonzero(frame.probabilities > 0):
+        key = tuple(int(v) for v in stacked[idx])
+        out[key] = out.get(key, 0.0) + float(frame.probabilities[idx])
+    return out
+
+
+# ----------------------------------------------------------------------
+# codes
+
+
+def logical_representative(
+    code: StabilizerCode,
+    base: PauliString,
+    constraints: Mapping[int, str | Iterable[str]],
+) -> PauliString | None:
+    """First element of base * (stabilizer group) whose letters satisfy the
+    per-qubit constraints, or None.
+
+    constraints maps a qubit index to the allowed letter or set of letters
+    there; unconstrained qubits are free. Enumeration order is the subset
+    integer over generators (bit j = generators[j]), ascending, so the
+    result is deterministic.
+    """
+    if base.n != code.n:
+        raise ValueError("base operator does not match the code's qubit count")
+    allowed = {
+        int(q): {letters} if isinstance(letters, str) else set(letters)
+        for q, letters in constraints.items()
+    }
+    gens = code.generators
+    for subset in range(1 << len(gens)):
+        candidate = base
+        for j in range(len(gens)):
+            if (subset >> j) & 1:
+                candidate = gens[j] * candidate
+        if all(candidate.letter(q) in letters for q, letters in allowed.items()):
+            return candidate
+    return None
+
+
+# ----------------------------------------------------------------------
+# classical strategies
+
+
+def loop_scan(shape, alphabet, beta):
+    """Reference full scan: one Python evaluation per combination.
+
+    Returns (best value, best key, combos scanned) with the key and the
+    first-in-enumeration-order tie-break of classical._scan_full.
+    """
+    tilted = beta is not None
+    k, m = shape.k, shape.m
+    blocks = [shape.block(s) for s in range(1, k + 1)]
+    block_sizes, reach_sizes, widths = classical._table_bits(shape, alphabet, tilted)
+    root = 1.0 / k
+    best_value = -1.0
+    best_key = None
+    scanned = 0
+    for label_index in range(math.prod(alphabet)):
+        labels = classical._decode_labels(label_index, alphabet)
+        a_cols = [classical._flat(block, labels, alphabet) for block in blocks]
+        b_cols = [classical._flat(reach, labels, alphabet) for reach in shape.reach]
+        for combo in itertools.product(*(range(1 << w) for w in widths)):
+            scanned += 1
+            i_sign = 1
+            j_sign = 1
+            for s in range(k):
+                bits = combo[s]
+                a0 = 1 - 2 * ((bits >> a_cols[s]) & 1)
+                a1 = 1 - 2 * ((bits >> (block_sizes[s] + a_cols[s])) & 1)
+                i_sign *= (a0 + a1) // 2
+                j_sign *= (a0 - a1) // 2
+            for r in range(m):
+                bits = combo[k + r]
+                i_sign *= 1 - 2 * ((bits >> b_cols[r]) & 1)
+                j_sign *= 1 - 2 * ((bits >> (reach_sizes[r] + b_cols[r])) & 1)
+            value = abs(i_sign) ** root + abs(j_sign) ** root
+            if tilted:
+                p_sign = 1
+                for r in range(m):
+                    bits = combo[k + m + r]
+                    p_sign *= 1 - 2 * ((bits >> b_cols[r]) & 1)
+                value += beta * abs(p_sign) ** root
+            if value > best_value:
+                best_value = value
+                best_key = (label_index, combo)
+    return best_value, best_key, scanned
+
+
+def correlators(strategy: classical.HiddenStrategy) -> classical.ClassicalCorrelators:
+    """Exact I, J (and P when present) of a strategy, summed over its label grid."""
+    return classical._grid_sums(
+        classical._label_grid(strategy.shape, strategy.alphabet),
+        strategy.weights,
+        strategy.a_tables,
+        strategy.b_tables,
+        strategy.p_tables,
+    )

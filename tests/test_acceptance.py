@@ -4,14 +4,13 @@ Each criterion is a single test function; the conftest terminal hook
 prints one PASS/FAIL line per criterion at the end of the run.
 """
 
-import functools
 import math
 
 import numpy as np
 
 from netbell import bell, classical, sampling, scenarios
 from netbell.classical import NetworkShape
-from netbell.codes import builtin, codeword_angle
+from netbell.codes import builtin
 from netbell.network import (
     NetworkLayout,
     OperatorSelection,
@@ -26,9 +25,11 @@ from conftest import (
     bilocal_layout,
     chsh_layout,
     chsh_selection,
+    codeword_angle,
     selection_a,
     selection_b,
 )
+from oracles import dense
 
 CRITERIA = {
     1: "pair-source closed form 2*sqrt(1+sin^2 2phi) over three angles",
@@ -44,20 +45,6 @@ CRITERIA = {
 }
 
 TOL = 1e-9
-
-# Independent dense oracle: literal 2x2 matrices, never pauli.to_matrix.
-_DENSE = {
-    "I": np.array([[1, 0], [0, 1]], dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-
-
-def dense(op: PauliString) -> np.ndarray:
-    mats = [_DENSE[c] for c in op.letters]
-    return op.phase * functools.reduce(np.kron, mats)
-
 
 def evaluate_at(layout, selection, thetas, *, allow=False):
     classification = classify(layout, selection)
@@ -239,7 +226,7 @@ def test_criterion_06_parity_implies_anticommutation():
         parity = check_parity(layout, classify(layout, selection))
         if parity.passed:
             valid.append(candidate)
-        elif not parity.source_side_passed:
+        elif parity.source_side_failures():
             source_violators.append(candidate)
         elif len(receiver_violators) < 40:
             receiver_violators.append(candidate)

@@ -50,6 +50,14 @@ def synth(layout, selection, thetas, allow=False):
 
 
 class TestEvaluate:
+    def test_nan_angle_fails_the_cross_check(self):
+        # NaN compares false against every tolerance; the guards must not
+        # read that as agreement
+        layout = chsh_layout()
+        sources, receivers = synth(layout, chsh_selection(), [math.nan])
+        with pytest.raises(RuntimeError):
+            evaluate(layout, chsh_selection(), sources, receivers)
+
     def test_example_a_balanced_angles(self):
         layout = bilocal_layout(math.pi / 4)
         sources, receivers = synth(

@@ -1,6 +1,5 @@
 """Classical hidden-strategy certification tests."""
 
-import itertools
 import json
 import math
 
@@ -14,13 +13,13 @@ from netbell.classical import (
     HiddenStrategy,
     NetworkShape,
     bell_value,
-    correlators,
     default_alphabet,
     max_deterministic,
     objective_value,
     scan_size,
     verify_bound,
 )
+from oracles import correlators, loop_scan
 
 BILOCAL = NetworkShape(k=2, m=1, n=2, partition=(0, 1, 2), reach=((1, 2),))
 SINGLE = NetworkShape(k=1, m=1, n=1, partition=(0, 1), reach=((1,),))
@@ -63,51 +62,6 @@ def random_strategy(shape, alphabet, rng, tilted=False):
         b_tables=b_tables,
         p_tables=p_tables,
     )
-
-
-def loop_scan(shape, alphabet, beta):
-    """Reference full scan: one Python evaluation per combination.
-
-    Returns (best value, best key, combos scanned) with the key and the
-    first-in-enumeration-order tie-break of classical._scan_full.
-    """
-    tilted = beta is not None
-    k, m = shape.k, shape.m
-    blocks = [shape.block(s) for s in range(1, k + 1)]
-    block_sizes, reach_sizes, widths = classical._table_bits(shape, alphabet, tilted)
-    root = 1.0 / k
-    best_value = -1.0
-    best_key = None
-    scanned = 0
-    for label_index in range(math.prod(alphabet)):
-        labels = classical._decode_labels(label_index, alphabet)
-        a_cols = [classical._flat(block, labels, alphabet) for block in blocks]
-        b_cols = [classical._flat(reach, labels, alphabet) for reach in shape.reach]
-        for combo in itertools.product(*(range(1 << w) for w in widths)):
-            scanned += 1
-            i_sign = 1
-            j_sign = 1
-            for s in range(k):
-                bits = combo[s]
-                a0 = 1 - 2 * ((bits >> a_cols[s]) & 1)
-                a1 = 1 - 2 * ((bits >> (block_sizes[s] + a_cols[s])) & 1)
-                i_sign *= (a0 + a1) // 2
-                j_sign *= (a0 - a1) // 2
-            for r in range(m):
-                bits = combo[k + r]
-                i_sign *= 1 - 2 * ((bits >> b_cols[r]) & 1)
-                j_sign *= 1 - 2 * ((bits >> (reach_sizes[r] + b_cols[r])) & 1)
-            value = abs(i_sign) ** root + abs(j_sign) ** root
-            if tilted:
-                p_sign = 1
-                for r in range(m):
-                    bits = combo[k + m + r]
-                    p_sign *= 1 - 2 * ((bits >> b_cols[r]) & 1)
-                value += beta * abs(p_sign) ** root
-            if value > best_value:
-                best_value = value
-                best_key = (label_index, combo)
-    return best_value, best_key, scanned
 
 
 class TestShapes:
@@ -282,7 +236,12 @@ class TestStrategyValidation:
     def test_json_round_trip(self):
         rng = np.random.default_rng(3)
         strategy = random_strategy(BILOCAL, 2, rng, tilted=True)
-        again = HiddenStrategy.from_json(json.loads(json.dumps(strategy.to_json())))
+        data = json.loads(json.dumps(strategy.to_json()))
+        fields = ("alphabet", "weights", "a_tables", "b_tables", "p_tables")
+        assert set(data) == {"shape", *fields}
+        again = HiddenStrategy(
+            shape=NetworkShape(**data["shape"]), **{key: data[key] for key in fields}
+        )
         assert again == strategy
 
 

@@ -1,13 +1,20 @@
 """Command-line behavior: exit codes, report files, overrides, determinism."""
 
+import contextlib
 import csv
+import io
 import json
 import math
+import os
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netbell import classical, scenarios
 from netbell.cli import EXIT_ACCEPTANCE, EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
@@ -15,6 +22,40 @@ from netbell.cli import EXIT_ACCEPTANCE, EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
 PI_4 = "0.7853981633974483"
 PI_8 = "0.39269908169872414"
 DATA = Path(__file__).parent / "data"
+
+
+# Replacement values for the scenario mutation test: every JSON type, an
+# integer past int64, infinity (written 1e400, which JSON reads as
+# infinity) and NaN.
+FUZZ_VALUES = (None, True, -1, 0, 2**70, math.inf, math.nan, "x", [], [1], {})
+
+
+def builtin_documents():
+    """Scenario JSON of every builtin, with star(N) for N up to 64."""
+    factories = scenarios.BUILTIN_SCENARIOS
+    fixed = [factories[name]() for name in sorted(factories) if name != "star"]
+    return st.one_of(
+        st.sampled_from(fixed),
+        st.integers(1, 64).map(lambda n: factories["star"](n=n)),
+        st.integers(1, 5).map(lambda n: factories["star"](n=n, phibar=0.3927)),
+    )
+
+
+def value_paths(node, path=()):
+    """The path of every value inside a JSON document, the root excluded."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield path + (key,)
+        yield from value_paths(child, path + (key,))
+
+
+def refuse_constant(name):
+    raise ValueError(f"{name} in a report")
 
 
 @pytest.fixture
@@ -35,6 +76,19 @@ class TestValidate:
         assert main(["validate", "chsh"]) == EXIT_OK
         out = capsys.readouterr().out
         assert out.strip().endswith("PASS")
+
+    def test_lists_the_synthesized_observables(self, capsys):
+        assert main(["validate", "chsh"]) == EXIT_OK
+        lines = [line.strip() for line in capsys.readouterr().out.splitlines()]
+        assert any(line.startswith("S1: A0 =") for line in lines)
+        assert any(line.startswith("R1: B1 =") for line in lines)
+        assert lines[-1] == "PASS"
+
+    def test_source_side_detail_names_only_source_failures(self, capsys):
+        # star(2) fails only receiver-side conditions
+        assert main(["validate", "star(2)"]) == EXIT_VALIDATION
+        out = capsys.readouterr().out
+        assert "[pass] source-side parity conditions (all hold)" in out
 
     def test_paren_builtin(self):
         assert main(["validate", "star(3)"]) == EXIT_OK
@@ -73,13 +127,51 @@ class TestValidate:
             ("g", lambda d: d["selection"].update(g=5)),
             ("h_prime", lambda d: d["selection"].update(h_prime=5)),
             ("amplitudes", lambda d: d["sources"][0].update(amplitudes=5)),
+            pytest.param("rounds", lambda d: d["options"].update(rounds=[1]), id="rounds-list"),
+            pytest.param("seed", lambda d: d["options"].update(seed=[1]), id="seed-list"),
+            pytest.param(
+                "grid_points", lambda d: d["options"].update(grid_points=[1]), id="grid-list"
+            ),
+            pytest.param("beta", lambda d: d["options"].update(beta=[1]), id="beta-list"),
+            pytest.param("phibar", lambda d: d["options"].update(phibar=[1]), id="phibar-list"),
+            pytest.param("thetas", lambda d: d["options"].update(thetas=[[1]]), id="thetas-list"),
+            pytest.param(
+                "phi",
+                lambda d: d["sources"].__setitem__(0, {"code": "five-one-three", "phi": [1]}),
+                id="phi-list",
+            ),
+            pytest.param(
+                "rounds", lambda d: d["options"].update(rounds=math.inf), id="rounds-1e400"
+            ),
+            pytest.param("seed", lambda d: d["options"].update(seed=math.inf), id="seed-1e400"),
+            pytest.param(
+                "grid_points",
+                lambda d: d["options"].update(grid_points=math.inf),
+                id="grid-1e400",
+            ),
+            pytest.param("thetas", lambda d: d["options"].update(thetas=math.nan), id="thetas-nan"),
+            pytest.param("beta", lambda d: d["options"].update(beta=math.nan), id="beta-nan"),
+            pytest.param(
+                "phibar", lambda d: d["options"].update(phibar=math.inf), id="phibar-1e400"
+            ),
+            pytest.param(
+                "phi",
+                lambda d: d["sources"].__setitem__(0, {"code": "five-one-three", "phi": math.nan}),
+                id="phi-nan",
+            ),
+            pytest.param(
+                "amplitudes",
+                lambda d: d["sources"][0].update(amplitudes=[math.nan, 1]),
+                id="amplitudes-nan",
+            ),
         ],
     )
     def test_misshapen_field_is_one_error_line(self, tmp_path, capsys, field, mutate):
         data = scenarios.scenario_to_dict(scenarios.builtin_scenario("example-a"))
         mutate(data)
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps(data))
+        # JSON reads 1e400 as infinity
+        path.write_text(json.dumps(data).replace("Infinity", "1e400"))
         assert main(["validate", str(path)]) == EXIT_VALIDATION
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
@@ -88,8 +180,58 @@ class TestValidate:
 
     def test_builtin_flags_rejected_on_paths(self, tmp_path, capsys):
         path = tmp_path / "s.json"
-        scenarios.save_scenario(scenarios.builtin_scenario("chsh"), path)
+        path.write_text(json.dumps(scenarios.scenario_to_dict(scenarios.builtin_scenario("chsh"))))
         assert main(["validate", str(path), "--phi", "0.3"]) == EXIT_VALIDATION
+
+
+class TestScenarioMutations:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(document=builtin_documents(), data=st.data())
+    def test_mutated_builtin_exits_with_one_error_line(self, document, data):
+        document = json.loads(json.dumps(document))
+        path = data.draw(st.sampled_from(list(value_paths(document))))
+        target = document
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = data.draw(st.sampled_from(FUZZ_VALUES))
+        with tempfile.TemporaryDirectory() as work:
+            scenario = os.path.join(work, "scenario.json")
+            with open(scenario, "w") as handle:
+                handle.write(json.dumps(document).replace("Infinity", "1e400"))
+            out = os.path.join(work, "out")
+            for argv in (["validate", scenario], ["evaluate", scenario, "--out", out]):
+                stderr = io.StringIO()
+                with warnings.catch_warnings(), contextlib.redirect_stdout(
+                    io.StringIO()
+                ), contextlib.redirect_stderr(stderr):
+                    warnings.simplefilter("error")
+                    code = main(argv)
+                lines = stderr.getvalue().splitlines()
+                assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_IO)
+                assert len(lines) <= 1 and all(line.startswith("error:") for line in lines)
+                if argv[0] == "evaluate":
+                    assert len(lines) == (code != EXIT_OK)
+            for name in os.listdir(out) if os.path.isdir(out) else ():
+                if name.endswith(".json"):
+                    with open(os.path.join(out, name)) as handle:
+                        json.loads(handle.read(), parse_constant=refuse_constant)
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["evaluate", "chsh", "--theta", "nan"],
+            ["tilted", "chsh-tilted", "--beta", "nan"],
+            ["classical-bound", "chsh", "--beta", "nan"],
+        ],
+        ids=["evaluate-theta", "tilted-beta", "classical-bound-beta"],
+    )
+    def test_refused_with_one_error_line(self, out_dir, capsys, argv):
+        assert main(argv) == EXIT_VALIDATION
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert list(out_dir.iterdir()) == []
 
 
 class TestEvaluate:
@@ -197,6 +339,13 @@ class TestClassicalBound:
         row = read_csv_row(out_dir / "chsh-tilted-classical-bound.csv")
         assert float(row["deterministic_max"]) == pytest.approx(1.7, abs=1e-12)
         assert float(row["classical_bound"]) == pytest.approx(1.7, abs=1e-12)
+
+    @pytest.mark.parametrize("mode", ["auto", "full"])
+    def test_over_budget_star_is_one_error_line(self, out_dir, capsys, mode):
+        assert main(["classical-bound", "star(51)", "--mode", mode]) == EXIT_VALIDATION
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert "exceeds the budget of 1.000e+08" in err[0]
 
     def test_violation_exits_with_acceptance_code(self, out_dir, monkeypatch, capsys):
         def explode(*args, **kwargs):

@@ -5,16 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netbell.codes import (
-    StabilizerCode,
-    builtin,
-    codeword,
-    codeword_angle,
-    logical_representative,
-    validate,
-)
+from conftest import codeword_angle
+from netbell.codes import StabilizerCode, builtin, codeword, validate
 from netbell.pauli import PauliString
-from netbell.states import StateVector
+from netbell.scenarios import ScenarioError, scenario_from_dict
+from oracles import logical_representative
 
 PHI_GRID = np.linspace(0.0, np.pi / 4, 7)
 
@@ -237,7 +232,7 @@ class TestCodeword:
         code = builtin(name)
         zero = codeword(code, (1.0, 0.0)).state
         one = codeword(code, (0.0, 1.0)).state
-        assert abs(zero.apply(code.logical_x[0]).fidelity(one) - 1.0) < 1e-12
+        assert abs(abs(zero.apply(code.logical_x[0]).inner(one)) ** 2 - 1.0) < 1e-12
 
     def test_complex_amplitudes_give_logical_y_eigenstate(self):
         code = builtin("two-one-two")
@@ -263,8 +258,16 @@ class TestCodeword:
             logical_x=(PauliString("XI"), PauliString("IX")),
             logical_z=(PauliString("ZI"), PauliString("IZ")),
         )
-        with pytest.raises(ValueError, match="k=1"):
-            codeword_angle(code, 0.1)
+        data = {
+            "name": "pair-angle",
+            "codes": [code.to_json()],
+            "sources": [{"code": "pair", "phi": 0.1}],
+            "network": {"K": 1, "M": 1, "partition": [0, 1],
+                        "assignment": [[1, 1, 1], [1, 2, 2]]},
+            "selection": {"g": ["+ZZ"], "h": ["+XX"]},
+        }
+        with pytest.raises(ScenarioError, match="k=1"):
+            scenario_from_dict(data)
 
     def test_two_logical_qubits_synthesize(self):
         code = StabilizerCode(
@@ -276,7 +279,8 @@ class TestCodeword:
             logical_z=(PauliString("ZI"), PauliString("IZ")),
         )
         src = codeword(code, (0.5, 0.5, 0.5, 0.5))
-        assert abs(src.state.fidelity(StateVector.plus(2)) - 1.0) < 1e-12
+        plus = np.full(4, 0.5, dtype=complex)
+        assert abs(abs(np.vdot(src.state.amplitudes, plus)) ** 2 - 1.0) < 1e-12
 
     @given(
         n=st.integers(min_value=2, max_value=7),

@@ -8,12 +8,13 @@ from conftest import (
     H_FLIP,
     bilocal_layout,
     chsh_layout,
+    codeword_angle,
     selection_a,
     selection_b,
     star_layout,
 )
 
-from netbell.codes import builtin, codeword_angle
+from netbell.codes import builtin
 from netbell.network import (
     NetworkLayout,
     OperatorSelection,
@@ -227,7 +228,7 @@ class TestParity:
         # count so its fact and the K+M fact fail, by design of the shape
         layout = bilocal_layout()
         report = check_parity(layout, classify(layout, selection_a()))
-        assert report.source_side_passed
+        assert not report.source_side_failures()
         assert not report.receiver_side_passed
         assert not report.passed
         failed = {c.name for c in report.failures()}
@@ -245,7 +246,7 @@ class TestParity:
         layout = star_layout(3)
         plain = OperatorSelection(g=(FIVE.generators[3],) * 3, h=(H_FLIP,) * 3)
         report = check_parity(layout, classify(layout, plain))
-        assert not report.source_side_passed
+        assert report.source_side_failures()
 
     def test_chsh_shape_all_pass(self):
         layout = chsh_layout()

@@ -16,8 +16,8 @@ from conftest import (
     star_selection,
 )
 
-from netbell.codes import builtin, codeword_angle, logical_representative
-from netbell.network import NetworkLayout, OperatorSelection, classify
+from netbell.codes import builtin
+from netbell.network import OperatorSelection, classify
 from netbell.observables import (
     build_receiver,
     build_source,
@@ -26,6 +26,7 @@ from netbell.observables import (
     tilt_constraints,
 )
 from netbell.pauli import PauliString
+from oracles import dense, logical_representative
 
 
 def synth(layout, selection, thetas=None, allow_commuting=False):
@@ -45,8 +46,8 @@ class TestSourceObservables:
         for obs in sources:
             assert obs.s_hat == PauliString("Z")
             assert obs.t_hat == PauliString("X")
-            a0 = sum(c * p.to_matrix() for c, p in obs.a_terms(0, global_form=False))
-            want = (PauliString("Z").to_matrix() + PauliString("X").to_matrix()) / np.sqrt(2)
+            a0 = sum(c * dense(p) for c, p in obs.a_terms(0, global_form=False))
+            want = (dense(PauliString("Z")) + dense(PauliString("X"))) / np.sqrt(2)
             assert np.allclose(a0, want, atol=1e-12)
 
     def test_sum_and_difference_recover_s_and_t(self):
@@ -54,17 +55,17 @@ class TestSourceObservables:
         theta = 0.37
         _, sources, _ = synth(layout, chsh_selection(), thetas=(theta,))
         obs = sources[0]
-        a0 = sum(c * p.to_matrix() for c, p in obs.a_terms(0, global_form=False))
-        a1 = sum(c * p.to_matrix() for c, p in obs.a_terms(1, global_form=False))
-        assert np.allclose(a0 + a1, 2 * np.cos(theta) * obs.s_hat.to_matrix(), atol=1e-12)
-        assert np.allclose(a1 - a0, -2 * np.sin(theta) * obs.t_hat.to_matrix(), atol=1e-12)
+        a0 = sum(c * dense(p) for c, p in obs.a_terms(0, global_form=False))
+        a1 = sum(c * dense(p) for c, p in obs.a_terms(1, global_form=False))
+        assert np.allclose(a0 + a1, 2 * np.cos(theta) * dense(obs.s_hat), atol=1e-12)
+        assert np.allclose(a1 - a0, -2 * np.sin(theta) * dense(obs.t_hat), atol=1e-12)
 
     def test_a_pair_anticommutes_at_balanced_angle(self):
         layout = chsh_layout()
         _, sources, _ = synth(layout, chsh_selection(), thetas=(np.pi / 4,))
         obs = sources[0]
-        a0 = sum(c * p.to_matrix() for c, p in obs.a_terms(0, global_form=False))
-        a1 = sum(c * p.to_matrix() for c, p in obs.a_terms(1, global_form=False))
+        a0 = sum(c * dense(p) for c, p in obs.a_terms(0, global_form=False))
+        a1 = sum(c * dense(p) for c, p in obs.a_terms(1, global_form=False))
         assert np.allclose(a0 @ a1 + a1 @ a0, 0.0, atol=1e-12)
         assert np.allclose(a0 @ a0, np.eye(2), atol=1e-12)
         assert np.allclose(a1 @ a1, np.eye(2), atol=1e-12)
@@ -171,7 +172,7 @@ class TestTilted:
         cls, _, receivers = synth(layout, sel)
         block = build_tilted(layout, cls, sel, receivers)
         assert block.tilt_sources == ()
-        assert block.p_full.is_identity() and block.p_full.phase == 1
+        assert block.p_full.weight == 0 and block.p_full.phase == 1
         assert block.receivers[0].b0_bar == receivers[0].b0
         assert block.receivers[0].drop_qubits == ()
 

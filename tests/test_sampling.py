@@ -27,7 +27,8 @@ from conftest import (
 from netbell import bell, sampling, scenarios
 from netbell.network import classify
 from netbell.observables import build_receiver, build_source, build_tilted
-from netbell.sampling import RunConfig, outcome_distribution, run
+from netbell.sampling import RunConfig, run
+from oracles import expectation_combo, joint_oracle, outcome_distribution
 
 # 0.999 chi-squared quantiles by degrees of freedom.
 CHI2_999 = {3: 16.266, 7: 24.322}
@@ -87,45 +88,6 @@ def write_pinned_record(name, path):
     )
 
 
-def joint_oracle(state, observables):
-    """Exact distribution of commuting two-outcome observables, from the
-    expectations of all their products."""
-    labels = len(observables)
-    out = {}
-    for signs in np.ndindex(*([2] * labels)):
-        outcome = tuple(1 - 2 * s for s in signs)
-        total = 0.0
-        for subset in range(1 << labels):
-            terms = [(1.0, None)]
-            factor = 1.0
-            combo = None
-            for pos in range(labels):
-                if subset >> pos & 1:
-                    factor *= outcome[pos]
-                    combo = observables[pos] if combo is None else combo_mul(
-                        combo, observables[pos]
-                    )
-            if combo is None:
-                total += 1.0
-            else:
-                total += factor * expect_combo(state, combo)
-        out[outcome] = total / 2.0**labels
-    return out
-
-
-def combo_mul(left, right):
-    """Product of two real combinations of Pauli strings."""
-    return [(cl * cr, pl * pr) for cl, pl in left for cr, pr in right]
-
-
-def expect_combo(state, combo):
-    return sum(c * state.expectation(p) for c, p in combo)
-
-
-def as_combo(op):
-    return [(1.0, op)]
-
-
 class TestRunConfig:
     def test_rejects_zero_rounds(self):
         with pytest.raises(ValueError, match="rounds"):
@@ -158,7 +120,7 @@ class TestFrames:
         state = layout.state
         a_terms = sources[0].a_terms(x[0])
         b_op = receivers[0].b0_global if y[0] == 0 else receivers[0].b1_global
-        oracle = joint_oracle(state, [a_terms, as_combo(b_op)])
+        oracle = joint_oracle(state, [a_terms, b_op])
         for outcome, expected in oracle.items():
             assert dist.get(outcome, 0.0) == pytest.approx(expected, abs=1e-9)
 
@@ -177,7 +139,7 @@ class TestFrames:
             [
                 sources[0].a_terms(x[0]),
                 sources[1].a_terms(x[1]),
-                as_combo(receivers[0].b0_global),
+                receivers[0].b0_global,
             ],
         )
         for outcome, expected in oracle.items():
@@ -196,8 +158,8 @@ class TestFrames:
             state,
             [
                 sources[0].a_terms(0),
-                as_combo(receivers[0].b0_global),
-                as_combo(tilt.receivers[0].p_part_global),
+                receivers[0].b0_global,
+                tilt.receivers[0].p_part_global,
             ],
         )
         for outcome, expected in oracle.items():
@@ -250,7 +212,7 @@ class TestFrames:
             layout, selection, sources, receivers, (0,), (0,)
         )
         marginal = sum(a * w for (a, _), w in dist.items())
-        expected = layout.state.expectation_combo(sources[0].a_terms(0))
+        expected = expectation_combo(layout.state, sources[0].a_terms(0))
         assert marginal == pytest.approx(expected, abs=1e-9)
 
 

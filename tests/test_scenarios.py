@@ -15,7 +15,6 @@ from netbell.scenarios import (
     fingerprint,
     load_scenario,
     resolve_beta,
-    save_scenario,
     scenario_from_dict,
     scenario_to_dict,
     source_angle,
@@ -64,7 +63,7 @@ class TestRoundTrip:
     def test_file_round_trip(self, tmp_path):
         scenario = builtin_scenario("example-a")
         path = tmp_path / "example-a.json"
-        save_scenario(scenario, path)
+        path.write_text(json.dumps(scenario_to_dict(scenario)))
         reloaded = load_scenario(path)
         assert reloaded == scenario
         assert fingerprint(reloaded) == fingerprint(scenario)

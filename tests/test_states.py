@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from netbell.pauli import PauliString
 from netbell.states import StateVector, make_rng, tensor
+from oracles import dense, expectation_combo
 
 
 def random_states(max_n=4):
@@ -36,13 +37,17 @@ class TestConstruction:
         with pytest.raises(ValueError, match="norm"):
             StateVector([1.0, 1.0])
 
+    def test_nan_amplitude_fails_the_norm_check(self):
+        with pytest.raises(ValueError, match="norm"):
+            StateVector([np.nan, 0.0])
+
     def test_dimension_must_be_power_of_two(self):
         with pytest.raises(ValueError):
             StateVector([1.0, 0.0, 0.0])
 
     def test_qubit_cap(self):
         with pytest.raises(ValueError, match="cap"):
-            StateVector.zero(21)
+            StateVector.basis(21, 0)
 
     def test_canonical_phase(self):
         state = StateVector(np.array([0, 1j, 0, 0], dtype=complex))
@@ -50,7 +55,7 @@ class TestConstruction:
         assert fixed.amplitudes[1] == pytest.approx(1.0)
 
     def test_amplitudes_read_only(self):
-        state = StateVector.zero(1)
+        state = StateVector.basis(1, 0)
         with pytest.raises(ValueError):
             state.amplitudes[0] = 0.5
 
@@ -61,7 +66,8 @@ class TestTensor:
         assert np.array_equal(product.amplitudes, np.array([0, 1, 0, 0], dtype=complex))
 
     def test_plus_plus_uniform(self):
-        product = tensor([StateVector.plus(1), StateVector.plus(1)])
+        plus = StateVector([1 / np.sqrt(2), 1 / np.sqrt(2)])
+        product = tensor([plus, plus])
         assert np.allclose(product.amplitudes, np.full(4, 0.5))
 
     @given(random_states(max_n=3), random_states(max_n=3))
@@ -70,7 +76,7 @@ class TestTensor:
 
     def test_cap(self):
         with pytest.raises(ValueError, match="cap"):
-            tensor([StateVector.zero(11), StateVector.zero(10)])
+            tensor([StateVector.basis(11, 0), StateVector.basis(10, 0)])
 
 
 class TestApply:
@@ -114,17 +120,18 @@ class TestApply:
         amps = rng.normal(size=1 << p.n) + 1j * rng.normal(size=1 << p.n)
         state = StateVector.from_unnormalized(amps)
         direct = state.apply(p).amplitudes
-        oracle = p.to_matrix() @ state.amplitudes
+        oracle = dense(p) @ state.amplitudes
         assert np.allclose(direct, oracle, atol=1e-12)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            StateVector.zero(2).apply(PauliString("X"))
+            StateVector.basis(2, 0).apply(PauliString("X"))
 
 
 class TestExpectation:
     def test_plus_x(self):
-        assert StateVector.plus(1).expectation(PauliString("X")) == pytest.approx(1.0)
+        plus = StateVector([1 / np.sqrt(2), 1 / np.sqrt(2)])
+        assert plus.expectation(PauliString("X")) == pytest.approx(1.0)
 
     def test_ghz_zzi_all_phi(self):
         for phi in np.linspace(0.0, np.pi / 2, 7):
@@ -139,7 +146,7 @@ class TestExpectation:
 
     def test_non_hermitian_rejected(self):
         with pytest.raises(ValueError, match="hermitian"):
-            StateVector.zero(1).expectation(PauliString("X", phase_exponent=1))
+            StateVector.basis(1, 0).expectation(PauliString("X", phase_exponent=1))
 
     def test_disjoint_support_factorizes(self):
         rng = np.random.default_rng(11)
@@ -152,13 +159,13 @@ class TestExpectation:
 
     def test_combo(self):
         a0 = [(np.cos(np.pi / 4), PauliString("Z")), (np.sin(np.pi / 4), PauliString("X"))]
-        assert StateVector.zero(1).expectation_combo(a0) == pytest.approx(1 / np.sqrt(2))
+        assert expectation_combo(StateVector.basis(1, 0), a0) == pytest.approx(1 / np.sqrt(2))
 
     def test_imaginary_residue_raises(self, monkeypatch):
         # a runtime check, not an assert, so it also holds under python -O
         monkeypatch.setattr("netbell.states.IMAG_TOL", 0.0)
         with pytest.raises(RuntimeError, match="imaginary residue"):
-            StateVector.zero(1).expectation(PauliString("Z"))
+            StateVector.basis(1, 0).expectation(PauliString("Z"))
 
 
 class TestRng:
