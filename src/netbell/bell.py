@@ -1,12 +1,13 @@
 """Bell quantities for stabilizer network tests.
 
 The two product correlators and the tilted extension are evaluated two
-ways: literally, by expanding the product of local observables into
-Pauli terms and taking expectations on the joint state, and through the
-stabilizer closed forms built from per-source expectations.  The two
-routes must agree to tight tolerance; disagreement means the synthesized
-observables do not implement the selected operators, so it raises
-instead of reporting a number.
+ways: literally, as products over the source agents of Pauli-term
+expansions taken on each agent's group of independent sources (the
+joint state is never built), and through the stabilizer closed forms
+built from per-source expectations.  The routes must agree to tight
+tolerance, per group and in the product; disagreement means the
+synthesized observables do not implement the selected operators, so it
+raises instead of reporting a number.
 """
 
 from __future__ import annotations
@@ -31,6 +32,8 @@ from netbell.states import StateVector
 # this is a synthesis bug, not noise.
 CROSS_CHECK_TOL = 1e-9
 GRID_MARGIN = 1e-9
+# Beyond this the grid arrays alone would need gigabytes.
+MAX_GRID_POINTS = 10**6
 STATIONARY_TOL = 1e-6
 # Strictly-above-bound margin so boundary cases never count as wins.
 VIOLATION_MARGIN = 1e-12
@@ -101,12 +104,8 @@ class BellReport:
 
 
 def _cached_expectation(state: StateVector, op: PauliString, cache: dict) -> complex:
-    """<psi|op|psi> without a hermiticity demand, memoized on the letters.
-
-    Cross terms in the expanded products carry +/-i phases; those phases
-    factor out of the amplitude sum, so the cache stores the plus-phase
-    value once per letter pattern, keyed on the (x, z) masks.
-    """
+    """<psi|op|psi> without a hermiticity demand, memoized on the letters:
+    the cache keeps the plus-phase value per (x, z) mask pair."""
     key = (op.x, op.z)
     value = cache.get(key)
     if value is None:
@@ -116,72 +115,95 @@ def _cached_expectation(state: StateVector, op: PauliString, cache: dict) -> com
     return op.phase * value
 
 
-def _correlator(
-    state: StateVector,
-    sources: list[SourceObservables],
-    receivers: list[ReceiverObservables],
-    y: int,
-    cache: dict,
-) -> complex:
-    """<prod_k (A0 + (-1)^y A1) prod_l B_y>, expanded term by term."""
-    terms: list[tuple[float, PauliString]] = [(1.0, PauliString.identity(state.n))]
-    flip = 1.0 if y == 0 else -1.0
-    for obs in sources:
-        branch = obs.a_terms(0) + [(flip * c, p) for c, p in obs.a_terms(1)]
-        terms = [(c1 * c2, p1 * p2) for c1, p1 in terms for c2, p2 in branch]
-    for rec in receivers:
-        b = rec.b_terms(y)
-        terms = [(c, p * b) for c, p in terms]
-    return sum(c * _cached_expectation(state, p, cache) for c, p in terms)
+def _piece(layout: NetworkLayout, op: PauliString, k: int, phase_exponent: int) -> PauliString:
+    """op's letters on source agent k's group of sources, with the given phase."""
+    return op.restrict(layout.group_positions(k)).with_phase_exponent(phase_exponent)
 
 
-def _evaluate(
-    layout: NetworkLayout,
-    selection: OperatorSelection,
-    sources: list[SourceObservables],
-    receivers: list[ReceiverObservables],
-    cache: dict,
-) -> BellReport:
-    state = layout.state
-    k = layout.K
-    if len(sources) != k:
-        raise ValueError(f"expected {k} source observables, got {len(sources)}")
-    thetas = tuple(obs.theta for obs in sources)
-
-    scale = 1.0 / 2**k
-    i_raw = scale * _correlator(state, sources, receivers, 0, cache)
-    j_raw = scale * _correlator(state, sources, receivers, 1, cache)
-    for name, value in (("I", i_raw), ("J", j_raw)):
-        if not abs(value.imag) <= CROSS_CHECK_TOL:
-            raise RuntimeError(
-                f"{name} came out complex ({value:.3e}); "
-                "the observable product is not hermitian"
-            )
-    i_value = i_raw.real
-    j_value = j_raw.real
-
-    c_values = []
-    g_factors = []
-    for i in range(1, layout.N + 1):
-        g, h, _ = selection.for_source(i)
-        c_values.append(layout.sources[i - 1].state.expectation(h))
-        g_factors.append(layout.embed(i, g))
-    g_product = PauliString.product(g_factors, n=layout.total_qubits)
-    cos_all = math.prod(math.cos(t) for t in thetas)
-    sin_all = math.prod(math.sin(t) for t in thetas)
-    i_closed = cos_all * _cached_expectation(state, g_product, cache).real
-    j_closed = sin_all * math.prod(c_values)
-    if not (
-        abs(i_value - i_closed) <= CROSS_CHECK_TOL
-        and abs(j_value - j_closed) <= CROSS_CHECK_TOL
-    ):
+def _check(value, want, what: str, grid=None) -> None:
+    """Raise unless value is within CROSS_CHECK_TOL of want everywhere (NaN
+    never is); both are scalars, or arrays over the angles of grid."""
+    missed = np.flatnonzero(~(np.abs(np.asarray(value - want)) <= CROSS_CHECK_TOL))
+    if missed.size:
+        at = missed[0]
+        where = "" if grid is None else f" at grid angle {grid[at]:.6f}"
         raise RuntimeError(
-            "correlators disagree with the stabilizer closed forms "
-            f"(I {i_value:+.12f} vs {i_closed:+.12f}, "
-            f"J {j_value:+.12f} vs {j_closed:+.12f}); the synthesized "
-            "observables do not implement the selected operators"
+            f"{what} disagrees with the stabilizer closed forms "
+            f"({complex(np.ravel(value)[at]):+.12f} vs {np.ravel(want)[at]:+.12f}{where}); "
+            "the synthesized observables do not implement the selected operators"
         )
 
+
+def _block_terms(layout, sources, receivers) -> list[list[list]]:
+    """For y = 0, 1 and each source agent k, the four terms (c, <p B_y>) of
+    A0_k + (-1)^y A1_k.
+
+    A_k acts only inside k's group G_k of sources, so the y-correlator's
+    operator prod_k (A0_k + (-1)^y A1_k) B_y is a tensor product over the
+    groups, and its expectation on the product state is the product over
+    k of sum_(c,p) c <p B_y|G_k>, each taken on the group's own state.
+    B_y's phase rides on group 1's piece. No value depends on the angles;
+    each group memoizes its own.
+    """
+    if len(sources) != layout.K:
+        raise ValueError(f"expected {layout.K} source observables, got {len(sources)}")
+    n, caches, out = layout.total_qubits, [{} for _ in sources], []
+    for y, flip in ((0, 1.0), (1, -1.0)):
+        b = PauliString.product((rec.b_terms(y) for rec in receivers), n=n)
+        out.append([])
+        for k, obs in enumerate(sources, start=1):
+            b_k = _piece(layout, b, k, b.phase_exponent if k == 1 else 0)
+            inside = ((1 << b_k.n) - 1) << (n - layout.group_positions(k).stop)
+            branch = obs.a_terms(0) + [(flip * c, p) for c, p in obs.a_terms(1)]
+            if any((p.x | p.z) & ~inside for _, p in branch):
+                raise RuntimeError(f"agent {layout.agent_label(k)} acts outside its group")
+            state, cache = layout.group_states[k - 1], caches[k - 1]
+            pieces = [(c, _piece(layout, p, k, p.phase_exponent) * b_k) for c, p in branch]
+            out[y].append([(c, _cached_expectation(state, q, cache)) for c, q in pieces])
+    return out
+
+
+def _source_values(layout: NetworkLayout, ops) -> tuple[list, list]:
+    """<op_i> on each source state i, and their product over each source
+    agent's group; ops is the selection's g or h."""
+    values = [src.state.expectation(op) for src, op in zip(layout.sources, ops)]
+    cuts = zip(layout.partition, layout.partition[1:])
+    return values, [math.prod(values[lo:hi]) for lo, hi in cuts]
+
+
+def _products(layout: NetworkLayout, blocks, grid=None) -> list:
+    """I and J as products of their per-block halves <(A0_k +/- A1_k) B_y>/2.
+
+    blocks holds, for y = 0 and 1, pairs (half, closed form) per source
+    agent: scalars, or arrays over the angles of grid. Each block is
+    checked on its own, since the halves are of order one while I and J
+    shrink like 2^(-K/2): at large K the absolute check of the products
+    alone would pass a wrong sign or factor in one block.
+    """
+    out = []
+    for name, pairs in zip("IJ", blocks):
+        total = closed = None
+        for k, (value, want) in enumerate(pairs, start=1):
+            _check(value, want, f"{name} block of agent {layout.agent_label(k)}", grid)
+            total = value if total is None else total * value
+            closed = want if closed is None else closed * want
+        _check(total.imag, 0.0, f"the imaginary part of {name}", grid)
+        _check(total.real, closed, name, grid)
+        out.append(total.real)
+    return out
+
+
+def _report(layout, selection, sources, terms) -> BellReport:
+    k = layout.K
+    thetas = tuple(obs.theta for obs in sources)
+    c_values, c_groups = _source_values(layout, selection.h)
+    g_groups = _source_values(layout, selection.g)[1]
+    halves = [[0.5 * sum(c * v for c, v in block) for block in by_y] for by_y in terms]
+    closed = [
+        [math.cos(t) * g for t, g in zip(thetas, g_groups)],
+        [math.sin(t) * c for t, c in zip(thetas, c_groups)],
+    ]
+    i_value, j_value = _products(layout, [zip(h, c) for h, c in zip(halves, closed)])
     big_c = abs(math.prod(c_values)) ** (1.0 / k)
     quantum_value = abs(i_value) ** (1.0 / k) + abs(j_value) ** (1.0 / k)
     return BellReport(
@@ -204,7 +226,7 @@ def evaluate(
     receivers: list[ReceiverObservables],
 ) -> BellReport:
     """Evaluate both correlators and the quantum value at the given angles."""
-    return _evaluate(layout, selection, sources, receivers, {})
+    return _report(layout, selection, sources, _block_terms(layout, sources, receivers))
 
 
 def evaluate_tilted(
@@ -215,28 +237,36 @@ def evaluate_tilted(
     tilt: TiltedBlock,
     beta: float,
 ) -> BellReport:
-    """Evaluate the tilted value G = beta|P|^(1/K) + |I|^(1/K) + |J|^(1/K)."""
+    """Evaluate the tilted value G = beta|P|^(1/K) + |I|^(1/K) + |J|^(1/K).
+
+    P = <p_full> is the product over source agents of p_full's piece on
+    each group, which carries the signs of its group's h_prime.
+    """
     if not beta >= 0:
         raise ValueError(f"beta must be nonnegative, got {beta}")
-    base = _evaluate(layout, selection, sources, receivers, {})
-    p_value = layout.state.expectation(tilt.p_full)
-    closed = 1.0
-    for i in tilt.tilt_sources:
-        prime = selection.for_source(i)[2]
-        closed *= layout.sources[i - 1].state.expectation(prime)
-    if not abs(p_value - closed) <= CROSS_CHECK_TOL:
-        raise RuntimeError(
-            f"P disagrees with the per-source product ({p_value:+.12f} vs "
-            f"{closed:+.12f}); the tilt operators do not factor over sources"
-        )
+    base = evaluate(layout, selection, sources, receivers)
+    p_value = closed = 1.0
+    signs = 0
+    for k in layout.source_agents:
+        group = range(layout.partition[k - 1] + 1, layout.partition[k] + 1)
+        primes = [(i, selection.h_prime[i - 1]) for i in group if i in tilt.tilt_sources]
+        sign = sum(prime.phase_exponent for _, prime in primes)
+        piece = _piece(layout, tilt.p_full, k, sign)
+        plain = piece == PauliString.identity(piece.n)
+        value = 1.0 if plain else layout.group_states[k - 1].expectation(piece)
+        want = math.prod(layout.sources[i - 1].state.expectation(p) for i, p in primes)
+        _check(value, want, f"P block of agent {layout.agent_label(k)}")
+        p_value, closed, signs = p_value * value, closed * want, signs + sign
+    if (signs - tilt.p_full.phase_exponent) % 4:
+        raise RuntimeError("the sign of P does not split over the tilt sources")
+    _check(p_value, closed, "P")
     g_value = beta * abs(p_value) ** (1.0 / base.k) + base.quantum_value
-    bound = beta + 1.0
     tilted = TiltResult(
         beta=beta,
         p_value=p_value,
         g_value=g_value,
-        classical_bound=bound,
-        violation=g_value > bound + VIOLATION_MARGIN,
+        classical_bound=beta + 1.0,
+        violation=g_value > beta + 1.0 + VIOLATION_MARGIN,
         tilt_sources=tilt.tilt_sources,
     )
     return replace(base, tilt=tilted)
@@ -254,40 +284,49 @@ def maximize(
     With C = |prod_i <h_i>|^(1/K) the best common angle is arctan(C) and
     the value there is sqrt(1 + C^2).  Both facts are re-verified here:
     the report is evaluated from scratch at the best angle and compared
-    to the closed form, and a grid scan over common angles confirms no
-    grid point does better.
+    to the closed form, and a grid scan over common angles, with the
+    report's checks at every angle, confirms no grid point does better.
     """
     if grid_points < 2:
         raise ValueError("grid_points must be at least 2")
+    if grid_points > MAX_GRID_POINTS:
+        raise ValueError(f"grid_points must be at most {MAX_GRID_POINTS}, got {grid_points}")
     k = layout.K
-    product = 1.0
-    for i in range(1, layout.N + 1):
-        product *= layout.sources[i - 1].state.expectation(selection.for_source(i)[1])
-    big_c = abs(product) ** (1.0 / k)
+    c_values, c_groups = _source_values(layout, selection.h)
+    big_c = abs(math.prod(c_values)) ** (1.0 / k)
     theta_best = math.atan(big_c)
     bound = math.sqrt(1.0 + big_c**2)
 
-    # Only the source observables depend on the angle.
     classification = classify(layout, selection)
     sources = build_source(layout, classification, selection, [theta_best] * k)
     receivers = build_receiver(
         layout, classification, selection, allow_commuting_pair=allow_commuting_pair
     )
-    cache: dict = {}
-    best = _evaluate(layout, selection, sources, receivers, cache)
+    terms = _block_terms(layout, sources, receivers)
+    best = _report(layout, selection, sources, terms)
     if not abs(best.quantum_value - bound) <= CROSS_CHECK_TOL:
         raise RuntimeError(
             f"value at the best angle is {best.quantum_value:.12f}, "
             f"expected sqrt(1 + C^2) = {bound:.12f}"
         )
-    for theta in np.linspace(0.0, math.pi / 2, grid_points):
-        sources = build_source(layout, classification, selection, [float(theta)] * k)
-        report = _evaluate(layout, selection, sources, receivers, cache)
-        if not report.quantum_value <= bound + GRID_MARGIN:
-            raise RuntimeError(
-                f"grid angle {theta:.6f} beats the closed-form maximum "
-                f"({report.quantum_value:.12f} > {bound:.12f})"
-            )
+
+    # At a common angle theta the halves are cos(theta) <S_k B_0> and
+    # sin(theta) <T_k B_1>, the values of the first and second terms:
+    # the grid is arithmetic on them, with no synthesis or expectation.
+    grid = np.linspace(0.0, math.pi / 2, grid_points)
+    cos_g, sin_g = np.cos(grid), np.sin(grid)
+    g_groups = _source_values(layout, selection.g)[1]
+    i_grid, j_grid = _products(layout, [
+        ((cos_g * block[0][1], cos_g * g) for block, g in zip(terms[0], g_groups)),
+        ((sin_g * block[1][1], sin_g * c) for block, c in zip(terms[1], c_groups)),
+    ], grid)
+    values = np.abs(i_grid) ** (1.0 / k) + np.abs(j_grid) ** (1.0 / k)
+    beaten = np.flatnonzero(~(values <= bound + GRID_MARGIN))
+    if beaten.size:
+        raise RuntimeError(
+            f"grid angle {grid[beaten[0]]:.6f} beats the closed-form maximum "
+            f"({values[beaten[0]]:.12f} > {bound:.12f})"
+        )
     return best
 
 
@@ -320,11 +359,7 @@ def tilt_parameters(phibar: float, tilt_count: int, k: int) -> TiltParameters:
         raise ValueError("tilt_count must be nonnegative")
     if tilt_count == 0:
         return TiltParameters(
-            phibar=phibar,
-            ratio=0.0,
-            theta_max=math.pi / 4,
-            beta_max=0.0,
-            g_opt=math.sqrt(2.0),
+            phibar=phibar, ratio=0.0, theta_max=math.pi / 4, beta_max=0.0, g_opt=math.sqrt(2.0)
         )
     if not 0.0 < phibar < math.pi / 4:
         raise ValueError(
@@ -354,9 +389,5 @@ def tilt_parameters(phibar: float, tilt_count: int, k: int) -> TiltParameters:
             f"closed-form tilt point is not stationary (|grad| = {gradient:.3e})"
         )
     return TiltParameters(
-        phibar=phibar,
-        ratio=ratio,
-        theta_max=theta_max,
-        beta_max=beta_max,
-        g_opt=g_opt,
+        phibar=phibar, ratio=ratio, theta_max=theta_max, beta_max=beta_max, g_opt=g_opt
     )

@@ -242,15 +242,19 @@ def _evaluate_report(scenario, thetas, beta_text):
             raise CliError(
                 EXIT_VALIDATION, "beta given but the scenario has no h_prime entries"
             )
-        report = bell.evaluate_tilted(
-            scenario.layout,
-            scenario.selection,
-            synthesis.sources,
-            synthesis.receivers,
-            synthesis.tilt,
-            beta,
-        )
+        report = _tilted_report(scenario, synthesis, beta)
     return report, parameters
+
+
+def _tilted_report(scenario, synthesis, beta):
+    return bell.evaluate_tilted(
+        scenario.layout,
+        scenario.selection,
+        synthesis.sources,
+        synthesis.receivers,
+        synthesis.tilt,
+        beta,
+    )
 
 
 def _cmd_evaluate(args) -> int:
@@ -289,15 +293,7 @@ def _cmd_tilted(args) -> int:
     thetas = _parse_thetas(args.theta, scenario)
     if thetas is None and parameters is not None:
         thetas = (parameters.theta_max,) * scenario.layout.K
-    synthesis = scenarios.synthesize(scenario, thetas)
-    report = bell.evaluate_tilted(
-        scenario.layout,
-        scenario.selection,
-        synthesis.sources,
-        synthesis.receivers,
-        synthesis.tilt,
-        beta,
-    )
+    report = _tilted_report(scenario, scenarios.synthesize(scenario, thetas), beta)
     return _emit_bell(args, scenario, "tilted", report, parameters)
 
 
@@ -308,13 +304,7 @@ def _emit_bell(args, scenario, command, report, parameters) -> int:
     payload["name"] = scenario.name
     payload["seed"] = scenario.seed
     if parameters is not None:
-        payload["tilt_parameters"] = {
-            "phibar": parameters.phibar,
-            "ratio": parameters.ratio,
-            "theta_max": parameters.theta_max,
-            "beta_max": parameters.beta_max,
-            "g_opt": parameters.g_opt,
-        }
+        payload["tilt_parameters"] = dataclasses.asdict(parameters)
     row = reports.bell_row(scenario.name, digest, report)
     out_dir = _out_dir(args)
     base = _write_reports(
@@ -465,36 +455,28 @@ def _reproduction_rows() -> list[dict]:
     )
     add("example-a phi=pi/4 at theta=pi/4", report.quantum_value, math.sqrt(2.0), CLOSED_FORM_TOL)
 
-    scenario = scenarios.builtin_scenario("example-a", phi=math.pi / 8)
-    report = bell.maximize(
-        scenario.layout, scenario.selection, allow_commuting_pair=True
-    )
-    add("example-a phi=pi/8 maximum", report.quantum_value, math.sqrt(1.5), CLOSED_FORM_TOL)
-
-    scenario = scenarios.builtin_scenario("example-b")
-    report = bell.maximize(
-        scenario.layout, scenario.selection, allow_commuting_pair=True
-    )
-    add("example-b logical basis maximum", report.quantum_value, math.sqrt(2.0), CLOSED_FORM_TOL)
-
-    # Single-source splits.
-    scenario = scenarios.builtin_scenario("five-one-three-split")
-    report = bell.maximize(scenario.layout, scenario.selection)
-    add("five-one-three-split phi=pi/4 maximum", report.quantum_value, math.sqrt(2.0), CLOSED_FORM_TOL)
-
-    phi = math.pi / 6
-    scenario = scenarios.builtin_scenario("ghz-split", n=4, m=2, phi=phi)
-    report = bell.maximize(scenario.layout, scenario.selection)
-    add(
-        "ghz-split(4,2) phi=pi/6 maximum",
-        report.quantum_value,
-        math.sqrt(1.0 + math.sin(2 * phi) ** 2),
-        CLOSED_FORM_TOL,
-    )
-
-    scenario = scenarios.builtin_scenario("star", n=3)
-    report = bell.maximize(scenario.layout, scenario.selection)
-    add("star(3) phi=pi/4 maximum", report.quantum_value, math.sqrt(2.0), CLOSED_FORM_TOL)
+    # Paired sources at pi/8 and in the logical basis, single-source
+    # splits, and the star.
+    maxima = [
+        ("example-a phi=pi/8 maximum", "example-a", {"phi": math.pi / 8}, math.sqrt(1.5)),
+        ("example-b logical basis maximum", "example-b", {}, math.sqrt(2.0)),
+        ("five-one-three-split phi=pi/4 maximum", "five-one-three-split", {}, math.sqrt(2.0)),
+        (
+            "ghz-split(4,2) phi=pi/6 maximum",
+            "ghz-split",
+            {"n": 4, "m": 2, "phi": math.pi / 6},
+            math.sqrt(1.0 + math.sin(2 * (math.pi / 6)) ** 2),
+        ),
+        ("star(3) phi=pi/4 maximum", "star", {"n": 3}, math.sqrt(2.0)),
+    ]
+    for label, name, params, target in maxima:
+        scenario = scenarios.builtin_scenario(name, **params)
+        report = bell.maximize(
+            scenario.layout,
+            scenario.selection,
+            allow_commuting_pair=scenario.allow_commuting_pair,
+        )
+        add(label, report.quantum_value, target, CLOSED_FORM_TOL)
 
     # Tilted runs at the solved optimum: full, one-of-three, two-of-three.
     tilt_cases = [
@@ -508,14 +490,7 @@ def _reproduction_rows() -> list[dict]:
         synthesis = scenarios.synthesize(
             scenario, (parameters.theta_max,) * scenario.layout.K
         )
-        report = bell.evaluate_tilted(
-            scenario.layout,
-            scenario.selection,
-            synthesis.sources,
-            synthesis.receivers,
-            synthesis.tilt,
-            beta,
-        )
+        report = _tilted_report(scenario, synthesis, beta)
         label = f"{name} tilt {tilt_count}/{k} phibar={parameters.phibar:.4f}: G vs solved optimum"
         add(label, report.tilt.g_value, parameters.g_opt, CLOSED_FORM_TOL)
         rows[-1]["beta"] = beta

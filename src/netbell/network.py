@@ -12,6 +12,7 @@ assigned to it, and every other qubit goes to some receiver.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -98,11 +99,7 @@ class NetworkLayout:
 
     @cached_property
     def offsets(self) -> tuple[int, ...]:
-        acc, out = 0, []
-        for size in self.source_sizes:
-            out.append(acc)
-            acc += size
-        return tuple(out)
+        return tuple(itertools.accumulate(self.source_sizes[:-1], initial=0))
 
     def global_index(self, i: int, j: int) -> int:
         """0-based statevector position of qubit (i, j)."""
@@ -147,6 +144,17 @@ class NetworkLayout:
     def state(self) -> StateVector:
         """Joint state: tensor product of source states in source-id order."""
         return tensor([src.state for src in self.sources])
+
+    def group_positions(self, k: int) -> range:
+        """Global qubit positions of source agent k's group of sources."""
+        first, last = self.partition[k - 1], self.partition[k] - 1
+        return range(self.offsets[first], self.offsets[last] + self.source_sizes[last])
+
+    @cached_property
+    def group_states(self) -> tuple[StateVector, ...]:
+        """Per source agent, the tensor product of its group's source states."""
+        cuts = zip(self.partition, self.partition[1:])
+        return tuple(tensor(src.state for src in self.sources[lo:hi]) for lo, hi in cuts)
 
     def embed(self, i: int, op: PauliString) -> PauliString:
         """Lift a source-i operator to the full qubit register."""

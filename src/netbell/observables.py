@@ -39,12 +39,10 @@ class SourceObservables:
     t_global: PauliString
     theta: float
 
-    def a_terms(self, x: int, *, global_form: bool = True):
-        """A_x as weighted Pauli terms, for expectation or measurement."""
+    def a_terms(self, x: int):
+        """A_x as weighted global Pauli terms: the S term, then the T term."""
         sign = 1.0 if x == 0 else -1.0
-        s = self.s_global if global_form else self.s_hat
-        t = self.t_global if global_form else self.t_hat
-        return [(math.cos(self.theta), s), (sign * math.sin(self.theta), t)]
+        return [(math.cos(self.theta), self.s_global), (sign * math.sin(self.theta), self.t_global)]
 
     def describe(self, label: str) -> list[str]:
         s_text = _annotate(self.qubits, self.s_hat)
@@ -66,9 +64,9 @@ class ReceiverObservables:
     b0_global: PauliString
     b1_global: PauliString
 
-    def b_terms(self, y: int, *, global_form: bool = True):
-        op = (self.b0_global, self.b1_global) if global_form else (self.b0, self.b1)
-        return op[y]
+    def b_terms(self, y: int):
+        """B_y on the global register."""
+        return (self.b0_global, self.b1_global)[y]
 
     def describe(self, label: str) -> list[str]:
         return [

@@ -51,6 +51,8 @@ from .states import StateVector, _parity, make_rng
 MODES = ("direct-observable", "per-qubit-discard")
 
 PROB_TOL = 1e-9
+# Memory grows with the rounds drawn; the setting draw itself overflows at 2**63.
+MAX_ROUNDS = 10**9
 
 # Rounds per write of the round record: bounds the text held at once.
 _RECORD_CHUNK = 8192
@@ -79,6 +81,8 @@ class RunConfig:
     def __post_init__(self):
         if self.rounds < 1:
             raise ValueError(f"rounds must be at least 1, got {self.rounds}")
+        if self.rounds > MAX_ROUNDS:
+            raise ValueError(f"rounds must be at most {MAX_ROUNDS}, got {self.rounds}")
         if self.strategy not in MODES:
             raise ValueError(
                 f"unknown strategy {self.strategy!r}; expected one of {MODES}"

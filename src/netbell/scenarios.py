@@ -225,13 +225,9 @@ def scenario_from_dict(data: dict) -> Scenario:
     for key in ("g", "h"):
         if key not in sel or len(_shaped(sel[key], list, f"selection {key!r}")) != n_src:
             raise ScenarioError(f"selection needs one {key!r} entry per source")
-    g = tuple(
-        _parse_pauli(text, sizes[i], f"selection g[{i}]")
-        for i, text in enumerate(sel["g"])
-    )
-    h = tuple(
-        _parse_pauli(text, sizes[i], f"selection h[{i}]")
-        for i, text in enumerate(sel["h"])
+    g, h = (
+        tuple(_parse_pauli(op, sizes[i], f"selection {key}[{i}]") for i, op in enumerate(sel[key]))
+        for key in ("g", "h")
     )
     primes = sel.get("h_prime")
     if primes is None:

@@ -4,6 +4,9 @@ Each function reaches a quantity by a slower or more literal route than
 the package takes, and lives here so that `src/` keeps only what a
 command runs:
 
+* `joint_correlator` expands a Bell correlator's whole product of local
+  observables term by term on the joint state of all sources, which
+  `bell` factors over the source agents' groups instead;
 * `dense` builds the Kronecker matrix of a Pauli string and
   `table_product` multiplies strings letter by letter from the
   single-qubit table;
@@ -28,13 +31,46 @@ from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
-from netbell import classical
+from netbell import bell, classical
 from netbell.codes import StabilizerCode
 from netbell.network import NetworkLayout, OperatorSelection, classify
 from netbell.observables import ReceiverObservables, SourceObservables, TiltedBlock
 from netbell.pauli import PauliString
 from netbell.sampling import MODES, _build_frame, _mask_outcomes
 from netbell.states import StateVector
+
+# ----------------------------------------------------------------------
+# Bell correlators on the joint state
+
+
+def joint_correlator(layout, sources, receivers, y: int, cache: dict) -> complex:
+    """<prod_k (A0 + (-1)^y A1) prod_l B_y>, expanded term by term on the
+    2^n-amplitude joint state; expectations are memoized in cache."""
+    state = layout.state
+    terms: list[tuple[float, PauliString]] = [(1.0, PauliString.identity(state.n))]
+    flip = 1.0 if y == 0 else -1.0
+    for obs in sources:
+        branch = obs.a_terms(0) + [(flip * c, p) for c, p in obs.a_terms(1)]
+        terms = [(c1 * c2, p1 * p2) for c1, p1 in terms for c2, p2 in branch]
+    for rec in receivers:
+        b = rec.b_terms(y)
+        terms = [(c, p * b) for c, p in terms]
+    return sum(c * bell._cached_expectation(state, p, cache) for c, p in terms)
+
+
+def joint_values(layout, sources, receivers, tilt=None, cache=None) -> dict:
+    """I, J and (with a tilted block) P on the joint state, with the
+    arithmetic the joint engine reported them with."""
+    cache = {} if cache is None else cache
+    scale = 1.0 / 2**layout.K
+    out = {
+        "I": (scale * joint_correlator(layout, sources, receivers, 0, cache)).real,
+        "J": (scale * joint_correlator(layout, sources, receivers, 1, cache)).real,
+    }
+    if tilt is not None:
+        out["P"] = layout.state.expectation(tilt.p_full)
+    return out
+
 
 # ----------------------------------------------------------------------
 # Pauli strings

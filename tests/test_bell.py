@@ -1,6 +1,8 @@
 """Bell quantity evaluation against hand-computed closed forms."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    FIVE,
+    G_PRODUCT,
+    H_FLIP,
     bilocal_layout,
+    codeword_angle,
     chsh_layout,
     chsh_selection,
     ghz_split_layout,
@@ -18,7 +24,7 @@ from conftest import (
     star_layout,
     star_selection,
 )
-from netbell import bell
+from netbell import bell, scenarios
 from netbell.bell import (
     evaluate,
     evaluate_tilted,
@@ -26,11 +32,13 @@ from netbell.bell import (
     maximize,
     tilt_parameters,
 )
-from netbell.network import OperatorSelection, classify
+from netbell.network import NetworkLayout, OperatorSelection, classify
 from netbell.observables import build_receiver, build_source, build_tilted
 from netbell.pauli import PauliString
+from oracles import joint_values
 
 TOL = 1e-9
+DATA = Path(__file__).parent / "data"
 
 # the three tilted reference points: (tilt_count, k, phibar)
 TILT_CASES = [
@@ -194,8 +202,10 @@ class TestMaximize:
         assert report.k == 3
 
     def test_star_expectation_cache_size_is_pinned(self, monkeypatch):
-        # 16 distinct letter patterns across the best angle and the whole
-        # grid, the count of the cache when it was keyed on letter text.
+        # The joint expansion meets 16 distinct letter patterns across the
+        # best angle and the whole grid, the count of its cache when it was
+        # keyed on letter text. The block engine takes four per group,
+        # <S B_y> and <T B_y> for y = 0, 1, and none on the grid.
         caches = {}
         original = bell._cached_expectation
 
@@ -204,8 +214,21 @@ class TestMaximize:
             return original(state, op, cache)
 
         monkeypatch.setattr(bell, "_cached_expectation", spy)
-        maximize(star_layout(3, math.pi / 4), star_selection(3, tilted=False))
-        assert [len(cache) for cache in caches.values()] == [16]
+        layout, selection = star_layout(3, math.pi / 4), star_selection(3, tilted=False)
+        report = maximize(layout, selection)
+        assert [len(cache) for cache in caches.values()] == [4, 4, 4]
+
+        joint_cache = {}
+        for theta in (report.thetas[0], *np.linspace(0.0, math.pi / 2, 181)):
+            sources, receivers = synth(layout, selection, [float(theta)] * 3)
+            joint_values(layout, sources, receivers, cache=joint_cache)
+        assert len(joint_cache) == 16
+
+    def test_grid_is_capped(self):
+        with pytest.raises(ValueError, match="at most"):
+            maximize(
+                chsh_layout(), chsh_selection(), grid_points=bell.MAX_GRID_POINTS + 1
+            )
 
     def test_product_sources_sit_on_the_bound(self):
         # phi = 0 kills every c_i, so the best angle is zero mixing
@@ -359,3 +382,215 @@ class TestEvaluateTilted:
         data = report.as_dict()
         assert abs(data["tilt"]["G"] - params.g_opt) < TOL
         assert data["tilt"]["tilt_sources"] == [1]
+
+
+# Every builtin whose joint state fits the statevector cap.
+JOINT_CASES = [
+    ("chsh", {}),
+    ("chsh-tilted", {}),
+    ("example-a", {}),
+    ("example-b", {}),
+    ("five-one-three-split", {}),
+    ("ghz-split(4,2)", {}),
+    ("star(1)", {}),
+    ("star(3)", {}),
+    ("star(3)", {"phibar": 0.3927, "tilt_count": 1}),
+    ("star(3)", {"phibar": 0.3927, "tilt_count": 2}),
+    ("star(3)", {"phibar": 0.3927, "tilt_count": 3}),
+]
+
+
+def block_and_joint_values(scenario, thetas):
+    layout, selection = scenario.layout, scenario.selection
+    synthesis = scenarios.synthesize(scenario, thetas)
+    sources, receivers, tilt = synthesis.sources, synthesis.receivers, synthesis.tilt
+    if tilt is None:
+        report = evaluate(layout, selection, sources, receivers)
+        got = {"I": report.i_value, "J": report.j_value}
+    else:
+        report = evaluate_tilted(layout, selection, sources, receivers, tilt, 0.5)
+        got = {"I": report.i_value, "J": report.j_value, "P": report.tilt.p_value}
+    return got, joint_values(layout, sources, receivers, tilt)
+
+
+class TestJointOracle:
+    """The block engine against the term-by-term expansion on the joint state."""
+
+    @pytest.mark.parametrize(
+        "name,params",
+        JOINT_CASES,
+        ids=[name + (f"-tilt{p['tilt_count']}" if p else "") for name, p in JOINT_CASES],
+    )
+    def test_block_engine_matches_joint_expansion(self, name, params):
+        scenario = scenarios.builtin_scenario(name, **params)
+        layout = scenario.layout
+        best = maximize(
+            layout, scenario.selection, allow_commuting_pair=scenario.allow_commuting_pair
+        )
+        for thetas in (None, best.thetas, (0.3,) * layout.K, (0.0,) * layout.K):
+            got, want = block_and_joint_values(scenario, thetas)
+            assert got.keys() == want.keys()
+            for key in want:
+                if layout.K <= 2:
+                    # one or two groups: the routes agree to the last bit
+                    # on these builtins at these angles (not at every
+                    # angle: their roundings differ from K = 2 on)
+                    assert got[key] == want[key], (key, thetas)
+                else:
+                    assert abs(got[key] - want[key]) <= 1e-12, (key, thetas)
+
+    @pytest.mark.parametrize(
+        "stem,params",
+        [
+            ("evaluate", {}),
+            ("maximize", {}),
+            ("tilted", {"phibar": 0.3927}),
+        ],
+    )
+    def test_joint_expansion_reproduces_the_star3_pins(self, stem, params):
+        # tests/data/star3-*.json were written by the joint engine; the
+        # oracle must still give their floats to the last digit.
+        pinned = json.loads((DATA / f"star3-{stem}.json").read_text())
+        scenario = scenarios.builtin_scenario("star(3)", **params)
+        synthesis = scenarios.synthesize(scenario, tuple(pinned["thetas"]))
+        values = joint_values(
+            scenario.layout, synthesis.sources, synthesis.receivers, synthesis.tilt
+        )
+        assert (values["I"], values["J"]) == (pinned["I"], pinned["J"])
+        value = abs(values["I"]) ** (1 / 3) + abs(values["J"]) ** (1 / 3)
+        assert value == pinned["quantum_value"]
+        if "tilt" in pinned:
+            beta = pinned["tilt"]["beta"]
+            assert values["P"] == pinned["tilt"]["P"]
+            assert beta * abs(values["P"]) ** (1 / 3) + value == pinned["tilt"]["G"]
+
+
+def two_source_group_layout():
+    # agent S1 holds sources 1 and 2: qubit (1,2) and the commuting
+    # qubit (2,4); S2 holds (3,2); the receiver holds the rest
+    assignment = [(1, 2, 1), (2, 4, 1), (3, 2, 2)]
+    held = {(i, j) for i, j, _ in assignment}
+    assignment += [
+        (i, j, 3) for i in (1, 2, 3) for j in range(1, 6) if (i, j) not in held
+    ]
+    sources = tuple(codeword_angle(FIVE, phi) for phi in (0.3, 0.5, 0.7))
+    layout = NetworkLayout(
+        sources=sources, K=2, M=1, partition=(0, 2, 3), assignment=assignment
+    )
+    return layout, OperatorSelection(g=(G_PRODUCT,) * 3, h=(H_FLIP,) * 3)
+
+
+class TestGroups:
+    def test_group_of_two_sources_matches_joint_expansion(self):
+        layout, selection = two_source_group_layout()
+        assert [len(state.amplitudes) for state in layout.group_states] == [2**10, 2**5]
+        for thetas in ([0.4, 1.1], [0.0, math.pi / 4]):
+            sources, receivers = synth(layout, selection, thetas, allow=True)
+            report = evaluate(layout, selection, sources, receivers)
+            want = joint_values(layout, sources, receivers)
+            assert abs(report.i_value - want["I"]) <= 1e-12
+            assert abs(report.j_value - want["J"]) <= 1e-12
+            assert abs(report.j_value) > 0.01 or thetas[0] == 0.0
+        best = maximize(layout, selection, allow_commuting_pair=True)
+        assert abs(best.quantum_value - math.sqrt(1 + best.big_c**2)) < TOL
+
+
+def star51(**params):
+    scenario = scenarios.builtin_scenario("star(51)", **params)
+    return scenario, scenarios.synthesize(scenario)
+
+
+class TestBlockCrossCheck:
+    """At K = 51, I and J are near 2.1e-8, so the absolute tolerance of 1e-9
+    on the products alone passes a 4% error in one block; the per-block
+    comparison catches a wrong block and names it."""
+
+    def test_star51_reaches_root_two(self):
+        scenario, synthesis = star51()
+        report = evaluate(
+            scenario.layout, scenario.selection, synthesis.sources, synthesis.receivers
+        )
+        assert abs(report.i_value - 2 ** -25.5) < 1e-20
+        assert abs(report.quantum_value - math.sqrt(2)) < TOL
+
+    @pytest.mark.parametrize("factor", [-1.0, 1.05, 1.04])
+    def test_one_wrong_block_raises(self, monkeypatch, factor):
+        original = bell._block_terms
+
+        def tampered(layout, sources, receivers):
+            out = original(layout, sources, receivers)
+            out[0][16] = [(c, factor * v) for c, v in out[0][16]]
+            return out
+
+        monkeypatch.setattr(bell, "_block_terms", tampered)
+        scenario, synthesis = star51()
+        with pytest.raises(RuntimeError, match="I block of agent S17 disagrees"):
+            evaluate(
+                scenario.layout, scenario.selection, synthesis.sources, synthesis.receivers
+            )
+
+    @pytest.mark.parametrize("factor", [-1.0, 1.05, 1.04])
+    def test_one_wrong_block_fails_the_grid(self, monkeypatch, factor):
+        # the best angle passes; the tampered block only differs on the grid
+        original = bell._products
+        calls = []
+
+        def tampered(layout, blocks, grid=None):
+            calls.append(grid)
+            if grid is not None:
+                blocks = [
+                    ((factor * v if k == 16 else v, w) for k, (v, w) in enumerate(pairs))
+                    for pairs in blocks
+                ]
+            return original(layout, blocks, grid)
+
+        monkeypatch.setattr(bell, "_products", tampered)
+        scenario = scenarios.builtin_scenario("star(51)")
+        with pytest.raises(RuntimeError, match="I block of agent S17 .* at grid angle"):
+            maximize(scenario.layout, scenario.selection)
+        assert len(calls) == 2
+
+    def test_one_wrong_tilt_block_raises(self):
+        scenario, synthesis = star51(phibar=0.3927)
+        layout = scenario.layout
+        # one more letter on a qubit where source 2's h_prime is identity
+        extra = layout.embed(2, PauliString("IZIII"))
+        broken = replace(synthesis.tilt, p_full=synthesis.tilt.p_full * extra)
+        with pytest.raises(RuntimeError, match="P block of agent S2 disagrees"):
+            evaluate_tilted(
+                layout, scenario.selection, synthesis.sources, synthesis.receivers, broken, 0.5
+            )
+
+    def test_split_sign_of_p_is_checked(self):
+        scenario, synthesis = star51(phibar=0.3927)
+        broken = replace(synthesis.tilt, p_full=-synthesis.tilt.p_full)
+        with pytest.raises(RuntimeError, match="sign of P"):
+            evaluate_tilted(
+                scenario.layout,
+                scenario.selection,
+                synthesis.sources,
+                synthesis.receivers,
+                broken,
+                0.5,
+            )
+
+    @pytest.mark.parametrize("theta", [0.0, 0.7, math.pi / 2])
+    def test_zero_closed_forms_do_not_raise(self, theta):
+        # phi = 0 makes every <h_i> zero, theta = 0 (pi/2) every sin (cos)
+        for layout, selection in (
+            (bilocal_layout(0.0), selection_a()),
+            (star_layout(5, 0.0), star_selection(5, tilted=False)),
+            (star_layout(5, math.pi / 4), star_selection(5, tilted=False)),
+        ):
+            sources, receivers = synth(layout, selection, [theta] * layout.K, allow=True)
+            report = evaluate(layout, selection, sources, receivers)
+            assert abs(report.i_value - math.cos(theta) ** layout.K) < TOL
+            maximize(layout, selection, allow_commuting_pair=True)
+
+    def test_observable_outside_its_group_is_refused(self):
+        layout = star_layout(3)
+        sources, receivers = synth(layout, star_selection(3, tilted=False), [0.5] * 3)
+        stray = sources[0].s_global * layout.embed(2, PauliString("IZIII"))
+        broken = replace(sources[0], s_global=stray)
+        with pytest.raises(RuntimeError, match="outside its group"):
+            evaluate(layout, star_selection(3, tilted=False), [broken, *sources[1:]], receivers)

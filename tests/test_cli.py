@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netbell import classical, scenarios
+from netbell import bell, classical, scenarios
 from netbell.cli import EXIT_ACCEPTANCE, EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
 
 PI_4 = "0.7853981633974483"
@@ -455,12 +455,58 @@ class TestBuiltinStar:
         ],
     )
     def test_reports_are_byte_identical_to_pinned(self, out_dir, argv, stem):
-        # Pinned from the numpy-array PauliString (numpy 2.4, OpenBLAS 0.3.31,
-        # x86-64); the int encoding must not move a single digit.
+        # Pinned from the block-factorized engine (numpy 2.4, OpenBLAS
+        # 0.3.31, x86-64). The joint engine's star3-<stem> files stay as
+        # the pins of the joint oracle in tests/oracles.py.
         assert main(argv) == EXIT_OK
         for ext in ("json", "csv"):
             written = (out_dir / f"star(3)-{stem}.{ext}").read_bytes()
-            assert written == (DATA / f"star3-{stem}.{ext}").read_bytes()
+            assert written == (DATA / f"star3-block-{stem}.{ext}").read_bytes()
+
+    @pytest.mark.parametrize("command", ["evaluate", "maximize", "tilted"])
+    def test_star51_past_the_joint_cap(self, out_dir, command):
+        # 255 qubits: every group is one 5-qubit source
+        argv = [command, "star(51)"]
+        if command == "tilted":
+            argv += ["--phibar", "0.3927"]
+        assert main(argv) == EXIT_OK
+        payload = json.load(open(out_dir / f"star(51)-{command}.json"))
+        if command == "tilted":
+            g_opt = bell.tilt_parameters(0.3927, 51, 51).g_opt
+            assert payload["tilt"]["G"] == pytest.approx(g_opt, abs=1e-9)
+        else:
+            assert payload["quantum_value"] == pytest.approx(math.sqrt(2.0), abs=1e-9)
+            assert payload["I"] == pytest.approx(2 ** -25.5, rel=1e-12)
+
+    def test_sample_keeps_the_joint_cap(self, out_dir, capsys):
+        assert main(["sample", "star(5)", "--rounds", "10"]) == EXIT_VALIDATION
+        assert capsys.readouterr().err.splitlines() == [
+            "error: 25 qubits exceeds the cap of 20"
+        ]
+
+
+class TestHugeCounts:
+    """Grid and round counts past their limits are refused before any
+    allocation, from the command line and from a scenario file alike."""
+
+    @pytest.mark.parametrize(
+        "argv,option,value",
+        [
+            (["maximize", "chsh", "--grid", "100000000000"], "grid_points", 10**11),
+            (["sample", "chsh", "--rounds", str(2**70)], "rounds", 2**70),
+        ],
+        ids=["grid", "rounds"],
+    )
+    def test_refused_with_one_error_line(self, out_dir, tmp_path, capsys, argv, option, value):
+        document = scenarios.scenario_to_dict(scenarios.builtin_scenario("chsh"))
+        document["options"][option] = value
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(document))
+        for command in (argv, [argv[0], str(path)]):
+            assert main(command) == EXIT_VALIDATION
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith(f"error: {option} must be at most")
+        assert not list(out_dir.glob("chsh-*"))
 
 
 class TestPinnedReports:

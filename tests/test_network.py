@@ -71,6 +71,21 @@ class TestLayout:
             big.state.amplitudes, np.kron(single, single), atol=1e-12
         )
 
+    def test_groups_tile_the_joint_state(self):
+        # agent 1 holds sources 1 and 2, agent 2 source 3
+        sources = tuple(codeword_angle(builtin("two-one-two"), p) for p in (0.2, 0.5, 0.9))
+        layout = NetworkLayout(
+            sources=sources,
+            K=2,
+            M=1,
+            partition=(0, 2, 3),
+            assignment=[(1, 1, 1), (2, 1, 1), (3, 1, 2)] + [(i, 2, 3) for i in (1, 2, 3)],
+        )
+        assert [layout.group_positions(k) for k in (1, 2)] == [range(0, 4), range(4, 6)]
+        first, second = (state.amplitudes for state in layout.group_states)
+        assert np.array_equal(first, np.kron(sources[0].state.amplitudes, sources[1].state.amplitudes))
+        assert np.allclose(np.kron(first, second), layout.state.amplitudes, atol=1e-15)
+
     def test_embed_hits_the_right_block(self):
         layout = bilocal_layout(0.3)
         lifted = layout.embed(2, G_PRODUCT)

@@ -39,6 +39,12 @@ def synth(layout, selection, thetas=None, allow_commuting=False):
     return cls, sources, receivers
 
 
+def local_a(obs, x):
+    """A_x on the agent's own qubits: cos(theta) s_hat +/- sin(theta) t_hat."""
+    sign = 1.0 if x == 0 else -1.0
+    return [(np.cos(obs.theta), obs.s_hat), (sign * np.sin(obs.theta), obs.t_hat)]
+
+
 class TestSourceObservables:
     def test_balanced_mixing_on_held_qubit(self):
         layout = bilocal_layout()
@@ -46,7 +52,7 @@ class TestSourceObservables:
         for obs in sources:
             assert obs.s_hat == PauliString("Z")
             assert obs.t_hat == PauliString("X")
-            a0 = sum(c * dense(p) for c, p in obs.a_terms(0, global_form=False))
+            a0 = sum(c * dense(p) for c, p in local_a(obs, 0))
             want = (dense(PauliString("Z")) + dense(PauliString("X"))) / np.sqrt(2)
             assert np.allclose(a0, want, atol=1e-12)
 
@@ -55,8 +61,8 @@ class TestSourceObservables:
         theta = 0.37
         _, sources, _ = synth(layout, chsh_selection(), thetas=(theta,))
         obs = sources[0]
-        a0 = sum(c * dense(p) for c, p in obs.a_terms(0, global_form=False))
-        a1 = sum(c * dense(p) for c, p in obs.a_terms(1, global_form=False))
+        a0 = sum(c * dense(p) for c, p in local_a(obs, 0))
+        a1 = sum(c * dense(p) for c, p in local_a(obs, 1))
         assert np.allclose(a0 + a1, 2 * np.cos(theta) * dense(obs.s_hat), atol=1e-12)
         assert np.allclose(a1 - a0, -2 * np.sin(theta) * dense(obs.t_hat), atol=1e-12)
 
@@ -64,8 +70,8 @@ class TestSourceObservables:
         layout = chsh_layout()
         _, sources, _ = synth(layout, chsh_selection(), thetas=(np.pi / 4,))
         obs = sources[0]
-        a0 = sum(c * dense(p) for c, p in obs.a_terms(0, global_form=False))
-        a1 = sum(c * dense(p) for c, p in obs.a_terms(1, global_form=False))
+        a0 = sum(c * dense(p) for c, p in local_a(obs, 0))
+        a1 = sum(c * dense(p) for c, p in local_a(obs, 1))
         assert np.allclose(a0 @ a1 + a1 @ a0, 0.0, atol=1e-12)
         assert np.allclose(a0 @ a0, np.eye(2), atol=1e-12)
         assert np.allclose(a1 @ a1, np.eye(2), atol=1e-12)
@@ -73,9 +79,10 @@ class TestSourceObservables:
     def test_zero_angle_degenerates_to_s(self):
         layout = chsh_layout()
         _, sources, _ = synth(layout, chsh_selection(), thetas=(0.0,))
-        terms0 = sources[0].a_terms(0, global_form=False)
-        terms1 = sources[0].a_terms(1, global_form=False)
-        assert terms0[0] == (1.0, PauliString("Z"))
+        terms0 = sources[0].a_terms(0)
+        terms1 = sources[0].a_terms(1)
+        assert terms0[0] == (1.0, PauliString("ZI"))
+        assert terms1[1][1] == PauliString("XI")
         assert terms0[1][0] == 0.0
         assert terms1[1][0] == 0.0
 

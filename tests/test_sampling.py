@@ -93,6 +93,12 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="rounds"):
             RunConfig(rounds=0)
 
+    def test_rejects_rounds_past_the_limit(self):
+        RunConfig(rounds=sampling.MAX_ROUNDS)
+        for rounds in (sampling.MAX_ROUNDS + 1, 2**63, 2**70):
+            with pytest.raises(ValueError, match="rounds must be at most"):
+                RunConfig(rounds=rounds)
+
     def test_rejects_unknown_strategy(self):
         with pytest.raises(ValueError, match="strategy"):
             RunConfig(rounds=10, strategy="adaptive")
