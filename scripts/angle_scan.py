@@ -12,7 +12,7 @@ import os
 
 import numpy as np
 
-from netbell import bell, reports, scenarios
+from netbell import bell, observables, reports, scenarios
 
 COLUMNS = [
     "phi",
@@ -35,11 +35,12 @@ def main() -> None:
     rows = []
     for phi in np.linspace(0.02, math.pi / 4, args.points):
         scenario = scenarios.builtin_scenario(args.scenario, phi=float(phi))
-        report = bell.maximize(
+        synthesis = observables.synthesize(
             scenario.layout,
             scenario.selection,
             allow_commuting_pair=scenario.allow_commuting_pair,
         )
+        report = bell.maximize(synthesis)
         closed = math.sqrt(1.0 + report.big_c**2)
         rows.append(
             {

@@ -10,7 +10,7 @@ import argparse
 import math
 import os
 
-from netbell import bell, reports, sampling, scenarios
+from netbell import bell, observables, reports, sampling, scenarios
 
 COLUMNS = [
     "strategy",
@@ -36,23 +36,19 @@ def main() -> None:
     args = parser.parse_args()
 
     scenario = scenarios.builtin_scenario(args.scenario)
-    synthesis = scenarios.synthesize(scenario)
-    exact = bell.evaluate(
-        scenario.layout, scenario.selection, synthesis.sources, synthesis.receivers
-    ).quantum_value
+    synthesis = observables.synthesize(
+        scenario.layout,
+        scenario.selection,
+        allow_commuting_pair=scenario.allow_commuting_pair,
+    )
+    exact = bell.evaluate(synthesis, scenario.thetas).quantum_value
 
     rows = []
     for strategy in sampling.MODES:
         for rounds in (int(r) for r in args.ladder.split(",")):
             for seed in range(args.seeds):
                 config = sampling.RunConfig(rounds=rounds, seed=seed, strategy=strategy)
-                report = sampling.run(
-                    scenario.layout,
-                    scenario.selection,
-                    synthesis.sources,
-                    synthesis.receivers,
-                    config,
-                )
+                report = sampling.run(synthesis, scenario.thetas, config)
                 se = report.value_se or math.nan
                 rows.append(
                     {

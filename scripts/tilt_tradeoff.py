@@ -13,7 +13,7 @@ import os
 
 import numpy as np
 
-from netbell import bell, reports, scenarios
+from netbell import bell, observables, reports, scenarios
 
 COLUMNS = [
     "tilt_count",
@@ -41,17 +41,9 @@ def main() -> None:
             scenario = scenarios.builtin_scenario(
                 "star", n=args.sources, phibar=float(phibar), tilt_count=tilt_count
             )
-            synthesis = scenarios.synthesize(
-                scenario, (parameters.theta_max,) * args.sources
-            )
-            report = bell.evaluate_tilted(
-                scenario.layout,
-                scenario.selection,
-                synthesis.sources,
-                synthesis.receivers,
-                synthesis.tilt,
-                parameters.beta_max,
-            )
+            synthesis = observables.synthesize(scenario.layout, scenario.selection)
+            thetas = (parameters.theta_max,) * args.sources
+            report = bell.evaluate_tilted(synthesis, thetas, parameters.beta_max)
             bound = parameters.beta_max + 1.0
             rows.append(
                 {

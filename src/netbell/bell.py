@@ -17,14 +17,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from netbell.network import NetworkLayout, OperatorSelection, classify
-from netbell.observables import (
-    ReceiverObservables,
-    SourceObservables,
-    TiltedBlock,
-    build_receiver,
-    build_source,
-)
+from netbell.network import NetworkLayout
+from netbell.observables import Synthesis
 from netbell.pauli import PauliString
 from netbell.states import StateVector
 
@@ -134,9 +128,9 @@ def _check(value, want, what: str, grid=None) -> None:
         )
 
 
-def _block_terms(layout, sources, receivers) -> list[list[list]]:
+def _block_terms(synthesis: Synthesis, thetas) -> list[list[list]]:
     """For y = 0, 1 and each source agent k, the four terms (c, <p B_y>) of
-    A0_k + (-1)^y A1_k.
+    A0_k + (-1)^y A1_k at k's angle in thetas.
 
     A_k acts only inside k's group G_k of sources, so the y-correlator's
     operator prod_k (A0_k + (-1)^y A1_k) B_y is a tensor product over the
@@ -145,16 +139,17 @@ def _block_terms(layout, sources, receivers) -> list[list[list]]:
     B_y's phase rides on group 1's piece. No value depends on the angles;
     each group memoizes its own.
     """
+    layout, sources = synthesis.layout, synthesis.sources
     if len(sources) != layout.K:
         raise ValueError(f"expected {layout.K} source observables, got {len(sources)}")
     n, caches, out = layout.total_qubits, [{} for _ in sources], []
     for y, flip in ((0, 1.0), (1, -1.0)):
-        b = PauliString.product((rec.b_terms(y) for rec in receivers), n=n)
+        b = PauliString.product((rec.b_terms(y) for rec in synthesis.receivers), n=n)
         out.append([])
-        for k, obs in enumerate(sources, start=1):
+        for k, (obs, theta) in enumerate(zip(sources, thetas), start=1):
             b_k = _piece(layout, b, k, b.phase_exponent if k == 1 else 0)
             inside = ((1 << b_k.n) - 1) << (n - layout.group_positions(k).stop)
-            branch = obs.a_terms(0) + [(flip * c, p) for c, p in obs.a_terms(1)]
+            branch = obs.a_terms(0, theta) + [(flip * c, p) for c, p in obs.a_terms(1, theta)]
             if any((p.x | p.z) & ~inside for _, p in branch):
                 raise RuntimeError(f"agent {layout.agent_label(k)} acts outside its group")
             state, cache = layout.group_states[k - 1], caches[k - 1]
@@ -193,9 +188,9 @@ def _products(layout: NetworkLayout, blocks, grid=None) -> list:
     return out
 
 
-def _report(layout, selection, sources, terms) -> BellReport:
+def _report(synthesis: Synthesis, thetas: tuple[float, ...], terms) -> BellReport:
+    layout, selection = synthesis.layout, synthesis.selection
     k = layout.K
-    thetas = tuple(obs.theta for obs in sources)
     c_values, c_groups = _source_values(layout, selection.h)
     g_groups = _source_values(layout, selection.g)[1]
     halves = [[0.5 * sum(c * v for c, v in block) for block in by_y] for by_y in terms]
@@ -219,24 +214,14 @@ def _report(layout, selection, sources, terms) -> BellReport:
     )
 
 
-def evaluate(
-    layout: NetworkLayout,
-    selection: OperatorSelection,
-    sources: list[SourceObservables],
-    receivers: list[ReceiverObservables],
-) -> BellReport:
-    """Evaluate both correlators and the quantum value at the given angles."""
-    return _report(layout, selection, sources, _block_terms(layout, sources, receivers))
+def evaluate(synthesis: Synthesis, thetas) -> BellReport:
+    """Evaluate both correlators and the quantum value at the given angles,
+    one per source agent."""
+    thetas = synthesis.angles(thetas)
+    return _report(synthesis, thetas, _block_terms(synthesis, thetas))
 
 
-def evaluate_tilted(
-    layout: NetworkLayout,
-    selection: OperatorSelection,
-    sources: list[SourceObservables],
-    receivers: list[ReceiverObservables],
-    tilt: TiltedBlock,
-    beta: float,
-) -> BellReport:
+def evaluate_tilted(synthesis: Synthesis, thetas, beta: float) -> BellReport:
     """Evaluate the tilted value G = beta|P|^(1/K) + |I|^(1/K) + |J|^(1/K).
 
     P = <p_full> is the product over source agents of p_full's piece on
@@ -244,7 +229,11 @@ def evaluate_tilted(
     """
     if not beta >= 0:
         raise ValueError(f"beta must be nonnegative, got {beta}")
-    base = evaluate(layout, selection, sources, receivers)
+    tilt = synthesis.tilt
+    if tilt is None:
+        raise ValueError("beta given but the selection has no h_prime entries")
+    layout, selection = synthesis.layout, synthesis.selection
+    base = evaluate(synthesis, thetas)
     p_value = closed = 1.0
     signs = 0
     for k in layout.source_agents:
@@ -272,13 +261,7 @@ def evaluate_tilted(
     return replace(base, tilt=tilted)
 
 
-def maximize(
-    layout: NetworkLayout,
-    selection: OperatorSelection,
-    *,
-    grid_points: int = 181,
-    allow_commuting_pair: bool = False,
-) -> BellReport:
+def maximize(synthesis: Synthesis, *, grid_points: int = 181) -> BellReport:
     """Evaluate at the common mixing angle that maximizes the quantum value.
 
     With C = |prod_i <h_i>|^(1/K) the best common angle is arctan(C) and
@@ -291,19 +274,16 @@ def maximize(
         raise ValueError("grid_points must be at least 2")
     if grid_points > MAX_GRID_POINTS:
         raise ValueError(f"grid_points must be at most {MAX_GRID_POINTS}, got {grid_points}")
+    layout, selection = synthesis.layout, synthesis.selection
     k = layout.K
     c_values, c_groups = _source_values(layout, selection.h)
     big_c = abs(math.prod(c_values)) ** (1.0 / k)
     theta_best = math.atan(big_c)
     bound = math.sqrt(1.0 + big_c**2)
 
-    classification = classify(layout, selection)
-    sources = build_source(layout, classification, selection, [theta_best] * k)
-    receivers = build_receiver(
-        layout, classification, selection, allow_commuting_pair=allow_commuting_pair
-    )
-    terms = _block_terms(layout, sources, receivers)
-    best = _report(layout, selection, sources, terms)
+    thetas = (theta_best,) * k
+    terms = _block_terms(synthesis, thetas)
+    best = _report(synthesis, thetas, terms)
     if not abs(best.quantum_value - bound) <= CROSS_CHECK_TOL:
         raise RuntimeError(
             f"value at the best angle is {best.quantum_value:.12f}, "

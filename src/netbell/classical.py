@@ -36,6 +36,8 @@ DEFAULT_BUDGET = 10**8
 # Entries per numpy slice of the full scan: keeps its working memory to
 # a few MB whatever the scan size.
 _SLICE = 1 << 16
+# Most greedy passes over the table entries per refine restart.
+_REFINE_SWEEPS = 4
 
 
 class BoundViolation(RuntimeError):
@@ -546,7 +548,7 @@ def _refine(shape, alphabet, beta, seed_strategy, rng, draws, steps):
         rows = [row for table in a_tables + b_tables for row in table] + (p_tables or [])
         improved = True
         sweeps = 0
-        while improved and sweeps < 4:
+        while improved and sweeps < _REFINE_SWEEPS:
             improved = False
             sweeps += 1
             for row in rows:
@@ -642,6 +644,15 @@ def max_deterministic(
         raise ValueError(
             f"{mode} scan of about 10^{math.log10(labels) + bits * math.log10(2):.1f} "
             f"combinations exceeds the budget of {budget:.3e}{hint}"
+        )
+    # Every refine score sums the whole label grid: each restart scores up
+    # to _REFINE_SWEEPS flips of every table entry, then refine_steps moves.
+    labels, entries = _scan_extent(shape, alphabet, tilted, "full")
+    refine = refine_draws * (_REFINE_SWEEPS * entries + refine_steps) * labels
+    if refine > budget:
+        raise ValueError(
+            f"refine pass of about 10^{math.log10(refine):.1f} label-grid terms "
+            f"exceeds the budget of {budget:.3e}; shrink the alphabet"
         )
     if mode == "full":
         if size > WARN_LIMIT:

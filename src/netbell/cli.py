@@ -17,6 +17,7 @@ import sys
 
 from . import bell, classical, reports, sampling, scenarios
 from .classical import BoundViolation, NetworkShape
+from .observables import Synthesis
 from .scenarios import Scenario, ScenarioError
 
 EXIT_OK = 0
@@ -153,13 +154,15 @@ def _load_scenario(args) -> Scenario:
     return scenarios.builtin_scenario(token, **_builtin_params(args))
 
 
-def _require_valid(scenario: Scenario) -> None:
-    report = scenarios.diagnose(scenario)
+def _require_valid(scenario: Scenario) -> Synthesis:
+    """The scenario's observables, built once by its validation."""
+    report, synthesis = scenarios.diagnose(scenario)
     if not report.passed:
         failed = "; ".join(str(check) for check in report.failures())
         raise CliError(
             EXIT_VALIDATION, f"scenario {scenario.name!r} fails validation: {failed}"
         )
+    return synthesis
 
 
 def _out_dir(args) -> str:
@@ -184,6 +187,7 @@ def _write_reports(out_dir, scenario_name, command, payload, columns, rows):
 
 
 def _parse_thetas(text: str | None, scenario: Scenario) -> tuple[float, ...] | None:
+    """The --theta angles, one per source agent; None when not given."""
     if text is None:
         return None
     parts = [p for p in text.split(",") if p.strip()]
@@ -218,7 +222,7 @@ def _parse_beta(text: str | None):
 
 def _cmd_validate(args) -> int:
     scenario = _load_scenario(args)
-    report = scenarios.diagnose(scenario)
+    report, _ = scenarios.diagnose(scenario)
     print(f"scenario {scenario.name} [{scenarios.fingerprint(scenario)}]")
     for check in report.checks:
         print(f"  {check}")
@@ -230,57 +234,29 @@ def _cmd_validate(args) -> int:
     return EXIT_OK if report.passed else EXIT_VALIDATION
 
 
-def _evaluate_report(scenario, thetas, beta_text):
-    synthesis = scenarios.synthesize(scenario, thetas)
-    beta, parameters = scenarios.resolve_beta(scenario, beta_text)
-    if beta is None:
-        report = bell.evaluate(
-            scenario.layout, scenario.selection, synthesis.sources, synthesis.receivers
-        )
-    else:
-        if synthesis.tilt is None:
-            raise CliError(
-                EXIT_VALIDATION, "beta given but the scenario has no h_prime entries"
-            )
-        report = _tilted_report(scenario, synthesis, beta)
-    return report, parameters
-
-
-def _tilted_report(scenario, synthesis, beta):
-    return bell.evaluate_tilted(
-        scenario.layout,
-        scenario.selection,
-        synthesis.sources,
-        synthesis.receivers,
-        synthesis.tilt,
-        beta,
-    )
-
-
 def _cmd_evaluate(args) -> int:
     scenario = _load_scenario(args)
-    _require_valid(scenario)
-    thetas = _parse_thetas(args.theta, scenario)
-    report, parameters = _evaluate_report(scenario, thetas, _parse_beta(args.beta))
+    synthesis = _require_valid(scenario)
+    thetas = _parse_thetas(args.theta, scenario) or scenario.thetas
+    beta, parameters = scenarios.resolve_beta(scenario, _parse_beta(args.beta))
+    if beta is None:
+        report = bell.evaluate(synthesis, thetas)
+    else:
+        report = bell.evaluate_tilted(synthesis, thetas, beta)
     return _emit_bell(args, scenario, "evaluate", report, parameters)
 
 
 def _cmd_maximize(args) -> int:
     scenario = _load_scenario(args)
-    _require_valid(scenario)
+    synthesis = _require_valid(scenario)
     grid = args.grid if args.grid is not None else scenario.grid_points
-    report = bell.maximize(
-        scenario.layout,
-        scenario.selection,
-        grid_points=grid,
-        allow_commuting_pair=scenario.allow_commuting_pair,
-    )
+    report = bell.maximize(synthesis, grid_points=grid)
     return _emit_bell(args, scenario, "maximize", report, None)
 
 
 def _cmd_tilted(args) -> int:
     scenario = _load_scenario(args)
-    _require_valid(scenario)
+    synthesis = _require_valid(scenario)
     if not scenario.selection.tilt_sources:
         raise CliError(
             EXIT_VALIDATION,
@@ -293,7 +269,7 @@ def _cmd_tilted(args) -> int:
     thetas = _parse_thetas(args.theta, scenario)
     if thetas is None and parameters is not None:
         thetas = (parameters.theta_max,) * scenario.layout.K
-    report = _tilted_report(scenario, scenarios.synthesize(scenario, thetas), beta)
+    report = bell.evaluate_tilted(synthesis, thetas or scenario.thetas, beta)
     return _emit_bell(args, scenario, "tilted", report, parameters)
 
 
@@ -377,9 +353,8 @@ def _cmd_classical_bound(args) -> int:
 
 def _cmd_sample(args) -> int:
     scenario = _load_scenario(args)
-    _require_valid(scenario)
-    thetas = _parse_thetas(args.theta, scenario)
-    synthesis = scenarios.synthesize(scenario, thetas)
+    synthesis = _require_valid(scenario)
+    thetas = _parse_thetas(args.theta, scenario) or scenario.thetas
     beta, _ = scenarios.resolve_beta(scenario, _parse_beta(args.beta))
     config = sampling.RunConfig(
         rounds=args.rounds if args.rounds is not None else scenario.rounds,
@@ -390,14 +365,7 @@ def _cmd_sample(args) -> int:
     out_dir = _out_dir(args)
     try:
         report = sampling.run(
-            scenario.layout,
-            scenario.selection,
-            synthesis.sources,
-            synthesis.receivers,
-            config,
-            tilt=synthesis.tilt,
-            beta=beta,
-            record_path=args.rounds_csv,
+            synthesis, thetas, config, beta=beta, record_path=args.rounds_csv
         )
     except OSError as err:
         raise CliError(
@@ -438,8 +406,7 @@ def _reproduction_rows() -> list[dict]:
 
     # Doubled CHSH closed form over three angles.
     for phi in (math.pi / 8, math.pi / 6, math.pi / 4):
-        scenario = scenarios.builtin_scenario("chsh", phi=phi)
-        report = bell.maximize(scenario.layout, scenario.selection)
+        report = bell.maximize(_require_valid(scenarios.builtin_scenario("chsh", phi=phi)))
         add(
             f"chsh phi={phi:.4f}: 2*max vs 2*sqrt(1+sin^2 2phi)",
             2.0 * report.quantum_value,
@@ -449,10 +416,7 @@ def _reproduction_rows() -> list[dict]:
 
     # Paired five-qubit sources, balanced and tilted-angle variants.
     scenario = scenarios.builtin_scenario("example-a")
-    synthesis = scenarios.synthesize(scenario)
-    report = bell.evaluate(
-        scenario.layout, scenario.selection, synthesis.sources, synthesis.receivers
-    )
+    report = bell.evaluate(_require_valid(scenario), scenario.thetas)
     add("example-a phi=pi/4 at theta=pi/4", report.quantum_value, math.sqrt(2.0), CLOSED_FORM_TOL)
 
     # Paired sources at pi/8 and in the logical basis, single-source
@@ -470,12 +434,7 @@ def _reproduction_rows() -> list[dict]:
         ("star(3) phi=pi/4 maximum", "star", {"n": 3}, math.sqrt(2.0)),
     ]
     for label, name, params, target in maxima:
-        scenario = scenarios.builtin_scenario(name, **params)
-        report = bell.maximize(
-            scenario.layout,
-            scenario.selection,
-            allow_commuting_pair=scenario.allow_commuting_pair,
-        )
+        report = bell.maximize(_require_valid(scenarios.builtin_scenario(name, **params)))
         add(label, report.quantum_value, target, CLOSED_FORM_TOL)
 
     # Tilted runs at the solved optimum: full, one-of-three, two-of-three.
@@ -487,10 +446,8 @@ def _reproduction_rows() -> list[dict]:
     for name, params, tilt_count, k in tilt_cases:
         scenario = scenarios.builtin_scenario(name, **params)
         beta, parameters = scenarios.resolve_beta(scenario)
-        synthesis = scenarios.synthesize(
-            scenario, (parameters.theta_max,) * scenario.layout.K
-        )
-        report = _tilted_report(scenario, synthesis, beta)
+        thetas = (parameters.theta_max,) * scenario.layout.K
+        report = bell.evaluate_tilted(_require_valid(scenario), thetas, beta)
         label = f"{name} tilt {tilt_count}/{k} phibar={parameters.phibar:.4f}: G vs solved optimum"
         add(label, report.tilt.g_value, parameters.g_opt, CLOSED_FORM_TOL)
         rows[-1]["beta"] = beta
@@ -514,17 +471,11 @@ def _reproduction_rows() -> list[dict]:
 
     # Finite sampling lands within four standard errors in both strategies.
     scenario = scenarios.builtin_scenario("example-a")
-    synthesis = scenarios.synthesize(scenario)
+    synthesis = _require_valid(scenario)
     estimates = {}
     for strategy in sampling.MODES:
         config = sampling.RunConfig(rounds=100000, seed=0, strategy=strategy)
-        tally = sampling.run(
-            scenario.layout,
-            scenario.selection,
-            synthesis.sources,
-            synthesis.receivers,
-            config,
-        )
+        tally = sampling.run(synthesis, scenario.thetas, config)
         estimates[strategy] = tally
         add(
             f"example-a sampling ({strategy}, 1e5 rounds)",

@@ -8,6 +8,7 @@ GHZ chains (plain and split at a chosen cut).
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -252,8 +253,9 @@ def _project_stabilized(fiducial: StateVector, ops: Sequence[PauliString]) -> np
     return amps
 
 
-def codeword(code: StabilizerCode, amplitudes: Sequence[complex]) -> SourceState:
-    """Realize sum_z a_z |z-bar> by projector synthesis.
+@functools.lru_cache(maxsize=32)
+def _logical_basis(code: StabilizerCode) -> tuple[StateVector, ...]:
+    """The code's logical basis states |z-bar>, searched once per code.
 
     The logical zero is the fiducial basis state projected through all
     (I+g)/2 and (I+Zbar_a)/2, with its global phase fixed by making the
@@ -262,12 +264,6 @@ def codeword(code: StabilizerCode, amplitudes: Sequence[complex]) -> SourceState
     literally, signs included, so logical expectations follow the chosen
     bit-flip operators exactly.
     """
-    amps = np.asarray(list(amplitudes), dtype=complex)
-    if amps.shape != (1 << code.k,):
-        raise ValueError(f"need {1 << code.k} logical amplitudes, got {amps.shape}")
-    if not abs(float(np.linalg.norm(amps)) - 1.0) <= 1e-9:
-        raise ValueError("logical amplitudes must be normalized")
-
     projectors = list(code.generators) + list(code.logical_z)
     zero = None
     for fiducial_index in range(1 << code.n):
@@ -287,7 +283,19 @@ def codeword(code: StabilizerCode, amplitudes: Sequence[complex]) -> SourceState
             if (label >> (code.k - 1 - a)) & 1:
                 vec = vec.apply(code.logical_x[a])
         basis.append(vec)
+    return tuple(basis)
 
+
+def codeword(code: StabilizerCode, amplitudes: Sequence[complex]) -> SourceState:
+    """Realize sum_z a_z |z-bar> on the code's logical basis, and check that
+    every generator stabilizes the result."""
+    amps = np.asarray(list(amplitudes), dtype=complex)
+    if amps.shape != (1 << code.k,):
+        raise ValueError(f"need {1 << code.k} logical amplitudes, got {amps.shape}")
+    if not abs(float(np.linalg.norm(amps)) - 1.0) <= 1e-9:
+        raise ValueError("logical amplitudes must be normalized")
+
+    basis = _logical_basis(code)
     total = np.zeros(1 << code.n, dtype=complex)
     for a_z, vec in zip(amps, basis):
         total += a_z * vec.amplitudes

@@ -202,7 +202,6 @@ class Classification:
     """Per-qubit anticommutation structure of the (g, h) letter pairs."""
 
     d_sets: tuple[tuple[int, ...], ...]
-    h_sets: tuple[tuple[int, ...], ...]
     idle: tuple[tuple[int, int], ...]
     o_letters: tuple[tuple[tuple[int, int], str], ...]
 
@@ -234,26 +233,22 @@ def classify(layout: NetworkLayout, selection: OperatorSelection) -> Classificat
         if g.n != layout.source_sizes[i - 1] or h.n != layout.source_sizes[i - 1]:
             raise ValueError(f"selection operators do not match source {i} size")
 
-    d_sets, h_sets, idle, o_letters = [], [], [], []
+    d_sets, idle, o_letters = [], [], []
     for i in range(1, layout.N + 1):
         g, h, _ = selection.for_source(i)
-        d, hh = [], []
+        d = []
         for j in range(1, g.n + 1):
             s_letter, t_letter = g.letter(j - 1), h.letter(j - 1)
             if _letters_anticommute(s_letter, t_letter):
                 d.append(j)
-            else:
-                hh.append(j)
-                if layout.is_receiver(layout.agent_of(i, j)):
-                    idle.append((i, j))
-                    nonidentity = s_letter if s_letter != "I" else t_letter
-                    if nonidentity != "I":
-                        o_letters.append(((i, j), nonidentity))
+            elif layout.is_receiver(layout.agent_of(i, j)):
+                idle.append((i, j))
+                nonidentity = s_letter if s_letter != "I" else t_letter
+                if nonidentity != "I":
+                    o_letters.append(((i, j), nonidentity))
         d_sets.append(tuple(d))
-        h_sets.append(tuple(hh))
     return Classification(
         d_sets=tuple(d_sets),
-        h_sets=tuple(h_sets),
         idle=tuple(idle),
         o_letters=tuple(o_letters),
     )

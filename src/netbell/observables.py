@@ -3,7 +3,9 @@
 Source agents get the anticommuting pair (S, T) by restricting the
 per-source g and h letters to the qubits they hold, mixed into
 A_x = cos(theta) S + (-1)^x sin(theta) T. Receivers get the products
-B0 (g letters) and B1 (h letters) over their qubits.
+B0 (g letters) and B1 (h letters) over their qubits. None of this
+depends on the mixing angles: a Synthesis is built once per layout and
+selection, and every engine takes it together with the angles.
 
 The tilted construction grafts phase-flip letters onto B0: for each
 source in the tilt set, its h_prime must be identity on source-side
@@ -23,6 +25,7 @@ from netbell.network import (
     NetworkLayout,
     OperatorSelection,
     anticommuting_count,
+    classify,
 )
 from netbell.pauli import PauliString
 
@@ -37,19 +40,19 @@ class SourceObservables:
     t_hat: PauliString
     s_global: PauliString
     t_global: PauliString
-    theta: float
 
-    def a_terms(self, x: int):
-        """A_x as weighted global Pauli terms: the S term, then the T term."""
+    def a_terms(self, x: int, theta: float):
+        """A_x at mixing angle theta as weighted global Pauli terms: the S
+        term, then the T term."""
         sign = 1.0 if x == 0 else -1.0
-        return [(math.cos(self.theta), self.s_global), (sign * math.sin(self.theta), self.t_global)]
+        return [(math.cos(theta), self.s_global), (sign * math.sin(theta), self.t_global)]
 
-    def describe(self, label: str) -> list[str]:
+    def describe(self, label: str, theta: float) -> list[str]:
         s_text = _annotate(self.qubits, self.s_hat)
         t_text = _annotate(self.qubits, self.t_hat)
         return [
-            f"{label}: A0 = cos({self.theta:.5f})*{s_text} + sin({self.theta:.5f})*{t_text}",
-            f"{label}: A1 = cos({self.theta:.5f})*{s_text} - sin({self.theta:.5f})*{t_text}",
+            f"{label}: A0 = cos({theta:.5f})*{s_text} + sin({theta:.5f})*{t_text}",
+            f"{label}: A1 = cos({theta:.5f})*{s_text} - sin({theta:.5f})*{t_text}",
         ]
 
 
@@ -79,22 +82,18 @@ class ReceiverObservables:
 class TiltedReceiver:
     """Per-receiver pieces of the tilted test.
 
-    b0_bar replaces B0 in the measuring phase. graft is the plain
-    product of the added letters; dropping their outcomes (and the
-    attributed sign) recovers B0. p_part is this receiver's share of
-    the phase-flip product, readable from the same per-qubit data.
+    b0_bar replaces B0 in the measuring phase: B0 times the grafted
+    letters, with the attributed sign; dropping the grafted outcomes
+    (and the sign) recovers B0. p_part is this receiver's share of the
+    phase-flip product, readable from the same per-qubit data.
     """
 
     agent: int
     qubits: tuple[tuple[int, int], ...]
     b0_bar: PauliString
     b0_bar_global: PauliString
-    graft: PauliString
-    graft_global: PauliString
     p_part: PauliString
     p_part_global: PauliString
-    drop_qubits: tuple[tuple[int, int], ...]
-    p_qubits: tuple[tuple[int, int], ...]
 
     def describe(self, label: str) -> list[str]:
         return [
@@ -110,7 +109,6 @@ class TiltedBlock:
     tilt_sources: tuple[int, ...]
     p_full: PauliString
     receivers: tuple[TiltedReceiver, ...]
-    anchors: tuple[tuple[int, int], ...]
 
 
 def _annotate(qubits, local_op: PauliString) -> str:
@@ -143,15 +141,10 @@ def build_source(
     layout: NetworkLayout,
     classification: Classification,
     selection: OperatorSelection,
-    thetas,
 ) -> tuple[SourceObservables, ...]:
     """Synthesize the A families; refuses layouts whose source agents
     collect an even anticommuting count, since the pair (S, T) would
     commute and A_x would not square to identity."""
-    thetas = tuple(float(t) for t in thetas)
-    if len(thetas) != layout.K:
-        raise ValueError(f"need {layout.K} angles, got {len(thetas)}")
-
     out = []
     for agent in layout.source_agents:
         if anticommuting_count(layout, classification, agent) % 2 == 0:
@@ -173,7 +166,6 @@ def build_source(
                 t_hat=t_local,
                 s_global=s_glob,
                 t_global=t_glob,
-                theta=thetas[agent - 1],
             )
         )
     return tuple(out)
@@ -272,23 +264,20 @@ def build_tilted(
     selection: OperatorSelection,
     receivers: tuple[ReceiverObservables, ...],
 ) -> TiltedBlock:
-    """Assemble the phase-flip product P, the grafted B0bar per receiver,
-    and the postprocessing masks that recover B0 and P from its data."""
+    """Assemble the phase-flip product P and, per receiver, the grafted
+    B0bar and its share of P."""
     tilt_sources = selection.tilt_sources
     for source in tilt_sources:
         _check_tilt_conditions(layout, classification, selection, source)
 
-    anchors = []
     anchor_sign: dict[int, int] = {agent: 1 for agent in layout.receivers}
     for source in tilt_sources:
         prime = selection.h_prime[source - 1]
-        holding = sorted(
+        anchor = min(
             layout.agent_of(source, j)
             for j in range(1, prime.n + 1)
             if prime.letter(j - 1) != "I"
         )
-        anchor = holding[0]
-        anchors.append((source, anchor))
         anchor_sign[anchor] *= int(prime.phase.real)
 
     per_receiver = []
@@ -324,16 +313,8 @@ def build_tilted(
                 qubits=rec.qubits,
                 b0_bar=bar_local,
                 b0_bar_global=bar_glob,
-                graft=graft_local,
-                graft_global=graft_glob,
                 p_part=p_local,
                 p_part_global=p_glob,
-                drop_qubits=tuple(
-                    q for q, letter in zip(rec.qubits, graft_local.letters) if letter != "I"
-                ),
-                p_qubits=tuple(
-                    q for q, letter in zip(rec.qubits, p_local.letters) if letter != "I"
-                ),
             )
         )
 
@@ -347,26 +328,53 @@ def build_tilted(
     if combined != p_full:
         raise RuntimeError("per-receiver phase-flip parts do not recompose")
 
-    return TiltedBlock(
-        tilt_sources=tilt_sources,
-        p_full=p_full,
-        receivers=tuple(per_receiver),
-        anchors=tuple(anchors),
-    )
+    return TiltedBlock(tilt_sources=tilt_sources, p_full=p_full, receivers=tuple(per_receiver))
 
 
-def describe_observables(
+@dataclass(frozen=True)
+class Synthesis:
+    """Every agent's observables for one layout and selection; the mixing
+    angles are not part of it but are passed to each engine with it."""
+
+    layout: NetworkLayout
+    selection: OperatorSelection
+    classification: Classification
+    sources: tuple[SourceObservables, ...]
+    receivers: tuple[ReceiverObservables, ...]
+    tilt: TiltedBlock | None
+
+    def angles(self, thetas) -> tuple[float, ...]:
+        """thetas as floats, one mixing angle per source agent."""
+        thetas = tuple(float(t) for t in thetas)
+        if len(thetas) != self.layout.K:
+            raise ValueError(f"need {self.layout.K} angles, got {len(thetas)}")
+        return thetas
+
+    def describe(self, thetas) -> str:
+        """One line per observable, the A families at the given angles."""
+        label = self.layout.agent_label
+        lines: list[str] = []
+        for obs, theta in zip(self.sources, self.angles(thetas)):
+            lines += obs.describe(label(obs.agent), theta)
+        for rec in self.receivers + (self.tilt.receivers if self.tilt else ()):
+            lines += rec.describe(label(rec.agent))
+        return "\n".join(lines)
+
+
+def synthesize(
     layout: NetworkLayout,
-    sources: tuple[SourceObservables, ...],
-    receivers: tuple[ReceiverObservables, ...],
-    tilt: TiltedBlock | None = None,
-) -> str:
-    lines: list[str] = []
-    for obs in sources:
-        lines += obs.describe(layout.agent_label(obs.agent))
-    for rec in receivers:
-        lines += rec.describe(layout.agent_label(rec.agent))
-    if tilt is not None:
-        for tr in tilt.receivers:
-            lines += tr.describe(layout.agent_label(tr.agent))
-    return "\n".join(lines)
+    selection: OperatorSelection,
+    *,
+    allow_commuting_pair: bool = False,
+) -> Synthesis:
+    """Classify the letters once and build the A families, the B pairs and,
+    when some source carries an h_prime, the tilted block."""
+    classification = classify(layout, selection)
+    sources = build_source(layout, classification, selection)
+    receivers = build_receiver(
+        layout, classification, selection, allow_commuting_pair=allow_commuting_pair
+    )
+    tilt = None
+    if selection.tilt_sources:
+        tilt = build_tilted(layout, classification, selection, receivers)
+    return Synthesis(layout, selection, classification, sources, receivers, tilt)

@@ -42,8 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import NetworkLayout, OperatorSelection, classify
-from .observables import ReceiverObservables, SourceObservables, TiltedBlock
+from .observables import Synthesis
 from .pauli import PauliString
 from .reports import atomic_write
 from .states import StateVector, _parity, make_rng
@@ -220,23 +219,21 @@ def _add_letters(target: dict[int, str], op: PauliString, where: str) -> None:
 
 
 def _build_frame(
-    layout: NetworkLayout,
-    classification,
-    sources: tuple[SourceObservables, ...],
-    receivers: tuple[ReceiverObservables, ...],
+    synthesis: Synthesis,
+    thetas: tuple[float, ...],
     x: tuple[int, ...],
     y: tuple[int, ...],
     mode: str,
-    tilt: TiltedBlock | None,
 ) -> _Frame:
+    layout, sources, receivers = synthesis.layout, synthesis.sources, synthesis.receivers
+    tilt = synthesis.tilt
     n = layout.total_qubits
-    state = layout.state
 
     # Rotate each source observable cos(theta) S +/- sin(theta) T onto S.
-    amps = state.amplitudes
-    for xk, src in zip(x, sources):
+    amps = layout.state.amplitudes
+    for xk, src, theta in zip(x, sources, thetas):
         w = src.s_global * src.t_global
-        half = src.theta / 2.0
+        half = theta / 2.0
         sign = 1.0 if xk == 0 else -1.0
         rotated = math.cos(half) * amps + sign * math.sin(half) * StateVector(
             amps
@@ -264,7 +261,7 @@ def _build_frame(
             for pos, (i, j) in enumerate(rec.qubits):
                 letter = chosen.letter(pos)
                 if letter == "I":
-                    letter = classification.o_letter(i, j)
+                    letter = synthesis.classification.o_letter(i, j)
                 if letter is not None:
                     _add_letter(letters, layout.global_index(i, j), letter, where)
         if tilted_now:
@@ -368,17 +365,16 @@ def _csv_header(mode, k, m, tilted, measured_qubits) -> list[str]:
 
 
 def run(
-    layout: NetworkLayout,
-    selection: OperatorSelection,
-    sources: tuple[SourceObservables, ...],
-    receivers: tuple[ReceiverObservables, ...],
+    synthesis: Synthesis,
+    thetas,
     config: RunConfig,
     *,
-    tilt: TiltedBlock | None = None,
     beta: float | None = None,
     record_path=None,
 ) -> TallyReport:
-    """Sample finite rounds and report correlator estimates.
+    """Sample finite rounds at the given mixing angles, one per source
+    agent, and report correlator estimates; a synthesis with a tilted
+    block measures B0bar and collects the phase-flip product.
 
     record_path, when given, receives one CSV row per round, in a frozen
     format: the columns round, settings, a1..aK, then b1..bM (and p1..pM
@@ -389,11 +385,13 @@ def run(
     CRLF, and the same seed writes the same bytes. The file is written
     atomically, like the reports.
     """
+    layout, receivers, tilt = synthesis.layout, synthesis.receivers, synthesis.tilt
     if beta is not None:
         if tilt is None:
             raise ValueError("beta without a tilted block has no meaning")
         if not beta >= 0:
             raise ValueError(f"beta must be nonnegative, got {beta}")
+    thetas = synthesis.angles(thetas)
     k = layout.K
     m = layout.M
     combos = _setting_combos(k, m)
@@ -407,7 +405,6 @@ def run(
         weights = np.asarray(config.setting_weights, dtype=float)
         weights = weights / weights.sum()
 
-    classification = classify(layout, selection)
     rng = make_rng(config.seed)
     counts = rng.multinomial(config.rounds, weights)
 
@@ -438,9 +435,7 @@ def run(
                 )
             )
             continue
-        frame = _build_frame(
-            layout, classification, sources, receivers, x, y, config.strategy, tilt
-        )
+        frame = _build_frame(synthesis, thetas, x, y, config.strategy)
         indices = rng.choice(frame.probabilities.size, size=count, p=frame.probabilities)
         a_cols = [_mask_outcomes(indices, mask) for mask in frame.source_masks]
         b_cols = [_mask_outcomes(indices, mask) for mask in frame.receiver_masks]

@@ -45,12 +45,12 @@ import math
 from dataclasses import dataclass, field
 
 from . import codes as code_lib
-from .bell import TiltParameters, tilt_parameters
+from .bell import MAX_GRID_POINTS, TiltParameters, tilt_parameters
 from .codes import CheckResult, SourceState, StabilizerCode, ValidationReport, codeword
 from .network import NetworkLayout, OperatorSelection, check_parity, check_selection, classify
-from .observables import build_receiver, build_source, build_tilted, describe_observables
+from .observables import Synthesis, synthesize
 from .pauli import PauliString
-from .sampling import MODES
+from .sampling import MAX_ROUNDS, MODES
 
 DEFAULT_THETA = math.pi / 4
 DEFAULT_ROUNDS = 100000
@@ -81,16 +81,6 @@ class Scenario:
     data: dict = field(compare=False, default_factory=dict)
 
 
-@dataclass(frozen=True)
-class Synthesis:
-    """Observables built from a scenario at concrete angles."""
-
-    classification: object
-    sources: tuple
-    receivers: tuple
-    tilt: object | None
-
-
 # ----------------------------------------------------------------------
 # resolution
 
@@ -106,6 +96,14 @@ def _number(value, convert, what: str):
     if isinstance(number, float) and not math.isfinite(number):
         raise ScenarioError(f"{what} must be a finite number, got {value!r}")
     return number
+
+
+def _check_count(value: int, low: int, high: int, name: str) -> None:
+    """Refuse an options count outside low..high, the range its engine
+    accepts, so that validate passes no file the engine would refuse."""
+    if not low <= value <= high:
+        bound = f"at least {low}" if value < low else f"at most {high}"
+        raise ScenarioError(f"{name} must be {bound}, got {value} (options '{name}')")
 
 
 def _parse_amplitude(entry) -> complex:
@@ -269,13 +267,11 @@ def scenario_from_dict(data: dict) -> Scenario:
     phibar = options.get("phibar")
     phibar = None if phibar is None else _number(phibar, float, "options 'phibar'")
     rounds = _number(options.get("rounds", DEFAULT_ROUNDS), int, "options 'rounds'")
-    if rounds < 1:
-        raise ScenarioError(f"rounds must be at least 1, got {rounds}")
+    _check_count(rounds, 1, MAX_ROUNDS, "rounds")
     seed = options.get("seed")
     seed = None if seed is None else _number(seed, int, "options 'seed'")
     grid_points = _number(options.get("grid_points", DEFAULT_GRID), int, "options 'grid_points'")
-    if grid_points < 2:
-        raise ScenarioError(f"grid_points must be at least 2, got {grid_points}")
+    _check_count(grid_points, 2, MAX_GRID_POINTS, "grid_points")
     strategy = str(options.get("strategy", MODES[0]))
     if strategy not in MODES:
         raise ScenarioError(f"unknown strategy {strategy!r}; expected one of {MODES}")
@@ -372,28 +368,6 @@ def fingerprint(scenario: Scenario) -> str:
 # synthesis and diagnostics
 
 
-def synthesize(scenario: Scenario, thetas: tuple[float, ...] | None = None) -> Synthesis:
-    """Build the observables at the scenario's angles (or an override)."""
-    layout = scenario.layout
-    selection = scenario.selection
-    classification = classify(layout, selection)
-    sources = build_source(
-        layout, classification, selection, thetas if thetas is not None else scenario.thetas
-    )
-    receivers = build_receiver(
-        layout,
-        classification,
-        selection,
-        allow_commuting_pair=scenario.allow_commuting_pair,
-    )
-    tilt = None
-    if selection.tilt_sources:
-        tilt = build_tilted(layout, classification, selection, receivers)
-    return Synthesis(
-        classification=classification, sources=sources, receivers=receivers, tilt=tilt
-    )
-
-
 def source_angle(source: SourceState) -> float | None:
     """The angle phi with amplitudes (cos phi, sin phi), if the source state
     is such a real pair."""
@@ -441,14 +415,20 @@ def resolve_beta(
     return parameters.beta_max, parameters
 
 
-def diagnose(scenario: Scenario) -> ValidationReport:
+def diagnose(scenario: Scenario) -> tuple[ValidationReport, Synthesis | None]:
     """Full validation report: selection structure, parity conditions, and
-    observable synthesis, whose observables the report's details list."""
-    checks: list[CheckResult] = list(
-        check_selection(scenario.layout, scenario.selection).checks
-    )
-    classification = classify(scenario.layout, scenario.selection)
-    parity = check_parity(scenario.layout, classification)
+    observable synthesis, whose observables (at the scenario's angles) the
+    report's details list; with the synthesis, or None where it failed."""
+    layout, selection = scenario.layout, scenario.selection
+    checks: list[CheckResult] = list(check_selection(layout, selection).checks)
+    try:
+        synthesis = synthesize(
+            layout, selection, allow_commuting_pair=scenario.allow_commuting_pair
+        )
+    except (ValueError, RuntimeError) as err:
+        synthesis, failure = None, err
+    classification = classify(layout, selection) if synthesis is None else synthesis.classification
+    parity = check_parity(layout, classification)
     source_failures = parity.source_side_failures()
     checks.append(
         CheckResult(
@@ -471,16 +451,12 @@ def diagnose(scenario: Scenario) -> ValidationReport:
             receiver_note,
         )
     )
-    try:
-        synthesis = synthesize(scenario)
-    except (ValueError, RuntimeError) as err:
-        checks.append(CheckResult("observable synthesis", False, str(err)))
-        return ValidationReport(tuple(checks))
+    if synthesis is None:
+        checks.append(CheckResult("observable synthesis", False, str(failure)))
+        return ValidationReport(tuple(checks)), None
     checks.append(CheckResult("observable synthesis", True))
-    listing = describe_observables(
-        scenario.layout, synthesis.sources, synthesis.receivers, synthesis.tilt
-    )
-    return ValidationReport(tuple(checks), details=tuple(listing.splitlines()))
+    listing = synthesis.describe(scenario.thetas)
+    return ValidationReport(tuple(checks), details=tuple(listing.splitlines())), synthesis
 
 
 # ----------------------------------------------------------------------

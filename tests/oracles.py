@@ -33,8 +33,7 @@ import numpy as np
 
 from netbell import bell, classical
 from netbell.codes import StabilizerCode
-from netbell.network import NetworkLayout, OperatorSelection, classify
-from netbell.observables import ReceiverObservables, SourceObservables, TiltedBlock
+from netbell.observables import Synthesis
 from netbell.pauli import PauliString
 from netbell.sampling import MODES, _build_frame, _mask_outcomes
 from netbell.states import StateVector
@@ -43,32 +42,33 @@ from netbell.states import StateVector
 # Bell correlators on the joint state
 
 
-def joint_correlator(layout, sources, receivers, y: int, cache: dict) -> complex:
-    """<prod_k (A0 + (-1)^y A1) prod_l B_y>, expanded term by term on the
-    2^n-amplitude joint state; expectations are memoized in cache."""
-    state = layout.state
+def joint_correlator(synthesis: Synthesis, thetas, y: int, cache: dict) -> complex:
+    """<prod_k (A0 + (-1)^y A1) prod_l B_y> at the given angles, expanded
+    term by term on the 2^n-amplitude joint state; expectations are
+    memoized in cache."""
+    state = synthesis.layout.state
     terms: list[tuple[float, PauliString]] = [(1.0, PauliString.identity(state.n))]
     flip = 1.0 if y == 0 else -1.0
-    for obs in sources:
-        branch = obs.a_terms(0) + [(flip * c, p) for c, p in obs.a_terms(1)]
+    for obs, theta in zip(synthesis.sources, synthesis.angles(thetas)):
+        branch = obs.a_terms(0, theta) + [(flip * c, p) for c, p in obs.a_terms(1, theta)]
         terms = [(c1 * c2, p1 * p2) for c1, p1 in terms for c2, p2 in branch]
-    for rec in receivers:
+    for rec in synthesis.receivers:
         b = rec.b_terms(y)
         terms = [(c, p * b) for c, p in terms]
     return sum(c * bell._cached_expectation(state, p, cache) for c, p in terms)
 
 
-def joint_values(layout, sources, receivers, tilt=None, cache=None) -> dict:
+def joint_values(synthesis: Synthesis, thetas, cache=None) -> dict:
     """I, J and (with a tilted block) P on the joint state, with the
     arithmetic the joint engine reported them with."""
     cache = {} if cache is None else cache
-    scale = 1.0 / 2**layout.K
+    scale = 1.0 / 2**synthesis.layout.K
     out = {
-        "I": (scale * joint_correlator(layout, sources, receivers, 0, cache)).real,
-        "J": (scale * joint_correlator(layout, sources, receivers, 1, cache)).real,
+        "I": (scale * joint_correlator(synthesis, thetas, 0, cache)).real,
+        "J": (scale * joint_correlator(synthesis, thetas, 1, cache)).real,
     }
-    if tilt is not None:
-        out["P"] = layout.state.expectation(tilt.p_full)
+    if synthesis.tilt is not None:
+        out["P"] = synthesis.layout.state.expectation(synthesis.tilt.p_full)
     return out
 
 
@@ -161,25 +161,21 @@ def joint_oracle(state: StateVector, observables: Sequence[ObservableTerms]) -> 
 
 
 def outcome_distribution(
-    layout: NetworkLayout,
-    selection: OperatorSelection,
-    sources: tuple[SourceObservables, ...],
-    receivers: tuple[ReceiverObservables, ...],
+    synthesis: Synthesis,
+    thetas,
     x: tuple[int, ...],
     y: tuple[int, ...],
     *,
     mode: str = "direct-observable",
-    tilt: TiltedBlock | None = None,
 ) -> dict[tuple[int, ...], float]:
     """Exact joint distribution of the recorded outcomes at one setting.
 
-    Keys are (a_1..a_K, b_1..b_M) tuples, extended by (p_1..p_M) when a
-    tilted block is given and every receiver is on setting 0.
+    Keys are (a_1..a_K, b_1..b_M) tuples, extended by (p_1..p_M) when the
+    synthesis has a tilted block and every receiver is on setting 0.
     """
     if mode not in MODES:
         raise ValueError(f"unknown strategy {mode!r}; expected one of {MODES}")
-    classification = classify(layout, selection)
-    frame = _build_frame(layout, classification, sources, receivers, x, y, mode, tilt)
+    frame = _build_frame(synthesis, synthesis.angles(thetas), x, y, mode)
     dim = frame.probabilities.size
     indices = np.arange(dim)
     columns = [_mask_outcomes(indices, mask) for mask in frame.source_masks]

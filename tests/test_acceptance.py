@@ -18,7 +18,7 @@ from netbell.network import (
     check_selection,
     classify,
 )
-from netbell.observables import build_receiver, build_source
+from netbell.observables import build_receiver, build_source, synthesize
 from netbell.pauli import PauliString
 
 from conftest import (
@@ -47,20 +47,15 @@ CRITERIA = {
 TOL = 1e-9
 
 def evaluate_at(layout, selection, thetas, *, allow=False):
-    classification = classify(layout, selection)
-    sources = build_source(layout, classification, selection, thetas)
-    receivers = build_receiver(
-        layout, classification, selection, allow_commuting_pair=allow
-    )
-    return bell.evaluate(layout, selection, sources, receivers)
+    return bell.evaluate(synthesize(layout, selection, allow_commuting_pair=allow), thetas)
 
 
 def test_criterion_01_pair_closed_form():
     for phi in (math.pi / 8, math.pi / 6, math.pi / 4):
-        report = bell.maximize(chsh_layout(phi), chsh_selection())
+        report = bell.maximize(synthesize(chsh_layout(phi), chsh_selection()))
         target = 2.0 * math.sqrt(1.0 + math.sin(2 * phi) ** 2)
         assert abs(2.0 * report.quantum_value - target) <= TOL
-    report = bell.maximize(chsh_layout(math.pi / 4), chsh_selection())
+    report = bell.maximize(synthesize(chsh_layout(math.pi / 4), chsh_selection()))
     assert abs(2.0 * report.quantum_value - 2.0 * math.sqrt(2.0)) <= TOL
 
 
@@ -74,7 +69,7 @@ def test_criterion_02_paired_five_qubit_sources():
     assert abs(report.quantum_value - math.sqrt(2.0)) <= TOL
 
     report = bell.maximize(
-        bilocal_layout(math.pi / 8), selection_a(), allow_commuting_pair=True
+        synthesize(bilocal_layout(math.pi / 8), selection_a(), allow_commuting_pair=True)
     )
     measured_c = abs(math.sin(math.pi / 4) * math.sin(math.pi / 4)) ** 0.5
     assert abs(report.big_c - measured_c) <= TOL
@@ -83,7 +78,7 @@ def test_criterion_02_paired_five_qubit_sources():
 
 def test_criterion_03_logical_basis_variant():
     layout = bilocal_layout(0.0, math.pi / 2)
-    report = bell.maximize(layout, selection_b(), allow_commuting_pair=True)
+    report = bell.maximize(synthesize(layout, selection_b(), allow_commuting_pair=True))
     assert abs(report.big_c - 1.0) <= TOL
     assert abs(report.quantum_value - math.sqrt(2.0)) <= TOL
 
@@ -235,10 +230,9 @@ def test_criterion_06_parity_implies_anticommutation():
     for layout, selection in valid:
         classification = classify(layout, selection)
         thetas = tuple(rng.uniform(0.1, math.pi / 2 - 0.1) for _ in range(layout.K))
-        sources = build_source(layout, classification, selection, thetas)
+        sources = build_source(layout, classification, selection)
         receivers = build_receiver(layout, classification, selection)
-        for family in sources:
-            theta = family.theta
+        for family, theta in zip(sources, thetas):
             n_held = len(family.qubits)
             if n_held <= 6:
                 s, t = dense(family.s_hat), dense(family.t_hat)
@@ -264,7 +258,7 @@ def test_criterion_06_parity_implies_anticommutation():
     for layout, selection in source_violators[:40]:
         classification = classify(layout, selection)
         try:
-            build_source(layout, classification, selection, (0.5,) * layout.K)
+            build_source(layout, classification, selection)
         except ValueError:
             continue
         raise AssertionError("source-side parity violator was not refused")
@@ -317,15 +311,8 @@ def test_criterion_07_tilted_optimum():
             scenario = scenarios.builtin_scenario(name, phi=phibar)
         else:
             scenario = scenarios.builtin_scenario(name, phibar=phibar, **params)
-        synthesis = scenarios.synthesize(scenario, (parameters.theta_max,) * k)
-        report = bell.evaluate_tilted(
-            scenario.layout,
-            scenario.selection,
-            synthesis.sources,
-            synthesis.receivers,
-            synthesis.tilt,
-            beta,
-        )
+        synthesis = synthesize(scenario.layout, scenario.selection)
+        report = bell.evaluate_tilted(synthesis, (parameters.theta_max,) * k, beta)
         assert abs(report.tilt.g_value - parameters.g_opt) <= TOL
 
     parameters = bell.tilt_parameters(math.pi / 8, 1, 1)
@@ -346,17 +333,11 @@ def test_criterion_08_codeword_validation():
 
 
 def test_criterion_09_sampling_consistency():
-    layout = bilocal_layout(math.pi / 4)
-    selection = selection_a()
-    classification = classify(layout, selection)
-    sources = build_source(layout, classification, selection, (math.pi / 4,) * 2)
-    receivers = build_receiver(
-        layout, classification, selection, allow_commuting_pair=True
-    )
+    synthesis = synthesize(bilocal_layout(math.pi / 4), selection_a(), allow_commuting_pair=True)
     results = {}
     for mode in sampling.MODES:
         config = sampling.RunConfig(rounds=100000, seed=2026, strategy=mode)
-        report = sampling.run(layout, selection, sources, receivers, config)
+        report = sampling.run(synthesis, (math.pi / 4,) * 2, config)
         assert abs(report.value_estimate - math.sqrt(2.0)) <= 4.0 * report.value_se
         results[mode] = report
     direct, per_qubit = (results[mode] for mode in sampling.MODES)

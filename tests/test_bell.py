@@ -32,8 +32,8 @@ from netbell.bell import (
     maximize,
     tilt_parameters,
 )
-from netbell.network import NetworkLayout, OperatorSelection, classify
-from netbell.observables import build_receiver, build_source, build_tilted
+from netbell.network import NetworkLayout, OperatorSelection
+from netbell.observables import build_tilted, synthesize
 from netbell.pauli import PauliString
 from oracles import joint_values
 
@@ -48,30 +48,28 @@ TILT_CASES = [
 ]
 
 
-def synth(layout, selection, thetas, allow=False):
-    cls = classify(layout, selection)
-    sources = build_source(layout, cls, selection, thetas)
-    receivers = build_receiver(
-        layout, cls, selection, allow_commuting_pair=allow
+def synth(layout, selection, allow=False):
+    return synthesize(layout, selection, allow_commuting_pair=allow)
+
+
+def scenario_synthesis(scenario):
+    return synthesize(
+        scenario.layout,
+        scenario.selection,
+        allow_commuting_pair=scenario.allow_commuting_pair,
     )
-    return sources, receivers
 
 
 class TestEvaluate:
     def test_nan_angle_fails_the_cross_check(self):
         # NaN compares false against every tolerance; the guards must not
         # read that as agreement
-        layout = chsh_layout()
-        sources, receivers = synth(layout, chsh_selection(), [math.nan])
         with pytest.raises(RuntimeError):
-            evaluate(layout, chsh_selection(), sources, receivers)
+            evaluate(synth(chsh_layout(), chsh_selection()), [math.nan])
 
     def test_example_a_balanced_angles(self):
-        layout = bilocal_layout(math.pi / 4)
-        sources, receivers = synth(
-            layout, selection_a(), [math.pi / 4] * 2, allow=True
-        )
-        report = evaluate(layout, selection_a(), sources, receivers)
+        synthesis = synth(bilocal_layout(math.pi / 4), selection_a(), allow=True)
+        report = evaluate(synthesis, [math.pi / 4] * 2)
         assert report.k == 2
         assert abs(report.i_value - 0.5) < TOL
         assert abs(report.j_value - 0.5) < TOL
@@ -83,9 +81,8 @@ class TestEvaluate:
     def test_example_a_general_angles(self):
         phi1, phi2 = math.pi / 5, math.pi / 7
         t1, t2 = 0.3, 1.1
-        layout = bilocal_layout(phi1, phi2)
-        sources, receivers = synth(layout, selection_a(), [t1, t2], allow=True)
-        report = evaluate(layout, selection_a(), sources, receivers)
+        synthesis = synth(bilocal_layout(phi1, phi2), selection_a(), allow=True)
+        report = evaluate(synthesis, [t1, t2])
         assert abs(report.i_value - math.cos(t1) * math.cos(t2)) < TOL
         expected_j = (
             math.sin(t1) * math.sin(t2) * math.sin(2 * phi1) * math.sin(2 * phi2)
@@ -97,9 +94,8 @@ class TestEvaluate:
 
     def test_example_b_generator_partner(self):
         # h is itself a stabilizer generator, so every c_i is 1
-        layout = bilocal_layout(math.pi / 6)
-        sources, receivers = synth(layout, selection_b(), [0.4, 0.9], allow=True)
-        report = evaluate(layout, selection_b(), sources, receivers)
+        synthesis = synth(bilocal_layout(math.pi / 6), selection_b(), allow=True)
+        report = evaluate(synthesis, [0.4, 0.9])
         assert abs(report.big_c - 1.0) < TOL
         assert abs(report.j_value - math.sin(0.4) * math.sin(0.9)) < TOL
         assert abs(report.i_value - math.cos(0.4) * math.cos(0.9)) < TOL
@@ -107,31 +103,27 @@ class TestEvaluate:
     def test_single_source_pair_value(self):
         phi = math.pi / 8
         theta = math.atan(math.sin(2 * phi))
-        layout = chsh_layout(phi)
-        sources, receivers = synth(layout, chsh_selection(), [theta])
-        report = evaluate(layout, chsh_selection(), sources, receivers)
+        report = evaluate(synth(chsh_layout(phi), chsh_selection()), [theta])
         expected = math.sqrt(1 + math.sin(2 * phi) ** 2)
         assert abs(report.quantum_value - expected) < TOL
 
     def test_wrong_source_count_raises(self):
-        layout = bilocal_layout()
-        sources, receivers = synth(layout, selection_a(), [0.5, 0.5], allow=True)
+        synthesis = synth(bilocal_layout(), selection_a(), allow=True)
         with pytest.raises(ValueError, match="source observables"):
-            evaluate(layout, selection_a(), sources[:1], receivers)
+            evaluate(replace(synthesis, sources=synthesis.sources[:1]), [0.5, 0.5])
 
     def test_selection_mismatch_is_caught(self):
         # observables synthesized for one selection, closed forms for another
-        layout = bilocal_layout(math.pi / 6)
-        sources, receivers = synth(layout, selection_a(), [0.7, 0.7], allow=True)
+        synthesis = synth(bilocal_layout(math.pi / 6), selection_a(), allow=True)
         with pytest.raises(RuntimeError, match="closed forms"):
-            evaluate(layout, selection_b(), sources, receivers)
+            evaluate(replace(synthesis, selection=selection_b()), [0.7, 0.7])
 
     def test_tampered_observable_is_caught(self):
-        layout = bilocal_layout(math.pi / 6)
-        sources, receivers = synth(layout, selection_a(), [0.7, 0.7], allow=True)
+        synthesis = synth(bilocal_layout(math.pi / 6), selection_a(), allow=True)
+        sources = synthesis.sources
         broken = replace(sources[0], t_global=sources[0].s_global)
         with pytest.raises(RuntimeError, match="closed forms"):
-            evaluate(layout, selection_a(), [broken, sources[1]], receivers)
+            evaluate(replace(synthesis, sources=(broken, sources[1])), [0.7, 0.7])
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -141,16 +133,13 @@ class TestEvaluate:
         t2=st.floats(0.0, math.pi / 2),
     )
     def test_value_never_beats_entanglement_bound(self, phi1, phi2, t1, t2):
-        layout = bilocal_layout(phi1, phi2)
-        sources, receivers = synth(layout, selection_a(), [t1, t2], allow=True)
-        report = evaluate(layout, selection_a(), sources, receivers)
+        synthesis = synth(bilocal_layout(phi1, phi2), selection_a(), allow=True)
+        report = evaluate(synthesis, [t1, t2])
         bound = math.sqrt(1.0 + report.big_c**2)
         assert report.quantum_value <= bound + TOL
 
     def test_as_dict_round_trip_fields(self):
-        layout = chsh_layout(math.pi / 4)
-        sources, receivers = synth(layout, chsh_selection(), [math.pi / 4])
-        report = evaluate(layout, chsh_selection(), sources, receivers)
+        report = evaluate(synth(chsh_layout(math.pi / 4), chsh_selection()), [math.pi / 4])
         data = report.as_dict()
         assert data["K"] == 1
         assert abs(data["quantum_value"] - math.sqrt(2)) < TOL
@@ -161,7 +150,7 @@ class TestEvaluate:
 class TestMaximize:
     def test_example_a_at_pi_eighth(self):
         layout = bilocal_layout(math.pi / 8)
-        report = maximize(layout, selection_a(), allow_commuting_pair=True)
+        report = maximize(synth(layout, selection_a(), allow=True))
         assert abs(report.quantum_value - math.sqrt(1.5)) < TOL
         theta_best = math.atan(math.sin(math.pi / 4))
         assert all(abs(t - theta_best) < TOL for t in report.thetas)
@@ -169,21 +158,21 @@ class TestMaximize:
 
     def test_example_a_maximally_entangled(self):
         layout = bilocal_layout(math.pi / 4)
-        report = maximize(layout, selection_a(), allow_commuting_pair=True)
+        report = maximize(synth(layout, selection_a(), allow=True))
         assert abs(report.quantum_value - math.sqrt(2)) < TOL
 
     def test_example_b_value_independent_of_phi(self):
         for phi in (0.3, math.pi / 8, 1.2):
             layout = bilocal_layout(phi)
-            report = maximize(layout, selection_b(), allow_commuting_pair=True)
+            report = maximize(synth(layout, selection_b(), allow=True))
             assert abs(report.quantum_value - math.sqrt(2)) < TOL
 
     def test_single_source_family(self):
         for phi in (math.pi / 8, math.pi / 6, math.pi / 4):
-            report = maximize(chsh_layout(phi), chsh_selection())
+            report = maximize(synth(chsh_layout(phi), chsh_selection()))
             expected = math.sqrt(1 + math.sin(2 * phi) ** 2)
             assert abs(report.quantum_value - expected) < TOL
-        report = maximize(chsh_layout(math.pi / 4), chsh_selection())
+        report = maximize(synth(chsh_layout(math.pi / 4), chsh_selection()))
         assert abs(2 * report.quantum_value - 2 * math.sqrt(2)) < TOL
 
     def test_ghz_split_behaves_like_single_pair(self):
@@ -192,12 +181,12 @@ class TestMaximize:
         selection = OperatorSelection(
             g=(PauliString("ZIZI"),), h=(PauliString("XXXX"),)
         )
-        report = maximize(layout, selection)
+        report = maximize(synth(layout, selection))
         assert abs(report.quantum_value - math.sqrt(1 + math.sin(2 * phi) ** 2)) < TOL
 
     def test_star_reaches_root_two(self):
         layout = star_layout(3, math.pi / 4)
-        report = maximize(layout, star_selection(3, tilted=False))
+        report = maximize(synth(layout, star_selection(3, tilted=False)))
         assert abs(report.quantum_value - math.sqrt(2)) < TOL
         assert report.k == 3
 
@@ -214,33 +203,32 @@ class TestMaximize:
             return original(state, op, cache)
 
         monkeypatch.setattr(bell, "_cached_expectation", spy)
-        layout, selection = star_layout(3, math.pi / 4), star_selection(3, tilted=False)
-        report = maximize(layout, selection)
+        synthesis = synth(star_layout(3, math.pi / 4), star_selection(3, tilted=False))
+        report = maximize(synthesis)
         assert [len(cache) for cache in caches.values()] == [4, 4, 4]
 
         joint_cache = {}
         for theta in (report.thetas[0], *np.linspace(0.0, math.pi / 2, 181)):
-            sources, receivers = synth(layout, selection, [float(theta)] * 3)
-            joint_values(layout, sources, receivers, cache=joint_cache)
+            joint_values(synthesis, [float(theta)] * 3, cache=joint_cache)
         assert len(joint_cache) == 16
 
     def test_grid_is_capped(self):
         with pytest.raises(ValueError, match="at most"):
             maximize(
-                chsh_layout(), chsh_selection(), grid_points=bell.MAX_GRID_POINTS + 1
+                synth(chsh_layout(), chsh_selection()), grid_points=bell.MAX_GRID_POINTS + 1
             )
 
     def test_product_sources_sit_on_the_bound(self):
         # phi = 0 kills every c_i, so the best angle is zero mixing
         layout = bilocal_layout(0.0)
-        report = maximize(layout, selection_a(), allow_commuting_pair=True)
+        report = maximize(synth(layout, selection_a(), allow=True))
         assert abs(report.quantum_value - 1.0) < TOL
         assert report.big_c == 0.0
         assert not report.violation
 
     def test_grid_needs_two_points(self):
         with pytest.raises(ValueError, match="grid_points"):
-            maximize(chsh_layout(), chsh_selection(), grid_points=1)
+            maximize(synth(chsh_layout(), chsh_selection()), grid_points=1)
 
 
 class TestTiltParameters:
@@ -305,18 +293,9 @@ class TestTiltParameters:
 
 class TestEvaluateTilted:
     def tilted_report(self, layout, selection, params, beta=None):
-        cls = classify(layout, selection)
-        sources = build_source(
-            layout, cls, selection, [params.theta_max] * layout.K
-        )
-        receivers = build_receiver(layout, cls, selection)
-        tilt = build_tilted(layout, cls, selection, receivers)
         return evaluate_tilted(
-            layout,
-            selection,
-            sources,
-            receivers,
-            tilt,
+            synth(layout, selection),
+            [params.theta_max] * layout.K,
             params.beta_max if beta is None else beta,
         )
 
@@ -358,13 +337,11 @@ class TestEvaluateTilted:
         assert report.tilt.violation
 
     def test_empty_tilt_reduces_to_offset(self):
-        layout = chsh_layout(math.pi / 4)
-        selection = chsh_selection(tilted=False)
-        cls = classify(layout, selection)
-        sources = build_source(layout, cls, selection, [math.pi / 4])
-        receivers = build_receiver(layout, cls, selection)
-        tilt = build_tilted(layout, cls, selection, receivers)
-        report = evaluate_tilted(layout, selection, sources, receivers, tilt, 0.4)
+        # with no tilt source, build_tilted gives the trivial block: P = 1
+        synthesis = synth(chsh_layout(math.pi / 4), chsh_selection(tilted=False))
+        layout, selection = synthesis.layout, synthesis.selection
+        tilt = build_tilted(layout, synthesis.classification, selection, synthesis.receivers)
+        report = evaluate_tilted(replace(synthesis, tilt=tilt), [math.pi / 4], 0.4)
         assert report.tilt.p_value == 1.0
         assert abs(report.tilt.g_value - (0.4 + math.sqrt(2))) < TOL
         assert report.tilt.classical_bound == 1.4
@@ -400,17 +377,14 @@ JOINT_CASES = [
 ]
 
 
-def block_and_joint_values(scenario, thetas):
-    layout, selection = scenario.layout, scenario.selection
-    synthesis = scenarios.synthesize(scenario, thetas)
-    sources, receivers, tilt = synthesis.sources, synthesis.receivers, synthesis.tilt
-    if tilt is None:
-        report = evaluate(layout, selection, sources, receivers)
+def block_and_joint_values(synthesis, thetas):
+    if synthesis.tilt is None:
+        report = evaluate(synthesis, thetas)
         got = {"I": report.i_value, "J": report.j_value}
     else:
-        report = evaluate_tilted(layout, selection, sources, receivers, tilt, 0.5)
+        report = evaluate_tilted(synthesis, thetas, 0.5)
         got = {"I": report.i_value, "J": report.j_value, "P": report.tilt.p_value}
-    return got, joint_values(layout, sources, receivers, tilt)
+    return got, joint_values(synthesis, thetas)
 
 
 class TestJointOracle:
@@ -424,11 +398,10 @@ class TestJointOracle:
     def test_block_engine_matches_joint_expansion(self, name, params):
         scenario = scenarios.builtin_scenario(name, **params)
         layout = scenario.layout
-        best = maximize(
-            layout, scenario.selection, allow_commuting_pair=scenario.allow_commuting_pair
-        )
-        for thetas in (None, best.thetas, (0.3,) * layout.K, (0.0,) * layout.K):
-            got, want = block_and_joint_values(scenario, thetas)
+        synthesis = scenario_synthesis(scenario)
+        best = maximize(synthesis)
+        for thetas in (scenario.thetas, best.thetas, (0.3,) * layout.K, (0.0,) * layout.K):
+            got, want = block_and_joint_values(synthesis, thetas)
             assert got.keys() == want.keys()
             for key in want:
                 if layout.K <= 2:
@@ -451,11 +424,8 @@ class TestJointOracle:
         # tests/data/star3-*.json were written by the joint engine; the
         # oracle must still give their floats to the last digit.
         pinned = json.loads((DATA / f"star3-{stem}.json").read_text())
-        scenario = scenarios.builtin_scenario("star(3)", **params)
-        synthesis = scenarios.synthesize(scenario, tuple(pinned["thetas"]))
-        values = joint_values(
-            scenario.layout, synthesis.sources, synthesis.receivers, synthesis.tilt
-        )
+        synthesis = scenario_synthesis(scenarios.builtin_scenario("star(3)", **params))
+        values = joint_values(synthesis, pinned["thetas"])
         assert (values["I"], values["J"]) == (pinned["I"], pinned["J"])
         value = abs(values["I"]) ** (1 / 3) + abs(values["J"]) ** (1 / 3)
         assert value == pinned["quantum_value"]
@@ -484,20 +454,20 @@ class TestGroups:
     def test_group_of_two_sources_matches_joint_expansion(self):
         layout, selection = two_source_group_layout()
         assert [len(state.amplitudes) for state in layout.group_states] == [2**10, 2**5]
+        synthesis = synth(layout, selection, allow=True)
         for thetas in ([0.4, 1.1], [0.0, math.pi / 4]):
-            sources, receivers = synth(layout, selection, thetas, allow=True)
-            report = evaluate(layout, selection, sources, receivers)
-            want = joint_values(layout, sources, receivers)
+            report = evaluate(synthesis, thetas)
+            want = joint_values(synthesis, thetas)
             assert abs(report.i_value - want["I"]) <= 1e-12
             assert abs(report.j_value - want["J"]) <= 1e-12
             assert abs(report.j_value) > 0.01 or thetas[0] == 0.0
-        best = maximize(layout, selection, allow_commuting_pair=True)
+        best = maximize(synthesis)
         assert abs(best.quantum_value - math.sqrt(1 + best.big_c**2)) < TOL
 
 
 def star51(**params):
     scenario = scenarios.builtin_scenario("star(51)", **params)
-    return scenario, scenarios.synthesize(scenario)
+    return scenario, scenario_synthesis(scenario)
 
 
 class TestBlockCrossCheck:
@@ -507,9 +477,7 @@ class TestBlockCrossCheck:
 
     def test_star51_reaches_root_two(self):
         scenario, synthesis = star51()
-        report = evaluate(
-            scenario.layout, scenario.selection, synthesis.sources, synthesis.receivers
-        )
+        report = evaluate(synthesis, scenario.thetas)
         assert abs(report.i_value - 2 ** -25.5) < 1e-20
         assert abs(report.quantum_value - math.sqrt(2)) < TOL
 
@@ -517,17 +485,15 @@ class TestBlockCrossCheck:
     def test_one_wrong_block_raises(self, monkeypatch, factor):
         original = bell._block_terms
 
-        def tampered(layout, sources, receivers):
-            out = original(layout, sources, receivers)
+        def tampered(synthesis, thetas):
+            out = original(synthesis, thetas)
             out[0][16] = [(c, factor * v) for c, v in out[0][16]]
             return out
 
         monkeypatch.setattr(bell, "_block_terms", tampered)
         scenario, synthesis = star51()
         with pytest.raises(RuntimeError, match="I block of agent S17 disagrees"):
-            evaluate(
-                scenario.layout, scenario.selection, synthesis.sources, synthesis.receivers
-            )
+            evaluate(synthesis, scenario.thetas)
 
     @pytest.mark.parametrize("factor", [-1.0, 1.05, 1.04])
     def test_one_wrong_block_fails_the_grid(self, monkeypatch, factor):
@@ -545,9 +511,9 @@ class TestBlockCrossCheck:
             return original(layout, blocks, grid)
 
         monkeypatch.setattr(bell, "_products", tampered)
-        scenario = scenarios.builtin_scenario("star(51)")
+        synthesis = star51()[1]
         with pytest.raises(RuntimeError, match="I block of agent S17 .* at grid angle"):
-            maximize(scenario.layout, scenario.selection)
+            maximize(synthesis)
         assert len(calls) == 2
 
     def test_one_wrong_tilt_block_raises(self):
@@ -557,22 +523,13 @@ class TestBlockCrossCheck:
         extra = layout.embed(2, PauliString("IZIII"))
         broken = replace(synthesis.tilt, p_full=synthesis.tilt.p_full * extra)
         with pytest.raises(RuntimeError, match="P block of agent S2 disagrees"):
-            evaluate_tilted(
-                layout, scenario.selection, synthesis.sources, synthesis.receivers, broken, 0.5
-            )
+            evaluate_tilted(replace(synthesis, tilt=broken), scenario.thetas, 0.5)
 
     def test_split_sign_of_p_is_checked(self):
         scenario, synthesis = star51(phibar=0.3927)
         broken = replace(synthesis.tilt, p_full=-synthesis.tilt.p_full)
         with pytest.raises(RuntimeError, match="sign of P"):
-            evaluate_tilted(
-                scenario.layout,
-                scenario.selection,
-                synthesis.sources,
-                synthesis.receivers,
-                broken,
-                0.5,
-            )
+            evaluate_tilted(replace(synthesis, tilt=broken), scenario.thetas, 0.5)
 
     @pytest.mark.parametrize("theta", [0.0, 0.7, math.pi / 2])
     def test_zero_closed_forms_do_not_raise(self, theta):
@@ -582,15 +539,16 @@ class TestBlockCrossCheck:
             (star_layout(5, 0.0), star_selection(5, tilted=False)),
             (star_layout(5, math.pi / 4), star_selection(5, tilted=False)),
         ):
-            sources, receivers = synth(layout, selection, [theta] * layout.K, allow=True)
-            report = evaluate(layout, selection, sources, receivers)
+            synthesis = synth(layout, selection, allow=True)
+            report = evaluate(synthesis, [theta] * layout.K)
             assert abs(report.i_value - math.cos(theta) ** layout.K) < TOL
-            maximize(layout, selection, allow_commuting_pair=True)
+            maximize(synthesis)
 
     def test_observable_outside_its_group_is_refused(self):
         layout = star_layout(3)
-        sources, receivers = synth(layout, star_selection(3, tilted=False), [0.5] * 3)
+        synthesis = synth(layout, star_selection(3, tilted=False))
+        sources = synthesis.sources
         stray = sources[0].s_global * layout.embed(2, PauliString("IZIII"))
         broken = replace(sources[0], s_global=stray)
         with pytest.raises(RuntimeError, match="outside its group"):
-            evaluate(layout, star_selection(3, tilted=False), [broken, *sources[1:]], receivers)
+            evaluate(replace(synthesis, sources=(broken, *sources[1:])), [0.5] * 3)

@@ -322,6 +322,22 @@ class TestScan:
         with pytest.raises(ValueError, match="budget"):
             max_deterministic(BILOCAL, 2, mode="full", budget=1000)
 
+    def test_refine_over_budget_is_refused_before_scanning(self, monkeypatch):
+        # at alphabet 512 the refine pass would sum its 512-label grid for
+        # every flip of 2048 table entries: about 1.7e8 terms
+        class Scanned(Exception):
+            pass
+
+        def scan(*args):
+            raise Scanned
+
+        monkeypatch.setattr(classical, "_scan_full", scan)
+        monkeypatch.setattr(classical, "_scan_reachable", scan)
+        with pytest.raises(Scanned):
+            max_deterministic(SINGLE, 256)
+        with pytest.raises(ValueError, match="refine pass .* exceeds the budget of 1.000e"):
+            max_deterministic(SINGLE, 512)
+
     def test_oversize_scan_warns(self, monkeypatch):
         monkeypatch.setattr(classical, "WARN_LIMIT", 100)
         with pytest.warns(UserWarning, match="enumerating"):

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netbell import bell, classical, scenarios
+from netbell import bell, classical, network, observables, scenarios
 from netbell.cli import EXIT_ACCEPTANCE, EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
 
 PI_4 = "0.7853981633974483"
@@ -62,6 +62,21 @@ def refuse_constant(name):
 def out_dir(tmp_path, monkeypatch):
     monkeypatch.setenv("NETBELL_OUT", str(tmp_path))
     return tmp_path
+
+
+def count_calls(monkeypatch, func):
+    """Count calls of func through every netbell module's binding of it."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(func.__name__)
+        return func(*args, **kwargs)
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("netbell")]:
+        for name, value in list(vars(module).items()):
+            if value is func:
+                monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 def read_csv_row(path):
@@ -164,6 +179,11 @@ class TestValidate:
                 lambda d: d["sources"][0].update(amplitudes=[math.nan, 1]),
                 id="amplitudes-nan",
             ),
+            # past the limits maximize and sample refuse
+            pytest.param(
+                "grid_points", lambda d: d["options"].update(grid_points=10**11), id="grid-1e11"
+            ),
+            pytest.param("rounds", lambda d: d["options"].update(rounds=2**70), id="rounds-2e70"),
         ],
     )
     def test_misshapen_field_is_one_error_line(self, tmp_path, capsys, field, mutate):
@@ -340,6 +360,12 @@ class TestClassicalBound:
         assert float(row["deterministic_max"]) == pytest.approx(1.7, abs=1e-12)
         assert float(row["classical_bound"]) == pytest.approx(1.7, abs=1e-12)
 
+    def test_over_budget_refine_is_one_error_line(self, out_dir, capsys):
+        assert main(["classical-bound", "chsh", "--alphabet", "512"]) == EXIT_VALIDATION
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: refine pass")
+        assert not list(out_dir.glob("chsh-*"))
+
     @pytest.mark.parametrize("mode", ["auto", "full"])
     def test_over_budget_star_is_one_error_line(self, out_dir, capsys, mode):
         assert main(["classical-bound", "star(51)", "--mode", mode]) == EXIT_VALIDATION
@@ -483,6 +509,28 @@ class TestBuiltinStar:
         assert capsys.readouterr().err.splitlines() == [
             "error: 25 qubits exceeds the cap of 20"
         ]
+
+
+class TestSynthesisOnce:
+    """An engine command builds the observables once, in its validation, and
+    classifies the letters once; the engines take that synthesis."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["evaluate", "star(3)"],
+            ["maximize", "example-a"],
+            ["tilted", "chsh-tilted"],
+            ["sample", "star(3)", "--phibar", "0.3927", "--rounds", "100"],
+        ],
+        ids=["evaluate", "maximize", "tilted", "sample"],
+    )
+    def test_observables_are_built_once(self, out_dir, monkeypatch, argv):
+        built = count_calls(monkeypatch, observables.build_source)
+        classified = count_calls(monkeypatch, network.classify)
+        assert main(argv) == EXIT_OK
+        assert built == ["build_source"]
+        assert classified == ["classify"]
 
 
 class TestHugeCounts:

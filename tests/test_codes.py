@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import codeword_angle
+from netbell import codes
 from netbell.codes import StabilizerCode, builtin, codeword, validate
 from netbell.pauli import PauliString
-from netbell.scenarios import ScenarioError, scenario_from_dict
+from netbell.scenarios import ScenarioError, builtin_scenario, scenario_from_dict
 from oracles import logical_representative
 
 PHI_GRID = np.linspace(0.0, np.pi / 4, 7)
@@ -281,6 +282,41 @@ class TestCodeword:
         src = codeword(code, (0.5, 0.5, 0.5, 0.5))
         plus = np.full(4, 0.5, dtype=complex)
         assert abs(abs(np.vdot(src.state.amplitudes, plus)) ** 2 - 1.0) < 1e-12
+
+    def test_star51_searches_the_logical_basis_once(self, monkeypatch):
+        projections = []
+        project = codes._project_stabilized
+
+        def counted(fiducial, ops):
+            projections.append(fiducial)
+            return project(fiducial, ops)
+
+        monkeypatch.setattr(codes, "_project_stabilized", counted)
+        codes._logical_basis.cache_clear()
+        codeword(builtin("five-one-three"), (1.0, 0.0))
+        one_search = len(projections)
+        assert one_search >= 1
+
+        codes._logical_basis.cache_clear()
+        projections.clear()
+        sources = builtin_scenario("star(51)").layout.sources
+        assert len(projections) == one_search
+        # every source's state, bit for bit, as a build with its own search
+        for source in sources:
+            codes._logical_basis.cache_clear()
+            fresh = codeword(source.code, source.amplitudes)
+            assert fresh.state.amplitudes.tobytes() == source.state.amplitudes.tobytes()
+
+    def test_generators_are_checked_on_every_state(self, monkeypatch):
+        # the cached basis is shared; the stabilizer check is per codeword
+        code = builtin("five-one-three")
+        codeword(code, (1.0, 0.0))
+        cached = codes._logical_basis(code)
+        broken = (cached[0], codes.StateVector.basis(code.n, 0))
+        monkeypatch.setattr(codes, "_logical_basis", lambda code: broken)
+        codeword(code, (1.0, 0.0))
+        with pytest.raises(RuntimeError, match="expectation"):
+            codeword(code, (0.0, 1.0))
 
     @given(
         n=st.integers(min_value=2, max_value=7),

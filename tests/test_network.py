@@ -174,11 +174,20 @@ class TestLayout:
             )
 
 
+def commuting_sets(layout, cls):
+    """Per source, the positions whose (g, h) letters commute: those outside d_sets."""
+    return tuple(
+        tuple(j for j in range(1, size + 1) if not cls.delta(i, j))
+        for i, size in enumerate(layout.source_sizes, start=1)
+    )
+
+
 class TestClassify:
     def test_flip_partner_classification(self):
-        cls = classify(bilocal_layout(), selection_a())
+        layout = bilocal_layout()
+        cls = classify(layout, selection_a())
         assert cls.d_sets == ((1, 2), (1, 2))
-        assert cls.h_sets == ((3, 4, 5), (3, 4, 5))
+        assert commuting_sets(layout, cls) == ((3, 4, 5), (3, 4, 5))
         assert cls.idle == ((1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5))
         assert cls.o_letter(1, 3) == "X"
         assert cls.o_letter(1, 4) == "X"
@@ -210,7 +219,7 @@ class TestClassify:
         dressed = OperatorSelection(g=(PauliString("ZZZ"),), h=(PauliString("XXZ"),))
         a, b = classify(layout, bare), classify(layout, dressed)
         assert a.d_sets == b.d_sets
-        assert a.h_sets == b.h_sets
+        assert commuting_sets(layout, a) == commuting_sets(layout, b)
 
     def test_idle_with_no_letter_gets_no_o(self):
         code = builtin("ghz(3)")

@@ -22,27 +22,37 @@ from netbell.observables import (
     build_receiver,
     build_source,
     build_tilted,
-    describe_observables,
+    synthesize,
     tilt_constraints,
 )
 from netbell.pauli import PauliString
 from oracles import dense, logical_representative
 
 
-def synth(layout, selection, thetas=None, allow_commuting=False):
+def synth(layout, selection, allow_commuting=False):
     cls = classify(layout, selection)
-    thetas = thetas if thetas is not None else (np.pi / 4,) * layout.K
-    sources = build_source(layout, cls, selection, thetas)
+    sources = build_source(layout, cls, selection)
     receivers = build_receiver(
         layout, cls, selection, allow_commuting_pair=allow_commuting
     )
     return cls, sources, receivers
 
 
-def local_a(obs, x):
+def local_a(obs, x, theta=np.pi / 4):
     """A_x on the agent's own qubits: cos(theta) s_hat +/- sin(theta) t_hat."""
     sign = 1.0 if x == 0 else -1.0
-    return [(np.cos(obs.theta), obs.s_hat), (sign * np.sin(obs.theta), obs.t_hat)]
+    return [(np.cos(theta), obs.s_hat), (sign * np.sin(theta), obs.t_hat)]
+
+
+def grafted_qubits(tilted_receiver, receiver):
+    """The qubits where B0bar carries a letter that B0 lacks."""
+    return tuple(
+        q
+        for q, bar, plain in zip(
+            receiver.qubits, tilted_receiver.b0_bar.letters, receiver.b0.letters
+        )
+        if bar != plain
+    )
 
 
 class TestSourceObservables:
@@ -59,16 +69,16 @@ class TestSourceObservables:
     def test_sum_and_difference_recover_s_and_t(self):
         layout = chsh_layout()
         theta = 0.37
-        _, sources, _ = synth(layout, chsh_selection(), thetas=(theta,))
+        _, sources, _ = synth(layout, chsh_selection())
         obs = sources[0]
-        a0 = sum(c * dense(p) for c, p in local_a(obs, 0))
-        a1 = sum(c * dense(p) for c, p in local_a(obs, 1))
+        a0 = sum(c * dense(p) for c, p in local_a(obs, 0, theta))
+        a1 = sum(c * dense(p) for c, p in local_a(obs, 1, theta))
         assert np.allclose(a0 + a1, 2 * np.cos(theta) * dense(obs.s_hat), atol=1e-12)
         assert np.allclose(a1 - a0, -2 * np.sin(theta) * dense(obs.t_hat), atol=1e-12)
 
     def test_a_pair_anticommutes_at_balanced_angle(self):
         layout = chsh_layout()
-        _, sources, _ = synth(layout, chsh_selection(), thetas=(np.pi / 4,))
+        _, sources, _ = synth(layout, chsh_selection())
         obs = sources[0]
         a0 = sum(c * dense(p) for c, p in local_a(obs, 0))
         a1 = sum(c * dense(p) for c, p in local_a(obs, 1))
@@ -78,9 +88,9 @@ class TestSourceObservables:
 
     def test_zero_angle_degenerates_to_s(self):
         layout = chsh_layout()
-        _, sources, _ = synth(layout, chsh_selection(), thetas=(0.0,))
-        terms0 = sources[0].a_terms(0)
-        terms1 = sources[0].a_terms(1)
+        _, sources, _ = synth(layout, chsh_selection())
+        terms0 = sources[0].a_terms(0, 0.0)
+        terms1 = sources[0].a_terms(1, 0.0)
         assert terms0[0] == (1.0, PauliString("ZI"))
         assert terms1[1][1] == PauliString("XI")
         assert terms0[1][0] == 0.0
@@ -97,7 +107,7 @@ class TestSourceObservables:
         plain = OperatorSelection(g=(FIVE.generators[3],) * 3, h=(H_FLIP,) * 3)
         cls = classify(layout, plain)
         with pytest.raises(ValueError, match="would not anticommute"):
-            build_source(layout, cls, plain, (0.1, 0.2, 0.3))
+            build_source(layout, cls, plain)
 
     def test_distinct_agents_commute_globally(self):
         layout = star_layout(3)
@@ -111,11 +121,9 @@ class TestSourceObservables:
                     assert tagged[a][1].commutes(tagged[b][1])
 
     def test_angle_count_must_match(self):
-        layout = bilocal_layout()
-        sel = selection_a()
-        cls = classify(layout, sel)
+        synthesis = synthesize(bilocal_layout(), selection_a(), allow_commuting_pair=True)
         with pytest.raises(ValueError, match="angles"):
-            build_source(layout, cls, sel, (0.1,))
+            synthesis.angles((0.1,))
 
 
 class TestReceiverObservables:
@@ -181,7 +189,7 @@ class TestTilted:
         assert block.tilt_sources == ()
         assert block.p_full.weight == 0 and block.p_full.phase == 1
         assert block.receivers[0].b0_bar == receivers[0].b0
-        assert block.receivers[0].drop_qubits == ()
+        assert grafted_qubits(block.receivers[0], receivers[0]) == ()
 
     def test_two_qubit_phase_flip_without_graft(self):
         layout = chsh_layout()
@@ -193,7 +201,10 @@ class TestTilted:
         assert tr.p_part.letters == "Z"
         assert tr.p_part.phase == 1
         assert block.p_full == PauliString("IZ")
-        assert block.anchors == ((1, 2),)
+        # the sign of h_prime is attributed to the lowest receiver holding
+        # its support: here agent 2, the only receiver
+        anchor = min(layout.agent_of(1, j + 1) for j in sel.h_prime[0].support)
+        assert anchor == 2
 
     def test_star_graft_and_sign(self):
         layout = star_layout(3)
@@ -203,14 +214,16 @@ class TestTilted:
         tr = block.receivers[0]
         # the grafted letters sit on the fourth qubit of every source and
         # the three negative phase-flip signs collapse onto the receiver
-        assert tr.graft.letters == "IIXI" * 3
-        assert tr.graft.phase == 1
+        graft = -(tr.b0_bar * receivers[0].b0)
+        assert graft.letters == "IIXI" * 3
+        assert graft.phase == 1
         assert tr.b0_bar.phase == -1
         assert tr.b0_bar.letters == "ZXXX" * 3
-        assert tr.drop_qubits == ((1, 4), (2, 4), (3, 4))
+        assert grafted_qubits(tr, receivers[0]) == ((1, 4), (2, 4), (3, 4))
         assert tr.p_part.phase == -1
         assert tr.p_part.letters == "ZXXI" * 3
-        assert tr.p_qubits == tuple(
+        p_qubits = tuple(q for q, letter in zip(tr.qubits, tr.p_part.letters) if letter != "I")
+        assert p_qubits == tuple(
             (i, j) for i in (1, 2, 3) for j in (1, 3, 4)
         )
 
@@ -221,7 +234,10 @@ class TestTilted:
         block = build_tilted(layout, cls, sel, receivers)
         tr = block.receivers[0]
         # dropping the grafted outcomes and the attributed sign gives B0
-        recovered = -(tr.b0_bar_global * tr.graft_global)
+        graft_global = PauliString.product(
+            [layout.embed(i, PauliString("IIIXI")) for i in (1, 2, 3)]
+        )
+        recovered = -(tr.b0_bar_global * graft_global)
         assert recovered == receivers[0].b0_global
 
     def test_full_phase_flip_product(self):
@@ -240,9 +256,10 @@ class TestTilted:
         sel = star_selection(3)
         cls, _, receivers = synth(layout, sel)
         tr = build_tilted(layout, cls, sel, receivers).receivers[0]
+        graft = -(tr.b0_bar * receivers[0].b0)
         assert tr.b0_bar.commutes(tr.p_part)
-        assert tr.b0_bar.commutes(tr.graft)
-        assert tr.p_part.commutes(tr.graft)
+        assert tr.b0_bar.commutes(graft)
+        assert tr.p_part.commutes(graft)
 
     def test_source_side_support_rejected(self):
         layout = chsh_layout()
@@ -306,11 +323,7 @@ class TestTilted:
 
 class TestDescribe:
     def test_full_listing(self):
-        layout = chsh_layout()
-        sel = chsh_selection(tilted=True)
-        cls, sources, receivers = synth(layout, sel, thetas=(np.pi / 4,))
-        block = build_tilted(layout, cls, sel, receivers)
-        text = describe_observables(layout, sources, receivers, block)
+        text = synthesize(chsh_layout(), chsh_selection(tilted=True)).describe((np.pi / 4,))
         assert "S1: A0 = cos(0.78540)*Z(1,1) + sin(0.78540)*X(1,1)" in text
         assert "S1: A1 = cos(0.78540)*Z(1,1) - sin(0.78540)*X(1,1)" in text
         assert "R1: B0 = Z(1,2)" in text
@@ -319,9 +332,5 @@ class TestDescribe:
         assert "R1: Ppart = Z(1,2)" in text
 
     def test_negative_sign_rendered(self):
-        layout = star_layout(3)
-        sel = star_selection(3)
-        cls, sources, receivers = synth(layout, sel)
-        block = build_tilted(layout, cls, sel, receivers)
-        text = describe_observables(layout, sources, receivers, block)
+        text = synthesize(star_layout(3), star_selection(3)).describe((np.pi / 4,) * 3)
         assert "R1: B0bar = -Z(1,1)X(1,3)X(1,4)X(1,5)·Z(2,1)" in text

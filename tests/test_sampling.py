@@ -9,6 +9,7 @@ quantile for its cell count.
 
 import csv
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -24,9 +25,7 @@ from conftest import (
     star_layout,
     star_selection,
 )
-from netbell import bell, sampling, scenarios
-from netbell.network import classify
-from netbell.observables import build_receiver, build_source, build_tilted
+from netbell import bell, observables, sampling, scenarios
 from netbell.sampling import RunConfig, run
 from oracles import expectation_combo, joint_oracle, outcome_distribution
 
@@ -60,32 +59,22 @@ PINNED_RECORDS = {
 }
 
 
-def synth(layout, selection, thetas, *, tilted=False, allow=False):
-    classification = classify(layout, selection)
-    sources = build_source(layout, classification, selection, thetas)
-    receivers = build_receiver(
-        layout, classification, selection, allow_commuting_pair=allow
-    )
-    tilt = (
-        build_tilted(layout, classification, selection, receivers) if tilted else None
-    )
-    return sources, receivers, tilt
+def synth(layout, selection, thetas, *, allow=False):
+    """The observables of layout and selection, with the angles to run them at."""
+    synthesis = observables.synthesize(layout, selection, allow_commuting_pair=allow)
+    return synthesis, tuple(thetas)
 
 
 def write_pinned_record(name, path):
     builtin, config, beta = PINNED_RECORDS[name]
     scenario = scenarios.builtin_scenario(builtin)
-    synthesis = scenarios.synthesize(scenario)
-    run(
+    synthesis, thetas = synth(
         scenario.layout,
         scenario.selection,
-        synthesis.sources,
-        synthesis.receivers,
-        RunConfig(**config),
-        tilt=synthesis.tilt,
-        beta=beta,
-        record_path=path,
+        scenario.thetas,
+        allow=scenario.allow_commuting_pair,
     )
+    run(synthesis, thetas, RunConfig(**config), beta=beta, record_path=path)
 
 
 class TestRunConfig:
@@ -118,14 +107,13 @@ class TestFrames:
     def test_chsh_distribution_matches_projector_oracle(self, mode, setting):
         layout = chsh_layout(np.pi / 8)
         selection = chsh_selection()
-        sources, receivers, _ = synth(layout, selection, [0.3])
+        synthesis, thetas = synth(layout, selection, [0.3])
         x, y = setting
-        dist = outcome_distribution(
-            layout, selection, sources, receivers, x, y, mode=mode
-        )
+        dist = outcome_distribution(synthesis, thetas, x, y, mode=mode)
         state = layout.state
-        a_terms = sources[0].a_terms(x[0])
-        b_op = receivers[0].b0_global if y[0] == 0 else receivers[0].b1_global
+        receiver = synthesis.receivers[0]
+        a_terms = synthesis.sources[0].a_terms(x[0], thetas[0])
+        b_op = receiver.b0_global if y[0] == 0 else receiver.b1_global
         oracle = joint_oracle(state, [a_terms, b_op])
         for outcome, expected in oracle.items():
             assert dist.get(outcome, 0.0) == pytest.approx(expected, abs=1e-9)
@@ -134,18 +122,16 @@ class TestFrames:
     def test_bilocal_distribution_matches_projector_oracle(self, mode):
         layout = bilocal_layout(np.pi / 5)
         selection = selection_a()
-        sources, receivers, _ = synth(layout, selection, [0.4, 1.1], allow=True)
+        synthesis, thetas = synth(layout, selection, [0.4, 1.1], allow=True)
         x, y = (1, 0), (0,)
-        dist = outcome_distribution(
-            layout, selection, sources, receivers, x, y, mode=mode
-        )
+        dist = outcome_distribution(synthesis, thetas, x, y, mode=mode)
         state = layout.state
         oracle = joint_oracle(
             state,
             [
-                sources[0].a_terms(x[0]),
-                sources[1].a_terms(x[1]),
-                receivers[0].b0_global,
+                synthesis.sources[0].a_terms(x[0], thetas[0]),
+                synthesis.sources[1].a_terms(x[1], thetas[1]),
+                synthesis.receivers[0].b0_global,
             ],
         )
         for outcome, expected in oracle.items():
@@ -155,17 +141,15 @@ class TestFrames:
     def test_tilted_chsh_distribution_includes_phase_flip(self, mode):
         layout = chsh_layout(np.pi / 8)
         selection = chsh_selection(tilted=True)
-        sources, receivers, tilt = synth(layout, selection, [0.6], tilted=True)
-        dist = outcome_distribution(
-            layout, selection, sources, receivers, (0,), (0,), mode=mode, tilt=tilt
-        )
+        synthesis, thetas = synth(layout, selection, [0.6])
+        dist = outcome_distribution(synthesis, thetas, (0,), (0,), mode=mode)
         state = layout.state
         oracle = joint_oracle(
             state,
             [
-                sources[0].a_terms(0),
-                receivers[0].b0_global,
-                tilt.receivers[0].p_part_global,
+                synthesis.sources[0].a_terms(0, thetas[0]),
+                synthesis.receivers[0].b0_global,
+                synthesis.tilt.receivers[0].p_part_global,
             ],
         )
         for outcome, expected in oracle.items():
@@ -174,10 +158,8 @@ class TestFrames:
     def test_distribution_is_normalized_and_sign_valued(self):
         layout = star_layout(3, np.pi / 5)
         selection = star_selection(3)
-        sources, receivers, tilt = synth(layout, selection, [0.5] * 3, tilted=True)
-        dist = outcome_distribution(
-            layout, selection, sources, receivers, (0, 1, 0), (0,), tilt=tilt
-        )
+        synthesis, thetas = synth(layout, selection, [0.5] * 3)
+        dist = outcome_distribution(synthesis, thetas, (0, 1, 0), (0,))
         assert sum(dist.values()) == pytest.approx(1.0, abs=1e-9)
         for outcome in dist:
             assert set(outcome) <= {1, -1}
@@ -185,13 +167,14 @@ class TestFrames:
     def test_agent_order_does_not_change_the_distribution(self):
         layout = bilocal_layout(np.pi / 6)
         selection = selection_a()
-        sources, receivers, _ = synth(layout, selection, [0.3, 0.9], allow=True)
+        synthesis, thetas = synth(layout, selection, [0.3, 0.9], allow=True)
         x = (0, 1)
-        forward = outcome_distribution(
-            layout, selection, sources, receivers, x, (0,)
-        )
+        forward = outcome_distribution(synthesis, thetas, x, (0,))
         swapped = outcome_distribution(
-            layout, selection, tuple(reversed(sources)), receivers, tuple(reversed(x)), (0,)
+            replace(synthesis, sources=tuple(reversed(synthesis.sources))),
+            tuple(reversed(thetas)),
+            tuple(reversed(x)),
+            (0,),
         )
         for (a1, a2, b), weight in forward.items():
             assert swapped[(a2, a1, b)] == pytest.approx(weight, abs=1e-12)
@@ -199,11 +182,9 @@ class TestFrames:
     def test_rejects_unknown_mode(self):
         layout = chsh_layout()
         selection = chsh_selection()
-        sources, receivers, _ = synth(layout, selection, [0.3])
+        synthesis, thetas = synth(layout, selection, [0.3])
         with pytest.raises(ValueError, match="strategy"):
-            outcome_distribution(
-                layout, selection, sources, receivers, (0,), (0,), mode="all-at-once"
-            )
+            outcome_distribution(synthesis, thetas, (0,), (0,), mode="all-at-once")
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -213,12 +194,10 @@ class TestFrames:
     def test_chsh_single_agent_marginal_matches_expectation(self, phi, theta):
         layout = chsh_layout(phi)
         selection = chsh_selection()
-        sources, receivers, _ = synth(layout, selection, [theta])
-        dist = outcome_distribution(
-            layout, selection, sources, receivers, (0,), (0,)
-        )
+        synthesis, thetas = synth(layout, selection, [theta])
+        dist = outcome_distribution(synthesis, thetas, (0,), (0,))
         marginal = sum(a * w for (a, _), w in dist.items())
-        expected = expectation_combo(layout.state, sources[0].a_terms(0))
+        expected = expectation_combo(layout.state, synthesis.sources[0].a_terms(0, theta))
         assert marginal == pytest.approx(expected, abs=1e-9)
 
 
@@ -226,10 +205,8 @@ class TestRun:
     def test_balanced_pair_reaches_root_two(self):
         layout = bilocal_layout()
         selection = selection_a()
-        sources, receivers, _ = synth(layout, selection, [np.pi / 4] * 2, allow=True)
-        report = run(
-            layout, selection, sources, receivers, RunConfig(rounds=40000, seed=3)
-        )
+        synthesis, thetas = synth(layout, selection, [np.pi / 4] * 2, allow=True)
+        report = run(synthesis, thetas, RunConfig(rounds=40000, seed=3))
         assert sum(t.rounds for t in report.tallies) == report.rounds == 40000
         assert report.seed == 3
         assert report.k == 2
@@ -240,32 +217,28 @@ class TestRun:
     def test_same_seed_reproduces_the_report(self):
         layout = chsh_layout(np.pi / 8)
         selection = chsh_selection()
-        sources, receivers, _ = synth(layout, selection, [0.5])
+        synthesis, thetas = synth(layout, selection, [0.5])
         config = RunConfig(rounds=5000, seed=17)
-        first = run(layout, selection, sources, receivers, config)
-        second = run(layout, selection, sources, receivers, config)
+        first = run(synthesis, thetas, config)
+        second = run(synthesis, thetas, config)
         assert first == second
 
     def test_seed_changes_the_draw(self):
         layout = chsh_layout(np.pi / 8)
         selection = chsh_selection()
-        sources, receivers, _ = synth(layout, selection, [0.5])
-        first = run(layout, selection, sources, receivers, RunConfig(rounds=5000, seed=1))
-        second = run(layout, selection, sources, receivers, RunConfig(rounds=5000, seed=2))
+        synthesis, thetas = synth(layout, selection, [0.5])
+        first = run(synthesis, thetas, RunConfig(rounds=5000, seed=1))
+        second = run(synthesis, thetas, RunConfig(rounds=5000, seed=2))
         assert first.tallies != second.tallies
 
     def test_strategies_agree_within_errors(self):
         layout = bilocal_layout()
         selection = selection_a()
-        sources, receivers, _ = synth(layout, selection, [np.pi / 4] * 2, allow=True)
-        direct = run(
-            layout, selection, sources, receivers, RunConfig(rounds=20000, seed=29)
-        )
+        synthesis, thetas = synth(layout, selection, [np.pi / 4] * 2, allow=True)
+        direct = run(synthesis, thetas, RunConfig(rounds=20000, seed=29))
         per_qubit = run(
-            layout,
-            selection,
-            sources,
-            receivers,
+            synthesis,
+            thetas,
             RunConfig(rounds=20000, seed=31, strategy="per-qubit-discard"),
         )
         gap = abs(direct.value_estimate - per_qubit.value_estimate)
@@ -276,25 +249,17 @@ class TestRun:
         # every setting-0 product is the generator-product outcome +1.
         layout = bilocal_layout(np.pi / 7)
         selection = selection_a()
-        sources, receivers, _ = synth(layout, selection, [0.0, 0.0], allow=True)
-        report = run(
-            layout, selection, sources, receivers, RunConfig(rounds=8000, seed=11)
-        )
+        synthesis, thetas = synth(layout, selection, [0.0, 0.0], allow=True)
+        report = run(synthesis, thetas, RunConfig(rounds=8000, seed=11))
         assert report.i_estimate == 1.0
         assert abs(report.j_estimate) < 4 * max(report.j_se, 1e-3)
 
     def test_one_hot_weights_concentrate_rounds(self):
         layout = chsh_layout(np.pi / 8)
         selection = chsh_selection()
-        sources, receivers, _ = synth(layout, selection, [0.5])
+        synthesis, thetas = synth(layout, selection, [0.5])
         weights = (0.0, 0.0, 1.0, 0.0)
-        report = run(
-            layout,
-            selection,
-            sources,
-            receivers,
-            RunConfig(rounds=1000, seed=5, setting_weights=weights),
-        )
+        report = run(synthesis, thetas, RunConfig(rounds=1000, seed=5, setting_weights=weights))
         populated = [t for t in report.tallies if t.rounds]
         assert len(populated) == 1
         assert populated[0].x == (1,) and populated[0].y == (0,)
@@ -303,19 +268,13 @@ class TestRun:
     def test_empty_correlator_cells_give_conservative_errors(self):
         layout = bilocal_layout()
         selection = selection_a()
-        sources, receivers, _ = synth(layout, selection, [np.pi / 4] * 2, allow=True)
+        synthesis, thetas = synth(layout, selection, [np.pi / 4] * 2, allow=True)
         weights = tuple(
             1.0 if y == (1,) else 0.0
             for x in np.ndindex(2, 2)
             for y in [(0,), (1,)]
         )
-        report = run(
-            layout,
-            selection,
-            sources,
-            receivers,
-            RunConfig(rounds=2000, seed=13, setting_weights=weights),
-        )
+        report = run(synthesis, thetas, RunConfig(rounds=2000, seed=13, setting_weights=weights))
         assert report.i_estimate == 0.0
         assert report.i_se == pytest.approx(0.5)
         assert report.value_se is None
@@ -323,43 +282,29 @@ class TestRun:
     def test_wrong_weight_length_is_rejected(self):
         layout = chsh_layout()
         selection = chsh_selection()
-        sources, receivers, _ = synth(layout, selection, [0.5])
+        synthesis, thetas = synth(layout, selection, [0.5])
         with pytest.raises(ValueError, match="setting weights"):
-            run(
-                layout,
-                selection,
-                sources,
-                receivers,
-                RunConfig(rounds=10, seed=0, setting_weights=(1.0, 1.0)),
-            )
+            run(synthesis, thetas, RunConfig(rounds=10, seed=0, setting_weights=(1.0, 1.0)))
 
     def test_beta_without_tilt_is_rejected(self):
         layout = chsh_layout()
         selection = chsh_selection()
-        sources, receivers, _ = synth(layout, selection, [0.5])
+        synthesis, thetas = synth(layout, selection, [0.5])
         with pytest.raises(ValueError, match="beta"):
-            run(layout, selection, sources, receivers, RunConfig(rounds=10), beta=0.5)
+            run(synthesis, thetas, RunConfig(rounds=10), beta=0.5)
 
     def test_negative_beta_is_rejected(self):
         layout = chsh_layout(np.pi / 8)
         selection = chsh_selection(tilted=True)
-        sources, receivers, tilt = synth(layout, selection, [0.5], tilted=True)
+        synthesis, thetas = synth(layout, selection, [0.5])
         with pytest.raises(ValueError, match="beta"):
-            run(
-                layout,
-                selection,
-                sources,
-                receivers,
-                RunConfig(rounds=10),
-                tilt=tilt,
-                beta=-0.1,
-            )
+            run(synthesis, thetas, RunConfig(rounds=10), beta=-0.1)
 
     def test_report_round_trips_through_json(self):
         layout = chsh_layout(np.pi / 8)
         selection = chsh_selection()
-        sources, receivers, _ = synth(layout, selection, [0.5])
-        report = run(layout, selection, sources, receivers, RunConfig(rounds=500, seed=2))
+        synthesis, thetas = synth(layout, selection, [0.5])
+        report = run(synthesis, thetas, RunConfig(rounds=500, seed=2))
         payload = json.loads(json.dumps(report.as_dict()))
         assert payload["rounds"] == 500
         assert payload["seed"] == 2
@@ -372,17 +317,9 @@ class TestTiltedRun:
         parameters = bell.tilt_parameters(np.pi / 8, 1, 1)
         layout = chsh_layout(np.pi / 8)
         selection = chsh_selection(tilted=True)
-        sources, receivers, tilt = synth(
-            layout, selection, [parameters.theta_max], tilted=True
-        )
+        synthesis, thetas = synth(layout, selection, [parameters.theta_max])
         report = run(
-            layout,
-            selection,
-            sources,
-            receivers,
-            RunConfig(rounds=60000, seed=21),
-            tilt=tilt,
-            beta=parameters.beta_max,
+            synthesis, thetas, RunConfig(rounds=60000, seed=21), beta=parameters.beta_max
         )
         assert report.p_se is not None and report.g_se is not None
         assert abs(report.p_estimate - np.cos(np.pi / 4)) < 4 * report.p_se
@@ -392,14 +329,11 @@ class TestTiltedRun:
     def test_tilted_star_per_qubit_mode_estimates_phase_flip(self):
         layout = star_layout(3, np.pi / 5)
         selection = star_selection(3)
-        sources, receivers, tilt = synth(layout, selection, [0.5] * 3, tilted=True)
+        synthesis, thetas = synth(layout, selection, [0.5] * 3)
         report = run(
-            layout,
-            selection,
-            sources,
-            receivers,
+            synthesis,
+            thetas,
             RunConfig(rounds=30000, seed=9, strategy="per-qubit-discard"),
-            tilt=tilt,
             beta=0.2,
         )
         target = np.cos(2 * np.pi / 5) ** 3
@@ -410,10 +344,8 @@ class TestTiltedRun:
     def test_tilt_without_beta_reports_phase_flip_only(self):
         layout = chsh_layout(np.pi / 8)
         selection = chsh_selection(tilted=True)
-        sources, receivers, tilt = synth(layout, selection, [0.5], tilted=True)
-        report = run(
-            layout, selection, sources, receivers, RunConfig(rounds=2000, seed=7), tilt=tilt
-        )
+        synthesis, thetas = synth(layout, selection, [0.5])
+        report = run(synthesis, thetas, RunConfig(rounds=2000, seed=7))
         assert report.p_estimate is not None
         assert report.g_estimate is None and report.beta is None
 
@@ -422,13 +354,11 @@ class TestBornRule:
     def test_chsh_counts_follow_the_exact_distribution(self):
         layout = chsh_layout(np.pi / 8)
         selection = chsh_selection()
-        sources, receivers, _ = synth(layout, selection, [0.7])
-        dist = outcome_distribution(layout, selection, sources, receivers, (0,), (0,))
+        synthesis, thetas = synth(layout, selection, [0.7])
+        dist = outcome_distribution(synthesis, thetas, (0,), (0,))
         report = run(
-            layout,
-            selection,
-            sources,
-            receivers,
+            synthesis,
+            thetas,
             RunConfig(rounds=30000, seed=1234, setting_weights=(1.0, 0.0, 0.0, 0.0)),
         )
         cell = next(t for t in report.tallies if t.rounds)
@@ -442,15 +372,13 @@ class TestBornRule:
     def test_bilocal_joint_counts_pass_chi_squared(self, tmp_path):
         layout = bilocal_layout()
         selection = selection_a()
-        sources, receivers, _ = synth(layout, selection, [np.pi / 4] * 2, allow=True)
+        synthesis, thetas = synth(layout, selection, [np.pi / 4] * 2, allow=True)
         weights = tuple(1.0 if idx == 0 else 0.0 for idx in range(8))
         rounds = 24000
         path = tmp_path / "rounds.csv"
         run(
-            layout,
-            selection,
-            sources,
-            receivers,
+            synthesis,
+            thetas,
             RunConfig(rounds=rounds, seed=4321, setting_weights=weights),
             record_path=path,
         )
@@ -460,9 +388,7 @@ class TestBornRule:
             for row in rows:
                 key = (int(row["a1"]), int(row["a2"]), int(row["b1"]))
                 counts[key] = counts.get(key, 0) + 1
-        dist = outcome_distribution(
-            layout, selection, sources, receivers, (0, 0), (0,)
-        )
+        dist = outcome_distribution(synthesis, thetas, (0, 0), (0,))
         chi2 = 0.0
         cells = 0
         for outcome, weight in dist.items():
@@ -478,18 +404,9 @@ class TestRoundRecord:
     def test_direct_record_layout(self, tmp_path):
         layout = chsh_layout(np.pi / 8)
         selection = chsh_selection(tilted=True)
-        sources, receivers, tilt = synth(layout, selection, [0.6], tilted=True)
+        synthesis, thetas = synth(layout, selection, [0.6])
         path = tmp_path / "rounds.csv"
-        run(
-            layout,
-            selection,
-            sources,
-            receivers,
-            RunConfig(rounds=400, seed=6),
-            tilt=tilt,
-            beta=0.3,
-            record_path=path,
-        )
+        run(synthesis, thetas, RunConfig(rounds=400, seed=6), beta=0.3, record_path=path)
         with open(path, newline="") as handle:
             rows = list(csv.reader(handle))
         assert rows[0] == ["round", "settings", "a1", "b1", "p1"]
@@ -508,13 +425,11 @@ class TestRoundRecord:
     def test_per_qubit_record_lists_receiver_qubits(self, tmp_path):
         layout = bilocal_layout()
         selection = selection_a()
-        sources, receivers, _ = synth(layout, selection, [np.pi / 4] * 2, allow=True)
+        synthesis, thetas = synth(layout, selection, [np.pi / 4] * 2, allow=True)
         path = tmp_path / "rounds.csv"
         run(
-            layout,
-            selection,
-            sources,
-            receivers,
+            synthesis,
+            thetas,
             RunConfig(rounds=200, seed=8, strategy="per-qubit-discard"),
             record_path=path,
         )
@@ -539,18 +454,11 @@ class TestRoundRecord:
     def test_record_is_deterministic(self, tmp_path):
         layout = chsh_layout(np.pi / 8)
         selection = chsh_selection()
-        sources, receivers, _ = synth(layout, selection, [0.5])
+        synthesis, thetas = synth(layout, selection, [0.5])
         first = tmp_path / "one.csv"
         second = tmp_path / "two.csv"
         for path in (first, second):
-            run(
-                layout,
-                selection,
-                sources,
-                receivers,
-                RunConfig(rounds=300, seed=15),
-                record_path=path,
-            )
+            run(synthesis, thetas, RunConfig(rounds=300, seed=15), record_path=path)
         assert first.read_bytes() == second.read_bytes()
 
     @pytest.mark.parametrize("name", sorted(PINNED_RECORDS))
@@ -573,13 +481,11 @@ class TestRoundRecord:
     def test_record_does_not_change_estimates(self, tmp_path):
         layout = chsh_layout(np.pi / 8)
         selection = chsh_selection()
-        sources, receivers, _ = synth(layout, selection, [0.5])
-        bare = run(layout, selection, sources, receivers, RunConfig(rounds=300, seed=15))
+        synthesis, thetas = synth(layout, selection, [0.5])
+        bare = run(synthesis, thetas, RunConfig(rounds=300, seed=15))
         recorded = run(
-            layout,
-            selection,
-            sources,
-            receivers,
+            synthesis,
+            thetas,
             RunConfig(rounds=300, seed=15),
             record_path=tmp_path / "rounds.csv",
         )

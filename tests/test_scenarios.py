@@ -18,7 +18,6 @@ from netbell.scenarios import (
     scenario_from_dict,
     scenario_to_dict,
     source_angle,
-    synthesize,
 )
 
 BUILTIN_NAMES = [
@@ -139,7 +138,7 @@ class TestBuiltins:
 
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
     def test_every_builtin_diagnoses_clean(self, name):
-        assert diagnose(builtin_scenario(name)).passed
+        assert diagnose(builtin_scenario(name))[0].passed
 
     def test_star_tilt_count_marks_leading_sources(self):
         scenario = builtin_scenario("star", n=3, tilt_count=1, phibar=0.4)
@@ -281,15 +280,12 @@ class TestSchemaErrors:
 
 class TestSynthesize:
     def test_tilt_built_only_when_selected(self):
-        assert synthesize(builtin_scenario("chsh")).tilt is None
-        assert synthesize(builtin_scenario("chsh-tilted")).tilt is not None
+        assert diagnose(builtin_scenario("chsh"))[1].tilt is None
+        assert diagnose(builtin_scenario("chsh-tilted"))[1].tilt is not None
 
     def test_theta_override_reaches_the_observables(self):
-        scenario = builtin_scenario("chsh")
-        synthesis = synthesize(scenario, (0.0,))
-        report = bell.evaluate(
-            scenario.layout, scenario.selection, synthesis.sources, synthesis.receivers
-        )
+        synthesis = diagnose(builtin_scenario("chsh"))[1]
+        report = bell.evaluate(synthesis, (0.0,))
         assert report.quantum_value == pytest.approx(1.0, abs=1e-12)
 
 
@@ -358,21 +354,24 @@ class TestDiagnose:
     def test_commuting_receiver_pair_needs_the_waiver(self):
         scenario = builtin_scenario("example-a")
         assert scenario.allow_commuting_pair
-        report = diagnose(scenario)
+        report, synthesis = diagnose(scenario)
         assert report.passed
+        assert synthesis.layout is scenario.layout
         notes = [str(c) for c in report.checks]
         assert any("explicitly allowed" in n for n in notes)
 
         data = scenario_to_dict(scenario)
         data["options"]["allow_commuting_receiver_pair"] = False
-        report = diagnose(scenario_from_dict(data))
+        report, synthesis = diagnose(scenario_from_dict(data))
         assert not report.passed
         assert any("receiver" in str(c) for c in report.failures())
+        # the commuting pair stops the synthesis itself, so none comes back
+        assert synthesis is None
 
     def test_anticommuting_h_fails_selection_checks(self):
         data = scenario_to_dict(builtin_scenario("example-a"))
         data["selection"]["h"] = ["+XIIII", "+XXXXX"]
-        report = diagnose(scenario_from_dict(data))
+        report, _ = diagnose(scenario_from_dict(data))
         assert not report.passed
 
     def test_scenarios_compare_by_content(self):
