@@ -5,11 +5,11 @@ from a product distribution; every agent answers with a deterministic
 +/-1 table over its settings and the labels it can see.  The
 deterministic scan enumerates response tables together with point-mass
 label assignments and maximizes the same objective the quantum engine
-reports; the full scan is a single-process numpy scan in bounded
-slices.  A stochastic pass then probes mixed label distributions with
-random restarts and hill climbing.  The scan is falsification pressure
-for the analytic bound, not a search for new physics: the objective
-must never come out above 1 (or beta + 1 tilted).
+reports, as a single-process numpy scan in bounded slices.  A
+stochastic pass then probes mixed label distributions with random
+restarts and hill climbing.  The scan is falsification pressure for the
+analytic bound, not a search for new physics: the objective must never
+come out above 1 (or beta + 1 tilted).
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,9 +28,6 @@ from netbell.states import make_rng
 # excess.
 BOUND_TOL = 1e-12
 REFINE_TOL = 1e-9
-# Enumerations past this size get a warning even when the budget allows
-# them; the default budget refuses them outright.
-WARN_LIMIT = 10**8
 DEFAULT_BUDGET = 10**8
 # Entries per numpy slice of the full scan: keeps its working memory to
 # a few MB whatever the scan size.
@@ -308,13 +304,11 @@ def _table_bits(shape: NetworkShape, alphabet, tilted: bool):
 
 def _scan_extent(shape, alphabet, tilted, mode) -> tuple[int, int]:
     """(labels, bits): a scan in this mode visits labels << bits combinations,
-    every table integer (full) or every response pair (reachable) under
-    each point label."""
-    if mode == "full":
-        bits = sum(_table_bits(shape, alphabet, tilted)[2])
-    else:
-        bits = 2 * (shape.k + shape.m) + (shape.m if tilted else 0)
-    return math.prod(alphabet), bits
+    every table integer under each point label.  A reachable scan counts
+    the tables at alphabet 1, the values each table shows at its active
+    column, once per label."""
+    tables = alphabet if mode == "full" else (1,) * shape.n
+    return math.prod(alphabet), sum(_table_bits(shape, tables, tilted)[2])
 
 
 def scan_size(
@@ -400,30 +394,35 @@ def _scan_full(shape, alphabet, beta):
     return best_value, best_key, scanned
 
 
-def _strategy_from_key(shape, alphabet, beta, key) -> HiddenStrategy:
-    """Decode a scan key back into a point-mass strategy."""
+def _strategy_from_key(shape, alphabet, beta, key, scan_alphabet) -> HiddenStrategy:
+    """Decode a key of a scan at scan_alphabet into a point-mass strategy
+    at alphabet.  A key from the scan at alphabet 1 decodes to tables
+    constant over their columns, with every source's mass on label 0."""
     tilted = beta is not None
+    k, m = shape.k, shape.m
     label_index, combo = key
-    labels = _decode_labels(label_index, alphabet)
+    labels = _decode_labels(label_index, scan_alphabet)
+    scan_blocks, scan_reach, _ = _table_bits(shape, scan_alphabet, tilted)
     block_sizes, reach_sizes, _ = _table_bits(shape, alphabet, tilted)
 
-    def rows(bits, width, count):
+    def rows(bits, width, size, count):
         flat = [1 - 2 * ((bits >> e) & 1) for e in range(width * count)]
         return tuple(
-            tuple(flat[row * width : (row + 1) * width]) for row in range(count)
+            tuple(flat[row * width : (row + 1) * width]) * (size // width)
+            for row in range(count)
         )
 
     a_tables = tuple(
-        rows(combo[s], block_sizes[s], 2) for s in range(shape.k)
+        rows(combo[s], scan_blocks[s], block_sizes[s], 2) for s in range(k)
     )
     b_tables = tuple(
-        rows(combo[shape.k + r], reach_sizes[r], 2) for r in range(shape.m)
+        rows(combo[k + r], scan_reach[r], reach_sizes[r], 2) for r in range(m)
     )
     p_tables = None
     if tilted:
         p_tables = tuple(
-            rows(combo[shape.k + shape.m + r], reach_sizes[r], 1)[0]
-            for r in range(shape.m)
+            rows(combo[k + m + r], scan_reach[r], reach_sizes[r], 1)[0]
+            for r in range(m)
         )
     weights = tuple(
         tuple(1.0 if v == labels[i] else 0.0 for v in range(alphabet[i]))
@@ -437,72 +436,6 @@ def _strategy_from_key(shape, alphabet, beta, key) -> HiddenStrategy:
         b_tables=b_tables,
         p_tables=p_tables,
     )
-
-
-def _scan_reachable(shape, alphabet, beta):
-    """Equivalent maximum over point-label behaviors.
-
-    With a point-mass label assignment the objective only reads each
-    table at one column, so scanning the response values at that column
-    reaches exactly the same maximum as scanning whole tables.  Used
-    when the literal table space exceeds the budget.
-    """
-    tilted = beta is not None
-    k, m = shape.k, shape.m
-    root = 1.0 / k
-    pairs = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
-    label_total = math.prod(alphabet)
-    best = (-1.0, None)
-    scanned = 0
-    p_choices = [(1,), (-1,)] if tilted else [()]
-    for label_index in range(label_total):
-        for a_choice in itertools.product(pairs, repeat=k):
-            for b_choice in itertools.product(pairs, repeat=m):
-                for p_choice in itertools.product(p_choices, repeat=m):
-                    scanned += 1
-                    i_sign = 1
-                    j_sign = 1
-                    for a0, a1 in a_choice:
-                        i_sign *= (a0 + a1) // 2
-                        j_sign *= (a0 - a1) // 2
-                    for b0, b1 in b_choice:
-                        i_sign *= b0
-                        j_sign *= b1
-                    value = abs(i_sign) ** root + abs(j_sign) ** root
-                    if tilted:
-                        p_sign = math.prod(p[0] for p in p_choice)
-                        value += beta * abs(p_sign) ** root
-                    if value > best[0]:
-                        best = (value, (label_index, a_choice, b_choice, p_choice))
-    value, (label_index, a_choice, b_choice, p_choice) = best
-    labels = _decode_labels(label_index, alphabet)
-    block_sizes, reach_sizes, _ = _table_bits(shape, alphabet, tilted)
-    a_tables = tuple(
-        ((a0,) * block_sizes[s], (a1,) * block_sizes[s])
-        for s, (a0, a1) in enumerate(a_choice)
-    )
-    b_tables = tuple(
-        ((b0,) * reach_sizes[r], (b1,) * reach_sizes[r])
-        for r, (b0, b1) in enumerate(b_choice)
-    )
-    p_tables = (
-        tuple((p[0],) * reach_sizes[r] for r, p in enumerate(p_choice))
-        if tilted
-        else None
-    )
-    weights = tuple(
-        tuple(1.0 if v == labels[i] else 0.0 for v in range(alphabet[i]))
-        for i in range(shape.n)
-    )
-    strategy = HiddenStrategy(
-        shape=shape,
-        alphabet=alphabet,
-        weights=weights,
-        a_tables=a_tables,
-        b_tables=b_tables,
-        p_tables=p_tables,
-    )
-    return value, strategy, scanned
 
 
 def _random_tables(shape, alphabet, tilted, rng):
@@ -610,7 +543,6 @@ def max_deterministic(
     alphabet=None,
     *,
     beta: float | None = None,
-    mode: str = "auto",
     budget: int = DEFAULT_BUDGET,
     seed: int | None = 0,
     refine_draws: int = 40,
@@ -618,33 +550,30 @@ def max_deterministic(
 ) -> ScanReport:
     """Exhaustive deterministic maximum plus a stochastic refinement pass.
 
-    mode "full" enumerates every response table literally; "reachable"
-    enumerates response values at the active label column, which reaches
-    the same maximum because unread table entries cannot move the
-    objective; "auto" picks "full" when it fits the budget.  The full
-    scan runs in one process, as numpy slices of bounded size; ties go to
-    the first combination in enumeration order.
+    The full scan enumerates every response table under every point
+    label; ties go to the first combination in enumeration order.  When
+    it is over the budget the reachable scan runs instead.  Under a point
+    label each table is read at one column, so the tables it can show are
+    the full table space at alphabet 1, the same for every label: that
+    space is scanned once and its argmax widened to constant tables.
     """
     if beta is not None and not beta >= 0:
         raise ValueError(f"beta must be nonnegative, got {beta}")
-    if mode not in ("auto", "full", "reachable"):
-        raise ValueError(f"unknown scan mode {mode!r}")
     if alphabet is None:
         alphabet = default_alphabet(shape, tilted=beta is not None, budget=budget)
     alphabet = _normalize_alphabet(shape, alphabet)
 
     tilted = beta is not None
-    if mode == "auto":
-        fits = scan_size(shape, alphabet, tilted=tilted, budget=budget) is not None
-        mode = "full" if fits else "reachable"
-    size = scan_size(shape, alphabet, tilted=tilted, mode=mode, budget=budget)
-    if size is None:
-        labels, bits = _scan_extent(shape, alphabet, tilted, mode)
-        hint = "; shrink the alphabet or use reachable mode" if mode == "full" else ""
-        raise ValueError(
-            f"{mode} scan of about 10^{math.log10(labels) + bits * math.log10(2):.1f} "
-            f"combinations exceeds the budget of {budget:.3e}{hint}"
-        )
+    if scan_size(shape, alphabet, tilted=tilted, budget=budget) is not None:
+        mode, scan_alphabet = "full", alphabet
+    else:
+        mode, scan_alphabet = "reachable", (1,) * shape.n
+        if scan_size(shape, alphabet, tilted=tilted, mode=mode, budget=budget) is None:
+            labels, bits = _scan_extent(shape, alphabet, tilted, mode)
+            raise ValueError(
+                f"reachable scan of about 10^{math.log10(labels) + bits * math.log10(2):.1f} "
+                f"combinations exceeds the budget of {budget:.3e}"
+            )
     # Every refine score sums the whole label grid: each restart scores up
     # to _REFINE_SWEEPS flips of every table entry, then refine_steps moves.
     labels, entries = _scan_extent(shape, alphabet, tilted, "full")
@@ -654,15 +583,10 @@ def max_deterministic(
             f"refine pass of about 10^{math.log10(refine):.1f} label-grid terms "
             f"exceeds the budget of {budget:.3e}; shrink the alphabet"
         )
-    if mode == "full":
-        if size > WARN_LIMIT:
-            warnings.warn(
-                f"enumerating {size:.3e} strategy combinations", stacklevel=2
-            )
-        value, key, scanned = _scan_full(shape, alphabet, beta)
-        strategy = _strategy_from_key(shape, alphabet, beta, key)
-    else:
-        value, strategy, scanned = _scan_reachable(shape, alphabet, beta)
+    value, key, scanned = _scan_full(shape, scan_alphabet, beta)
+    strategy = _strategy_from_key(shape, alphabet, beta, key, scan_alphabet)
+    if mode == "reachable":  # the one scan stands for the same scan under every label
+        scanned *= labels
 
     rng = make_rng(seed)
     stochastic_value, stochastic_strategy = _refine(

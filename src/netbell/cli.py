@@ -42,8 +42,16 @@ class CliError(Exception):
 # argument plumbing
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a validation failure with one error line; the
+    subcommand parsers share this class."""
+
+    def error(self, message):
+        raise CliError(EXIT_VALIDATION, message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="netbell",
         description="Bell tests on stabilizer-code networks: evaluate, "
         "maximize, tilt, bound, and sample scenarios.",
@@ -99,7 +107,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     bound.add_argument("--beta", help="tilt weight for the tilted bound: number or 'auto'")
     bound.add_argument("--alphabet", type=int, help="hidden-label alphabet size per source")
-    bound.add_argument("--mode", choices=("auto", "full", "reachable"), default="auto")
     bound.add_argument("--seed", type=int, default=0, help="stochastic refinement seed")
 
     sample = sub.add_parser(
@@ -312,9 +319,7 @@ def _cmd_classical_bound(args) -> int:
     digest = scenarios.fingerprint(scenario)
     out_dir = _out_dir(args)
     try:
-        bound_report = classical.verify_bound(
-            shape, alphabet, beta=beta, seed=args.seed, mode=args.mode
-        )
+        bound_report = classical.verify_bound(shape, alphabet, beta=beta, seed=args.seed)
     except BoundViolation as err:
         raise CliError(EXIT_ACCEPTANCE, f"classical bound violated: {err}") from err
     scan = bound_report.scan
@@ -458,7 +463,7 @@ def _reproduction_rows() -> list[dict]:
     # Classical bounds: exhaustive for the pair network, tilted for one source.
     scenario = scenarios.builtin_scenario("example-a")
     shape = NetworkShape.from_layout(scenario.layout)
-    bound_report = classical.verify_bound(shape, (2, 2), mode="full")
+    bound_report = classical.verify_bound(shape, (2, 2))
     add("example-a exhaustive classical maximum", bound_report.deterministic_max, 1.0, 0.0)
 
     scenario = scenarios.builtin_scenario("chsh")
@@ -532,9 +537,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
     except CliError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -42,7 +42,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import codes as code_lib
 from .bell import MAX_GRID_POINTS, TiltParameters, tilt_parameters
@@ -78,7 +78,6 @@ class Scenario:
     strategy: str
     allow_commuting_pair: bool
     custom_codes: tuple[StabilizerCode, ...] = ()
-    data: dict = field(compare=False, default_factory=dict)
 
 
 # ----------------------------------------------------------------------
@@ -276,7 +275,7 @@ def scenario_from_dict(data: dict) -> Scenario:
     if strategy not in MODES:
         raise ScenarioError(f"unknown strategy {strategy!r}; expected one of {MODES}")
 
-    scenario = Scenario(
+    return Scenario(
         name=str(data["name"]),
         layout=layout,
         selection=selection,
@@ -290,8 +289,6 @@ def scenario_from_dict(data: dict) -> Scenario:
         allow_commuting_pair=bool(options.get("allow_commuting_receiver_pair", False)),
         custom_codes=tuple(custom.values()),
     )
-    object.__setattr__(scenario, "data", scenario_to_dict(scenario))
-    return scenario
 
 
 def load_scenario(path) -> Scenario:
@@ -382,19 +379,20 @@ def source_angle(source: SourceState) -> float | None:
 def resolve_beta(
     scenario: Scenario, override=None
 ) -> tuple[float | None, TiltParameters | None]:
-    """Concrete beta for tilted evaluation. "auto" solves for the maximal
-    tilt at the scenario's phibar (or the common tilt-source angle)."""
+    """Concrete beta for tilted evaluation, which needs a source with an
+    h_prime entry. "auto" solves for the maximal tilt at the scenario's
+    phibar (or the common tilt-source angle)."""
     raw = scenario.beta if override is None else override
     if raw is None:
         return None, None
+    tilt_sources = scenario.selection.tilt_sources
+    if not tilt_sources:
+        raise ScenarioError("beta given but no source has an h_prime entry")
     if raw != "auto":
         value = _number(raw, float, "beta")
         if value < 0:
             raise ScenarioError(f"beta must be nonnegative, got {value}")
         return value, None
-    tilt_sources = scenario.selection.tilt_sources
-    if not tilt_sources:
-        raise ScenarioError("beta 'auto' needs at least one tilted source")
     phibar = scenario.phibar
     if phibar is None:
         angles = []

@@ -19,7 +19,9 @@ command runs:
 * `logical_representative` searches a stabilizer coset for a phase-flip
   representative that meets per-qubit letter constraints;
 * `loop_scan` is the classical full scan with one Python evaluation per
-  combination, and `correlators` sums a hidden strategy's label grid.
+  combination, `_scan_reachable` the reachable scan as one Python
+  evaluation per response pair under every label, and `correlators` sums
+  a hidden strategy's label grid.
 """
 
 from __future__ import annotations
@@ -271,6 +273,71 @@ def loop_scan(shape, alphabet, beta):
                 best_value = value
                 best_key = (label_index, combo)
     return best_value, best_key, scanned
+
+
+def _scan_reachable(shape, alphabet, beta):
+    """Reference reachable scan: (best value, best strategy, combos scanned).
+
+    With a point-mass label assignment the objective only reads each
+    table at one column, so scanning the response values at that column
+    under every label reaches the same maximum as scanning whole tables.
+    The winner becomes constant tables under its label.
+    """
+    tilted = beta is not None
+    k, m = shape.k, shape.m
+    root = 1.0 / k
+    pairs = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
+    best = (-1.0, None)
+    scanned = 0
+    p_choices = [(1,), (-1,)] if tilted else [()]
+    for label_index in range(math.prod(alphabet)):
+        for a_choice in itertools.product(pairs, repeat=k):
+            for b_choice in itertools.product(pairs, repeat=m):
+                for p_choice in itertools.product(p_choices, repeat=m):
+                    scanned += 1
+                    i_sign = 1
+                    j_sign = 1
+                    for a0, a1 in a_choice:
+                        i_sign *= (a0 + a1) // 2
+                        j_sign *= (a0 - a1) // 2
+                    for b0, b1 in b_choice:
+                        i_sign *= b0
+                        j_sign *= b1
+                    value = abs(i_sign) ** root + abs(j_sign) ** root
+                    if tilted:
+                        p_sign = math.prod(p[0] for p in p_choice)
+                        value += beta * abs(p_sign) ** root
+                    if value > best[0]:
+                        best = (value, (label_index, a_choice, b_choice, p_choice))
+    value, (label_index, a_choice, b_choice, p_choice) = best
+    labels = classical._decode_labels(label_index, alphabet)
+    block_sizes, reach_sizes, _ = classical._table_bits(shape, alphabet, tilted)
+    a_tables = tuple(
+        ((a0,) * block_sizes[s], (a1,) * block_sizes[s])
+        for s, (a0, a1) in enumerate(a_choice)
+    )
+    b_tables = tuple(
+        ((b0,) * reach_sizes[r], (b1,) * reach_sizes[r])
+        for r, (b0, b1) in enumerate(b_choice)
+    )
+    p_tables = (
+        tuple((p[0],) * reach_sizes[r] for r, p in enumerate(p_choice))
+        if tilted
+        else None
+    )
+    weights = tuple(
+        tuple(1.0 if v == labels[i] else 0.0 for v in range(alphabet[i]))
+        for i in range(shape.n)
+    )
+    strategy = classical.HiddenStrategy(
+        shape=shape,
+        alphabet=alphabet,
+        weights=weights,
+        a_tables=a_tables,
+        b_tables=b_tables,
+        p_tables=p_tables,
+    )
+    return value, strategy, scanned
 
 
 def correlators(strategy: classical.HiddenStrategy) -> classical.ClassicalCorrelators:

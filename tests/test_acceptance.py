@@ -126,7 +126,8 @@ def test_criterion_04_substitute_states():
 def test_criterion_05_exhaustive_classical_bound():
     shape = NetworkShape.from_layout(bilocal_layout())
     assert (shape.k, shape.m, shape.n) == (2, 1, 2)
-    report = classical.verify_bound(shape, (2, 2), mode="full")
+    report = classical.verify_bound(shape, (2, 2))
+    assert report.scan.mode == "full"
     assert report.scan.scanned == 262144
     assert report.deterministic_max == 1.0
     assert report.stochastic_max <= 1.0 + TOL

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import bilocal_layout, chsh_layout, star_layout
-from netbell import classical
+from netbell import classical, scenarios
 from netbell.classical import (
     BoundViolation,
     HiddenStrategy,
@@ -19,10 +19,15 @@ from netbell.classical import (
     scan_size,
     verify_bound,
 )
-from oracles import correlators, loop_scan
+from oracles import _scan_reachable, correlators, loop_scan
 
 BILOCAL = NetworkShape(k=2, m=1, n=2, partition=(0, 1, 2), reach=((1, 2),))
 SINGLE = NetworkShape(k=1, m=1, n=1, partition=(0, 1), reach=((1,),))
+# Under the full scan of BILOCAL at alphabet 2 (262,144 combinations, about
+# 4.2M tilted) but over its default refine pass (at most 22,400 terms) and
+# its reachable scan (256, or 512 tilted): under this budget
+# max_deterministic runs the reachable scan.
+REACHABLE_BUDGET = 10**5
 
 
 def constant_strategy(shape, alphabet=2, a=(1, 1), b=(1, 1), p=None):
@@ -260,8 +265,11 @@ class TestScan:
         assert report.scanned == scan_size(SINGLE, 4)
 
     def test_reachable_matches_full(self):
-        full = max_deterministic(BILOCAL, 2, mode="full", refine_draws=5)
-        reachable = max_deterministic(BILOCAL, 2, mode="reachable", refine_draws=5)
+        full = max_deterministic(BILOCAL, 2, refine_draws=5)
+        reachable = max_deterministic(
+            BILOCAL, 2, budget=REACHABLE_BUDGET, refine_draws=5
+        )
+        assert (full.mode, reachable.mode) == ("full", "reachable")
         assert full.value == reachable.value == 1.0
 
     def test_large_shape_falls_back(self):
@@ -278,9 +286,41 @@ class TestScan:
 
     def test_tilted_two_source_reachable(self):
         report = max_deterministic(
-            BILOCAL, 2, beta=0.5, mode="reachable", refine_draws=5
+            BILOCAL, 2, beta=0.5, budget=REACHABLE_BUDGET, refine_draws=5
         )
+        assert report.mode == "reachable"
         assert abs(report.value - 1.5) < 1e-12
+
+    @pytest.mark.parametrize("beta", [None, 0.7], ids=["untilted", "tilted"])
+    @pytest.mark.parametrize(
+        "name, alphabet",
+        [
+            pytest.param(name, 2, id=name)
+            for name in (
+                *(f"star({n})" for n in range(1, 6)),
+                "chsh",
+                "example-a",
+                "example-b",
+                "five-one-three-split",
+                "ghz-split(4,2)",
+            )
+        ]
+        + [pytest.param("example-a", (2, 3), id="bilocal23")],
+    )
+    def test_reachable_scan_matches_oracle(self, name, alphabet, beta):
+        shape = NetworkShape.from_layout(scenarios.builtin_scenario(name).layout)
+        sizes = classical._normalize_alphabet(shape, alphabet)
+        tilted = beta is not None
+        # the reachable size is below the full size, so it routes the scan
+        budget = scan_size(shape, sizes, tilted=tilted, mode="reachable")
+        report = max_deterministic(
+            shape, sizes, beta=beta, budget=budget, refine_draws=0
+        )
+        value, strategy, scanned = _scan_reachable(shape, sizes, beta)
+        assert report.mode == "reachable"
+        assert report.value == value
+        assert report.strategy.to_json() == strategy.to_json()
+        assert report.scanned == scanned == budget
 
     @pytest.mark.parametrize(
         "shape, alphabet, beta",
@@ -319,8 +359,9 @@ class TestScan:
         assert classical._scan_full(shape, sizes, beta) == expected
 
     def test_budget_refusal(self):
+        # below the reachable scan's 256 combinations
         with pytest.raises(ValueError, match="budget"):
-            max_deterministic(BILOCAL, 2, mode="full", budget=1000)
+            max_deterministic(BILOCAL, 2, budget=100)
 
     def test_refine_over_budget_is_refused_before_scanning(self, monkeypatch):
         # at alphabet 512 the refine pass would sum its 512-label grid for
@@ -332,31 +373,26 @@ class TestScan:
             raise Scanned
 
         monkeypatch.setattr(classical, "_scan_full", scan)
-        monkeypatch.setattr(classical, "_scan_reachable", scan)
         with pytest.raises(Scanned):
             max_deterministic(SINGLE, 256)
         with pytest.raises(ValueError, match="refine pass .* exceeds the budget of 1.000e"):
             max_deterministic(SINGLE, 512)
-
-    def test_oversize_scan_warns(self, monkeypatch):
-        monkeypatch.setattr(classical, "WARN_LIMIT", 100)
-        with pytest.warns(UserWarning, match="enumerating"):
-            report = max_deterministic(SINGLE, 2, refine_draws=0)
-        assert report.value == 1.0
 
     def test_default_alphabet_choices(self):
         assert default_alphabet(SINGLE) == 4
         assert default_alphabet(BILOCAL) == 2
 
     def test_option_validation(self):
-        with pytest.raises(ValueError, match="mode"):
-            max_deterministic(SINGLE, 2, mode="partial")
+        # the budget alone picks the scan
+        with pytest.raises(TypeError, match="mode"):
+            max_deterministic(SINGLE, 2, mode="full")
         with pytest.raises(ValueError, match="beta"):
             max_deterministic(SINGLE, 2, beta=-0.2)
 
     def test_seeded_refinement_is_deterministic(self):
-        one = max_deterministic(BILOCAL, 2, mode="reachable", seed=5)
-        two = max_deterministic(BILOCAL, 2, mode="reachable", seed=5)
+        one = max_deterministic(BILOCAL, 2, budget=REACHABLE_BUDGET, seed=5)
+        two = max_deterministic(BILOCAL, 2, budget=REACHABLE_BUDGET, seed=5)
+        assert one.mode == two.mode == "reachable"
         assert one.stochastic_value == two.stochastic_value
 
     @pytest.mark.parametrize(
@@ -430,14 +466,16 @@ class TestVerifyBound:
         assert abs(report.deterministic_max - 1.7) < 1e-12
 
     def test_deterministic_excess_raises(self, monkeypatch):
-        bad = constant_strategy(BILOCAL)
+        # the key of the all-(+1) tables, planted in the reachable scan
+        key = (0, (0, 0, 0))
+        bad = classical._strategy_from_key(BILOCAL, (2, 2), None, key, (1, 1))
 
         def fake_scan(shape, alphabet, beta):
-            return 1.25, bad, 7
+            return 1.25, key, 7
 
-        monkeypatch.setattr(classical, "_scan_reachable", fake_scan)
+        monkeypatch.setattr(classical, "_scan_full", fake_scan)
         with pytest.raises(BoundViolation, match="above the classical bound") as info:
-            verify_bound(BILOCAL, 2, mode="reachable", refine_draws=0)
+            verify_bound(BILOCAL, 2, budget=REACHABLE_BUDGET, refine_draws=0)
         assert info.value.strategy == bad
         assert "a_tables" in str(info.value)
 
@@ -449,4 +487,4 @@ class TestVerifyBound:
 
         monkeypatch.setattr(classical, "_refine", fake_refine)
         with pytest.raises(BoundViolation, match="stochastic refinement"):
-            verify_bound(BILOCAL, 2, mode="reachable")
+            verify_bound(BILOCAL, 2, budget=REACHABLE_BUDGET)

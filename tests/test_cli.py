@@ -243,7 +243,7 @@ class TestNonFiniteInput:
         [
             ["evaluate", "chsh", "--theta", "nan"],
             ["tilted", "chsh-tilted", "--beta", "nan"],
-            ["classical-bound", "chsh", "--beta", "nan"],
+            ["classical-bound", "chsh-tilted", "--beta", "nan"],
         ],
         ids=["evaluate-theta", "tilted-beta", "classical-bound-beta"],
     )
@@ -251,6 +251,40 @@ class TestNonFiniteInput:
         assert main(argv) == EXIT_VALIDATION
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
+        assert list(out_dir.iterdir()) == []
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["evaluate", "chsh", "--bogus"],
+            ["maximize", "chsh", "--grid", "abc"],
+            ["sample", "chsh", "--strategy", "nope"],
+            ["frobnicate", "chsh"],
+            ["classical-bound", "chsh", "--mode", "full"],
+        ],
+        ids=["unknown-flag", "bad-int", "bad-choice", "unknown-command", "removed-mode"],
+    )
+    def test_usage_error_is_one_error_line(self, out_dir, capsys, argv):
+        assert main(argv) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert captured.out == ""
+        assert list(out_dir.iterdir()) == []
+
+    def test_help_still_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["--help"])
+        assert info.value.code == 0
+        assert "classical-bound" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["evaluate", "sample", "classical-bound"])
+    def test_beta_on_untilted_scenario_is_one_rule(self, out_dir, capsys, command):
+        assert main([command, "chsh", "--beta", "0.5"]) == EXIT_VALIDATION
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: beta given but no source has an h_prime entry"]
         assert list(out_dir.iterdir()) == []
 
 
@@ -336,9 +370,7 @@ class TestTilted:
 
 class TestClassicalBound:
     def test_example_a_exhaustive(self, out_dir):
-        code = main(
-            ["classical-bound", "example-a", "--alphabet", "2", "--mode", "full"]
-        )
+        code = main(["classical-bound", "example-a", "--alphabet", "2"])
         assert code == EXIT_OK
         row = read_csv_row(out_dir / "example-a-classical-bound.csv")
         assert float(row["deterministic_max"]) == 1.0
@@ -366,9 +398,8 @@ class TestClassicalBound:
         assert len(err) == 1 and err[0].startswith("error: refine pass")
         assert not list(out_dir.glob("chsh-*"))
 
-    @pytest.mark.parametrize("mode", ["auto", "full"])
-    def test_over_budget_star_is_one_error_line(self, out_dir, capsys, mode):
-        assert main(["classical-bound", "star(51)", "--mode", mode]) == EXIT_VALIDATION
+    def test_over_budget_star_is_one_error_line(self, out_dir, capsys):
+        assert main(["classical-bound", "star(51)"]) == EXIT_VALIDATION
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
         assert "exceeds the budget of 1.000e+08" in err[0]

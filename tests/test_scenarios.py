@@ -318,7 +318,7 @@ class TestResolveBeta:
         assert parameters.phibar == pytest.approx(math.pi / 8, abs=1e-9)
 
     def test_auto_without_any_tilt(self):
-        with pytest.raises(ScenarioError, match="at least one tilted source"):
+        with pytest.raises(ScenarioError, match="no source has an h_prime entry"):
             resolve_beta(builtin_scenario("chsh"), "auto")
 
     def test_auto_needs_a_shared_angle(self):
