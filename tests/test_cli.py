@@ -588,9 +588,44 @@ class TestHugeCounts:
         assert not list(out_dir.glob("chsh-*"))
 
 
+# Classical-bound and sample reports pinned as tests/data/<pin>.{json,csv},
+# written by the row builders that read the engines' report objects before
+# every CSV row was projected from its JSON report; each entry is
+# (argv, the report's file stem, pin).
+PINNED_COMMANDS = [
+    (["classical-bound", "example-a", "--seed", "1"],
+     "example-a-classical-bound", "classical-example-a"),
+    (["classical-bound", "chsh-tilted", "--beta", "0.7"],
+     "chsh-tilted-classical-bound", "classical-chsh-tilted-beta"),
+    (["classical-bound", "star(3)", "--tilt-count", "0"],
+     "star(3)-classical-bound", "classical-star3-reachable"),
+    (["sample", "example-a", "--rounds", "1000", "--seed", "1",
+      "--strategy", "direct-observable"],
+     "example-a-sample", "sample-example-a-direct"),
+    (["sample", "example-a", "--rounds", "1000", "--seed", "1",
+      "--strategy", "per-qubit-discard"],
+     "example-a-sample", "sample-example-a-per-qubit"),
+    (["sample", "chsh-tilted", "--rounds", "1000", "--seed", "1"],
+     "chsh-tilted-sample", "sample-chsh-tilted"),
+    # empty setting cells
+    (["sample", "chsh", "--rounds", "2", "--seed", "1"], "chsh-sample", "sample-chsh-empty"),
+    # empty setting cells, and at K = 2 the zero J leaves value_se null
+    (["sample", "example-a", "--rounds", "5", "--seed", "2"],
+     "example-a-sample", "sample-example-a-empty"),
+]
+
+
 class TestPinnedReports:
-    """Reports written before maximize synthesized its receivers once and
-    before the per-qubit header lost its extra frame; not regenerated."""
+    """Reports and round records pinned byte for byte; not regenerated."""
+
+    @pytest.mark.parametrize(
+        "argv,stem,pin", PINNED_COMMANDS, ids=[pin for _, _, pin in PINNED_COMMANDS]
+    )
+    def test_report_is_pinned(self, out_dir, argv, stem, pin):
+        assert main(argv) == EXIT_OK
+        for ext in ("json", "csv"):
+            written = (out_dir / f"{stem}.{ext}").read_bytes()
+            assert written == (DATA / f"{pin}.{ext}").read_bytes()
 
     def test_maximize_commuting_pair_is_pinned(self, out_dir):
         # example-a allows a commuting receiver pair

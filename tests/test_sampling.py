@@ -36,8 +36,8 @@ DATA = Path(__file__).parent / "data"
 
 # Round records pinned as files in tests/data/rounds-<name>.csv, written by
 # the earlier writer that made one csv.writerow call per round; each entry is
-# (builtin scenario, RunConfig keywords, beta). The weighted entry leaves
-# four of the eight setting cells empty.
+# (builtin scenario, RunConfig keywords, beta). The five-round and the
+# weighted entries leave four of the eight setting cells empty.
 PINNED_RECORDS = {
     "example-a-direct": ("example-a", dict(rounds=500, seed=1), None),
     "example-a-per-qubit": (
@@ -51,6 +51,7 @@ PINNED_RECORDS = {
         dict(rounds=500, seed=1, strategy="per-qubit-discard"),
         0.7,
     ),
+    "example-a-five-rounds": ("example-a", dict(rounds=5, seed=2), None),
     "example-a-weighted": (
         "example-a",
         dict(rounds=500, seed=2, setting_weights=(1, 0, 0, 2, 3, 0, 0, 1)),
