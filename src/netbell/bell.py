@@ -227,11 +227,8 @@ def evaluate_tilted(synthesis: Synthesis, thetas, beta: float) -> BellReport:
     P = <p_full> is the product over source agents of p_full's piece on
     each group, which carries the signs of its group's h_prime.
     """
-    if not beta >= 0:
-        raise ValueError(f"beta must be nonnegative, got {beta}")
+    synthesis.check_beta(beta)
     tilt = synthesis.tilt
-    if tilt is None:
-        raise ValueError("beta given but the selection has no h_prime entries")
     layout, selection = synthesis.layout, synthesis.selection
     base = evaluate(synthesis, thetas)
     p_value = closed = 1.0

@@ -183,11 +183,13 @@ def _out_dir(args) -> str:
     return out
 
 
-def _write_reports(out_dir, scenario_name, command, payload, columns, rows):
+def _write_reports(out_dir, scenario_name, command, payload, columns):
+    """The JSON report and its CSV row, projected from the same payload."""
     base = os.path.join(out_dir, f"{scenario_name}-{command}")
+    row = reports.csv_row(payload, columns)
     try:
         reports.write_json(base + ".json", payload)
-        reports.write_csv(base + ".csv", columns, rows)
+        reports.write_csv(base + ".csv", columns, [row])
     except OSError as err:
         raise CliError(EXIT_IO, f"cannot write reports under {out_dir}: {err}") from err
     return base
@@ -281,17 +283,15 @@ def _cmd_tilted(args) -> int:
 
 
 def _emit_bell(args, scenario, command, report, parameters) -> int:
-    digest = scenarios.fingerprint(scenario)
-    report = dataclasses.replace(report, scenario_hash=digest)
+    report = dataclasses.replace(report, scenario_hash=scenarios.fingerprint(scenario))
     payload = report.as_dict()
     payload["name"] = scenario.name
     payload["seed"] = scenario.seed
     if parameters is not None:
         payload["tilt_parameters"] = dataclasses.asdict(parameters)
-    row = reports.bell_row(scenario.name, digest, report)
     out_dir = _out_dir(args)
     base = _write_reports(
-        out_dir, scenario.name, command, payload, reports.BELL_COLUMNS, [row]
+        out_dir, scenario.name, command, payload, reports.BELL_COLUMNS
     )
     if report.tilt is None:
         print(
@@ -316,7 +316,6 @@ def _cmd_classical_bound(args) -> int:
     alphabet = None
     if args.alphabet is not None:
         alphabet = (args.alphabet,) * len(scenario.layout.sources)
-    digest = scenarios.fingerprint(scenario)
     out_dir = _out_dir(args)
     try:
         bound_report = classical.verify_bound(shape, alphabet, beta=beta, seed=args.seed)
@@ -325,7 +324,7 @@ def _cmd_classical_bound(args) -> int:
     scan = bound_report.scan
     payload = {
         "name": scenario.name,
-        "scenario_hash": digest,
+        "scenario_hash": scenarios.fingerprint(scenario),
         "K": shape.k,
         "M": shape.m,
         "alphabet": list(scan.alphabet),
@@ -339,14 +338,8 @@ def _cmd_classical_bound(args) -> int:
         "best_strategy": scan.strategy.to_json(),
         "best_stochastic_strategy": scan.stochastic_strategy.to_json(),
     }
-    row = reports.classical_row(scenario.name, digest, shape.k, shape.m, bound_report)
     base = _write_reports(
-        out_dir,
-        scenario.name,
-        "classical-bound",
-        payload,
-        reports.CLASSICAL_COLUMNS,
-        [row],
+        out_dir, scenario.name, "classical-bound", payload, reports.CLASSICAL_COLUMNS
     )
     print(
         f"{scenario.name}: deterministic max {bound_report.deterministic_max:.12f} "
@@ -366,7 +359,6 @@ def _cmd_sample(args) -> int:
         seed=args.seed if args.seed is not None else scenario.seed,
         strategy=args.strategy if args.strategy is not None else scenario.strategy,
     )
-    digest = scenarios.fingerprint(scenario)
     out_dir = _out_dir(args)
     try:
         report = sampling.run(
@@ -378,10 +370,9 @@ def _cmd_sample(args) -> int:
         ) from err
     payload = report.as_dict()
     payload["name"] = scenario.name
-    payload["scenario_hash"] = digest
-    row = reports.sample_row(scenario.name, digest, report)
+    payload["scenario_hash"] = scenarios.fingerprint(scenario)
     base = _write_reports(
-        out_dir, scenario.name, "sample", payload, reports.SAMPLE_COLUMNS, [row]
+        out_dir, scenario.name, "sample", payload, reports.SAMPLE_COLUMNS
     )
     se = "n/a" if report.value_se is None else f"{report.value_se:.6f}"
     print(

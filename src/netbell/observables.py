@@ -29,6 +29,9 @@ from netbell.network import (
 )
 from netbell.pauli import PauliString
 
+# The one refusal of a tilt weight for a scenario no tilt applies to.
+BETA_WITHOUT_TILT = "beta given but no source has an h_prime entry"
+
 
 @dataclass(frozen=True)
 class SourceObservables:
@@ -349,6 +352,13 @@ class Synthesis:
         if len(thetas) != self.layout.K:
             raise ValueError(f"need {self.layout.K} angles, got {len(thetas)}")
         return thetas
+
+    def check_beta(self, beta: float) -> None:
+        """Refuse a tilt weight without a tilted block, or a negative one."""
+        if self.tilt is None:
+            raise ValueError(BETA_WITHOUT_TILT)
+        if not beta >= 0:
+            raise ValueError(f"beta must be nonnegative, got {beta}")
 
     def describe(self, thetas) -> str:
         """One line per observable, the A families at the given angles."""

@@ -4,13 +4,15 @@ Every file, reports and sampling round records alike, goes through a temp
 file in the target directory followed by an atomic rename, so a crashed
 run never leaves a half-written file; file modes follow the umask.
 
-CSV column orders (one row per evaluated point):
+Each command's CSV row is its JSON report's fields under these frozen
+column orders (`csv_row`; lists such as thetas and alphabet are joined
+with spaces):
 
 * Bell reports (evaluate / maximize / tilted):
   name, scenario_hash, K, thetas, I, J, C, quantum_value, classical_bound,
   violation, beta, P, G, tilted_bound, tilted_violation
-  (the five tilt columns are empty for untilted rows; thetas is a
-  space-joined list)
+  (the five tilt columns are the tilt block's beta, P, G, classical_bound
+  and violation, and are empty for untilted reports)
 * classical-bound reports:
   name, scenario_hash, K, M, alphabet, mode, scanned, beta,
   deterministic_max, stochastic_max, classical_bound, passed
@@ -43,6 +45,15 @@ BELL_COLUMNS = [
     "tilted_bound",
     "tilted_violation",
 ]
+
+# Bell tilt column -> field of the report's tilt block.
+BELL_TILT_FIELDS = {
+    "beta": "beta",
+    "P": "P",
+    "G": "G",
+    "tilted_bound": "classical_bound",
+    "tilted_violation": "violation",
+}
 
 CLASSICAL_COLUMNS = [
     "name",
@@ -117,6 +128,22 @@ def write_csv(path, columns: list[str], rows: list[dict]) -> None:
     atomic_write(path, emit)
 
 
+def csv_row(payload: dict, columns: list[str]) -> dict:
+    """The frozen CSV row of a JSON report: each column is the payload's
+    field of that name, except that a Bell report's tilt columns come from
+    its tilt block and are empty without one. A column the payload lacks
+    raises, so columns and report cannot drift apart."""
+    fields = dict(payload)
+    if columns == BELL_COLUMNS:
+        tilt = payload.get("tilt")
+        for column, field in BELL_TILT_FIELDS.items():
+            fields[column] = None if tilt is None else tilt[field]
+    missing = [column for column in columns if column not in fields]
+    if missing:
+        raise KeyError(f"report has no field for CSV columns {missing}")
+    return {column: fields[column] for column in columns}
+
+
 def _cell(value):
     if value is None:
         return ""
@@ -124,68 +151,6 @@ def _cell(value):
         return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
+    if isinstance(value, list):
+        return " ".join(str(_cell(item)) for item in value)
     return value
-
-
-def bell_row(name: str, scenario_hash: str, report) -> dict:
-    """Flatten a BellReport (optionally tilted) into the frozen columns."""
-    row = {
-        "name": name,
-        "scenario_hash": scenario_hash,
-        "K": report.k,
-        "thetas": " ".join(repr(t) for t in report.thetas),
-        "I": report.i_value,
-        "J": report.j_value,
-        "C": report.big_c,
-        "quantum_value": report.quantum_value,
-        "classical_bound": report.classical_bound,
-        "violation": report.violation,
-    }
-    if report.tilt is not None:
-        row.update(
-            beta=report.tilt.beta,
-            P=report.tilt.p_value,
-            G=report.tilt.g_value,
-            tilted_bound=report.tilt.classical_bound,
-            tilted_violation=report.tilt.violation,
-        )
-    return row
-
-
-def classical_row(name: str, scenario_hash: str, k: int, m: int, bound_report) -> dict:
-    scan = bound_report.scan
-    return {
-        "name": name,
-        "scenario_hash": scenario_hash,
-        "K": k,
-        "M": m,
-        "alphabet": " ".join(str(size) for size in scan.alphabet),
-        "mode": scan.mode,
-        "scanned": scan.scanned,
-        "beta": scan.beta,
-        "deterministic_max": bound_report.deterministic_max,
-        "stochastic_max": bound_report.stochastic_max,
-        "classical_bound": bound_report.classical_bound,
-        "passed": bound_report.passed,
-    }
-
-
-def sample_row(name: str, scenario_hash: str, tally_report) -> dict:
-    return {
-        "name": name,
-        "scenario_hash": scenario_hash,
-        "mode": tally_report.mode,
-        "rounds": tally_report.rounds,
-        "seed": tally_report.seed,
-        "I": tally_report.i_estimate,
-        "I_se": tally_report.i_se,
-        "J": tally_report.j_estimate,
-        "J_se": tally_report.j_se,
-        "P": tally_report.p_estimate,
-        "P_se": tally_report.p_se,
-        "beta": tally_report.beta,
-        "value": tally_report.value_estimate,
-        "value_se": tally_report.value_se,
-        "G": tally_report.g_estimate,
-        "G_se": tally_report.g_se,
-    }

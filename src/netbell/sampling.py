@@ -65,17 +65,12 @@ _BASIS_ROTATION = {"X": _H, "Y": _H @ _S_DAG, "Z": None}
 
 @dataclass(frozen=True)
 class RunConfig:
-    """How many rounds to draw, from which seed, with which strategy.
-
-    setting_weights, when given, lists one nonnegative weight per setting
-    combination in lexicographic (x bits, then y bits) order; the default
-    is uniform.
-    """
+    """How many rounds to draw, from which seed, with which strategy; the
+    setting combinations are drawn uniformly."""
 
     rounds: int
     seed: int | None = None
     strategy: str = "direct-observable"
-    setting_weights: tuple[float, ...] | None = None
 
     def __post_init__(self):
         if self.rounds < 1:
@@ -86,11 +81,6 @@ class RunConfig:
             raise ValueError(
                 f"unknown strategy {self.strategy!r}; expected one of {MODES}"
             )
-        if self.setting_weights is not None:
-            weights = tuple(float(w) for w in self.setting_weights)
-            if any(w < 0 for w in weights) or sum(weights) <= 0:
-                raise ValueError("setting weights must be nonnegative with a positive sum")
-            object.__setattr__(self, "setting_weights", weights)
 
 
 @dataclass(frozen=True)
@@ -387,23 +377,12 @@ def run(
     """
     layout, receivers, tilt = synthesis.layout, synthesis.receivers, synthesis.tilt
     if beta is not None:
-        if tilt is None:
-            raise ValueError("beta without a tilted block has no meaning")
-        if not beta >= 0:
-            raise ValueError(f"beta must be nonnegative, got {beta}")
+        synthesis.check_beta(beta)
     thetas = synthesis.angles(thetas)
     k = layout.K
     m = layout.M
     combos = _setting_combos(k, m)
-    if config.setting_weights is None:
-        weights = np.full(len(combos), 1.0 / len(combos))
-    else:
-        if len(config.setting_weights) != len(combos):
-            raise ValueError(
-                f"expected {len(combos)} setting weights, got {len(config.setting_weights)}"
-            )
-        weights = np.asarray(config.setting_weights, dtype=float)
-        weights = weights / weights.sum()
+    weights = np.full(len(combos), 1.0 / len(combos))
 
     rng = make_rng(config.seed)
     counts = rng.multinomial(config.rounds, weights)

@@ -48,7 +48,7 @@ from . import codes as code_lib
 from .bell import MAX_GRID_POINTS, TiltParameters, tilt_parameters
 from .codes import CheckResult, SourceState, StabilizerCode, ValidationReport, codeword
 from .network import NetworkLayout, OperatorSelection, check_parity, check_selection, classify
-from .observables import Synthesis, synthesize
+from .observables import BETA_WITHOUT_TILT, Synthesis, synthesize
 from .pauli import PauliString
 from .sampling import MAX_ROUNDS, MODES
 
@@ -261,7 +261,7 @@ def scenario_from_dict(data: dict) -> Scenario:
         if beta < 0:
             raise ScenarioError(f"beta must be nonnegative, got {beta}")
     if beta is not None and not selection.tilt_sources:
-        raise ScenarioError("beta given but no source has an h_prime entry")
+        raise ScenarioError(BETA_WITHOUT_TILT)
 
     phibar = options.get("phibar")
     phibar = None if phibar is None else _number(phibar, float, "options 'phibar'")
@@ -387,7 +387,7 @@ def resolve_beta(
         return None, None
     tilt_sources = scenario.selection.tilt_sources
     if not tilt_sources:
-        raise ScenarioError("beta given but no source has an h_prime entry")
+        raise ScenarioError(BETA_WITHOUT_TILT)
     if raw != "auto":
         value = _number(raw, float, "beta")
         if value < 0:

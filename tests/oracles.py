@@ -234,13 +234,19 @@ def loop_scan(shape, alphabet, beta):
     """Reference full scan: one Python evaluation per combination.
 
     Returns (best value, best key, combos scanned) with the key and the
-    first-in-enumeration-order tie-break of classical._scan_full.
+    first-in-enumeration-order tie-break of classical._scan_full. Under
+    each label every table integer's (I, J, P) sign factors are read off
+    its bits once; a combination multiplies its tables' factors.
     """
     tilted = beta is not None
     k, m = shape.k, shape.m
     blocks = [shape.block(s) for s in range(1, k + 1)]
     block_sizes, reach_sizes, widths = classical._table_bits(shape, alphabet, tilted)
     root = 1.0 / k
+
+    def sign(bits, column):
+        return 1 - 2 * ((bits >> column) & 1)
+
     best_value = -1.0
     best_key = None
     scanned = 0
@@ -248,26 +254,35 @@ def loop_scan(shape, alphabet, beta):
         labels = classical._decode_labels(label_index, alphabet)
         a_cols = [classical._flat(block, labels, alphabet) for block in blocks]
         b_cols = [classical._flat(reach, labels, alphabet) for reach in shape.reach]
-        for combo in itertools.product(*(range(1 << w) for w in widths)):
-            scanned += 1
-            i_sign = 1
-            j_sign = 1
-            for s in range(k):
-                bits = combo[s]
-                a0 = 1 - 2 * ((bits >> a_cols[s]) & 1)
-                a1 = 1 - 2 * ((bits >> (block_sizes[s] + a_cols[s])) & 1)
-                i_sign *= (a0 + a1) // 2
-                j_sign *= (a0 - a1) // 2
+        factors = []  # per table, the (I, J, P) factors of each table integer
+        for s in range(k):
+            pairs = (
+                (sign(bits, a_cols[s]), sign(bits, block_sizes[s] + a_cols[s]))
+                for bits in range(1 << widths[s])
+            )
+            factors.append([((a0 + a1) // 2, (a0 - a1) // 2, 1) for a0, a1 in pairs])
+        for r in range(m):
+            factors.append(
+                [
+                    (sign(bits, b_cols[r]), sign(bits, reach_sizes[r] + b_cols[r]), 1)
+                    for bits in range(1 << widths[k + r])
+                ]
+            )
+        if tilted:
             for r in range(m):
-                bits = combo[k + r]
-                i_sign *= 1 - 2 * ((bits >> b_cols[r]) & 1)
-                j_sign *= 1 - 2 * ((bits >> (reach_sizes[r] + b_cols[r])) & 1)
+                factors.append(
+                    [(1, 1, sign(bits, b_cols[r])) for bits in range(1 << widths[k + m + r])]
+                )
+        combos = itertools.product(*(range(1 << w) for w in widths))
+        for combo, triples in zip(combos, itertools.product(*factors)):
+            scanned += 1
+            i_sign = j_sign = p_sign = 1
+            for i, j, p in triples:
+                i_sign *= i
+                j_sign *= j
+                p_sign *= p
             value = abs(i_sign) ** root + abs(j_sign) ** root
             if tilted:
-                p_sign = 1
-                for r in range(m):
-                    bits = combo[k + m + r]
-                    p_sign *= 1 - 2 * ((bits >> b_cols[r]) & 1)
                 value += beta * abs(p_sign) ** root
             if value > best_value:
                 best_value = value

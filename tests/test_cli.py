@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netbell import bell, classical, network, observables, scenarios
+from netbell import bell, classical, network, observables, sampling, scenarios
 from netbell.cli import EXIT_ACCEPTANCE, EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
 
 PI_4 = "0.7853981633974483"
@@ -286,6 +286,22 @@ class TestUsageErrors:
         err = capsys.readouterr().err.splitlines()
         assert err == ["error: beta given but no source has an h_prime entry"]
         assert list(out_dir.iterdir()) == []
+
+    def test_library_refuses_beta_in_the_cli_words(self, out_dir, capsys):
+        assert main(["evaluate", "chsh", "--beta", "0.5"]) == EXIT_VALIDATION
+        [line] = capsys.readouterr().err.splitlines()
+        scenario = scenarios.builtin_scenario("chsh")
+        _, synthesis = scenarios.diagnose(scenario)
+        config = sampling.RunConfig(rounds=10)
+        calls = [
+            lambda: scenarios.resolve_beta(scenario, 0.5),
+            lambda: bell.evaluate_tilted(synthesis, scenario.thetas, 0.5),
+            lambda: sampling.run(synthesis, scenario.thetas, config, beta=0.5),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError) as info:
+                call()
+            assert line == f"error: {info.value}"
 
 
 class TestEvaluate:
@@ -663,6 +679,17 @@ class TestOutputRouting:
         assert main(["evaluate", "chsh"]) == EXIT_OK
         names = sorted(p.name for p in out_dir.iterdir())
         assert names == ["chsh-evaluate.csv", "chsh-evaluate.json"]
+
+    def test_report_missing_a_column_writes_nothing(self, out_dir, monkeypatch):
+        as_dict = bell.BellReport.as_dict
+
+        def without_c(report):
+            return {key: value for key, value in as_dict(report).items() if key != "C"}
+
+        monkeypatch.setattr(bell.BellReport, "as_dict", without_c)
+        with pytest.raises(KeyError, match="'C'"):
+            main(["evaluate", "chsh"])
+        assert list(out_dir.iterdir()) == []
 
     def test_unwritable_out_dir(self, capsys):
         code = main(["evaluate", "chsh", "--out", "/proc/1/nope"])

@@ -76,12 +76,12 @@ class TestWriters:
         path = tmp_path / "out.csv"
         reports.write_csv(
             path,
-            ["a", "b", "c", "d"],
-            [{"a": None, "b": True, "c": False, "d": 0.5}],
+            ["a", "b", "c", "d", "e"],
+            [{"a": None, "b": True, "c": False, "d": 0.5, "e": [0.1, 1.0, 2]}],
         )
         text = path.read_text()
-        assert text.splitlines()[0] == "a,b,c,d"
-        assert text.splitlines()[1] == ",true,false,0.5"
+        assert text.splitlines()[0] == "a,b,c,d,e"
+        assert text.splitlines()[1] == ",true,false,0.5,0.1 1.0 2"
 
     def test_csv_rejects_unknown_columns(self, tmp_path):
         with pytest.raises(ValueError):
@@ -113,3 +113,34 @@ class TestWriters:
         path = tmp_path / "out.json"
         reports.write_json(path, {"v": 1})
         assert os.stat(path).st_mode & 0o777 == 0o644
+
+
+class TestCsvRow:
+    """A CSV row is its JSON report's fields under the frozen columns."""
+
+    def test_row_follows_the_column_order(self):
+        payload = {"b": 2, "a": 1, "extra": [3]}
+        assert list(reports.csv_row(payload, ["a", "b"]).items()) == [("a", 1), ("b", 2)]
+
+    def test_missing_column_raises(self):
+        payload = {column: 0 for column in reports.SAMPLE_COLUMNS if column != "G_se"}
+        with pytest.raises(KeyError, match="G_se"):
+            reports.csv_row(payload, reports.SAMPLE_COLUMNS)
+
+    def test_bell_tilt_columns_come_from_the_tilt_block(self):
+        payload = {column: column for column in reports.BELL_COLUMNS[:10]}
+        untilted = reports.csv_row(payload, reports.BELL_COLUMNS)
+        assert [untilted[c] for c in reports.BELL_TILT_FIELDS] == [None] * 5
+        payload["tilt"] = {
+            "beta": 0.5, "P": 0.7, "G": 2.1, "classical_bound": 1.5,
+            "violation": True, "tilt_sources": [1],
+        }
+        tilted = reports.csv_row(payload, reports.BELL_COLUMNS)
+        assert [tilted[c] for c in reports.BELL_TILT_FIELDS] == [0.5, 0.7, 2.1, 1.5, True]
+        assert tilted["classical_bound"] == "classical_bound"
+
+    def test_tilt_block_missing_a_field_raises(self):
+        payload = {column: column for column in reports.BELL_COLUMNS[:10]}
+        payload["tilt"] = {"beta": 0.5, "P": 0.7, "G": 2.1, "classical_bound": 1.5}
+        with pytest.raises(KeyError, match="violation"):
+            reports.csv_row(payload, reports.BELL_COLUMNS)

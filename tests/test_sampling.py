@@ -36,8 +36,8 @@ DATA = Path(__file__).parent / "data"
 
 # Round records pinned as files in tests/data/rounds-<name>.csv, written by
 # the earlier writer that made one csv.writerow call per round; each entry is
-# (builtin scenario, RunConfig keywords, beta). The five-round and the
-# weighted entries leave four of the eight setting cells empty.
+# (builtin scenario, RunConfig keywords, beta). The five-round entry leaves
+# four of the eight setting cells empty.
 PINNED_RECORDS = {
     "example-a-direct": ("example-a", dict(rounds=500, seed=1), None),
     "example-a-per-qubit": (
@@ -52,11 +52,6 @@ PINNED_RECORDS = {
         0.7,
     ),
     "example-a-five-rounds": ("example-a", dict(rounds=5, seed=2), None),
-    "example-a-weighted": (
-        "example-a",
-        dict(rounds=500, seed=2, setting_weights=(1, 0, 0, 2, 3, 0, 0, 1)),
-        None,
-    ),
 }
 
 
@@ -92,15 +87,6 @@ class TestRunConfig:
     def test_rejects_unknown_strategy(self):
         with pytest.raises(ValueError, match="strategy"):
             RunConfig(rounds=10, strategy="adaptive")
-
-    def test_rejects_negative_weights(self):
-        with pytest.raises(ValueError, match="weights"):
-            RunConfig(rounds=10, setting_weights=(1.0, -0.5))
-
-    def test_rejects_zero_weight_sum(self):
-        with pytest.raises(ValueError, match="weights"):
-            RunConfig(rounds=10, setting_weights=(0.0, 0.0))
-
 
 class TestFrames:
     @pytest.mark.parametrize("mode", sampling.MODES)
@@ -255,37 +241,21 @@ class TestRun:
         assert report.i_estimate == 1.0
         assert abs(report.j_estimate) < 4 * max(report.j_se, 1e-3)
 
-    def test_one_hot_weights_concentrate_rounds(self):
-        layout = chsh_layout(np.pi / 8)
-        selection = chsh_selection()
-        synthesis, thetas = synth(layout, selection, [0.5])
-        weights = (0.0, 0.0, 1.0, 0.0)
-        report = run(synthesis, thetas, RunConfig(rounds=1000, seed=5, setting_weights=weights))
-        populated = [t for t in report.tallies if t.rounds]
-        assert len(populated) == 1
-        assert populated[0].x == (1,) and populated[0].y == (0,)
-        assert populated[0].rounds == 1000
-
     def test_empty_correlator_cells_give_conservative_errors(self):
+        # Five rounds leave four of the eight setting cells empty; an empty
+        # cell counts as a zero mean with a unit standard error.
         layout = bilocal_layout()
         selection = selection_a()
         synthesis, thetas = synth(layout, selection, [np.pi / 4] * 2, allow=True)
-        weights = tuple(
-            1.0 if y == (1,) else 0.0
-            for x in np.ndindex(2, 2)
-            for y in [(0,), (1,)]
-        )
-        report = run(synthesis, thetas, RunConfig(rounds=2000, seed=13, setting_weights=weights))
-        assert report.i_estimate == 0.0
-        assert report.i_se == pytest.approx(0.5)
+        report = run(synthesis, thetas, RunConfig(rounds=5, seed=2))
+        empty = [(t.x, t.y) for t in report.tallies if not t.rounds]
+        assert empty == [((0, 0), (0,)), ((0, 0), (1,)), ((0, 1), (1,)), ((1, 1), (0,))]
+        # I: two empty cells, a two-round cell at mean 0, a one-round cell
+        assert report.i_se == pytest.approx(np.sqrt(1 + 1 + 1 / 2) / 4)
+        # J: two empty cells, two one-round cells of opposite sign
+        assert report.j_estimate == 0.0
+        assert report.j_se == pytest.approx(np.sqrt(2) / 4)
         assert report.value_se is None
-
-    def test_wrong_weight_length_is_rejected(self):
-        layout = chsh_layout()
-        selection = chsh_selection()
-        synthesis, thetas = synth(layout, selection, [0.5])
-        with pytest.raises(ValueError, match="setting weights"):
-            run(synthesis, thetas, RunConfig(rounds=10, seed=0, setting_weights=(1.0, 1.0)))
 
     def test_beta_without_tilt_is_rejected(self):
         layout = chsh_layout()
@@ -352,17 +322,15 @@ class TestTiltedRun:
 
 
 class TestBornRule:
+    """Each check reads one setting cell of a run with uniform settings."""
+
     def test_chsh_counts_follow_the_exact_distribution(self):
         layout = chsh_layout(np.pi / 8)
         selection = chsh_selection()
         synthesis, thetas = synth(layout, selection, [0.7])
         dist = outcome_distribution(synthesis, thetas, (0,), (0,))
-        report = run(
-            synthesis,
-            thetas,
-            RunConfig(rounds=30000, seed=1234, setting_weights=(1.0, 0.0, 0.0, 0.0)),
-        )
-        cell = next(t for t in report.tallies if t.rounds)
+        report = run(synthesis, thetas, RunConfig(rounds=120000, seed=1234))
+        cell = next(t for t in report.tallies if t.x == (0,) and t.y == (0,))
         # Two-observable products only expose a*b; rebuild cell counts from
         # the recorded mean and check the product marginal instead.
         empirical_mean = cell.product_mean
@@ -374,26 +342,19 @@ class TestBornRule:
         layout = bilocal_layout()
         selection = selection_a()
         synthesis, thetas = synth(layout, selection, [np.pi / 4] * 2, allow=True)
-        weights = tuple(1.0 if idx == 0 else 0.0 for idx in range(8))
-        rounds = 24000
         path = tmp_path / "rounds.csv"
-        run(
-            synthesis,
-            thetas,
-            RunConfig(rounds=rounds, seed=4321, setting_weights=weights),
-            record_path=path,
-        )
+        run(synthesis, thetas, RunConfig(rounds=192000, seed=4321), record_path=path)
         counts = {}
         with open(path, newline="") as handle:
-            rows = csv.DictReader(handle)
-            for row in rows:
-                key = (int(row["a1"]), int(row["a2"]), int(row["b1"]))
-                counts[key] = counts.get(key, 0) + 1
+            rows = [row for row in csv.DictReader(handle) if row["settings"] == "00|0"]
+        for row in rows:
+            key = (int(row["a1"]), int(row["a2"]), int(row["b1"]))
+            counts[key] = counts.get(key, 0) + 1
         dist = outcome_distribution(synthesis, thetas, (0, 0), (0,))
         chi2 = 0.0
         cells = 0
         for outcome, weight in dist.items():
-            expected = weight * rounds
+            expected = weight * len(rows)
             assert expected > 5
             chi2 += (counts.get(outcome, 0) - expected) ** 2 / expected
             cells += 1
