@@ -34,10 +34,10 @@ CHI2_999 = {3: 16.266, 7: 24.322}
 
 DATA = Path(__file__).parent / "data"
 
-# Round records pinned as files in tests/data/rounds-<name>.csv, written by
-# the earlier writer that made one csv.writerow call per round; each entry is
-# (builtin scenario, RunConfig keywords, beta). The five-round entry leaves
-# four of the eight setting cells empty.
+# Round records pinned as files in tests/data/rounds-<name>.csv; each entry
+# is (builtin scenario, RunConfig keywords, beta). The 500-round records were
+# written by the earlier writer that made one csv.writerow call per round.
+# The five-round record leaves four of the eight setting cells empty.
 PINNED_RECORDS = {
     "example-a-direct": ("example-a", dict(rounds=500, seed=1), None),
     "example-a-per-qubit": (
