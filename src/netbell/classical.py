@@ -7,7 +7,10 @@ deterministic scan enumerates response tables together with point-mass
 label assignments and maximizes the same objective the quantum engine
 reports, as a single-process numpy scan in bounded slices.  A
 stochastic pass then probes mixed label distributions with random
-restarts and hill climbing.  The scan is falsification pressure for the
+restarts and hill climbing, scored incrementally: a table flip re-reads
+the signs of only the labels that read the flipped column, and the
+totals are re-summed in grid order, so every score is the float a
+whole-grid sum gives.  The scan is falsification pressure for the
 analytic bound, not a search for new physics: the objective must never
 come out above 1 (or beta + 1 tilted).
 """
@@ -17,6 +20,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -175,15 +179,16 @@ class HiddenStrategy:
                 raise ValueError(f"source {i} weights are not a distribution")
         if len(self.a_tables) != shape.k or len(self.b_tables) != shape.m:
             raise ValueError("need one table per source agent and per receiver")
-        for s, table in enumerate(self.a_tables, start=1):
-            self._check_table(table, self.block_size(s), f"source agent {s}")
-        for m, table in enumerate(self.b_tables, start=1):
-            self._check_table(table, self.reach_size(m), f"receiver {m}")
+        block_sizes, reach_sizes, _ = _table_bits(shape, self.alphabet, False)
+        for s, (table, size) in enumerate(zip(self.a_tables, block_sizes), start=1):
+            self._check_table(table, size, f"source agent {s}")
+        for m, (table, size) in enumerate(zip(self.b_tables, reach_sizes), start=1):
+            self._check_table(table, size, f"receiver {m}")
         if self.p_tables is not None:
             if len(self.p_tables) != shape.m:
                 raise ValueError("need one p table per receiver")
-            for m, column in enumerate(self.p_tables, start=1):
-                self._check_table((column,), self.reach_size(m), f"receiver {m} p")
+            for m, (column, size) in enumerate(zip(self.p_tables, reach_sizes), start=1):
+                self._check_table((column,), size, f"receiver {m} p")
 
     @staticmethod
     def _check_table(table, width: int, who: str) -> None:
@@ -192,12 +197,6 @@ class HiddenStrategy:
                 raise ValueError(f"{who} table width {len(row)}, expected {width}")
             if any(entry not in (-1, 1) for entry in row):
                 raise ValueError(f"{who} table entries must be -1 or +1")
-
-    def block_size(self, s: int) -> int:
-        return math.prod(self.alphabet[i - 1] for i in self.shape.block(s))
-
-    def reach_size(self, m: int) -> int:
-        return math.prod(self.alphabet[i - 1] for i in self.shape.reach[m - 1])
 
     def to_json(self) -> dict:
         data = {
@@ -218,74 +217,6 @@ class HiddenStrategy:
         return data
 
 
-@dataclass(frozen=True)
-class ClassicalCorrelators:
-    i_value: float
-    j_value: float
-    p_value: float | None = None
-
-
-def _label_grid(shape: NetworkShape, alphabet) -> list:
-    """Every label tuple in product order, with the table column each
-    source agent and each receiver reads under it."""
-    blocks = [shape.block(s) for s in range(1, shape.k + 1)]
-    return [
-        (
-            labels,
-            tuple(_flat(block, labels, alphabet) for block in blocks),
-            tuple(_flat(reach, labels, alphabet) for reach in shape.reach),
-        )
-        for labels in itertools.product(*(range(size) for size in alphabet))
-    ]
-
-
-def _grid_sums(grid, weights, a_tables, b_tables, p_tables) -> ClassicalCorrelators:
-    """I, J (and P when p_tables is given) summed over a label grid.
-
-    Tables may be tuples or lists; the summation order is fixed, so the
-    same strategy always gives the same floats.
-    """
-    i_total = 0.0
-    j_total = 0.0
-    p_total = 0.0 if p_tables is not None else None
-    for labels, a_cols, b_cols in grid:
-        weight = math.prod(w[v] for w, v in zip(weights, labels))
-        if weight == 0.0:
-            continue
-        half_sum = 1.0
-        half_diff = 1.0
-        for table, column in zip(a_tables, a_cols):
-            a0 = table[0][column]
-            a1 = table[1][column]
-            half_sum *= (a0 + a1) / 2
-            half_diff *= (a0 - a1) / 2
-        b0 = 1
-        b1 = 1
-        p = 1
-        for m, column in enumerate(b_cols):
-            b0 *= b_tables[m][0][column]
-            b1 *= b_tables[m][1][column]
-            if p_tables is not None:
-                p *= p_tables[m][column]
-        i_total += weight * half_sum * b0
-        j_total += weight * half_diff * b1
-        if p_total is not None:
-            p_total += weight * p
-    return ClassicalCorrelators(i_total, j_total, p_total)
-
-
-def bell_value(corr: ClassicalCorrelators, k: int) -> float:
-    return abs(corr.i_value) ** (1.0 / k) + abs(corr.j_value) ** (1.0 / k)
-
-
-def objective_value(corr: ClassicalCorrelators, k: int, beta: float | None) -> float:
-    if beta is None:
-        return bell_value(corr, k)
-    if corr.p_value is None:
-        raise ValueError("tilted objective needs a strategy with p tables")
-    return beta * abs(corr.p_value) ** (1.0 / k) + bell_value(corr, k)
-
-
 def _table_bits(shape: NetworkShape, alphabet, tilted: bool):
     """Bit widths of every enumerated table, in scan order."""
     block_sizes = [
@@ -295,8 +226,7 @@ def _table_bits(shape: NetworkShape, alphabet, tilted: bool):
     reach_sizes = [
         math.prod(alphabet[i - 1] for i in reach) for reach in shape.reach
     ]
-    widths = [2 * size for size in block_sizes]
-    widths += [2 * size for size in reach_sizes]
+    widths = [2 * size for size in block_sizes + reach_sizes]
     if tilted:
         widths += list(reach_sizes)
     return block_sizes, reach_sizes, widths
@@ -418,24 +348,14 @@ def _strategy_from_key(shape, alphabet, beta, key, scan_alphabet) -> HiddenStrat
     b_tables = tuple(
         rows(combo[k + r], scan_reach[r], reach_sizes[r], 2) for r in range(m)
     )
-    p_tables = None
-    if tilted:
-        p_tables = tuple(
-            rows(combo[k + m + r], scan_reach[r], reach_sizes[r], 1)[0]
-            for r in range(m)
-        )
+    p_tables = tuple(
+        rows(combo[k + m + r], scan_reach[r], reach_sizes[r], 1)[0] for r in range(m)
+    ) if tilted else None
     weights = tuple(
         tuple(1.0 if v == labels[i] else 0.0 for v in range(alphabet[i]))
         for i in range(shape.n)
     )
-    return HiddenStrategy(
-        shape=shape,
-        alphabet=alphabet,
-        weights=weights,
-        a_tables=a_tables,
-        b_tables=b_tables,
-        p_tables=p_tables,
-    )
+    return HiddenStrategy(shape, alphabet, weights, a_tables, b_tables, p_tables)
 
 
 def _random_tables(shape, alphabet, tilted, rng):
@@ -450,24 +370,119 @@ def _random_tables(shape, alphabet, tilted, rng):
     return a_tables, b_tables, p_tables
 
 
+class _GridScorer:
+    """I, J and P of a strategy over the label grid, and its objective,
+    kept up to date through the refine pass's table flips and weight moves.
+
+    Built once per pass: the column each table reads under every label in
+    product order (source agents, then receivers, whose p tables read the
+    b tables' columns), the labels that read each column, and each
+    source's label under every label.  Per label it holds an integer sign
+    triple and a weight built source by source as math.prod multiplies;
+    each total sums weight * sign left to right from +0.0.  Every term is
+    +/-weight or +/-0.0 and no total ever becomes -0.0, so the totals are
+    the floats of the whole-grid sum, zero-weight labels included.
+    """
+
+    def __init__(self, shape, alphabet, beta):
+        labels = list(itertools.product(*(range(size) for size in alphabet)))
+        reads = [shape.block(s) for s in range(1, shape.k + 1)] + list(shape.reach)
+        self._columns = [tuple(_flat(r, lab, alphabet) for r in reads) for lab in labels]
+        self._readers = [defaultdict(list) for _ in reads]
+        for label, columns in enumerate(self._columns):
+            for readers, column in zip(self._readers, columns):
+                readers[column].append(label)
+        self._source_labels = list(zip(*labels))
+        self._k, self._beta, self._root = shape.k, beta, 1.0 / shape.k
+
+    def _label_signs(self, label):
+        columns = self._columns[label]
+        i = j = p = 1
+        for (a0, a1), c in zip(self._a, columns):
+            i *= (a0[c] + a1[c]) // 2
+            j *= (a0[c] - a1[c]) // 2
+        for (b0, b1, p_row), c in zip(self._receivers, columns[self._k :]):
+            i *= b0[c]
+            j *= b1[c]
+            p *= p_row[c]
+        return i, j, p
+
+    def _resign(self, labels):
+        """Re-read these labels' sign triples; (label, *old triple) per change."""
+        si, sj, sp = self._signs
+        changed = []
+        for label in labels:
+            i, j, p = self._label_signs(label)
+            if i != si[label] or j != sj[label] or p != sp[label]:
+                changed.append((label, si[label], sj[label], sp[label]))
+                si[label], sj[label], sp[label] = i, j, p
+        return changed
+
+    def _rescore(self, parts):
+        """Re-sum the totals of these parts (0 = I, 1 = J, 2 = P); the objective."""
+        if parts:
+            self.totals = totals = list(self.totals)
+            for part in parts:
+                total = 0.0
+                for weight, sign in zip(self._weights, self._signs[part]):
+                    total += weight * sign
+                totals[part] = total
+            i, j, p = totals
+            self.value = abs(i) ** self._root + abs(j) ** self._root
+            if self._beta is not None:
+                self.value = self._beta * abs(p) ** self._root + self.value
+        return self.value
+
+    def load(self, weights, tables):
+        """Score a strategy from scratch; rows then lists (table index, parts
+        a flip can move, row) for every row of its tables, in flip order."""
+        self._a, b, p = tables
+        self._receivers = [(*t, p[m] if p else (1,) * len(t[0])) for m, t in enumerate(b)]
+        self.rows = [(s, (0, 1), row) for s, table in enumerate(self._a) for row in table]
+        self.rows += [(self._k + m, (x,), t[x]) for m, t in enumerate(b) for x in (0, 1)]
+        self.rows += [(self._k + m, (2,), row) for m, row in enumerate(p or ())]
+        signs = map(self._label_signs, range(len(self._columns)))
+        self._signs = [list(part) for part in zip(*signs)]
+        self.totals, self._weights, self.value = [0.0, 0.0, None], None, None
+        return self.weigh(weights)
+
+    def flip(self, table, column, parts):
+        """Rescore once the caller negated an entry of a row that moves these parts."""
+        self._saved = (self._weights, self.totals, self.value)
+        self._changed = self._resign(self._readers[table][column])
+        return self._rescore(parts if self._changed else ())
+
+    def weigh(self, weights):
+        """Rescore the current tables under new label weights."""
+        self._saved = (self._weights, self.totals, self.value)
+        self._changed = ()
+        self._weights = [1] * len(self._columns)
+        for w, labels in zip(weights, self._source_labels):
+            self._weights = [x * w[v] for x, v in zip(self._weights, labels)]
+        return self._rescore((0, 1) if self._beta is None else (0, 1, 2))
+
+    def undo(self):
+        """Take back the last flip() or weigh()."""
+        si, sj, sp = self._signs
+        for label, i, j, p in self._changed:
+            si[label], sj[label], sp[label] = i, j, p
+        self._weights, self.totals, self.value = self._saved
+
+
 def _refine(shape, alphabet, beta, seed_strategy, rng, draws, steps):
     """Stochastic pass: random product label distributions, hill-climbed.
 
     Restarts alternate between the deterministic argmax tables and fresh
     random tables; each restart greedily flips table entries, then walks
-    the label weights toward random vertices, keeping improvements.
-    Tables are flipped in place on lists; a HiddenStrategy is built only
-    for a restart that beats the best so far.
+    the label weights toward random vertices, keeping improvements.  One
+    _GridScorer, built for the pass, scores every candidate; a rejected
+    flip or move is undone in it.  Tables are flipped in place on lists,
+    and a HiddenStrategy is built only for a restart that beats the best.
     """
     tilted = beta is not None
-    k = shape.k
-    grid = _label_grid(shape, alphabet)
-
-    def score(weights, tables):
-        return objective_value(_grid_sums(grid, weights, *tables), k, beta)
-
+    scorer = _GridScorer(shape, alphabet, beta)
     seed_tables = (seed_strategy.a_tables, seed_strategy.b_tables, seed_strategy.p_tables)
-    best_value = score(seed_strategy.weights, seed_tables)
+    best_value = scorer.load(seed_strategy.weights, seed_tables)
     best_strategy = seed_strategy
     for draw in range(draws):
         start = seed_tables if draw == 0 else _random_tables(shape, alphabet, tilted, rng)
@@ -476,28 +491,26 @@ def _refine(shape, alphabet, beta, seed_strategy, rng, draws, steps):
         p_tables = None if start[2] is None else [list(row) for row in start[2]]
         tables = (a_tables, b_tables, p_tables)
         weights = [tuple(map(float, rng.dirichlet(np.ones(size)))) for size in alphabet]
-        current_value = score(weights, tables)
-
-        rows = [row for table in a_tables + b_tables for row in table] + (p_tables or [])
+        current_value = scorer.load(weights, tables)
         improved = True
         sweeps = 0
         while improved and sweeps < _REFINE_SWEEPS:
             improved = False
             sweeps += 1
-            for row in rows:
+            for t, parts, row in scorer.rows:
                 for e in range(len(row)):
                     row[e] = -row[e]
-                    candidate_value = score(weights, tables)
+                    candidate_value = scorer.flip(t, e, parts)
                     if candidate_value > current_value + 1e-15:
                         current_value = candidate_value
                         improved = True
                     else:
                         row[e] = -row[e]
+                        scorer.undo()
 
         for _ in range(steps):
             source = int(rng.integers(shape.n))
-            size = alphabet[source]
-            vertex = int(rng.integers(size))
+            vertex = int(rng.integers(alphabet[source]))
             eta = float(rng.uniform(0.1, 1.0))
             mixed = [
                 (1 - eta) * w + (eta if v == vertex else 0.0)
@@ -506,9 +519,11 @@ def _refine(shape, alphabet, beta, seed_strategy, rng, draws, steps):
             total = sum(mixed)
             candidate = list(weights)
             candidate[source] = tuple(w / total for w in mixed)
-            candidate_value = score(candidate, tables)
+            candidate_value = scorer.weigh(candidate)
             if candidate_value > current_value:
                 weights, current_value = candidate, candidate_value
+            else:
+                scorer.undo()
 
         if current_value > best_value:
             best_value = current_value
@@ -559,11 +574,10 @@ def max_deterministic(
     """
     if beta is not None and not beta >= 0:
         raise ValueError(f"beta must be nonnegative, got {beta}")
-    if alphabet is None:
-        alphabet = default_alphabet(shape, tilted=beta is not None, budget=budget)
-    alphabet = _normalize_alphabet(shape, alphabet)
-
     tilted = beta is not None
+    if alphabet is None:
+        alphabet = default_alphabet(shape, tilted=tilted, budget=budget)
+    alphabet = _normalize_alphabet(shape, alphabet)
     if scan_size(shape, alphabet, tilted=tilted, budget=budget) is not None:
         mode, scan_alphabet = "full", alphabet
     else:
@@ -574,8 +588,9 @@ def max_deterministic(
                 f"reachable scan of about 10^{math.log10(labels) + bits * math.log10(2):.1f} "
                 f"combinations exceeds the budget of {budget:.3e}"
             )
-    # Every refine score sums the whole label grid: each restart scores up
-    # to _REFINE_SWEEPS flips of every table entry, then refine_steps moves.
+    # The refine budget counts label-grid terms as if every score summed
+    # the whole grid: each restart scores up to _REFINE_SWEEPS flips of
+    # every table entry, then refine_steps moves.
     labels, entries = _scan_extent(shape, alphabet, tilted, "full")
     refine = refine_draws * (_REFINE_SWEEPS * entries + refine_steps) * labels
     if refine > budget:
@@ -587,10 +602,8 @@ def max_deterministic(
     strategy = _strategy_from_key(shape, alphabet, beta, key, scan_alphabet)
     if mode == "reachable":  # the one scan stands for the same scan under every label
         scanned *= labels
-
-    rng = make_rng(seed)
     stochastic_value, stochastic_strategy = _refine(
-        shape, alphabet, beta, strategy, rng, refine_draws, refine_steps
+        shape, alphabet, beta, strategy, make_rng(seed), refine_draws, refine_steps
     )
     return ScanReport(
         value=value,

@@ -92,9 +92,8 @@ SAMPLE_COLUMNS = [
 
 def atomic_write(path, writer) -> None:
     """Call writer(handle) on a temp file beside path, then rename it onto
-    path. The file's mode follows the umask, as with a plain open()."""
+    path, whose directory must exist. The mode follows the umask."""
     directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
     descriptor, temp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(descriptor, "w", newline="") as handle:

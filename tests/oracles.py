@@ -19,9 +19,12 @@ command runs:
 * `logical_representative` searches a stabilizer coset for a phase-flip
   representative that meets per-qubit letter constraints;
 * `loop_scan` is the classical full scan with one Python evaluation per
-  combination, `_scan_reachable` the reachable scan as one Python
-  evaluation per response pair under every label, and `correlators` sums
-  a hidden strategy's label grid.
+  combination, and `_scan_reachable` the reachable scan as one Python
+  evaluation per response pair under every label;
+* `correlators` sums a hidden strategy's I, J and P through `grid_sums`,
+  which walks the whole label grid of `label_grid` term by term, and
+  `objective_value` scores them; the refine pass's incremental
+  `classical._GridScorer` must give the same floats bit for bit.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
@@ -355,10 +359,79 @@ def _scan_reachable(shape, alphabet, beta):
     return value, strategy, scanned
 
 
-def correlators(strategy: classical.HiddenStrategy) -> classical.ClassicalCorrelators:
+@dataclass(frozen=True)
+class ClassicalCorrelators:
+    i_value: float
+    j_value: float
+    p_value: float | None = None
+
+
+def bell_value(corr: ClassicalCorrelators, k: int) -> float:
+    return abs(corr.i_value) ** (1.0 / k) + abs(corr.j_value) ** (1.0 / k)
+
+
+def objective_value(corr: ClassicalCorrelators, k: int, beta: float | None) -> float:
+    if beta is None:
+        return bell_value(corr, k)
+    if corr.p_value is None:
+        raise ValueError("tilted objective needs a strategy with p tables")
+    return beta * abs(corr.p_value) ** (1.0 / k) + bell_value(corr, k)
+
+
+def label_grid(shape: classical.NetworkShape, alphabet) -> list:
+    """Every label tuple in product order, with the table column each
+    source agent and each receiver reads under it."""
+    blocks = [shape.block(s) for s in range(1, shape.k + 1)]
+    return [
+        (
+            labels,
+            tuple(classical._flat(block, labels, alphabet) for block in blocks),
+            tuple(classical._flat(reach, labels, alphabet) for reach in shape.reach),
+        )
+        for labels in itertools.product(*(range(size) for size in alphabet))
+    ]
+
+
+def grid_sums(grid, weights, a_tables, b_tables, p_tables) -> ClassicalCorrelators:
+    """I, J (and P when p_tables is given) summed over a label grid, one
+    label at a time in grid order, skipping labels of weight 0.
+
+    Tables may be tuples or lists; the summation order is fixed, so the
+    same strategy always gives the same floats.
+    """
+    i_total = 0.0
+    j_total = 0.0
+    p_total = 0.0 if p_tables is not None else None
+    for labels, a_cols, b_cols in grid:
+        weight = math.prod(w[v] for w, v in zip(weights, labels))
+        if weight == 0.0:
+            continue
+        half_sum = 1.0
+        half_diff = 1.0
+        for table, column in zip(a_tables, a_cols):
+            a0 = table[0][column]
+            a1 = table[1][column]
+            half_sum *= (a0 + a1) / 2
+            half_diff *= (a0 - a1) / 2
+        b0 = 1
+        b1 = 1
+        p = 1
+        for m, column in enumerate(b_cols):
+            b0 *= b_tables[m][0][column]
+            b1 *= b_tables[m][1][column]
+            if p_tables is not None:
+                p *= p_tables[m][column]
+        i_total += weight * half_sum * b0
+        j_total += weight * half_diff * b1
+        if p_total is not None:
+            p_total += weight * p
+    return ClassicalCorrelators(i_total, j_total, p_total)
+
+
+def correlators(strategy: classical.HiddenStrategy) -> ClassicalCorrelators:
     """Exact I, J (and P when present) of a strategy, summed over its label grid."""
-    return classical._grid_sums(
-        classical._label_grid(strategy.shape, strategy.alphabet),
+    return grid_sums(
+        label_grid(strategy.shape, strategy.alphabet),
         strategy.weights,
         strategy.a_tables,
         strategy.b_tables,

@@ -12,14 +12,20 @@ from netbell.classical import (
     BoundViolation,
     HiddenStrategy,
     NetworkShape,
-    bell_value,
     default_alphabet,
     max_deterministic,
-    objective_value,
     scan_size,
     verify_bound,
 )
-from oracles import _scan_reachable, correlators, loop_scan
+from oracles import (
+    _scan_reachable,
+    bell_value,
+    correlators,
+    grid_sums,
+    label_grid,
+    loop_scan,
+    objective_value,
+)
 
 BILOCAL = NetworkShape(k=2, m=1, n=2, partition=(0, 1, 2), reach=((1, 2),))
 SINGLE = NetworkShape(k=1, m=1, n=1, partition=(0, 1), reach=((1,),))
@@ -205,6 +211,104 @@ class TestCorrelators:
             corr = correlators(strategy)
             p_hex = None if corr.p_value is None else corr.p_value.hex()
             assert (corr.i_value.hex(), corr.j_value.hex(), p_hex) == expected
+
+
+STAR3 = NetworkShape(k=3, m=1, n=3, partition=(0, 1, 2, 3), reach=((1, 2, 3),))
+STAR5 = NetworkShape(
+    k=5, m=1, n=5, partition=(0, 1, 2, 3, 4, 5), reach=((1, 2, 3, 4, 5),)
+)
+# one source agent serving both sources, and two receivers that see
+# different sources: block columns and reach columns that differ
+SPLIT = NetworkShape(k=1, m=2, n=2, partition=(0, 2), reach=((1,), (1, 2)))
+
+
+class TestGridScorer:
+    """The refine pass's incremental scorer against the oracle's whole-grid
+    sum, compared bit for bit (float.hex), never approximately."""
+
+    @staticmethod
+    def weights_with_zeros(sizes, rng):
+        # about half the sources get an exact 0.0 on one label
+        weights = []
+        for size in sizes:
+            w = [float(v) for v in rng.dirichlet(np.ones(size))]
+            if rng.integers(2):
+                w[int(rng.integers(size))] = 0.0
+            weights.append(tuple(w))
+        return weights
+
+    @staticmethod
+    def assert_matches(scorer, value, shape, sizes, beta, weights, tables):
+        expected = grid_sums(label_grid(shape, sizes), weights, *tables)
+        want = [expected.i_value, expected.j_value, expected.p_value]
+        hexes = [None if v is None else v.hex() for v in want]
+        assert [None if v is None else v.hex() for v in scorer.totals] == hexes
+        assert value.hex() == scorer.value.hex()
+        assert value.hex() == objective_value(expected, shape.k, beta).hex()
+
+    @pytest.mark.parametrize("beta", [None, 0.7], ids=["untilted", "tilted"])
+    @pytest.mark.parametrize(
+        "shape, alphabet",
+        [
+            (SINGLE, 4),
+            (BILOCAL, 2),
+            (BILOCAL, (2, 3)),
+            (SPLIT, (3, 2)),
+            (STAR3, 2),
+            (STAR5, 2),
+        ],
+        ids=["single4", "bilocal2", "bilocal23", "split32", "star3", "star5"],
+    )
+    def test_flips_and_weight_moves_match_the_grid_sum(self, shape, alphabet, beta):
+        rng = np.random.default_rng(31)
+        sizes = classical._normalize_alphabet(shape, alphabet)
+        scorer = classical._GridScorer(shape, sizes, beta)
+        for _ in range(3):  # fresh tables and weights on one scorer
+            a, b, p = classical._random_tables(shape, sizes, beta is not None, rng)
+            tables = (
+                [[list(row) for row in table] for table in a],
+                [[list(row) for row in table] for table in b],
+                None if p is None else [list(row) for row in p],
+            )
+            weights = self.weights_with_zeros(sizes, rng)
+            value = scorer.load(weights, tables)
+            self.assert_matches(scorer, value, shape, sizes, beta, weights, tables)
+            for _ in range(40):
+                if rng.random() < 0.25:
+                    candidate = self.weights_with_zeros(sizes, rng)
+                    value = scorer.weigh(candidate)
+                    self.assert_matches(scorer, value, shape, sizes, beta, candidate, tables)
+                    if rng.integers(2):
+                        weights = candidate
+                    else:
+                        scorer.undo()
+                    continue
+                t, parts, row = scorer.rows[int(rng.integers(len(scorer.rows)))]
+                e = int(rng.integers(len(row)))
+                before = scorer.value
+                row[e] = -row[e]
+                value = scorer.flip(t, e, parts)
+                self.assert_matches(scorer, value, shape, sizes, beta, weights, tables)
+                if rng.integers(2):  # restore, as a rejected flip does
+                    row[e] = -row[e]
+                    scorer.undo()
+                    assert scorer.value.hex() == before.hex()
+                self.assert_matches(
+                    scorer, scorer.value, shape, sizes, beta, weights, tables
+                )
+
+    def test_point_mass_seed_strategy_matches(self):
+        # the refine pass first scores the scan's point-mass strategy,
+        # given as tuples: all weight on one label, every other label 0.0
+        report = max_deterministic(STAR3, 2, beta=0.7, refine_draws=0)
+        strategy = report.strategy
+        tables = (strategy.a_tables, strategy.b_tables, strategy.p_tables)
+        scorer = classical._GridScorer(STAR3, strategy.alphabet, 0.7)
+        value = scorer.load(strategy.weights, tables)
+        self.assert_matches(
+            scorer, value, STAR3, strategy.alphabet, 0.7, strategy.weights, tables
+        )
+        assert value == report.value
 
 
 class TestStrategyValidation:

@@ -490,6 +490,19 @@ class TestSample:
         leftovers = [p.name for p in tmp_path.iterdir() if p.suffix == ".tmp"]
         assert leftovers == []
 
+    def test_round_record_in_a_missing_directory_exits_io(self, out_dir, tmp_path, capsys):
+        # the record path is taken as given: its directory is not created
+        missing = tmp_path / "missing"
+        argv = [
+            "sample", "chsh", "--rounds", "10",
+            "--rounds-csv", str(missing / "r.csv"),
+        ]
+        assert main(argv) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write round record")
+        assert err.count("\n") == 1
+        assert not missing.exists()
+
 
 class TestBuiltinStar:
     """star(N) is untilted unless --phibar is given; a --tilt-count above 0
@@ -615,6 +628,13 @@ PINNED_COMMANDS = [
      "chsh-tilted-classical-bound", "classical-chsh-tilted-beta"),
     (["classical-bound", "star(3)", "--tilt-count", "0"],
      "star(3)-classical-bound", "classical-star3-reachable"),
+    # written by the refine pass that summed the whole label grid for every
+    # score, before the incremental scorer; the first pins whose refine
+    # pass has 32 labels (the others have at most 8)
+    (["classical-bound", "star(5)", "--tilt-count", "0"],
+     "star(5)-classical-bound", "classical-star5-reachable"),
+    (["classical-bound", "star", "--N", "5", "--phibar", "0.3927"],
+     "star(5)-classical-bound", "classical-star5-tilted"),
     (["sample", "example-a", "--rounds", "1000", "--seed", "1",
       "--strategy", "direct-observable"],
      "example-a-sample", "sample-example-a-direct"),
@@ -669,6 +689,12 @@ class TestOutputRouting:
         assert main(["evaluate", "chsh", "--out", str(explicit)]) == EXIT_OK
         assert (explicit / "chsh-evaluate.json").exists()
         assert not (tmp_path / "env").exists()
+
+    def test_out_creates_a_new_directory(self, tmp_path):
+        out = tmp_path / "new" / "nested"
+        assert main(["evaluate", "chsh", "--out", str(out)]) == EXIT_OK
+        names = sorted(p.name for p in out.iterdir())
+        assert names == ["chsh-evaluate.csv", "chsh-evaluate.json"]
 
     def test_env_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv("NETBELL_OUT", str(tmp_path / "env"))
