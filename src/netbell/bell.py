@@ -109,11 +109,6 @@ def _cached_expectation(state: StateVector, op: PauliString, cache: dict) -> com
     return op.phase * value
 
 
-def _piece(layout: NetworkLayout, op: PauliString, k: int, phase_exponent: int) -> PauliString:
-    """op's letters on source agent k's group of sources, with the given phase."""
-    return op.restrict(layout.group_positions(k)).with_phase_exponent(phase_exponent)
-
-
 def _check(value, want, what: str, grid=None) -> None:
     """Raise unless value is within CROSS_CHECK_TOL of want everywhere (NaN
     never is); both are scalars, or arrays over the angles of grid."""
@@ -147,13 +142,12 @@ def _block_terms(synthesis: Synthesis, thetas) -> list[list[list]]:
         b = PauliString.product((rec.b_terms(y) for rec in synthesis.receivers), n=n)
         out.append([])
         for k, (obs, theta) in enumerate(zip(sources, thetas), start=1):
-            b_k = _piece(layout, b, k, b.phase_exponent if k == 1 else 0)
-            inside = ((1 << b_k.n) - 1) << (n - layout.group_positions(k).stop)
+            b_k = layout.piece(b, k, b.phase_exponent if k == 1 else 0)
             branch = obs.a_terms(0, theta) + [(flip * c, p) for c, p in obs.a_terms(1, theta)]
-            if any((p.x | p.z) & ~inside for _, p in branch):
+            if any(layout.acts_outside(p, k) for _, p in branch):
                 raise RuntimeError(f"agent {layout.agent_label(k)} acts outside its group")
             state, cache = layout.group_states[k - 1], caches[k - 1]
-            pieces = [(c, _piece(layout, p, k, p.phase_exponent) * b_k) for c, p in branch]
+            pieces = [(c, layout.piece(p, k, p.phase_exponent) * b_k) for c, p in branch]
             out[y].append([(c, _cached_expectation(state, q, cache)) for c, q in pieces])
     return out
 
@@ -237,7 +231,7 @@ def evaluate_tilted(synthesis: Synthesis, thetas, beta: float) -> BellReport:
         group = range(layout.partition[k - 1] + 1, layout.partition[k] + 1)
         primes = [(i, selection.h_prime[i - 1]) for i in group if i in tilt.tilt_sources]
         sign = sum(prime.phase_exponent for _, prime in primes)
-        piece = _piece(layout, tilt.p_full, k, sign)
+        piece = layout.piece(tilt.p_full, k, sign)
         plain = piece == PauliString.identity(piece.n)
         value = 1.0 if plain else layout.group_states[k - 1].expectation(piece)
         want = math.prod(layout.sources[i - 1].state.expectation(p) for i, p in primes)

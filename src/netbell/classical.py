@@ -469,6 +469,16 @@ class _GridScorer:
         self._weights, self.totals, self.value = self._saved
 
 
+def _left_sum(values) -> float:
+    """values added left to right in plain float arithmetic: the builtin
+    sum of Python 3.11 and earlier, which 3.12 replaced by a compensated
+    sum that can round differently."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def _refine(shape, alphabet, beta, seed_strategy, rng, draws, steps):
     """Stochastic pass: random product label distributions, hill-climbed.
 
@@ -516,7 +526,7 @@ def _refine(shape, alphabet, beta, seed_strategy, rng, draws, steps):
                 (1 - eta) * w + (eta if v == vertex else 0.0)
                 for v, w in enumerate(weights[source])
             ]
-            total = sum(mixed)
+            total = _left_sum(mixed)
             candidate = list(weights)
             candidate[source] = tuple(w / total for w in mixed)
             candidate_value = scorer.weigh(candidate)

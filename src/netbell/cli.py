@@ -359,7 +359,7 @@ def _cmd_sample(args) -> int:
         )
     except OSError as err:
         raise CliError(
-            EXIT_IO, f"cannot write round record {args.rounds_csv}: {err}"
+            EXIT_IO, f"cannot write round record {args.rounds_csv}: {err.strerror or err}"
         ) from err
     payload = report.as_dict()
     payload["name"] = scenario.name

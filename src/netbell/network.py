@@ -138,21 +138,28 @@ class NetworkLayout:
     def agent_label(self, agent: int) -> str:
         return f"S{agent}" if agent <= self.K else f"R{agent - self.K}"
 
-    # -- quantum state --------------------------------------------------
-
-    @cached_property
-    def state(self) -> StateVector:
-        """Joint state: tensor product of source states in source-id order."""
-        return tensor([src.state for src in self.sources])
+    # -- groups of sources ----------------------------------------------
 
     def group_positions(self, k: int) -> range:
         """Global qubit positions of source agent k's group of sources."""
         first, last = self.partition[k - 1], self.partition[k] - 1
         return range(self.offsets[first], self.offsets[last] + self.source_sizes[last])
 
+    def piece(self, op: PauliString, k: int, phase_exponent: int = 0) -> PauliString:
+        """op's letters on source agent k's group of sources, with the given phase."""
+        return op.restrict(self.group_positions(k)).with_phase_exponent(phase_exponent)
+
+    def acts_outside(self, op: PauliString, k: int) -> bool:
+        """True when op has a letter outside source agent k's group."""
+        group = self.group_positions(k)
+        inside = ((1 << len(group)) - 1) << (self.total_qubits - group.stop)
+        return bool((op.x | op.z) & ~inside)
+
     @cached_property
     def group_states(self) -> tuple[StateVector, ...]:
-        """Per source agent, the tensor product of its group's source states."""
+        """Per source agent, the tensor product of its group's source states;
+        the network's joint state is never built, so the statevector cap
+        bounds one group."""
         cuts = zip(self.partition, self.partition[1:])
         return tuple(tensor(src.state for src in self.sources[lo:hi]) for lo, hi in cuts)
 

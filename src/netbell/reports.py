@@ -92,21 +92,26 @@ SAMPLE_COLUMNS = [
 
 def atomic_write(path, writer) -> None:
     """Call writer(handle) on a temp file beside path, then rename it onto
-    path, whose directory must exist. The mode follows the umask."""
+    path, whose directory must exist. The mode follows the umask. An
+    OSError is raised again naming path, never the temp file."""
     directory = os.path.dirname(os.path.abspath(path))
-    descriptor, temp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    temp_path = None
     try:
+        descriptor, temp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
         with os.fdopen(descriptor, "w", newline="") as handle:
             writer(handle)
         umask = os.umask(0)
         os.umask(umask)
         os.chmod(temp_path, 0o666 & ~umask)
         os.replace(temp_path, path)
-    except BaseException:
-        try:
-            os.unlink(temp_path)
-        except OSError:
-            pass
+    except BaseException as err:
+        if temp_path is not None:
+            try:
+                os.unlink(temp_path)
+            except OSError:
+                pass
+        if isinstance(err, OSError) and err.errno is not None:
+            raise OSError(err.errno, err.strerror, os.fspath(path)) from err
         raise
 
 

@@ -1,8 +1,14 @@
 """Finite-round sampling of network Bell experiments.
 
-Rounds are simulated exactly rather than by per-round state collapse. For
-each setting combination the commuting per-agent observables are rotated
-into one shared computational-basis frame:
+Rounds are simulated exactly rather than by per-round state collapse. The
+sources are independent, every source agent's observables act inside its
+own group of sources, and each receiver measures a product over the
+groups, so once the settings are fixed the outcome distribution of a
+round is a product over the groups. Each group's factor is built on the
+group's own state (the joint state of the network is never formed, and
+the statevector cap bounds one group), once per source setting and
+receiver settings, by rotating the commuting observables into one shared
+computational-basis frame:
 
 * a source agent's two-outcome observable cos(theta) S + (-1)^x sin(theta) T
   equals V S V^dag with V = exp(-(-1)^x (theta/2) ST), so applying V^dag
@@ -11,11 +17,16 @@ into one shared computational-basis frame:
 * every remaining measured string is then diagonalized letter by letter
   with single-qubit basis rotations (H for X, H S^dag for Y).
 
-The squared amplitudes of the rotated state are the exact joint outcome
-distribution, so rounds are drawn directly from it. Round counts per
-setting combination follow one multinomial draw, which together with
-independent draws inside each combination reproduces independent uniformly
-chosen settings exactly.
+The squared amplitudes of the rotated group state are the exact outcome
+distribution of the group. Rounds draw one outcome index per group by a
+nested inverse CDF that reproduces numpy's Generator.choice on the joint
+distribution (see _draw). A source agent's outcome is its group's S
+parity; a receiver's is its sign times the product of its parities in
+every group. Round counts per setting combination follow one multinomial
+draw, which together with independent draws inside each combination
+reproduces independent uniformly chosen settings exactly. The 2^(K+M)
+setting cells are listed up front, so a network with more than
+MAX_SETTING_CELLS of them is refused before anything is allocated.
 
 Two acquisition strategies are supported. "direct-observable" measures each
 agent's chosen observable as a whole (for tilted runs the receiver measures
@@ -42,6 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .network import NetworkLayout
 from .observables import Synthesis
 from .pauli import PauliString
 from .reports import atomic_write
@@ -52,11 +64,14 @@ MODES = ("direct-observable", "per-qubit-discard")
 PROB_TOL = 1e-9
 # Memory grows with the rounds drawn; the setting draw itself overflows at 2**63.
 MAX_ROUNDS = 10**9
+# Every setting cell is a tally and a pass over the groups: 2^(K+M) of them
+# are listed before any round is drawn, so larger networks are refused first.
+MAX_SETTING_CELLS = 2**12
 
 # Rounds per write of the round record: bounds the text held at once.
 _RECORD_CHUNK = 8192
-# Widest outcome row whose base-3 code fits in int64 (3**39 < 2**63).
-_MAX_CODED_WIDTH = 39
+# Largest double below 1: keeps a rescaled uniform inside [0, 1).
+_BELOW_ONE = np.nextafter(1.0, 0.0)
 
 _H = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
 _S_DAG = np.array([[1.0, 0.0], [0.0, -1.0j]], dtype=complex)
@@ -156,36 +171,24 @@ class TallyReport:
 
 
 # ----------------------------------------------------------------------
-# measurement frames
+# measurement frames, one per group of sources
 
 
 @dataclass(frozen=True)
 class _Mask:
-    """Bit mask over basis-index bits plus the string's real sign."""
+    """A measured string's bit mask on each group's outcome index, in group
+    order, plus the string's real sign."""
 
-    bits: int
+    bits: tuple[int, ...]
     sign: int
 
 
-@dataclass(frozen=True)
-class _Frame:
-    """One setting combination rotated into the computational basis."""
-
-    probabilities: np.ndarray
-    source_masks: tuple[_Mask, ...]
-    receiver_masks: tuple[_Mask, ...]
-    p_masks: tuple[_Mask, ...] | None
-
-
-def _string_mask(op: PauliString) -> _Mask:
+def _string_mask(layout: NetworkLayout, op: PauliString) -> _Mask:
     phase = op.phase
     if phase.imag != 0 or phase.real not in (1.0, -1.0):
         raise ValueError(f"measured string must carry a real sign, got phase {phase}")
-    return _Mask(bits=op.x | op.z, sign=int(phase.real))
-
-
-def _mask_outcomes(indices: np.ndarray, mask: _Mask) -> np.ndarray:
-    return mask.sign * (1 - 2 * _parity(indices & mask.bits))
+    pieces = (layout.piece(op, k) for k in layout.source_agents)
+    return _Mask(bits=tuple(p.x | p.z for p in pieces), sign=int(phase.real))
 
 
 def _apply_one_qubit(amps: np.ndarray, n: int, q: int, gate: np.ndarray) -> np.ndarray:
@@ -208,35 +211,13 @@ def _add_letters(target: dict[int, str], op: PauliString, where: str) -> None:
         _add_letter(target, q, op.letter(q), where)
 
 
-def _build_frame(
-    synthesis: Synthesis,
-    thetas: tuple[float, ...],
-    x: tuple[int, ...],
-    y: tuple[int, ...],
-    mode: str,
-) -> _Frame:
-    layout, sources, receivers = synthesis.layout, synthesis.sources, synthesis.receivers
-    tilt = synthesis.tilt
-    n = layout.total_qubits
-
-    # Rotate each source observable cos(theta) S +/- sin(theta) T onto S.
-    amps = layout.state.amplitudes
-    for xk, src, theta in zip(x, sources, thetas):
-        w = src.s_global * src.t_global
-        half = theta / 2.0
-        sign = 1.0 if xk == 0 else -1.0
-        rotated = math.cos(half) * amps + sign * math.sin(half) * StateVector(
-            amps
-        ).apply(w).amplitudes
-        amps = rotated
-
+def _letters(synthesis: Synthesis, y: tuple[int, ...], mode: str) -> dict[int, str]:
+    """The basis letter of every measured qubit, by global position, when
+    the receivers hold settings y; source agents always measure S."""
+    layout, receivers, tilt = synthesis.layout, synthesis.receivers, synthesis.tilt
     letters: dict[int, str] = {}
-    for src in sources:
+    for src in synthesis.sources:
         _add_letters(letters, src.s_global, f"source agent {src.agent}")
-
-    tilted_now = tilt is not None and all(b == 0 for b in y)
-    p_masks: list[_Mask] | None = [] if tilted_now else None
-
     for pos_r, (ym, rec) in enumerate(zip(y, receivers)):
         where = f"receiver agent {rec.agent}"
         if mode == "direct-observable":
@@ -245,7 +226,7 @@ def _build_frame(
                 _add_letters(letters, block.b0_bar_global, where)
                 _add_letters(letters, block.p_part_global, where)
             else:
-                _add_letters(letters, rec.b0_global if ym == 0 else rec.b1_global, where)
+                _add_letters(letters, rec.b_terms(ym), where)
         else:
             chosen = rec.b0 if ym == 0 else rec.b1
             for pos, (i, j) in enumerate(rec.qubits):
@@ -254,31 +235,119 @@ def _build_frame(
                     letter = synthesis.classification.o_letter(i, j)
                 if letter is not None:
                     _add_letter(letters, layout.global_index(i, j), letter, where)
-        if tilted_now:
-            p_masks.append(_string_mask(tilt.receivers[pos_r].p_part_global))
+    return letters
 
-    for q, letter in letters.items():
-        gate = _BASIS_ROTATION[letter]
-        if gate is not None:
-            amps = _apply_one_qubit(amps, n, q, gate)
 
-    probabilities = np.abs(amps) ** 2
-    total = probabilities.sum()
-    if not abs(total - 1.0) < PROB_TOL:
-        raise RuntimeError(f"frame probabilities sum to {total!r}")
-    probabilities = probabilities / total
+class _Frames:
+    """Each group's outcome distribution in its measurement frame, and the
+    masks that read every agent's outcome off the groups' indices.
 
-    source_masks = tuple(_string_mask(src.s_global) for src in sources)
-    receiver_masks = tuple(
-        _string_mask(rec.b0_global if ym == 0 else rec.b1_global)
-        for ym, rec in zip(y, receivers)
-    )
-    return _Frame(
-        probabilities=probabilities,
-        source_masks=source_masks,
-        receiver_masks=receiver_masks,
-        p_masks=tuple(p_masks) if p_masks is not None else None,
-    )
+    The distribution of group k depends only on its source agent's setting
+    and on the receivers' settings y, so each is built once per
+    (k, x_k, y) and reused by every setting cell that shares them.
+    """
+
+    def __init__(self, synthesis: Synthesis, thetas: tuple[float, ...], mode: str):
+        layout = synthesis.layout
+        # A source observable's group is its agent's, whatever its position.
+        owner = {obs.agent: pos for pos, obs in enumerate(synthesis.sources)}
+        if sorted(owner) != list(layout.source_agents):
+            raise ValueError(f"expected one observable per source agent 1..{layout.K}")
+        self.synthesis, self.thetas, self.mode = synthesis, thetas, mode
+        self.owners = [owner[k] for k in layout.source_agents]
+        self.source_masks = [_string_mask(layout, obs.s_global) for obs in synthesis.sources]
+        self._receiver_masks = [
+            [_string_mask(layout, rec.b_terms(ym)) for ym in (0, 1)]
+            for rec in synthesis.receivers
+        ]
+        tilt = synthesis.tilt
+        self.p_masks = None if tilt is None else [
+            _string_mask(layout, block.p_part_global) for block in tilt.receivers
+        ]
+        self._cdfs: dict[tuple, np.ndarray] = {}
+        # (-1)^parity of every index of the largest group
+        width = max(len(layout.group_positions(k)) for k in layout.source_agents)
+        self._signs = 1 - 2 * _parity(np.arange(1 << width))
+
+    def outcomes(self, indices: list[np.ndarray], mask: _Mask) -> np.ndarray:
+        """A string's outcome per round: its sign times the parity of its
+        bits in every group's outcome index."""
+        out = np.full(len(indices[0]), mask.sign, dtype=np.int64)
+        for group_indices, bits in zip(indices, mask.bits):
+            if bits:
+                out *= self._signs[group_indices & bits]
+        return out
+
+    def receiver_masks(self, y: tuple[int, ...]) -> list[_Mask]:
+        return [masks[ym] for masks, ym in zip(self._receiver_masks, y)]
+
+    def probabilities(self, k: int, xk: int, y: tuple[int, ...]) -> np.ndarray:
+        """Group k's outcome probabilities, with its source agent on
+        setting xk and the receivers on y, over the group's basis index."""
+        layout = self.synthesis.layout
+        obs = self.synthesis.sources[self.owners[k - 1]]
+        if layout.acts_outside(obs.s_global, k) or layout.acts_outside(obs.t_global, k):
+            raise RuntimeError(f"agent {layout.agent_label(k)} acts outside its group")
+        # Rotate cos(theta) S +/- sin(theta) T onto S, inside the group.
+        w = obs.s_global * obs.t_global
+        w = layout.piece(w, k, w.phase_exponent)
+        half = self.thetas[self.owners[k - 1]] / 2.0
+        sign = 1.0 if xk == 0 else -1.0
+        amps = layout.group_states[k - 1].amplitudes
+        amps = math.cos(half) * amps + sign * math.sin(half) * StateVector(
+            amps
+        ).apply(w).amplitudes
+
+        group = layout.group_positions(k)
+        for q, letter in _letters(self.synthesis, y, self.mode).items():
+            gate = _BASIS_ROTATION[letter]
+            if gate is not None and q in group:
+                amps = _apply_one_qubit(amps, len(group), q - group.start, gate)
+
+        probabilities = np.abs(amps) ** 2
+        total = probabilities.sum()
+        if not abs(total - 1.0) < PROB_TOL:
+            raise RuntimeError(f"group {k} frame probabilities sum to {total!r}")
+        return probabilities / total
+
+    def cdfs(self, x: tuple[int, ...], y: tuple[int, ...]) -> list[np.ndarray]:
+        """Per group, in group order, the bin edges of its cumulative
+        distribution at setting cell (x, y)."""
+        out = []
+        for k, pos in enumerate(self.owners, start=1):
+            key = (k, x[pos], y)
+            if key not in self._cdfs:
+                self._cdfs[key] = _cdf(self.probabilities(k, x[pos], y))
+            out.append(self._cdfs[key])
+        return out
+
+
+def _cdf(probabilities: np.ndarray) -> np.ndarray:
+    """0 followed by the normalized cumulative sums, as Generator.choice
+    forms them."""
+    cdf = probabilities.cumsum()
+    cdf /= cdf[-1]
+    return np.concatenate(([0.0], cdf))
+
+
+def _draw(cdfs: list[np.ndarray], rng: np.random.Generator, count: int) -> list[np.ndarray]:
+    """count outcome indices per group from the product of the groups'
+    distributions, group 1 most significant.
+
+    rng.choice(size, count, p) takes one uniform u per round and returns
+    searchsorted(cdf, u, side="right") on the joint cumulative sums. Here
+    u is inverted through each group's distribution in turn and rescaled
+    into the chosen bin, which is the same draw in exact arithmetic and
+    advances the generator the same way.
+    """
+    u = rng.random(count)
+    out = []
+    for edges in cdfs:
+        index = edges.searchsorted(u, side="right") - 1
+        low = edges[index]
+        u = np.minimum((u - low) / (edges[index + 1] - low), _BELOW_ONE)
+        out.append(index)
+    return out
 
 
 def _setting_combos(k: int, m: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -381,8 +450,14 @@ def run(
     thetas = synthesis.angles(thetas)
     k = layout.K
     m = layout.M
+    if 2 ** (k + m) > MAX_SETTING_CELLS:
+        raise ValueError(
+            f"sampling needs 2^{k + m} setting cells (K={k}, M={m}), "
+            f"more than the {MAX_SETTING_CELLS} allowed"
+        )
     combos = _setting_combos(k, m)
     weights = np.full(len(combos), 1.0 / len(combos))
+    frames = _Frames(synthesis, thetas, config.strategy)
 
     rng = make_rng(config.seed)
     counts = rng.multinomial(config.rounds, weights)
@@ -397,7 +472,7 @@ def run(
             if rec.b0.letter(pos) != "I" or rec.b1.letter(pos) != "I"
         )
         n = layout.total_qubits
-        qubit_masks = [_Mask(bits=1 << (n - 1 - q), sign=1) for q, _ in measured]
+        qubit_masks = [_string_mask(layout, PauliString("Z").embed([q], n)) for q, _ in measured]
         header = _csv_header(
             config.strategy, k, m, tilt is not None, [ij for _, ij in measured]
         )
@@ -414,15 +489,14 @@ def run(
                 )
             )
             continue
-        frame = _build_frame(synthesis, thetas, x, y, config.strategy)
-        indices = rng.choice(frame.probabilities.size, size=count, p=frame.probabilities)
-        a_cols = [_mask_outcomes(indices, mask) for mask in frame.source_masks]
-        b_cols = [_mask_outcomes(indices, mask) for mask in frame.receiver_masks]
+        indices = _draw(frames.cdfs(x, y), rng, count)
+        a_cols = [frames.outcomes(indices, mask) for mask in frames.source_masks]
+        b_cols = [frames.outcomes(indices, mask) for mask in frames.receiver_masks(y)]
         product = np.prod(a_cols, axis=0) * np.prod(b_cols, axis=0)
         p_sum = None
         p_cols = []
-        if frame.p_masks is not None:
-            p_cols = [_mask_outcomes(indices, mask) for mask in frame.p_masks]
+        if tilted_now:
+            p_cols = [frames.outcomes(indices, mask) for mask in frames.p_masks]
             p_sum = int(np.prod(p_cols, axis=0).sum())
         tallies.append(
             SettingTally(
@@ -440,9 +514,7 @@ def run(
                     pad = p_cols if p_cols else [np.zeros(count, dtype=int)] * m
                     outcome_cols += pad
             else:
-                outcome_cols = a_cols + [
-                    _mask_outcomes(indices, mask) for mask in qubit_masks
-                ]
+                outcome_cols = a_cols + [frames.outcomes(indices, mask) for mask in qubit_masks]
             settings_text = "".join(map(str, x)) + "|" + "".join(map(str, y))
             codes.append(_encode_block(settings_text, outcome_cols, len(header) - 2, texts))
 
@@ -493,18 +565,22 @@ def _encode_block(settings_text, columns, width, texts) -> np.ndarray:
     of each distinct round once.
 
     Outcomes lie in {-1, 0, +1}, so an outcome row reads as a base-3 number.
+    Past 39 columns (3**39 < 2**63) it would overflow int64, so the code so
+    far is first replaced by its rank among the block's distinct codes,
+    which is below the block's round count.
     """
     if len(columns) != width:
         raise RuntimeError(
             f"round record width {len(columns)} does not match header {width}"
         )
-    if width > _MAX_CODED_WIDTH:
-        raise RuntimeError(
-            f"round record width {width} exceeds {_MAX_CODED_WIDTH} coded columns"
-        )
     row_codes = np.zeros(len(columns[0]), dtype=np.int64)
+    bound = 1  # every code lies below bound
     for column in columns:
+        if 3 * bound > 2**63:
+            _, row_codes = np.unique(row_codes, return_inverse=True)
+            bound = int(row_codes.max()) + 1
         row_codes = 3 * row_codes + (column + 1)
+        bound *= 3
     _, first, inverse = np.unique(row_codes, return_index=True, return_inverse=True)
     offset = len(texts)
     rows = zip(*(column[first].tolist() for column in columns))

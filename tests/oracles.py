@@ -4,6 +4,8 @@ Each function reaches a quantity by a slower or more literal route than
 the package takes, and lives here so that `src/` keeps only what a
 command runs:
 
+* `joint_state` is the tensor product of every source state, the
+  2^n-amplitude register that `src/` never builds;
 * `joint_correlator` expands a Bell correlator's whole product of local
   observables term by term on the joint state of all sources, which
   `bell` factors over the source agents' groups instead;
@@ -14,8 +16,11 @@ command runs:
   by term, and `joint_oracle` builds the outcome distribution of
   commuting two-outcome observables from the expectations of their
   products;
-* `outcome_distribution` is the exact distribution of the sampler's
-  frame at one setting, which sampled counts are compared against;
+* `joint_frame` rotates the joint state into the measurement frame of one
+  setting cell and reads the global outcome masks, which the sampler
+  builds as one small frame per group instead; `outcome_distribution` is
+  the exact distribution of the sampler's group frames at one setting,
+  which sampled counts are compared against;
 * `logical_representative` searches a stabilizer coset for a phase-flip
   representative that meets per-qubit letter constraints;
 * `loop_scan` is the classical full scan with one Python evaluation per
@@ -39,10 +44,24 @@ import numpy as np
 
 from netbell import bell, classical
 from netbell.codes import StabilizerCode
+from netbell.network import NetworkLayout
 from netbell.observables import Synthesis
 from netbell.pauli import PauliString
-from netbell.sampling import MODES, _build_frame, _mask_outcomes
-from netbell.states import StateVector
+from netbell.sampling import (
+    _BASIS_ROTATION,
+    MODES,
+    PROB_TOL,
+    _apply_one_qubit,
+    _Frames,
+    _letters,
+)
+from netbell.states import StateVector, _parity, tensor
+
+
+def joint_state(layout: NetworkLayout) -> StateVector:
+    """Joint state: tensor product of the source states in source-id order."""
+    return tensor([src.state for src in layout.sources])
+
 
 # ----------------------------------------------------------------------
 # Bell correlators on the joint state
@@ -52,7 +71,7 @@ def joint_correlator(synthesis: Synthesis, thetas, y: int, cache: dict) -> compl
     """<prod_k (A0 + (-1)^y A1) prod_l B_y> at the given angles, expanded
     term by term on the 2^n-amplitude joint state; expectations are
     memoized in cache."""
-    state = synthesis.layout.state
+    state = joint_state(synthesis.layout)
     terms: list[tuple[float, PauliString]] = [(1.0, PauliString.identity(state.n))]
     flip = 1.0 if y == 0 else -1.0
     for obs, theta in zip(synthesis.sources, synthesis.angles(thetas)):
@@ -74,7 +93,7 @@ def joint_values(synthesis: Synthesis, thetas, cache=None) -> dict:
         "J": (scale * joint_correlator(synthesis, thetas, 1, cache)).real,
     }
     if synthesis.tilt is not None:
-        out["P"] = synthesis.layout.state.expectation(synthesis.tilt.p_full)
+        out["P"] = joint_state(synthesis.layout).expectation(synthesis.tilt.p_full)
     return out
 
 
@@ -166,6 +185,60 @@ def joint_oracle(state: StateVector, observables: Sequence[ObservableTerms]) -> 
     return out
 
 
+@dataclass(frozen=True)
+class JointFrame:
+    """One setting cell rotated into the computational basis of the joint
+    state: outcome probabilities over the n-qubit basis index, and each
+    measured string as (bit mask over that index, sign)."""
+
+    probabilities: np.ndarray
+    source_masks: tuple[tuple[int, int], ...]
+    receiver_masks: tuple[tuple[int, int], ...]
+    p_masks: tuple[tuple[int, int], ...] | None
+
+
+def joint_frame(synthesis: Synthesis, thetas, x, y, mode: str) -> JointFrame:
+    """The sampler's frame at one setting cell, built on the joint state:
+    every source rotation and basis change acts on all 2^n amplitudes."""
+    layout, sources, receivers = synthesis.layout, synthesis.sources, synthesis.receivers
+    n = layout.total_qubits
+    amps = joint_state(layout).amplitudes
+    for xk, src, theta in zip(x, sources, synthesis.angles(thetas)):
+        w = src.s_global * src.t_global
+        sign = 1.0 if xk == 0 else -1.0
+        amps = math.cos(theta / 2) * amps + sign * math.sin(theta / 2) * StateVector(
+            amps
+        ).apply(w).amplitudes
+    for q, letter in _letters(synthesis, y, mode).items():
+        gate = _BASIS_ROTATION[letter]
+        if gate is not None:
+            amps = _apply_one_qubit(amps, n, q, gate)
+    probabilities = np.abs(amps) ** 2
+    total = probabilities.sum()
+    if not abs(total - 1.0) < PROB_TOL:
+        raise RuntimeError(f"frame probabilities sum to {total!r}")
+
+    def mask(op: PauliString) -> tuple[int, int]:
+        return op.x | op.z, int(op.phase.real)
+
+    tilted_now = synthesis.tilt is not None and all(b == 0 for b in y)
+    return JointFrame(
+        probabilities=probabilities / total,
+        source_masks=tuple(mask(src.s_global) for src in sources),
+        receiver_masks=tuple(mask(rec.b_terms(ym)) for ym, rec in zip(y, receivers)),
+        p_masks=(
+            tuple(mask(block.p_part_global) for block in synthesis.tilt.receivers)
+            if tilted_now
+            else None
+        ),
+    )
+
+
+def joint_outcomes(indices: np.ndarray, masks) -> list[np.ndarray]:
+    """Each (bits, sign) mask's outcome at every joint basis index."""
+    return [sign * (1 - 2 * _parity(indices & bits)) for bits, sign in masks]
+
+
 def outcome_distribution(
     synthesis: Synthesis,
     thetas,
@@ -174,25 +247,30 @@ def outcome_distribution(
     *,
     mode: str = "direct-observable",
 ) -> dict[tuple[int, ...], float]:
-    """Exact joint distribution of the recorded outcomes at one setting.
+    """Exact joint distribution of the recorded outcomes at one setting,
+    from the sampler's group frames: every combination of group indices,
+    weighted by the product of the groups' probabilities.
 
     Keys are (a_1..a_K, b_1..b_M) tuples, extended by (p_1..p_M) when the
     synthesis has a tilted block and every receiver is on setting 0.
     """
     if mode not in MODES:
         raise ValueError(f"unknown strategy {mode!r}; expected one of {MODES}")
-    frame = _build_frame(synthesis, synthesis.angles(thetas), x, y, mode)
-    dim = frame.probabilities.size
-    indices = np.arange(dim)
-    columns = [_mask_outcomes(indices, mask) for mask in frame.source_masks]
-    columns += [_mask_outcomes(indices, mask) for mask in frame.receiver_masks]
-    if frame.p_masks is not None:
-        columns += [_mask_outcomes(indices, mask) for mask in frame.p_masks]
-    stacked = np.stack(columns, axis=1)
+    frames = _Frames(synthesis, synthesis.angles(thetas), mode)
+    groups = [
+        frames.probabilities(k, x[pos], y)
+        for k, pos in enumerate(frames.owners, start=1)
+    ]
+    grid = np.indices([p.size for p in groups]).reshape(len(groups), -1)
+    weights = functools.reduce(np.kron, groups)
+    masks = frames.source_masks + frames.receiver_masks(y)
+    if synthesis.tilt is not None and all(b == 0 for b in y):
+        masks += frames.p_masks
+    stacked = np.stack([frames.outcomes(list(grid), mask) for mask in masks], axis=1)
     out: dict[tuple[int, ...], float] = {}
-    for idx in np.flatnonzero(frame.probabilities > 0):
+    for idx in np.flatnonzero(weights > 0):
         key = tuple(int(v) for v in stacked[idx])
-        out[key] = out.get(key, 0.0) + float(frame.probabilities[idx])
+        out[key] = out.get(key, 0.0) + float(weights[idx])
     return out
 
 

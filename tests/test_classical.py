@@ -555,6 +555,17 @@ class TestScan:
         assert repr(report.stochastic_value) == value
         assert report.stochastic_strategy.to_json() == strategy
 
+    def test_weight_walk_renormalizes_left_to_right(self):
+        # the plain float fold, which Python 3.12's compensated sum
+        # would round to 1.0: the pins were walked with the fold
+        assert classical._left_sum([0.1] * 10) == 0.9999999999999999
+        assert classical._left_sum([1.0, 2.0**-53, 2.0**-53]) == 1.0
+        # a compensated renormalization walks this seed to other weights
+        report = max_deterministic(SINGLE, (3,), seed=0)
+        assert report.stochastic_strategy.weights == (
+            (0.5483112904852572, 0.4505071311290343, 0.0011815783857086553),
+        )
+
 
 class TestVerifyBound:
     def test_canonical_shape_certifies(self):

@@ -504,6 +504,15 @@ class TestSample:
         assert not missing.exists()
 
 
+    def test_round_record_error_names_the_record(self, out_dir, tmp_path, capsys):
+        record = tmp_path / "missing" / "r.csv"
+        argv = ["sample", "chsh", "--rounds", "10", "--rounds-csv", str(record)]
+        assert main(argv) == EXIT_IO
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: cannot write round record {record}: No such file or directory"
+        ]
+
+
 class TestBuiltinStar:
     """star(N) is untilted unless --phibar is given; a --tilt-count above 0
     needs --phibar too."""
@@ -564,11 +573,54 @@ class TestBuiltinStar:
             assert payload["quantum_value"] == pytest.approx(math.sqrt(2.0), abs=1e-9)
             assert payload["I"] == pytest.approx(2 ** -25.5, rel=1e-12)
 
-    def test_sample_keeps_the_joint_cap(self, out_dir, capsys):
-        assert main(["sample", "star(5)", "--rounds", "10"]) == EXIT_VALIDATION
+    def test_sample_star5_lands_near_the_exact_values(self, out_dir):
+        # 25 qubits: the sampler builds five-qubit group frames only
+        assert main(["sample", "star(5)"]) == EXIT_OK
+        payload = json.load(open(out_dir / "star(5)-sample.json"))
+        scenario = scenarios.builtin_scenario("star(5)")
+        synthesis = observables.synthesize(scenario.layout, scenario.selection)
+        exact = bell.evaluate(synthesis, scenario.thetas)
+        assert payload["rounds"] == 100000
+        assert abs(payload["I"] - exact.i_value) < 4 * payload["I_se"]
+        assert abs(payload["J"] - exact.j_value) < 4 * payload["J_se"]
+
+    def test_sample_keeps_the_cap_on_one_group(self, out_dir, tmp_path, capsys):
+        # star(5) with all five sources in one source agent's group
+        doc = scenarios.scenario_to_dict(scenarios.builtin_scenario("star(5)"))
+        doc["network"] = {
+            "K": 1,
+            "M": 1,
+            "partition": [0, 5],
+            "assignment": [[i, j, 1 if j == 2 else 2] for i in range(1, 6) for j in range(1, 6)],
+        }
+        doc["options"]["thetas"] = doc["options"]["thetas"][:1]
+        path = tmp_path / "one-group.json"
+        path.write_text(json.dumps(doc))
+        assert main(["sample", str(path), "--rounds", "10"]) == EXIT_VALIDATION
         assert capsys.readouterr().err.splitlines() == [
             "error: 25 qubits exceeds the cap of 20"
         ]
+
+    def test_sample_refuses_too_many_setting_cells(self, out_dir, capsys):
+        assert main(["sample", "star(51)"]) == EXIT_VALIDATION
+        assert capsys.readouterr().err.splitlines() == [
+            "error: sampling needs 2^52 setting cells (K=51, M=1), "
+            f"more than the {sampling.MAX_SETTING_CELLS} allowed"
+        ]
+
+    def test_wide_per_qubit_round_record(self, out_dir, tmp_path):
+        # 9 + 36 outcome columns: a base-3 row code wider than one int64
+        record = tmp_path / "rounds.csv"
+        argv = [
+            "sample", "star(9)", "--strategy", "per-qubit-discard", "--rounds", "2000",
+            "--rounds-csv", str(record),
+        ]
+        assert main(argv) == EXIT_OK
+        rows = list(csv.reader(open(record, newline="")))
+        assert len(rows[0]) == 2 + 9 + 36
+        assert len(rows) == 2001
+        assert all(len(row) == len(rows[0]) for row in rows)
+        assert all(value in {"1", "-1"} for row in rows[1:] for value in row[2:])
 
 
 class TestSynthesisOnce:

@@ -14,6 +14,8 @@ from conftest import (
     star_layout,
 )
 
+from oracles import joint_state
+
 from netbell.codes import builtin
 from netbell.network import (
     NetworkLayout,
@@ -63,12 +65,12 @@ class TestLayout:
         want = np.zeros(4, dtype=complex)
         want[0b00] = np.cos(phi)
         want[0b11] = np.sin(phi)
-        assert np.allclose(layout.state.amplitudes, want, atol=1e-12)
+        assert np.allclose(joint_state(layout).amplitudes, want, atol=1e-12)
 
         big = bilocal_layout(phi)
         single = codeword_angle(FIVE, phi).state.amplitudes
         assert np.allclose(
-            big.state.amplitudes, np.kron(single, single), atol=1e-12
+            joint_state(big).amplitudes, np.kron(single, single), atol=1e-12
         )
 
     def test_groups_tile_the_joint_state(self):
@@ -84,13 +86,13 @@ class TestLayout:
         assert [layout.group_positions(k) for k in (1, 2)] == [range(0, 4), range(4, 6)]
         first, second = (state.amplitudes for state in layout.group_states)
         assert np.array_equal(first, np.kron(sources[0].state.amplitudes, sources[1].state.amplitudes))
-        assert np.allclose(np.kron(first, second), layout.state.amplitudes, atol=1e-15)
+        assert np.allclose(np.kron(first, second), joint_state(layout).amplitudes, atol=1e-15)
 
     def test_embed_hits_the_right_block(self):
         layout = bilocal_layout(0.3)
         lifted = layout.embed(2, G_PRODUCT)
         assert lifted.letters == "I" * 5 + "ZZXIX"
-        assert abs(layout.state.expectation(lifted) - 1.0) < 1e-9
+        assert abs(joint_state(layout).expectation(lifted) - 1.0) < 1e-9
 
     def test_embed_rejects_wrong_size(self):
         with pytest.raises(ValueError, match="does not fit"):

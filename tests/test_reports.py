@@ -109,6 +109,18 @@ class TestWriters:
             reports.write_json(tmp_path / "out.json", {"v": Unserializable()})
         assert os.listdir(tmp_path) == []
 
+    @pytest.mark.parametrize("case", ["missing directory", "directory in the way"])
+    def test_write_error_names_the_target(self, tmp_path, case):
+        path = tmp_path / "missing" / "out.json"
+        if case == "directory in the way":
+            path = tmp_path / "taken"
+            path.mkdir()
+        with pytest.raises(OSError) as raised:
+            reports.write_json(path, {"v": 1})
+        assert raised.value.filename == str(path)
+        assert ".tmp" not in str(raised.value)
+        assert sorted(os.listdir(tmp_path)) == ([] if case == "missing directory" else ["taken"])
+
     def test_mode_follows_umask(self, tmp_path, umask_022):
         path = tmp_path / "out.json"
         reports.write_json(path, {"v": 1})

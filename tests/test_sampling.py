@@ -8,6 +8,8 @@ quantile for its cell count.
 """
 
 import csv
+import functools
+import itertools
 import json
 from dataclasses import replace
 from pathlib import Path
@@ -26,8 +28,16 @@ from conftest import (
     star_selection,
 )
 from netbell import bell, observables, sampling, scenarios
+from netbell.pauli import PauliString
 from netbell.sampling import RunConfig, run
-from oracles import expectation_combo, joint_oracle, outcome_distribution
+from oracles import (
+    expectation_combo,
+    joint_frame,
+    joint_oracle,
+    joint_outcomes,
+    joint_state,
+    outcome_distribution,
+)
 
 # 0.999 chi-squared quantiles by degrees of freedom.
 CHI2_999 = {3: 16.266, 7: 24.322}
@@ -53,6 +63,30 @@ PINNED_RECORDS = {
     ),
     "example-a-five-rounds": ("example-a", dict(rounds=5, seed=2), None),
 }
+
+
+# Builtins whose joint state fits the statevector cap: name -> (builtin,
+# builtin parameters).
+JOINT_SCENARIOS = {
+    "chsh": ("chsh", {}),
+    "chsh-tilted": ("chsh-tilted", {}),
+    "example-a": ("example-a", {}),
+    "example-b": ("example-b", {}),
+    "star(3)": ("star(3)", {}),
+    "star(3)-tilted": ("star(3)", {"phibar": 0.3927}),
+}
+
+
+def builtin_synthesis(name):
+    """The synthesis and angles of one of JOINT_SCENARIOS."""
+    builtin, params = JOINT_SCENARIOS[name]
+    scenario = scenarios.builtin_scenario(builtin, **params)
+    return synth(
+        scenario.layout,
+        scenario.selection,
+        scenario.thetas,
+        allow=scenario.allow_commuting_pair,
+    )
 
 
 def synth(layout, selection, thetas, *, allow=False):
@@ -97,7 +131,7 @@ class TestFrames:
         synthesis, thetas = synth(layout, selection, [0.3])
         x, y = setting
         dist = outcome_distribution(synthesis, thetas, x, y, mode=mode)
-        state = layout.state
+        state = joint_state(layout)
         receiver = synthesis.receivers[0]
         a_terms = synthesis.sources[0].a_terms(x[0], thetas[0])
         b_op = receiver.b0_global if y[0] == 0 else receiver.b1_global
@@ -112,7 +146,7 @@ class TestFrames:
         synthesis, thetas = synth(layout, selection, [0.4, 1.1], allow=True)
         x, y = (1, 0), (0,)
         dist = outcome_distribution(synthesis, thetas, x, y, mode=mode)
-        state = layout.state
+        state = joint_state(layout)
         oracle = joint_oracle(
             state,
             [
@@ -130,7 +164,7 @@ class TestFrames:
         selection = chsh_selection(tilted=True)
         synthesis, thetas = synth(layout, selection, [0.6])
         dist = outcome_distribution(synthesis, thetas, (0,), (0,), mode=mode)
-        state = layout.state
+        state = joint_state(layout)
         oracle = joint_oracle(
             state,
             [
@@ -184,8 +218,88 @@ class TestFrames:
         synthesis, thetas = synth(layout, selection, [theta])
         dist = outcome_distribution(synthesis, thetas, (0,), (0,))
         marginal = sum(a * w for (a, _), w in dist.items())
-        expected = expectation_combo(layout.state, synthesis.sources[0].a_terms(0, theta))
+        expected = expectation_combo(joint_state(layout), synthesis.sources[0].a_terms(0, theta))
         assert marginal == pytest.approx(expected, abs=1e-9)
+
+
+class TestGroupFrames:
+    """The sampler's per-group frames against the joint-state frame of
+    tests/oracles.py, and its nested draw against Generator.choice."""
+
+    @pytest.mark.parametrize("mode", sampling.MODES)
+    @pytest.mark.parametrize("name", sorted(JOINT_SCENARIOS))
+    def test_group_frames_multiply_to_the_joint_frame(self, name, mode):
+        synthesis, thetas = builtin_synthesis(name)
+        layout = synthesis.layout
+        frames = sampling._Frames(synthesis, thetas, mode)
+        for x, y in sampling._setting_combos(layout.K, layout.M):
+            groups = [frames.probabilities(k, x[k - 1], y) for k in layout.source_agents]
+            joint = joint_frame(synthesis, thetas, x, y, mode)
+            product = functools.reduce(np.kron, groups)
+            assert np.max(np.abs(product - joint.probabilities)) <= 1e-12
+            # Every joint index read through the global masks gives the
+            # outcomes its group indices give through the cut masks.
+            grid = list(np.indices([g.size for g in groups]).reshape(len(groups), -1))
+            masks = [frames.source_masks, frames.receiver_masks(y)]
+            joint_masks = [joint.source_masks, joint.receiver_masks]
+            if joint.p_masks is not None:
+                masks.append(frames.p_masks)
+                joint_masks.append(joint.p_masks)
+            everywhere = np.arange(product.size)
+            for group_masks, global_masks in zip(masks, joint_masks):
+                want = joint_outcomes(everywhere, global_masks)
+                got = [frames.outcomes(grid, mask) for mask in group_masks]
+                assert np.array_equal(got, want)
+
+    def test_one_group_draw_is_rng_choice(self):
+        probabilities = np.random.default_rng(3).random(32)
+        probabilities[[0, 7, 8, 31]] = 0.0
+        probabilities /= probabilities.sum()
+        for seed in range(5):
+            nested, choice = np.random.default_rng(seed), np.random.default_rng(seed)
+            [indices] = sampling._draw([sampling._cdf(probabilities)], nested, 10000)
+            assert np.array_equal(indices, choice.choice(32, 10000, p=probabilities))
+            assert nested.bit_generator.state == choice.bit_generator.state
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_star3_draw_matches_choice_on_the_joint_frame(self, seed):
+        synthesis, thetas = builtin_synthesis("star(3)")
+        frames = sampling._Frames(synthesis, thetas, "direct-observable")
+        for x, y in [((0, 0, 0), (0,)), ((1, 0, 1), (1,)), ((1, 1, 1), (0,))]:
+            joint = joint_frame(synthesis, thetas, x, y, "direct-observable")
+            nested, choice = np.random.default_rng(seed), np.random.default_rng(seed)
+            first, second, third = sampling._draw(frames.cdfs(x, y), nested, 20000)
+            want = choice.choice(joint.probabilities.size, 20000, p=joint.probabilities)
+            assert np.array_equal((first << 10) | (second << 5) | third, want)
+            assert nested.bit_generator.state == choice.bit_generator.state
+
+    def test_frames_are_built_once_per_group_setting(self, monkeypatch):
+        synthesis, thetas = builtin_synthesis("star(3)")
+        built = []
+        original = sampling._Frames.probabilities
+
+        def spy(self, k, xk, y):
+            built.append((k, xk, y))
+            return original(self, k, xk, y)
+
+        monkeypatch.setattr(sampling._Frames, "probabilities", spy)
+        run(synthesis, thetas, RunConfig(rounds=2000, seed=1))
+        assert sorted(built) == sorted(itertools.product((1, 2, 3), (0, 1), ((0,), (1,))))
+
+    def test_source_observable_outside_its_group_is_refused(self):
+        synthesis, thetas = builtin_synthesis("star(3)")
+        layout, sources = synthesis.layout, synthesis.sources
+        stray = sources[0].s_global * layout.embed(2, PauliString("IZIII"))
+        broken = replace(synthesis, sources=(replace(sources[0], s_global=stray), *sources[1:]))
+        with pytest.raises(RuntimeError, match="outside its group"):
+            run(broken, thetas, RunConfig(rounds=100, seed=1))
+
+    def test_too_many_setting_cells_are_refused_before_sampling(self, monkeypatch):
+        monkeypatch.setattr(sampling, "_setting_combos", None)  # never reached
+        scenario = scenarios.builtin_scenario("star(13)")
+        synthesis, thetas = synth(scenario.layout, scenario.selection, scenario.thetas)
+        with pytest.raises(ValueError, match=r"2\^14 setting cells \(K=13, M=1\), more than the 4096"):
+            run(synthesis, thetas, RunConfig(rounds=10))
 
 
 class TestRun:
@@ -435,10 +549,24 @@ class TestRoundRecord:
         write_pinned_record("example-a-per-qubit", path)
         assert path.read_bytes() == (DATA / "rounds-example-a-per-qubit.csv").read_bytes()
 
-    def test_record_wider_than_its_code_is_refused(self):
-        columns = [np.ones(3, dtype=int)] * (sampling._MAX_CODED_WIDTH + 1)
-        with pytest.raises(RuntimeError, match="coded columns"):
-            sampling._encode_block("0|0", columns, len(columns), [])
+    def test_record_wider_than_one_code_word(self):
+        # 45 base-3 columns overflow one int64 code (3**39 < 2**63 < 3**40);
+        # rows differing only in the last column, and two rows whose codes
+        # differ by 2**64 (equal once wrapped), must keep their own text.
+        width = 45
+        rng = np.random.default_rng(4)
+        rows = rng.integers(-1, 2, size=(302, width))
+        rows[100:200] = rows[:100]
+        rows[200:300, :-1] = rows[:100, :-1]
+        rows[200:300, -1] = (rows[:100, -1] + 2) % 3 - 1
+        for r, code in ((300, 12345), (301, 12345 + 2**64)):
+            rows[r] = [(code // 3**e) % 3 - 1 for e in reversed(range(width))]
+        texts = ["unrelated"]
+        codes = sampling._encode_block("0|1", list(rows.T), width, texts)
+        assert [texts[c] for c in codes] == [
+            ",0|1," + ",".join(map(str, row)) + "\r\n" for row in rows.tolist()
+        ]
+        assert len(texts) == 1 + len({tuple(row) for row in rows.tolist()})
 
     def test_record_does_not_change_estimates(self, tmp_path):
         layout = chsh_layout(np.pi / 8)
