@@ -70,7 +70,6 @@ class BellReport:
     classical_bound: float
     violation: bool
     tilt: TiltResult | None = None
-    scenario_hash: str | None = None
 
     def as_dict(self) -> dict:
         data = {
@@ -83,7 +82,6 @@ class BellReport:
             "quantum_value": self.quantum_value,
             "classical_bound": self.classical_bound,
             "violation": self.violation,
-            "scenario_hash": self.scenario_hash,
         }
         if self.tilt is not None:
             data["tilt"] = {
@@ -131,24 +129,22 @@ def _block_terms(synthesis: Synthesis, thetas) -> list[list[list]]:
     operator prod_k (A0_k + (-1)^y A1_k) B_y is a tensor product over the
     groups, and its expectation on the product state is the product over
     k of sum_(c,p) c <p B_y|G_k>, each taken on the group's own state.
+    B_y's piece on G_k is the product of the receivers' pieces there, so
     B_y's phase rides on group 1's piece. No value depends on the angles;
     each group memoizes its own.
     """
     layout, sources = synthesis.layout, synthesis.sources
     if len(sources) != layout.K:
         raise ValueError(f"expected {layout.K} source observables, got {len(sources)}")
-    n, caches, out = layout.total_qubits, [{} for _ in sources], []
+    caches, out = [{} for _ in sources], []
     for y, flip in ((0, 1.0), (1, -1.0)):
-        b = PauliString.product((rec.b_terms(y) for rec in synthesis.receivers), n=n)
+        receivers = zip(*(rec.b_pieces(y) for rec in synthesis.receivers))
+        b = [PauliString.product(pieces) for pieces in receivers]
         out.append([])
-        for k, (obs, theta) in enumerate(zip(sources, thetas), start=1):
-            b_k = layout.piece(b, k, b.phase_exponent if k == 1 else 0)
+        for k, (obs, theta, b_k) in enumerate(zip(sources, thetas, b), start=1):
             branch = obs.a_terms(0, theta) + [(flip * c, p) for c, p in obs.a_terms(1, theta)]
-            if any(layout.acts_outside(p, k) for _, p in branch):
-                raise RuntimeError(f"agent {layout.agent_label(k)} acts outside its group")
             state, cache = layout.group_states[k - 1], caches[k - 1]
-            pieces = [(c, layout.piece(p, k, p.phase_exponent) * b_k) for c, p in branch]
-            out[y].append([(c, _cached_expectation(state, q, cache)) for c, q in pieces])
+            out[y].append([(c, _cached_expectation(state, p * b_k, cache)) for c, p in branch])
     return out
 
 
@@ -218,27 +214,22 @@ def evaluate(synthesis: Synthesis, thetas) -> BellReport:
 def evaluate_tilted(synthesis: Synthesis, thetas, beta: float) -> BellReport:
     """Evaluate the tilted value G = beta|P|^(1/K) + |I|^(1/K) + |J|^(1/K).
 
-    P = <p_full> is the product over source agents of p_full's piece on
-    each group, which carries the signs of its group's h_prime.
+    P is the product over source agents of <P's piece> on each group, and
+    each piece carries the signs of its group's h_primes.
     """
     synthesis.check_beta(beta)
     tilt = synthesis.tilt
     layout, selection = synthesis.layout, synthesis.selection
     base = evaluate(synthesis, thetas)
     p_value = closed = 1.0
-    signs = 0
-    for k in layout.source_agents:
+    for k, piece in enumerate(tilt.p_pieces, start=1):
         group = range(layout.partition[k - 1] + 1, layout.partition[k] + 1)
         primes = [(i, selection.h_prime[i - 1]) for i in group if i in tilt.tilt_sources]
-        sign = sum(prime.phase_exponent for _, prime in primes)
-        piece = layout.piece(tilt.p_full, k, sign)
         plain = piece == PauliString.identity(piece.n)
         value = 1.0 if plain else layout.group_states[k - 1].expectation(piece)
         want = math.prod(layout.sources[i - 1].state.expectation(p) for i, p in primes)
         _check(value, want, f"P block of agent {layout.agent_label(k)}")
-        p_value, closed, signs = p_value * value, closed * want, signs + sign
-    if (signs - tilt.p_full.phase_exponent) % 4:
-        raise RuntimeError("the sign of P does not split over the tilt sources")
+        p_value, closed = p_value * value, closed * want
     _check(p_value, closed, "P")
     g_value = beta * abs(p_value) ** (1.0 / base.k) + base.quantum_value
     tilted = TiltResult(

@@ -276,8 +276,12 @@ def _cmd_tilted(args) -> int:
 
 
 def _emit_bell(args, scenario, command, report, parameters) -> int:
-    report = dataclasses.replace(report, scenario_hash=scenarios.fingerprint(scenario))
     payload = report.as_dict()
+    # The fingerprint sits between the violation flag and the tilt block.
+    tilt = payload.pop("tilt", None)
+    payload["scenario_hash"] = scenarios.fingerprint(scenario)
+    if tilt is not None:
+        payload["tilt"] = tilt
     payload["name"] = scenario.name
     payload["seed"] = scenario.seed
     if parameters is not None:

@@ -7,12 +7,14 @@ the first K on the source side; agent K+m is receiver m.
 
 Source agent k holds sources partition[k-1]+1 .. partition[k] (a block
 of consecutive source ids); its qubits from those sources are the ones
-assigned to it, and every other qubit goes to some receiver.
+assigned to it, and every other qubit goes to some receiver. Those
+sources form k's group: `place` gives a qubit's group and its position
+there, in the order the group's state lists its qubits.
 """
 
 from __future__ import annotations
 
-import itertools
+import bisect
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -93,26 +95,11 @@ class NetworkLayout:
     def source_sizes(self) -> tuple[int, ...]:
         return tuple(src.code.n for src in self.sources)
 
-    @cached_property
-    def total_qubits(self) -> int:
-        return sum(self.source_sizes)
-
-    @cached_property
-    def offsets(self) -> tuple[int, ...]:
-        return tuple(itertools.accumulate(self.source_sizes[:-1], initial=0))
-
-    def global_index(self, i: int, j: int) -> int:
-        """0-based statevector position of qubit (i, j)."""
-        if not 1 <= i <= self.N or not 1 <= j <= self.source_sizes[i - 1]:
-            raise ValueError(f"no qubit ({i},{j}) in this layout")
-        return self.offsets[i - 1] + (j - 1)
-
     def holder(self, i: int) -> int:
         """The source agent whose block contains source i."""
-        for k in range(1, self.K + 1):
-            if self.partition[k - 1] < i <= self.partition[k]:
-                return k
-        raise ValueError(f"source {i} outside the partition")
+        if not 1 <= i <= self.N:
+            raise ValueError(f"source {i} outside the partition")
+        return bisect.bisect_left(self.partition, i)
 
     @cached_property
     def _agent_of(self) -> dict[tuple[int, int], int]:
@@ -140,20 +127,18 @@ class NetworkLayout:
 
     # -- groups of sources ----------------------------------------------
 
-    def group_positions(self, k: int) -> range:
-        """Global qubit positions of source agent k's group of sources."""
-        first, last = self.partition[k - 1], self.partition[k] - 1
-        return range(self.offsets[first], self.offsets[last] + self.source_sizes[last])
+    @cached_property
+    def group_widths(self) -> tuple[int, ...]:
+        """Qubit count of each source agent's group of sources."""
+        cuts = zip(self.partition, self.partition[1:])
+        return tuple(sum(self.source_sizes[lo:hi]) for lo, hi in cuts)
 
-    def piece(self, op: PauliString, k: int, phase_exponent: int = 0) -> PauliString:
-        """op's letters on source agent k's group of sources, with the given phase."""
-        return op.restrict(self.group_positions(k)).with_phase_exponent(phase_exponent)
-
-    def acts_outside(self, op: PauliString, k: int) -> bool:
-        """True when op has a letter outside source agent k's group."""
-        group = self.group_positions(k)
-        inside = ((1 << len(group)) - 1) << (self.total_qubits - group.stop)
-        return bool((op.x | op.z) & ~inside)
+    def place(self, i: int, j: int) -> tuple[int, int]:
+        """The source agent k whose group holds qubit (i, j), and the
+        qubit's 0-based position in that group: its sources' qubits in
+        (i, j) order."""
+        k = self.holder(i)
+        return k, sum(self.source_sizes[self.partition[k - 1] : i - 1]) + j - 1
 
     @cached_property
     def group_states(self) -> tuple[StateVector, ...]:
@@ -162,16 +147,6 @@ class NetworkLayout:
         bounds one group."""
         cuts = zip(self.partition, self.partition[1:])
         return tuple(tensor(src.state for src in self.sources[lo:hi]) for lo, hi in cuts)
-
-    def embed(self, i: int, op: PauliString) -> PauliString:
-        """Lift a source-i operator to the full qubit register."""
-        if op.n != self.source_sizes[i - 1]:
-            raise ValueError(
-                f"operator on {op.n} qubits does not fit source {i} "
-                f"of size {self.source_sizes[i - 1]}"
-            )
-        positions = [self.global_index(i, j) for j in range(1, op.n + 1)]
-        return op.embed(positions, self.total_qubits)
 
 
 @dataclass(frozen=True)

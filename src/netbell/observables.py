@@ -7,12 +7,21 @@ B0 (g letters) and B1 (h letters) over their qubits. None of this
 depends on the mixing angles: a Synthesis is built once per layout and
 selection, and every engine takes it together with the angles.
 
+Each observable is kept as the agent-local string that validate lists
+and as pieces on the groups of sources, which the engines measure; this
+module is the one place that puts a letter at its place in a group. A
+source agent's qubits lie in its own group, so S and T are one piece
+each; a receiver's observables are one piece per group, in group order,
+with the string's sign on group 1's piece.
+
 The tilted construction grafts phase-flip letters onto B0: for each
 source in the tilt set, its h_prime must be identity on source-side
 qubits, must copy the g letter on anticommuting receiver qubits, and
 may put the repeated idle observable (or nothing) on idle qubits. The
 grafted letters land where B0 has identities; each h_prime's sign is
 attributed to the lowest-numbered receiver holding any of its support.
+The phase-flip product P is one piece per group: the product of the
+group's h_primes, signs included.
 """
 
 from __future__ import annotations
@@ -41,14 +50,14 @@ class SourceObservables:
     qubits: tuple[tuple[int, int], ...]
     s_hat: PauliString
     t_hat: PauliString
-    s_global: PauliString
-    t_global: PauliString
+    s_piece: PauliString
+    t_piece: PauliString
 
     def a_terms(self, x: int, theta: float):
-        """A_x at mixing angle theta as weighted global Pauli terms: the S
-        term, then the T term."""
+        """A_x at mixing angle theta as weighted pieces on the agent's group:
+        the S term, then the T term."""
         sign = 1.0 if x == 0 else -1.0
-        return [(math.cos(theta), self.s_global), (sign * math.sin(theta), self.t_global)]
+        return [(math.cos(theta), self.s_piece), (sign * math.sin(theta), self.t_piece)]
 
     def describe(self, label: str, theta: float) -> list[str]:
         s_text = _annotate(self.qubits, self.s_hat)
@@ -67,12 +76,12 @@ class ReceiverObservables:
     qubits: tuple[tuple[int, int], ...]
     b0: PauliString
     b1: PauliString
-    b0_global: PauliString
-    b1_global: PauliString
+    b0_pieces: tuple[PauliString, ...]
+    b1_pieces: tuple[PauliString, ...]
 
-    def b_terms(self, y: int):
-        """B_y on the global register."""
-        return (self.b0_global, self.b1_global)[y]
+    def b_pieces(self, y: int) -> tuple[PauliString, ...]:
+        """B_y's pieces, one per group of sources."""
+        return (self.b0_pieces, self.b1_pieces)[y]
 
     def describe(self, label: str) -> list[str]:
         return [
@@ -94,9 +103,9 @@ class TiltedReceiver:
     agent: int
     qubits: tuple[tuple[int, int], ...]
     b0_bar: PauliString
-    b0_bar_global: PauliString
+    b0_bar_pieces: tuple[PauliString, ...]
     p_part: PauliString
-    p_part_global: PauliString
+    p_part_pieces: tuple[PauliString, ...]
 
     def describe(self, label: str) -> list[str]:
         return [
@@ -110,7 +119,7 @@ class TiltedBlock:
     """The tilted-test operators for the whole network."""
 
     tilt_sources: tuple[int, ...]
-    p_full: PauliString
+    p_pieces: tuple[PauliString, ...]
     receivers: tuple[TiltedReceiver, ...]
 
 
@@ -124,18 +133,25 @@ def _annotate(qubits, local_op: PauliString) -> str:
     return ("-" if local_op.phase == -1 else "") + body
 
 
-def _restricted(layout, qubits, letter_of) -> tuple[PauliString, PauliString]:
-    """A +1-phase local string from per-qubit letters, plus its global lift."""
-    local = PauliString([letter_of(i, j) for i, j in qubits])
-    positions = [layout.global_index(i, j) for i, j in qubits]
-    return local, local.embed(positions, layout.total_qubits)
+def _pieces(layout, qubits, local: PauliString, groups=None) -> tuple[PauliString, ...]:
+    """local, a string on the given qubits, as one piece per group in
+    groups (default: every group): its letters at their places, identity
+    elsewhere, and its sign on the first piece."""
+    groups = layout.source_agents if groups is None else groups
+    rows = {k: ["I"] * layout.group_widths[k - 1] for k in groups}
+    for (i, j), letter in zip(qubits, local.letters):
+        k, position = layout.place(i, j)
+        rows[k][position] = letter
+    pieces = [PauliString(rows[k]) for k in groups]
+    pieces[0] = pieces[0].with_phase_exponent(local.phase_exponent)
+    return tuple(pieces)
 
 
-def _cut_g_h(layout, selection, qubits):
-    """The selected g and h cut to the given qubits, each as (local, global)."""
+def _cut_g_h(selection, qubits) -> tuple[PauliString, PauliString]:
+    """The selected g and h cut to the given qubits, as +1-phase local strings."""
 
     def cut(ops):
-        return _restricted(layout, qubits, lambda i, j: ops[i - 1].letter(j - 1))
+        return PauliString([ops[i - 1].letter(j - 1) for i, j in qubits])
 
     return cut(selection.g), cut(selection.h)
 
@@ -156,7 +172,7 @@ def build_source(
                 "count; its A pair would not anticommute"
             )
         qubits = layout.qubits_of(agent)
-        (s_local, s_glob), (t_local, t_glob) = _cut_g_h(layout, selection, qubits)
+        s_local, t_local = _cut_g_h(selection, qubits)
         if not s_local.anticommutes(t_local):
             raise RuntimeError(
                 f"agent {layout.agent_label(agent)}: restricted s and t do not anticommute"
@@ -167,8 +183,8 @@ def build_source(
                 qubits=qubits,
                 s_hat=s_local,
                 t_hat=t_local,
-                s_global=s_glob,
-                t_global=t_glob,
+                s_piece=_pieces(layout, qubits, s_local, (agent,))[0],
+                t_piece=_pieces(layout, qubits, t_local, (agent,))[0],
             )
         )
     return tuple(out)
@@ -194,15 +210,15 @@ def build_receiver(
                 "(pass allow_commuting_pair=True to accept)"
             )
         qubits = layout.qubits_of(agent)
-        (b0_local, b0_glob), (b1_local, b1_glob) = _cut_g_h(layout, selection, qubits)
+        b0, b1 = _cut_g_h(selection, qubits)
         out.append(
             ReceiverObservables(
                 agent=agent,
                 qubits=qubits,
-                b0=b0_local,
-                b1=b1_local,
-                b0_global=b0_glob,
-                b1_global=b1_glob,
+                b0=b0,
+                b1=b1,
+                b0_pieces=_pieces(layout, qubits, b0),
+                b1_pieces=_pieces(layout, qubits, b1),
             )
         )
     return tuple(out)
@@ -297,41 +313,40 @@ def build_tilted(
                 return spans[(i, j)]
             return "I"
 
-        graft_local, graft_glob = _restricted(layout, rec.qubits, graft_letter)
-        p_local, p_glob = _restricted(
-            layout, rec.qubits, lambda i, j: spans.get((i, j), "I")
-        )
-        sign = anchor_sign[rec.agent]
-        if sign == -1:
-            p_local, p_glob = -p_local, -p_glob
-            bar_local = -(graft_local * rec.b0)
-            bar_glob = -(graft_glob * rec.b0_global)
-        else:
-            bar_local = graft_local * rec.b0
-            bar_glob = graft_glob * rec.b0_global
-
+        graft = PauliString([graft_letter(i, j) for i, j in rec.qubits])
+        p_part = PauliString([spans.get((i, j), "I") for i, j in rec.qubits])
+        b0_bar = graft * rec.b0
+        if anchor_sign[rec.agent] == -1:
+            p_part, b0_bar = -p_part, -b0_bar
         per_receiver.append(
             TiltedReceiver(
                 agent=rec.agent,
                 qubits=rec.qubits,
-                b0_bar=bar_local,
-                b0_bar_global=bar_glob,
-                p_part=p_local,
-                p_part_global=p_glob,
+                b0_bar=b0_bar,
+                b0_bar_pieces=_pieces(layout, rec.qubits, b0_bar),
+                p_part=p_part,
+                p_part_pieces=_pieces(layout, rec.qubits, p_part),
             )
         )
 
-    p_full = PauliString.product(
-        [layout.embed(i, selection.h_prime[i - 1]) for i in tilt_sources],
-        n=layout.total_qubits,
-    )
-    combined = PauliString.product(
-        [tr.p_part_global for tr in per_receiver], n=layout.total_qubits
-    )
-    if combined != p_full:
-        raise RuntimeError("per-receiver phase-flip parts do not recompose")
+    p_pieces = [PauliString.identity(width) for width in layout.group_widths]
+    for source in tilt_sources:
+        prime, k = selection.h_prime[source - 1], layout.holder(source)
+        qubits = [(source, j) for j in range(1, prime.n + 1)]
+        p_pieces[k - 1] = p_pieces[k - 1] * _pieces(layout, qubits, prime, (k,))[0]
+    # The parts recompose P group by group in letters, and overall in sign.
+    signs = 0
+    for k, want in enumerate(p_pieces, start=1):
+        got = PauliString.product(tr.p_part_pieces[k - 1] for tr in per_receiver)
+        if (got.x, got.z) != (want.x, want.z):
+            raise RuntimeError(f"per-receiver phase-flip parts do not recompose in group {k}")
+        signs += got.phase_exponent - want.phase_exponent
+    if signs % 4:
+        raise RuntimeError("per-receiver phase-flip parts do not recompose the sign of P")
 
-    return TiltedBlock(tilt_sources=tilt_sources, p_full=p_full, receivers=tuple(per_receiver))
+    return TiltedBlock(
+        tilt_sources=tilt_sources, p_pieces=tuple(p_pieces), receivers=tuple(per_receiver)
+    )
 
 
 @dataclass(frozen=True)

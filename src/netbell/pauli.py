@@ -214,10 +214,10 @@ class PauliString:
     # register plumbing
 
     def embed(self, positions: Sequence[int], n: int) -> "PauliString":
-        """Place this string at the given global positions of an n-qubit register.
+        """Place this string at the given positions of an n-qubit register.
 
         Identity elsewhere; the phase is preserved. positions[j] is the
-        global index of this string's qubit j.
+        register position of this string's qubit j.
         """
         positions = list(positions)
         if len(positions) != self._n:
@@ -234,25 +234,6 @@ class PauliString:
             x |= (self._x >> s & 1) << t
             z |= (self._z >> s & 1) << t
         return _raw(x, z, self._k, n)
-
-    def restrict(self, positions: Sequence[int]) -> "PauliString":
-        """Letters at the given positions as a new string with phase +1.
-
-        The caller owns the global phase: restricting splits an operator
-        across parties and only the full product's phase is physical.
-        """
-        positions = list(positions)
-        for pos in positions:
-            if not 0 <= pos < self._n:
-                raise ValueError(f"position {pos} out of range for {self._n} qubits")
-        if not positions:
-            raise ValueError("cannot restrict to an empty position list")
-        x = z = 0
-        for pos in positions:
-            s = self._n - 1 - pos
-            x = (x << 1) | (self._x >> s & 1)
-            z = (z << 1) | (self._z >> s & 1)
-        return _raw(x, z, 0, len(positions))
 
     # ------------------------------------------------------------------
     # text form and value semantics

@@ -17,10 +17,13 @@ computational-basis frame:
 * every remaining measured string is then diagonalized letter by letter
   with single-qubit basis rotations (H for X, H S^dag for Y).
 
-The squared amplitudes of the rotated group state are the exact outcome
-distribution of the group. Rounds draw one outcome index per group by a
-nested inverse CDF that reproduces numpy's Generator.choice on the joint
-distribution (see _draw). A source agent's outcome is its group's S
+Every observable arrives as pieces on the groups (see observables), so a
+group's frame reads only the pieces on that group, and a measured string's
+mask is its pieces' bits, one mask per group. The squared amplitudes of
+the rotated group state are the exact outcome distribution of the group.
+Rounds draw one outcome index per group by a nested inverse CDF that
+reproduces numpy's Generator.choice on the joint distribution (see
+_draw). A source agent's outcome is its group's S
 parity; a receiver's is its sign times the product of its parities in
 every group. Round counts per setting combination follow one multinomial
 draw, which together with independent draws inside each combination
@@ -183,12 +186,16 @@ class _Mask:
     sign: int
 
 
-def _string_mask(layout: NetworkLayout, op: PauliString) -> _Mask:
-    phase = op.phase
-    if phase.imag != 0 or phase.real not in (1.0, -1.0):
-        raise ValueError(f"measured string must carry a real sign, got phase {phase}")
-    pieces = (layout.piece(op, k) for k in layout.source_agents)
-    return _Mask(bits=tuple(p.x | p.z for p in pieces), sign=int(phase.real))
+def _string_mask(layout: NetworkLayout, pieces) -> _Mask:
+    """The mask of a measured string given as (group, piece) pairs; the
+    groups not named hold none of its letters."""
+    bits, exponent = [0] * layout.K, 0
+    for k, piece in pieces:
+        bits[k - 1] = piece.x | piece.z
+        exponent += piece.phase_exponent
+    if exponent % 2:
+        raise ValueError(f"measured string must carry a real sign, got phase i^{exponent % 4}")
+    return _Mask(bits=tuple(bits), sign=1 - exponent % 4)
 
 
 def _apply_one_qubit(amps: np.ndarray, n: int, q: int, gate: np.ndarray) -> np.ndarray:
@@ -211,30 +218,34 @@ def _add_letters(target: dict[int, str], op: PauliString, where: str) -> None:
         _add_letter(target, q, op.letter(q), where)
 
 
-def _letters(synthesis: Synthesis, y: tuple[int, ...], mode: str) -> dict[int, str]:
-    """The basis letter of every measured qubit, by global position, when
-    the receivers hold settings y; source agents always measure S."""
+def _letters(synthesis: Synthesis, k: int, y: tuple[int, ...], mode: str) -> dict[int, str]:
+    """The basis letter of every measured qubit of group k, by position in
+    the group, when the receivers hold settings y; source agents always
+    measure S."""
     layout, receivers, tilt = synthesis.layout, synthesis.receivers, synthesis.tilt
     letters: dict[int, str] = {}
     for src in synthesis.sources:
-        _add_letters(letters, src.s_global, f"source agent {src.agent}")
+        if src.agent == k:
+            _add_letters(letters, src.s_piece, f"source agent {src.agent}")
     for pos_r, (ym, rec) in enumerate(zip(y, receivers)):
-        where = f"receiver agent {rec.agent}"
+        where = f"receiver agent {rec.agent} in group {k}"
         if mode == "direct-observable":
             if tilt is not None and ym == 0:
                 block = tilt.receivers[pos_r]
-                _add_letters(letters, block.b0_bar_global, where)
-                _add_letters(letters, block.p_part_global, where)
+                _add_letters(letters, block.b0_bar_pieces[k - 1], where)
+                _add_letters(letters, block.p_part_pieces[k - 1], where)
             else:
-                _add_letters(letters, rec.b_terms(ym), where)
+                _add_letters(letters, rec.b_pieces(ym)[k - 1], where)
         else:
             chosen = rec.b0 if ym == 0 else rec.b1
-            for pos, (i, j) in enumerate(rec.qubits):
-                letter = chosen.letter(pos)
+            for (i, j), letter in zip(rec.qubits, chosen.letters):
+                group, position = layout.place(i, j)
+                if group != k:
+                    continue
                 if letter == "I":
                     letter = synthesis.classification.o_letter(i, j)
                 if letter is not None:
-                    _add_letter(letters, layout.global_index(i, j), letter, where)
+                    _add_letter(letters, position, letter, where)
     return letters
 
 
@@ -255,19 +266,21 @@ class _Frames:
             raise ValueError(f"expected one observable per source agent 1..{layout.K}")
         self.synthesis, self.thetas, self.mode = synthesis, thetas, mode
         self.owners = [owner[k] for k in layout.source_agents]
-        self.source_masks = [_string_mask(layout, obs.s_global) for obs in synthesis.sources]
+        self.source_masks = [
+            _string_mask(layout, [(obs.agent, obs.s_piece)]) for obs in synthesis.sources
+        ]
         self._receiver_masks = [
-            [_string_mask(layout, rec.b_terms(ym)) for ym in (0, 1)]
+            [_string_mask(layout, enumerate(rec.b_pieces(ym), start=1)) for ym in (0, 1)]
             for rec in synthesis.receivers
         ]
         tilt = synthesis.tilt
         self.p_masks = None if tilt is None else [
-            _string_mask(layout, block.p_part_global) for block in tilt.receivers
+            _string_mask(layout, enumerate(block.p_part_pieces, start=1))
+            for block in tilt.receivers
         ]
         self._cdfs: dict[tuple, np.ndarray] = {}
         # (-1)^parity of every index of the largest group
-        width = max(len(layout.group_positions(k)) for k in layout.source_agents)
-        self._signs = 1 - 2 * _parity(np.arange(1 << width))
+        self._signs = 1 - 2 * _parity(np.arange(1 << max(layout.group_widths)))
 
     def outcomes(self, indices: list[np.ndarray], mask: _Mask) -> np.ndarray:
         """A string's outcome per round: its sign times the parity of its
@@ -286,23 +299,19 @@ class _Frames:
         setting xk and the receivers on y, over the group's basis index."""
         layout = self.synthesis.layout
         obs = self.synthesis.sources[self.owners[k - 1]]
-        if layout.acts_outside(obs.s_global, k) or layout.acts_outside(obs.t_global, k):
-            raise RuntimeError(f"agent {layout.agent_label(k)} acts outside its group")
         # Rotate cos(theta) S +/- sin(theta) T onto S, inside the group.
-        w = obs.s_global * obs.t_global
-        w = layout.piece(w, k, w.phase_exponent)
         half = self.thetas[self.owners[k - 1]] / 2.0
         sign = 1.0 if xk == 0 else -1.0
         amps = layout.group_states[k - 1].amplitudes
         amps = math.cos(half) * amps + sign * math.sin(half) * StateVector(
             amps
-        ).apply(w).amplitudes
+        ).apply(obs.s_piece * obs.t_piece).amplitudes
 
-        group = layout.group_positions(k)
-        for q, letter in _letters(self.synthesis, y, self.mode).items():
+        width = layout.group_widths[k - 1]
+        for q, letter in _letters(self.synthesis, k, y, self.mode).items():
             gate = _BASIS_ROTATION[letter]
-            if gate is not None and q in group:
-                amps = _apply_one_qubit(amps, len(group), q - group.start, gate)
+            if gate is not None:
+                amps = _apply_one_qubit(amps, width, q, gate)
 
         probabilities = np.abs(amps) ** 2
         total = probabilities.sum()
@@ -464,18 +473,19 @@ def run(
 
     if record_path is not None:
         # Per-qubit records cover the receiver-held qubits where g or h acts,
-        # in global-index order: the qubits every setting's frame measures.
+        # in (i, j) order: the qubits every setting's frame measures.
         measured = sorted(
-            (layout.global_index(i, j), (i, j))
+            (i, j)
             for rec in receivers
-            for pos, (i, j) in enumerate(rec.qubits)
-            if rec.b0.letter(pos) != "I" or rec.b1.letter(pos) != "I"
+            for (i, j), b0, b1 in zip(rec.qubits, rec.b0.letters, rec.b1.letters)
+            if b0 != "I" or b1 != "I"
         )
-        n = layout.total_qubits
-        qubit_masks = [_string_mask(layout, PauliString("Z").embed([q], n)) for q, _ in measured]
-        header = _csv_header(
-            config.strategy, k, m, tilt is not None, [ij for _, ij in measured]
-        )
+        qubit_masks = []
+        for i, j in measured:
+            group, position = layout.place(i, j)
+            z = PauliString("Z").embed([position], layout.group_widths[group - 1])
+            qubit_masks.append(_string_mask(layout, [(group, z)]))
+        header = _csv_header(config.strategy, k, m, tilt is not None, measured)
         codes = []  # per setting block, each round's index into texts
         texts = []  # the line text after the round index, once per distinct round
 

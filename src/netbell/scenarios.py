@@ -51,6 +51,7 @@ from .network import NetworkLayout, OperatorSelection, check_parity, check_selec
 from .observables import BETA_WITHOUT_TILT, Synthesis, synthesize
 from .pauli import PauliString
 from .sampling import MAX_ROUNDS, MODES
+from .states import STATE_QUBIT_CAP
 
 DEFAULT_THETA = math.pi / 4
 DEFAULT_ROUNDS = 100000
@@ -416,9 +417,18 @@ def resolve_beta(
 def diagnose(scenario: Scenario) -> tuple[ValidationReport, Synthesis | None]:
     """Full validation report: selection structure, parity conditions, and
     observable synthesis, whose observables (at the scenario's angles) the
-    report's details list; with the synthesis, or None where it failed."""
+    report's details list; with the synthesis, or None where it failed.
+    A group of sources past the statevector cap is a warning, not a
+    failure: the classical bound never builds the group's state."""
     layout, selection = scenario.layout, scenario.selection
     checks: list[CheckResult] = list(check_selection(layout, selection).checks)
+    warnings = tuple(
+        f"agent {layout.agent_label(k)}'s group of sources holds {width} qubits, "
+        f"past the cap of {STATE_QUBIT_CAP}: evaluate, maximize, tilted and sample "
+        "will refuse it"
+        for k, width in zip(layout.source_agents, layout.group_widths)
+        if width > STATE_QUBIT_CAP
+    )
     try:
         synthesis = synthesize(
             layout, selection, allow_commuting_pair=scenario.allow_commuting_pair
@@ -451,10 +461,10 @@ def diagnose(scenario: Scenario) -> tuple[ValidationReport, Synthesis | None]:
     )
     if synthesis is None:
         checks.append(CheckResult("observable synthesis", False, str(failure)))
-        return ValidationReport(tuple(checks)), None
+        return ValidationReport(tuple(checks), warnings), None
     checks.append(CheckResult("observable synthesis", True))
     listing = synthesis.describe(scenario.thetas)
-    return ValidationReport(tuple(checks), details=tuple(listing.splitlines())), synthesis
+    return ValidationReport(tuple(checks), warnings, tuple(listing.splitlines())), synthesis
 
 
 # ----------------------------------------------------------------------

@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from netbell import scenarios
 from netbell.codes import builtin, codeword
 from netbell.network import NetworkLayout, OperatorSelection
 from netbell.pauli import PauliString
@@ -52,6 +53,54 @@ def star_layout(n_sources, phi=np.pi / 4):
         partition=tuple(range(n_sources + 1)),
         assignment=assignment,
     )
+
+
+def split_receiver_star_layout(n_sources, phi=np.pi / 4):
+    # star_layout with the receiver split in two: R1 holds qubits (i,1)
+    # and (i,3), R2 holds (i,4) and (i,5), so R2's B pair commutes
+    sources = tuple(codeword_angle(FIVE, phi) for _ in range(n_sources))
+    assignment = [(i, 2, i) for i in range(1, n_sources + 1)]
+    assignment += [
+        (i, j, n_sources + (1 if j < 4 else 2))
+        for i in range(1, n_sources + 1)
+        for j in (1, 3, 4, 5)
+    ]
+    return NetworkLayout(
+        sources=sources,
+        K=n_sources,
+        M=2,
+        partition=tuple(range(n_sources + 1)),
+        assignment=assignment,
+    )
+
+
+def two_source_group_layout():
+    # agent S1 holds sources 1 and 2: qubit (1,2) and the commuting
+    # qubit (2,4); S2 holds (3,2); the receiver holds the rest
+    assignment = [(1, 2, 1), (2, 4, 1), (3, 2, 2)]
+    held = {(i, j) for i, j, _ in assignment}
+    assignment += [
+        (i, j, 3) for i in (1, 2, 3) for j in range(1, 6) if (i, j) not in held
+    ]
+    sources = tuple(codeword_angle(FIVE, phi) for phi in (0.3, 0.5, 0.7))
+    layout = NetworkLayout(
+        sources=sources, K=2, M=1, partition=(0, 2, 3), assignment=assignment
+    )
+    return layout, OperatorSelection(g=(G_PRODUCT,) * 3, h=(H_FLIP,) * 3)
+
+
+def one_group_star5():
+    """The scenario document of star(5) with all five sources in one source
+    agent's group: 25 qubits, past the statevector cap."""
+    doc = scenarios.scenario_to_dict(scenarios.builtin_scenario("star(5)"))
+    doc["network"] = {
+        "K": 1,
+        "M": 1,
+        "partition": [0, 5],
+        "assignment": [[i, j, 1 if j == 2 else 2] for i in range(1, 6) for j in range(1, 6)],
+    }
+    doc["options"]["thetas"] = doc["options"]["thetas"][:1]
+    return doc
 
 
 def chsh_layout(phi=np.pi / 4):

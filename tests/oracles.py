@@ -5,7 +5,10 @@ the package takes, and lives here so that `src/` keeps only what a
 command runs:
 
 * `joint_state` is the tensor product of every source state, the
-  2^n-amplitude register that `src/` never builds;
+  2^n-amplitude register that `src/` never builds; `global_index` places
+  a qubit in it, `embed` lifts a source's operator into it, and `lift`
+  joins an observable's pieces on the groups of sources into one string
+  on it, the n-qubit embedding `src/` no longer makes;
 * `joint_correlator` expands a Bell correlator's whole product of local
   observables term by term on the joint state of all sources, which
   `bell` factors over the source agents' groups instead;
@@ -63,6 +66,41 @@ def joint_state(layout: NetworkLayout) -> StateVector:
     return tensor([src.state for src in layout.sources])
 
 
+def global_index(layout: NetworkLayout, i: int, j: int) -> int:
+    """0-based position of qubit (i, j) in the joint state, which lists
+    every source's qubits in (i, j) order."""
+    if not 1 <= i <= layout.N or not 1 <= j <= layout.source_sizes[i - 1]:
+        raise ValueError(f"no qubit ({i},{j}) in this layout")
+    return sum(layout.source_sizes[: i - 1]) + j - 1
+
+
+def embed(layout: NetworkLayout, i: int, op: PauliString) -> PauliString:
+    """Lift a source-i operator to the joint register."""
+    if op.n != layout.source_sizes[i - 1]:
+        raise ValueError(
+            f"operator on {op.n} qubits does not fit source {i} "
+            f"of size {layout.source_sizes[i - 1]}"
+        )
+    positions = [global_index(layout, i, j) for j in range(1, op.n + 1)]
+    return op.embed(positions, sum(layout.source_sizes))
+
+
+def lift(layout: NetworkLayout, pieces, groups=None) -> PauliString:
+    """Pieces on the groups of sources, one per group in group order or one
+    per group in groups, as one string on the joint register: identity on
+    the other groups, and the product of the pieces' phases. A group's
+    sources are consecutive, so the joint register is the groups' qubits
+    one group after another."""
+    placed = dict(zip(layout.source_agents if groups is None else groups, pieces))
+    letters = ""
+    for k, width in enumerate(layout.group_widths, start=1):
+        piece = placed.get(k, PauliString.identity(width))
+        if piece.n != width:
+            raise ValueError(f"piece on {piece.n} qubits does not fit group {k} of {width}")
+        letters += piece.letters
+    return PauliString(letters, sum(piece.phase_exponent for piece in placed.values()))
+
+
 # ----------------------------------------------------------------------
 # Bell correlators on the joint state
 
@@ -71,14 +109,16 @@ def joint_correlator(synthesis: Synthesis, thetas, y: int, cache: dict) -> compl
     """<prod_k (A0 + (-1)^y A1) prod_l B_y> at the given angles, expanded
     term by term on the 2^n-amplitude joint state; expectations are
     memoized in cache."""
-    state = joint_state(synthesis.layout)
+    layout = synthesis.layout
+    state = joint_state(layout)
     terms: list[tuple[float, PauliString]] = [(1.0, PauliString.identity(state.n))]
     flip = 1.0 if y == 0 else -1.0
     for obs, theta in zip(synthesis.sources, synthesis.angles(thetas)):
         branch = obs.a_terms(0, theta) + [(flip * c, p) for c, p in obs.a_terms(1, theta)]
+        branch = [(c, lift(layout, [p], [obs.agent])) for c, p in branch]
         terms = [(c1 * c2, p1 * p2) for c1, p1 in terms for c2, p2 in branch]
     for rec in synthesis.receivers:
-        b = rec.b_terms(y)
+        b = lift(layout, rec.b_pieces(y))
         terms = [(c, p * b) for c, p in terms]
     return sum(c * bell._cached_expectation(state, p, cache) for c, p in terms)
 
@@ -93,7 +133,8 @@ def joint_values(synthesis: Synthesis, thetas, cache=None) -> dict:
         "J": (scale * joint_correlator(synthesis, thetas, 1, cache)).real,
     }
     if synthesis.tilt is not None:
-        out["P"] = joint_state(synthesis.layout).expectation(synthesis.tilt.p_full)
+        p = lift(synthesis.layout, synthesis.tilt.p_pieces)
+        out["P"] = joint_state(synthesis.layout).expectation(p)
     return out
 
 
@@ -201,18 +242,21 @@ def joint_frame(synthesis: Synthesis, thetas, x, y, mode: str) -> JointFrame:
     """The sampler's frame at one setting cell, built on the joint state:
     every source rotation and basis change acts on all 2^n amplitudes."""
     layout, sources, receivers = synthesis.layout, synthesis.sources, synthesis.receivers
-    n = layout.total_qubits
+    n = sum(layout.source_sizes)
     amps = joint_state(layout).amplitudes
     for xk, src, theta in zip(x, sources, synthesis.angles(thetas)):
-        w = src.s_global * src.t_global
+        w = lift(layout, [src.s_piece], [src.agent]) * lift(layout, [src.t_piece], [src.agent])
         sign = 1.0 if xk == 0 else -1.0
         amps = math.cos(theta / 2) * amps + sign * math.sin(theta / 2) * StateVector(
             amps
         ).apply(w).amplitudes
-    for q, letter in _letters(synthesis, y, mode).items():
-        gate = _BASIS_ROTATION[letter]
-        if gate is not None:
-            amps = _apply_one_qubit(amps, n, q, gate)
+    start = 0  # the group's first position in the joint register
+    for k, width in enumerate(layout.group_widths, start=1):
+        for q, letter in _letters(synthesis, k, y, mode).items():
+            gate = _BASIS_ROTATION[letter]
+            if gate is not None:
+                amps = _apply_one_qubit(amps, n, start + q, gate)
+        start += width
     probabilities = np.abs(amps) ** 2
     total = probabilities.sum()
     if not abs(total - 1.0) < PROB_TOL:
@@ -224,10 +268,12 @@ def joint_frame(synthesis: Synthesis, thetas, x, y, mode: str) -> JointFrame:
     tilted_now = synthesis.tilt is not None and all(b == 0 for b in y)
     return JointFrame(
         probabilities=probabilities / total,
-        source_masks=tuple(mask(src.s_global) for src in sources),
-        receiver_masks=tuple(mask(rec.b_terms(ym)) for ym, rec in zip(y, receivers)),
+        source_masks=tuple(mask(lift(layout, [src.s_piece], [src.agent])) for src in sources),
+        receiver_masks=tuple(
+            mask(lift(layout, rec.b_pieces(ym))) for ym, rec in zip(y, receivers)
+        ),
         p_masks=(
-            tuple(mask(block.p_part_global) for block in synthesis.tilt.receivers)
+            tuple(mask(lift(layout, block.p_part_pieces)) for block in synthesis.tilt.receivers)
             if tilted_now
             else None
         ),

@@ -11,18 +11,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
-    FIVE,
-    G_PRODUCT,
-    H_FLIP,
     bilocal_layout,
-    codeword_angle,
     chsh_layout,
     chsh_selection,
     ghz_split_layout,
     selection_a,
     selection_b,
+    split_receiver_star_layout,
     star_layout,
     star_selection,
+    two_source_group_layout,
 )
 from netbell import bell, scenarios
 from netbell.bell import (
@@ -32,7 +30,7 @@ from netbell.bell import (
     maximize,
     tilt_parameters,
 )
-from netbell.network import NetworkLayout, OperatorSelection
+from netbell.network import OperatorSelection
 from netbell.observables import build_tilted, synthesize
 from netbell.pauli import PauliString
 from oracles import joint_values
@@ -121,7 +119,7 @@ class TestEvaluate:
     def test_tampered_observable_is_caught(self):
         synthesis = synth(bilocal_layout(math.pi / 6), selection_a(), allow=True)
         sources = synthesis.sources
-        broken = replace(sources[0], t_global=sources[0].s_global)
+        broken = replace(sources[0], t_piece=sources[0].s_piece)
         with pytest.raises(RuntimeError, match="closed forms"):
             evaluate(replace(synthesis, sources=(broken, sources[1])), [0.7, 0.7])
 
@@ -143,7 +141,7 @@ class TestEvaluate:
         data = report.as_dict()
         assert data["K"] == 1
         assert abs(data["quantum_value"] - math.sqrt(2)) < TOL
-        assert data["scenario_hash"] is None
+        assert "scenario_hash" not in data  # the CLI stamps it
         assert "tilt" not in data
 
 
@@ -435,21 +433,6 @@ class TestJointOracle:
             assert beta * abs(values["P"]) ** (1 / 3) + value == pinned["tilt"]["G"]
 
 
-def two_source_group_layout():
-    # agent S1 holds sources 1 and 2: qubit (1,2) and the commuting
-    # qubit (2,4); S2 holds (3,2); the receiver holds the rest
-    assignment = [(1, 2, 1), (2, 4, 1), (3, 2, 2)]
-    held = {(i, j) for i, j, _ in assignment}
-    assignment += [
-        (i, j, 3) for i in (1, 2, 3) for j in range(1, 6) if (i, j) not in held
-    ]
-    sources = tuple(codeword_angle(FIVE, phi) for phi in (0.3, 0.5, 0.7))
-    layout = NetworkLayout(
-        sources=sources, K=2, M=1, partition=(0, 2, 3), assignment=assignment
-    )
-    return layout, OperatorSelection(g=(G_PRODUCT,) * 3, h=(H_FLIP,) * 3)
-
-
 class TestGroups:
     def test_group_of_two_sources_matches_joint_expansion(self):
         layout, selection = two_source_group_layout()
@@ -463,6 +446,18 @@ class TestGroups:
             assert abs(report.j_value) > 0.01 or thetas[0] == 0.0
         best = maximize(synthesis)
         assert abs(best.quantum_value - math.sqrt(1 + best.big_c**2)) < TOL
+
+    def test_two_receivers_match_joint_expansion(self):
+        # B_y's piece on each group is the product of both receivers' pieces
+        layout = split_receiver_star_layout(3, math.pi / 7)
+        synthesis = synth(layout, star_selection(3), allow=True)
+        thetas = [0.3, 0.6, 0.9]
+        report = evaluate_tilted(synthesis, thetas, 0.5)
+        want = joint_values(synthesis, thetas)
+        assert abs(report.i_value - want["I"]) <= 1e-12
+        assert abs(report.j_value - want["J"]) <= 1e-12
+        assert abs(report.tilt.p_value - want["P"]) <= 1e-12
+        assert abs(report.tilt.p_value) > 0.1
 
 
 def star51(**params):
@@ -518,17 +513,19 @@ class TestBlockCrossCheck:
 
     def test_one_wrong_tilt_block_raises(self):
         scenario, synthesis = star51(phibar=0.3927)
-        layout = scenario.layout
         # one more letter on a qubit where source 2's h_prime is identity
-        extra = layout.embed(2, PauliString("IZIII"))
-        broken = replace(synthesis.tilt, p_full=synthesis.tilt.p_full * extra)
+        pieces = list(synthesis.tilt.p_pieces)
+        pieces[1] = pieces[1] * PauliString("IZIII")
+        broken = replace(synthesis.tilt, p_pieces=tuple(pieces))
         with pytest.raises(RuntimeError, match="P block of agent S2 disagrees"):
             evaluate_tilted(replace(synthesis, tilt=broken), scenario.thetas, 0.5)
 
     def test_split_sign_of_p_is_checked(self):
+        # each group's P piece carries its own sign, checked block by block
         scenario, synthesis = star51(phibar=0.3927)
-        broken = replace(synthesis.tilt, p_full=-synthesis.tilt.p_full)
-        with pytest.raises(RuntimeError, match="sign of P"):
+        pieces = synthesis.tilt.p_pieces
+        broken = replace(synthesis.tilt, p_pieces=(-pieces[0], *pieces[1:]))
+        with pytest.raises(RuntimeError, match="P block of agent S1 disagrees"):
             evaluate_tilted(replace(synthesis, tilt=broken), scenario.thetas, 0.5)
 
     @pytest.mark.parametrize("theta", [0.0, 0.7, math.pi / 2])
@@ -545,10 +542,11 @@ class TestBlockCrossCheck:
             maximize(synthesis)
 
     def test_observable_outside_its_group_is_refused(self):
+        # a piece of the wrong width: S1's piece with a letter on source 2
         layout = star_layout(3)
         synthesis = synth(layout, star_selection(3, tilted=False))
         sources = synthesis.sources
-        stray = sources[0].s_global * layout.embed(2, PauliString("IZIII"))
-        broken = replace(sources[0], s_global=stray)
-        with pytest.raises(RuntimeError, match="outside its group"):
+        stray = PauliString(sources[0].s_piece.letters + "IZIII")
+        broken = replace(sources[0], s_piece=stray)
+        with pytest.raises(ValueError, match="strings on 10 and 5 qubits"):
             evaluate(replace(synthesis, sources=(broken, *sources[1:])), [0.5] * 3)

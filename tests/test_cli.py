@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import one_group_star5
 from netbell import bell, classical, network, observables, sampling, scenarios
 from netbell.cli import EXIT_ACCEPTANCE, EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
 
@@ -585,21 +586,32 @@ class TestBuiltinStar:
         assert abs(payload["J"] - exact.j_value) < 4 * payload["J_se"]
 
     def test_sample_keeps_the_cap_on_one_group(self, out_dir, tmp_path, capsys):
-        # star(5) with all five sources in one source agent's group
-        doc = scenarios.scenario_to_dict(scenarios.builtin_scenario("star(5)"))
-        doc["network"] = {
-            "K": 1,
-            "M": 1,
-            "partition": [0, 5],
-            "assignment": [[i, j, 1 if j == 2 else 2] for i in range(1, 6) for j in range(1, 6)],
-        }
-        doc["options"]["thetas"] = doc["options"]["thetas"][:1]
         path = tmp_path / "one-group.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(one_group_star5()))
         assert main(["sample", str(path), "--rounds", "10"]) == EXIT_VALIDATION
         assert capsys.readouterr().err.splitlines() == [
             "error: 25 qubits exceeds the cap of 20"
         ]
+
+    def test_validate_warns_about_a_group_past_the_cap(self, out_dir, tmp_path, capsys):
+        # validate passes, since classical-bound runs the scenario, but names
+        # the group that evaluate, maximize, tilted and sample refuse
+        path = tmp_path / "one-group.json"
+        path.write_text(json.dumps(one_group_star5()))
+        assert main(["validate", str(path)]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert [line for line in lines if "[warn]" in line] == [
+            "  [warn] agent S1's group of sources holds 25 qubits, past the cap of 20: "
+            "evaluate, maximize, tilted and sample will refuse it"
+        ]
+        assert lines[-1] == "PASS"
+        assert main(["classical-bound", str(path)]) == EXIT_OK
+        for command in ("evaluate", "maximize"):
+            capsys.readouterr()
+            assert main([command, str(path)]) == EXIT_VALIDATION
+            assert capsys.readouterr().err == "error: 25 qubits exceeds the cap of 20\n"
+        assert main(["validate", "star(5)"]) == EXIT_OK
+        assert "[warn]" not in capsys.readouterr().out
 
     def test_sample_refuses_too_many_setting_cells(self, out_dir, capsys):
         assert main(["sample", "star(51)"]) == EXIT_VALIDATION

@@ -14,7 +14,7 @@ from conftest import (
     star_layout,
 )
 
-from oracles import joint_state
+from oracles import embed, global_index, joint_state
 
 from netbell.codes import builtin
 from netbell.network import (
@@ -29,12 +29,14 @@ from netbell.pauli import PauliString
 
 class TestLayout:
     def test_global_indices_run_source_major(self):
+        # the joint register of tests/oracles.py
         layout = bilocal_layout()
-        assert layout.total_qubits == 10
-        assert layout.global_index(1, 1) == 0
-        assert layout.global_index(1, 5) == 4
-        assert layout.global_index(2, 1) == 5
-        assert layout.global_index(2, 3) == 7
+        assert global_index(layout, 1, 1) == 0
+        assert global_index(layout, 1, 5) == 4
+        assert global_index(layout, 2, 1) == 5
+        assert global_index(layout, 2, 3) == 7
+        with pytest.raises(ValueError, match="no qubit"):
+            global_index(layout, 2, 6)
 
     def test_holder_follows_partition(self):
         layout = bilocal_layout()
@@ -83,20 +85,23 @@ class TestLayout:
             partition=(0, 2, 3),
             assignment=[(1, 1, 1), (2, 1, 1), (3, 1, 2)] + [(i, 2, 3) for i in (1, 2, 3)],
         )
-        assert [layout.group_positions(k) for k in (1, 2)] == [range(0, 4), range(4, 6)]
+        assert layout.group_widths == (4, 2)
+        assert [layout.place(i, j) for i in (1, 2, 3) for j in (1, 2)] == [
+            (1, 0), (1, 1), (1, 2), (1, 3), (2, 0), (2, 1)
+        ]
         first, second = (state.amplitudes for state in layout.group_states)
         assert np.array_equal(first, np.kron(sources[0].state.amplitudes, sources[1].state.amplitudes))
         assert np.allclose(np.kron(first, second), joint_state(layout).amplitudes, atol=1e-15)
 
     def test_embed_hits_the_right_block(self):
         layout = bilocal_layout(0.3)
-        lifted = layout.embed(2, G_PRODUCT)
+        lifted = embed(layout, 2, G_PRODUCT)
         assert lifted.letters == "I" * 5 + "ZZXIX"
         assert abs(joint_state(layout).expectation(lifted) - 1.0) < 1e-9
 
     def test_embed_rejects_wrong_size(self):
         with pytest.raises(ValueError, match="does not fit"):
-            bilocal_layout().embed(1, PauliString("ZZ"))
+            embed(bilocal_layout(), 1, PauliString("ZZ"))
 
     def test_rejects_double_assignment(self):
         with pytest.raises(ValueError, match="more than once"):

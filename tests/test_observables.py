@@ -11,11 +11,14 @@ from conftest import (
     chsh_layout,
     chsh_selection,
     ghz_split_layout,
+    one_group_star5,
     selection_a,
+    split_receiver_star_layout,
     star_layout,
     star_selection,
 )
 
+from netbell import scenarios
 from netbell.codes import builtin
 from netbell.network import OperatorSelection, classify
 from netbell.observables import (
@@ -26,7 +29,7 @@ from netbell.observables import (
     tilt_constraints,
 )
 from netbell.pauli import PauliString
-from oracles import dense, logical_representative
+from oracles import dense, embed, global_index, lift, logical_representative
 
 
 def synth(layout, selection, allow_commuting=False):
@@ -112,9 +115,13 @@ class TestSourceObservables:
     def test_distinct_agents_commute_globally(self):
         layout = star_layout(3)
         _, sources, receivers = synth(layout, star_selection(3, tilted=False))
-        tagged = [(obs.agent, op) for obs in sources for op in (obs.s_global, obs.t_global)]
-        tagged += [(receivers[0].agent, receivers[0].b0_global)]
-        tagged += [(receivers[0].agent, receivers[0].b1_global)]
+        tagged = [
+            (obs.agent, lift(layout, [op], [obs.agent]))
+            for obs in sources
+            for op in (obs.s_piece, obs.t_piece)
+        ]
+        tagged += [(receivers[0].agent, lift(layout, receivers[0].b0_pieces))]
+        tagged += [(receivers[0].agent, lift(layout, receivers[0].b1_pieces))]
         for a in range(len(tagged)):
             for b in range(a + 1, len(tagged)):
                 if tagged[a][0] != tagged[b][0]:
@@ -187,7 +194,7 @@ class TestTilted:
         cls, _, receivers = synth(layout, sel)
         block = build_tilted(layout, cls, sel, receivers)
         assert block.tilt_sources == ()
-        assert block.p_full.weight == 0 and block.p_full.phase == 1
+        assert block.p_pieces == (PauliString("II"),)
         assert block.receivers[0].b0_bar == receivers[0].b0
         assert grafted_qubits(block.receivers[0], receivers[0]) == ()
 
@@ -200,7 +207,7 @@ class TestTilted:
         assert tr.b0_bar == receivers[0].b0  # nothing grafted
         assert tr.p_part.letters == "Z"
         assert tr.p_part.phase == 1
-        assert block.p_full == PauliString("IZ")
+        assert block.p_pieces == (PauliString("IZ"),)
         # the sign of h_prime is attributed to the lowest receiver holding
         # its support: here agent 2, the only receiver
         anchor = min(layout.agent_of(1, j + 1) for j in sel.h_prime[0].support)
@@ -235,10 +242,10 @@ class TestTilted:
         tr = block.receivers[0]
         # dropping the grafted outcomes and the attributed sign gives B0
         graft_global = PauliString.product(
-            [layout.embed(i, PauliString("IIIXI")) for i in (1, 2, 3)]
+            [embed(layout, i, PauliString("IIIXI")) for i in (1, 2, 3)]
         )
-        recovered = -(tr.b0_bar_global * graft_global)
-        assert recovered == receivers[0].b0_global
+        recovered = -(lift(layout, tr.b0_bar_pieces) * graft_global)
+        assert recovered == lift(layout, receivers[0].b0_pieces)
 
     def test_full_phase_flip_product(self):
         layout = star_layout(3)
@@ -246,10 +253,12 @@ class TestTilted:
         cls, _, receivers = synth(layout, sel)
         block = build_tilted(layout, cls, sel, receivers)
         want = PauliString.product(
-            [layout.embed(i, H_PRIME_STAR) for i in (1, 2, 3)]
+            [embed(layout, i, H_PRIME_STAR) for i in (1, 2, 3)]
         )
-        assert block.p_full == want
-        assert block.p_full.phase == -1
+        assert lift(layout, block.p_pieces) == want
+        assert lift(layout, block.p_pieces).phase == -1
+        # each group's piece carries its own h_prime's sign
+        assert block.p_pieces == (H_PRIME_STAR,) * 3
 
     def test_bar_commutes_with_p_part(self):
         layout = star_layout(3)
@@ -319,6 +328,90 @@ class TestTilted:
         code = builtin("two-one-two")
         found = logical_representative(code, PauliString("ZI"), constraints)
         assert found == PauliString("IZ")
+
+
+def reference_synthesis(name):
+    """The synthesis of a builtin scenario, of tilted star(3), of star(3)
+    with its receiver split in two, or of star(5) in one 25-qubit group."""
+    if name == "star(3)-tilted":
+        scenario = scenarios.builtin_scenario("star(3)", phibar=0.3927)
+    elif name == "star(3)-split-receiver":
+        return synthesize(
+            split_receiver_star_layout(3), star_selection(3), allow_commuting_pair=True
+        )
+    elif name == "star(5)-one-group":
+        scenario = scenarios.scenario_from_dict(one_group_star5())
+    else:
+        scenario = scenarios.builtin_scenario(name)
+    return synthesize(
+        scenario.layout,
+        scenario.selection,
+        allow_commuting_pair=scenario.allow_commuting_pair,
+    )
+
+
+REFERENCE_NAMES = sorted(scenarios.BUILTIN_SCENARIOS) + [
+    "star(3)-tilted",
+    "star(3)-split-receiver",
+    "star(5)-one-group",
+]
+
+
+class TestPieces:
+    """An observable's pieces on the groups of sources, lifted to the joint
+    register, are its agent-local string embedded at the qubits' joint
+    positions, which tests/oracles.py computes on its own."""
+
+    @pytest.mark.parametrize("name", REFERENCE_NAMES)
+    def test_lifted_pieces_are_the_embedded_local_strings(self, name):
+        synthesis = reference_synthesis(name)
+        layout, selection = synthesis.layout, synthesis.selection
+        n = sum(layout.source_sizes)
+
+        def embedded(local, qubits):
+            return local.embed([global_index(layout, i, j) for i, j in qubits], n)
+
+        for obs in synthesis.sources:
+            for local, piece in ((obs.s_hat, obs.s_piece), (obs.t_hat, obs.t_piece)):
+                assert piece.n == layout.group_widths[obs.agent - 1]
+                assert lift(layout, [piece], [obs.agent]) == embedded(local, obs.qubits)
+        parts = [
+            (rec.qubits, local, pieces)
+            for rec in synthesis.receivers
+            for local, pieces in ((rec.b0, rec.b0_pieces), (rec.b1, rec.b1_pieces))
+        ]
+        if selection.tilt_sources:
+            parts += [
+                (tr.qubits, local, pieces)
+                for tr in synthesis.tilt.receivers
+                for local, pieces in ((tr.b0_bar, tr.b0_bar_pieces), (tr.p_part, tr.p_part_pieces))
+            ]
+            want = PauliString.product(
+                [embed(layout, i, selection.h_prime[i - 1]) for i in selection.tilt_sources]
+            )
+            assert lift(layout, synthesis.tilt.p_pieces) == want
+        else:
+            assert synthesis.tilt is None
+        for qubits, local, pieces in parts:
+            assert tuple(piece.n for piece in pieces) == layout.group_widths
+            assert lift(layout, pieces) == embedded(local, qubits)
+
+    def test_one_group_past_the_cap_synthesizes_without_its_state(self):
+        # group widths come from the source sizes: synthesis never builds
+        # the 25-qubit state that evaluate and sample refuse
+        synthesis = reference_synthesis("star(5)-one-group")
+        assert synthesis.layout.group_widths == (25,)
+        assert "group_states" not in vars(synthesis.layout)
+        with pytest.raises(ValueError, match="25 qubits exceeds the cap of 20"):
+            synthesis.layout.group_states
+
+    def test_split_receiver_signs_ride_on_group_one(self):
+        synthesis = reference_synthesis("star(3)-split-receiver")
+        first, second = synthesis.tilt.receivers
+        # R1 holds every h_prime's first letter, so it carries their signs
+        assert first.p_part.phase == -1 and second.p_part.phase == 1
+        assert [piece.phase for piece in first.p_part_pieces] == [-1, 1, 1]
+        assert [piece.phase for piece in first.b0_bar_pieces] == [-1, 1, 1]
 
 
 class TestDescribe:

@@ -156,26 +156,6 @@ class TestEmbedRestrict:
         with pytest.raises(ValueError, match="out of range"):
             PauliString("XX").embed([0, 3], 3)
 
-    def test_restrict_first_qubit(self):
-        assert PauliString("ZZXIX").restrict([0]) == PauliString("Z")
-
-    def test_restrict_receiver_letters(self):
-        assert PauliString("ZZXIX").restrict([1, 2, 4]) == PauliString("ZXX")
-
-    def test_restrict_everything_is_identity_map(self):
-        p = PauliString("ZZXIX")
-        assert p.restrict(range(5)) == p
-
-    def test_restrict_drops_phase(self):
-        p = PauliString("ZZXIX", phase_exponent=2)
-        assert p.restrict([0, 1]).phase == 1
-
-    def test_restrict_errors(self):
-        with pytest.raises(ValueError, match="out of range"):
-            PauliString("XX").restrict([2])
-        with pytest.raises(ValueError, match="empty"):
-            PauliString("XX").restrict([])
-
 
 def wide_letter_pairs(max_n=70):
     """Raw (letters_a, ka, letters_b, kb) on up to 70 qubits, past one 64-bit word."""

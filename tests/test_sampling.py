@@ -20,12 +20,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    FIVE,
+    H_FLIP,
     bilocal_layout,
     chsh_layout,
     chsh_selection,
     selection_a,
+    split_receiver_star_layout,
     star_layout,
     star_selection,
+    two_source_group_layout,
 )
 from netbell import bell, observables, sampling, scenarios
 from netbell.pauli import PauliString
@@ -36,6 +40,7 @@ from oracles import (
     joint_oracle,
     joint_outcomes,
     joint_state,
+    lift,
     outcome_distribution,
 )
 
@@ -77,8 +82,36 @@ JOINT_SCENARIOS = {
 }
 
 
+def _two_source_group_mixed_h():
+    layout, selection = two_source_group_layout()
+    return layout, replace(selection, h=(H_FLIP, FIVE.generators[0], H_FLIP))
+
+
+# Layouts the builtins lack, on joint states within the cap: tilted
+# star(3) with its receiver split in two, so every group's receiver
+# letters come from two receivers; and groups of 10 and 5 qubits whose
+# sources differ in h, so the groups' letters differ at the same
+# positions. name -> (layout and selection, angles).
+JOINT_LAYOUTS = {
+    "star(3)-split-receiver": (
+        lambda: (split_receiver_star_layout(3, np.pi / 7), star_selection(3)),
+        [0.3, 0.6, 0.9],
+    ),
+    "two-source-group": (_two_source_group_mixed_h, [0.4, 1.1]),
+}
+
+
+def joint_a(synthesis, pos, x, theta):
+    """Source observable pos's A_x terms, lifted to the joint register."""
+    obs = synthesis.sources[pos]
+    return [(c, lift(synthesis.layout, [p], [obs.agent])) for c, p in obs.a_terms(x, theta)]
+
+
 def builtin_synthesis(name):
-    """The synthesis and angles of one of JOINT_SCENARIOS."""
+    """The synthesis and angles of one of JOINT_SCENARIOS or JOINT_LAYOUTS."""
+    if name in JOINT_LAYOUTS:
+        build, thetas = JOINT_LAYOUTS[name]
+        return synth(*build(), thetas, allow=True)
     builtin, params = JOINT_SCENARIOS[name]
     scenario = scenarios.builtin_scenario(builtin, **params)
     return synth(
@@ -133,8 +166,8 @@ class TestFrames:
         dist = outcome_distribution(synthesis, thetas, x, y, mode=mode)
         state = joint_state(layout)
         receiver = synthesis.receivers[0]
-        a_terms = synthesis.sources[0].a_terms(x[0], thetas[0])
-        b_op = receiver.b0_global if y[0] == 0 else receiver.b1_global
+        a_terms = joint_a(synthesis, 0, x[0], thetas[0])
+        b_op = lift(layout, receiver.b_pieces(y[0]))
         oracle = joint_oracle(state, [a_terms, b_op])
         for outcome, expected in oracle.items():
             assert dist.get(outcome, 0.0) == pytest.approx(expected, abs=1e-9)
@@ -150,9 +183,9 @@ class TestFrames:
         oracle = joint_oracle(
             state,
             [
-                synthesis.sources[0].a_terms(x[0], thetas[0]),
-                synthesis.sources[1].a_terms(x[1], thetas[1]),
-                synthesis.receivers[0].b0_global,
+                joint_a(synthesis, 0, x[0], thetas[0]),
+                joint_a(synthesis, 1, x[1], thetas[1]),
+                lift(layout, synthesis.receivers[0].b0_pieces),
             ],
         )
         for outcome, expected in oracle.items():
@@ -168,9 +201,9 @@ class TestFrames:
         oracle = joint_oracle(
             state,
             [
-                synthesis.sources[0].a_terms(0, thetas[0]),
-                synthesis.receivers[0].b0_global,
-                synthesis.tilt.receivers[0].p_part_global,
+                joint_a(synthesis, 0, 0, thetas[0]),
+                lift(layout, synthesis.receivers[0].b0_pieces),
+                lift(layout, synthesis.tilt.receivers[0].p_part_pieces),
             ],
         )
         for outcome, expected in oracle.items():
@@ -218,7 +251,7 @@ class TestFrames:
         synthesis, thetas = synth(layout, selection, [theta])
         dist = outcome_distribution(synthesis, thetas, (0,), (0,))
         marginal = sum(a * w for (a, _), w in dist.items())
-        expected = expectation_combo(joint_state(layout), synthesis.sources[0].a_terms(0, theta))
+        expected = expectation_combo(joint_state(layout), joint_a(synthesis, 0, 0, theta))
         assert marginal == pytest.approx(expected, abs=1e-9)
 
 
@@ -227,7 +260,7 @@ class TestGroupFrames:
     tests/oracles.py, and its nested draw against Generator.choice."""
 
     @pytest.mark.parametrize("mode", sampling.MODES)
-    @pytest.mark.parametrize("name", sorted(JOINT_SCENARIOS))
+    @pytest.mark.parametrize("name", sorted(JOINT_SCENARIOS) + sorted(JOINT_LAYOUTS))
     def test_group_frames_multiply_to_the_joint_frame(self, name, mode):
         synthesis, thetas = builtin_synthesis(name)
         layout = synthesis.layout
@@ -287,11 +320,16 @@ class TestGroupFrames:
         assert sorted(built) == sorted(itertools.product((1, 2, 3), (0, 1), ((0,), (1,))))
 
     def test_source_observable_outside_its_group_is_refused(self):
+        # pieces of the wrong width: S1's S and T with letters on source 2
         synthesis, thetas = builtin_synthesis("star(3)")
-        layout, sources = synthesis.layout, synthesis.sources
-        stray = sources[0].s_global * layout.embed(2, PauliString("IZIII"))
-        broken = replace(synthesis, sources=(replace(sources[0], s_global=stray), *sources[1:]))
-        with pytest.raises(RuntimeError, match="outside its group"):
+        obs = synthesis.sources[0]
+        stray = replace(
+            obs,
+            s_piece=PauliString(obs.s_piece.letters + "IZIII"),
+            t_piece=PauliString(obs.t_piece.letters + "IIIII"),
+        )
+        broken = replace(synthesis, sources=(stray, *synthesis.sources[1:]))
+        with pytest.raises(ValueError, match="operator on 10 qubits applied to 5-qubit state"):
             run(broken, thetas, RunConfig(rounds=100, seed=1))
 
     def test_too_many_setting_cells_are_refused_before_sampling(self, monkeypatch):
