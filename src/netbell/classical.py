@@ -7,12 +7,12 @@ deterministic scan enumerates response tables together with point-mass
 label assignments and maximizes the same objective the quantum engine
 reports, as a single-process numpy scan in bounded slices.  A
 stochastic pass then probes mixed label distributions with random
-restarts and hill climbing, scored incrementally: a table flip re-reads
-the signs of only the labels that read the flipped column, and the
-totals are re-summed in grid order, so every score is the float a
-whole-grid sum gives.  The scan is falsification pressure for the
-analytic bound, not a search for new physics: the objective must never
-come out above 1 (or beta + 1 tilted).
+restarts and hill climbing: its draws come first, then all restarts
+climb at once in numpy arrays.  A flip re-reads only the labels that
+read its column, and totals are summed left to right in grid order, so
+every score is the float of a whole-grid sum.  The scan is
+falsification pressure for the analytic bound, not a search for new
+physics: the objective must never come out above 1 (or beta + 1 tilted).
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -266,16 +265,16 @@ def _scan_full(shape, alphabet, beta):
     (label index, table integers), and ties resolve to the earliest
     combination in enumeration order.  Under a fixed point label each
     table reaches I, J and P only through the entries at its active
-    column, so the objective over the table grid is an outer product of
-    per-table vectors in {-1, 0, +1}.  The trailing tables form one
-    grid of at most _SLICE entries (or the last table alone, if larger),
-    and the leading tables are iterated around it.
+    column, so I, J and P over the table grid are outer products of
+    per-table vectors in {-1, 0, +1}: |I|, |J| and |P| are 0 or 1, so
+    the objective's roots of them are themselves.  The trailing tables
+    form one grid of at most _SLICE entries (or the last table alone, if
+    larger), and the leading tables are iterated around it.
     """
     tilted = beta is not None
     k, m = shape.k, shape.m
     blocks = [shape.block(s) for s in range(1, k + 1)]
     _, _, widths = _table_bits(shape, alphabet, tilted)
-    root = 1.0 / k
     split = len(widths) - 1
     trail = 1 << widths[split]
     while split > 0 and trail << widths[split - 1] <= _SLICE:
@@ -311,10 +310,10 @@ def _scan_full(shape, alphabet, beta):
             scale = np.ones(3, dtype=np.int8)
             for factor, t in zip(factors[:split], lead):
                 scale = scale * factor[:, t]
-            powered = np.abs(scale[:, None] * grid) ** root
-            values = powered[0] + powered[1]
+            magnitudes = np.abs(scale[:, None] * grid)
+            values = magnitudes[0] + magnitudes[1]
             if tilted:
-                values += beta * powered[2]
+                values = values + beta * magnitudes[2]
             scanned += values.size
             index = int(np.argmax(values))
             if values[index] > best_value:
@@ -370,113 +369,124 @@ def _random_tables(shape, alphabet, tilted, rng):
     return a_tables, b_tables, p_tables
 
 
-class _GridScorer:
-    """I, J and P of a strategy over the label grid, and its objective,
-    kept up to date through the refine pass's table flips and weight moves.
+class _Climb:
+    """The refine pass's restarts, scored together: the last axis of every
+    array runs over the restarts.
 
-    Built once per pass: the column each table reads under every label in
-    product order (source agents, then receivers, whose p tables read the
-    b tables' columns), the labels that read each column, and each
-    source's label under every label.  Per label it holds an integer sign
-    triple and a weight built source by source as math.prod multiplies;
-    each total sums weight * sign left to right from +0.0.  Every term is
-    +/-weight or +/-0.0 and no total ever becomes -0.0, so the totals are
-    the floats of the whole-grid sum, zero-weight labels included.
+    A restart's tables are one column of +/-1 entries in flip order (each
+    source agent's a0 and a1 rows, each receiver's b0 and b1, then the p
+    rows); its weights are (source, label value), zero past an alphabet.
+    Per grid label it keeps a sign triple and a weight built source by
+    source as math.prod multiplies, and each total sums weight * sign over
+    the labels left to right: the floats of a whole-grid sum.  flip() and
+    weigh() score a candidate in every restart; settle() keeps it where
+    asked.
     """
 
-    def __init__(self, shape, alphabet, beta):
-        labels = list(itertools.product(*(range(size) for size in alphabet)))
+    def __init__(self, shape, alphabet, beta, tables, weights):
+        self._shape, self._alphabet, self._beta = shape, alphabet, beta
+        self._grid = np.array(list(itertools.product(*(range(size) for size in alphabet))))
         reads = [shape.block(s) for s in range(1, shape.k + 1)] + list(shape.reach)
-        self._columns = [tuple(_flat(r, lab, alphabet) for r in reads) for lab in labels]
-        self._readers = [defaultdict(list) for _ in reads]
-        for label, columns in enumerate(self._columns):
-            for readers, column in zip(self._readers, columns):
-                readers[column].append(label)
-        self._source_labels = list(zip(*labels))
-        self._k, self._beta, self._root = shape.k, beta, 1.0 / shape.k
+        columns = np.array([[_flat(r, g, alphabet) for r in reads] for g in self._grid.tolist()])
+        # per row in flip order: its table, and the one part its entries
+        # are a factor of (None for an a row, a factor of I and J)
+        rows = [(s, None) for s in range(shape.k) for _ in (0, 1)]
+        rows += [(shape.k + r, x) for r in range(shape.m) for x in (0, 1)]
+        rows += [(shape.k + r, 2) for r in range(shape.m)] if beta is not None else []
+        widths = [math.prod(alphabet[i - 1] for i in reads[t]) for t, _ in rows]
+        self._starts = np.cumsum([0] + widths)
+        shown = self._starts[:-1] + columns[:, [t for t, _ in rows]]  # entry per label and row
+        self._flips = []  # per entry: the labels that read it, its part, their entries
+        for (t, part), width in zip(rows, widths):
+            for column in range(width):
+                labels = np.flatnonzero(columns[:, t] == column)
+                self._flips.append((labels, part, shown[labels]))
+        entries = [itertools.chain(*itertools.chain(*a, *b, p or ())) for a, b, p in tables]
+        self.tables = np.array([list(e) for e in entries], dtype=np.int8).T
+        padded = [[list(w) + [0.0] * (max(alphabet) - len(w)) for w in ws] for ws in weights]
+        self.weights = np.array(padded).transpose(1, 2, 0)
+        self.signs = self._signs(shown)
+        self.totals, self.powered = np.zeros((2, 3, len(tables)))
+        self.weigh(self.weights)
+        self.settle(np.ones(len(tables), dtype=bool))
 
-    def _label_signs(self, label):
-        columns = self._columns[label]
-        i = j = p = 1
-        for (a0, a1), c in zip(self._a, columns):
-            i *= (a0[c] + a1[c]) // 2
-            j *= (a0[c] - a1[c]) // 2
-        for (b0, b1, p_row), c in zip(self._receivers, columns[self._k :]):
-            i *= b0[c]
-            j *= b1[c]
-            p *= p_row[c]
-        return i, j, p
+    def _signs(self, reads):
+        """(I, J, P) signs of the labels whose entries these are, per restart."""
+        v = self.tables[reads]
+        k2, m2 = 2 * self._shape.k, 2 * (self._shape.k + self._shape.m)
+        a0, a1 = v[:, 0:k2:2], v[:, 1:k2:2]
+        i = ((a0 + a1) // 2).prod(1) * v[:, k2:m2:2].prod(1)
+        j = ((a0 - a1) // 2).prod(1) * v[:, k2 + 1 : m2 : 2].prod(1)
+        return np.stack((i, j, v[:, m2:].prod(1))).astype(np.int8)
 
-    def _resign(self, labels):
-        """Re-read these labels' sign triples; (label, *old triple) per change."""
-        si, sj, sp = self._signs
-        changed = []
-        for label in labels:
-            i, j, p = self._label_signs(label)
-            if i != si[label] or j != sj[label] or p != sp[label]:
-                changed.append((label, si[label], sj[label], sp[label]))
-                si[label], sj[label], sp[label] = i, j, p
-        return changed
+    def _score(self, terms, /, **candidate):
+        """Stage a candidate whose parts sum these terms (part -> weight *
+        sign per label and restart); its objectives.  The powers are
+        Python's float **, which np.power does not match."""
+        totals, powered = self.totals.copy(), self.powered.copy()
+        for part, part_terms in terms.items():
+            totals[part] = _left_sum(part_terms, axis=0)
+            powered[part] = [abs(x) ** (1.0 / self._shape.k) for x in totals[part].tolist()]
+        value = powered[0] + powered[1]
+        if self._beta is not None:
+            value = self._beta * powered[2] + value
+        self._pending = dict(candidate, totals=totals, powered=powered, value=value)
+        return value
 
-    def _rescore(self, parts):
-        """Re-sum the totals of these parts (0 = I, 1 = J, 2 = P); the objective."""
-        if parts:
-            self.totals = totals = list(self.totals)
-            for part in parts:
-                total = 0.0
-                for weight, sign in zip(self._weights, self._signs[part]):
-                    total += weight * sign
-                totals[part] = total
-            i, j, p = totals
-            self.value = abs(i) ** self._root + abs(j) ** self._root
-            if self._beta is not None:
-                self.value = self._beta * abs(p) ** self._root + self.value
-        return self.value
-
-    def load(self, weights, tables):
-        """Score a strategy from scratch; rows then lists (table index, parts
-        a flip can move, row) for every row of its tables, in flip order."""
-        self._a, b, p = tables
-        self._receivers = [(*t, p[m] if p else (1,) * len(t[0])) for m, t in enumerate(b)]
-        self.rows = [(s, (0, 1), row) for s, table in enumerate(self._a) for row in table]
-        self.rows += [(self._k + m, (x,), t[x]) for m, t in enumerate(b) for x in (0, 1)]
-        self.rows += [(self._k + m, (2,), row) for m, row in enumerate(p or ())]
-        signs = map(self._label_signs, range(len(self._columns)))
-        self._signs = [list(part) for part in zip(*signs)]
-        self.totals, self._weights, self.value = [0.0, 0.0, None], None, None
-        return self.weigh(weights)
-
-    def flip(self, table, column, parts):
-        """Rescore once the caller negated an entry of a row that moves these parts."""
-        self._saved = (self._weights, self.totals, self.value)
-        self._changed = self._resign(self._readers[table][column])
-        return self._rescore(parts if self._changed else ())
+    def flip(self, entry):
+        """Negate one table entry in every restart; the candidate objectives.
+        A b or p entry negates its part's sign at the labels that read it;
+        an a entry has their I and J re-read."""
+        labels, part, reads = self._flips[entry]
+        self.tables[entry] *= -1
+        signs = self.signs[:, labels]
+        if part is None:
+            signs[:2] = self._signs(reads)[:2]
+        else:
+            signs[part] *= -1
+        self._flipped = (entry, labels, signs)
+        terms = {}
+        for p in (0, 1) if part is None else (part,):
+            terms[p] = self.label_weights * self.signs[p]
+            terms[p][labels] = self.label_weights[labels] * signs[p]
+        return self._score(terms)
 
     def weigh(self, weights):
-        """Rescore the current tables under new label weights."""
-        self._saved = (self._weights, self.totals, self.value)
-        self._changed = ()
-        self._weights = [1] * len(self._columns)
-        for w, labels in zip(weights, self._source_labels):
-            self._weights = [x * w[v] for x, v in zip(self._weights, labels)]
-        return self._rescore((0, 1) if self._beta is None else (0, 1, 2))
+        """Score new (source, label value, restart) weights; the candidate objectives."""
+        label_weights = weights[0, self._grid[:, 0]]
+        for i in range(1, self._shape.n):
+            label_weights = label_weights * weights[i, self._grid[:, i]]
+        self._flipped = None
+        parts = (0, 1) if self._beta is None else (0, 1, 2)
+        terms = {p: label_weights * self.signs[p] for p in parts}
+        return self._score(terms, weights=weights, label_weights=label_weights)
 
-    def undo(self):
-        """Take back the last flip() or weigh()."""
-        si, sj, sp = self._signs
-        for label, i, j, p in self._changed:
-            si[label], sj[label], sp[label] = i, j, p
-        self._weights, self.totals, self.value = self._saved
+    def settle(self, keep):
+        """Keep the last flip() or weigh() in the restarts where keep is
+        true and take it back in the others."""
+        if self._flipped is not None:
+            entry, labels, signs = self._flipped
+            self.tables[entry] = np.where(keep, self.tables[entry], -self.tables[entry])
+            self.signs[:, labels] = np.where(keep, signs, self.signs[:, labels])
+        if keep.any():
+            for name, candidate in self._pending.items():
+                setattr(self, name, np.where(keep, candidate, getattr(self, name, candidate)))
+
+    def strategy(self, r: int) -> HiddenStrategy:
+        """Restart r as a HiddenStrategy."""
+        rows = iter([row.tolist() for row in np.split(self.tables[:, r], self._starts[1:-1])])
+        a_tables = [(next(rows), next(rows)) for _ in range(self._shape.k)]
+        b_tables = [(next(rows), next(rows)) for _ in range(self._shape.m)]
+        p_tables = None if self._beta is None else list(rows)
+        weights = [self.weights[i, :size, r].tolist() for i, size in enumerate(self._alphabet)]
+        return HiddenStrategy(self._shape, self._alphabet, weights, a_tables, b_tables, p_tables)
 
 
-def _left_sum(values) -> float:
-    """values added left to right in plain float arithmetic: the builtin
-    sum of Python 3.11 and earlier, which 3.12 replaced by a compensated
-    sum that can round differently."""
-    total = 0.0
-    for value in values:
-        total += value
-    return total
+def _left_sum(values, axis=-1):
+    """values added left to right along an axis in plain float arithmetic:
+    the builtin sum of Python 3.11 and earlier, which 3.12 replaced by a
+    compensated sum that can round differently (np.sum adds pairwise)."""
+    return np.add.accumulate(values, axis).take(-1, axis)
 
 
 def _refine(shape, alphabet, beta, seed_strategy, rng, draws, steps):
@@ -484,61 +494,49 @@ def _refine(shape, alphabet, beta, seed_strategy, rng, draws, steps):
 
     Restarts alternate between the deterministic argmax tables and fresh
     random tables; each restart greedily flips table entries, then walks
-    the label weights toward random vertices, keeping improvements.  One
-    _GridScorer, built for the pass, scores every candidate; a rejected
-    flip or move is undone in it.  Tables are flipped in place on lists,
-    and a HiddenStrategy is built only for a restart that beats the best.
+    the label weights toward random vertices, keeping improvements.  No
+    draw depends on a score, so every draw is taken first, in the order
+    of one restart after another; then one _Climb runs all restarts in
+    lockstep, each flip or move scored in every restart at once.  A
+    restart whose sweep kept no flip keeps none in a later one either, so
+    all sweep on while any improves.  The best restart is the first, in
+    draw order, to beat the seed.
     """
-    tilted = beta is not None
-    scorer = _GridScorer(shape, alphabet, beta)
-    seed_tables = (seed_strategy.a_tables, seed_strategy.b_tables, seed_strategy.p_tables)
-    best_value = scorer.load(seed_strategy.weights, seed_tables)
-    best_strategy = seed_strategy
+    seed = (seed_strategy.a_tables, seed_strategy.b_tables, seed_strategy.p_tables)
+    [best_value] = _Climb(shape, alphabet, beta, [seed], [seed_strategy.weights]).value.tolist()
+    starts, weights, moves = [], [], []
     for draw in range(draws):
-        start = seed_tables if draw == 0 else _random_tables(shape, alphabet, tilted, rng)
-        a_tables = [[list(row) for row in table] for table in start[0]]
-        b_tables = [[list(row) for row in table] for table in start[1]]
-        p_tables = None if start[2] is None else [list(row) for row in start[2]]
-        tables = (a_tables, b_tables, p_tables)
-        weights = [tuple(map(float, rng.dirichlet(np.ones(size)))) for size in alphabet]
-        current_value = scorer.load(weights, tables)
-        improved = True
-        sweeps = 0
-        while improved and sweeps < _REFINE_SWEEPS:
-            improved = False
-            sweeps += 1
-            for t, parts, row in scorer.rows:
-                for e in range(len(row)):
-                    row[e] = -row[e]
-                    candidate_value = scorer.flip(t, e, parts)
-                    if candidate_value > current_value + 1e-15:
-                        current_value = candidate_value
-                        improved = True
-                    else:
-                        row[e] = -row[e]
-                        scorer.undo()
-
+        starts.append(_random_tables(shape, alphabet, beta is not None, rng) if draw else seed)
+        weights.append([rng.dirichlet(np.ones(size)) for size in alphabet])
         for _ in range(steps):
             source = int(rng.integers(shape.n))
-            vertex = int(rng.integers(alphabet[source]))
-            eta = float(rng.uniform(0.1, 1.0))
-            mixed = [
-                (1 - eta) * w + (eta if v == vertex else 0.0)
-                for v, w in enumerate(weights[source])
-            ]
-            total = _left_sum(mixed)
-            candidate = list(weights)
-            candidate[source] = tuple(w / total for w in mixed)
-            candidate_value = scorer.weigh(candidate)
-            if candidate_value > current_value:
-                weights, current_value = candidate, candidate_value
-            else:
-                scorer.undo()
+            moves.append((source, rng.integers(alphabet[source]), rng.uniform(0.1, 1.0)))
+    if not draws:
+        return best_value, seed_strategy
+    climb = _Climb(shape, alphabet, beta, starts, weights)
+    for _ in range(_REFINE_SWEEPS):
+        improved = np.zeros(draws, dtype=bool)
+        for entry in range(len(climb.tables)):
+            keep = climb.flip(entry) > climb.value + 1e-15
+            climb.settle(keep)
+            improved |= keep
+        if not improved.any():
+            break
 
-        if current_value > best_value:
-            best_value = current_value
-            best_strategy = HiddenStrategy(shape, alphabet, weights, *tables)
-    return best_value, best_strategy
+    restarts, values = np.arange(draws), np.arange(max(alphabet))
+    sources, vertices, etas = np.array(moves).reshape(draws, steps, 3).T
+    for source, vertex, eta in zip(sources.astype(np.intp), vertices, etas):
+        mixed = (1 - eta)[:, None] * climb.weights[source, :, restarts]
+        mixed = mixed + np.where(values == vertex[:, None], eta[:, None], 0.0)
+        candidate = climb.weights.copy()
+        candidate[source, :, restarts] = mixed / _left_sum(mixed)[:, None]
+        climb.settle(climb.weigh(candidate) > climb.value)
+
+    best_row = None
+    for row, value in enumerate(climb.value.tolist()):
+        if value > best_value:
+            best_value, best_row = value, row
+    return best_value, seed_strategy if best_row is None else climb.strategy(best_row)
 
 
 @dataclass(frozen=True)

@@ -317,7 +317,8 @@ def _cmd_classical_bound(args) -> int:
     try:
         bound_report = classical.verify_bound(shape, alphabet, beta=beta, seed=args.seed)
     except BoundViolation as err:
-        raise CliError(EXIT_ACCEPTANCE, f"classical bound violated: {err}") from err
+        where = f"{scenario.name} [{scenarios.fingerprint(scenario)}]"
+        raise CliError(EXIT_ACCEPTANCE, f"classical bound violated for {where}: {err}") from err
     scan = bound_report.scan
     payload = {
         "name": scenario.name,

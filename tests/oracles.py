@@ -31,8 +31,12 @@ command runs:
   evaluation per response pair under every label;
 * `correlators` sums a hidden strategy's I, J and P through `grid_sums`,
   which walks the whole label grid of `label_grid` term by term, and
-  `objective_value` scores them; the refine pass's incremental
-  `classical._GridScorer` must give the same floats bit for bit.
+  `objective_value` scores them; the refine pass's batched
+  `classical._Climb` must give the same floats bit for bit;
+* `refine` is the refine pass one restart at a time, scored
+  incrementally by `GridScorer` in pure Python, against which
+  `classical._refine`, which climbs every restart at once in numpy, must
+  give the same value, strategy and generator state.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -561,3 +566,173 @@ def correlators(strategy: classical.HiddenStrategy) -> ClassicalCorrelators:
         strategy.b_tables,
         strategy.p_tables,
     )
+
+
+class GridScorer:
+    """I, J and P of a strategy over the label grid, and its objective,
+    kept up to date through the refine pass's table flips and weight moves.
+
+    Built once per pass: the column each table reads under every label in
+    product order (source agents, then receivers, whose p tables read the
+    b tables' columns), the labels that read each column, and each
+    source's label under every label.  Per label it holds an integer sign
+    triple and a weight built source by source as math.prod multiplies;
+    each total sums weight * sign left to right from +0.0.  Every term is
+    +/-weight or +/-0.0 and no total ever becomes -0.0, so the totals are
+    the floats of the whole-grid sum, zero-weight labels included.
+    """
+
+    def __init__(self, shape, alphabet, beta):
+        labels = list(itertools.product(*(range(size) for size in alphabet)))
+        reads = [shape.block(s) for s in range(1, shape.k + 1)] + list(shape.reach)
+        self._columns = [tuple(classical._flat(r, lab, alphabet) for r in reads) for lab in labels]
+        self._readers = [defaultdict(list) for _ in reads]
+        for label, columns in enumerate(self._columns):
+            for readers, column in zip(self._readers, columns):
+                readers[column].append(label)
+        self._source_labels = list(zip(*labels))
+        self._k, self._beta, self._root = shape.k, beta, 1.0 / shape.k
+
+    def _label_signs(self, label):
+        columns = self._columns[label]
+        i = j = p = 1
+        for (a0, a1), c in zip(self._a, columns):
+            i *= (a0[c] + a1[c]) // 2
+            j *= (a0[c] - a1[c]) // 2
+        for (b0, b1, p_row), c in zip(self._receivers, columns[self._k :]):
+            i *= b0[c]
+            j *= b1[c]
+            p *= p_row[c]
+        return i, j, p
+
+    def _resign(self, labels):
+        """Re-read these labels' sign triples; (label, *old triple) per change."""
+        si, sj, sp = self._signs
+        changed = []
+        for label in labels:
+            i, j, p = self._label_signs(label)
+            if i != si[label] or j != sj[label] or p != sp[label]:
+                changed.append((label, si[label], sj[label], sp[label]))
+                si[label], sj[label], sp[label] = i, j, p
+        return changed
+
+    def _rescore(self, parts):
+        """Re-sum the totals of these parts (0 = I, 1 = J, 2 = P); the objective."""
+        if parts:
+            self.totals = totals = list(self.totals)
+            for part in parts:
+                total = 0.0
+                for weight, sign in zip(self._weights, self._signs[part]):
+                    total += weight * sign
+                totals[part] = total
+            i, j, p = totals
+            self.value = abs(i) ** self._root + abs(j) ** self._root
+            if self._beta is not None:
+                self.value = self._beta * abs(p) ** self._root + self.value
+        return self.value
+
+    def load(self, weights, tables):
+        """Score a strategy from scratch; rows then lists (table index, parts
+        a flip can move, row) for every row of its tables, in flip order."""
+        self._a, b, p = tables
+        self._receivers = [(*t, p[m] if p else (1,) * len(t[0])) for m, t in enumerate(b)]
+        self.rows = [(s, (0, 1), row) for s, table in enumerate(self._a) for row in table]
+        self.rows += [(self._k + m, (x,), t[x]) for m, t in enumerate(b) for x in (0, 1)]
+        self.rows += [(self._k + m, (2,), row) for m, row in enumerate(p or ())]
+        signs = map(self._label_signs, range(len(self._columns)))
+        self._signs = [list(part) for part in zip(*signs)]
+        self.totals, self._weights, self.value = [0.0, 0.0, None], None, None
+        return self.weigh(weights)
+
+    def flip(self, table, column, parts):
+        """Rescore once the caller negated an entry of a row that moves these parts."""
+        self._saved = (self._weights, self.totals, self.value)
+        self._changed = self._resign(self._readers[table][column])
+        return self._rescore(parts if self._changed else ())
+
+    def weigh(self, weights):
+        """Rescore the current tables under new label weights."""
+        self._saved = (self._weights, self.totals, self.value)
+        self._changed = ()
+        self._weights = [1] * len(self._columns)
+        for w, labels in zip(weights, self._source_labels):
+            self._weights = [x * w[v] for x, v in zip(self._weights, labels)]
+        return self._rescore((0, 1) if self._beta is None else (0, 1, 2))
+
+    def undo(self):
+        """Take back the last flip() or weigh()."""
+        si, sj, sp = self._signs
+        for label, i, j, p in self._changed:
+            si[label], sj[label], sp[label] = i, j, p
+        self._weights, self.totals, self.value = self._saved
+
+
+def left_fold(values) -> float:
+    """values added left to right in plain float arithmetic, one Python
+    float at a time."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
+def refine(shape, alphabet, beta, seed_strategy, rng, draws, steps):
+    """Stochastic pass: random product label distributions, hill-climbed.
+
+    Restarts alternate between the deterministic argmax tables and fresh
+    random tables; each restart greedily flips table entries, then walks
+    the label weights toward random vertices, keeping improvements.  One
+    GridScorer, built for the pass, scores every candidate; a rejected
+    flip or move is undone in it.  Tables are flipped in place on lists,
+    and a HiddenStrategy is built only for a restart that beats the best.
+    """
+    tilted = beta is not None
+    scorer = GridScorer(shape, alphabet, beta)
+    seed_tables = (seed_strategy.a_tables, seed_strategy.b_tables, seed_strategy.p_tables)
+    best_value = scorer.load(seed_strategy.weights, seed_tables)
+    best_strategy = seed_strategy
+    for draw in range(draws):
+        start = seed_tables if draw == 0 else classical._random_tables(shape, alphabet, tilted, rng)
+        a_tables = [[list(row) for row in table] for table in start[0]]
+        b_tables = [[list(row) for row in table] for table in start[1]]
+        p_tables = None if start[2] is None else [list(row) for row in start[2]]
+        tables = (a_tables, b_tables, p_tables)
+        weights = [tuple(map(float, rng.dirichlet(np.ones(size)))) for size in alphabet]
+        current_value = scorer.load(weights, tables)
+        improved = True
+        sweeps = 0
+        while improved and sweeps < classical._REFINE_SWEEPS:
+            improved = False
+            sweeps += 1
+            for t, parts, row in scorer.rows:
+                for e in range(len(row)):
+                    row[e] = -row[e]
+                    candidate_value = scorer.flip(t, e, parts)
+                    if candidate_value > current_value + 1e-15:
+                        current_value = candidate_value
+                        improved = True
+                    else:
+                        row[e] = -row[e]
+                        scorer.undo()
+
+        for _ in range(steps):
+            source = int(rng.integers(shape.n))
+            vertex = int(rng.integers(alphabet[source]))
+            eta = float(rng.uniform(0.1, 1.0))
+            mixed = [
+                (1 - eta) * w + (eta if v == vertex else 0.0)
+                for v, w in enumerate(weights[source])
+            ]
+            total = left_fold(mixed)
+            candidate = list(weights)
+            candidate[source] = tuple(w / total for w in mixed)
+            candidate_value = scorer.weigh(candidate)
+            if candidate_value > current_value:
+                weights, current_value = candidate, candidate_value
+            else:
+                scorer.undo()
+
+        if current_value > best_value:
+            best_value = current_value
+            best_strategy = classical.HiddenStrategy(shape, alphabet, weights, *tables)
+    return best_value, best_strategy

@@ -17,6 +17,7 @@ from netbell.classical import (
     scan_size,
     verify_bound,
 )
+from netbell.states import make_rng
 from oracles import (
     _scan_reachable,
     bell_value,
@@ -25,6 +26,7 @@ from oracles import (
     label_grid,
     loop_scan,
     objective_value,
+    refine,
 )
 
 BILOCAL = NetworkShape(k=2, m=1, n=2, partition=(0, 1, 2), reach=((1, 2),))
@@ -222,9 +224,15 @@ STAR5 = NetworkShape(
 SPLIT = NetworkShape(k=1, m=2, n=2, partition=(0, 2), reach=((1,), (1, 2)))
 
 
+STAR7 = NetworkShape(k=7, m=1, n=7, partition=tuple(range(8)), reach=(tuple(range(1, 8)),))
+
+
 class TestGridScorer:
-    """The refine pass's incremental scorer against the oracle's whole-grid
-    sum, compared bit for bit (float.hex), never approximately."""
+    """The refine pass's batched scorer, one restart row at a time, against
+    the oracle's whole-grid sum, compared bit for bit (float.hex), never
+    approximately."""
+
+    RESTARTS = 3
 
     @staticmethod
     def weights_with_zeros(sizes, rng):
@@ -238,13 +246,28 @@ class TestGridScorer:
         return weights
 
     @staticmethod
-    def assert_matches(scorer, value, shape, sizes, beta, weights, tables):
-        expected = grid_sums(label_grid(shape, sizes), weights, *tables)
-        want = [expected.i_value, expected.j_value, expected.p_value]
-        hexes = [None if v is None else v.hex() for v in want]
-        assert [None if v is None else v.hex() for v in scorer.totals] == hexes
-        assert value.hex() == scorer.value.hex()
-        assert value.hex() == objective_value(expected, shape.k, beta).hex()
+    def slab(weights, sizes):
+        """Per-restart weights as the scorer's (source, label value, restart) array."""
+        out = np.zeros((len(sizes), max(sizes), len(weights)))
+        for r, per_source in enumerate(weights):
+            for i, w in enumerate(per_source):
+                out[i, : len(w), r] = w
+        return out
+
+    @staticmethod
+    def objectives(shape, sizes, beta, weights, tables):
+        """Each restart's whole-grid sums and objective, from the oracle."""
+        sums = [grid_sums(label_grid(shape, sizes), w, *t) for w, t in zip(weights, tables)]
+        return sums, [objective_value(want, shape.k, beta).hex() for want in sums]
+
+    def assert_rows_match(self, climb, shape, sizes, beta, weights, tables):
+        """The scorer's settled totals and objectives, one restart at a time."""
+        sums, objectives = self.objectives(shape, sizes, beta, weights, tables)
+        for r, want in enumerate(sums):
+            totals = [want.i_value, want.j_value] + ([want.p_value] if beta is not None else [])
+            got = climb.totals[: len(totals), r].tolist()
+            assert [v.hex() for v in got] == [v.hex() for v in totals]
+            assert climb.value[r].item().hex() == objectives[r]
 
     @pytest.mark.parametrize("beta", [None, 0.7], ids=["untilted", "tilted"])
     @pytest.mark.parametrize(
@@ -262,40 +285,50 @@ class TestGridScorer:
     def test_flips_and_weight_moves_match_the_grid_sum(self, shape, alphabet, beta):
         rng = np.random.default_rng(31)
         sizes = classical._normalize_alphabet(shape, alphabet)
-        scorer = classical._GridScorer(shape, sizes, beta)
-        for _ in range(3):  # fresh tables and weights on one scorer
-            a, b, p = classical._random_tables(shape, sizes, beta is not None, rng)
-            tables = (
-                [[list(row) for row in table] for table in a],
-                [[list(row) for row in table] for table in b],
-                None if p is None else [list(row) for row in p],
-            )
-            weights = self.weights_with_zeros(sizes, rng)
-            value = scorer.load(weights, tables)
-            self.assert_matches(scorer, value, shape, sizes, beta, weights, tables)
-            for _ in range(40):
-                if rng.random() < 0.25:
-                    candidate = self.weights_with_zeros(sizes, rng)
-                    value = scorer.weigh(candidate)
-                    self.assert_matches(scorer, value, shape, sizes, beta, candidate, tables)
-                    if rng.integers(2):
-                        weights = candidate
-                    else:
-                        scorer.undo()
-                    continue
-                t, parts, row = scorer.rows[int(rng.integers(len(scorer.rows)))]
-                e = int(rng.integers(len(row)))
-                before = scorer.value
-                row[e] = -row[e]
-                value = scorer.flip(t, e, parts)
-                self.assert_matches(scorer, value, shape, sizes, beta, weights, tables)
-                if rng.integers(2):  # restore, as a rejected flip does
-                    row[e] = -row[e]
-                    scorer.undo()
-                    assert scorer.value.hex() == before.hex()
-                self.assert_matches(
-                    scorer, scorer.value, shape, sizes, beta, weights, tables
+        for _ in range(3):  # fresh tables and weights in a new batch
+            tables = []
+            for _ in range(self.RESTARTS):
+                a, b, p = classical._random_tables(shape, sizes, beta is not None, rng)
+                tables.append(
+                    (
+                        [[list(row) for row in table] for table in a],
+                        [[list(row) for row in table] for table in b],
+                        None if p is None else [list(row) for row in p],
+                    )
                 )
+            # every row of a restart's tables in flip order, and each entry's place
+            rows = [
+                [row for table in a + b for row in table] + (p or [])
+                for a, b, p in tables
+            ]
+            places = [(i, e) for i, row in enumerate(rows[0]) for e in range(len(row))]
+            weights = [self.weights_with_zeros(sizes, rng) for _ in range(self.RESTARTS)]
+            climb = classical._Climb(shape, sizes, beta, tables, weights)
+            assert len(climb.tables) == len(places)
+            self.assert_rows_match(climb, shape, sizes, beta, weights, tables)
+            for _ in range(40):
+                keep = rng.integers(2, size=self.RESTARTS).astype(bool)
+                if rng.random() < 0.25:
+                    candidate = [self.weights_with_zeros(sizes, rng) for _ in weights]
+                    values = climb.weigh(self.slab(candidate, sizes))
+                    _, want = self.objectives(shape, sizes, beta, candidate, tables)
+                    assert [v.hex() for v in values.tolist()] == want
+                    climb.settle(keep)
+                    weights = [c if k else w for c, k, w in zip(candidate, keep, weights)]
+                else:
+                    entry = int(rng.integers(len(places)))
+                    i, e = places[entry]
+                    values = climb.flip(entry)
+                    for row in rows:
+                        row[i][e] = -row[i][e]
+                    _, want = self.objectives(shape, sizes, beta, weights, tables)
+                    assert [v.hex() for v in values.tolist()] == want
+                    climb.settle(keep)
+                    for row, kept in zip(rows, keep):
+                        if not kept:  # restored, as a rejected flip is
+                            row[i][e] = -row[i][e]
+                self.assert_rows_match(climb, shape, sizes, beta, weights, tables)
+                assert climb.tables.T.tolist() == [sum(r, []) for r in rows]
 
     def test_point_mass_seed_strategy_matches(self):
         # the refine pass first scores the scan's point-mass strategy,
@@ -303,12 +336,60 @@ class TestGridScorer:
         report = max_deterministic(STAR3, 2, beta=0.7, refine_draws=0)
         strategy = report.strategy
         tables = (strategy.a_tables, strategy.b_tables, strategy.p_tables)
-        scorer = classical._GridScorer(STAR3, strategy.alphabet, 0.7)
-        value = scorer.load(strategy.weights, tables)
-        self.assert_matches(
-            scorer, value, STAR3, strategy.alphabet, 0.7, strategy.weights, tables
+        climb = classical._Climb(STAR3, strategy.alphabet, 0.7, [tables], [strategy.weights])
+        self.assert_rows_match(
+            climb, STAR3, strategy.alphabet, 0.7, [strategy.weights], [tables]
         )
-        assert value == report.value
+        assert climb.value[0] == report.value
+        assert climb.strategy(0) == strategy
+
+
+# (shape, alphabet, beta of its tilted run): single sources at alphabets 4
+# and 3, the bilocal network, one source agent serving two receivers, stars
+REFINE_CASES = [
+    (SINGLE, 4, 0.7),
+    (SINGLE, 3, 0.7),
+    (BILOCAL, 2, 0.7),
+    (BILOCAL, (2, 3), 0.5),
+    (SPLIT, (3, 2), 0.7),
+    (STAR3, 2, 0.7),
+    (STAR5, 2, 0.7),
+    (STAR7, 2, 0.7),
+]
+REFINE_IDS = ["single4", "single3", "bilocal2", "bilocal23", "split32", "star3", "star5", "star7"]
+
+
+class TestBatchedRefine:
+    """classical._refine climbs every restart at once, oracles.refine one
+    after another: the same value (float.hex), the same strategy and the
+    same generator state afterwards."""
+
+    @staticmethod
+    def assert_same_pass(shape, alphabet, beta, seed, draws=40, steps=60):
+        sizes = classical._normalize_alphabet(shape, alphabet)
+        start = max_deterministic(shape, sizes, beta=beta, refine_draws=0).strategy
+        batched, serial = make_rng(seed), make_rng(seed)
+        value, strategy = classical._refine(shape, sizes, beta, start, batched, draws, steps)
+        want_value, want_strategy = refine(shape, sizes, beta, start, serial, draws, steps)
+        assert type(value) is float
+        assert value.hex() == want_value.hex()
+        assert strategy.to_json() == want_strategy.to_json()
+        assert batched.bit_generator.state == serial.bit_generator.state
+
+    @pytest.mark.parametrize("seed", [0, 7, 901])
+    @pytest.mark.parametrize("tilted", [False, True], ids=["untilted", "tilted"])
+    @pytest.mark.parametrize("shape, alphabet, beta", REFINE_CASES, ids=REFINE_IDS)
+    def test_matches_the_serial_pass(self, shape, alphabet, beta, tilted, seed):
+        self.assert_same_pass(shape, alphabet, beta if tilted else None, seed)
+
+    @pytest.mark.parametrize("draws, steps", [(0, 60), (1, 60), (40, 0)])
+    @pytest.mark.parametrize("tilted", [False, True], ids=["untilted", "tilted"])
+    @pytest.mark.parametrize(
+        "shape, alphabet", [(SINGLE, 4), (BILOCAL, (2, 3)), (STAR3, 2)],
+        ids=["single4", "bilocal23", "star3"],
+    )
+    def test_short_passes_match(self, shape, alphabet, tilted, draws, steps):
+        self.assert_same_pass(shape, alphabet, 0.5 if tilted else None, 7, draws, steps)
 
 
 class TestStrategyValidation:

@@ -429,6 +429,22 @@ class TestClassicalBound:
         assert main(["classical-bound", "chsh"]) == EXIT_ACCEPTANCE
         assert "planted" in capsys.readouterr().err
 
+    def test_violation_names_the_scenario(self, out_dir, monkeypatch, capsys):
+        # a planted stochastic excess over the scan's own strategy
+        def fake_refine(shape, alphabet, beta, seed_strategy, rng, draws, steps):
+            return 1.001, seed_strategy
+
+        monkeypatch.setattr(classical, "_refine", fake_refine)
+        assert main(["classical-bound", "chsh"]) == EXIT_ACCEPTANCE
+        fingerprint = scenarios.fingerprint(scenarios.builtin_scenario("chsh"))
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(
+            f"error: classical bound violated for chsh [{fingerprint}]: "
+            "stochastic refinement scored 1.001000000000 above the deterministic maximum"
+        )
+        assert not list(out_dir.iterdir())
+
 
 class TestSample:
     def test_deterministic_given_seed(self, out_dir):
