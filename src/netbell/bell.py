@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from netbell.network import NetworkLayout
-from netbell.observables import Synthesis
+from netbell.observables import CrossCheckError, Synthesis
 from netbell.pauli import PauliString
 from netbell.states import StateVector
 
@@ -114,7 +114,7 @@ def _check(value, want, what: str, grid=None) -> None:
     if missed.size:
         at = missed[0]
         where = "" if grid is None else f" at grid angle {grid[at]:.6f}"
-        raise RuntimeError(
+        raise CrossCheckError(
             f"{what} disagrees with the stabilizer closed forms "
             f"({complex(np.ravel(value)[at]):+.12f} vs {np.ravel(want)[at]:+.12f}{where}); "
             "the synthesized observables do not implement the selected operators"
@@ -267,7 +267,7 @@ def maximize(synthesis: Synthesis, *, grid_points: int = 181) -> BellReport:
     terms = _block_terms(synthesis, thetas)
     best = _report(synthesis, thetas, terms)
     if not abs(best.quantum_value - bound) <= CROSS_CHECK_TOL:
-        raise RuntimeError(
+        raise CrossCheckError(
             f"value at the best angle is {best.quantum_value:.12f}, "
             f"expected sqrt(1 + C^2) = {bound:.12f}"
         )
@@ -285,7 +285,7 @@ def maximize(synthesis: Synthesis, *, grid_points: int = 181) -> BellReport:
     values = np.abs(i_grid) ** (1.0 / k) + np.abs(j_grid) ** (1.0 / k)
     beaten = np.flatnonzero(~(values <= bound + GRID_MARGIN))
     if beaten.size:
-        raise RuntimeError(
+        raise CrossCheckError(
             f"grid angle {grid[beaten[0]]:.6f} beats the closed-form maximum "
             f"({values[beaten[0]]:.12f} > {bound:.12f})"
         )

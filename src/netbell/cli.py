@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 validation failure, 2 acceptance failure
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
@@ -17,7 +18,7 @@ import sys
 
 from . import bell, classical, reports, sampling, scenarios
 from .classical import BoundViolation, NetworkShape
-from .observables import Synthesis
+from .observables import CrossCheckError, Synthesis
 from .scenarios import Scenario
 
 EXIT_OK = 0
@@ -165,6 +166,22 @@ def _require_valid(scenario: Scenario) -> Synthesis:
     return synthesis
 
 
+def _where(scenario: Scenario) -> str:
+    return f"{scenario.name} [{scenarios.fingerprint(scenario)}]"
+
+
+@contextlib.contextmanager
+def _cross_checked(scenario: Scenario):
+    """Name the scenario and its fingerprint when an engine's cross-check
+    fails."""
+    try:
+        yield
+    except CrossCheckError as err:
+        raise CliError(
+            EXIT_VALIDATION, f"cross-check failed for {_where(scenario)}: {err}"
+        ) from err
+
+
 def _out_dir(args) -> str:
     out = getattr(args, "out", None)
     if out is None:
@@ -241,10 +258,11 @@ def _cmd_evaluate(args) -> int:
     synthesis = _require_valid(scenario)
     thetas = _parse_thetas(args.theta, scenario) or scenario.thetas
     beta, parameters = scenarios.resolve_beta(scenario, _parse_beta(args.beta))
-    if beta is None:
-        report = bell.evaluate(synthesis, thetas)
-    else:
-        report = bell.evaluate_tilted(synthesis, thetas, beta)
+    with _cross_checked(scenario):
+        if beta is None:
+            report = bell.evaluate(synthesis, thetas)
+        else:
+            report = bell.evaluate_tilted(synthesis, thetas, beta)
     return _emit_bell(args, scenario, "evaluate", report, parameters)
 
 
@@ -252,7 +270,8 @@ def _cmd_maximize(args) -> int:
     scenario = _load_scenario(args)
     synthesis = _require_valid(scenario)
     grid = args.grid if args.grid is not None else scenario.grid_points
-    report = bell.maximize(synthesis, grid_points=grid)
+    with _cross_checked(scenario):
+        report = bell.maximize(synthesis, grid_points=grid)
     return _emit_bell(args, scenario, "maximize", report, None)
 
 
@@ -271,7 +290,8 @@ def _cmd_tilted(args) -> int:
     thetas = _parse_thetas(args.theta, scenario)
     if thetas is None and parameters is not None:
         thetas = (parameters.theta_max,) * scenario.layout.K
-    report = bell.evaluate_tilted(synthesis, thetas or scenario.thetas, beta)
+    with _cross_checked(scenario):
+        report = bell.evaluate_tilted(synthesis, thetas or scenario.thetas, beta)
     return _emit_bell(args, scenario, "tilted", report, parameters)
 
 
@@ -317,8 +337,9 @@ def _cmd_classical_bound(args) -> int:
     try:
         bound_report = classical.verify_bound(shape, alphabet, beta=beta, seed=args.seed)
     except BoundViolation as err:
-        where = f"{scenario.name} [{scenarios.fingerprint(scenario)}]"
-        raise CliError(EXIT_ACCEPTANCE, f"classical bound violated for {where}: {err}") from err
+        raise CliError(
+            EXIT_ACCEPTANCE, f"classical bound violated for {_where(scenario)}: {err}"
+        ) from err
     scan = bound_report.scan
     payload = {
         "name": scenario.name,
@@ -359,9 +380,10 @@ def _cmd_sample(args) -> int:
     )
     out_dir = _out_dir(args)
     try:
-        report = sampling.run(
-            synthesis, thetas, config, beta=beta, record_path=args.rounds_csv
-        )
+        with _cross_checked(scenario):
+            report = sampling.run(
+                synthesis, thetas, config, beta=beta, record_path=args.rounds_csv
+            )
     except OSError as err:
         raise CliError(
             EXIT_IO, f"cannot write round record {args.rounds_csv}: {err.strerror or err}"

@@ -42,6 +42,12 @@ from netbell.pauli import PauliString
 BETA_WITHOUT_TILT = "beta given but no source has an h_prime entry"
 
 
+class CrossCheckError(RuntimeError):
+    """An engine found that the synthesized observables disagree with a
+    second route to the same quantity: a closed form, a normalized frame,
+    or one basis per measured qubit."""
+
+
 @dataclass(frozen=True)
 class SourceObservables:
     """One source agent's measurement family A_x."""

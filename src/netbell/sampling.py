@@ -23,13 +23,18 @@ mask is its pieces' bits, one mask per group. The squared amplitudes of
 the rotated group state are the exact outcome distribution of the group.
 Rounds draw one outcome index per group by a nested inverse CDF that
 reproduces numpy's Generator.choice on the joint distribution (see
-_draw). A source agent's outcome is its group's S
-parity; a receiver's is its sign times the product of its parities in
-every group. Round counts per setting combination follow one multinomial
-draw, which together with independent draws inside each combination
-reproduces independent uniformly chosen settings exactly. The 2^(K+M)
-setting cells are listed up front, so a network with more than
-MAX_SETTING_CELLS of them is refused before anything is allocated.
+_draw): one uniform per round is inverted through each group's
+cumulative distribution in turn. Each inversion looks the uniform up in a
+guide table of equal buckets and steps at most a fixed, precomputed
+number of bins from there (see _Cdf), which returns the bin a binary
+search would, so the rounds are bit for bit those of Generator.choice. A
+source agent's outcome is its group's S parity; a receiver's is its sign
+times the product of its parities in every group. Round counts per
+setting combination follow one multinomial draw, which together with
+independent draws inside each combination reproduces independent
+uniformly chosen settings exactly. The 2^(K+M) setting cells are listed
+up front, so a network with more than MAX_SETTING_CELLS of them is
+refused before anything is allocated.
 
 Two acquisition strategies are supported. "direct-observable" measures each
 agent's chosen observable as a whole (for tilted runs the receiver measures
@@ -57,7 +62,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .network import NetworkLayout
-from .observables import Synthesis
+from .observables import CrossCheckError, Synthesis
 from .pauli import PauliString
 from .reports import atomic_write
 from .states import StateVector, _parity, make_rng
@@ -207,7 +212,7 @@ def _apply_one_qubit(amps: np.ndarray, n: int, q: int, gate: np.ndarray) -> np.n
 
 def _add_letter(target: dict[int, str], q: int, letter: str, where: str) -> None:
     if target.setdefault(q, letter) != letter:
-        raise RuntimeError(
+        raise CrossCheckError(
             f"{where}: qubit {q} would be measured in both "
             f"{target[q]} and {letter} bases"
         )
@@ -278,17 +283,22 @@ class _Frames:
             _string_mask(layout, enumerate(block.p_part_pieces, start=1))
             for block in tilt.receivers
         ]
-        self._cdfs: dict[tuple, np.ndarray] = {}
+        self._cdfs: dict[tuple, _Cdf] = {}
         # (-1)^parity of every index of the largest group
         self._signs = 1 - 2 * _parity(np.arange(1 << max(layout.group_widths)))
 
     def outcomes(self, indices: list[np.ndarray], mask: _Mask) -> np.ndarray:
         """A string's outcome per round: its sign times the parity of its
         bits in every group's outcome index."""
-        out = np.full(len(indices[0]), mask.sign, dtype=np.int64)
+        out = None
         for group_indices, bits in zip(indices, mask.bits):
             if bits:
-                out *= self._signs[group_indices & bits]
+                signs = self._signs[group_indices & bits]
+                out = signs if out is None else np.multiply(out, signs, out=out)
+        if out is None:
+            return np.full(len(indices[0]), mask.sign, dtype=np.int64)
+        if mask.sign < 0:
+            np.negative(out, out=out)
         return out
 
     def receiver_masks(self, y: tuple[int, ...]) -> list[_Mask]:
@@ -316,12 +326,12 @@ class _Frames:
         probabilities = np.abs(amps) ** 2
         total = probabilities.sum()
         if not abs(total - 1.0) < PROB_TOL:
-            raise RuntimeError(f"group {k} frame probabilities sum to {total!r}")
+            raise CrossCheckError(f"group {k} frame probabilities sum to {total!r}")
         return probabilities / total
 
-    def cdfs(self, x: tuple[int, ...], y: tuple[int, ...]) -> list[np.ndarray]:
-        """Per group, in group order, the bin edges of its cumulative
-        distribution at setting cell (x, y)."""
+    def cdfs(self, x: tuple[int, ...], y: tuple[int, ...]) -> list[_Cdf]:
+        """Per group, in group order, its cumulative distribution at setting
+        cell (x, y)."""
         out = []
         for k, pos in enumerate(self.owners, start=1):
             key = (k, x[pos], y)
@@ -331,15 +341,66 @@ class _Frames:
         return out
 
 
-def _cdf(probabilities: np.ndarray) -> np.ndarray:
-    """0 followed by the normalized cumulative sums, as Generator.choice
-    forms them."""
+@dataclass(frozen=True)
+class _Cdf:
+    """One group's cumulative distribution, inverted through a guide table.
+
+    Only the distinct bins [low, upper) of the cumulative sums are kept,
+    each with the outcome index that a searchsorted(side="right") returns
+    inside it: the last of a run of zero-probability outcomes, which
+    repeat an edge. start holds, for each of a power-of-two number of
+    equal buckets, the bin holding the bucket's left end (the indexed
+    search of Chen and Asau, 1974; see Devroye, Non-Uniform Random Variate
+    Generation, III.2.4). A power of two makes u * buckets exact, so u lies
+    in bucket floor(u * buckets) and its bin is at or past that bucket's
+    start; steps is the most bins a bucket spans past its start, so that
+    many steps of j += upper[j] <= u reach every u's bin.
+    """
+
+    index: np.ndarray
+    low: np.ndarray
+    upper: np.ndarray
+    width: np.ndarray
+    start: np.ndarray
+    buckets: int
+    steps: int
+
+    def bins(self, u: np.ndarray) -> np.ndarray:
+        """The bin of each uniform u in [0, 1)."""
+        j = self.start[(u * self.buckets).astype(np.intp)]
+        for _ in range(self.steps):
+            j += self.upper[j] <= u
+        return j
+
+    def rescale(self, u: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """Each u rescaled into [0, 1) from its bin j by the floating-point
+        operations of the binary search: (u - low) / (upper - low), clipped
+        below 1."""
+        return np.minimum((u - self.low[j]) / self.width[j], _BELOW_ONE)
+
+
+def _cdf(probabilities: np.ndarray) -> _Cdf:
+    """The guide table of one group's distribution.
+
+    The edges are 0 followed by the normalized cumulative sums, as
+    Generator.choice forms them. The buckets are the smallest power of two
+    at least four times the bins, so few buckets hold an edge inside them
+    and steps is at most 2 on every builtin.
+    """
     cdf = probabilities.cumsum()
     cdf /= cdf[-1]
-    return np.concatenate(([0.0], cdf))
+    edges = np.concatenate(([0.0], cdf))
+    index = np.flatnonzero(edges[:-1] < edges[1:])
+    low, upper = edges[index], edges[index + 1]
+    buckets = 1 << (4 * index.size - 1).bit_length()
+    bounds = np.arange(buckets + 1) / buckets
+    start = low.searchsorted(bounds[:-1], side="right") - 1
+    # the last bin that a u below the next bucket's left end can lie in
+    end = low.searchsorted(bounds[1:], side="left") - 1
+    return _Cdf(index, low, upper, upper - low, start, buckets, int((end - start).max()))
 
 
-def _draw(cdfs: list[np.ndarray], rng: np.random.Generator, count: int) -> list[np.ndarray]:
+def _draw(cdfs: list[_Cdf], rng: np.random.Generator, count: int) -> list[np.ndarray]:
     """count outcome indices per group from the product of the groups'
     distributions, group 1 most significant.
 
@@ -347,15 +408,19 @@ def _draw(cdfs: list[np.ndarray], rng: np.random.Generator, count: int) -> list[
     searchsorted(cdf, u, side="right") on the joint cumulative sums. Here
     u is inverted through each group's distribution in turn and rescaled
     into the chosen bin, which is the same draw in exact arithmetic and
-    advances the generator the same way.
+    advances the generator the same way. Each group's guide table finds
+    the bin that searchsorted(side="right") finds on its edges, and the
+    rescale repeats the search's floating-point operations, so every index
+    and every rescaled u equal those of the binary search bit for bit. The
+    last group's rescaled u is never read, so it is not computed.
     """
     u = rng.random(count)
     out = []
-    for edges in cdfs:
-        index = edges.searchsorted(u, side="right") - 1
-        low = edges[index]
-        u = np.minimum((u - low) / (edges[index + 1] - low), _BELOW_ONE)
-        out.append(index)
+    for k, cdf in enumerate(cdfs, start=1):
+        j = cdf.bins(u)
+        out.append(cdf.index[j])
+        if k < len(cdfs):
+            u = cdf.rescale(u, j)
     return out
 
 

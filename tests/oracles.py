@@ -24,6 +24,9 @@ command runs:
   builds as one small frame per group instead; `outcome_distribution` is
   the exact distribution of the sampler's group frames at one setting,
   which sampled counts are compared against;
+* `draw` inverts each round's uniform through every group's cumulative
+  sums by binary search (`invert`), the draw `sampling._draw` makes through
+  guide tables instead and must match bit for bit;
 * `logical_representative` searches a stabilizer coset for a phase-flip
   representative that meets per-qubit letter constraints;
 * `loop_scan` is the classical full scan with one Python evaluation per
@@ -57,6 +60,7 @@ from netbell.observables import Synthesis
 from netbell.pauli import PauliString
 from netbell.sampling import (
     _BASIS_ROTATION,
+    _BELOW_ONE,
     MODES,
     PROB_TOL,
     _apply_one_qubit,
@@ -322,6 +326,35 @@ def outcome_distribution(
     for idx in np.flatnonzero(weights > 0):
         key = tuple(int(v) for v in stacked[idx])
         out[key] = out.get(key, 0.0) + float(weights[idx])
+    return out
+
+
+def cdf_edges(probabilities: np.ndarray) -> np.ndarray:
+    """0 followed by the normalized cumulative sums, as Generator.choice
+    forms them."""
+    cdf = probabilities.cumsum()
+    cdf /= cdf[-1]
+    return np.concatenate(([0.0], cdf))
+
+
+def invert(edges: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The bin of each uniform u by binary search on the edges, and u
+    rescaled into [0, 1) from that bin."""
+    index = edges.searchsorted(u, side="right") - 1
+    low = edges[index]
+    return index, np.minimum((u - low) / (edges[index + 1] - low), _BELOW_ONE)
+
+
+def draw(distributions, rng: np.random.Generator, count: int) -> list[np.ndarray]:
+    """count outcome indices per group, group 1 most significant: one
+    uniform per round, inverted through each group's distribution in turn
+    and rescaled into the chosen bin, which is Generator.choice on the
+    product of the distributions."""
+    u = rng.random(count)
+    out = []
+    for probabilities in distributions:
+        index, u = invert(cdf_edges(probabilities), u)
+        out.append(index)
     return out
 
 

@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -17,8 +18,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import one_group_star5
-from netbell import bell, classical, network, observables, sampling, scenarios
+from netbell import bell, classical, cli, network, observables, sampling, scenarios
 from netbell.cli import EXIT_ACCEPTANCE, EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
+from netbell.pauli import PauliString
 
 PI_4 = "0.7853981633974483"
 PI_8 = "0.39269908169872414"
@@ -671,6 +673,54 @@ class TestSynthesisOnce:
         assert main(argv) == EXIT_OK
         assert built == ["build_source"]
         assert classified == ["classify"]
+
+
+class TestCrossCheckErrors:
+    """A failed cross-check prints one line that names the scenario and its
+    fingerprint, and exits 1 without writing a report."""
+
+    def tamper(self, monkeypatch, name, **changes):
+        """Make the command's synthesis replace source 1's fields by the
+        values that changes computes from it."""
+        real = cli._require_valid
+
+        def tampered(scenario):
+            synthesis = real(scenario)
+            sources = list(synthesis.sources)
+            fields = {field: change(sources[0]) for field, change in changes.items()}
+            sources[0] = dataclasses.replace(sources[0], **fields)
+            return dataclasses.replace(synthesis, sources=tuple(sources))
+
+        monkeypatch.setattr(cli, "_require_valid", tampered)
+        return scenarios.fingerprint(scenarios.builtin_scenario(name))
+
+    def assert_one_line(self, capsys, out_dir, name, fingerprint, message):
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: cross-check failed for {name} [{fingerprint}]: ")
+        assert message in err[0]
+        assert not list(out_dir.iterdir())
+
+    @pytest.mark.parametrize("command", ["evaluate", "maximize"])
+    def test_closed_form_disagreement(self, out_dir, monkeypatch, capsys, command):
+        # T replaced by S: the correlators leave the closed forms
+        fingerprint = self.tamper(monkeypatch, "example-a", t_piece=lambda src: src.s_piece)
+        assert main([command, "example-a"]) == EXIT_VALIDATION
+        self.assert_one_line(
+            capsys, out_dir, "example-a", fingerprint, "disagrees with the stabilizer closed forms"
+        )
+
+    def test_basis_conflict_in_a_sample_frame(self, out_dir, monkeypatch, capsys):
+        # S also on the receiver's qubit, which B1 measures in X
+        fingerprint = self.tamper(
+            monkeypatch, "chsh", s_piece=lambda src: src.s_piece * PauliString("IZ")
+        )
+        record = out_dir / "rounds.csv"
+        argv = ["sample", "chsh", "--rounds", "100", "--rounds-csv", str(record)]
+        assert main(argv) == EXIT_VALIDATION
+        self.assert_one_line(
+            capsys, out_dir, "chsh", fingerprint, "would be measured in both Z and X bases"
+        )
 
 
 class TestHugeCounts:

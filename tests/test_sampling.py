@@ -35,7 +35,10 @@ from netbell import bell, observables, sampling, scenarios
 from netbell.pauli import PauliString
 from netbell.sampling import RunConfig, run
 from oracles import (
+    cdf_edges,
+    draw,
     expectation_combo,
+    invert,
     joint_frame,
     joint_oracle,
     joint_outcomes,
@@ -113,7 +116,12 @@ def builtin_synthesis(name):
         build, thetas = JOINT_LAYOUTS[name]
         return synth(*build(), thetas, allow=True)
     builtin, params = JOINT_SCENARIOS[name]
-    scenario = scenarios.builtin_scenario(builtin, **params)
+    return builtin_scenario_synthesis(builtin, **params)
+
+
+def builtin_scenario_synthesis(name, **params):
+    """The synthesis and default angles of a builtin scenario."""
+    scenario = scenarios.builtin_scenario(name, **params)
     return synth(
         scenario.layout,
         scenario.selection,
@@ -130,13 +138,7 @@ def synth(layout, selection, thetas, *, allow=False):
 
 def write_pinned_record(name, path):
     builtin, config, beta = PINNED_RECORDS[name]
-    scenario = scenarios.builtin_scenario(builtin)
-    synthesis, thetas = synth(
-        scenario.layout,
-        scenario.selection,
-        scenario.thetas,
-        allow=scenario.allow_commuting_pair,
-    )
+    synthesis, thetas = builtin_scenario_synthesis(builtin)
     run(synthesis, thetas, RunConfig(**config), beta=beta, record_path=path)
 
 
@@ -338,6 +340,148 @@ class TestGroupFrames:
         synthesis, thetas = synth(scenario.layout, scenario.selection, scenario.thetas)
         with pytest.raises(ValueError, match=r"2\^14 setting cells \(K=13, M=1\), more than the 4096"):
             run(synthesis, thetas, RunConfig(rounds=10))
+
+
+# Builtins on whose every setting cell, in both strategies, the guide
+# tables are compared with the binary search.
+GUIDE_SCENARIOS = (
+    "chsh",
+    "chsh-tilted",
+    "example-a",
+    "example-b",
+    "five-one-three-split",
+    "ghz-split(4,2)",
+    "star(3)",
+)
+
+
+def zero_run_distributions(seed, count=40):
+    """Random distributions over 2..64 outcomes, each with runs of zero
+    probability at the start, inside and at the end."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        size = int(rng.integers(2, 65))
+        p = rng.random(size)
+        lead, trail = rng.integers(0, size // 4 + 1, size=2)
+        p[:lead] = 0.0
+        p[size - trail :] = 0.0
+        inside = int(rng.integers(0, size))
+        p[inside : inside + int(rng.integers(1, 8))] = 0.0
+        if not p.any():
+            p[size // 2] = 1.0
+        out.append(p / p.sum())
+    return out
+
+
+# Distributions whose edges sit on or next to bucket boundaries: uniform
+# over 1..200 outcomes, and dyadic weights whose edges are exact.
+ALIGNED = [np.full(n, 1.0 / n) for n in range(1, 201)] + [
+    np.array([0.5, 0.25, 0.0, 0.125, 0.125]),
+    np.array([0.0, 0.0, 0.25, 0.25, 0.0, 0.5, 0.0]),
+    np.array([2.0**-k for k in range(1, 40)] + [2.0**-39]),
+]
+
+
+def probe_points(edges, buckets, seed):
+    """Uniforms at every edge below 1 and just under it, at 0 and just
+    under 1, at every boundary of buckets equal buckets and just under it,
+    and 10^4 at random."""
+    inner = edges[edges < 1.0]
+    bounds = np.arange(buckets) / buckets
+    return np.concatenate([
+        inner,
+        np.nextafter(inner[inner > 0.0], 0.0),
+        [0.0, sampling._BELOW_ONE],
+        bounds,
+        np.nextafter(bounds[1:], 0.0),
+        np.random.default_rng(seed).random(10**4),
+    ])
+
+
+def assert_same_inversion(probabilities, seed=0):
+    cdf = sampling._cdf(probabilities)
+    edges = cdf_edges(probabilities)
+    u = probe_points(edges, cdf.buckets, seed)
+    bins = cdf.bins(u)
+    got_index, got_u = cdf.index[bins], cdf.rescale(u, bins)
+    want_index, want_u = invert(edges, u)
+    assert np.array_equal(got_index, want_index)
+    assert np.array_equal(got_u.view(np.int64), want_u.view(np.int64))
+
+
+class TestGuideTable:
+    """The guide-table draw against the binary search of tests/oracles.py,
+    bit for bit: every index, every rescaled uniform, the generator state."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_zero_runs_invert_as_the_binary_search(self, seed):
+        for number, probabilities in enumerate(zero_run_distributions(seed)):
+            assert_same_inversion(probabilities, seed=number)
+
+    def test_aligned_edges_invert_as_the_binary_search(self):
+        for number, probabilities in enumerate(ALIGNED):
+            assert_same_inversion(probabilities, seed=number)
+
+    def test_buckets_split_the_unit_interval_exactly(self):
+        # u * buckets is exact, so a bucket's left end and the double below
+        # it fall on either side of the boundary, as the start table assumes
+        for probabilities in ALIGNED + zero_run_distributions(0):
+            buckets = sampling._cdf(probabilities).buckets
+            b = np.arange(1, buckets)
+            assert np.array_equal(((b / buckets) * buckets).astype(np.intp), b)
+            below = np.nextafter(b / buckets, 0.0) * buckets
+            assert np.array_equal(below.astype(np.intp), b - 1)
+
+    def test_one_outcome(self):
+        cdf = sampling._cdf(np.array([1.0]))
+        assert cdf.steps == 0
+        assert_same_inversion(np.array([1.0]))
+        u = np.array([0.0, 0.5, sampling._BELOW_ONE])
+        bins = cdf.bins(u)
+        assert cdf.index[bins].tolist() == [0, 0, 0]
+        assert np.array_equal(cdf.rescale(u, bins).view(np.int64), u.view(np.int64))
+
+    def test_at_most_two_steps_on_the_builtins(self):
+        for name in GUIDE_SCENARIOS:
+            synthesis, thetas = builtin_scenario_synthesis(name)
+            for mode in sampling.MODES:
+                frames = sampling._Frames(synthesis, thetas, mode)
+                for x, y in sampling._setting_combos(synthesis.layout.K, synthesis.layout.M):
+                    assert all(cdf.steps <= 2 for cdf in frames.cdfs(x, y)), name
+
+    @pytest.mark.parametrize("count", [0, 1, 10**4])
+    def test_draw_matches_the_binary_search(self, count):
+        groups = zero_run_distributions(7, count=3)
+        groups.insert(1, np.array([1.0]))
+        for seed in range(3):
+            guided, searched = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = sampling._draw([sampling._cdf(p) for p in groups], guided, count)
+            want = draw(groups, searched, count)
+            assert len(got) == len(want) == len(groups)
+            for g, w in zip(got, want):
+                assert g.shape == (count,)
+                assert np.array_equal(g, w)
+            assert guided.bit_generator.state == searched.bit_generator.state
+
+    @pytest.mark.parametrize("mode", sampling.MODES)
+    @pytest.mark.parametrize("name", GUIDE_SCENARIOS)
+    def test_every_setting_cell_of_the_builtins(self, name, mode):
+        synthesis, thetas = builtin_scenario_synthesis(name)
+        frames = sampling._Frames(synthesis, thetas, mode)
+        cells = sampling._setting_combos(synthesis.layout.K, synthesis.layout.M)
+        for seed, (x, y) in enumerate(cells):
+            groups = [
+                frames.probabilities(k, x[pos], y)
+                for k, pos in enumerate(frames.owners, start=1)
+            ]
+            for probabilities in groups:
+                assert_same_inversion(probabilities, seed)
+            guided, searched = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = sampling._draw(frames.cdfs(x, y), guided, 2000)
+            want = draw(groups, searched, 2000)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+            assert guided.bit_generator.state == searched.bit_generator.state
 
 
 class TestRun:
