@@ -3,16 +3,20 @@
 Hidden-variable strategies assign each source a discrete label drawn
 from a product distribution; every agent answers with a deterministic
 +/-1 table over its settings and the labels it can see.  The
-deterministic scan enumerates response tables together with point-mass
-label assignments and maximizes the same objective the quantum engine
-reports, as a single-process numpy scan in bounded slices.  A
-stochastic pass then probes mixed label distributions with random
-restarts and hill climbing: its draws come first, then all restarts
-climb at once in numpy arrays.  A flip re-reads only the labels that
-read its column, and totals are summed left to right in grid order, so
-every score is the float of a whole-grid sum.  The scan is
-falsification pressure for the analytic bound, not a search for new
-physics: the objective must never come out above 1 (or beta + 1 tilted).
+deterministic maximum is a closed form.  Under a point label each table
+is read at one column, so I, J and P are products of per-table factors
+in {-1, 0, +1}: a source agent gives (a0 + a1) / 2 to I and
+(a0 - a1) / 2 to J, so I is nonzero only when every source agent has
+a0 = a1 and J only when every one has a0 != a1.  The objective is
+therefore at most 1 (or 1 + beta tilted), and the all-(+1) tables under
+label 0 reach it.  A stochastic pass then probes mixed label
+distributions with random restarts and hill climbing: its draws come
+first, then all restarts climb at once in numpy arrays.  A flip re-reads
+only the labels that read its column, and totals are summed left to
+right in grid order, so every score is the float of a whole-grid sum.
+The pass is falsification pressure for the analytic bound, not a search
+for new physics: the objective must never come out above the
+deterministic maximum.
 """
 
 from __future__ import annotations
@@ -26,15 +30,12 @@ import numpy as np
 
 from netbell.states import make_rng
 
-# The deterministic scan is exact arithmetic, so its tolerance is pure
-# roundoff; the stochastic pass is allowed refinement noise but no real
-# excess.
+# The deterministic maximum is exact, so comparing it with the bound
+# allows pure roundoff; the stochastic pass is allowed refinement noise
+# but no real excess.
 BOUND_TOL = 1e-12
 REFINE_TOL = 1e-9
 DEFAULT_BUDGET = 10**8
-# Entries per numpy slice of the full scan: keeps its working memory to
-# a few MB whatever the scan size.
-_SLICE = 1 << 16
 # Most greedy passes over the table entries per refine restart.
 _REFINE_SWEEPS = 4
 
@@ -111,14 +112,6 @@ def _flat(sources: tuple[int, ...], labels, alphabet) -> int:
     for i in sources:
         index = index * alphabet[i - 1] + labels[i - 1]
     return index
-
-
-def _decode_labels(value: int, alphabet) -> tuple[int, ...]:
-    labels = []
-    for size in reversed(alphabet):
-        labels.append(value % size)
-        value //= size
-    return tuple(reversed(labels))
 
 
 def _normalize_alphabet(shape: NetworkShape, alphabet) -> tuple[int, ...]:
@@ -217,7 +210,8 @@ class HiddenStrategy:
 
 
 def _table_bits(shape: NetworkShape, alphabet, tilted: bool):
-    """Bit widths of every enumerated table, in scan order."""
+    """Column counts of the source agents' and receivers' tables, and the
+    entry count of every table: source agents, receivers, then p tables."""
     block_sizes = [
         math.prod(alphabet[i - 1] for i in shape.block(s))
         for s in range(1, shape.k + 1)
@@ -231,13 +225,10 @@ def _table_bits(shape: NetworkShape, alphabet, tilted: bool):
     return block_sizes, reach_sizes, widths
 
 
-def _scan_extent(shape, alphabet, tilted, mode) -> tuple[int, int]:
-    """(labels, bits): a scan in this mode visits labels << bits combinations,
-    every table integer under each point label.  A reachable scan counts
-    the tables at alphabet 1, the values each table shows at its active
-    column, once per label."""
-    tables = alphabet if mode == "full" else (1,) * shape.n
-    return math.prod(alphabet), sum(_table_bits(shape, tables, tilted)[2])
+def _scan_extent(shape, alphabet, tilted) -> tuple[int, int]:
+    """(labels, entries): the label combinations and the table entries of
+    every strategy at this alphabet."""
+    return math.prod(alphabet), sum(_table_bits(shape, alphabet, tilted)[2])
 
 
 def scan_size(
@@ -245,116 +236,18 @@ def scan_size(
     alphabet,
     *,
     tilted: bool = False,
-    mode: str = "full",
     budget: int = DEFAULT_BUDGET,
 ) -> int | None:
-    """How many combinations a scan in this mode visits, or None when that
-    is over the budget.  The budget is compared by bit length first, so no
-    integer wider than the budget is ever built."""
-    labels, bits = _scan_extent(shape, _normalize_alphabet(shape, alphabet), tilted, mode)
+    """How many point-mass strategies there are at this alphabet (every
+    response table under every point label: labels << entries), or None
+    when that is over the budget; default_alphabet sizes the alphabet by
+    it.  The budget is compared by bit length first, so no integer wider
+    than the budget is ever built."""
+    labels, bits = _scan_extent(shape, _normalize_alphabet(shape, alphabet), tilted)
     if labels.bit_length() + bits > budget.bit_length():
         return None
     size = labels << bits
     return size if size <= budget else None
-
-
-def _scan_full(shape, alphabet, beta):
-    """Scan every response table for every point-label assignment.
-
-    Returns (best value, best key, combos scanned); the key is
-    (label index, table integers), and ties resolve to the earliest
-    combination in enumeration order.  Under a fixed point label each
-    table reaches I, J and P only through the entries at its active
-    column, so I, J and P over the table grid are outer products of
-    per-table vectors in {-1, 0, +1}: |I|, |J| and |P| are 0 or 1, so
-    the objective's roots of them are themselves.  The trailing tables
-    form one grid of at most _SLICE entries (or the last table alone, if
-    larger), and the leading tables are iterated around it.
-    """
-    tilted = beta is not None
-    k, m = shape.k, shape.m
-    blocks = [shape.block(s) for s in range(1, k + 1)]
-    _, _, widths = _table_bits(shape, alphabet, tilted)
-    split = len(widths) - 1
-    trail = 1 << widths[split]
-    while split > 0 and trail << widths[split - 1] <= _SLICE:
-        split -= 1
-        trail <<= widths[split]
-    trail_shape = [1 << w for w in widths[split:]]
-
-    best_value = -1.0
-    best_key = None
-    scanned = 0
-    for label_index in range(math.prod(alphabet)):
-        labels = _decode_labels(label_index, alphabet)
-        columns = [_flat(block, labels, alphabet) for block in blocks]
-        columns += [_flat(r, labels, alphabet) for r in shape.reach] * (1 + tilted)
-        # rows I, J, P of each table's factor, indexed by the table integer
-        factors = []
-        for j, (width, column) in enumerate(zip(widths, columns)):
-            t = np.arange(1 << width)
-            x0 = 1 - 2 * ((t >> column) & 1)
-            x1 = 1 - 2 * ((t >> (width // 2 + column)) & 1)
-            one = np.ones_like(t)
-            if j < k:  # source agent: (a0 + a1) / 2 and (a0 - a1) / 2
-                rows = ((x0 + x1) // 2, (x0 - x1) // 2, one)
-            elif j < k + m:  # receiver: b0 and b1
-                rows = (x0, x1, one)
-            else:  # receiver's p table: one row, x1 unused
-                rows = (one, one, x0)
-            factors.append(np.array(rows, dtype=np.int8))
-        grid = np.ones((3, 1), dtype=np.int8)
-        for factor in factors[split:]:
-            grid = (grid[:, :, None] * factor[:, None, :]).reshape(3, -1)
-        for lead in itertools.product(*(range(1 << w) for w in widths[:split])):
-            scale = np.ones(3, dtype=np.int8)
-            for factor, t in zip(factors[:split], lead):
-                scale = scale * factor[:, t]
-            magnitudes = np.abs(scale[:, None] * grid)
-            values = magnitudes[0] + magnitudes[1]
-            if tilted:
-                values = values + beta * magnitudes[2]
-            scanned += values.size
-            index = int(np.argmax(values))
-            if values[index] > best_value:
-                best_value = float(values[index])
-                trail_key = np.unravel_index(index, trail_shape)
-                best_key = (label_index, lead + tuple(int(t) for t in trail_key))
-    return best_value, best_key, scanned
-
-
-def _strategy_from_key(shape, alphabet, beta, key, scan_alphabet) -> HiddenStrategy:
-    """Decode a key of a scan at scan_alphabet into a point-mass strategy
-    at alphabet.  A key from the scan at alphabet 1 decodes to tables
-    constant over their columns, with every source's mass on label 0."""
-    tilted = beta is not None
-    k, m = shape.k, shape.m
-    label_index, combo = key
-    labels = _decode_labels(label_index, scan_alphabet)
-    scan_blocks, scan_reach, _ = _table_bits(shape, scan_alphabet, tilted)
-    block_sizes, reach_sizes, _ = _table_bits(shape, alphabet, tilted)
-
-    def rows(bits, width, size, count):
-        flat = [1 - 2 * ((bits >> e) & 1) for e in range(width * count)]
-        return tuple(
-            tuple(flat[row * width : (row + 1) * width]) * (size // width)
-            for row in range(count)
-        )
-
-    a_tables = tuple(
-        rows(combo[s], scan_blocks[s], block_sizes[s], 2) for s in range(k)
-    )
-    b_tables = tuple(
-        rows(combo[k + r], scan_reach[r], reach_sizes[r], 2) for r in range(m)
-    )
-    p_tables = tuple(
-        rows(combo[k + m + r], scan_reach[r], reach_sizes[r], 1)[0] for r in range(m)
-    ) if tilted else None
-    weights = tuple(
-        tuple(1.0 if v == labels[i] else 0.0 for v in range(alphabet[i]))
-        for i in range(shape.n)
-    )
-    return HiddenStrategy(shape, alphabet, weights, a_tables, b_tables, p_tables)
 
 
 def _random_tables(shape, alphabet, tilted, rng):
@@ -492,15 +385,19 @@ def _left_sum(values, axis=-1):
 def _refine(shape, alphabet, beta, seed_strategy, rng, draws, steps):
     """Stochastic pass: random product label distributions, hill-climbed.
 
-    Restarts alternate between the deterministic argmax tables and fresh
-    random tables; each restart greedily flips table entries, then walks
-    the label weights toward random vertices, keeping improvements.  No
-    draw depends on a score, so every draw is taken first, in the order
-    of one restart after another; then one _Climb runs all restarts in
-    lockstep, each flip or move scored in every restart at once.  A
-    restart whose sweep kept no flip keeps none in a later one either, so
-    all sweep on while any improves.  The best restart is the first, in
-    draw order, to beat the seed.
+    The first restart starts from the seed strategy's tables, the others
+    from fresh random tables; each restart greedily flips table entries,
+    then walks the label weights toward random vertices, keeping
+    improvements.  No draw depends on a score, so every draw is taken
+    first, in the order of one restart after another; then one _Climb
+    runs all restarts in lockstep, each flip or move scored in every
+    restart at once.  A restart whose sweep kept no flip keeps none in a
+    later one either, so all sweep on while any improves.  The best
+    restart is the first, in draw order, to beat the seed.
+
+    Returns (best value, best strategy, strategies scored): the seed,
+    then per restart its start, every flip of every sweep run, and every
+    weight move.
     """
     seed = (seed_strategy.a_tables, seed_strategy.b_tables, seed_strategy.p_tables)
     [best_value] = _Climb(shape, alphabet, beta, [seed], [seed_strategy.weights]).value.tolist()
@@ -512,9 +409,9 @@ def _refine(shape, alphabet, beta, seed_strategy, rng, draws, steps):
             source = int(rng.integers(shape.n))
             moves.append((source, rng.integers(alphabet[source]), rng.uniform(0.1, 1.0)))
     if not draws:
-        return best_value, seed_strategy
+        return best_value, seed_strategy, 1
     climb = _Climb(shape, alphabet, beta, starts, weights)
-    for _ in range(_REFINE_SWEEPS):
+    for sweeps in range(1, _REFINE_SWEEPS + 1):
         improved = np.zeros(draws, dtype=bool)
         for entry in range(len(climb.tables)):
             keep = climb.flip(entry) > climb.value + 1e-15
@@ -522,6 +419,7 @@ def _refine(shape, alphabet, beta, seed_strategy, rng, draws, steps):
             improved |= keep
         if not improved.any():
             break
+    scored = 1 + draws * (1 + sweeps * len(climb.tables) + steps)
 
     restarts, values = np.arange(draws), np.arange(max(alphabet))
     sources, vertices, etas = np.array(moves).reshape(draws, steps, 3).T
@@ -536,25 +434,26 @@ def _refine(shape, alphabet, beta, seed_strategy, rng, draws, steps):
     for row, value in enumerate(climb.value.tolist()):
         if value > best_value:
             best_value, best_row = value, row
-    return best_value, seed_strategy if best_row is None else climb.strategy(best_row)
+    return best_value, seed_strategy if best_row is None else climb.strategy(best_row), scored
 
 
 @dataclass(frozen=True)
 class ScanReport:
-    """Result of the deterministic scan plus the stochastic pass."""
+    """The deterministic maximum plus the stochastic pass; scanned counts
+    the strategies the pass scored."""
 
     value: float
     strategy: HiddenStrategy
     stochastic_value: float
     stochastic_strategy: HiddenStrategy
-    mode: str
     scanned: int
     alphabet: tuple[int, ...]
     beta: float | None = None
 
 
 def default_alphabet(shape: NetworkShape, *, tilted: bool = False, budget: int = DEFAULT_BUDGET) -> int:
-    """Largest uniform label alphabet (at most 4) the full scan affords."""
+    """Largest uniform label alphabet (at most 4) whose point-mass
+    strategies number within the budget (scan_size); 2 when none does."""
     for size in (4, 3, 2):
         if scan_size(shape, size, tilted=tilted, budget=budget) is not None:
             return size
@@ -571,14 +470,13 @@ def max_deterministic(
     refine_draws: int = 40,
     refine_steps: int = 60,
 ) -> ScanReport:
-    """Exhaustive deterministic maximum plus a stochastic refinement pass.
+    """Deterministic maximum in closed form plus a stochastic refinement pass.
 
-    The full scan enumerates every response table under every point
-    label; ties go to the first combination in enumeration order.  When
-    it is over the budget the reachable scan runs instead.  Under a point
-    label each table is read at one column, so the tables it can show are
-    the full table space at alphabet 1, the same for every label: that
-    space is scanned once and its argmax widened to constant tables.
+    Over point-mass strategies the objective is at most 1, or 1 + beta
+    tilted (see the module docstring), and the all-(+1) tables under
+    label 0 reach it: the first strategy when labels and table integers
+    are enumerated in order.  That strategy is the maximum's and seeds
+    the refine pass, which alone is held to the budget.
     """
     if beta is not None and not beta >= 0:
         raise ValueError(f"beta must be nonnegative, got {beta}")
@@ -586,39 +484,33 @@ def max_deterministic(
     if alphabet is None:
         alphabet = default_alphabet(shape, tilted=tilted, budget=budget)
     alphabet = _normalize_alphabet(shape, alphabet)
-    if scan_size(shape, alphabet, tilted=tilted, budget=budget) is not None:
-        mode, scan_alphabet = "full", alphabet
-    else:
-        mode, scan_alphabet = "reachable", (1,) * shape.n
-        if scan_size(shape, alphabet, tilted=tilted, mode=mode, budget=budget) is None:
-            labels, bits = _scan_extent(shape, alphabet, tilted, mode)
-            raise ValueError(
-                f"reachable scan of about 10^{math.log10(labels) + bits * math.log10(2):.1f} "
-                f"combinations exceeds the budget of {budget:.3e}"
-            )
     # The refine budget counts label-grid terms as if every score summed
     # the whole grid: each restart scores up to _REFINE_SWEEPS flips of
     # every table entry, then refine_steps moves.
-    labels, entries = _scan_extent(shape, alphabet, tilted, "full")
+    labels, entries = _scan_extent(shape, alphabet, tilted)
     refine = refine_draws * (_REFINE_SWEEPS * entries + refine_steps) * labels
     if refine > budget:
         raise ValueError(
             f"refine pass of about 10^{math.log10(refine):.1f} label-grid terms "
             f"exceeds the budget of {budget:.3e}; shrink the alphabet"
         )
-    value, key, scanned = _scan_full(shape, scan_alphabet, beta)
-    strategy = _strategy_from_key(shape, alphabet, beta, key, scan_alphabet)
-    if mode == "reachable":  # the one scan stands for the same scan under every label
-        scanned *= labels
-    stochastic_value, stochastic_strategy = _refine(
+    block_sizes, reach_sizes, _ = _table_bits(shape, alphabet, tilted)
+    strategy = HiddenStrategy(
+        shape,
+        alphabet,
+        weights=tuple((1.0,) + (0.0,) * (size - 1) for size in alphabet),
+        a_tables=tuple(((1,) * size,) * 2 for size in block_sizes),
+        b_tables=tuple(((1,) * size,) * 2 for size in reach_sizes),
+        p_tables=tuple((1,) * size for size in reach_sizes) if tilted else None,
+    )
+    stochastic_value, stochastic_strategy, scanned = _refine(
         shape, alphabet, beta, strategy, make_rng(seed), refine_draws, refine_steps
     )
     return ScanReport(
-        value=value,
+        value=1.0 if beta is None else 1.0 + beta,
         strategy=strategy,
         stochastic_value=stochastic_value,
         stochastic_strategy=stochastic_strategy,
-        mode=mode,
         scanned=scanned,
         alphabet=alphabet,
         beta=beta,
@@ -647,17 +539,10 @@ def verify_bound(
     """Certify the classical bound for one shape.
 
     Raises BoundViolation (carrying the offending strategy verbatim)
-    when the deterministic maximum exceeds the bound or the stochastic
-    pass exceeds the deterministic maximum.
+    when the stochastic pass exceeds the deterministic maximum.
     """
     scan = max_deterministic(shape, alphabet, beta=beta, seed=seed, **scan_options)
     bound = 1.0 if beta is None else beta + 1.0
-    if not scan.value <= bound + BOUND_TOL:
-        raise BoundViolation(
-            f"deterministic strategy scored {scan.value:.12f} above the "
-            f"classical bound {bound}: {json.dumps(scan.strategy.to_json())}",
-            scan.strategy,
-        )
     if not scan.stochastic_value <= scan.value + REFINE_TOL:
         raise BoundViolation(
             f"stochastic refinement scored {scan.stochastic_value:.12f} above "

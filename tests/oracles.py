@@ -29,9 +29,12 @@ command runs:
   guide tables instead and must match bit for bit;
 * `logical_representative` searches a stabilizer coset for a phase-flip
   representative that meets per-qubit letter constraints;
-* `loop_scan` is the classical full scan with one Python evaluation per
-  combination, and `_scan_reachable` the reachable scan as one Python
-  evaluation per response pair under every label;
+* `loop_scan` enumerates every response table under every point label
+  with one Python evaluation per combination, and `_scan_reachable` every
+  response pair a table can show at its column under every label: the
+  deterministic maximum that `classical.max_deterministic` gives in
+  closed form, with its strategy; `_decode_labels` unflattens their label
+  index;
 * `correlators` sums a hidden strategy's I, J and P through `grid_sums`,
   which walks the whole label grid of `label_grid` term by term, and
   `objective_value` scores them; the refine pass's batched
@@ -396,13 +399,23 @@ def logical_representative(
 # classical strategies
 
 
+def _decode_labels(value: int, alphabet) -> tuple[int, ...]:
+    """The label tuple at this row-major index of the label grid."""
+    labels = []
+    for size in reversed(alphabet):
+        labels.append(value % size)
+        value //= size
+    return tuple(reversed(labels))
+
+
 def loop_scan(shape, alphabet, beta):
     """Reference full scan: one Python evaluation per combination.
 
-    Returns (best value, best key, combos scanned) with the key and the
-    first-in-enumeration-order tie-break of classical._scan_full. Under
-    each label every table integer's (I, J, P) sign factors are read off
-    its bits once; a combination multiplies its tables' factors.
+    Returns (best value, best key, combos scanned); the key is (label
+    index, table integers), and ties resolve to the earliest combination
+    in enumeration order. Under each label every table integer's (I, J,
+    P) sign factors are read off its bits once; a combination multiplies
+    its tables' factors.
     """
     tilted = beta is not None
     k, m = shape.k, shape.m
@@ -417,7 +430,7 @@ def loop_scan(shape, alphabet, beta):
     best_key = None
     scanned = 0
     for label_index in range(math.prod(alphabet)):
-        labels = classical._decode_labels(label_index, alphabet)
+        labels = _decode_labels(label_index, alphabet)
         a_cols = [classical._flat(block, labels, alphabet) for block in blocks]
         b_cols = [classical._flat(reach, labels, alphabet) for reach in shape.reach]
         factors = []  # per table, the (I, J, P) factors of each table integer
@@ -491,7 +504,7 @@ def _scan_reachable(shape, alphabet, beta):
                     if value > best[0]:
                         best = (value, (label_index, a_choice, b_choice, p_choice))
     value, (label_index, a_choice, b_choice, p_choice) = best
-    labels = classical._decode_labels(label_index, alphabet)
+    labels = _decode_labels(label_index, alphabet)
     block_sizes, reach_sizes, _ = classical._table_bits(shape, alphabet, tilted)
     a_tables = tuple(
         ((a0,) * block_sizes[s], (a1,) * block_sizes[s])

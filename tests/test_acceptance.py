@@ -29,7 +29,7 @@ from conftest import (
     selection_a,
     selection_b,
 )
-from oracles import dense
+from oracles import dense, loop_scan
 
 CRITERIA = {
     1: "pair-source closed form 2*sqrt(1+sin^2 2phi) over three angles",
@@ -126,10 +126,13 @@ def test_criterion_04_substitute_states():
 def test_criterion_05_exhaustive_classical_bound():
     shape = NetworkShape.from_layout(bilocal_layout())
     assert (shape.k, shape.m, shape.n) == (2, 1, 2)
+    # the literal enumeration of every table under every point label,
+    # against the package's closed form
+    value, _, scanned = loop_scan(shape, (2, 2), None)
+    assert scanned == 262144
+    assert value == 1.0
     report = classical.verify_bound(shape, (2, 2))
-    assert report.scan.mode == "full"
-    assert report.scan.scanned == 262144
-    assert report.deterministic_max == 1.0
+    assert report.deterministic_max == value
     assert report.stochastic_max <= 1.0 + TOL
 
 

@@ -19,6 +19,7 @@ from netbell.classical import (
 )
 from netbell.states import make_rng
 from oracles import (
+    _decode_labels,
     _scan_reachable,
     bell_value,
     correlators,
@@ -31,11 +32,6 @@ from oracles import (
 
 BILOCAL = NetworkShape(k=2, m=1, n=2, partition=(0, 1, 2), reach=((1, 2),))
 SINGLE = NetworkShape(k=1, m=1, n=1, partition=(0, 1), reach=((1,),))
-# Under the full scan of BILOCAL at alphabet 2 (262,144 combinations, about
-# 4.2M tilted) but over its default refine pass (at most 22,400 terms) and
-# its reachable scan (256, or 512 tilted): under this budget
-# max_deterministic runs the reachable scan.
-REACHABLE_BUDGET = 10**5
 
 
 def constant_strategy(shape, alphabet=2, a=(1, 1), b=(1, 1), p=None):
@@ -58,6 +54,27 @@ def constant_strategy(shape, alphabet=2, a=(1, 1), b=(1, 1), p=None):
         a_tables=a_tables,
         b_tables=b_tables,
         p_tables=p_tables,
+    )
+
+
+def key_strategy(shape, alphabet, beta, key):
+    """The point-mass strategy of a loop_scan key: bit e of a table's
+    integer is its entry e in row-major order, 0 for +1."""
+    label_index, combo = key
+    labels = _decode_labels(label_index, alphabet)
+    block_sizes, reach_sizes, widths = classical._table_bits(shape, alphabet, beta is not None)
+    tables = []
+    for bits, width, size in zip(combo, widths, block_sizes + reach_sizes + reach_sizes):
+        entries = [1 - 2 * ((bits >> e) & 1) for e in range(width)]
+        tables.append([entries[row : row + size] for row in range(0, width, size)])
+    k, m = shape.k, shape.m
+    return HiddenStrategy(
+        shape=shape,
+        alphabet=alphabet,
+        weights=[[float(v == labels[i]) for v in range(size)] for i, size in enumerate(alphabet)],
+        a_tables=tables[:k],
+        b_tables=tables[k : k + m],
+        p_tables=[t[0] for t in tables[k + m :]] if beta is not None else None,
     )
 
 
@@ -369,7 +386,7 @@ class TestBatchedRefine:
         sizes = classical._normalize_alphabet(shape, alphabet)
         start = max_deterministic(shape, sizes, beta=beta, refine_draws=0).strategy
         batched, serial = make_rng(seed), make_rng(seed)
-        value, strategy = classical._refine(shape, sizes, beta, start, batched, draws, steps)
+        value, strategy, _ = classical._refine(shape, sizes, beta, start, batched, draws, steps)
         want_value, want_strategy = refine(shape, sizes, beta, start, serial, draws, steps)
         assert type(value) is float
         assert value.hex() == want_value.hex()
@@ -439,29 +456,33 @@ class TestScan:
     def test_canonical_two_source_shape_is_exactly_one(self):
         report = max_deterministic(BILOCAL, 2, refine_draws=10)
         assert report.value == 1.0
-        assert report.mode == "full"
-        assert report.scanned == scan_size(BILOCAL, 2)
+        # the seed, then per restart its start, 16 flips per sweep run and 60 moves
+        assert report.scanned in {1 + 10 * (1 + sweeps * 16 + 60) for sweeps in range(1, 5)}
         assert report.stochastic_value <= 1.0 + 1e-9
 
     def test_single_source_default_alphabet(self):
         report = max_deterministic(SINGLE, refine_draws=10)
         assert report.alphabet == (4,)
         assert report.value == 1.0
-        assert report.scanned == scan_size(SINGLE, 4)
+        assert report.strategy.a_tables == (((1,) * 4, (1,) * 4),)
 
     def test_reachable_matches_full(self):
-        full = max_deterministic(BILOCAL, 2, refine_draws=5)
-        reachable = max_deterministic(
-            BILOCAL, 2, budget=REACHABLE_BUDGET, refine_draws=5
-        )
-        assert (full.mode, reachable.mode) == ("full", "reachable")
-        assert full.value == reachable.value == 1.0
+        # both oracles, and the closed form, on the pair network
+        sizes = (2, 2)
+        value, key, scanned = loop_scan(BILOCAL, sizes, None)
+        reachable_value, reachable_strategy, _ = _scan_reachable(BILOCAL, sizes, None)
+        report = max_deterministic(BILOCAL, sizes, refine_draws=5)
+        assert value == reachable_value == report.value == 1.0
+        assert key_strategy(BILOCAL, sizes, None, key) == reachable_strategy == report.strategy
 
     def test_large_shape_falls_back(self):
+        # past the budget as a count of point-mass strategies (2.1e9), which
+        # only sizes the default alphabet: the closed form still holds
         shape = NetworkShape.from_layout(star_layout(3))
+        assert scan_size(shape, 2) is None
         report = max_deterministic(shape, 2, refine_draws=5)
-        assert report.mode == "reachable"
         assert report.value == 1.0
+        assert report.stochastic_value <= report.value + 1e-9
 
     def test_tilted_single_source(self):
         report = max_deterministic(SINGLE, 2, beta=0.7, refine_draws=10)
@@ -470,11 +491,10 @@ class TestScan:
         assert report.stochastic_value <= report.value + 1e-9
 
     def test_tilted_two_source_reachable(self):
-        report = max_deterministic(
-            BILOCAL, 2, beta=0.5, budget=REACHABLE_BUDGET, refine_draws=5
-        )
-        assert report.mode == "reachable"
-        assert abs(report.value - 1.5) < 1e-12
+        report = max_deterministic(BILOCAL, 2, beta=0.5, refine_draws=5)
+        value, strategy, _ = _scan_reachable(BILOCAL, (2, 2), 0.5)
+        assert report.value == value == 1.5
+        assert report.strategy == strategy
 
     @pytest.mark.parametrize("beta", [None, 0.7], ids=["untilted", "tilted"])
     @pytest.mark.parametrize(
@@ -495,17 +515,10 @@ class TestScan:
     def test_reachable_scan_matches_oracle(self, name, alphabet, beta):
         shape = NetworkShape.from_layout(scenarios.builtin_scenario(name).layout)
         sizes = classical._normalize_alphabet(shape, alphabet)
-        tilted = beta is not None
-        # the reachable size is below the full size, so it routes the scan
-        budget = scan_size(shape, sizes, tilted=tilted, mode="reachable")
-        report = max_deterministic(
-            shape, sizes, beta=beta, budget=budget, refine_draws=0
-        )
-        value, strategy, scanned = _scan_reachable(shape, sizes, beta)
-        assert report.mode == "reachable"
+        report = max_deterministic(shape, sizes, beta=beta, refine_draws=0)
+        value, strategy, _ = _scan_reachable(shape, sizes, beta)
         assert report.value == value
         assert report.strategy.to_json() == strategy.to_json()
-        assert report.scanned == scanned == budget
 
     @pytest.mark.parametrize(
         "shape, alphabet, beta",
@@ -529,36 +542,32 @@ class TestScan:
         ],
     )
     def test_vectorized_scan_matches_loop(self, shape, alphabet, beta):
+        # the closed form against the literal enumeration of every table
+        # under every point label
         sizes = classical._normalize_alphabet(shape, alphabet)
-        expected = loop_scan(shape, sizes, beta)
-        assert classical._scan_full(shape, sizes, beta) == expected
-        assert expected[2] == scan_size(shape, sizes, tilted=beta is not None)
-
-    @pytest.mark.parametrize("shape, beta", [(SINGLE, 0.7), (BILOCAL, None)])
-    def test_slice_size_does_not_change_the_scan(self, monkeypatch, shape, beta):
-        # a slice smaller than the last table: every other table is
-        # iterated in Python around it
-        sizes = classical._normalize_alphabet(shape, 2)
-        expected = loop_scan(shape, sizes, beta)
-        monkeypatch.setattr(classical, "_SLICE", 2)
-        assert classical._scan_full(shape, sizes, beta) == expected
+        value, key, scanned = loop_scan(shape, sizes, beta)
+        report = max_deterministic(shape, sizes, beta=beta, refine_draws=0)
+        assert report.value == value
+        assert key == (0, (0,) * len(classical._table_bits(shape, sizes, beta is not None)[2]))
+        assert report.strategy == key_strategy(shape, sizes, beta, key)
+        assert scanned == scan_size(shape, sizes, tilted=beta is not None)
 
     def test_budget_refusal(self):
-        # below the reachable scan's 256 combinations
+        # below the refine pass's label-grid terms
         with pytest.raises(ValueError, match="budget"):
             max_deterministic(BILOCAL, 2, budget=100)
 
     def test_refine_over_budget_is_refused_before_scanning(self, monkeypatch):
         # at alphabet 512 the refine pass would sum its 512-label grid for
         # every flip of 2048 table entries: about 1.7e8 terms
-        class Scanned(Exception):
+        class Refined(Exception):
             pass
 
-        def scan(*args):
-            raise Scanned
+        def refine_pass(*args):
+            raise Refined
 
-        monkeypatch.setattr(classical, "_scan_full", scan)
-        with pytest.raises(Scanned):
+        monkeypatch.setattr(classical, "_refine", refine_pass)
+        with pytest.raises(Refined):
             max_deterministic(SINGLE, 256)
         with pytest.raises(ValueError, match="refine pass .* exceeds the budget of 1.000e"):
             max_deterministic(SINGLE, 512)
@@ -568,17 +577,19 @@ class TestScan:
         assert default_alphabet(BILOCAL) == 2
 
     def test_option_validation(self):
-        # the budget alone picks the scan
+        # the closed form has no scan to pick
         with pytest.raises(TypeError, match="mode"):
             max_deterministic(SINGLE, 2, mode="full")
         with pytest.raises(ValueError, match="beta"):
             max_deterministic(SINGLE, 2, beta=-0.2)
 
     def test_seeded_refinement_is_deterministic(self):
-        one = max_deterministic(BILOCAL, 2, budget=REACHABLE_BUDGET, seed=5)
-        two = max_deterministic(BILOCAL, 2, budget=REACHABLE_BUDGET, seed=5)
-        assert one.mode == two.mode == "reachable"
+        one = max_deterministic(BILOCAL, 2, seed=5)
+        two = max_deterministic(BILOCAL, 2, seed=5)
         assert one.stochastic_value == two.stochastic_value
+        assert one.scanned == two.scanned > 0
+        # with no restarts the pass scores the seed strategy alone
+        assert max_deterministic(BILOCAL, 2, seed=5, refine_draws=0).scanned == 1
 
     @pytest.mark.parametrize(
         "shape, alphabet, beta, value, strategy",
@@ -661,26 +672,12 @@ class TestVerifyBound:
         assert report.classical_bound == 1.7
         assert abs(report.deterministic_max - 1.7) < 1e-12
 
-    def test_deterministic_excess_raises(self, monkeypatch):
-        # the key of the all-(+1) tables, planted in the reachable scan
-        key = (0, (0, 0, 0))
-        bad = classical._strategy_from_key(BILOCAL, (2, 2), None, key, (1, 1))
-
-        def fake_scan(shape, alphabet, beta):
-            return 1.25, key, 7
-
-        monkeypatch.setattr(classical, "_scan_full", fake_scan)
-        with pytest.raises(BoundViolation, match="above the classical bound") as info:
-            verify_bound(BILOCAL, 2, budget=REACHABLE_BUDGET, refine_draws=0)
-        assert info.value.strategy == bad
-        assert "a_tables" in str(info.value)
-
     def test_stochastic_excess_raises(self, monkeypatch):
         bad = constant_strategy(BILOCAL)
 
         def fake_refine(shape, alphabet, beta, seed, rng, draws, steps):
-            return 1.001, bad
+            return 1.001, bad, 1
 
         monkeypatch.setattr(classical, "_refine", fake_refine)
         with pytest.raises(BoundViolation, match="stochastic refinement"):
-            verify_bound(BILOCAL, 2, budget=REACHABLE_BUDGET)
+            verify_bound(BILOCAL, 2)

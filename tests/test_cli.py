@@ -388,22 +388,27 @@ class TestTilted:
 
 
 class TestClassicalBound:
-    def test_example_a_exhaustive(self, out_dir):
+    def test_example_a_exhaustive(self, out_dir, capsys):
         code = main(["classical-bound", "example-a", "--alphabet", "2"])
         assert code == EXIT_OK
         row = read_csv_row(out_dir / "example-a-classical-bound.csv")
         assert float(row["deterministic_max"]) == 1.0
         assert row["passed"] == "true"
-        assert row["mode"] == "full"
-        assert int(row["scanned"]) == 262144
+        assert row["mode"] == "closed-form"
+        assert int(row["scanned"]) == 4361
         payload = json.load(open(out_dir / "example-a-classical-bound.json"))
-        assert payload["best_strategy"]["a_tables"]
+        assert payload["best_strategy"]["a_tables"] == [[[1, 1], [1, 1]]] * 2
+        out = capsys.readouterr().out
+        assert "closed form; refine pass scored 4361 strategies) -> " in out
 
     def test_defaults_pick_a_full_scan(self, out_dir):
+        # the largest alphabet (at most 4) whose point-mass strategies
+        # number within the budget: 2 for the pair network
         assert main(["classical-bound", "example-a"]) == EXIT_OK
         row = read_csv_row(out_dir / "example-a-classical-bound.csv")
         assert float(row["deterministic_max"]) == 1.0
-        assert row["mode"] == "full"
+        assert row["alphabet"] == "2 2"
+        assert row["mode"] == "closed-form"
 
     def test_tilted_bound(self, out_dir):
         assert main(["classical-bound", "chsh-tilted", "--beta", "0.7"]) == EXIT_OK
@@ -418,10 +423,20 @@ class TestClassicalBound:
         assert not list(out_dir.glob("chsh-*"))
 
     def test_over_budget_star_is_one_error_line(self, out_dir, capsys):
-        assert main(["classical-bound", "star(51)"]) == EXIT_VALIDATION
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error:")
-        assert "exceeds the budget of 1.000e+08" in err[0]
+        for name in ("star(11)", "star(51)"):
+            assert main(["classical-bound", name]) == EXIT_VALIDATION
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("error: refine pass")
+            assert "exceeds the budget of 1.000e+08" in err[0]
+        assert not list(out_dir.iterdir())
+
+    def test_star9_runs(self, out_dir):
+        # 512 labels: the refine pass's 8.8e7 label-grid terms fit the budget
+        assert main(["classical-bound", "star(9)"]) == EXIT_OK
+        row = read_csv_row(out_dir / "star(9)-classical-bound.csv")
+        assert float(row["deterministic_max"]) == 1.0
+        assert row["passed"] == "true"
+        assert int(row["scanned"]) == 172041
 
     def test_violation_exits_with_acceptance_code(self, out_dir, monkeypatch, capsys):
         def explode(*args, **kwargs):
@@ -432,9 +447,9 @@ class TestClassicalBound:
         assert "planted" in capsys.readouterr().err
 
     def test_violation_names_the_scenario(self, out_dir, monkeypatch, capsys):
-        # a planted stochastic excess over the scan's own strategy
+        # a planted stochastic excess over the deterministic maximum's strategy
         def fake_refine(shape, alphabet, beta, seed_strategy, rng, draws, steps):
-            return 1.001, seed_strategy
+            return 1.001, seed_strategy, 1
 
         monkeypatch.setattr(classical, "_refine", fake_refine)
         assert main(["classical-bound", "chsh"]) == EXIT_ACCEPTANCE
@@ -757,12 +772,12 @@ PINNED_COMMANDS = [
     (["classical-bound", "chsh-tilted", "--beta", "0.7"],
      "chsh-tilted-classical-bound", "classical-chsh-tilted-beta"),
     (["classical-bound", "star(3)", "--tilt-count", "0"],
-     "star(3)-classical-bound", "classical-star3-reachable"),
+     "star(3)-classical-bound", "classical-star3"),
     # written by the refine pass that summed the whole label grid for every
     # score, before the incremental scorer; the first pins whose refine
     # pass has 32 labels (the others have at most 8)
     (["classical-bound", "star(5)", "--tilt-count", "0"],
-     "star(5)-classical-bound", "classical-star5-reachable"),
+     "star(5)-classical-bound", "classical-star5"),
     (["classical-bound", "star", "--N", "5", "--phibar", "0.3927"],
      "star(5)-classical-bound", "classical-star5-tilted"),
     (["sample", "example-a", "--rounds", "1000", "--seed", "1",
@@ -869,6 +884,30 @@ class TestReproduce:
         monkeypatch.setattr("netbell.cli._reproduction_rows", lambda: rows)
         assert main(["reproduce-paper"]) == EXIT_ACCEPTANCE
         assert "FAIL" in capsys.readouterr().out
+
+    def test_cross_check_names_the_row_scenario(self, out_dir, monkeypatch, capsys):
+        # T replaced by S in example-b's synthesis alone: its maximize row
+        # leaves the closed forms, and the rows before it pass
+        real = cli._require_valid
+
+        def tampered(scenario):
+            synthesis = real(scenario)
+            if scenario.name != "example-b":
+                return synthesis
+            sources = list(synthesis.sources)
+            sources[0] = dataclasses.replace(sources[0], t_piece=sources[0].s_piece)
+            return dataclasses.replace(synthesis, sources=tuple(sources))
+
+        monkeypatch.setattr(cli, "_require_valid", tampered)
+        assert main(["reproduce-paper"]) == EXIT_VALIDATION
+        fingerprint = scenarios.fingerprint(scenarios.builtin_scenario("example-b"))
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: cross-check failed for example-b [{fingerprint}]: ")
+        assert "disagrees with the stabilizer closed forms" in err[0]
+        assert captured.out == ""
+        assert not list(out_dir.iterdir())
 
 
 class TestEntryPoint:
