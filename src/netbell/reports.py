@@ -2,7 +2,9 @@
 
 Every file, reports and sampling round records alike, goes through a temp
 file in the target directory followed by an atomic rename, so a crashed
-run never leaves a half-written file; file modes follow the umask.
+run never leaves a half-written file; file modes follow the umask. A
+target that exists but is not a regular file (a FIFO or a device such
+as /dev/null, or a symlink to one) is refused, not replaced.
 
 Each command's CSV row is its JSON report's fields under these frozen
 column orders (`csv_row`; lists such as thetas and alphabet are joined
@@ -24,6 +26,7 @@ with spaces):
 from __future__ import annotations
 
 import csv
+import errno
 import json
 import os
 import tempfile
@@ -93,7 +96,14 @@ SAMPLE_COLUMNS = [
 def atomic_write(path, writer) -> None:
     """Call writer(handle) on a temp file beside path, then rename it onto
     path, whose directory must exist. The mode follows the umask. An
-    OSError is raised again naming path, never the temp file."""
+    OSError is raised again naming path, never the temp file.
+
+    A path that exists and is not a regular file (a directory, a FIFO, a
+    device, or a symlink to one) is refused before anything is written,
+    with an OSError whose strerror is "not a regular file", since the
+    rename would replace it rather than write to it."""
+    if os.path.exists(path) and not os.path.isfile(path):
+        raise OSError(errno.EEXIST, "not a regular file", os.fspath(path))
     directory = os.path.dirname(os.path.abspath(path))
     temp_path = None
     try:

@@ -43,7 +43,10 @@ product of its bits). "per-qubit-discard" measures every receiver qubit in
 a single-qubit basis (the repeated letter on idle qubits) and multiplies
 the relevant bits, discarding the rest. Both strategies share the same
 estimators; they differ in which qubits are measured and in what the
-per-round record contains.
+per-round record contains. The record is formatted in numpy, one byte
+matrix per chunk of shuffled rounds with a row per line (index digits,
+settings, a 3-byte cell per outcome, CRLF), whose pad bytes are deleted
+before the write.
 
 Standard errors use the plug-in binomial variance per setting cell and the
 delta method through the K-th roots; they are approximate (the phase-flip
@@ -78,6 +81,10 @@ MAX_SETTING_CELLS = 2**12
 
 # Rounds per write of the round record: bounds the text held at once.
 _RECORD_CHUNK = 8192
+# A round record's cell of each outcome, padded to 3 bytes with 0; row -1
+# (the last) is the cell of outcome -1.
+_CELLS = np.frombuffer(b",0\0,1\0,-1", dtype=np.uint8).reshape(3, 3)
+_CRLF = np.frombuffer(b"\r\n", dtype=np.uint8)
 # Largest double below 1: keeps a rescaled uniform inside [0, 1).
 _BELOW_ONE = np.nextafter(1.0, 0.0)
 
@@ -551,8 +558,7 @@ def run(
             z = PauliString("Z").embed([position], layout.group_widths[group - 1])
             qubit_masks.append(_string_mask(layout, [(group, z)]))
         header = _csv_header(config.strategy, k, m, tilt is not None, measured)
-        codes = []  # per setting block, each round's index into texts
-        texts = []  # the line text after the round index, once per distinct round
+        blocks = []  # per setting block: its settings text and int8 outcome rows
 
     tallies = []
     for (x, y), count in zip(combos, (int(c) for c in counts)):
@@ -591,7 +597,7 @@ def run(
             else:
                 outcome_cols = a_cols + [frames.outcomes(indices, mask) for mask in qubit_masks]
             settings_text = "".join(map(str, x)) + "|" + "".join(map(str, y))
-            codes.append(_encode_block(settings_text, outcome_cols, len(header) - 2, texts))
+            blocks.append((settings_text, np.array(outcome_cols, dtype=np.int8).T))
 
     i_est, i_se, j_est, j_se = _correlator_estimates(tallies, k)
     p_est, p_se = _phase_flip_estimate(tallies)
@@ -613,7 +619,7 @@ def run(
             g_se = math.sqrt(value_se**2 + (beta * p_root_se) ** 2)
 
     if record_path is not None:
-        _write_rounds(record_path, header, codes, texts, rng)
+        _write_rounds(record_path, header, blocks, rng)
 
     return TallyReport(
         mode=config.strategy,
@@ -635,47 +641,40 @@ def run(
     )
 
 
-def _encode_block(settings_text, columns, width, texts) -> np.ndarray:
-    """Index every round of one setting block into texts, appending the text
-    of each distinct round once.
-
-    Outcomes lie in {-1, 0, +1}, so an outcome row reads as a base-3 number.
-    Past 39 columns (3**39 < 2**63) it would overflow int64, so the code so
-    far is first replaced by its rank among the block's distinct codes,
-    which is below the block's round count.
-    """
-    if len(columns) != width:
-        raise RuntimeError(
-            f"round record width {len(columns)} does not match header {width}"
-        )
-    row_codes = np.zeros(len(columns[0]), dtype=np.int64)
-    bound = 1  # every code lies below bound
-    for column in columns:
-        if 3 * bound > 2**63:
-            _, row_codes = np.unique(row_codes, return_inverse=True)
-            bound = int(row_codes.max()) + 1
-        row_codes = 3 * row_codes + (column + 1)
-        bound *= 3
-    _, first, inverse = np.unique(row_codes, return_index=True, return_inverse=True)
-    offset = len(texts)
-    rows = zip(*(column[first].tolist() for column in columns))
-    texts.extend(f",{settings_text},{','.join(map(str, row))}\r\n" for row in rows)
-    return inverse + offset
-
-
-def _write_rounds(path, header, codes, texts, rng) -> None:
-    """Shuffle the rounds of all blocks and write them under the header, one
-    write per chunk of rounds, through the reports' atomic writer."""
-    codes = np.concatenate(codes)
-    shuffled = codes[rng.permutation(codes.size)]
-    texts = np.array(texts, dtype=object)
+def _write_rounds(path, header, blocks, rng) -> None:
+    """Shuffle the rounds of all setting blocks and write them under the
+    header through the reports' atomic writer, one byte matrix per chunk of
+    rounds: a line is the round index's digits, the block's settings, one
+    3-byte cell per outcome and CRLF, with the pad bytes (0) deleted."""
+    width = len(header) - 2
+    for _, rows in blocks:
+        if rows.shape[1] != width:
+            raise RuntimeError(
+                f"round record width {rows.shape[1]} does not match header {width}"
+            )
+    settings = np.array([list(f",{text}".encode()) for text, _ in blocks], dtype=np.uint8)
+    block_of = np.repeat(np.arange(len(blocks)), [len(rows) for _, rows in blocks])
+    outcomes = np.concatenate([rows for _, rows in blocks])
+    order = rng.permutation(len(outcomes))
 
     def emit(handle):
         csv.writer(handle).writerow(header)
-        for start in range(0, len(shuffled), _RECORD_CHUNK):
-            chunk = texts[shuffled[start : start + _RECORD_CHUNK]]
-            handle.write(
-                "".join([f"{index}{text}" for index, text in enumerate(chunk, start)])
+        for start in range(0, len(order), _RECORD_CHUNK):
+            rounds = order[start : start + _RECORD_CHUNK]
+            q = np.arange(start, start + len(rounds))
+            digits = np.empty((len(rounds), len(str(q[-1]))), dtype=np.uint8)
+            digits[:, -1] = q % 10 + 48
+            for pos in reversed(range(digits.shape[1] - 1)):
+                q = q // 10
+                # a place left of the index's leading digit holds a pad byte
+                digits[:, pos] = np.where(q > 0, q % 10 + 48, 0)
+            cells = np.take(_CELLS, np.take(outcomes, rounds, axis=0), axis=0)
+            line = np.concatenate(
+                [digits, np.take(settings, block_of[rounds], axis=0),
+                 cells.reshape(len(rounds), -1),
+                 np.broadcast_to(_CRLF, (len(rounds), 2))],
+                axis=1,
             )
+            handle.write(line.tobytes().translate(None, b"\0").decode("ascii"))
 
     atomic_write(path, emit)

@@ -65,7 +65,10 @@ class StateVector:
 
     @classmethod
     def basis(cls, n: int, label: int | str | Sequence[int]) -> "StateVector":
-        """Computational basis state; label as index, bit string, or bit list."""
+        """Computational basis state; label as index, bit string, or bit list.
+        The qubit cap is checked before the 2^n amplitudes are allocated."""
+        if n > STATE_QUBIT_CAP:
+            raise ValueError(f"{n} qubits exceeds the cap of {STATE_QUBIT_CAP}")
         if isinstance(label, str):
             index = int(label, 2)
         elif isinstance(label, int):

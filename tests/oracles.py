@@ -27,6 +27,9 @@ command runs:
 * `draw` inverts each round's uniform through every group's cumulative
   sums by binary search (`invert`), the draw `sampling._draw` makes through
   guide tables instead and must match bit for bit;
+* `write_rounds` writes the round record one f-string per round, the
+  literal text that `sampling._write_rounds` formats as byte matrices
+  instead and must match byte for byte;
 * `logical_representative` searches a stabilizer coset for a phase-flip
   representative that meets per-qubit letter constraints;
 * `loop_scan` enumerates every response table under every point label
@@ -47,6 +50,7 @@ command runs:
 
 from __future__ import annotations
 
+import csv
 import functools
 import itertools
 import math
@@ -359,6 +363,19 @@ def draw(distributions, rng: np.random.Generator, count: int) -> list[np.ndarray
         index, u = invert(cdf_edges(probabilities), u)
         out.append(index)
     return out
+
+
+def write_rounds(path, header, blocks, rng: np.random.Generator) -> None:
+    """The round record: the header, then the rounds of all (settings,
+    outcome rows) blocks in the order of one rng.permutation, one line
+    "index,settings,outcomes" per round."""
+    rounds = [(settings, row) for settings, rows in blocks for row in rows.tolist()]
+    order = rng.permutation(len(rounds))
+    with open(path, "w", newline="") as handle:
+        csv.writer(handle).writerow(header)
+        for i, r in enumerate(order):
+            settings, row = rounds[r]
+            handle.write(f"{i},{settings},{','.join(map(str, row))}\r\n")
 
 
 # ----------------------------------------------------------------------

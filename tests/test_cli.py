@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 import tempfile
@@ -546,6 +547,27 @@ class TestSample:
             f"error: cannot write round record {record}: No such file or directory"
         ]
 
+    def test_round_record_onto_a_fifo_exits_io(self, out_dir, tmp_path, capsys):
+        # the record is refused before it is drawn up, and the FIFO stays
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        argv = ["sample", "chsh", "--rounds", "10", "--rounds-csv", str(fifo)]
+        assert main(argv) == EXIT_IO
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: cannot write round record {fifo}: not a regular file"
+        ]
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+
+    def test_report_onto_a_fifo_exits_io(self, out_dir, capsys):
+        fifo = out_dir / "chsh-sample.json"
+        os.mkfifo(fifo)
+        assert main(["sample", "chsh", "--rounds", "10"]) == EXIT_IO
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: cannot write reports under {out_dir}: ")
+        assert "not a regular file" in err[0]
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+
 
 class TestBuiltinStar:
     """star(N) is untilted unless --phibar is given; a --tilt-count above 0
@@ -760,6 +782,14 @@ class TestHugeCounts:
             err = capsys.readouterr().err.splitlines()
             assert len(err) == 1 and err[0].startswith(f"error: {option} must be at most")
         assert not list(out_dir.glob("chsh-*"))
+
+    @pytest.mark.parametrize("command", ["evaluate", "sample", "classical-bound"])
+    def test_qubit_cap_refused_before_allocating(self, out_dir, capsys, command):
+        # 40 qubits hold 16 TiB of amplitudes: the cap is checked first
+        assert main([command, "ghz-split(40,20)"]) == EXIT_VALIDATION
+        assert capsys.readouterr().err.splitlines() == [
+            "error: source state on 'ghz-split(40,20)': 40 qubits exceeds the cap of 20"
+        ]
 
 
 # Classical-bound and sample reports pinned as tests/data/<pin>.{json,csv},

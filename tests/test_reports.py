@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import stat
 
 import pytest
 
@@ -120,6 +121,23 @@ class TestWriters:
         assert raised.value.filename == str(path)
         assert ".tmp" not in str(raised.value)
         assert sorted(os.listdir(tmp_path)) == ([] if case == "missing directory" else ["taken"])
+
+    @pytest.mark.parametrize("through_symlink", [False, True], ids=["fifo", "symlink"])
+    def test_non_regular_target_is_refused(self, tmp_path, through_symlink):
+        # os.replace would swap the FIFO (or a device) for the report
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        path = fifo
+        if through_symlink:
+            path = tmp_path / "link"
+            path.symlink_to(fifo)
+        with pytest.raises(OSError) as raised:
+            reports.write_json(path, {"v": 1})
+        assert raised.value.strerror == "not a regular file"
+        assert raised.value.filename == str(path)
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert path.is_symlink() == through_symlink
+        assert sorted(os.listdir(tmp_path)) == ["fifo", "link"][: 1 + through_symlink]
 
     def test_mode_follows_umask(self, tmp_path, umask_022):
         path = tmp_path / "out.json"

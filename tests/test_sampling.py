@@ -11,8 +11,10 @@ import csv
 import functools
 import itertools
 import json
+import tempfile
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -45,6 +47,7 @@ from oracles import (
     joint_state,
     lift,
     outcome_distribution,
+    write_rounds,
 )
 
 # 0.999 chi-squared quantiles by degrees of freedom.
@@ -731,24 +734,46 @@ class TestRoundRecord:
         write_pinned_record("example-a-per-qubit", path)
         assert path.read_bytes() == (DATA / "rounds-example-a-per-qubit.csv").read_bytes()
 
-    def test_record_wider_than_one_code_word(self):
-        # 45 base-3 columns overflow one int64 code (3**39 < 2**63 < 3**40);
-        # rows differing only in the last column, and two rows whose codes
-        # differ by 2**64 (equal once wrapped), must keep their own text.
-        width = 45
-        rng = np.random.default_rng(4)
-        rows = rng.integers(-1, 2, size=(302, width))
-        rows[100:200] = rows[:100]
-        rows[200:300, :-1] = rows[:100, :-1]
-        rows[200:300, -1] = (rows[:100, -1] + 2) % 3 - 1
-        for r, code in ((300, 12345), (301, 12345 + 2**64)):
-            rows[r] = [(code // 3**e) % 3 - 1 for e in reversed(range(width))]
-        texts = ["unrelated"]
-        codes = sampling._encode_block("0|1", list(rows.T), width, texts)
-        assert [texts[c] for c in codes] == [
-            ",0|1," + ",".join(map(str, row)) + "\r\n" for row in rows.tolist()
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        width=st.sampled_from([1, 39, 40, 45, 60]),
+        rounds=st.sampled_from([1, 9, 10, 11, 100, 101]),
+        chunk=st.sampled_from([1, 7, sampling._RECORD_CHUNK]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_writer_matches_the_literal_writer(self, width, rounds, chunk, seed):
+        # Near-duplicate rows: repeats, rows differing only in the last
+        # column, and two rows whose base-3 readings differ by 2**64.
+        rng = np.random.default_rng(seed)
+        rows = rng.integers(-1, 2, size=(rounds, width)).astype(np.int8)
+        third = rounds // 3
+        rows[third : 2 * third] = rows[:third]
+        rows[2 * third : 3 * third, :-1] = rows[:third, :-1]
+        rows[2 * third : 3 * third, -1] = (rows[:third, -1] + 2) % 3 - 1
+        if width > 40 and rounds > 1:
+            for r, code in ((-2, 12345), (-1, 12345 + 2**64)):
+                rows[r] = [(code // 3**e) % 3 - 1 for e in reversed(range(width))]
+        cuts = np.sort(rng.choice(np.arange(1, rounds), min(3, rounds - 1), replace=False))
+        blocks = [
+            ("".join(map(str, rng.integers(0, 2, 3))) + "|" + str(b % 2), part)
+            for b, part in enumerate(np.split(rows, cuts))
         ]
-        assert len(texts) == 1 + len({tuple(row) for row in rows.tolist()})
+        header = ["round", "settings"] + [f"q{c}" for c in range(width)]
+        written, literal = (np.random.default_rng(seed + 1) for _ in range(2))
+        with tempfile.TemporaryDirectory() as work:
+            ours, theirs = Path(work, "ours.csv"), Path(work, "theirs.csv")
+            with mock.patch.object(sampling, "_RECORD_CHUNK", chunk):
+                sampling._write_rounds(ours, header, blocks, written)
+            write_rounds(theirs, header, blocks, literal)
+            assert ours.read_bytes() == theirs.read_bytes()
+        assert written.bit_generator.state == literal.bit_generator.state
+
+    def test_record_width_must_match_the_header(self, tmp_path):
+        header = ["round", "settings", "a1", "b1", "b2"]
+        blocks = [("0|1", np.ones((3, 2), dtype=np.int8))]
+        with pytest.raises(RuntimeError, match="width 2 does not match header 3"):
+            sampling._write_rounds(tmp_path / "r.csv", header, blocks, np.random.default_rng(0))
+        assert list(tmp_path.iterdir()) == []
 
     def test_record_does_not_change_estimates(self, tmp_path):
         layout = chsh_layout(np.pi / 8)

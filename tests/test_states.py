@@ -49,6 +49,11 @@ class TestConstruction:
         with pytest.raises(ValueError, match="cap"):
             StateVector.basis(21, 0)
 
+    def test_qubit_cap_is_checked_before_allocating(self):
+        # 2^40 amplitudes are 16 TiB: numpy would refuse them with a MemoryError
+        with pytest.raises(ValueError, match="40 qubits exceeds the cap of 20"):
+            StateVector.basis(40, 0)
+
     def test_canonical_phase(self):
         state = StateVector(np.array([0, 1j, 0, 0], dtype=complex))
         fixed = state.with_canonical_phase()
