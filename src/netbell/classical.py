@@ -11,9 +11,10 @@ a0 = a1 and J only when every one has a0 != a1.  The objective is
 therefore at most 1 (or 1 + beta tilted), and the all-(+1) tables under
 label 0 reach it.  A stochastic pass then probes mixed label
 distributions with random restarts and hill climbing: its draws come
-first, then all restarts climb at once in numpy arrays.  A flip re-reads
-only the labels that read its column, and totals are summed left to
-right in grid order, so every score is the float of a whole-grid sum.
+first, in five bulk calls, then all restarts climb at once in numpy
+arrays.  A flip re-reads only the labels that read its column, and
+totals are summed left to right in grid order, so every score is the
+float of a whole-grid sum.
 The pass is falsification pressure for the analytic bound, not a search
 for new physics: the objective must never come out above the
 deterministic maximum.
@@ -250,28 +251,36 @@ def scan_size(
     return size if size <= budget else None
 
 
-def _random_tables(shape, alphabet, tilted, rng):
-    block_sizes, reach_sizes, _ = _table_bits(shape, alphabet, tilted)
-
-    def row(width):
-        return tuple(int(v) for v in rng.choice((-1, 1), size=width))
-
-    a_tables = tuple((row(b), row(b)) for b in block_sizes)
-    b_tables = tuple((row(r), row(r)) for r in reach_sizes)
-    p_tables = tuple(row(r) for r in reach_sizes) if tilted else None
-    return a_tables, b_tables, p_tables
+def _refine_draws(shape, alphabet, tilted, rng, draws, steps):
+    """All draws of a refine pass, in five bulk calls in this order: the
+    +/-1 start tables of restarts 1..draws-1 as int8 (draws - 1, entries)
+    in flip order (restart 0 starts from the seed); per source, draws
+    Dirichlet(1, ..., 1) weights as (source, label value, restart), zero
+    past an alphabet; then per (step, restart) each weight move's source,
+    the label value it walks toward, and its eta in [0.1, 1).  Every call
+    spans all restarts, so restart r's draws depend on draws."""
+    entries = sum(_table_bits(shape, alphabet, tilted)[2])
+    tables = 1 - 2 * rng.integers(2, size=(max(draws - 1, 0), entries), dtype=np.int8)
+    weights = np.zeros((shape.n, max(alphabet), draws))
+    for i, size in enumerate(alphabet):
+        weights[i, :size] = rng.dirichlet(np.ones(size), size=draws).T
+    sources = rng.integers(shape.n, size=(steps, draws))
+    vertices = rng.integers(np.asarray(alphabet)[sources])
+    etas = rng.uniform(0.1, 1.0, size=(steps, draws))
+    return tables, weights, sources, vertices, etas
 
 
 class _Climb:
     """The refine pass's restarts, scored together: the last axis of every
     array runs over the restarts.
 
-    A restart's tables are one column of +/-1 entries in flip order (each
-    source agent's a0 and a1 rows, each receiver's b0 and b1, then the p
-    rows); its weights are (source, label value), zero past an alphabet.
-    Per grid label it keeps a sign triple and a weight built source by
-    source as math.prod multiplies, and each total sums weight * sign over
-    the labels left to right: the floats of a whole-grid sum.  flip() and
+    tables is int8 (entries, restarts), climbed in place: a restart's
+    tables are a column of +/-1 entries in flip order (each source agent's
+    a0 and a1 rows, each receiver's b0 and b1, then the p rows); weights
+    is (source, label value, restart), zero past an alphabet.  Per grid
+    label it keeps a sign triple and a weight built source by source as
+    math.prod multiplies, and each total sums weight * sign over the
+    labels left to right: the floats of a whole-grid sum.  flip() and
     weigh() score a candidate in every restart; settle() keeps it where
     asked.
     """
@@ -294,14 +303,11 @@ class _Climb:
             for column in range(width):
                 labels = np.flatnonzero(columns[:, t] == column)
                 self._flips.append((labels, part, shown[labels]))
-        entries = [itertools.chain(*itertools.chain(*a, *b, p or ())) for a, b, p in tables]
-        self.tables = np.array([list(e) for e in entries], dtype=np.int8).T
-        padded = [[list(w) + [0.0] * (max(alphabet) - len(w)) for w in ws] for ws in weights]
-        self.weights = np.array(padded).transpose(1, 2, 0)
+        self.tables, self.weights = tables, weights
         self.signs = self._signs(shown)
-        self.totals, self.powered = np.zeros((2, 3, len(tables)))
-        self.weigh(self.weights)
-        self.settle(np.ones(len(tables), dtype=bool))
+        self.totals, self.powered = np.zeros((2, 3, tables.shape[1]))
+        self.weigh(weights)
+        self.settle(np.ones(tables.shape[1], dtype=bool))
 
     def _signs(self, reads):
         """(I, J, P) signs of the labels whose entries these are, per restart."""
@@ -382,35 +388,43 @@ def _left_sum(values, axis=-1):
     return np.add.accumulate(values, axis).take(-1, axis)
 
 
+def _restart_arrays(strategy: HiddenStrategy):
+    """A strategy as one _Climb restart: (entries, 1) int8 tables in flip
+    order and (source, label value, 1) weights."""
+    rows = [row for table in (*strategy.a_tables, *strategy.b_tables) for row in table]
+    weights = np.zeros((len(strategy.alphabet), max(strategy.alphabet), 1))
+    for i, w in enumerate(strategy.weights):
+        weights[i, : len(w), 0] = w
+    tables = np.concatenate(rows + list(strategy.p_tables or ())).astype(np.int8)
+    return tables[:, None], weights
+
+
 def _refine(shape, alphabet, beta, seed_strategy, rng, draws, steps):
     """Stochastic pass: random product label distributions, hill-climbed.
 
     The first restart starts from the seed strategy's tables, the others
-    from fresh random tables; each restart greedily flips table entries,
-    then walks the label weights toward random vertices, keeping
-    improvements.  No draw depends on a score, so every draw is taken
-    first, in the order of one restart after another; then one _Climb
-    runs all restarts in lockstep, each flip or move scored in every
-    restart at once.  A restart whose sweep kept no flip keeps none in a
-    later one either, so all sweep on while any improves.  The best
-    restart is the first, in draw order, to beat the seed.
+    from random tables; each restart greedily flips table entries, then
+    walks the label weights toward random vertices, keeping improvements.
+    No draw depends on a score, so _refine_draws takes them all first, in
+    five bulk calls that each span every restart (restart r's draws depend
+    on the number of restarts); then one _Climb runs all restarts in
+    lockstep, each flip or move scored in every restart at once.  A
+    restart whose sweep kept no flip keeps none in a later one either, so
+    all sweep on while any improves.  The best restart, the first of any
+    equals, replaces the seed if it beats it.
 
     Returns (best value, best strategy, strategies scored): the seed,
     then per restart its start, every flip of every sweep run, and every
     weight move.
     """
-    seed = (seed_strategy.a_tables, seed_strategy.b_tables, seed_strategy.p_tables)
-    [best_value] = _Climb(shape, alphabet, beta, [seed], [seed_strategy.weights]).value.tolist()
-    starts, weights, moves = [], [], []
-    for draw in range(draws):
-        starts.append(_random_tables(shape, alphabet, beta is not None, rng) if draw else seed)
-        weights.append([rng.dirichlet(np.ones(size)) for size in alphabet])
-        for _ in range(steps):
-            source = int(rng.integers(shape.n))
-            moves.append((source, rng.integers(alphabet[source]), rng.uniform(0.1, 1.0)))
+    seed_tables, seed_weights = _restart_arrays(seed_strategy)
+    [best_value] = _Climb(shape, alphabet, beta, seed_tables, seed_weights).value.tolist()
     if not draws:
         return best_value, seed_strategy, 1
-    climb = _Climb(shape, alphabet, beta, starts, weights)
+    tables, weights, sources, vertices, etas = _refine_draws(
+        shape, alphabet, beta is not None, rng, draws, steps
+    )
+    climb = _Climb(shape, alphabet, beta, np.concatenate((seed_tables, tables.T), axis=1), weights)
     for sweeps in range(1, _REFINE_SWEEPS + 1):
         improved = np.zeros(draws, dtype=bool)
         for entry in range(len(climb.tables)):
@@ -422,8 +436,7 @@ def _refine(shape, alphabet, beta, seed_strategy, rng, draws, steps):
     scored = 1 + draws * (1 + sweeps * len(climb.tables) + steps)
 
     restarts, values = np.arange(draws), np.arange(max(alphabet))
-    sources, vertices, etas = np.array(moves).reshape(draws, steps, 3).T
-    for source, vertex, eta in zip(sources.astype(np.intp), vertices, etas):
+    for source, vertex, eta in zip(sources, vertices, etas):
         mixed = (1 - eta)[:, None] * climb.weights[source, :, restarts]
         mixed = mixed + np.where(values == vertex[:, None], eta[:, None], 0.0)
         candidate = climb.weights.copy()

@@ -380,6 +380,8 @@ def _cmd_sample(args) -> int:
     )
     out_dir = _out_dir(args)
     try:
+        if args.rounds_csv is not None:
+            reports.check_target(args.rounds_csv)  # before any round is drawn
         with _cross_checked(scenario):
             report = sampling.run(
                 synthesis, thetas, config, beta=beta, record_path=args.rounds_csv

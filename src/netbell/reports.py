@@ -93,17 +93,23 @@ SAMPLE_COLUMNS = [
 ]
 
 
+def check_target(path) -> None:
+    """Refuse a write target up front with an OSError naming path: one
+    whose directory is missing, or one that exists and is not a regular
+    file (a directory, a FIFO, a device, or a symlink to one), with
+    strerror "not a regular file": the rename would replace it."""
+    if os.path.exists(path) and not os.path.isfile(path):
+        raise OSError(errno.EEXIST, "not a regular file", os.fspath(path))
+    if not os.path.exists(os.path.dirname(os.path.abspath(path))):
+        raise OSError(errno.ENOENT, os.strerror(errno.ENOENT), os.fspath(path))
+
+
 def atomic_write(path, writer) -> None:
     """Call writer(handle) on a temp file beside path, then rename it onto
     path, whose directory must exist. The mode follows the umask. An
-    OSError is raised again naming path, never the temp file.
-
-    A path that exists and is not a regular file (a directory, a FIFO, a
-    device, or a symlink to one) is refused before anything is written,
-    with an OSError whose strerror is "not a regular file", since the
-    rename would replace it rather than write to it."""
-    if os.path.exists(path) and not os.path.isfile(path):
-        raise OSError(errno.EEXIST, "not a regular file", os.fspath(path))
+    OSError is raised again naming path, never the temp file. A target
+    that check_target refuses is refused before anything is written."""
+    check_target(path)
     directory = os.path.dirname(os.path.abspath(path))
     temp_path = None
     try:

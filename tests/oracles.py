@@ -42,10 +42,11 @@ command runs:
   which walks the whole label grid of `label_grid` term by term, and
   `objective_value` scores them; the refine pass's batched
   `classical._Climb` must give the same floats bit for bit;
-* `refine` is the refine pass one restart at a time, scored
-  incrementally by `GridScorer` in pure Python, against which
-  `classical._refine`, which climbs every restart at once in numpy, must
-  give the same value, strategy and generator state.
+* `refine` is the refine pass one restart at a time, on the same
+  `classical._refine_draws`, scored incrementally by `GridScorer` in pure
+  Python, against which `classical._refine`, which climbs every restart
+  at once in numpy, must give the same value, strategy and generator
+  state; `split_tables` cuts a restart's flat entries into table rows.
 """
 
 from __future__ import annotations
@@ -730,6 +731,22 @@ class GridScorer:
         self._weights, self.totals, self.value = self._saved
 
 
+def split_tables(shape, alphabet, tilted, entries):
+    """Table entries in flip order as (a_tables, b_tables, p_tables):
+    each source agent's a0 and a1 rows, each receiver's b0 and b1 rows,
+    then the p rows (None untilted)."""
+    block_sizes, reach_sizes, _ = classical._table_bits(shape, alphabet, tilted)
+    entries = iter([int(v) for v in entries])
+
+    def row(width):
+        return [next(entries) for _ in range(width)]
+
+    a_tables = [[row(size), row(size)] for size in block_sizes]
+    b_tables = [[row(size), row(size)] for size in reach_sizes]
+    p_tables = [row(size) for size in reach_sizes] if tilted else None
+    return a_tables, b_tables, p_tables
+
+
 def left_fold(values) -> float:
     """values added left to right in plain float arithmetic, one Python
     float at a time."""
@@ -742,25 +759,30 @@ def left_fold(values) -> float:
 def refine(shape, alphabet, beta, seed_strategy, rng, draws, steps):
     """Stochastic pass: random product label distributions, hill-climbed.
 
-    Restarts alternate between the deterministic argmax tables and fresh
-    random tables; each restart greedily flips table entries, then walks
-    the label weights toward random vertices, keeping improvements.  One
-    GridScorer, built for the pass, scores every candidate; a rejected
-    flip or move is undone in it.  Tables are flipped in place on lists,
-    and a HiddenStrategy is built only for a restart that beats the best.
+    The first restart starts from the seed strategy's tables, the others
+    from random tables; each restart greedily flips table entries, then
+    walks the label weights toward random vertices, keeping improvements.
+    It reads the draws of `classical._refine_draws` one restart and one
+    move at a time.  One GridScorer, built for the pass, scores every
+    candidate; a rejected flip or move is undone in it.  Tables are
+    flipped in place on lists, and a HiddenStrategy is built only for a
+    restart that beats the best.
     """
     tilted = beta is not None
     scorer = GridScorer(shape, alphabet, beta)
     seed_tables = (seed_strategy.a_tables, seed_strategy.b_tables, seed_strategy.p_tables)
     best_value = scorer.load(seed_strategy.weights, seed_tables)
     best_strategy = seed_strategy
+    starts, draw_weights, sources, vertices, etas = classical._refine_draws(
+        shape, alphabet, tilted, rng, draws, steps
+    )
     for draw in range(draws):
-        start = seed_tables if draw == 0 else classical._random_tables(shape, alphabet, tilted, rng)
+        start = seed_tables if draw == 0 else split_tables(shape, alphabet, tilted, starts[draw - 1])
         a_tables = [[list(row) for row in table] for table in start[0]]
         b_tables = [[list(row) for row in table] for table in start[1]]
         p_tables = None if start[2] is None else [list(row) for row in start[2]]
         tables = (a_tables, b_tables, p_tables)
-        weights = [tuple(map(float, rng.dirichlet(np.ones(size)))) for size in alphabet]
+        weights = [tuple(draw_weights[i, :size, draw].tolist()) for i, size in enumerate(alphabet)]
         current_value = scorer.load(weights, tables)
         improved = True
         sweeps = 0
@@ -778,10 +800,10 @@ def refine(shape, alphabet, beta, seed_strategy, rng, draws, steps):
                         row[e] = -row[e]
                         scorer.undo()
 
-        for _ in range(steps):
-            source = int(rng.integers(shape.n))
-            vertex = int(rng.integers(alphabet[source]))
-            eta = float(rng.uniform(0.1, 1.0))
+        for step in range(steps):
+            source = int(sources[step, draw])
+            vertex = int(vertices[step, draw])
+            eta = float(etas[step, draw])
             mixed = [
                 (1 - eta) * w + (eta if v == vertex else 0.0)
                 for v, w in enumerate(weights[source])

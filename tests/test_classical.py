@@ -78,11 +78,22 @@ def key_strategy(shape, alphabet, beta, key):
     )
 
 
+def random_tables(shape, sizes, tilted, rng):
+    """Random (a_tables, b_tables, p_tables), one rng.choice per row."""
+    block_sizes, reach_sizes, _ = classical._table_bits(shape, sizes, tilted)
+
+    def row(width):
+        return tuple(int(v) for v in rng.choice((-1, 1), size=width))
+
+    a_tables = tuple((row(b), row(b)) for b in block_sizes)
+    b_tables = tuple((row(r), row(r)) for r in reach_sizes)
+    p_tables = tuple(row(r) for r in reach_sizes) if tilted else None
+    return a_tables, b_tables, p_tables
+
+
 def random_strategy(shape, alphabet, rng, tilted=False):
     sizes = classical._normalize_alphabet(shape, alphabet)
-    a_tables, b_tables, p_tables = classical._random_tables(
-        shape, sizes, tilted, rng
-    )
+    a_tables, b_tables, p_tables = random_tables(shape, sizes, tilted, rng)
     weights = tuple(tuple(rng.dirichlet(np.ones(size))) for size in sizes)
     return HiddenStrategy(
         shape=shape,
@@ -305,7 +316,7 @@ class TestGridScorer:
         for _ in range(3):  # fresh tables and weights in a new batch
             tables = []
             for _ in range(self.RESTARTS):
-                a, b, p = classical._random_tables(shape, sizes, beta is not None, rng)
+                a, b, p = random_tables(shape, sizes, beta is not None, rng)
                 tables.append(
                     (
                         [[list(row) for row in table] for table in a],
@@ -320,7 +331,8 @@ class TestGridScorer:
             ]
             places = [(i, e) for i, row in enumerate(rows[0]) for e in range(len(row))]
             weights = [self.weights_with_zeros(sizes, rng) for _ in range(self.RESTARTS)]
-            climb = classical._Climb(shape, sizes, beta, tables, weights)
+            entries = np.array([sum(r, []) for r in rows], dtype=np.int8).T.copy()
+            climb = classical._Climb(shape, sizes, beta, entries, self.slab(weights, sizes))
             assert len(climb.tables) == len(places)
             self.assert_rows_match(climb, shape, sizes, beta, weights, tables)
             for _ in range(40):
@@ -353,7 +365,7 @@ class TestGridScorer:
         report = max_deterministic(STAR3, 2, beta=0.7, refine_draws=0)
         strategy = report.strategy
         tables = (strategy.a_tables, strategy.b_tables, strategy.p_tables)
-        climb = classical._Climb(STAR3, strategy.alphabet, 0.7, [tables], [strategy.weights])
+        climb = classical._Climb(STAR3, strategy.alphabet, 0.7, *classical._restart_arrays(strategy))
         self.assert_rows_match(
             climb, STAR3, strategy.alphabet, 0.7, [strategy.weights], [tables]
         )
@@ -374,6 +386,61 @@ REFINE_CASES = [
     (STAR7, 2, 0.7),
 ]
 REFINE_IDS = ["single4", "single3", "bilocal2", "bilocal23", "split32", "star3", "star5", "star7"]
+
+
+class TestRefineDraws:
+    """classical._refine_draws: five bulk arrays, in range, in the
+    documented order, and the same for the same seed."""
+
+    @pytest.mark.parametrize("draws, steps", [(40, 60), (1, 60), (40, 0), (3, 5)])
+    @pytest.mark.parametrize("tilted", [False, True], ids=["untilted", "tilted"])
+    @pytest.mark.parametrize(
+        "shape, alphabet",
+        [(SINGLE, 4), (SINGLE, 1), (BILOCAL, (2, 3)), (SPLIT, (3, 2)), (STAR3, 2), (STAR3, 1)],
+        ids=["chsh4", "chsh1", "bilocal23", "split32", "star3", "star3-1"],
+    )
+    def test_draws_are_in_range(self, shape, alphabet, tilted, draws, steps):
+        sizes = classical._normalize_alphabet(shape, alphabet)
+        tables, weights, sources, vertices, etas = classical._refine_draws(
+            shape, sizes, tilted, make_rng(5), draws, steps
+        )
+        entries = sum(classical._table_bits(shape, sizes, tilted)[2])
+        # restart 0 starts from the seed strategy: one table fewer than draws
+        assert tables.dtype == np.int8 and tables.shape == (draws - 1, entries)
+        assert set(np.unique(tables).tolist()) <= {-1, 1}
+        assert weights.shape == (shape.n, max(sizes), draws)
+        for i, size in enumerate(sizes):
+            assert (weights[i, :size] >= 0).all() and not weights[i, size:].any()
+            assert all(abs(math.fsum(w) - 1) <= 1e-12 for w in weights[i, :size].T.tolist())
+        assert sources.shape == vertices.shape == etas.shape == (steps, draws)
+        assert ((0 <= sources) & (sources < shape.n)).all()
+        assert ((0 <= vertices) & (vertices < np.asarray(sizes)[sources])).all()
+        assert ((0.1 <= etas) & (etas < 1.0)).all()
+
+    def test_draws_follow_the_documented_order(self):
+        sizes, draws, steps = (2, 3), 4, 6
+        got = classical._refine_draws(BILOCAL, sizes, True, make_rng(9), draws, steps)
+        rng = make_rng(9)
+        entries = sum(classical._table_bits(BILOCAL, sizes, True)[2])
+        tables = 1 - 2 * rng.integers(2, size=(draws - 1, entries), dtype=np.int8)
+        per_source = [rng.dirichlet(np.ones(size), size=draws) for size in sizes]
+        sources = rng.integers(BILOCAL.n, size=(steps, draws))
+        vertices = rng.integers(np.asarray(sizes)[sources])
+        etas = rng.uniform(0.1, 1.0, size=(steps, draws))
+        assert np.array_equal(got[0], tables)
+        for i, w in enumerate(per_source):
+            assert np.array_equal(got[1][i, : sizes[i]], w.T)
+        for array, want in zip(got[2:], (sources, vertices, etas)):
+            assert np.array_equal(array, want)
+
+    @pytest.mark.parametrize("seed", [0, 7, 901])
+    def test_same_seed_same_draws(self, seed):
+        one, two = make_rng(seed), make_rng(seed)
+        first = classical._refine_draws(STAR3, (2, 2, 2), True, one, 40, 60)
+        second = classical._refine_draws(STAR3, (2, 2, 2), True, two, 40, 60)
+        for a, b in zip(first, second):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert one.bit_generator.state == two.bit_generator.state
 
 
 class TestBatchedRefine:
@@ -407,6 +474,12 @@ class TestBatchedRefine:
     )
     def test_short_passes_match(self, shape, alphabet, tilted, draws, steps):
         self.assert_same_pass(shape, alphabet, 0.5 if tilted else None, 7, draws, steps)
+
+    @pytest.mark.parametrize("tilted", [False, True], ids=["untilted", "tilted"])
+    @pytest.mark.parametrize("shape", [SINGLE, STAR3], ids=["chsh", "star3"])
+    def test_alphabet_one_matches(self, shape, tilted):
+        # one label per source: every weight move walks to the only vertex
+        self.assert_same_pass(shape, 1, 0.7 if tilted else None, 7)
 
 
 class TestStrategyValidation:
@@ -598,28 +671,29 @@ class TestScan:
                 SINGLE,
                 4,
                 0.7,
-                "1.7000000000000002",
+                "1.7000000000000006",
                 {
                     "shape": {"k": 1, "m": 1, "n": 1, "partition": [0, 1], "reach": [[1]]},
                     "alphabet": [4],
                     "weights": [
                         [
-                            0.19686770150711563,
-                            0.3958741018069986,
-                            0.1581968045246664,
-                            0.24906139216121942,
+                            0.17946675859265546,
+                            0.5228984696701848,
+                            0.25823927804046487,
+                            0.039395493696695094,
                         ]
                     ],
-                    "a_tables": [[[1, 1, 1, 1], [1, 1, 1, 1]]],
-                    "b_tables": [[[1, 1, 1, 1], [1, 1, 1, 1]]],
+                    "a_tables": [[[-1, 1, -1, 1], [1, -1, -1, -1]]],
+                    "b_tables": [[[-1, -1, -1, 1], [-1, 1, -1, 1]]],
                     "p_tables": [[1, 1, 1, 1]],
                 },
             ),
             (
+                # no restart beats the seed strategy at this seed
                 BILOCAL,
                 2,
                 None,
-                "1.0000000000000002",
+                "1.0",
                 {
                     "shape": {
                         "k": 2,
@@ -629,12 +703,9 @@ class TestScan:
                         "reach": [[1, 2]],
                     },
                     "alphabet": [2, 2],
-                    "weights": [
-                        [0.7203506230908565, 0.27964937690914354],
-                        [0.8012864101461495, 0.1987135898538506],
-                    ],
-                    "a_tables": [[[-1, -1], [-1, -1]], [[1, -1], [1, -1]]],
-                    "b_tables": [[[-1, 1, -1, 1], [-1, 1, 1, 1]]],
+                    "weights": [[1.0, 0.0], [1.0, 0.0]],
+                    "a_tables": [[[1, 1], [1, 1]], [[1, 1], [1, 1]]],
+                    "b_tables": [[[1, 1, 1, 1], [1, 1, 1, 1]]],
                 },
             ),
         ],
@@ -655,7 +726,7 @@ class TestScan:
         # a compensated renormalization walks this seed to other weights
         report = max_deterministic(SINGLE, (3,), seed=0)
         assert report.stochastic_strategy.weights == (
-            (0.5483112904852572, 0.4505071311290343, 0.0011815783857086553),
+            (0.3794852371420029, 0.5421185165346941, 0.07839624632330314),
         )
 
 

@@ -437,7 +437,7 @@ class TestClassicalBound:
         row = read_csv_row(out_dir / "star(9)-classical-bound.csv")
         assert float(row["deterministic_max"]) == 1.0
         assert row["passed"] == "true"
-        assert int(row["scanned"]) == 172041
+        assert int(row["scanned"]) == 129641
 
     def test_violation_exits_with_acceptance_code(self, out_dir, monkeypatch, capsys):
         def explode(*args, **kwargs):
@@ -546,6 +546,25 @@ class TestSample:
         assert capsys.readouterr().err.splitlines() == [
             f"error: cannot write round record {record}: No such file or directory"
         ]
+
+    @pytest.mark.parametrize("target", ["fifo", "missing/r.csv"])
+    def test_bad_round_record_is_refused_before_sampling(
+        self, out_dir, tmp_path, monkeypatch, capsys, target
+    ):
+        class Sampled(Exception):
+            pass
+
+        def sample(*args, **kwargs):
+            raise Sampled
+
+        monkeypatch.setattr(sampling, "run", sample)
+        os.mkfifo(tmp_path / "fifo")
+        record = tmp_path / target
+        argv = ["sample", "star(3)", "--rounds-csv", str(record)]
+        assert main(argv) == EXIT_IO
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: cannot write round record {record}: ")
+        assert not list(out_dir.glob("star*"))
 
     def test_round_record_onto_a_fifo_exits_io(self, out_dir, tmp_path, capsys):
         # the record is refused before it is drawn up, and the FIFO stays
@@ -827,7 +846,10 @@ PINNED_COMMANDS = [
 
 
 class TestPinnedReports:
-    """Reports and round records pinned byte for byte; not regenerated."""
+    """Reports and round records pinned byte for byte; not regenerated,
+    except once: the five classical-* pins were rewritten when the refine
+    pass began to take its random draws in bulk (classical._refine_draws),
+    which moved only their scanned and best_stochastic_strategy fields."""
 
     @pytest.mark.parametrize(
         "argv,stem,pin", PINNED_COMMANDS, ids=[pin for _, _, pin in PINNED_COMMANDS]
