@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -51,6 +52,7 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(EXIT_VALIDATION, message)
 
 
+@functools.cache  # parse_args leaves the parser as it was
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="netbell",

@@ -43,10 +43,10 @@ product of its bits). "per-qubit-discard" measures every receiver qubit in
 a single-qubit basis (the repeated letter on idle qubits) and multiplies
 the relevant bits, discarding the rest. Both strategies share the same
 estimators; they differ in which qubits are measured and in what the
-per-round record contains. The record is formatted in numpy, one byte
-matrix per chunk of shuffled rounds with a row per line (index digits,
-settings, a 3-byte cell per outcome, CRLF), whose pad bytes are deleted
-before the write.
+per-round record contains. The record is formatted in numpy, one matrix
+of 4-byte words per chunk of shuffled rounds with a column per line
+(4-digit words of the index, the settings, one word per outcome cell,
+CRLF), whose pad bytes are deleted before the write.
 
 Standard errors use the plug-in binomial variance per setting cell and the
 delta method through the K-th roots; they are approximate (the phase-flip
@@ -81,10 +81,17 @@ MAX_SETTING_CELLS = 2**12
 
 # Rounds per write of the round record: bounds the text held at once.
 _RECORD_CHUNK = 8192
-# A round record's cell of each outcome, padded to 3 bytes with 0; row -1
-# (the last) is the cell of outcome -1.
-_CELLS = np.frombuffer(b",0\0,1\0,-1", dtype=np.uint8).reshape(3, 3)
-_CRLF = np.frombuffer(b"\r\n", dtype=np.uint8)
+# The round record is assembled from 4-byte words, padded with 0 bytes that
+# are deleted before the write. _DIGITS[v] spells v in four digits, and
+# _LEADING[s] keeps a word's last s bytes, which blanks the places left of an
+# index's leading digit. _OUTCOME maps an int8 outcome's byte to its cell.
+_DIGITS = np.arange(10**4)[:, None] // [1000, 100, 10, 1] % 10 + ord("0")
+_DIGITS = _DIGITS.astype(np.uint8).view(np.uint32).ravel()
+_LEADING = np.frombuffer(bytes.fromhex("00000000 000000ff 0000ffff 00ffffff ffffffff"), np.uint32)
+_POWERS = 10 ** np.arange(1, 10)
+_OUTCOME = np.zeros(256, dtype=np.uint32)
+_OUTCOME[[0, 1, 255]] = np.frombuffer(b",0\0\0,1\0\0,-1\0", dtype=np.uint32)
+_EOL = np.frombuffer(b"\r\n\0\0", dtype=np.uint32)
 # Largest double below 1: keeps a rescaled uniform inside [0, 1).
 _BELOW_ONE = np.nextafter(1.0, 0.0)
 
@@ -643,38 +650,57 @@ def run(
 
 def _write_rounds(path, header, blocks, rng) -> None:
     """Shuffle the rounds of all setting blocks and write them under the
-    header through the reports' atomic writer, one byte matrix per chunk of
-    rounds: a line is the round index's digits, the block's settings, one
-    3-byte cell per outcome and CRLF, with the pad bytes (0) deleted."""
+    header through the reports' atomic writer. Each chunk of rounds is a
+    (words, rounds) matrix of 4-byte words, filled one row at a time: the
+    round index in 4-digit words, the block's settings, one cell per outcome
+    and CRLF. It is read round by round, with the pad bytes (0) deleted."""
     width = len(header) - 2
     for _, rows in blocks:
         if rows.shape[1] != width:
             raise RuntimeError(
                 f"round record width {rows.shape[1]} does not match header {width}"
             )
-    settings = np.array([list(f",{text}".encode()) for text, _ in blocks], dtype=np.uint8)
-    block_of = np.repeat(np.arange(len(blocks)), [len(rows) for _, rows in blocks])
-    outcomes = np.concatenate([rows for _, rows in blocks])
+    texts = [f",{text}".encode() for text, _ in blocks]
+    size = -(-max(map(len, texts)) // 4) * 4
+    settings = np.frombuffer(b"".join(text.ljust(size, b"\0") for text in texts), np.uint32)
+    settings = settings.reshape(len(blocks), -1).T
+    # a block number per round, in the smallest integer type that holds it
+    numbers = np.arange(len(blocks), dtype=np.min_scalar_type(len(blocks)))
+    block_of = np.repeat(numbers, [len(rows) for _, rows in blocks])
+    # outcome rows padded to whole words, so that a round's row is one gather
+    outcomes = np.zeros((len(block_of), -(-width // 4) * 4), dtype=np.int8)
+    np.concatenate([rows for _, rows in blocks], out=outcomes[:, :width])
+    outcomes = outcomes.view(np.uint32)
     order = rng.permutation(len(outcomes))
 
     def emit(handle):
         csv.writer(handle).writerow(header)
         for start in range(0, len(order), _RECORD_CHUNK):
             rounds = order[start : start + _RECORD_CHUNK]
-            q = np.arange(start, start + len(rounds))
-            digits = np.empty((len(rounds), len(str(q[-1]))), dtype=np.uint8)
-            digits[:, -1] = q % 10 + 48
-            for pos in reversed(range(digits.shape[1] - 1)):
-                q = q // 10
-                # a place left of the index's leading digit holds a pad byte
-                digits[:, pos] = np.where(q > 0, q % 10 + 48, 0)
-            cells = np.take(_CELLS, np.take(outcomes, rounds, axis=0), axis=0)
-            line = np.concatenate(
-                [digits, np.take(settings, block_of[rounds], axis=0),
-                 cells.reshape(len(rounds), -1),
-                 np.broadcast_to(_CRLF, (len(rounds), 2))],
-                axis=1,
-            )
-            handle.write(line.tobytes().translate(None, b"\0").decode("ascii"))
+            index = np.arange(start, start + len(rounds))
+            places = len(str(index[-1]))
+            lead = -(-places // 4)
+            words = np.empty((lead + len(settings) + width + 1, len(rounds)), dtype=np.uint32)
+            # the digit count is one per chunk unless it crosses a power of ten
+            digits = places
+            if start < 10 ** (places - 1):
+                digits = np.searchsorted(_POWERS, index, side="right") + 1
+            # take's default mode copies through a buffer; every index is in range
+            part = index
+            for j in range(lead):  # the j-th word from the right
+                row = words[lead - 1 - j]
+                np.take(_DIGITS, part % 10**4, out=row, mode="clip")
+                if start < 10 ** (4 * j + 3):
+                    # a place left of the index's leading digit is a pad byte
+                    row &= _LEADING[np.clip(digits - 4 * j, 0, 4)]
+                part = part // 10**4
+            block = block_of[rounds]
+            for row, column in zip(words[lead:], settings):
+                np.take(column, block, out=row, mode="clip")
+            cells = np.take(outcomes, rounds, axis=0).view(np.uint8)
+            for c, row in enumerate(words[lead + len(settings) : -1]):
+                np.take(_OUTCOME, cells[:, c], out=row, mode="clip")
+            words[-1] = _EOL
+            handle.write(words.T.tobytes().translate(None, b"\0").decode("ascii"))
 
     atomic_write(path, emit)

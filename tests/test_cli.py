@@ -278,6 +278,16 @@ class TestUsageErrors:
         assert captured.out == ""
         assert list(out_dir.iterdir()) == []
 
+    def test_usage_error_after_a_good_call_is_one_error_line(self, out_dir, capsys):
+        # The parser is built once per process and serves both calls.
+        assert main(["validate", "chsh"]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["maximize", "chsh", "--grid", "abc"]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert captured.out == ""
+
     def test_help_still_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["--help"])
@@ -474,6 +484,13 @@ class TestSample:
         payload = json.loads(first)
         assert payload["rounds"] == 4000
         assert payload["seed"] == 11
+
+    def test_seed_does_not_carry_over_to_the_next_call(self, out_dir):
+        assert main(["sample", "chsh", "--rounds", "10", "--seed", "5"]) == EXIT_OK
+        assert json.load(open(out_dir / "chsh-sample.json"))["seed"] == 5
+        assert main(["sample", "chsh", "--rounds", "10"]) == EXIT_OK
+        payload = json.load(open(out_dir / "chsh-sample.json"))
+        assert payload["seed"] == scenarios.builtin_scenario("chsh").seed != 5
 
     def test_estimate_lands_near_truth(self, out_dir):
         argv = ["sample", "example-a", "--rounds", "20000", "--seed", "5"]

@@ -768,6 +768,23 @@ class TestRoundRecord:
             assert ours.read_bytes() == theirs.read_bytes()
         assert written.bit_generator.state == literal.bit_generator.state
 
+    @pytest.mark.parametrize("chunk", [7, 8192])
+    @pytest.mark.parametrize("rounds", [10_001, 100_003])
+    def test_writer_matches_the_literal_writer_across_index_places(self, tmp_path, rounds, chunk):
+        # One chunk holds index 9,999 and 10,000, and one 99,999 and
+        # 100,000: a round index gains a 4-digit word or a place in one.
+        rng = np.random.default_rng(rounds + chunk)
+        rows = rng.integers(-1, 2, size=(rounds, 3)).astype(np.int8)
+        blocks = [(f"{b:02b}|{b % 2}", part) for b, part in enumerate(np.array_split(rows, 4))]
+        header = ["round", "settings", "a1", "b1", "p1"]
+        written, literal = (np.random.default_rng(chunk) for _ in range(2))
+        ours, theirs = tmp_path / "ours.csv", tmp_path / "theirs.csv"
+        with mock.patch.object(sampling, "_RECORD_CHUNK", chunk):
+            sampling._write_rounds(ours, header, blocks, written)
+        write_rounds(theirs, header, blocks, literal)
+        assert ours.read_bytes() == theirs.read_bytes()
+        assert written.bit_generator.state == literal.bit_generator.state
+
     def test_record_width_must_match_the_header(self, tmp_path):
         header = ["round", "settings", "a1", "b1", "b2"]
         blocks = [("0|1", np.ones((3, 2), dtype=np.int8))]
