@@ -36,8 +36,12 @@ from netbell.states import make_rng
 # but no real excess.
 BOUND_TOL = 1e-12
 REFINE_TOL = 1e-9
+# Label-grid terms the refine pass may sum; it also sizes the default alphabet.
 DEFAULT_BUDGET = 10**8
-# Most greedy passes over the table entries per refine restart.
+# Refine restarts, weight moves per restart, and most greedy passes over
+# the table entries per restart.
+_REFINE_DRAWS = 40
+_REFINE_STEPS = 60
 _REFINE_SWEEPS = 4
 
 
@@ -226,35 +230,10 @@ def _table_bits(shape: NetworkShape, alphabet, tilted: bool):
     return block_sizes, reach_sizes, widths
 
 
-def _scan_extent(shape, alphabet, tilted) -> tuple[int, int]:
-    """(labels, entries): the label combinations and the table entries of
-    every strategy at this alphabet."""
-    return math.prod(alphabet), sum(_table_bits(shape, alphabet, tilted)[2])
-
-
-def scan_size(
-    shape: NetworkShape,
-    alphabet,
-    *,
-    tilted: bool = False,
-    budget: int = DEFAULT_BUDGET,
-) -> int | None:
-    """How many point-mass strategies there are at this alphabet (every
-    response table under every point label: labels << entries), or None
-    when that is over the budget; default_alphabet sizes the alphabet by
-    it.  The budget is compared by bit length first, so no integer wider
-    than the budget is ever built."""
-    labels, bits = _scan_extent(shape, _normalize_alphabet(shape, alphabet), tilted)
-    if labels.bit_length() + bits > budget.bit_length():
-        return None
-    size = labels << bits
-    return size if size <= budget else None
-
-
-def _refine_draws(shape, alphabet, tilted, rng, draws, steps):
+def _draw_restarts(shape, alphabet, tilted, rng, draws, steps):
     """All draws of a refine pass, in five bulk calls in this order: the
     +/-1 start tables of restarts 1..draws-1 as int8 (draws - 1, entries)
-    in flip order (restart 0 starts from the seed); per source, draws
+    in flip order (restart 0 starts from all-(+1) tables); per source, draws
     Dirichlet(1, ..., 1) weights as (source, label value, restart), zero
     past an alphabet; then per (step, restart) each weight move's source,
     the label value it walks toward, and its eta in [0.1, 1).  Every call
@@ -388,43 +367,33 @@ def _left_sum(values, axis=-1):
     return np.add.accumulate(values, axis).take(-1, axis)
 
 
-def _restart_arrays(strategy: HiddenStrategy):
-    """A strategy as one _Climb restart: (entries, 1) int8 tables in flip
-    order and (source, label value, 1) weights."""
-    rows = [row for table in (*strategy.a_tables, *strategy.b_tables) for row in table]
-    weights = np.zeros((len(strategy.alphabet), max(strategy.alphabet), 1))
-    for i, w in enumerate(strategy.weights):
-        weights[i, : len(w), 0] = w
-    tables = np.concatenate(rows + list(strategy.p_tables or ())).astype(np.int8)
-    return tables[:, None], weights
-
-
-def _refine(shape, alphabet, beta, seed_strategy, rng, draws, steps):
+def _refine(shape, alphabet, beta, value, rng, draws, steps):
     """Stochastic pass: random product label distributions, hill-climbed.
 
-    The first restart starts from the seed strategy's tables, the others
-    from random tables; each restart greedily flips table entries, then
+    The first restart starts from the all-(+1) tables, the others from
+    random tables; each restart greedily flips table entries, then
     walks the label weights toward random vertices, keeping improvements.
-    No draw depends on a score, so _refine_draws takes them all first, in
+    No draw depends on a score, so _draw_restarts takes them all first, in
     five bulk calls that each span every restart (restart r's draws depend
     on the number of restarts); then one _Climb runs all restarts in
     lockstep, each flip or move scored in every restart at once.  A
     restart whose sweep kept no flip keeps none in a later one either, so
     all sweep on while any improves.  The best restart, the first of any
-    equals, replaces the seed if it beats it.
+    equals, is kept if it beats value, the closed form: the exact score of
+    the all-(+1) tables under label 0, whose one-hot weights make every
+    left sum exactly 1.0 or 0.0.
 
-    Returns (best value, best strategy, strategies scored): the seed,
-    then per restart its start, every flip of every sweep run, and every
-    weight move.
+    Returns (best value, best strategy or None when none beats value,
+    strategies scored): the closed form's, then per restart its start,
+    every flip of every sweep run, and every weight move.
     """
-    seed_tables, seed_weights = _restart_arrays(seed_strategy)
-    [best_value] = _Climb(shape, alphabet, beta, seed_tables, seed_weights).value.tolist()
     if not draws:
-        return best_value, seed_strategy, 1
-    tables, weights, sources, vertices, etas = _refine_draws(
+        return value, None, 1
+    tables, weights, sources, vertices, etas = _draw_restarts(
         shape, alphabet, beta is not None, rng, draws, steps
     )
-    climb = _Climb(shape, alphabet, beta, np.concatenate((seed_tables, tables.T), axis=1), weights)
+    ones = np.ones((tables.shape[1], 1), dtype=np.int8)
+    climb = _Climb(shape, alphabet, beta, np.concatenate((ones, tables.T), axis=1), weights)
     for sweeps in range(1, _REFINE_SWEEPS + 1):
         improved = np.zeros(draws, dtype=bool)
         for entry in range(len(climb.tables)):
@@ -443,17 +412,17 @@ def _refine(shape, alphabet, beta, seed_strategy, rng, draws, steps):
         candidate[source, :, restarts] = mixed / _left_sum(mixed)[:, None]
         climb.settle(climb.weigh(candidate) > climb.value)
 
-    best_row = None
-    for row, value in enumerate(climb.value.tolist()):
-        if value > best_value:
-            best_value, best_row = value, row
-    return best_value, seed_strategy if best_row is None else climb.strategy(best_row), scored
+    best_value, best_row = value, None
+    for row, score in enumerate(climb.value.tolist()):
+        if score > best_value:
+            best_value, best_row = score, row
+    return best_value, None if best_row is None else climb.strategy(best_row), scored
 
 
 @dataclass(frozen=True)
 class ScanReport:
-    """The deterministic maximum plus the stochastic pass; scanned counts
-    the strategies the pass scored."""
+    """The deterministic maximum plus the stochastic pass that checked it;
+    scanned counts the strategies the pass scored."""
 
     value: float
     strategy: HiddenStrategy
@@ -464,12 +433,19 @@ class ScanReport:
     beta: float | None = None
 
 
-def default_alphabet(shape: NetworkShape, *, tilted: bool = False, budget: int = DEFAULT_BUDGET) -> int:
+def default_alphabet(shape: NetworkShape, *, tilted: bool = False) -> int:
     """Largest uniform label alphabet (at most 4) whose point-mass
-    strategies number within the budget (scan_size); 2 when none does."""
+    strategies (every response table under every point label: labels <<
+    entries) number within DEFAULT_BUDGET; 2 when none does.  The rule is
+    the count of the exhaustive scan this engine once ran, kept so that
+    no default alphabet, and no pin, moves.  Bit lengths are compared
+    first, so no integer wider than the budget is ever built."""
     for size in (4, 3, 2):
-        if scan_size(shape, size, tilted=tilted, budget=budget) is not None:
-            return size
+        sizes = (size,) * shape.n
+        labels, entries = math.prod(sizes), sum(_table_bits(shape, sizes, tilted)[2])
+        if labels.bit_length() + entries <= DEFAULT_BUDGET.bit_length():
+            if labels << entries <= DEFAULT_BUDGET:
+                return size
     return 2
 
 
@@ -478,36 +454,32 @@ def max_deterministic(
     alphabet=None,
     *,
     beta: float | None = None,
-    budget: int = DEFAULT_BUDGET,
     seed: int | None = 0,
-    refine_draws: int = 40,
-    refine_steps: int = 60,
 ) -> ScanReport:
-    """Deterministic maximum in closed form plus a stochastic refinement pass.
-
-    Over point-mass strategies the objective is at most 1, or 1 + beta
-    tilted (see the module docstring), and the all-(+1) tables under
-    label 0 reach it: the first strategy when labels and table integers
-    are enumerated in order.  That strategy is the maximum's and seeds
-    the refine pass, which alone is held to the budget.
+    """The classical engine's one entry point: the deterministic maximum
+    in closed form, 1 or 1 + beta, reached by the all-(+1) tables under
+    label 0 (see the module docstring), checked by the refine pass, which
+    alone is held to DEFAULT_BUDGET.  Raises BoundViolation (carrying the
+    offending strategy verbatim) when the pass scores more than
+    REFINE_TOL above the closed form.
     """
     if beta is not None and not beta >= 0:
         raise ValueError(f"beta must be nonnegative, got {beta}")
     tilted = beta is not None
     if alphabet is None:
-        alphabet = default_alphabet(shape, tilted=tilted, budget=budget)
+        alphabet = default_alphabet(shape, tilted=tilted)
     alphabet = _normalize_alphabet(shape, alphabet)
+    block_sizes, reach_sizes, widths = _table_bits(shape, alphabet, tilted)
     # The refine budget counts label-grid terms as if every score summed
     # the whole grid: each restart scores up to _REFINE_SWEEPS flips of
-    # every table entry, then refine_steps moves.
-    labels, entries = _scan_extent(shape, alphabet, tilted)
-    refine = refine_draws * (_REFINE_SWEEPS * entries + refine_steps) * labels
-    if refine > budget:
+    # every table entry, then _REFINE_STEPS moves.
+    labels = math.prod(alphabet)
+    refine = _REFINE_DRAWS * (_REFINE_SWEEPS * sum(widths) + _REFINE_STEPS) * labels
+    if refine > DEFAULT_BUDGET:
         raise ValueError(
             f"refine pass of about 10^{math.log10(refine):.1f} label-grid terms "
-            f"exceeds the budget of {budget:.3e}; shrink the alphabet"
+            f"exceeds the budget of {DEFAULT_BUDGET:.3e}; shrink the alphabet"
         )
-    block_sizes, reach_sizes, _ = _table_bits(shape, alphabet, tilted)
     strategy = HiddenStrategy(
         shape,
         alphabet,
@@ -516,57 +488,24 @@ def max_deterministic(
         b_tables=tuple(((1,) * size,) * 2 for size in reach_sizes),
         p_tables=tuple((1,) * size for size in reach_sizes) if tilted else None,
     )
+    value = 1.0 if beta is None else 1.0 + beta
     stochastic_value, stochastic_strategy, scanned = _refine(
-        shape, alphabet, beta, strategy, make_rng(seed), refine_draws, refine_steps
+        shape, alphabet, beta, value, make_rng(seed), _REFINE_DRAWS, _REFINE_STEPS
     )
+    stochastic_strategy = stochastic_strategy or strategy
+    if not stochastic_value <= value + REFINE_TOL:
+        raise BoundViolation(
+            f"stochastic refinement scored {stochastic_value:.12f} above "
+            f"the deterministic maximum {value:.12f}: "
+            f"{json.dumps(stochastic_strategy.to_json())}",
+            stochastic_strategy,
+        )
     return ScanReport(
-        value=1.0 if beta is None else 1.0 + beta,
+        value=value,
         strategy=strategy,
         stochastic_value=stochastic_value,
         stochastic_strategy=stochastic_strategy,
         scanned=scanned,
         alphabet=alphabet,
         beta=beta,
-    )
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    """Certification record: both maxima against the analytic bound."""
-
-    deterministic_max: float
-    stochastic_max: float
-    classical_bound: float
-    passed: bool
-    scan: ScanReport
-
-
-def verify_bound(
-    shape: NetworkShape,
-    alphabet=None,
-    *,
-    beta: float | None = None,
-    seed: int | None = 0,
-    **scan_options,
-) -> BoundReport:
-    """Certify the classical bound for one shape.
-
-    Raises BoundViolation (carrying the offending strategy verbatim)
-    when the stochastic pass exceeds the deterministic maximum.
-    """
-    scan = max_deterministic(shape, alphabet, beta=beta, seed=seed, **scan_options)
-    bound = 1.0 if beta is None else beta + 1.0
-    if not scan.stochastic_value <= scan.value + REFINE_TOL:
-        raise BoundViolation(
-            f"stochastic refinement scored {scan.stochastic_value:.12f} above "
-            f"the deterministic maximum {scan.value:.12f}: "
-            f"{json.dumps(scan.stochastic_strategy.to_json())}",
-            scan.stochastic_strategy,
-        )
-    return BoundReport(
-        deterministic_max=scan.value,
-        stochastic_max=scan.stochastic_value,
-        classical_bound=bound,
-        passed=True,
-        scan=scan,
     )

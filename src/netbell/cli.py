@@ -106,7 +106,7 @@ def _build_parser() -> argparse.ArgumentParser:
     bound = sub.add_parser(
         "classical-bound",
         parents=[scenario_flags, out_flags],
-        help="enumerate or refine local deterministic strategies",
+        help="closed-form deterministic maximum, checked by a stochastic refine pass",
     )
     bound.add_argument("--beta", help="tilt weight for the tilted bound: number or 'auto'")
     bound.add_argument("--alphabet", type=int, help="hidden-label alphabet size per source")
@@ -337,12 +337,11 @@ def _cmd_classical_bound(args) -> int:
         alphabet = (args.alphabet,) * len(scenario.layout.sources)
     out_dir = _out_dir(args)
     try:
-        bound_report = classical.verify_bound(shape, alphabet, beta=beta, seed=args.seed)
+        scan = classical.max_deterministic(shape, alphabet, beta=beta, seed=args.seed)
     except BoundViolation as err:
         raise CliError(
             EXIT_ACCEPTANCE, f"classical bound violated for {_where(scenario)}: {err}"
         ) from err
-    scan = bound_report.scan
     payload = {
         "name": scenario.name,
         "scenario_hash": scenarios.fingerprint(scenario),
@@ -352,10 +351,10 @@ def _cmd_classical_bound(args) -> int:
         "mode": "closed-form",
         "scanned": scan.scanned,
         "beta": scan.beta,
-        "deterministic_max": bound_report.deterministic_max,
-        "stochastic_max": bound_report.stochastic_max,
-        "classical_bound": bound_report.classical_bound,
-        "passed": bound_report.passed,
+        "deterministic_max": scan.value,
+        "stochastic_max": scan.stochastic_value,
+        "classical_bound": scan.value,
+        "passed": True,
         "best_strategy": scan.strategy.to_json(),
         "best_stochastic_strategy": scan.stochastic_strategy.to_json(),
     }
@@ -363,8 +362,8 @@ def _cmd_classical_bound(args) -> int:
         out_dir, scenario.name, "classical-bound", payload, reports.CLASSICAL_COLUMNS
     )
     print(
-        f"{scenario.name}: deterministic max {bound_report.deterministic_max:.12f} "
-        f"(bound {bound_report.classical_bound}, closed form; refine pass scored "
+        f"{scenario.name}: deterministic max {scan.value:.12f} "
+        f"(bound {scan.value}, closed form; refine pass scored "
         f"{scan.scanned} strategies) -> {base}.json"
     )
     return EXIT_OK
@@ -485,15 +484,15 @@ def _reproduction_rows() -> list[dict]:
 
     # Classical bounds: the pair network, and one source untilted and tilted.
     shape = NetworkShape.from_layout(scenarios.builtin_scenario("example-a").layout)
-    bound_report = classical.verify_bound(shape, (2, 2))
-    add("example-a classical maximum", bound_report.deterministic_max, 1.0, 0.0)
+    scan = classical.max_deterministic(shape, (2, 2))
+    add("example-a classical maximum", scan.value, 1.0, 0.0)
 
     shape = NetworkShape.from_layout(scenarios.builtin_scenario("chsh").layout)
-    bound_report = classical.verify_bound(shape)
-    add("chsh classical maximum", bound_report.deterministic_max, 1.0, 0.0)
+    scan = classical.max_deterministic(shape)
+    add("chsh classical maximum", scan.value, 1.0, 0.0)
 
-    bound_report = classical.verify_bound(shape, beta=0.7)
-    add("chsh tilted classical maximum (beta 0.7)", bound_report.deterministic_max, 1.7, 1e-12)
+    scan = classical.max_deterministic(shape, beta=0.7)
+    add("chsh tilted classical maximum (beta 0.7)", scan.value, 1.7, 1e-12)
 
     # Finite sampling lands within four standard errors in both strategies.
     scenario = scenarios.builtin_scenario("example-a")

@@ -87,14 +87,16 @@ class Scenario:
 
 def _number(value, convert, what: str):
     """convert(value) for the scenario field named by what; a value of the
-    wrong type, too large to convert, or a float that is not finite is a
-    ScenarioError."""
+    wrong type, too large to convert, a float that is not finite, or a
+    fractional float for an integer field is a ScenarioError."""
     try:
         number = convert(value)
     except (TypeError, ValueError, OverflowError):
         number = math.nan
     if isinstance(number, float) and not math.isfinite(number):
         raise ScenarioError(f"{what} must be a finite number, got {value!r}")
+    if isinstance(value, float) and number != value:
+        raise ScenarioError(f"{what} must be an integer, got {value!r}")
     return number
 
 
@@ -269,7 +271,9 @@ def scenario_from_dict(data: dict) -> Scenario:
     rounds = _number(options.get("rounds", DEFAULT_ROUNDS), int, "options 'rounds'")
     _check_count(rounds, 1, MAX_ROUNDS, "rounds")
     seed = options.get("seed")
-    seed = None if seed is None else _number(seed, int, "options 'seed'")
+    if seed is not None:
+        seed = _number(seed, int, "options 'seed'")
+        _check_count(seed, 0, math.inf, "seed")
     grid_points = _number(options.get("grid_points", DEFAULT_GRID), int, "options 'grid_points'")
     _check_count(grid_points, 2, MAX_GRID_POINTS, "grid_points")
     strategy = str(options.get("strategy", MODES[0]))

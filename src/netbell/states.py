@@ -21,6 +21,8 @@ IMAG_TOL = 1e-10
 
 def make_rng(seed: int | None) -> np.random.Generator:
     """Seeded generator; the seed is echoed in every sampling report."""
+    if seed is not None and seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     return np.random.default_rng(seed)
 
 

@@ -43,7 +43,7 @@ command runs:
   `objective_value` scores them; the refine pass's batched
   `classical._Climb` must give the same floats bit for bit;
 * `refine` is the refine pass one restart at a time, on the same
-  `classical._refine_draws`, scored incrementally by `GridScorer` in pure
+  `classical._draw_restarts`, scored incrementally by `GridScorer` in pure
   Python, against which `classical._refine`, which climbs every restart
   at once in numpy, must give the same value, strategy and generator
   state; `split_tables` cuts a restart's flat entries into table rows.
@@ -762,7 +762,7 @@ def refine(shape, alphabet, beta, seed_strategy, rng, draws, steps):
     The first restart starts from the seed strategy's tables, the others
     from random tables; each restart greedily flips table entries, then
     walks the label weights toward random vertices, keeping improvements.
-    It reads the draws of `classical._refine_draws` one restart and one
+    It reads the draws of `classical._draw_restarts` one restart and one
     move at a time.  One GridScorer, built for the pass, scores every
     candidate; a rejected flip or move is undone in it.  Tables are
     flipped in place on lists, and a HiddenStrategy is built only for a
@@ -773,7 +773,7 @@ def refine(shape, alphabet, beta, seed_strategy, rng, draws, steps):
     seed_tables = (seed_strategy.a_tables, seed_strategy.b_tables, seed_strategy.p_tables)
     best_value = scorer.load(seed_strategy.weights, seed_tables)
     best_strategy = seed_strategy
-    starts, draw_weights, sources, vertices, etas = classical._refine_draws(
+    starts, draw_weights, sources, vertices, etas = classical._draw_restarts(
         shape, alphabet, tilted, rng, draws, steps
     )
     for draw in range(draws):

@@ -131,9 +131,9 @@ def test_criterion_05_exhaustive_classical_bound():
     value, _, scanned = loop_scan(shape, (2, 2), None)
     assert scanned == 262144
     assert value == 1.0
-    report = classical.verify_bound(shape, (2, 2))
-    assert report.deterministic_max == value
-    assert report.stochastic_max <= 1.0 + TOL
+    report = classical.max_deterministic(shape, (2, 2))
+    assert report.value == value
+    assert report.stochastic_value <= 1.0 + TOL
 
 
 RANDOM_CODES = ("two-one-two", "five-one-three", "ghz(3)", "ghz(4)")

@@ -14,8 +14,6 @@ from netbell.classical import (
     NetworkShape,
     default_alphabet,
     max_deterministic,
-    scan_size,
-    verify_bound,
 )
 from netbell.states import make_rng
 from oracles import (
@@ -359,13 +357,18 @@ class TestGridScorer:
                 self.assert_rows_match(climb, shape, sizes, beta, weights, tables)
                 assert climb.tables.T.tolist() == [sum(r, []) for r in rows]
 
-    def test_point_mass_seed_strategy_matches(self):
-        # the refine pass first scores the scan's point-mass strategy,
-        # given as tuples: all weight on one label, every other label 0.0
-        report = max_deterministic(STAR3, 2, beta=0.7, refine_draws=0)
+    def test_point_mass_seed_strategy_matches(self, monkeypatch):
+        # the refine pass starts its best at the closed form, which is the
+        # score of the all-(+1) tables under its one-hot weights: all weight
+        # on one label, every other label 0.0
+        monkeypatch.setattr(classical, "_REFINE_DRAWS", 0)
+        report = max_deterministic(STAR3, 2, beta=0.7)
         strategy = report.strategy
         tables = (strategy.a_tables, strategy.b_tables, strategy.p_tables)
-        climb = classical._Climb(STAR3, strategy.alphabet, 0.7, *classical._restart_arrays(strategy))
+        entries = sum(classical._table_bits(STAR3, strategy.alphabet, True)[2])
+        ones = np.ones((entries, 1), dtype=np.int8)
+        weights = self.slab([strategy.weights], strategy.alphabet)
+        climb = classical._Climb(STAR3, strategy.alphabet, 0.7, ones, weights)
         self.assert_rows_match(
             climb, STAR3, strategy.alphabet, 0.7, [strategy.weights], [tables]
         )
@@ -389,7 +392,7 @@ REFINE_IDS = ["single4", "single3", "bilocal2", "bilocal23", "split32", "star3",
 
 
 class TestRefineDraws:
-    """classical._refine_draws: five bulk arrays, in range, in the
+    """classical._draw_restarts: five bulk arrays, in range, in the
     documented order, and the same for the same seed."""
 
     @pytest.mark.parametrize("draws, steps", [(40, 60), (1, 60), (40, 0), (3, 5)])
@@ -401,7 +404,7 @@ class TestRefineDraws:
     )
     def test_draws_are_in_range(self, shape, alphabet, tilted, draws, steps):
         sizes = classical._normalize_alphabet(shape, alphabet)
-        tables, weights, sources, vertices, etas = classical._refine_draws(
+        tables, weights, sources, vertices, etas = classical._draw_restarts(
             shape, sizes, tilted, make_rng(5), draws, steps
         )
         entries = sum(classical._table_bits(shape, sizes, tilted)[2])
@@ -419,7 +422,7 @@ class TestRefineDraws:
 
     def test_draws_follow_the_documented_order(self):
         sizes, draws, steps = (2, 3), 4, 6
-        got = classical._refine_draws(BILOCAL, sizes, True, make_rng(9), draws, steps)
+        got = classical._draw_restarts(BILOCAL, sizes, True, make_rng(9), draws, steps)
         rng = make_rng(9)
         entries = sum(classical._table_bits(BILOCAL, sizes, True)[2])
         tables = 1 - 2 * rng.integers(2, size=(draws - 1, entries), dtype=np.int8)
@@ -436,8 +439,8 @@ class TestRefineDraws:
     @pytest.mark.parametrize("seed", [0, 7, 901])
     def test_same_seed_same_draws(self, seed):
         one, two = make_rng(seed), make_rng(seed)
-        first = classical._refine_draws(STAR3, (2, 2, 2), True, one, 40, 60)
-        second = classical._refine_draws(STAR3, (2, 2, 2), True, two, 40, 60)
+        first = classical._draw_restarts(STAR3, (2, 2, 2), True, one, 40, 60)
+        second = classical._draw_restarts(STAR3, (2, 2, 2), True, two, 40, 60)
         for a, b in zip(first, second):
             assert a.dtype == b.dtype and np.array_equal(a, b)
         assert one.bit_generator.state == two.bit_generator.state
@@ -451,10 +454,14 @@ class TestBatchedRefine:
     @staticmethod
     def assert_same_pass(shape, alphabet, beta, seed, draws=40, steps=60):
         sizes = classical._normalize_alphabet(shape, alphabet)
-        start = max_deterministic(shape, sizes, beta=beta, refine_draws=0).strategy
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(classical, "_REFINE_DRAWS", 0)
+            start = max_deterministic(shape, sizes, beta=beta)
         batched, serial = make_rng(seed), make_rng(seed)
-        value, strategy, _ = classical._refine(shape, sizes, beta, start, batched, draws, steps)
-        want_value, want_strategy = refine(shape, sizes, beta, start, serial, draws, steps)
+        value, strategy, _ = classical._refine(shape, sizes, beta, start.value, batched, draws, steps)
+        want_value, want_strategy = refine(shape, sizes, beta, start.strategy, serial, draws, steps)
+        # None: no restart beat the closed form, so the report keeps its strategy
+        strategy = start.strategy if strategy is None else strategy
         assert type(value) is float
         assert value.hex() == want_value.hex()
         assert strategy.to_json() == want_strategy.to_json()
@@ -526,45 +533,53 @@ class TestStrategyValidation:
 
 
 class TestScan:
-    def test_canonical_two_source_shape_is_exactly_one(self):
-        report = max_deterministic(BILOCAL, 2, refine_draws=10)
+    def test_canonical_two_source_shape_is_exactly_one(self, monkeypatch):
+        monkeypatch.setattr(classical, "_REFINE_DRAWS", 10)
+        report = max_deterministic(BILOCAL, 2)
         assert report.value == 1.0
-        # the seed, then per restart its start, 16 flips per sweep run and 60 moves
+        # the closed form's strategy, then per restart its start, 16 flips per
+        # sweep run and 60 moves
         assert report.scanned in {1 + 10 * (1 + sweeps * 16 + 60) for sweeps in range(1, 5)}
         assert report.stochastic_value <= 1.0 + 1e-9
 
-    def test_single_source_default_alphabet(self):
-        report = max_deterministic(SINGLE, refine_draws=10)
+    def test_single_source_default_alphabet(self, monkeypatch):
+        monkeypatch.setattr(classical, "_REFINE_DRAWS", 10)
+        report = max_deterministic(SINGLE)
         assert report.alphabet == (4,)
         assert report.value == 1.0
         assert report.strategy.a_tables == (((1,) * 4, (1,) * 4),)
 
-    def test_reachable_matches_full(self):
+    def test_reachable_matches_full(self, monkeypatch):
         # both oracles, and the closed form, on the pair network
+        monkeypatch.setattr(classical, "_REFINE_DRAWS", 5)
         sizes = (2, 2)
         value, key, scanned = loop_scan(BILOCAL, sizes, None)
         reachable_value, reachable_strategy, _ = _scan_reachable(BILOCAL, sizes, None)
-        report = max_deterministic(BILOCAL, sizes, refine_draws=5)
+        report = max_deterministic(BILOCAL, sizes)
         assert value == reachable_value == report.value == 1.0
         assert key_strategy(BILOCAL, sizes, None, key) == reachable_strategy == report.strategy
 
-    def test_large_shape_falls_back(self):
+    def test_large_shape_falls_back(self, monkeypatch):
         # past the budget as a count of point-mass strategies (2.1e9), which
         # only sizes the default alphabet: the closed form still holds
+        monkeypatch.setattr(classical, "_REFINE_DRAWS", 5)
         shape = NetworkShape.from_layout(star_layout(3))
-        assert scan_size(shape, 2) is None
-        report = max_deterministic(shape, 2, refine_draws=5)
+        entries = sum(classical._table_bits(shape, (2, 2, 2), False)[2])
+        assert 8 << entries > classical.DEFAULT_BUDGET
+        report = max_deterministic(shape, 2)
         assert report.value == 1.0
         assert report.stochastic_value <= report.value + 1e-9
 
-    def test_tilted_single_source(self):
-        report = max_deterministic(SINGLE, 2, beta=0.7, refine_draws=10)
+    def test_tilted_single_source(self, monkeypatch):
+        monkeypatch.setattr(classical, "_REFINE_DRAWS", 10)
+        report = max_deterministic(SINGLE, 2, beta=0.7)
         assert abs(report.value - 1.7) < 1e-12
         assert report.strategy.p_tables is not None
         assert report.stochastic_value <= report.value + 1e-9
 
-    def test_tilted_two_source_reachable(self):
-        report = max_deterministic(BILOCAL, 2, beta=0.5, refine_draws=5)
+    def test_tilted_two_source_reachable(self, monkeypatch):
+        monkeypatch.setattr(classical, "_REFINE_DRAWS", 5)
+        report = max_deterministic(BILOCAL, 2, beta=0.5)
         value, strategy, _ = _scan_reachable(BILOCAL, (2, 2), 0.5)
         assert report.value == value == 1.5
         assert report.strategy == strategy
@@ -585,10 +600,11 @@ class TestScan:
         ]
         + [pytest.param("example-a", (2, 3), id="bilocal23")],
     )
-    def test_reachable_scan_matches_oracle(self, name, alphabet, beta):
+    def test_reachable_scan_matches_oracle(self, name, alphabet, beta, monkeypatch):
+        monkeypatch.setattr(classical, "_REFINE_DRAWS", 0)
         shape = NetworkShape.from_layout(scenarios.builtin_scenario(name).layout)
         sizes = classical._normalize_alphabet(shape, alphabet)
-        report = max_deterministic(shape, sizes, beta=beta, refine_draws=0)
+        report = max_deterministic(shape, sizes, beta=beta)
         value, strategy, _ = _scan_reachable(shape, sizes, beta)
         assert report.value == value
         assert report.strategy.to_json() == strategy.to_json()
@@ -614,21 +630,24 @@ class TestScan:
             "bilocal23",
         ],
     )
-    def test_vectorized_scan_matches_loop(self, shape, alphabet, beta):
+    def test_vectorized_scan_matches_loop(self, shape, alphabet, beta, monkeypatch):
         # the closed form against the literal enumeration of every table
         # under every point label
+        monkeypatch.setattr(classical, "_REFINE_DRAWS", 0)
         sizes = classical._normalize_alphabet(shape, alphabet)
         value, key, scanned = loop_scan(shape, sizes, beta)
-        report = max_deterministic(shape, sizes, beta=beta, refine_draws=0)
+        report = max_deterministic(shape, sizes, beta=beta)
         assert report.value == value
-        assert key == (0, (0,) * len(classical._table_bits(shape, sizes, beta is not None)[2]))
+        widths = classical._table_bits(shape, sizes, beta is not None)[2]
+        assert key == (0, (0,) * len(widths))
         assert report.strategy == key_strategy(shape, sizes, beta, key)
-        assert scanned == scan_size(shape, sizes, tilted=beta is not None)
+        assert scanned == math.prod(sizes) << sum(widths)
 
-    def test_budget_refusal(self):
+    def test_budget_refusal(self, monkeypatch):
         # below the refine pass's label-grid terms
+        monkeypatch.setattr(classical, "DEFAULT_BUDGET", 100)
         with pytest.raises(ValueError, match="budget"):
-            max_deterministic(BILOCAL, 2, budget=100)
+            max_deterministic(BILOCAL, 2)
 
     def test_refine_over_budget_is_refused_before_scanning(self, monkeypatch):
         # at alphabet 512 the refine pass would sum its 512-label grid for
@@ -656,13 +675,14 @@ class TestScan:
         with pytest.raises(ValueError, match="beta"):
             max_deterministic(SINGLE, 2, beta=-0.2)
 
-    def test_seeded_refinement_is_deterministic(self):
+    def test_seeded_refinement_is_deterministic(self, monkeypatch):
         one = max_deterministic(BILOCAL, 2, seed=5)
         two = max_deterministic(BILOCAL, 2, seed=5)
         assert one.stochastic_value == two.stochastic_value
         assert one.scanned == two.scanned > 0
-        # with no restarts the pass scores the seed strategy alone
-        assert max_deterministic(BILOCAL, 2, seed=5, refine_draws=0).scanned == 1
+        # with no restarts the pass counts the closed form's strategy alone
+        monkeypatch.setattr(classical, "_REFINE_DRAWS", 0)
+        assert max_deterministic(BILOCAL, 2, seed=5).scanned == 1
 
     @pytest.mark.parametrize(
         "shape, alphabet, beta, value, strategy",
@@ -731,24 +751,27 @@ class TestScan:
 
 
 class TestVerifyBound:
-    def test_canonical_shape_certifies(self):
-        report = verify_bound(BILOCAL, 2, refine_draws=10)
-        assert report.passed
-        assert report.deterministic_max == 1.0
-        assert report.classical_bound == 1.0
-        assert report.stochastic_max <= 1.0 + 1e-9
+    """max_deterministic holds its refine pass to the closed form."""
 
-    def test_tilted_bound(self):
-        report = verify_bound(SINGLE, 2, beta=0.7, refine_draws=10)
-        assert report.classical_bound == 1.7
-        assert abs(report.deterministic_max - 1.7) < 1e-12
+    def test_canonical_shape_certifies(self, monkeypatch):
+        monkeypatch.setattr(classical, "_REFINE_DRAWS", 10)
+        report = max_deterministic(BILOCAL, 2)
+        assert report.value == 1.0
+        assert report.stochastic_value <= 1.0 + classical.REFINE_TOL
+
+    def test_tilted_bound(self, monkeypatch):
+        # 1.0 + beta, the same double as the bound beta + 1.0
+        monkeypatch.setattr(classical, "_REFINE_DRAWS", 10)
+        report = max_deterministic(SINGLE, 2, beta=0.7)
+        assert report.value == 1.7 == 0.7 + 1.0
 
     def test_stochastic_excess_raises(self, monkeypatch):
         bad = constant_strategy(BILOCAL)
 
-        def fake_refine(shape, alphabet, beta, seed, rng, draws, steps):
+        def fake_refine(shape, alphabet, beta, value, rng, draws, steps):
             return 1.001, bad, 1
 
         monkeypatch.setattr(classical, "_refine", fake_refine)
-        with pytest.raises(BoundViolation, match="stochastic refinement"):
-            verify_bound(BILOCAL, 2)
+        with pytest.raises(BoundViolation, match="stochastic refinement") as raised:
+            max_deterministic(BILOCAL, 2)
+        assert raised.value.strategy is bad

@@ -188,6 +188,12 @@ class TestValidate:
                 "grid_points", lambda d: d["options"].update(grid_points=10**11), id="grid-1e11"
             ),
             pytest.param("rounds", lambda d: d["options"].update(rounds=2**70), id="rounds-2e70"),
+            # a fractional count is refused, not truncated
+            pytest.param("rounds", lambda d: d["options"].update(rounds=2.9), id="rounds-2.9"),
+            pytest.param(
+                "grid_points", lambda d: d["options"].update(grid_points=100.7), id="grid-100.7"
+            ),
+            pytest.param("seed", lambda d: d["options"].update(seed=0.5), id="seed-0.5"),
         ],
     )
     def test_misshapen_field_is_one_error_line(self, tmp_path, capsys, field, mutate):
@@ -441,6 +447,14 @@ class TestClassicalBound:
             assert "exceeds the budget of 1.000e+08" in err[0]
         assert not list(out_dir.iterdir())
 
+    @pytest.mark.parametrize("size", ["0", "-3"])
+    def test_nonpositive_alphabet_is_one_error_line(self, out_dir, capsys, size):
+        assert main(["classical-bound", "chsh", "--alphabet", size]) == EXIT_VALIDATION
+        assert capsys.readouterr().err.splitlines() == [
+            "error: alphabet needs one positive size per source"
+        ]
+        assert not list(out_dir.iterdir())
+
     def test_star9_runs(self, out_dir):
         # 512 labels: the refine pass's 8.8e7 label-grid terms fit the budget
         assert main(["classical-bound", "star(9)"]) == EXIT_OK
@@ -453,14 +467,14 @@ class TestClassicalBound:
         def explode(*args, **kwargs):
             raise classical.BoundViolation("planted", None)
 
-        monkeypatch.setattr("netbell.cli.classical.verify_bound", explode)
+        monkeypatch.setattr("netbell.cli.classical.max_deterministic", explode)
         assert main(["classical-bound", "chsh"]) == EXIT_ACCEPTANCE
         assert "planted" in capsys.readouterr().err
 
     def test_violation_names_the_scenario(self, out_dir, monkeypatch, capsys):
-        # a planted stochastic excess over the deterministic maximum's strategy
-        def fake_refine(shape, alphabet, beta, seed_strategy, rng, draws, steps):
-            return 1.001, seed_strategy, 1
+        # a planted stochastic excess with the deterministic maximum's strategy
+        def fake_refine(shape, alphabet, beta, value, rng, draws, steps):
+            return 1.001, None, 1
 
         monkeypatch.setattr(classical, "_refine", fake_refine)
         assert main(["classical-bound", "chsh"]) == EXIT_ACCEPTANCE
@@ -796,6 +810,31 @@ class TestCrossCheckErrors:
         )
 
 
+class TestNegativeSeed:
+    """A negative seed is refused by name before any report is written,
+    from a scenario file and from --seed alike."""
+
+    def test_scenario_seed_fails_validate(self, out_dir, tmp_path, capsys):
+        document = scenarios.scenario_to_dict(scenarios.builtin_scenario("chsh"))
+        document["options"]["seed"] = -1
+        path = tmp_path / "negative.json"
+        path.write_text(json.dumps(document))
+        for command in ("validate", "sample"):
+            assert main([command, str(path)]) == EXIT_VALIDATION
+            assert capsys.readouterr().err.splitlines() == [
+                "error: seed must be at least 0, got -1 (options 'seed')"
+            ]
+        assert not list(out_dir.glob("chsh-*"))
+
+    @pytest.mark.parametrize("command", ["sample", "classical-bound"])
+    def test_seed_flag(self, out_dir, capsys, command):
+        assert main([command, "chsh", "--seed", "-1"]) == EXIT_VALIDATION
+        assert capsys.readouterr().err.splitlines() == [
+            "error: seed must be a non-negative integer, got -1"
+        ]
+        assert not list(out_dir.iterdir())
+
+
 class TestHugeCounts:
     """Grid and round counts past their limits are refused before any
     allocation, from the command line and from a scenario file alike."""
@@ -865,7 +904,7 @@ PINNED_COMMANDS = [
 class TestPinnedReports:
     """Reports and round records pinned byte for byte; not regenerated,
     except once: the five classical-* pins were rewritten when the refine
-    pass began to take its random draws in bulk (classical._refine_draws),
+    pass began to take its random draws in bulk (classical._draw_restarts),
     which moved only their scanned and best_stochastic_strategy fields."""
 
     @pytest.mark.parametrize(

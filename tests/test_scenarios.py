@@ -233,6 +233,13 @@ class TestSchemaErrors:
         with pytest.raises(ScenarioError, match="nonnegative"):
             scenario_from_dict(data)
 
+    def test_integral_float_counts_are_accepted(self):
+        data = minimal_chsh_dict()
+        data["options"] = {"rounds": 1e5, "grid_points": 181.0, "seed": 7.0}
+        scenario = scenario_from_dict(data)
+        assert (scenario.rounds, scenario.grid_points, scenario.seed) == (100000, 181, 7)
+        assert all(type(count) is int for count in (scenario.rounds, scenario.grid_points))
+
     def test_theta_count_must_match(self):
         data = minimal_chsh_dict()
         data["options"] = {"thetas": [0.1, 0.2]}
