@@ -8,19 +8,24 @@ built from per-source expectations.  The routes must agree to tight
 tolerance, per group and in the product; disagreement means the
 synthesized observables do not implement the selected operators, so it
 raises instead of reporting a number.
+
+Both routes take every expectation from `codes.SourceState.expectation`,
+which builds no statevector, so no group is bounded by the statevector
+cap; the dense statevector route is the tests' oracle of that engine.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
+from netbell.codes import SourceState
 from netbell.network import NetworkLayout
 from netbell.observables import CrossCheckError, Synthesis
 from netbell.pauli import PauliString
-from netbell.states import StateVector
 
 # Exact evaluations agree with closed forms to roundoff; anything past
 # this is a synthesis bug, not noise.
@@ -95,14 +100,19 @@ class BellReport:
         return data
 
 
-def _cached_expectation(state: StateVector, op: PauliString, cache: dict) -> complex:
-    """<psi|op|psi> without a hermiticity demand, memoized on the letters:
-    the cache keeps the plus-phase value per (x, z) mask pair."""
+def _cached_expectation(sources: Sequence[SourceState], op: PauliString, cache: dict) -> complex:
+    """<op> on a group's sources without a hermiticity demand: op's phase
+    times each source's value on its slice of op's letters, memoized on
+    the letters (the cache keeps the plus-phase value per (x, z) masks)."""
     key = (op.x, op.z)
     value = cache.get(key)
     if value is None:
-        plain = op.with_phase_exponent(0)
-        value = complex(np.vdot(state.amplitudes, state.apply(plain).amplitudes))
+        if op.n != sum(src.code.n for src in sources):
+            raise ValueError(f"operator on {op.n} qubits does not fit its group")
+        value, start = 1.0, 0
+        for src in sources:
+            value *= src.expectation(op.window(start, start + src.code.n))
+            start += src.code.n
         cache[key] = value
     return op.phase * value
 
@@ -143,15 +153,15 @@ def _block_terms(synthesis: Synthesis, thetas) -> list[list[list]]:
         out.append([])
         for k, (obs, theta, b_k) in enumerate(zip(sources, thetas, b), start=1):
             branch = obs.a_terms(0, theta) + [(flip * c, p) for c, p in obs.a_terms(1, theta)]
-            state, cache = layout.group_states[k - 1], caches[k - 1]
-            out[y].append([(c, _cached_expectation(state, p * b_k, cache)) for c, p in branch])
+            group, cache = layout.group_sources(k), caches[k - 1]
+            out[y].append([(c, _cached_expectation(group, p * b_k, cache)) for c, p in branch])
     return out
 
 
 def _source_values(layout: NetworkLayout, ops) -> tuple[list, list]:
     """<op_i> on each source state i, and their product over each source
     agent's group; ops is the selection's g or h."""
-    values = [src.state.expectation(op) for src, op in zip(layout.sources, ops)]
+    values = [src.expectation(op).real for src, op in zip(layout.sources, ops)]
     cuts = zip(layout.partition, layout.partition[1:])
     return values, [math.prod(values[lo:hi]) for lo, hi in cuts]
 
@@ -226,10 +236,12 @@ def evaluate_tilted(synthesis: Synthesis, thetas, beta: float) -> BellReport:
         group = range(layout.partition[k - 1] + 1, layout.partition[k] + 1)
         primes = [(i, selection.h_prime[i - 1]) for i in group if i in tilt.tilt_sources]
         plain = piece == PauliString.identity(piece.n)
-        value = 1.0 if plain else layout.group_states[k - 1].expectation(piece)
-        want = math.prod(layout.sources[i - 1].state.expectation(p) for i, p in primes)
+        value = 1.0 if plain else _cached_expectation(layout.group_sources(k), piece, {})
+        want = math.prod(layout.sources[i - 1].expectation(p).real for i, p in primes)
         _check(value, want, f"P block of agent {layout.agent_label(k)}")
         p_value, closed = p_value * value, closed * want
+    _check(p_value.imag, 0.0, "the imaginary part of P")
+    p_value = p_value.real
     _check(p_value, closed, "P")
     g_value = beta * abs(p_value) ** (1.0 / base.k) + base.quantum_value
     tilted = TiltResult(

@@ -184,24 +184,21 @@ def _cross_checked(scenario: Scenario):
         ) from err
 
 
-def _out_dir(args) -> str:
-    out = getattr(args, "out", None)
-    if out is None:
-        out = os.environ.get(OUT_ENV, DEFAULT_OUT)
+def _write_reports(args, stem, payload, columns=None) -> str:
+    """The JSON report and, given columns, its CSV row, projected from the
+    same payload, under --out, $NETBELL_OUT or ./reports. The directory is
+    made only here, so a refused run leaves none behind."""
+    out_dir = args.out if args.out is not None else os.environ.get(OUT_ENV, DEFAULT_OUT)
+    base = os.path.join(out_dir, stem)
+    row = None if columns is None else reports.csv_row(payload, columns)
     try:
-        os.makedirs(out, exist_ok=True)
+        os.makedirs(out_dir, exist_ok=True)
     except OSError as err:
-        raise CliError(EXIT_IO, f"cannot create output directory {out}: {err}") from err
-    return out
-
-
-def _write_reports(out_dir, scenario_name, command, payload, columns):
-    """The JSON report and its CSV row, projected from the same payload."""
-    base = os.path.join(out_dir, f"{scenario_name}-{command}")
-    row = reports.csv_row(payload, columns)
+        raise CliError(EXIT_IO, f"cannot create output directory {out_dir}: {err}") from err
     try:
         reports.write_json(base + ".json", payload)
-        reports.write_csv(base + ".csv", columns, [row])
+        if columns is not None:
+            reports.write_csv(base + ".csv", columns, [row])
     except OSError as err:
         raise CliError(EXIT_IO, f"cannot write reports under {out_dir}: {err}") from err
     return base
@@ -308,10 +305,7 @@ def _emit_bell(args, scenario, command, report, parameters) -> int:
     payload["seed"] = scenario.seed
     if parameters is not None:
         payload["tilt_parameters"] = dataclasses.asdict(parameters)
-    out_dir = _out_dir(args)
-    base = _write_reports(
-        out_dir, scenario.name, command, payload, reports.BELL_COLUMNS
-    )
+    base = _write_reports(args, f"{scenario.name}-{command}", payload, reports.BELL_COLUMNS)
     if report.tilt is None:
         print(
             f"{scenario.name}: value {report.quantum_value:.9f} "
@@ -335,7 +329,6 @@ def _cmd_classical_bound(args) -> int:
     alphabet = None
     if args.alphabet is not None:
         alphabet = (args.alphabet,) * len(scenario.layout.sources)
-    out_dir = _out_dir(args)
     try:
         scan = classical.max_deterministic(shape, alphabet, beta=beta, seed=args.seed)
     except BoundViolation as err:
@@ -359,7 +352,7 @@ def _cmd_classical_bound(args) -> int:
         "best_stochastic_strategy": scan.stochastic_strategy.to_json(),
     }
     base = _write_reports(
-        out_dir, scenario.name, "classical-bound", payload, reports.CLASSICAL_COLUMNS
+        args, f"{scenario.name}-classical-bound", payload, reports.CLASSICAL_COLUMNS
     )
     print(
         f"{scenario.name}: deterministic max {scan.value:.12f} "
@@ -379,7 +372,6 @@ def _cmd_sample(args) -> int:
         seed=args.seed if args.seed is not None else scenario.seed,
         strategy=args.strategy if args.strategy is not None else scenario.strategy,
     )
-    out_dir = _out_dir(args)
     try:
         if args.rounds_csv is not None:
             reports.check_target(args.rounds_csv)  # before any round is drawn
@@ -394,9 +386,7 @@ def _cmd_sample(args) -> int:
     payload = report.as_dict()
     payload["name"] = scenario.name
     payload["scenario_hash"] = scenarios.fingerprint(scenario)
-    base = _write_reports(
-        out_dir, scenario.name, "sample", payload, reports.SAMPLE_COLUMNS
-    )
+    base = _write_reports(args, f"{scenario.name}-sample", payload, reports.SAMPLE_COLUMNS)
     se = "n/a" if report.value_se is None else f"{report.value_se:.6f}"
     print(
         f"{scenario.name}: value {report.value_estimate:.6f} +- {se} "
@@ -531,14 +521,7 @@ def _cmd_reproduce(args) -> int:
             f"target {row['target']: .9f}  tol {row['tolerance']:.3g}"
         )
     print(f"{len(rows) - failures}/{len(rows)} reproduction rows pass")
-    out_dir = _out_dir(args)
-    try:
-        reports.write_json(
-            os.path.join(out_dir, "reproduce-paper.json"),
-            {"rows": rows, "passed": failures == 0},
-        )
-    except OSError as err:
-        raise CliError(EXIT_IO, f"cannot write reports under {out_dir}: {err}") from err
+    _write_reports(args, "reproduce-paper", {"rows": rows, "passed": failures == 0})
     return EXIT_OK if failures == 0 else EXIT_ACCEPTANCE
 
 

@@ -1,16 +1,23 @@
-"""Stabilizer codes: validation, codeword synthesis, built-in definitions.
+"""Stabilizer codes: validation, codeword expectations, built-in definitions.
 
 Codes are used as state factories and operator suppliers. A code is an
 [[n, k, d]] generator set plus logical bit-flip/phase-flip pairs; the
 library ships the two-qubit detection code, the five-qubit code, and
 GHZ chains (plain and split at a chosen cut).
+
+A codeword is kept as its 2^k logical amplitudes: every exact command
+takes its expectations from the stabilizing and logical operators
+(`SourceState.expectation`), and only the sampler's frames build its
+statevector (`SourceState.state`), which the tests keep as the oracle.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -93,6 +100,11 @@ class StabilizerCode:
             logical_z=tuple(PauliString.from_text(t) for t in data["logical_z"]),
         )
 
+    @cached_property
+    def _pivots(self) -> dict[int, PauliString]:
+        """The generators' echelon pivots, by leading column (see _reduce)."""
+        return _reduce_with_phases(self.generators)[0]
+
 
 @dataclass(frozen=True)
 class SourceState:
@@ -100,140 +112,160 @@ class SourceState:
 
     code: StabilizerCode
     amplitudes: tuple[complex, ...]
-    state: StateVector = field(compare=False)
+
+    def expectation(self, p: PauliString) -> complex:
+        """<p> from the stabilizing and logical operators, with no amplitude
+        of the n qubits (Gottesman, quant-ph/9705052). p = c S Xbar^a Zbar^b
+        with S a product of generators, a_i (b_i) set when p anticommutes
+        with Zbar_i (Xbar_i), exactly when p (Xbar^a Zbar^b)^-1 reduces to c
+        times identity letters; else p anticommutes with a generator and
+        <p> = 0. S fixes the codeword, Zbar fixes |0-bar> and |z-bar> =
+        Xbar^z |0-bar> (see _logical_basis), so <p> = c sum_z conj(a_(z^a))
+        a_z (-1)^|b & z|, summed exactly in integers and rounded once."""
+        code = self.code
+        if p.n != code.n:
+            raise ValueError(f"operator on {p.n} qubits measured on the {code.n}-qubit {code.name}")
+        flips = [p.anticommutes(zbar) for zbar in code.logical_z]
+        signs = [p.anticommutes(xbar) for xbar in code.logical_x]
+        # Validated logicals are hermitian, so each is its own inverse.
+        undo = (*itertools.compress(code.logical_z, signs), *itertools.compress(code.logical_x, flips))
+        r = _reduce(PauliString.product((p, *undo)), code._pivots)
+        if r.x or r.z:
+            return 0j
+        a = sum(bit << i for i, bit in enumerate(reversed(flips)))
+        b = sum(bit << i for i, bit in enumerate(reversed(signs)))
+        ar, ai, scale = self._integers
+        real = imag = 0
+        for z in range(len(ar)):
+            w, sign = z ^ a, -1 if (b & z).bit_count() & 1 else 1
+            real += sign * (ar[w] * ar[z] + ai[w] * ai[z])
+            imag += sign * (ar[w] * ai[z] - ai[w] * ar[z])
+        return r.phase * complex(real / scale, imag / scale)
+
+    @cached_property
+    def _integers(self) -> tuple[list[int], list[int], int]:
+        """The amplitudes' real and imaginary parts as integers over one
+        power-of-two denominator, and its square: sums of products are exact."""
+        ratios = [part.as_integer_ratio() for a in self.amplitudes for part in (a.real, a.imag)]
+        den = max(d for _, d in ratios)
+        ints = [n * (den // d) for n, d in ratios]
+        return ints[0::2], ints[1::2], den * den
+
+    @cached_property
+    def state(self) -> StateVector:
+        """The codeword's statevector, checked against every generator; past
+        the qubit cap it raises before allocating."""
+        basis = _logical_basis(self.code)
+        total = np.zeros(1 << self.code.n, dtype=complex)
+        for a_z, vec in zip(self.amplitudes, basis):
+            total += a_z * vec.amplitudes
+        state = StateVector(total)
+        for g in self.code.generators:
+            value = state.expectation(g)
+            if not abs(value - 1.0) < EXPECTATION_TOL:
+                raise RuntimeError(
+                    f"generator {g} has expectation {value!r} on synthesized codeword"
+                )
+        return state
 
 
 # ----------------------------------------------------------------------
 # validation
 
 
-def _reduce_with_phases(ops: Sequence[PauliString]) -> tuple[int, PauliString | None]:
-    """Gaussian elimination with exact phase tracking.
+def _reduce(r: PauliString, pivots: Mapping[int, PauliString]) -> PauliString:
+    """r times each pivot that shares its leading column, until none does:
+    identity letters, with the product's exact phase, exactly when r lies
+    in the pivots' span. Each operator is the symplectic row (x << n) | z,
+    so the leading column (x of qubit 0 first) is the highest set bit."""
+    row = (r.x << r.n) | r.z
+    while row and (hit := pivots.get(row.bit_length())) is not None:
+        r = r * hit
+        row = (r.x << r.n) | r.z
+    return r
 
-    Each operator is the symplectic row (x << n) | z, so the leading
-    column (x of qubit 0 first, z of the last qubit last) is the highest
-    set bit. Returns (rank, witness) where witness is a product of input
-    operators that collapses to identity letters (None when the set is
-    independent).
-    """
+
+def _reduce_with_phases(ops: Sequence[PauliString]) -> tuple[dict, PauliString | None]:
+    """Gaussian elimination with exact phase tracking. Returns the pivots
+    by leading column, each a product of input operators, and a witness
+    product that collapses to identity letters (None if independent)."""
     pivots: dict[int, PauliString] = {}
     for op in ops:
-        r = op
-        while True:
-            row = (r.x << r.n) | r.z
-            if not row:
-                return len(pivots), r
-            lead = row.bit_length()
-            hit = pivots.get(lead)
-            if hit is None:
-                pivots[lead] = r
-                break
-            r = r * hit
-    return len(pivots), None
+        r = _reduce(op, pivots)
+        if not (r.x or r.z):
+            return pivots, r
+        pivots[((r.x << r.n) | r.z).bit_length()] = r
+    return pivots, None
 
 
 def validate(code: StabilizerCode) -> ValidationReport:
-    """Check every structural invariant; failures name the offending pair."""
-    checks: list[CheckResult] = []
-    warnings: list[str] = []
-
-    sized = all(
-        p.n == code.n
-        for p in (*code.generators, *code.logical_x, *code.logical_z)
-    )
-    checks.append(
-        CheckResult("operator lengths match n", sized, f"n={code.n}")
-    )
-
-    counts_ok = (
-        len(code.generators) == code.n - code.k
-        and len(code.logical_x) == code.k
-        and len(code.logical_z) == code.k
-    )
-    checks.append(
+    """Check every structural invariant; failures name the offending pair
+    (the last one found, where a check can fail more than once)."""
+    gens, xs, zs = code.generators, code.logical_x, code.logical_z
+    sized = all(p.n == code.n for p in (*gens, *xs, *zs))
+    checks = [
+        CheckResult("operator lengths match n", sized, f"n={code.n}"),
         CheckResult(
             "operator counts match [[n,k]]",
-            counts_ok,
-            f"{len(code.generators)} generators for n-k={code.n - code.k}, "
-            f"{len(code.logical_x)}+{len(code.logical_z)} logicals for k={code.k}",
-        )
-    )
-    if not sized:
-        return ValidationReport(tuple(checks), tuple(warnings))
-
-    real_phase = all(g.is_hermitian() for g in code.generators)
-    checks.append(CheckResult("generator phases are +1 or -1", real_phase))
-
-    bad_pair = next(
-        (
-            (a, b)
-            for i, a in enumerate(code.generators)
-            for b in code.generators[i + 1 :]
-            if not a.commutes(b)
+            len(gens) == code.n - code.k and len(xs) == len(zs) == code.k,
+            f"{len(gens)} generators for n-k={code.n - code.k}, "
+            f"{len(xs)}+{len(zs)} logicals for k={code.k}",
         ),
-        None,
+    ]
+    if not sized:
+        return ValidationReport(tuple(checks))
+
+    def check(name: str, failures) -> None:
+        """A check that holds when nothing fails; its detail is the last failure."""
+        failures = list(failures)
+        checks.append(CheckResult(name, not failures, failures[-1] if failures else ""))
+
+    checks.append(CheckResult("generator phases are +1 or -1", all(g.is_hermitian() for g in gens)))
+    real_logicals = all(p.is_hermitian() for p in (*xs, *zs))
+    checks.append(CheckResult("logical phases are +1 or -1", real_logicals))
+    pairs = ((a, b) for i, a in enumerate(gens) for b in gens[i + 1 :] if not a.commutes(b))
+    bad = next(pairs, None)
+    detail = "" if bad is None else f"{bad[0]} vs {bad[1]}"
+    checks.append(CheckResult("generators mutually commute", bad is None, detail))
+    pivots, witness = _reduce_with_phases(gens)
+    rank = f"rank {len(pivots)} of {len(gens)}"
+    checks.append(CheckResult("generators independent (symplectic rank)", witness is None, rank))
+    plus = witness is None or witness.phase == 1
+    detail = "" if plus else f"witness phase {witness.phase}"
+    checks.append(CheckResult("minus identity not in generated group", plus, detail))
+    check(
+        "logicals commute with generators",
+        (
+            f"{label} {a} vs generator {clash[0]}"
+            for label, ops in (("bit-flip", xs), ("phase-flip", zs))
+            for a, p in enumerate(ops)
+            if (clash := [g for g in gens if not p.commutes(g)])
+        ),
     )
-    checks.append(
-        CheckResult(
-            "generators mutually commute",
-            bad_pair is None,
-            "" if bad_pair is None else f"{bad_pair[0]} vs {bad_pair[1]}",
-        )
+    check(
+        "paired logicals anticommute",
+        (f"pair {a}: {x} vs {z}" for a, (x, z) in enumerate(zip(xs, zs)) if x.commutes(z)),
     )
-
-    rank, witness = _reduce_with_phases(code.generators)
-    independent = witness is None
-    checks.append(
-        CheckResult(
-            "generators independent (symplectic rank)",
-            independent,
-            f"rank {rank} of {len(code.generators)}",
-        )
+    check(
+        "distinct-index logicals commute",
+        [
+            *(
+                f"bit-flip {a} vs phase-flip {b}"
+                for a, x in enumerate(xs)
+                for b, z in enumerate(zs)
+                if a != b and not x.commutes(z)
+            ),
+            *(
+                f"{ops[a]} vs {ops[b]}"
+                for ops in (xs, zs)
+                for a in range(len(ops))
+                for b in range(a + 1, len(ops))
+                if not ops[a].commutes(ops[b])
+            ),
+        ],
     )
-    minus_identity_free = witness is None or witness.phase == 1
-    checks.append(
-        CheckResult(
-            "minus identity not in generated group",
-            minus_identity_free,
-            "" if minus_identity_free else f"witness phase {witness.phase}",
-        )
-    )
-
-    logical_ok = True
-    detail = ""
-    for label, ops in (("bit-flip", code.logical_x), ("phase-flip", code.logical_z)):
-        for a, p in enumerate(ops):
-            clash = next((g for g in code.generators if not p.commutes(g)), None)
-            if clash is not None:
-                logical_ok, detail = False, f"{label} {a} vs generator {clash}"
-    checks.append(CheckResult("logicals commute with generators", logical_ok, detail))
-
-    pairs_ok = True
-    detail = ""
-    for a in range(min(len(code.logical_x), len(code.logical_z))):
-        if not code.logical_x[a].anticommutes(code.logical_z[a]):
-            pairs_ok, detail = False, f"pair {a}: {code.logical_x[a]} vs {code.logical_z[a]}"
-    checks.append(CheckResult("paired logicals anticommute", pairs_ok, detail))
-
-    cross_ok = True
-    detail = ""
-    for a in range(len(code.logical_x)):
-        for b in range(len(code.logical_z)):
-            if a != b and not code.logical_x[a].commutes(code.logical_z[b]):
-                cross_ok, detail = False, f"bit-flip {a} vs phase-flip {b}"
-    for ops in (code.logical_x, code.logical_z):
-        for a in range(len(ops)):
-            for b in range(a + 1, len(ops)):
-                if not ops[a].commutes(ops[b]):
-                    cross_ok, detail = False, f"{ops[a]} vs {ops[b]}"
-    checks.append(CheckResult("distinct-index logicals commute", cross_ok, detail))
-
-    if code.k > 1:
-        warnings.append(
-            "k>1 code: real logical-basis overlap condition is not enforced"
-        )
-
-    return ValidationReport(tuple(checks), tuple(warnings))
+    overlap = "k>1 code: real logical-basis overlap condition is not enforced"
+    return ValidationReport(tuple(checks), (overlap,) if code.k > 1 else ())
 
 
 # ----------------------------------------------------------------------
@@ -287,27 +319,14 @@ def _logical_basis(code: StabilizerCode) -> tuple[StateVector, ...]:
 
 
 def codeword(code: StabilizerCode, amplitudes: Sequence[complex]) -> SourceState:
-    """Realize sum_z a_z |z-bar> on the code's logical basis, and check that
-    every generator stabilizes the result."""
+    """sum_z a_z |z-bar> on the code's logical basis, normalized within the
+    statevector's NORM_TOL; its statevector is built on first use."""
     amps = np.asarray(list(amplitudes), dtype=complex)
     if amps.shape != (1 << code.k,):
         raise ValueError(f"need {1 << code.k} logical amplitudes, got {amps.shape}")
-    if not abs(float(np.linalg.norm(amps)) - 1.0) <= 1e-9:
+    if not abs(float(np.linalg.norm(amps)) - 1.0) <= NORM_TOL:
         raise ValueError("logical amplitudes must be normalized")
-
-    basis = _logical_basis(code)
-    total = np.zeros(1 << code.n, dtype=complex)
-    for a_z, vec in zip(amps, basis):
-        total += a_z * vec.amplitudes
-    state = StateVector(total)
-
-    for g in code.generators:
-        value = state.expectation(g)
-        if not abs(value - 1.0) < EXPECTATION_TOL:
-            raise RuntimeError(
-                f"generator {g} has expectation {value!r} on synthesized codeword"
-            )
-    return SourceState(code=code, amplitudes=tuple(amps.tolist()), state=state)
+    return SourceState(code=code, amplitudes=tuple(amps.tolist()))
 
 
 # ----------------------------------------------------------------------
@@ -316,75 +335,48 @@ def codeword(code: StabilizerCode, amplitudes: Sequence[complex]) -> SourceState
 BUILTIN_NAME_PATTERN = re.compile(r"^([a-z-]+)(?:\((\d+)(?:,(\d+))?\))?$")
 
 
+@functools.lru_cache(maxsize=32)
 def builtin(name: str) -> StabilizerCode:
-    """Built-in code by name: two-one-two, five-one-three, ghz(n), ghz-split(n,m)."""
+    """Built-in code by name: two-one-two, five-one-three, ghz(n), ghz-split(n,m).
+    Built and validated once per name; an unknown name raises on every call."""
     match = BUILTIN_NAME_PATTERN.match(name.strip())
     if not match:
         raise ValueError(f"unknown builtin code {name!r}")
     head, first, second = match.groups()
 
+    def chain(n, skip=None):  # ZZ on each neighbouring pair but the one at skip
+        return [("I" * i + "ZZ").ljust(n, "I") for i in range(n - 1) if i != skip]
+
+    # (canonical name, n, generators, Xbar, Zbar, distance) as letter text
     if head == "two-one-two" and first is None:
-        code = StabilizerCode(
-            name="two-one-two",
-            n=2,
-            k=1,
-            generators=(PauliString("ZZ"),),
-            logical_x=(PauliString("XX"),),
-            logical_z=(PauliString("IZ"),),
-            distance=2,
-        )
+        parts = (head, 2, ["ZZ"], "XX", "IZ", 2)
     elif head == "five-one-three" and first is None:
-        code = StabilizerCode(
-            name="five-one-three",
-            n=5,
-            k=1,
-            generators=(
-                PauliString("XZZXI"),
-                PauliString("IXZZX"),
-                PauliString("XIXZZ"),
-                PauliString("ZXIXZ"),
-            ),
-            logical_x=(PauliString("XXXXX"),),
-            logical_z=(PauliString("ZZZZZ"),),
-            distance=3,
-        )
+        parts = (head, 5, ["XZZXI", "IXZZX", "XIXZZ", "ZXIXZ"], "XXXXX", "ZZZZZ", 3)
     elif head == "ghz" and first is not None and second is None:
         n = int(first)
         if n < 2:
             raise ValueError("ghz(n) needs n >= 2")
-        code = StabilizerCode(
-            name=f"ghz({n})",
-            n=n,
-            k=1,
-            generators=tuple(
-                PauliString("I" * i + "ZZ" + "I" * (n - i - 2)) for i in range(n - 1)
-            ),
-            logical_x=(PauliString("X" * n),),
-            logical_z=(PauliString("Z" + "I" * (n - 1)),),
-        )
+        parts = (f"ghz({n})", n, chain(n), "X" * n, "Z".ljust(n, "I"), None)
     elif head == "ghz-split" and first is not None and second is not None:
         n, m = int(first), int(second)
         if not 1 <= m < n:
             raise ValueError(f"ghz-split(n,m) needs 1 <= m < n, got ({n},{m})")
-        cut = ["I"] * n
-        cut[0] = "Z"
-        cut[m] = "Z"
-        chain = [
-            PauliString("I" * i + "ZZ" + "I" * (n - i - 2))
-            for i in range(n - 1)
-            if i != m - 1
-        ]
-        code = StabilizerCode(
-            name=f"ghz-split({n},{m})",
-            n=n,
-            k=1,
-            generators=(PauliString(cut), *chain),
-            logical_x=(PauliString("X" * n),),
-            logical_z=(PauliString("I" * m + "Z" + "I" * (n - m - 1)),),
-        )
+        cut = ("Z" + "I" * (m - 1) + "Z").ljust(n, "I")
+        zbar = ("I" * m + "Z").ljust(n, "I")
+        parts = (f"ghz-split({n},{m})", n, [cut, *chain(n, m - 1)], "X" * n, zbar, None)
     else:
         raise ValueError(f"unknown builtin code {name!r}")
 
+    canonical, n, generators, xbar, zbar, distance = parts
+    code = StabilizerCode(
+        name=canonical,
+        n=n,
+        k=1,
+        generators=tuple(PauliString(g) for g in generators),
+        logical_x=(PauliString(xbar),),
+        logical_z=(PauliString(zbar),),
+        distance=distance,
+    )
     report = validate(code)
     if not report.passed:
         raise RuntimeError(f"builtin {name} failed validation:\n{report}")

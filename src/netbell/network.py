@@ -15,6 +15,7 @@ there, in the order the group's state lists its qubits.
 from __future__ import annotations
 
 import bisect
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -75,15 +76,14 @@ class NetworkLayout:
                     f"qubit ({i},{j}) assigned to source agent {agent}, "
                     f"but source {i} is held by agent {self.holder(i)}"
                 )
+        # By the loop above, a source-side agent holding (i, j) is i's holder.
+        given = {i for i, _, agent in self.assignment if agent <= self.K}
         for i in range(1, n_sources + 1):
-            if not any(s == i and a == self.holder(i) for s, _, a in self.assignment):
+            if i not in given:
                 raise ValueError(f"source {i} gives no qubit to its source agent")
-        held = {a for _, _, a in self.assignment}
-        for agent in range(self.K + 1, self.K + self.M + 1):
-            if agent not in held:
-                raise ValueError(
-                    f"receiver {self.agent_label(agent)} holds no qubits"
-                )
+        for agent in self.receivers:
+            if not self.qubits_of(agent):
+                raise ValueError(f"receiver {self.agent_label(agent)} holds no qubits")
 
     # -- structure ------------------------------------------------------
 
@@ -108,8 +108,13 @@ class NetworkLayout:
     def agent_of(self, i: int, j: int) -> int:
         return self._agent_of[(i, j)]
 
+    @cached_property
+    def _qubits_by_agent(self) -> dict[int, tuple[tuple[int, int], ...]]:
+        by_agent = itertools.groupby(sorted(self.assignment, key=lambda t: t[2]), lambda t: t[2])
+        return {agent: tuple((i, j) for i, j, _ in held) for agent, held in by_agent}
+
     def qubits_of(self, agent: int) -> tuple[tuple[int, int], ...]:
-        return tuple((i, j) for i, j, a in self.assignment if a == agent)
+        return self._qubits_by_agent.get(agent, ())
 
     @property
     def source_agents(self) -> tuple[int, ...]:
@@ -140,13 +145,18 @@ class NetworkLayout:
         k = self.holder(i)
         return k, sum(self.source_sizes[self.partition[k - 1] : i - 1]) + j - 1
 
+    def group_sources(self, k: int) -> tuple[SourceState, ...]:
+        """Source agent k's group of sources, in group order."""
+        return self.sources[self.partition[k - 1] : self.partition[k]]
+
     @cached_property
     def group_states(self) -> tuple[StateVector, ...]:
-        """Per source agent, the tensor product of its group's source states;
-        the network's joint state is never built, so the statevector cap
-        bounds one group."""
-        cuts = zip(self.partition, self.partition[1:])
-        return tuple(tensor(src.state for src in self.sources[lo:hi]) for lo, hi in cuts)
+        """Per source agent, the tensor product of its group's source states,
+        which only the sampler's frames build; the joint state is never
+        built, so the statevector cap bounds one group, for sample only."""
+        return tuple(
+            tensor(src.state for src in self.group_sources(k)) for k in self.source_agents
+        )
 
 
 @dataclass(frozen=True)
@@ -302,15 +312,13 @@ def check_parity(layout: NetworkLayout, classification: Classification) -> Parit
 def check_selection(layout: NetworkLayout, selection: OperatorSelection):
     """Structural checks of the operator choices against the layout:
     sizes, commutation, hermiticity, and that each g fixes its source."""
-    checks: list[CheckResult] = []
-    checks.append(
-        CheckResult(
-            "one operator slot per source",
-            selection.N == layout.N,
-            f"{selection.N} slots for {layout.N} sources",
-        )
+    slots = CheckResult(
+        "one operator slot per source",
+        selection.N == layout.N,
+        f"{selection.N} slots for {layout.N} sources",
     )
-    if selection.N != layout.N:
+    checks = [slots]
+    if not slots.passed:
         return ValidationReport(tuple(checks))
 
     for i in range(1, layout.N + 1):
@@ -320,16 +328,8 @@ def check_selection(layout: NetworkLayout, selection: OperatorSelection):
         checks.append(CheckResult(f"source {i} operator sizes", sized, f"n={size}"))
         if not sized:
             continue
-        checks.append(
-            CheckResult(
-                f"source {i} g and h commute",
-                g.commutes(h),
-                f"{g} vs {h}",
-            )
-        )
-        hermitian = g.is_hermitian() and h.is_hermitian() and (
-            prime is None or prime.is_hermitian()
-        )
+        checks.append(CheckResult(f"source {i} g and h commute", g.commutes(h), f"{g} vs {h}"))
+        hermitian = all(p is None or p.is_hermitian() for p in (g, h, prime))
         checks.append(CheckResult(f"source {i} operator phases real", hermitian))
         # Agent restrictions always come out with a plus sign, so their
         # product only reassembles g (or h) when the sign lives nowhere.
@@ -349,7 +349,7 @@ def check_selection(layout: NetworkLayout, selection: OperatorSelection):
                 )
             )
         if hermitian:
-            value = layout.sources[i - 1].state.expectation(g)
+            value = layout.sources[i - 1].expectation(g).real
             checks.append(
                 CheckResult(
                     f"source {i} g stabilizes the source state",

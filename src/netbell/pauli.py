@@ -235,6 +235,13 @@ class PauliString:
             z |= (self._z >> s & 1) << t
         return _raw(x, z, self._k, n)
 
+    def window(self, start: int, stop: int) -> "PauliString":
+        """The letters on qubits start..stop-1 as a plus-phase string."""
+        if not 0 <= start < stop <= self._n:
+            raise ValueError(f"window {start}..{stop} out of range for {self._n} qubits")
+        shift, mask = self._n - stop, (1 << (stop - start)) - 1
+        return _raw(self._x >> shift & mask, self._z >> shift & mask, 0, stop - start)
+
     # ------------------------------------------------------------------
     # text form and value semantics
 

@@ -298,6 +298,9 @@ class _Frames:
             for block in tilt.receivers
         ]
         self._cdfs: dict[tuple, _Cdf] = {}
+        # The only statevectors any command builds: past the cap this
+        # raises before a frame or the sign table is allocated.
+        self.states = layout.group_states
         # (-1)^parity of every index of the largest group
         self._signs = 1 - 2 * _parity(np.arange(1 << max(layout.group_widths)))
 
@@ -326,7 +329,7 @@ class _Frames:
         # Rotate cos(theta) S +/- sin(theta) T onto S, inside the group.
         half = self.thetas[self.owners[k - 1]] / 2.0
         sign = 1.0 if xk == 0 else -1.0
-        amps = layout.group_states[k - 1].amplitudes
+        amps = self.states[k - 1].amplitudes
         amps = math.cos(half) * amps + sign * math.sin(half) * StateVector(
             amps
         ).apply(obs.s_piece * obs.t_piece).amplitudes

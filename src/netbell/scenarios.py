@@ -423,13 +423,12 @@ def diagnose(scenario: Scenario) -> tuple[ValidationReport, Synthesis | None]:
     observable synthesis, whose observables (at the scenario's angles) the
     report's details list; with the synthesis, or None where it failed.
     A group of sources past the statevector cap is a warning, not a
-    failure: the classical bound never builds the group's state."""
+    failure: only sample builds the group's state."""
     layout, selection = scenario.layout, scenario.selection
     checks: list[CheckResult] = list(check_selection(layout, selection).checks)
     warnings = tuple(
         f"agent {layout.agent_label(k)}'s group of sources holds {width} qubits, "
-        f"past the cap of {STATE_QUBIT_CAP}: evaluate, maximize, tilted and sample "
-        "will refuse it"
+        f"past the cap of {STATE_QUBIT_CAP}: sample will refuse it"
         for k, width in zip(layout.source_agents, layout.group_widths)
         if width > STATE_QUBIT_CAP
     )

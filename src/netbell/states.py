@@ -1,4 +1,6 @@
-"""Dense statevector engine: Pauli application and expectations.
+"""Dense statevector engine: Pauli application and expectations. Of the
+commands only `sample` builds statevectors, for its frames; the tests
+keep them as the oracle of the exact engine in `codes`.
 
 States are immutable complex128 vectors over the computational basis.
 Qubit 0 is the most significant bit of the basis label, matching the

@@ -9,9 +9,15 @@ command runs:
   a qubit in it, `embed` lifts a source's operator into it, and `lift`
   joins an observable's pieces on the groups of sources into one string
   on it, the n-qubit embedding `src/` no longer makes;
-* `joint_correlator` expands a Bell correlator's whole product of local
-  observables term by term on the joint state of all sources, which
-  `bell` factors over the source agents' groups instead;
+* `dense_expectation` takes an expectation on a statevector's
+  amplitudes, the route `codes.SourceState.expectation` replaces with the
+  stabilizing and logical operators; `joint_correlator` expands a Bell
+  correlator's whole product of local observables term by term on the
+  joint state of all sources, which `bell` factors over the source
+  agents' groups instead;
+* `_random_candidate` draws a random network layout and operator
+  selection on small builtin codes, and `random_layouts` keeps the first
+  ones that pass every structural and parity check;
 * `dense` builds the Kronecker matrix of a Pauli string and
   `table_product` multiplies strings letter by letter from the
   single-qubit table;
@@ -61,9 +67,15 @@ from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
-from netbell import bell, classical
-from netbell.codes import StabilizerCode
-from netbell.network import NetworkLayout
+from netbell import classical
+from netbell.codes import StabilizerCode, builtin, codeword
+from netbell.network import (
+    NetworkLayout,
+    OperatorSelection,
+    check_parity,
+    check_selection,
+    classify,
+)
 from netbell.observables import Synthesis
 from netbell.pauli import PauliString
 from netbell.sampling import (
@@ -122,6 +134,19 @@ def lift(layout: NetworkLayout, pieces, groups=None) -> PauliString:
 # Bell correlators on the joint state
 
 
+def dense_expectation(state: StateVector, op: PauliString, cache: dict) -> complex:
+    """<psi|op|psi> on a statevector, without a hermiticity demand,
+    memoized on the letters: the cache keeps the plus-phase value per
+    (x, z) mask pair. The amplitude route that
+    `codes.SourceState.expectation` replaces in `src/`."""
+    key = (op.x, op.z)
+    value = cache.get(key)
+    if value is None:
+        plain = op.with_phase_exponent(0)
+        value = cache[key] = complex(np.vdot(state.amplitudes, state.apply(plain).amplitudes))
+    return op.phase * value
+
+
 def joint_correlator(synthesis: Synthesis, thetas, y: int, cache: dict) -> complex:
     """<prod_k (A0 + (-1)^y A1) prod_l B_y> at the given angles, expanded
     term by term on the 2^n-amplitude joint state; expectations are
@@ -137,7 +162,7 @@ def joint_correlator(synthesis: Synthesis, thetas, y: int, cache: dict) -> compl
     for rec in synthesis.receivers:
         b = lift(layout, rec.b_pieces(y))
         terms = [(c, p * b) for c, p in terms]
-    return sum(c * bell._cached_expectation(state, p, cache) for c, p in terms)
+    return sum(c * dense_expectation(state, p, cache) for c, p in terms)
 
 
 def joint_values(synthesis: Synthesis, thetas, cache=None) -> dict:
@@ -153,6 +178,89 @@ def joint_values(synthesis: Synthesis, thetas, cache=None) -> dict:
         p = lift(synthesis.layout, synthesis.tilt.p_pieces)
         out["P"] = joint_state(synthesis.layout).expectation(p)
     return out
+
+
+# ----------------------------------------------------------------------
+# random layouts
+
+RANDOM_CODES = ("two-one-two", "five-one-three", "ghz(3)", "ghz(4)")
+
+
+def _random_plus_operator(rng, code, logical):
+    """A plus-phase product of random generators, times the bit-flip
+    operator when logical; None when eight draws find none."""
+    for _ in range(8):
+        op = code.logical_x[0] if logical else None
+        picks = [g for g in code.generators if rng.random() < 0.5]
+        if not logical and not picks:
+            continue
+        for g in picks:
+            op = g if op is None else op * g
+        if op.phase_exponent == 0:
+            return op
+    return None
+
+
+def _random_candidate(rng):
+    """A random (layout, selection): one or two sources on RANDOM_CODES at
+    random angles, random partitions and custody, one or two receivers;
+    None when no operator or no valid layout was drawn."""
+    n = int(rng.integers(1, 3))
+    codes = [builtin(RANDOM_CODES[rng.integers(len(RANDOM_CODES))]) for _ in range(n)]
+    phis = [float(rng.uniform(0.1, math.pi / 2 - 0.1)) for _ in codes]
+    sources = tuple(codeword(c, (np.cos(phi), np.sin(phi))) for c, phi in zip(codes, phis))
+    k = int(rng.integers(1, n + 1))
+    cuts = (
+        sorted(rng.choice(np.arange(1, n), size=k - 1, replace=False).tolist())
+        if k > 1
+        else []
+    )
+    partition = tuple([0] + cuts + [n])
+    m = int(rng.integers(1, 3))
+    assignment = []
+    for i, code in enumerate(codes, start=1):
+        owner = next(a for a in range(1, k + 1) if partition[a - 1] < i <= partition[a])
+        qubits = list(range(1, code.n + 1))
+        rng.shuffle(qubits)
+        keep = int(rng.integers(1, code.n))
+        assignment += [(i, j, owner) for j in qubits[:keep]]
+        assignment += [(i, j, k + int(rng.integers(1, m + 1))) for j in qubits[keep:]]
+    g, h = [], []
+    for code in codes:
+        gi = _random_plus_operator(rng, code, logical=False)
+        hi = _random_plus_operator(rng, code, logical=rng.random() < 0.8)
+        if gi is None or hi is None:
+            return None
+        g.append(gi)
+        h.append(hi)
+    try:
+        layout = NetworkLayout(
+            sources=sources, K=k, M=m, partition=partition, assignment=assignment
+        )
+        selection = OperatorSelection(g=tuple(g), h=tuple(h))
+    except ValueError:
+        return None
+    return layout, selection
+
+
+def random_layouts(seed: int = 20260816, count: int = 200) -> list:
+    """The first count candidates of _random_candidate that pass
+    check_selection and every parity condition: from the default seed,
+    the parity-valid layouts of acceptance criterion 6."""
+    rng = np.random.default_rng(seed)
+    valid = []
+    for _ in range(25 * count):
+        candidate = _random_candidate(rng)
+        if candidate is None:
+            continue
+        layout, selection = candidate
+        if check_selection(layout, selection).passed and check_parity(
+            layout, classify(layout, selection)
+        ).passed:
+            valid.append(candidate)
+            if len(valid) == count:
+                return valid
+    raise RuntimeError(f"{count} parity-valid layouts not drawn from seed {seed}")
 
 
 # ----------------------------------------------------------------------

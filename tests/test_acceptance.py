@@ -29,7 +29,7 @@ from conftest import (
     selection_a,
     selection_b,
 )
-from oracles import dense, loop_scan
+from oracles import _random_candidate, dense, loop_scan
 
 CRITERIA = {
     1: "pair-source closed form 2*sqrt(1+sin^2 2phi) over three angles",
@@ -134,62 +134,6 @@ def test_criterion_05_exhaustive_classical_bound():
     report = classical.max_deterministic(shape, (2, 2))
     assert report.value == value
     assert report.stochastic_value <= 1.0 + TOL
-
-
-RANDOM_CODES = ("two-one-two", "five-one-three", "ghz(3)", "ghz(4)")
-
-
-def _random_plus_operator(rng, code, logical):
-    for _ in range(8):
-        op = code.logical_x[0] if logical else None
-        picks = [g for g in code.generators if rng.random() < 0.5]
-        if not logical and not picks:
-            continue
-        for g in picks:
-            op = g if op is None else op * g
-        if op.phase_exponent == 0:
-            return op
-    return None
-
-
-def _random_candidate(rng):
-    n = int(rng.integers(1, 3))
-    codes = [builtin(RANDOM_CODES[rng.integers(len(RANDOM_CODES))]) for _ in range(n)]
-    sources = tuple(
-        codeword_angle(c, float(rng.uniform(0.1, math.pi / 2 - 0.1))) for c in codes
-    )
-    k = int(rng.integers(1, n + 1))
-    cuts = (
-        sorted(rng.choice(np.arange(1, n), size=k - 1, replace=False).tolist())
-        if k > 1
-        else []
-    )
-    partition = tuple([0] + cuts + [n])
-    m = int(rng.integers(1, 3))
-    assignment = []
-    for i, code in enumerate(codes, start=1):
-        owner = next(a for a in range(1, k + 1) if partition[a - 1] < i <= partition[a])
-        qubits = list(range(1, code.n + 1))
-        rng.shuffle(qubits)
-        keep = int(rng.integers(1, code.n))
-        assignment += [(i, j, owner) for j in qubits[:keep]]
-        assignment += [(i, j, k + int(rng.integers(1, m + 1))) for j in qubits[keep:]]
-    g, h = [], []
-    for code in codes:
-        gi = _random_plus_operator(rng, code, logical=False)
-        hi = _random_plus_operator(rng, code, logical=rng.random() < 0.8)
-        if gi is None or hi is None:
-            return None
-        g.append(gi)
-        h.append(hi)
-    try:
-        layout = NetworkLayout(
-            sources=sources, K=k, M=m, partition=partition, assignment=assignment
-        )
-        selection = OperatorSelection(g=tuple(g), h=tuple(h))
-    except ValueError:
-        return None
-    return layout, selection
 
 
 def _letters_anticommute_odd(a: PauliString, b: PauliString) -> bool:

@@ -23,6 +23,7 @@ from conftest import (
     two_source_group_layout,
 )
 from netbell import bell, scenarios
+from netbell.codes import SourceState, StabilizerCode, builtin, codeword, validate
 from netbell.bell import (
     evaluate,
     evaluate_tilted,
@@ -33,7 +34,7 @@ from netbell.bell import (
 from netbell.network import OperatorSelection
 from netbell.observables import build_tilted, synthesize
 from netbell.pauli import PauliString
-from oracles import joint_values
+from oracles import dense_expectation, joint_values, random_layouts
 
 TOL = 1e-9
 DATA = Path(__file__).parent / "data"
@@ -431,6 +432,105 @@ class TestJointOracle:
             beta = pinned["tilt"]["beta"]
             assert values["P"] == pinned["tilt"]["P"]
             assert beta * abs(values["P"]) ** (1 / 3) + value == pinned["tilt"]["G"]
+
+
+ENGINE_CODES = ("two-one-two", "five-one-three", "ghz(3)", "ghz-split(4,2)")
+# [[4,2,2]]: two logical qubits, so the logical masks have two bits.
+FOUR_TWO_TWO = StabilizerCode(
+    name="four-two-two",
+    n=4,
+    k=2,
+    generators=(PauliString("XXXX"), PauliString("ZZZZ")),
+    logical_x=(PauliString("XXII"), PauliString("XIXI")),
+    logical_z=(PauliString("ZIZI"), PauliString("ZZII")),
+)
+
+
+def engine_against_oracles(synthesis, thetas):
+    """Evaluate (and, with a tilted block, evaluate_tilted) while recording
+    every value codes.SourceState.expectation gives; each must match the
+    dense expectation on the source's statevector, built here (which runs
+    its generator check), and each report's I, J and P the joint-state
+    expansion. Returns how many engine values were checked."""
+    values = []
+    engine = SourceState.expectation
+
+    def recorded(source, op):
+        value = engine(source, op)
+        values.append((source, op, value))
+        return value
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(SourceState, "expectation", recorded)
+        reports = [evaluate(synthesis, thetas)]
+        if synthesis.tilt is not None:
+            reports.append(evaluate_tilted(synthesis, thetas, 0.5))
+    want = joint_values(synthesis, thetas)
+    for report in reports:
+        got = {"I": report.i_value, "J": report.j_value}
+        if report.tilt is not None:
+            got["P"] = report.tilt.p_value
+        for key in got:
+            assert abs(got[key] - want[key]) <= 1e-12, (key, got[key], want[key])
+    for source, op, value in values:
+        dense = dense_expectation(source.state, op, {})
+        assert abs(value - dense) <= bell.CROSS_CHECK_TOL, (source.code.name, str(op), value, dense)
+    return len(values)
+
+
+class TestStabilizerEngine:
+    """The expectations read off the stabilizing and logical operators,
+    against the statevectors they replaced, on every builtin within the
+    joint cap and on the 200 random layouts of acceptance criterion 6."""
+
+    @pytest.mark.parametrize(
+        "name,params",
+        JOINT_CASES,
+        ids=[name + (f"-tilt{p['tilt_count']}" if p else "") for name, p in JOINT_CASES],
+    )
+    def test_builtins_match_the_statevectors(self, name, params):
+        scenario = scenarios.builtin_scenario(name, **params)
+        synthesis = scenario_synthesis(scenario)
+        for thetas in (scenario.thetas, (0.3,) * scenario.layout.K):
+            assert engine_against_oracles(synthesis, thetas) > 0
+
+    @pytest.mark.parametrize("name", [*ENGINE_CODES, "four-two-two"])
+    @pytest.mark.parametrize("signed", [False, True], ids=["plain", "signed"])
+    def test_every_pauli_matches_the_statevector(self, name, signed):
+        # complex amplitudes make the logical Y terms nonzero, and negated
+        # generators and logicals give the echelon pivots minus signs, so
+        # a phase or sign lost in the reduction shows
+        code = FOUR_TWO_TWO if name == "four-two-two" else builtin(name)
+        if signed:
+            code = replace(
+                code,
+                generators=[-g if i % 2 == 0 else g for i, g in enumerate(code.generators)],
+                logical_x=[-p for p in code.logical_x],
+                logical_z=[-p for p in code.logical_z],
+            )
+        assert validate(code).passed
+        rng = np.random.default_rng(8)
+        amplitudes = rng.normal(size=2**code.k) + 1j * rng.normal(size=2**code.k)
+        source = codeword(code, amplitudes / np.linalg.norm(amplitudes))
+        for x in range(1 << code.n):
+            for z in range(1 << code.n):
+                letters = "".join(
+                    "IXZY"[(x >> s & 1) | (z >> s & 1) << 1] for s in range(code.n - 1, -1, -1)
+                )
+                op = PauliString(letters, int(rng.integers(4)))
+                dense = dense_expectation(source.state, op, {})
+                assert abs(source.expectation(op) - dense) <= bell.CROSS_CHECK_TOL, (str(op), dense)
+
+    def test_random_layouts_match_the_statevectors(self):
+        rng = np.random.default_rng(21)
+        layouts = random_layouts()
+        assert len(layouts) == 200
+        for index, (layout, selection) in enumerate(layouts):
+            thetas = rng.uniform(0.1, math.pi / 2 - 0.1, layout.K)
+            try:
+                assert engine_against_oracles(synth(layout, selection), thetas) > 0
+            except AssertionError as err:
+                raise AssertionError(f"random layout {index}: {err}") from err
 
 
 class TestGroups:

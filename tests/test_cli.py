@@ -58,6 +58,23 @@ def value_paths(node, path=()):
         yield from value_paths(child, path + (key,))
 
 
+# The refusals of the CI step's exit-1 loop: each exits 1 with one error line.
+CI_REFUSALS = (
+    "classical-bound star(11)",
+    "classical-bound star(51)",
+    "classical-bound chsh --alphabet 512",
+    "classical-bound chsh --alphabet 0",
+    "sample chsh --seed -1",
+    "evaluate chsh --theta nan",
+    "maximize chsh --grid 100000000000",
+    "sample chsh --rounds 1180591620717411303424",
+    "sample star(51)",
+    "sample ghz-split(40,20)",
+    "classical-bound chsh --mode full",
+    "maximize chsh --grid abc",
+)
+
+
 def refuse_constant(name):
     raise ValueError(f"{name} in a report")
 
@@ -699,22 +716,25 @@ class TestBuiltinStar:
         ]
 
     def test_validate_warns_about_a_group_past_the_cap(self, out_dir, tmp_path, capsys):
-        # validate passes, since classical-bound runs the scenario, but names
-        # the group that evaluate, maximize, tilted and sample refuse
+        # validate passes, since every command but sample runs the scenario
+        # without its group's statevector, and names the group sample refuses
         path = tmp_path / "one-group.json"
         path.write_text(json.dumps(one_group_star5()))
         assert main(["validate", str(path)]) == EXIT_OK
         lines = capsys.readouterr().out.splitlines()
         assert [line for line in lines if "[warn]" in line] == [
             "  [warn] agent S1's group of sources holds 25 qubits, past the cap of 20: "
-            "evaluate, maximize, tilted and sample will refuse it"
+            "sample will refuse it"
         ]
         assert lines[-1] == "PASS"
         assert main(["classical-bound", str(path)]) == EXIT_OK
         for command in ("evaluate", "maximize"):
-            capsys.readouterr()
-            assert main([command, str(path)]) == EXIT_VALIDATION
-            assert capsys.readouterr().err == "error: 25 qubits exceeds the cap of 20\n"
+            assert main([command, str(path)]) == EXIT_OK
+            payload = json.load(open(out_dir / f"star(5)-{command}.json"))
+            assert payload["quantum_value"] == pytest.approx(math.sqrt(2.0), abs=1e-9)
+        capsys.readouterr()
+        assert main(["sample", str(path), "--rounds", "10"]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == "error: 25 qubits exceeds the cap of 20\n"
         assert main(["validate", "star(5)"]) == EXIT_OK
         assert "[warn]" not in capsys.readouterr().out
 
@@ -858,13 +878,45 @@ class TestHugeCounts:
             assert len(err) == 1 and err[0].startswith(f"error: {option} must be at most")
         assert not list(out_dir.glob("chsh-*"))
 
-    @pytest.mark.parametrize("command", ["evaluate", "sample", "classical-bound"])
+    @pytest.mark.parametrize("command", ["sample"])
     def test_qubit_cap_refused_before_allocating(self, out_dir, capsys, command):
-        # 40 qubits hold 16 TiB of amplitudes: the cap is checked first
+        # 40 qubits hold 16 TiB of amplitudes: the cap is checked first, and
+        # only the sampler's frames need them
         assert main([command, "ghz-split(40,20)"]) == EXIT_VALIDATION
         assert capsys.readouterr().err.splitlines() == [
-            "error: source state on 'ghz-split(40,20)': 40 qubits exceeds the cap of 20"
+            "error: 40 qubits exceeds the cap of 20"
         ]
+        assert list(out_dir.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "command", ["validate", "evaluate", "maximize", "tilted", "classical-bound"]
+    )
+    def test_exact_commands_run_past_the_cap(self, out_dir, tmp_path, command):
+        # the exact engines read the stabilizing and logical operators and
+        # build no statevector: one 40-qubit source, tilted by its logical Z
+        phi = 0.3927
+        doc = scenarios.scenario_to_dict(
+            scenarios.builtin_scenario("ghz-split(40,20)", phi=phi)
+        )
+        doc["selection"]["h_prime"] = ["+" + "I" * 20 + "Z" + "I" * 19]
+        doc["options"].update(beta="auto", phibar=phi)
+        path = tmp_path / "ghz40.json"
+        path.write_text(json.dumps(doc))
+        assert main([command, str(path)]) == EXIT_OK
+        if command == "validate":
+            return
+        payload = json.load(open(out_dir / f"ghz-split(40,20)-{command}.json"))
+        optimum = bell.tilt_parameters(phi, 1, 1)
+        if command == "classical-bound":
+            assert payload["classical_bound"] == 1.0 + optimum.beta_max
+        elif command == "maximize":
+            want = math.sqrt(1.0 + math.sin(2 * phi) ** 2)
+            assert payload["quantum_value"] == pytest.approx(want, abs=1e-12)
+        else:
+            assert payload["c_values"] == [pytest.approx(math.sin(2 * phi), abs=1e-15)]
+            assert payload["tilt"]["P"] == pytest.approx(math.cos(2 * phi), abs=1e-15)
+        if command == "tilted":
+            assert payload["tilt"]["G"] == pytest.approx(optimum.g_opt, abs=1e-12)
 
 
 # Classical-bound and sample reports pinned as tests/data/<pin>.{json,csv},
@@ -973,6 +1025,14 @@ class TestOutputRouting:
     def test_unwritable_out_dir(self, capsys):
         code = main(["evaluate", "chsh", "--out", "/proc/1/nope"])
         assert code == EXIT_IO
+
+    @pytest.mark.parametrize("command", CI_REFUSALS)
+    def test_refusal_leaves_no_out_path(self, tmp_path, capsys, command):
+        # the directory is made only when a report is written
+        out = tmp_path / "d" / "deeper"
+        assert main([*command.split(), "--out", str(out)]) == EXIT_VALIDATION
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert not (tmp_path / "d").exists()
 
 
 class TestReproduce:

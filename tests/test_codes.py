@@ -70,6 +70,21 @@ class TestBuiltins:
         with pytest.raises(ValueError):
             builtin(name)
 
+    def test_builtin_is_built_once_per_name(self, monkeypatch):
+        builtin.cache_clear()
+        validated = []
+        monkeypatch.setattr(codes, "validate", lambda code: validated.append(code) or validate(code))
+        first = builtin("five-one-three")
+        assert builtin("five-one-three") is first
+        assert builtin("ghz-split(40,20)") is builtin("ghz-split(40,20)")
+        assert [code.name for code in validated] == ["five-one-three", "ghz-split(40,20)"]
+
+    @pytest.mark.parametrize("name", ["nonsense", "ghz(1)"])
+    def test_unknown_name_raises_on_every_call(self, name):
+        for _ in range(3):
+            with pytest.raises(ValueError):
+                builtin(name)
+
 
 class TestValidateFailures:
     def test_count_mismatch_flagged(self):
@@ -293,30 +308,33 @@ class TestCodeword:
 
         monkeypatch.setattr(codes, "_project_stabilized", counted)
         codes._logical_basis.cache_clear()
-        codeword(builtin("five-one-three"), (1.0, 0.0))
+        codeword(builtin("five-one-three"), (1.0, 0.0)).state
         one_search = len(projections)
         assert one_search >= 1
 
         codes._logical_basis.cache_clear()
         projections.clear()
         sources = builtin_scenario("star(51)").layout.sources
+        assert projections == []  # loading builds no statevector
+        states = [source.state for source in sources]
         assert len(projections) == one_search
         # every source's state, bit for bit, as a build with its own search
-        for source in sources:
+        for source, state in zip(sources, states):
             codes._logical_basis.cache_clear()
             fresh = codeword(source.code, source.amplitudes)
-            assert fresh.state.amplitudes.tobytes() == source.state.amplitudes.tobytes()
+            assert fresh.state.amplitudes.tobytes() == state.amplitudes.tobytes()
 
     def test_generators_are_checked_on_every_state(self, monkeypatch):
-        # the cached basis is shared; the stabilizer check is per codeword
+        # the cached basis is shared; the stabilizer check is per codeword,
+        # run where its statevector is built
         code = builtin("five-one-three")
-        codeword(code, (1.0, 0.0))
         cached = codes._logical_basis(code)
         broken = (cached[0], codes.StateVector.basis(code.n, 0))
         monkeypatch.setattr(codes, "_logical_basis", lambda code: broken)
-        codeword(code, (1.0, 0.0))
+        assert codeword(code, (1.0, 0.0)).state.n == 5
+        one = codeword(code, (0.0, 1.0))
         with pytest.raises(RuntimeError, match="expectation"):
-            codeword(code, (0.0, 1.0))
+            one.state
 
     @given(
         n=st.integers(min_value=2, max_value=7),

@@ -14,8 +14,9 @@ from conftest import (
     star_layout,
 )
 
-from oracles import embed, global_index, joint_state
+from oracles import embed, global_index, joint_state, random_layouts
 
+from netbell import scenarios
 from netbell.codes import builtin
 from netbell.network import (
     NetworkLayout,
@@ -60,6 +61,19 @@ class TestLayout:
             (1, 2), (1, 3), (1, 4), (1, 5),
             (2, 2), (2, 3), (2, 4), (2, 5),
         )
+
+    @pytest.mark.parametrize(
+        "name", [*sorted(scenarios.BUILTIN_SCENARIOS), "star(9)", "ghz-split(40,20)", "random"]
+    )
+    def test_qubits_of_index_matches_the_literal_scan(self, name):
+        if name == "random":
+            layouts = [layout for layout, _ in random_layouts()]
+        else:
+            layouts = [scenarios.builtin_scenario(name).layout]
+        for layout in layouts:
+            for agent in range(layout.K + layout.M + 2):
+                scan = tuple((i, j) for i, j, a in layout.assignment if a == agent)
+                assert layout.qubits_of(agent) == scan
 
     def test_joint_state_is_tensor_of_sources(self):
         phi = 0.6
