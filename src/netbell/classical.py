@@ -11,10 +11,11 @@ a0 = a1 and J only when every one has a0 != a1.  The objective is
 therefore at most 1 (or 1 + beta tilted), and the all-(+1) tables under
 label 0 reach it.  A stochastic pass then probes mixed label
 distributions with random restarts and hill climbing: its draws come
-first, in five bulk calls, then all restarts climb at once in numpy
-arrays.  A flip re-reads only the labels that read its column, and
-totals are summed left to right in grid order, so every score is the
-float of a whole-grid sum.
+first, in five bulk calls, then all restarts climb at once, each
+candidate scored in a few numpy calls.  A flip re-signs only the labels
+that read its entry and sums on, left to right in grid order, from the
+running sum before the first of them: every score is the float of a
+whole-grid sum.
 The pass is falsification pressure for the analytic bound, not a search
 for new physics: the objective must never come out above the
 deterministic maximum.
@@ -22,6 +23,7 @@ deterministic maximum.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -70,9 +72,7 @@ class NetworkShape:
 
     def __post_init__(self):
         object.__setattr__(self, "partition", tuple(self.partition))
-        object.__setattr__(
-            self, "reach", tuple(tuple(sorted(r)) for r in self.reach)
-        )
+        object.__setattr__(self, "reach", tuple(tuple(sorted(r)) for r in self.reach))
         if self.k < 1 or self.m < 1 or self.n < 1:
             raise ValueError("k, m, n must all be at least 1")
         if (
@@ -149,23 +149,12 @@ class HiddenStrategy:
     def __post_init__(self):
         shape = self.shape
         object.__setattr__(self, "alphabet", _normalize_alphabet(shape, self.alphabet))
-        object.__setattr__(
-            self, "weights", tuple(tuple(map(float, w)) for w in self.weights)
-        )
-        object.__setattr__(
-            self,
-            "a_tables",
-            tuple((tuple(t[0]), tuple(t[1])) for t in self.a_tables),
-        )
-        object.__setattr__(
-            self,
-            "b_tables",
-            tuple((tuple(t[0]), tuple(t[1])) for t in self.b_tables),
-        )
+        object.__setattr__(self, "weights", tuple(tuple(map(float, w)) for w in self.weights))
+        for name in ("a_tables", "b_tables"):
+            tables = tuple((tuple(t[0]), tuple(t[1])) for t in getattr(self, name))
+            object.__setattr__(self, name, tables)
         if self.p_tables is not None:
-            object.__setattr__(
-                self, "p_tables", tuple(tuple(t) for t in self.p_tables)
-            )
+            object.__setattr__(self, "p_tables", tuple(tuple(t) for t in self.p_tables))
 
         if len(self.weights) != shape.n:
             raise ValueError("need one weight vector per source")
@@ -217,16 +206,10 @@ class HiddenStrategy:
 def _table_bits(shape: NetworkShape, alphabet, tilted: bool):
     """Column counts of the source agents' and receivers' tables, and the
     entry count of every table: source agents, receivers, then p tables."""
-    block_sizes = [
-        math.prod(alphabet[i - 1] for i in shape.block(s))
-        for s in range(1, shape.k + 1)
-    ]
-    reach_sizes = [
-        math.prod(alphabet[i - 1] for i in reach) for reach in shape.reach
-    ]
-    widths = [2 * size for size in block_sizes + reach_sizes]
-    if tilted:
-        widths += list(reach_sizes)
+    blocks = [shape.block(s) for s in range(1, shape.k + 1)]
+    block_sizes = [math.prod(alphabet[i - 1] for i in block) for block in blocks]
+    reach_sizes = [math.prod(alphabet[i - 1] for i in reach) for reach in shape.reach]
+    widths = [2 * size for size in block_sizes + reach_sizes] + (reach_sizes if tilted else [])
     return block_sizes, reach_sizes, widths
 
 
@@ -256,99 +239,113 @@ class _Climb:
     tables is int8 (entries, restarts), climbed in place: a restart's
     tables are a column of +/-1 entries in flip order (each source agent's
     a0 and a1 rows, each receiver's b0 and b1, then the p rows); weights
-    is (source, label value, restart), zero past an alphabet.  Per grid
-    label it keeps a sign triple and a weight built source by source as
-    math.prod multiplies, and each total sums weight * sign over the
-    labels left to right: the floats of a whole-grid sum.  flip() and
-    weigh() score a candidate in every restart; settle() keeps it where
-    asked.
+    is (source, label value, restart), zero past an alphabet.  Per part
+    (I, J, and P when tilted) and grid label it keeps the sign as a float
+    and the running sums of weight * sign from +0.0 in grid order (each
+    weight built source by source as math.prod multiplies), whose last
+    row is the parts' totals; state stacks their powers (math.pow, the C
+    pow of float **) and the objective.  flip() and weigh() score a
+    candidate in every restart, with one np.add.accumulate and one power
+    pass; settle() keeps it where asked.
     """
 
     def __init__(self, shape, alphabet, beta, tables, weights):
         self._shape, self._alphabet, self._beta = shape, alphabet, beta
-        self._grid = np.array(list(itertools.product(*(range(size) for size in alphabet))))
-        reads = [shape.block(s) for s in range(1, shape.k + 1)] + list(shape.reach)
-        columns = np.array([[_flat(r, g, alphabet) for r in reads] for g in self._grid.tolist()])
-        # per row in flip order: its table, and the one part its entries
-        # are a factor of (None for an a row, a factor of I and J)
-        rows = [(s, None) for s in range(shape.k) for _ in (0, 1)]
-        rows += [(shape.k + r, x) for r in range(shape.m) for x in (0, 1)]
-        rows += [(shape.k + r, 2) for r in range(shape.m)] if beta is not None else []
-        widths = [math.prod(alphabet[i - 1] for i in reads[t]) for t, _ in rows]
-        self._starts = np.cumsum([0] + widths)
-        shown = self._starts[:-1] + columns[:, [t for t, _ in rows]]  # entry per label and row
-        self._flips = []  # per entry: the labels that read it, its part, their entries
-        for (t, part), width in zip(rows, widths):
-            for column in range(width):
-                labels = np.flatnonzero(columns[:, t] == column)
-                self._flips.append((labels, part, shown[labels]))
+        k, m, restarts = shape.k, shape.m, tables.shape[1]
+        grid = np.array(list(itertools.product(*(range(size) for size in alphabet))))
+        # per source and label, the row of weights.reshape(-1, restarts) it reads
+        self._picks = grid.T + max(alphabet) * np.arange(shape.n)[:, None]
+        reads = [shape.block(s) for s in range(1, k + 1)] + list(shape.reach)
+        columns = np.array([[_flat(r, g, alphabet) for r in reads] for g in grid.tolist()])
+        # per table and column, the labels that read it
+        readers = [[np.flatnonzero(c == v) for v in range(c.max() + 1)] for c in columns.T]
+        # per row in flip order: its table, and the parts its entries are a factor of
+        rows = [(s, slice(0, 2)) for s in range(k) for _ in (0, 1)]
+        rows += [(k + r, slice(x, x + 1)) for r in range(m) for x in (0, 1)]
+        rows += [(k + r, slice(2, 3)) for r in range(m)] if beta is not None else []
+        self._starts = np.cumsum([0] + [len(readers[t]) for t, _ in rows])
+        shown = (self._starts[:-1] + columns[:, [t for t, _ in rows]]).T  # entry per row and label
+        # (x or y, part, factor, label): the entry pairs whose (x + w y) / 2
+        # multiply to a label's I and J, factors (a0 +- a1) / 2 and b0 or b1
+        pairs = np.array([[np.vstack((shown[a : 2 * k : 2], shown[b : 2 * (k + m) : 2]))
+                           for b in (2 * k, 2 * k + 1)] for a in (0, 1)])
+        self._w = np.array([[1] * (k + m), [-1] * k + [1] * m], np.int8)[..., None, None]
+        # per entry: its parts, its first reader, its readers counted from
+        # there (a slice when evenly spaced), and their pairs for an a entry
+        self._flips = []
+        for t, parts in rows:
+            for labels in readers[t]:
+                after = (labels - labels[0]).tolist()
+                even = range(0, after[-1] + 1, after[1] if len(after) > 1 else 1)
+                after = slice(0, even.stop, even.step) if after == list(even) else np.array(after)
+                self._flips.append((parts, labels[0], after, pairs[..., labels] if t < k else None))
         self.tables, self.weights = tables, weights
-        self.signs = self._signs(shown)
-        self.totals, self.powered = np.zeros((2, 3, tables.shape[1]))
+        p = np.multiply.reduce(tables[shown[2 * (k + m) :]], 0)[None]  # P: all +1 untilted
+        self.signs = np.vstack((self._signs(pairs), p), dtype=float)[: 2 if beta is None else 3]
+        # the running sums start from a row of +0.0 before the first label
+        self.sums = np.zeros((len(self.signs), len(grid) + 1, restarts))
+        self.label_weights = np.zeros((len(grid), restarts))
+        self.state = np.zeros((len(self.signs) + 1, restarts))
+        self.totals, self.value = self.sums[:, -1], self.state[-1]
         self.weigh(weights)
-        self.settle(np.ones(tables.shape[1], dtype=bool))
+        self.settle(np.ones(restarts, dtype=bool))
 
-    def _signs(self, reads):
-        """(I, J, P) signs of the labels whose entries these are, per restart."""
-        v = self.tables[reads]
-        k2, m2 = 2 * self._shape.k, 2 * (self._shape.k + self._shape.m)
-        a0, a1 = v[:, 0:k2:2], v[:, 1:k2:2]
-        i = ((a0 + a1) // 2).prod(1) * v[:, k2:m2:2].prod(1)
-        j = ((a0 - a1) // 2).prod(1) * v[:, k2 + 1 : m2 : 2].prod(1)
-        return np.stack((i, j, v[:, m2:].prod(1))).astype(np.int8)
+    def _signs(self, pairs):
+        """(I, J) signs, as integers, of the labels whose entry pairs these are."""
+        x, y = self.tables[pairs]
+        return np.multiply.reduce((x + self._w * y) >> 1, 1)
 
-    def _score(self, terms, /, **candidate):
-        """Stage a candidate whose parts sum these terms (part -> weight *
-        sign per label and restart); its objectives.  The powers are
-        Python's float **, which np.power does not match."""
-        totals, powered = self.totals.copy(), self.powered.copy()
-        for part, part_terms in terms.items():
-            totals[part] = _left_sum(part_terms, axis=0)
-            powered[part] = [abs(x) ** (1.0 / self._shape.k) for x in totals[part].tolist()]
-        value = powered[0] + powered[1]
+    def _score(self, parts, totals, row, *staged):
+        """Stage a candidate whose parts total these, the row a flip negated
+        (None for weights) and the (array, candidate) pairs to keep; its objectives."""
+        state = self.state.copy()
+        powered = np.abs(totals, out=state[parts])
+        if self._shape.k > 1:  # x ** 1.0 is exactly x
+            root = itertools.repeat(1.0 / self._shape.k)
+            powered.flat = list(map(math.pow, powered.ravel().tolist(), root))
+        value = np.add(state[0], state[1], out=state[-1])
         if self._beta is not None:
-            value = self._beta * powered[2] + value
-        self._pending = dict(candidate, totals=totals, powered=powered, value=value)
+            np.add(self._beta * state[2], value, out=value)
+        self._pending = row, (*staged, (self.state, state))
         return value
 
     def flip(self, entry):
         """Negate one table entry in every restart; the candidate objectives.
         A b or p entry negates its part's sign at the labels that read it;
         an a entry has their I and J re-read."""
-        labels, part, reads = self._flips[entry]
-        self.tables[entry] *= -1
-        signs = self.signs[:, labels]
-        if part is None:
-            signs[:2] = self._signs(reads)[:2]
+        parts, first, after, pairs = self._flips[entry]
+        row = self.tables[entry]
+        np.negative(row, out=row)
+        signs, sums = self.signs[parts, first:].copy(), self.sums[parts, first:].copy()
+        if pairs is None:
+            signs[:, after] = 0.0 - signs[:, after]  # a 0 sign stays 0.0, not -0.0
         else:
-            signs[part] *= -1
-        self._flipped = (entry, labels, signs)
-        terms = {}
-        for p in (0, 1) if part is None else (part,):
-            terms[p] = self.label_weights * self.signs[p]
-            terms[p][labels] = self.label_weights[labels] * signs[p]
-        return self._score(terms)
+            signs[:, after] = self._signs(pairs)
+        np.multiply(self.label_weights[first:], signs, out=sums[:, 1:])
+        np.add.accumulate(sums, 1, out=sums)
+        staged = (self.signs[parts, first:], signs), (self.sums[parts, first:], sums)
+        return self._score(parts, sums[:, -1], row, *staged)
 
     def weigh(self, weights):
         """Score new (source, label value, restart) weights; the candidate objectives."""
-        label_weights = weights[0, self._grid[:, 0]]
-        for i in range(1, self._shape.n):
-            label_weights = label_weights * weights[i, self._grid[:, i]]
-        self._flipped = None
-        parts = (0, 1) if self._beta is None else (0, 1, 2)
-        terms = {p: label_weights * self.signs[p] for p in parts}
-        return self._score(terms, weights=weights, label_weights=label_weights)
+        picked = weights.reshape(-1, weights.shape[-1])[self._picks]
+        label_weights = functools.reduce(np.multiply, picked)
+        sums = self.sums.copy()  # its first row stays +0.0
+        np.multiply(label_weights, self.signs, out=sums[:, 1:])
+        np.add.accumulate(sums, 1, out=sums)
+        staged = (self.weights, weights), (self.label_weights, label_weights), (self.sums, sums)
+        return self._score(slice(0, len(sums)), sums[:, -1], None, *staged)
 
     def settle(self, keep):
         """Keep the last flip() or weigh() in the restarts where keep is
-        true and take it back in the others."""
-        if self._flipped is not None:
-            entry, labels, signs = self._flipped
-            self.tables[entry] = np.where(keep, self.tables[entry], -self.tables[entry])
-            self.signs[:, labels] = np.where(keep, signs, self.signs[:, labels])
-        if keep.any():
-            for name, candidate in self._pending.items():
-                setattr(self, name, np.where(keep, candidate, getattr(self, name, candidate)))
+        true and take it back in the others; how many restarts kept it."""
+        row, staged = self._pending
+        kept = np.count_nonzero(keep)
+        if row is not None:  # a flip negated it in every restart
+            np.negative(row, out=row, where=~keep if kept else True)
+        for target, candidate in staged if kept else ():
+            np.copyto(target, candidate, where=keep)
+        return kept
 
     def strategy(self, r: int) -> HiddenStrategy:
         """Restart r as a HiddenStrategy."""
@@ -378,45 +375,53 @@ def _refine(shape, alphabet, beta, value, rng, draws, steps):
     on the number of restarts); then one _Climb runs all restarts in
     lockstep, each flip or move scored in every restart at once.  A
     restart whose sweep kept no flip keeps none in a later one either, so
-    all sweep on while any improves.  The best restart, the first of any
-    equals, is kept if it beats value, the closed form: the exact score of
-    the all-(+1) tables under label 0, whose one-hot weights make every
-    left sum exactly 1.0 or 0.0.
+    all sweep on while any improves.  Once every entry has been flipped in
+    a row with no restart keeping one, the sweep stops: each flip left in
+    it was scored and rejected against this same state one sweep before.
+    The best restart, the first of any equals, is kept if it beats value,
+    the closed form: the exact score of the all-(+1) tables under label 0,
+    whose one-hot weights make every left sum exactly 1.0 or 0.0.
 
     Returns (best value, best strategy or None when none beats value,
     strategies scored): the closed form's, then per restart its start,
-    every flip of every sweep run, and every weight move.
+    every flip of every sweep run, the last one counted whole, and every
+    weight move.
     """
     if not draws:
         return value, None, 1
-    tables, weights, sources, vertices, etas = _draw_restarts(
-        shape, alphabet, beta is not None, rng, draws, steps
-    )
+    drawn = _draw_restarts(shape, alphabet, beta is not None, rng, draws, steps)
+    tables, weights, sources, vertices, etas = drawn
     ones = np.ones((tables.shape[1], 1), dtype=np.int8)
     climb = _Climb(shape, alphabet, beta, np.concatenate((ones, tables.T), axis=1), weights)
+    entries, quiet = len(climb.tables), 0  # quiet: flips in a row that no restart kept
     for sweeps in range(1, _REFINE_SWEEPS + 1):
-        improved = np.zeros(draws, dtype=bool)
-        for entry in range(len(climb.tables)):
-            keep = climb.flip(entry) > climb.value + 1e-15
-            climb.settle(keep)
-            improved |= keep
-        if not improved.any():
+        bar = climb.value + 1e-15
+        for entry in range(entries):
+            if climb.settle(climb.flip(entry) > bar):
+                quiet, bar = 0, climb.value + 1e-15
+            elif (quiet := quiet + 1) == entries:
+                break
+        if quiet == entries:
             break
-    scored = 1 + draws * (1 + sweeps * len(climb.tables) + steps)
+    scored = 1 + draws * (1 + sweeps * entries + steps)
 
-    restarts, values = np.arange(draws), np.arange(max(alphabet))
-    for source, vertex, eta in zip(sources, vertices, etas):
-        mixed = (1 - eta)[:, None] * climb.weights[source, :, restarts]
-        mixed = mixed + np.where(values == vertex[:, None], eta[:, None], 0.0)
+    # per move, (label value, restart): the walk's pull toward its vertex,
+    # and where in the weights the walked source's weights sit
+    values = np.arange(max(alphabet))[:, None]
+    pulls = np.where(values == vertices[:, None], etas[:, None], 0.0)
+    offsets = values * draws + np.arange(draws)
+    for source, stay, pull in zip(sources * (len(values) * draws), 1 - etas, pulls):
+        site = source + offsets
+        mixed = stay * climb.weights.take(site) + pull
         candidate = climb.weights.copy()
-        candidate[source, :, restarts] = mixed / _left_sum(mixed)[:, None]
+        candidate.put(site, mixed / _left_sum(mixed, axis=0))
         climb.settle(climb.weigh(candidate) > climb.value)
 
-    best_value, best_row = value, None
-    for row, score in enumerate(climb.value.tolist()):
-        if score > best_value:
-            best_value, best_row = score, row
-    return best_value, None if best_row is None else climb.strategy(best_row), scored
+    scores = climb.value.tolist()
+    best = scores.index(max(scores))  # the first of any equals
+    if scores[best] > value:
+        return scores[best], climb.strategy(best), scored
+    return value, None, scored
 
 
 @dataclass(frozen=True)
@@ -500,12 +505,6 @@ def max_deterministic(
             f"{json.dumps(stochastic_strategy.to_json())}",
             stochastic_strategy,
         )
-    return ScanReport(
-        value=value,
-        strategy=strategy,
-        stochastic_value=stochastic_value,
-        stochastic_strategy=stochastic_strategy,
-        scanned=scanned,
-        alphabet=alphabet,
-        beta=beta,
-    )
+    return ScanReport(value=value, strategy=strategy, stochastic_value=stochastic_value,
+                      stochastic_strategy=stochastic_strategy, scanned=scanned,
+                      alphabet=alphabet, beta=beta)

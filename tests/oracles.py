@@ -38,8 +38,8 @@ command runs:
   instead and must match byte for byte;
 * `logical_representative` searches a stabilizer coset for a phase-flip
   representative that meets per-qubit letter constraints;
-* `loop_scan` enumerates every response table under every point label
-  with one Python evaluation per combination, and `_scan_reachable` every
+* `loop_scan` enumerates every response table under every point label,
+  scoring the combinations by broadcasting, and `_scan_reachable` every
   response pair a table can show at its column under every label: the
   deterministic maximum that `classical.max_deterministic` gives in
   closed form, with its strategy; `_decode_labels` unflattens their label
@@ -535,22 +535,35 @@ def _decode_labels(value: int, alphabet) -> tuple[int, ...]:
 
 
 def loop_scan(shape, alphabet, beta):
-    """Reference full scan: one Python evaluation per combination.
+    """Reference full scan: every combination of table integers under
+    every point label, scored.
 
     Returns (best value, best key, combos scanned); the key is (label
     index, table integers), and ties resolve to the earliest combination
-    in enumeration order. Under each label every table integer's (I, J,
-    P) sign factors are read off its bits once; a combination multiplies
-    its tables' factors.
+    in enumeration order: labels in index order, then the table integers
+    as itertools.product runs them, the first table slowest.  Under each
+    label every table integer's (I, J, P) sign factors are read off its
+    bits as an array along the table's own axis; a combination's signs
+    are their product by broadcasting, and its objective is looked up
+    from its |I|, |J| and |P|, each of the eight scored once in Python
+    floats.
     """
     tilted = beta is not None
     k, m = shape.k, shape.m
     blocks = [shape.block(s) for s in range(1, k + 1)]
     block_sizes, reach_sizes, widths = classical._table_bits(shape, alphabet, tilted)
     root = 1.0 / k
+    objectives = []  # indexed by |I| + 2 |J| + 4 |P|
+    for code in range(8):
+        value = (code & 1) ** root + (code >> 1 & 1) ** root
+        objectives.append(value + beta * (code >> 2 & 1) ** root if tilted else value)
+    objectives = np.array(objectives)
 
-    def sign(bits, column):
-        return 1 - 2 * ((bits >> column) & 1)
+    def sign(table, column):
+        # bit `column` of every integer of this table, as +/-1 along its axis
+        axes = [-1 if t == table else 1 for t in range(len(widths))]
+        bits = np.arange(1 << widths[table]).reshape(axes)
+        return (1 - 2 * ((bits >> column) & 1)).astype(np.int8)
 
     best_value = -1.0
     best_key = None
@@ -559,39 +572,25 @@ def loop_scan(shape, alphabet, beta):
         labels = _decode_labels(label_index, alphabet)
         a_cols = [classical._flat(block, labels, alphabet) for block in blocks]
         b_cols = [classical._flat(reach, labels, alphabet) for reach in shape.reach]
-        factors = []  # per table, the (I, J, P) factors of each table integer
+        i_sign = j_sign = p_sign = 1
         for s in range(k):
-            pairs = (
-                (sign(bits, a_cols[s]), sign(bits, block_sizes[s] + a_cols[s]))
-                for bits in range(1 << widths[s])
-            )
-            factors.append([((a0 + a1) // 2, (a0 - a1) // 2, 1) for a0, a1 in pairs])
+            a0, a1 = sign(s, a_cols[s]), sign(s, block_sizes[s] + a_cols[s])
+            i_sign, j_sign = i_sign * ((a0 + a1) // 2), j_sign * ((a0 - a1) // 2)
         for r in range(m):
-            factors.append(
-                [
-                    (sign(bits, b_cols[r]), sign(bits, reach_sizes[r] + b_cols[r]), 1)
-                    for bits in range(1 << widths[k + r])
-                ]
-            )
-        if tilted:
-            for r in range(m):
-                factors.append(
-                    [(1, 1, sign(bits, b_cols[r])) for bits in range(1 << widths[k + m + r])]
-                )
-        combos = itertools.product(*(range(1 << w) for w in widths))
-        for combo, triples in zip(combos, itertools.product(*factors)):
-            scanned += 1
-            i_sign = j_sign = p_sign = 1
-            for i, j, p in triples:
-                i_sign *= i
-                j_sign *= j
-                p_sign *= p
-            value = abs(i_sign) ** root + abs(j_sign) ** root
+            i_sign = i_sign * sign(k + r, b_cols[r])
+            j_sign = j_sign * sign(k + r, reach_sizes[r] + b_cols[r])
             if tilted:
-                value += beta * abs(p_sign) ** root
-            if value > best_value:
-                best_value = value
-                best_key = (label_index, combo)
+                p_sign = p_sign * sign(k + m + r, b_cols[r])
+        codes = np.abs(i_sign) + 2 * np.abs(j_sign) + 4 * np.abs(p_sign)
+        assert codes.shape == tuple(1 << w for w in widths)
+        scanned += codes.size
+        present = np.flatnonzero(np.bincount(codes.ravel(), minlength=8))
+        value = objectives[present].max()
+        best = present[objectives[present] == value]
+        first = int(np.argmax(np.isin(codes, best)))  # the first combination scoring value
+        if value > best_value:
+            best_value = float(value)
+            best_key = (label_index, tuple(int(i) for i in np.unravel_index(first, codes.shape)))
     return best_value, best_key, scanned
 
 
@@ -864,7 +863,7 @@ def left_fold(values) -> float:
     return total
 
 
-def refine(shape, alphabet, beta, seed_strategy, rng, draws, steps):
+def refine(shape, alphabet, beta, seed_strategy, rng, draws, steps, sweeps=None):
     """Stochastic pass: random product label distributions, hill-climbed.
 
     The first restart starts from the seed strategy's tables, the others
@@ -874,7 +873,8 @@ def refine(shape, alphabet, beta, seed_strategy, rng, draws, steps):
     move at a time.  One GridScorer, built for the pass, scores every
     candidate; a rejected flip or move is undone in it.  Tables are
     flipped in place on lists, and a HiddenStrategy is built only for a
-    restart that beats the best.
+    restart that beats the best.  Each restart's count of sweeps run is
+    appended to sweeps when it is given.
     """
     tilted = beta is not None
     scorer = GridScorer(shape, alphabet, beta)
@@ -893,10 +893,10 @@ def refine(shape, alphabet, beta, seed_strategy, rng, draws, steps):
         weights = [tuple(draw_weights[i, :size, draw].tolist()) for i, size in enumerate(alphabet)]
         current_value = scorer.load(weights, tables)
         improved = True
-        sweeps = 0
-        while improved and sweeps < classical._REFINE_SWEEPS:
+        sweeps_run = 0
+        while improved and sweeps_run < classical._REFINE_SWEEPS:
             improved = False
-            sweeps += 1
+            sweeps_run += 1
             for t, parts, row in scorer.rows:
                 for e in range(len(row)):
                     row[e] = -row[e]
@@ -907,6 +907,8 @@ def refine(shape, alphabet, beta, seed_strategy, rng, draws, steps):
                     else:
                         row[e] = -row[e]
                         scorer.undo()
+        if sweeps is not None:
+            sweeps.append(sweeps_run)
 
         for step in range(steps):
             source = int(sources[step, draw])

@@ -488,6 +488,57 @@ class TestBatchedRefine:
         # one label per source: every weight move walks to the only vertex
         self.assert_same_pass(shape, 1, 0.7 if tilted else None, 7)
 
+    @pytest.mark.parametrize(
+        "name, beta", [("chsh-tilted", 0.7), ("example-a", None), ("star(3)", None)]
+    )
+    def test_benchmark_shapes_match(self, name, beta):
+        # the classical-bound commands the benchmark times, at its seed
+        shape = NetworkShape.from_layout(scenarios.builtin_scenario(name).layout)
+        self.assert_same_pass(shape, default_alphabet(shape, tilted=beta is not None), beta, 901)
+
+
+class TestRefineSweeps:
+    """Where the refine pass stops sweeping: classical._refine against
+    oracles.refine on the value (float.hex), the strategy and scanned,
+    which counts the last sweep whole however soon it stopped."""
+
+    @staticmethod
+    def refine_counting_flips(shape, alphabet, beta, seed, monkeypatch):
+        flips = []
+        flip = classical._Climb.flip
+        monkeypatch.setattr(
+            classical._Climb, "flip", lambda climb, entry: flips.append(entry) or flip(climb, entry)
+        )
+        sizes = classical._normalize_alphabet(shape, alphabet)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(classical, "_REFINE_DRAWS", 0)
+            start = max_deterministic(shape, sizes, beta=beta)
+        value, strategy, scanned = classical._refine(
+            shape, sizes, beta, start.value, make_rng(seed), 40, 60
+        )
+        sweeps = []
+        want_value, want_strategy = refine(
+            shape, sizes, beta, start.strategy, make_rng(seed), 40, 60, sweeps
+        )
+        entries = sum(classical._table_bits(shape, sizes, beta is not None)[2])
+        assert value.hex() == want_value.hex()
+        assert (strategy or start.strategy).to_json() == want_strategy.to_json()
+        assert scanned == 1 + 40 * (1 + max(sweeps) * entries + 60)
+        return flips, entries, max(sweeps)
+
+    def test_last_sweep_stops_early(self, monkeypatch):
+        # at this seed the last flip any restart keeps is entry 13 of the
+        # second sweep, so the third stops after its entry 13
+        flips, entries, sweeps = self.refine_counting_flips(BILOCAL, 2, None, 0, monkeypatch)
+        assert sweeps == 3 < classical._REFINE_SWEEPS
+        assert flips == list(range(entries)) * 2 + list(range(14))
+
+    def test_sweeps_stop_at_the_cap(self, monkeypatch):
+        # at this seed a restart still keeps a flip in the last sweep allowed
+        flips, entries, sweeps = self.refine_counting_flips(BILOCAL, (2, 3), None, 5, monkeypatch)
+        assert sweeps == classical._REFINE_SWEEPS
+        assert flips == list(range(entries)) * sweeps
+
 
 class TestStrategyValidation:
     def test_unnormalized_weights(self):

@@ -636,6 +636,39 @@ class TestSample:
         assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
 
 
+class TestDeterminism:
+    """Every report-writing command, run twice in one process with the same
+    seed, writes byte-identical JSON and CSV reports, and sample the same
+    round record."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["evaluate", "example-a"],
+            ["maximize", "example-a"],
+            ["tilted", "chsh-tilted"],
+            ["classical-bound", "chsh-tilted", "--beta", "0.7", "--seed", "3"],
+            ["classical-bound", "star(3)", "--tilt-count", "0", "--seed", "3"],
+            ["sample", "example-a", "--rounds", "2000", "--seed", "3"],
+            ["sample", "star(3)", "--rounds", "2000", "--strategy", "per-qubit-discard"],
+            ["reproduce-paper"],
+        ],
+        ids=" ".join,
+    )
+    def test_same_seed_writes_the_same_bytes(self, tmp_path, argv):
+        written = []
+        for run in ("first", "second"):
+            out, record = tmp_path / run, tmp_path / f"{run}-rounds.csv"
+            extra = ["--rounds-csv", str(record)] if argv[0] == "sample" else []
+            assert main([*argv, *extra, "--out", str(out)]) == EXIT_OK
+            files = {path.name: path.read_bytes() for path in out.iterdir()}
+            if extra:
+                files["rounds"] = record.read_bytes()
+            written.append(files)
+        assert {Path(name).suffix for name in written[0]} >= {".json"}
+        assert written[0] == written[1]
+
+
 class TestBuiltinStar:
     """star(N) is untilted unless --phibar is given; a --tilt-count above 0
     needs --phibar too."""
