@@ -9,13 +9,14 @@ tolerance, per group and in the product; disagreement means the
 synthesized observables do not implement the selected operators, so it
 raises instead of reporting a number.
 
-Both routes take every expectation from `codes.SourceState.expectation`,
-which builds no statevector, so no group is bounded by the statevector
-cap; the dense statevector route is the tests' oracle of that engine.
+Every expectation comes from `codes.SourceState.expectation`, which builds
+no statevector (no group meets the cap) and reduces each operator once per
+distinct codeword and command; the dense statevector route is its oracle.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -100,21 +101,14 @@ class BellReport:
         return data
 
 
-def _cached_expectation(sources: Sequence[SourceState], op: PauliString, cache: dict) -> complex:
+def _group_expectation(sources: Sequence[SourceState], op: PauliString) -> complex:
     """<op> on a group's sources without a hermiticity demand: op's phase
-    times each source's value on its slice of op's letters, memoized on
-    the letters (the cache keeps the plus-phase value per (x, z) masks)."""
-    key = (op.x, op.z)
-    value = cache.get(key)
-    if value is None:
-        if op.n != sum(src.code.n for src in sources):
-            raise ValueError(f"operator on {op.n} qubits does not fit its group")
-        value, start = 1.0, 0
-        for src in sources:
-            value *= src.expectation(op.window(start, start + src.code.n))
-            start += src.code.n
-        cache[key] = value
-    return op.phase * value
+    times each source's value on its slice of op's letters."""
+    cuts = list(itertools.accumulate((src.code.n for src in sources), initial=0))
+    if op.n != cuts[-1]:
+        raise ValueError(f"operator on {op.n} qubits does not fit its group")
+    windows = zip(sources, cuts, cuts[1:])
+    return op.phase * math.prod(src.expectation(op.window(lo, hi)) for src, lo, hi in windows)
 
 
 def _check(value, want, what: str, grid=None) -> None:
@@ -140,21 +134,21 @@ def _block_terms(synthesis: Synthesis, thetas) -> list[list[list]]:
     groups, and its expectation on the product state is the product over
     k of sum_(c,p) c <p B_y|G_k>, each taken on the group's own state.
     B_y's piece on G_k is the product of the receivers' pieces there, so
-    B_y's phase rides on group 1's piece. No value depends on the angles;
-    each group memoizes its own.
+    B_y's phase rides on group 1's piece. No value depends on the angles,
+    and each distinct source state memoizes its own.
     """
     layout, sources = synthesis.layout, synthesis.sources
     if len(sources) != layout.K:
         raise ValueError(f"expected {layout.K} source observables, got {len(sources)}")
-    caches, out = [{} for _ in sources], []
+    out = []
     for y, flip in ((0, 1.0), (1, -1.0)):
         receivers = zip(*(rec.b_pieces(y) for rec in synthesis.receivers))
         b = [PauliString.product(pieces) for pieces in receivers]
         out.append([])
         for k, (obs, theta, b_k) in enumerate(zip(sources, thetas, b), start=1):
             branch = obs.a_terms(0, theta) + [(flip * c, p) for c, p in obs.a_terms(1, theta)]
-            group, cache = layout.group_sources(k), caches[k - 1]
-            out[y].append([(c, _cached_expectation(group, p * b_k, cache)) for c, p in branch])
+            group = layout.group_sources(k)
+            out[y].append([(c, _group_expectation(group, p * b_k)) for c, p in branch])
     return out
 
 
@@ -236,7 +230,7 @@ def evaluate_tilted(synthesis: Synthesis, thetas, beta: float) -> BellReport:
         group = range(layout.partition[k - 1] + 1, layout.partition[k] + 1)
         primes = [(i, selection.h_prime[i - 1]) for i in group if i in tilt.tilt_sources]
         plain = piece == PauliString.identity(piece.n)
-        value = 1.0 if plain else _cached_expectation(layout.group_sources(k), piece, {})
+        value = 1.0 if plain else _group_expectation(layout.group_sources(k), piece)
         want = math.prod(layout.sources[i - 1].expectation(p).real for i, p in primes)
         _check(value, want, f"P block of agent {layout.agent_label(k)}")
         p_value, closed = p_value * value, closed * want

@@ -5,10 +5,10 @@ Codes are used as state factories and operator suppliers. A code is an
 library ships the two-qubit detection code, the five-qubit code, and
 GHZ chains (plain and split at a chosen cut).
 
-A codeword is kept as its 2^k logical amplitudes: every exact command
-takes its expectations from the stabilizing and logical operators
-(`SourceState.expectation`), and only the sampler's frames build its
-statevector (`SourceState.state`), which the tests keep as the oracle.
+A codeword is kept as its 2^k logical amplitudes, and a layout keeps one
+per distinct codeword: each exact expectation is reduced once from the
+stabilizing and logical operators (`SourceState.expectation`), and only
+the sampler's frames build its statevector (`SourceState.state`), the tests' oracle.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 import itertools
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping, Sequence
 
@@ -108,10 +108,11 @@ class StabilizerCode:
 
 @dataclass(frozen=True)
 class SourceState:
-    """A realized code state sum_z a_z |z-bar> for one source."""
+    """A realized code state sum_z a_z |z-bar>, shared by equal sources."""
 
     code: StabilizerCode
     amplitudes: tuple[complex, ...]
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def expectation(self, p: PauliString) -> complex:
         """<p> from the stabilizing and logical operators, with no amplitude
@@ -121,7 +122,9 @@ class SourceState:
         times identity letters; else p anticommutes with a generator and
         <p> = 0. S fixes the codeword, Zbar fixes |0-bar> and |z-bar> =
         Xbar^z |0-bar> (see _logical_basis), so <p> = c sum_z conj(a_(z^a))
-        a_z (-1)^|b & z|, summed exactly in integers and rounded once."""
+        a_z (-1)^|b & z|, summed exactly in integers, rounded once, memoized."""
+        if p in self._memo:
+            return self._memo[p]
         code = self.code
         if p.n != code.n:
             raise ValueError(f"operator on {p.n} qubits measured on the {code.n}-qubit {code.name}")
@@ -131,7 +134,7 @@ class SourceState:
         undo = (*itertools.compress(code.logical_z, signs), *itertools.compress(code.logical_x, flips))
         r = _reduce(PauliString.product((p, *undo)), code._pivots)
         if r.x or r.z:
-            return 0j
+            return self._memo.setdefault(p, 0j)
         a = sum(bit << i for i, bit in enumerate(reversed(flips)))
         b = sum(bit << i for i, bit in enumerate(reversed(signs)))
         ar, ai, scale = self._integers
@@ -140,7 +143,7 @@ class SourceState:
             w, sign = z ^ a, -1 if (b & z).bit_count() & 1 else 1
             real += sign * (ar[w] * ar[z] + ai[w] * ai[z])
             imag += sign * (ar[w] * ai[z] - ai[w] * ar[z])
-        return r.phase * complex(real / scale, imag / scale)
+        return self._memo.setdefault(p, r.phase * complex(real / scale, imag / scale))
 
     @cached_property
     def _integers(self) -> tuple[list[int], list[int], int]:

@@ -5,11 +5,12 @@ agents and M receivers. Sources are numbered 1..N and qubit j of source
 i is the pair (i, j) with j in 1..n_i. Agents are numbered 1..K+M with
 the first K on the source side; agent K+m is receiver m.
 
-Source agent k holds sources partition[k-1]+1 .. partition[k] (a block
-of consecutive source ids); its qubits from those sources are the ones
-assigned to it, and every other qubit goes to some receiver. Those
-sources form k's group: `place` gives a qubit's group and its position
-there, in the order the group's state lists its qubits.
+Source agent k holds sources partition[k-1]+1 .. partition[k] (a block of
+consecutive source ids); its qubits from those sources are the ones assigned
+to it, and every other qubit goes to some receiver. Those sources form k's
+group: `place` gives a qubit's group and its position there, in the order
+the group's state lists its qubits. Sources of one code and amplitude repr
+(== merges -0.0, 0.0) share a `SourceState`, reduced once per command.
 """
 
 from __future__ import annotations
@@ -37,7 +38,9 @@ class NetworkLayout:
     assignment: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "sources", tuple(self.sources))
+        distinct = {}
+        sources = (distinct.setdefault((s.code, repr(s.amplitudes)), s) for s in self.sources)
+        object.__setattr__(self, "sources", tuple(sources))
         object.__setattr__(self, "partition", tuple(int(e) for e in self.partition))
         triples = tuple(sorted((int(i), int(j), int(a)) for i, j, a in self.assignment))
         object.__setattr__(self, "assignment", triples)

@@ -42,6 +42,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 from dataclasses import dataclass
 
 from . import codes as code_lib
@@ -189,6 +190,9 @@ def scenario_from_dict(data: dict) -> Scenario:
     for key in ("name", "sources", "network", "selection"):
         if key not in data:
             raise ScenarioError(f"scenario is missing the {key!r} field")
+    name = str(data["name"])  # the stem of every report file
+    if any(sep and sep in name for sep in (os.sep, os.altsep)):
+        raise ScenarioError(f"scenario 'name' must not contain a path separator, got {name!r}")
 
     custom: dict[str, StabilizerCode] = {}
     for raw in _shaped(data.get("codes", []), list, "'codes'"):
@@ -207,15 +211,14 @@ def scenario_from_dict(data: dict) -> Scenario:
 
     net = data["network"]
     try:
-        layout = NetworkLayout(
-            sources=sources,
-            K=int(net["K"]),
-            M=int(net["M"]),
-            partition=tuple(int(v) for v in net["partition"]),
-            assignment=[(int(i), int(j), int(a)) for i, j, a in net["assignment"]],
-        )
-    except (KeyError, TypeError, OverflowError) as err:
+        k, m = (_number(net[key], int, f"network {key!r}") for key in ("K", "M"))
+        partition = [_number(v, int, "network 'partition' entry") for v in net["partition"]]
+        rows = net["assignment"]
+        assignment = [[_number(v, int, "network 'assignment' entry") for v in row] for row in rows]
+    except (KeyError, TypeError) as err:
         raise ScenarioError(f"bad network block: {err}") from err
+    try:
+        layout = NetworkLayout(sources, k, m, partition, assignment)
     except ValueError as err:
         raise ScenarioError(f"network does not resolve: {err}") from err
 
@@ -279,9 +282,14 @@ def scenario_from_dict(data: dict) -> Scenario:
     strategy = str(options.get("strategy", MODES[0]))
     if strategy not in MODES:
         raise ScenarioError(f"unknown strategy {strategy!r}; expected one of {MODES}")
+    allow = options.get("allow_commuting_receiver_pair", False)
+    if not isinstance(allow, bool):
+        raise ScenarioError(
+            f"options 'allow_commuting_receiver_pair' must be true or false, got {allow!r}"
+        )
 
     return Scenario(
-        name=str(data["name"]),
+        name=name,
         layout=layout,
         selection=selection,
         thetas=thetas,
@@ -291,7 +299,7 @@ def scenario_from_dict(data: dict) -> Scenario:
         seed=seed,
         grid_points=grid_points,
         strategy=strategy,
-        allow_commuting_pair=bool(options.get("allow_commuting_receiver_pair", False)),
+        allow_commuting_pair=allow,
         custom_codes=tuple(custom.values()),
     )
 

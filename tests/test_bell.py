@@ -189,22 +189,20 @@ class TestMaximize:
         assert abs(report.quantum_value - math.sqrt(2)) < TOL
         assert report.k == 3
 
-    def test_star_expectation_cache_size_is_pinned(self, monkeypatch):
+    def test_star_expectation_cache_size_is_pinned(self):
         # The joint expansion meets 16 distinct letter patterns across the
         # best angle and the whole grid, the count of its cache when it was
-        # keyed on letter text. The block engine takes four per group,
-        # <S B_y> and <T B_y> for y = 0, 1, and none on the grid.
-        caches = {}
-        original = bell._cached_expectation
-
-        def spy(state, op, cache):
-            caches[id(cache)] = cache
-            return original(state, op, cache)
-
-        monkeypatch.setattr(bell, "_cached_expectation", spy)
-        synthesis = synth(star_layout(3, math.pi / 4), star_selection(3, tilted=False))
-        report = maximize(synthesis)
-        assert [len(cache) for cache in caches.values()] == [4, 4, 4]
+        # keyed on letter text. The block engine reduces four operators on
+        # the one codeword that star's equal sources share, <S B_y> and
+        # <T B_y> for y = 0, 1 (the source values g and h among them), at
+        # any star size, and none on the grid.
+        for n in (51, 3):
+            layout = star_layout(n, math.pi / 4)
+            (state,) = {id(src): src for src in layout.sources}.values()
+            synthesis = synth(layout, star_selection(n, tilted=False))
+            state._memo.clear()
+            report = maximize(synthesis)
+            assert len(state._memo) == 4
 
         joint_cache = {}
         for theta in (report.thetas[0], *np.linspace(0.0, math.pi / 2, 181)):

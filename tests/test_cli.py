@@ -211,6 +211,24 @@ class TestValidate:
                 "grid_points", lambda d: d["options"].update(grid_points=100.7), id="grid-100.7"
             ),
             pytest.param("seed", lambda d: d["options"].update(seed=0.5), id="seed-0.5"),
+            pytest.param("K", lambda d: d["network"].update(K=2.9), id="K-2.9"),
+            pytest.param("M", lambda d: d["network"].update(M=1.5), id="M-1.5"),
+            pytest.param(
+                "partition", lambda d: d["network"].update(partition=[0, 1.9, 2]), id="partition-1.9"
+            ),
+            pytest.param(
+                "assignment",
+                lambda d: d["network"]["assignment"][0].__setitem__(0, 1.9),
+                id="assignment-1.9",
+            ),
+            # only a JSON boolean: bool("false") would read as true
+            pytest.param(
+                "allow_commuting_receiver_pair",
+                lambda d: d["options"].update(allow_commuting_receiver_pair="false"),
+                id="allow-string",
+            ),
+            # the name is every report's file stem
+            pytest.param("name", lambda d: d.update(name="../escape"), id="name-escape"),
         ],
     )
     def test_misshapen_field_is_one_error_line(self, tmp_path, capsys, field, mutate):
@@ -1058,6 +1076,17 @@ class TestOutputRouting:
     def test_unwritable_out_dir(self, capsys):
         code = main(["evaluate", "chsh", "--out", "/proc/1/nope"])
         assert code == EXIT_IO
+
+    def test_name_cannot_leave_the_out_directory(self, tmp_path, capsys):
+        data = scenarios.scenario_to_dict(scenarios.builtin_scenario("chsh"))
+        data["name"] = os.path.join("..", "escape")
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(data))
+        for command in ("evaluate", "maximize", "classical-bound", "sample"):
+            assert main([command, str(path), "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and "'name'" in err[0]
+        assert [p.name for p in tmp_path.iterdir()] == ["s.json"]
 
     @pytest.mark.parametrize("command", CI_REFUSALS)
     def test_refusal_leaves_no_out_path(self, tmp_path, capsys, command):

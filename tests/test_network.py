@@ -54,6 +54,17 @@ class TestLayout:
         assert layout.receivers == (3,)
         assert layout.source_agents == (1, 2)
 
+    def test_equal_sources_share_one_state(self):
+        # star(3)'s three codewords are built apart but kept once, with one
+        # statevector; codewords at two angles stay apart
+        layout = star_layout(3)
+        first = layout.sources[0]
+        assert all(src is first for src in layout.sources)
+        assert all(src.state is first.state for src in layout.sources)
+        apart = bilocal_layout(0.3, 0.5).sources
+        assert apart[0] is not apart[1]
+        assert apart[0].state is not apart[1].state
+
     def test_qubits_of_sorted(self):
         layout = bilocal_layout()
         assert layout.qubits_of(1) == ((1, 1),)

@@ -92,6 +92,19 @@ class TestRoundTrip:
         b = builtin_scenario("chsh", phi=math.pi / 8)
         assert fingerprint(a) != fingerprint(b)
 
+    def test_signed_zero_keeps_its_fingerprint(self):
+        # The two sources are equal under ==, but the canonical form writes
+        # each one's own amplitudes, so a -0.0 must not be merged into 0.0.
+        scenario = builtin_scenario("example-a", phi=0.0, phi2=-0.0)
+        first, second = scenario.layout.sources
+        assert first == second and first is not second
+        amplitudes = [src["amplitudes"] for src in scenario_to_dict(scenario)["sources"]]
+        assert [[math.copysign(1.0, a) for a in amps] for amps in amplitudes] == [
+            [1.0, 1.0], [1.0, -1.0]
+        ]
+        assert fingerprint(scenario) == "5991b6f29fec"
+        assert fingerprint(builtin_scenario("example-a", phi=0.0, phi2=0.0)) != "5991b6f29fec"
+
     def test_custom_code_round_trips(self):
         data = minimal_chsh_dict()
         data["codes"] = [
