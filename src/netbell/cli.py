@@ -240,14 +240,15 @@ def _parse_beta(text: str | None):
 
 def _cmd_validate(args) -> int:
     scenario = _load_scenario(args)
-    report, _ = scenarios.diagnose(scenario)
+    report, synthesis = scenarios.diagnose(scenario)
     print(f"scenario {scenario.name} [{scenarios.fingerprint(scenario)}]")
     for check in report.checks:
         print(f"  {check}")
     for warning in report.warnings:
         print(f"  [warn] {warning}")
-    for line in report.details:
-        print(f"  {line}")
+    if synthesis is not None:  # the observables at the scenario's angles
+        for line in synthesis.describe(scenario.thetas).splitlines():
+            print(f"  {line}")
     print("PASS" if report.passed else "FAIL")
     return EXIT_OK if report.passed else EXIT_VALIDATION
 

@@ -42,12 +42,10 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Checks and warnings, plus detail lines shown after them (validate
-    lists the synthesized observables there)."""
+    """Checks, and warnings that do not fail it."""
 
     checks: tuple[CheckResult, ...]
     warnings: tuple[str, ...] = ()
-    details: tuple[str, ...] = ()
 
     @property
     def passed(self) -> bool:
@@ -335,40 +333,43 @@ def codeword(code: StabilizerCode, amplitudes: Sequence[complex]) -> SourceState
 # ----------------------------------------------------------------------
 # built-in codes
 
-BUILTIN_NAME_PATTERN = re.compile(r"^([a-z-]+)(?:\((\d+)(?:,(\d+))?\))?$")
+
+def parse_name(name: str) -> tuple[str, tuple[int, ...]]:
+    """A builtin name's head and parenthesized integers, for codes and scenarios:
+    "star(3)" is ("star", (3,)), "chsh" ("chsh", ()); other text raises ValueError."""
+    found = re.fullmatch(r"([a-z-]+)(?:\((\d+(?:,\d+)*)\))?", name.strip())
+    if found is None:
+        raise ValueError(f"{name!r} is not a builtin name")
+    head, numbers = found.group(1, 2)
+    return head, tuple(map(int, numbers.split(","))) if numbers else ()
 
 
 @functools.lru_cache(maxsize=32)
 def builtin(name: str) -> StabilizerCode:
     """Built-in code by name: two-one-two, five-one-three, ghz(n), ghz-split(n,m).
     Built and validated once per name; an unknown name raises on every call."""
-    match = BUILTIN_NAME_PATTERN.match(name.strip())
-    if not match:
-        raise ValueError(f"unknown builtin code {name!r}")
-    head, first, second = match.groups()
 
     def chain(n, skip=None):  # ZZ on each neighbouring pair but the one at skip
         return [("I" * i + "ZZ").ljust(n, "I") for i in range(n - 1) if i != skip]
 
     # (canonical name, n, generators, Xbar, Zbar, distance) as letter text
-    if head == "two-one-two" and first is None:
-        parts = (head, 2, ["ZZ"], "XX", "IZ", 2)
-    elif head == "five-one-three" and first is None:
-        parts = (head, 5, ["XZZXI", "IXZZX", "XIXZZ", "ZXIXZ"], "XXXXX", "ZZZZZ", 3)
-    elif head == "ghz" and first is not None and second is None:
-        n = int(first)
-        if n < 2:
-            raise ValueError("ghz(n) needs n >= 2")
-        parts = (f"ghz({n})", n, chain(n), "X" * n, "Z".ljust(n, "I"), None)
-    elif head == "ghz-split" and first is not None and second is not None:
-        n, m = int(first), int(second)
-        if not 1 <= m < n:
-            raise ValueError(f"ghz-split(n,m) needs 1 <= m < n, got ({n},{m})")
-        cut = ("Z" + "I" * (m - 1) + "Z").ljust(n, "I")
-        zbar = ("I" * m + "Z").ljust(n, "I")
-        parts = (f"ghz-split({n},{m})", n, [cut, *chain(n, m - 1)], "X" * n, zbar, None)
-    else:
-        raise ValueError(f"unknown builtin code {name!r}")
+    match parse_name(name):
+        case ("two-one-two", ()):
+            parts = ("two-one-two", 2, ["ZZ"], "XX", "IZ", 2)
+        case ("five-one-three", ()):
+            parts = ("five-one-three", 5, ["XZZXI", "IXZZX", "XIXZZ", "ZXIXZ"], "XXXXX", "ZZZZZ", 3)
+        case ("ghz", (n,)):
+            if n < 2:
+                raise ValueError("ghz(n) needs n >= 2")
+            parts = (f"ghz({n})", n, chain(n), "X" * n, "Z".ljust(n, "I"), None)
+        case ("ghz-split", (n, m)):
+            if not 1 <= m < n:
+                raise ValueError(f"ghz-split(n,m) needs 1 <= m < n, got ({n},{m})")
+            cut = ("Z" + "I" * (m - 1) + "Z").ljust(n, "I")
+            zbar = ("I" * m + "Z").ljust(n, "I")
+            parts = (f"ghz-split({n},{m})", n, [cut, *chain(n, m - 1)], "X" * n, zbar, None)
+        case _:
+            raise ValueError(f"unknown builtin code {name!r}")
 
     canonical, n, generators, xbar, zbar, distance = parts
     code = StabilizerCode(

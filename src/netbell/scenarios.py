@@ -35,11 +35,16 @@ Serialization is canonical: source states are always written as amplitude
 lists, defaults are materialized, and the assignment is sorted, so
 load -> serialize -> load is an identity on the resolved objects. The
 scenario fingerprint is a hash of that canonical form.
+
+Every builtin scenario is one network (`_spokes`): K sources of one code,
+each split between its own agent and one shared receiver. The numbers in a
+name such as star(3) fill its factory's positional parameters.
 """
 
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -126,19 +131,14 @@ def _shaped(value, kind, what: str):
     raise ScenarioError(f"{what} must be {shape}, got {value!r}")
 
 
-def _resolve_code(name: str, custom: dict[str, StabilizerCode]) -> StabilizerCode:
-    if name in custom:
-        return custom[name]
-    try:
-        return code_lib.builtin(name)
-    except ValueError as err:
-        raise ScenarioError(f"unknown builtin code {name!r}") from err
-
-
 def _resolve_source(entry, custom) -> SourceState:
     if not isinstance(entry, dict) or "code" not in entry:
         raise ScenarioError(f"source entries need a 'code' field, got {entry!r}")
-    code = _resolve_code(str(entry["code"]), custom)
+    name = str(entry["code"])
+    try:
+        code = custom[name] if name in custom else code_lib.builtin(name)
+    except ValueError as err:
+        raise ScenarioError(f"unknown builtin code {name!r}") from err
     has_phi = "phi" in entry
     has_amps = "amplitudes" in entry
     if has_phi == has_amps:
@@ -316,12 +316,6 @@ def load_scenario(path) -> Scenario:
 # canonical serialization
 
 
-def _amplitude_json(value: complex):
-    if value.imag == 0.0:
-        return value.real
-    return [value.real, value.imag]
-
-
 def scenario_to_dict(scenario: Scenario) -> dict:
     """Canonical dictionary form: amplitude lists, materialized defaults,
     sorted assignment."""
@@ -333,7 +327,7 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     out["sources"] = [
         {
             "code": src.code.name,
-            "amplitudes": [_amplitude_json(a) for a in src.amplitudes],
+            "amplitudes": [a.real if a.imag == 0.0 else [a.real, a.imag] for a in src.amplitudes],
         }
         for src in layout.sources
     ]
@@ -408,15 +402,12 @@ def resolve_beta(
         return value, None
     phibar = scenario.phibar
     if phibar is None:
-        angles = []
-        for i in tilt_sources:
-            angle = source_angle(scenario.layout.sources[i - 1])
-            if angle is None:
-                raise ScenarioError(
-                    "beta 'auto' needs options.phibar when tilt-source states "
-                    "are not plain (cos, sin) pairs"
-                )
-            angles.append(angle)
+        angles = [source_angle(scenario.layout.sources[i - 1]) for i in tilt_sources]
+        if None in angles:
+            raise ScenarioError(
+                "beta 'auto' needs options.phibar when tilt-source states "
+                "are not plain (cos, sin) pairs"
+            )
         if max(angles) - min(angles) > ANGLE_TOL:
             raise ScenarioError(
                 "beta 'auto' needs a single shared tilt angle; set options.phibar"
@@ -428,8 +419,7 @@ def resolve_beta(
 
 def diagnose(scenario: Scenario) -> tuple[ValidationReport, Synthesis | None]:
     """Full validation report: selection structure, parity conditions, and
-    observable synthesis, whose observables (at the scenario's angles) the
-    report's details list; with the synthesis, or None where it failed.
+    observable synthesis; with the synthesis, or None where it failed.
     A group of sources past the statevector cap is a warning, not a
     failure: only sample builds the group's state."""
     layout, selection = scenario.layout, scenario.selection
@@ -474,115 +464,73 @@ def diagnose(scenario: Scenario) -> tuple[ValidationReport, Synthesis | None]:
         checks.append(CheckResult("observable synthesis", False, str(failure)))
         return ValidationReport(tuple(checks), warnings), None
     checks.append(CheckResult("observable synthesis", True))
-    listing = synthesis.describe(scenario.thetas)
-    return ValidationReport(tuple(checks), warnings, tuple(listing.splitlines())), synthesis
+    return ValidationReport(tuple(checks), warnings), synthesis
 
 
 # ----------------------------------------------------------------------
 # built-in scenarios
 
 
-def _options(**extra) -> dict:
-    base = {"seed": 0}
-    base.update(extra)
-    return base
-
-
-def _chsh(phi: float = math.pi / 4, tilted: bool = False) -> dict:
+def _spokes(name, code, phis, held, g, h, h_prime=None, tilted=0, **options) -> dict:
+    """The network of every builtin: one source of the code per angle in
+    phis, each giving the qubits in held to its own agent and the rest to
+    one shared receiver, with the same g and h. The first tilted sources
+    also carry h_prime, and beta is solved at their angle phis[0]."""
+    k = len(phis)
+    qubits = range(1, code_lib.builtin(code).n + 1)
+    assignment = [[i, j, i if j in held else k + 1] for i in range(1, k + 1) for j in qubits]
     data = {
-        "name": "chsh-tilted" if tilted else "chsh",
-        "sources": [{"code": "two-one-two", "phi": phi}],
+        "name": name,
+        "sources": [{"code": code, "phi": phi} for phi in phis],
         "network": {
-            "K": 1,
+            "K": k,
             "M": 1,
-            "partition": [0, 1],
-            "assignment": [[1, 1, 1], [1, 2, 2]],
+            "partition": list(range(k + 1)),
+            "assignment": assignment,
         },
-        "selection": {"g": ["+ZZ"], "h": ["+XX"]},
-        "options": _options(),
+        "selection": {"g": [g] * k, "h": [h] * k},
+        "options": {"seed": 0, **options},
     }
     if tilted:
-        data["selection"]["h_prime"] = ["+IZ"]
-        data["options"].update(beta="auto", phibar=phi)
+        data["selection"]["h_prime"] = [h_prime] * tilted + [None] * (k - tilted)
+        data["options"].update(beta="auto", phibar=phis[0])
     return data
 
 
-def _five_split(phi: float = math.pi / 4) -> dict:
-    return {
-        "name": "five-one-three-split",
-        "sources": [{"code": "five-one-three", "phi": phi}],
-        "network": {
-            "K": 1,
-            "M": 1,
-            "partition": [0, 1],
-            "assignment": [[1, 1, 1]] + [[1, j, 2] for j in range(2, 6)],
-        },
-        "selection": {"g": ["+ZZXIX"], "h": ["+XXXXX"]},
-        "options": _options(),
-    }
+def _chsh(*, phi: float = math.pi / 4) -> dict:
+    return _spokes("chsh", "two-one-two", [phi], (1,), "+ZZ", "+XX")
 
 
-def _ghz_split(n: int = 4, m: int = 2, phi: float = math.pi / 4) -> dict:
+def _chsh_tilted(*, phi: float = math.pi / 8) -> dict:
+    return _spokes("chsh-tilted", "two-one-two", [phi], (1,), "+ZZ", "+XX", "+IZ", 1)
+
+
+def _five_split(*, phi: float = math.pi / 4) -> dict:
+    return _spokes("five-one-three-split", "five-one-three", [phi], (1,), "+ZZXIX", "+XXXXX")
+
+
+def _ghz_split(n: int = 4, m: int = 2, *, phi: float = math.pi / 4) -> dict:
     if not 1 <= m < n:
         raise ScenarioError(f"ghz-split needs 1 <= m < n, got ({n},{m})")
-    g = "Z" + "I" * (m - 1) + "Z" + "I" * (n - m - 1)
-    return {
-        "name": f"ghz-split({n},{m})",
-        "sources": [{"code": f"ghz-split({n},{m})", "phi": phi}],
-        "network": {
-            "K": 1,
-            "M": 1,
-            "partition": [0, 1],
-            "assignment": [[1, j, 1] for j in range(1, m + 1)]
-            + [[1, j, 2] for j in range(m + 1, n + 1)],
-        },
-        "selection": {"g": ["+" + g], "h": ["+" + "X" * n]},
-        "options": _options(),
-    }
+    name = f"ghz-split({n},{m})"
+    g = "+" + ("Z" + "I" * (m - 1) + "Z").ljust(n, "I")
+    return _spokes(name, name, [phi], range(1, m + 1), g, "+" + "X" * n)
 
 
-def _pair_network(n_sources: int = 2) -> dict:
-    receiver = n_sources + 1
-    assignment = [[i, 1, i] for i in range(1, n_sources + 1)]
-    assignment += [
-        [i, j, receiver] for i in range(1, n_sources + 1) for j in range(2, 6)
-    ]
-    return {
-        "K": n_sources,
-        "M": 1,
-        "partition": list(range(n_sources + 1)),
-        "assignment": assignment,
-    }
+def _example_a(*, phi: float = math.pi / 4, phi2: float | None = None) -> dict:
+    phis = [phi, phi if phi2 is None else phi2]
+    return _spokes("example-a", "five-one-three", phis, (1,), "+ZZXIX", "+XXXXX",
+                   allow_commuting_receiver_pair=True)
 
 
-def _example_a(phi: float = math.pi / 4, phi2: float | None = None) -> dict:
-    return {
-        "name": "example-a",
-        "sources": [
-            {"code": "five-one-three", "phi": phi},
-            {"code": "five-one-three", "phi": phi if phi2 is None else phi2},
-        ],
-        "network": _pair_network(),
-        "selection": {"g": ["+ZZXIX"] * 2, "h": ["+XXXXX"] * 2},
-        "options": _options(allow_commuting_receiver_pair=True),
-    }
-
-
-def _example_b(phi: float = 0.0, phi2: float = math.pi / 2) -> dict:
-    return {
-        "name": "example-b",
-        "sources": [
-            {"code": "five-one-three", "phi": phi},
-            {"code": "five-one-three", "phi": phi2},
-        ],
-        "network": _pair_network(),
-        "selection": {"g": ["+ZZXIX"] * 2, "h": ["+XZZXI"] * 2},
-        "options": _options(allow_commuting_receiver_pair=True),
-    }
+def _example_b(*, phi: float = 0.0, phi2: float = math.pi / 2) -> dict:
+    return _spokes("example-b", "five-one-three", [phi, phi2], (1,), "+ZZXIX", "+XZZXI",
+                   allow_commuting_receiver_pair=True)
 
 
 def _star(
     n: int = 3,
+    *,
     phi: float = math.pi / 4,
     phibar: float | None = None,
     tilt_count: int | None = None,
@@ -599,36 +547,14 @@ def _star(
         raise ScenarioError(f"tilt_count must lie in 0..{n}, got {tilted}")
     if tilted and phibar is None:
         raise ScenarioError("a tilted star needs phibar (--phibar)")
-    angle = phi if phibar is None else phibar
-    receiver = n + 1
-    assignment = [[i, 2, i] for i in range(1, n + 1)]
-    assignment += [[i, j, receiver] for i in range(1, n + 1) for j in (1, 3, 4, 5)]
-    sources = [
-        {"code": "five-one-three", "phi": angle if i <= tilted else phi}
-        for i in range(1, n + 1)
-    ]
-    data = {
-        "name": f"star({n})",
-        "sources": sources,
-        "network": {
-            "K": n,
-            "M": 1,
-            "partition": list(range(n + 1)),
-            "assignment": assignment,
-        },
-        "selection": {"g": ["+ZZXIX"] * n, "h": ["+XXXXX"] * n},
-        "options": _options(),
-    }
-    if tilted:
-        data["selection"]["h_prime"] = ["-ZIXXI" if i <= tilted else None
-                                        for i in range(1, n + 1)]
-        data["options"].update(beta="auto", phibar=angle)
-    return data
+    phis = [phibar] * tilted + [phi] * (n - tilted)
+    return _spokes(f"star({n})", "five-one-three", phis, (2,), "+ZZXIX", "+XXXXX", "-ZIXXI", tilted)
 
 
+# A factory's positional parameters are the numbers its name may carry.
 BUILTIN_SCENARIOS = {
     "chsh": _chsh,
-    "chsh-tilted": lambda **kw: _chsh(tilted=True, **{"phi": math.pi / 8, **kw}),
+    "chsh-tilted": _chsh_tilted,
     "five-one-three-split": _five_split,
     "ghz-split": _ghz_split,
     "example-a": _example_a,
@@ -636,25 +562,23 @@ BUILTIN_SCENARIOS = {
     "star": _star,
 }
 
+
 def builtin_scenario(name: str, **params) -> Scenario:
     """Resolve a named built-in scenario. Accepts star(3) / ghz-split(4,2)
     argument forms; keyword parameters override the parsed ones."""
-    match = code_lib.BUILTIN_NAME_PATTERN.match(name.strip())
-    if not match or match.group(1) not in BUILTIN_SCENARIOS:
-        known = ", ".join(sorted(BUILTIN_SCENARIOS))
-        raise ScenarioError(f"unknown builtin scenario {name!r}; known: {known}")
-    head, first, second = match.groups()
-    args = dict(params)
-    if head == "star" and first is not None:
-        args.setdefault("n", int(first))
-    elif head == "ghz-split" and first is not None:
-        args.setdefault("n", int(first))
-        if second is not None:
-            args.setdefault("m", int(second))
-    elif first is not None:
-        raise ScenarioError(f"builtin scenario {head!r} takes no (...) arguments")
     try:
-        data = BUILTIN_SCENARIOS[head](**args)
-    except TypeError as err:
-        raise ScenarioError(f"bad parameters for builtin {head!r}: {err}") from err
-    return scenario_from_dict(data)
+        head, numbers = code_lib.parse_name(name)
+        factory = BUILTIN_SCENARIOS[head]
+    except (ValueError, KeyError):
+        known = ", ".join(sorted(BUILTIN_SCENARIOS))
+        raise ScenarioError(f"unknown builtin scenario {name!r}; known: {known}") from None
+    accepted = inspect.signature(factory).parameters
+    positional = [key for key, p in accepted.items() if p.kind is p.POSITIONAL_OR_KEYWORD]
+    if len(numbers) > len(positional):
+        form = f"{head}({','.join(positional)})"
+        takes = f"{form}, got {name.strip()!r}" if positional else "no (...) arguments"
+        raise ScenarioError(f"builtin scenario {head!r} takes {takes}")
+    if refused := [key for key in params if key not in accepted]:
+        takes = f"no parameter {refused[0]!r} (takes {', '.join(accepted)})"
+        raise ScenarioError(f"bad parameters for builtin {head!r}: {takes}")
+    return scenario_from_dict(factory(**{**dict(zip(positional, numbers)), **params}))

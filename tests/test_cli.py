@@ -72,6 +72,8 @@ CI_REFUSALS = (
     "sample ghz-split(40,20)",
     "classical-bound chsh --mode full",
     "maximize chsh --grid abc",
+    "evaluate star(3,7)",
+    "evaluate chsh --phibar 0.3",
 )
 
 
@@ -133,6 +135,25 @@ class TestValidate:
     def test_unknown_builtin(self, capsys):
         assert main(["validate", "no-such-thing"]) == EXIT_VALIDATION
         assert "unknown builtin scenario" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            (["star(3,7)"], "builtin scenario 'star' takes star(n), got 'star(3,7)'"),
+            (
+                ["chsh", "--phibar", "0.3"],
+                "bad parameters for builtin 'chsh': no parameter 'phibar' (takes phi)",
+            ),
+        ],
+        ids=["extra-number", "unknown-flag"],
+    )
+    def test_refused_builtin_parameters_are_one_plain_line(self, tmp_path, capsys, argv, error):
+        for command in ("validate", "evaluate"):
+            out = ["--out", str(tmp_path / "out")] if command == "evaluate" else []
+            assert main([command, *argv, *out]) == EXIT_VALIDATION
+            captured = capsys.readouterr()
+            assert captured.err == f"error: {error}\n" and captured.out == ""
+        assert not (tmp_path / "out").exists()
 
     def test_malformed_json_reports_position(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
@@ -831,6 +852,20 @@ class TestSynthesisOnce:
         assert main(argv) == EXIT_OK
         assert built == ["build_source"]
         assert classified == ["classify"]
+
+    def test_only_validate_lists_the_observables(self, out_dir, monkeypatch, capsys):
+        listed = []
+        describe = observables.Synthesis.describe
+        monkeypatch.setattr(
+            observables.Synthesis,
+            "describe",
+            lambda synthesis, thetas: listed.append(thetas) or describe(synthesis, thetas),
+        )
+        assert main(["evaluate", "star(3)"]) == EXIT_OK
+        assert listed == []
+        assert main(["validate", "star(3)"]) == EXIT_OK
+        assert len(listed) == 1
+        assert "  S1: A0 =" in capsys.readouterr().out
 
 
 class TestCrossCheckErrors:

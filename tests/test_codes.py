@@ -85,6 +85,31 @@ class TestBuiltins:
             with pytest.raises(ValueError):
                 builtin(name)
 
+    @pytest.mark.parametrize(
+        "name, parsed",
+        [
+            ("chsh", ("chsh", ())),
+            (" star(3) ", ("star", (3,))),
+            ("ghz-split(40,20)", ("ghz-split", (40, 20))),
+            ("star(3,7,9)", ("star", (3, 7, 9))),
+        ],
+    )
+    def test_parse_name(self, name, parsed):
+        assert codes.parse_name(name) == parsed
+
+    @pytest.mark.parametrize("name", ["", "star()", "star(3", "star(x)", "STAR", "star(3,)", "a b"])
+    def test_parse_name_refuses_other_text(self, name):
+        with pytest.raises(ValueError):
+            codes.parse_name(name)
+
+    def test_codes_and_scenarios_share_the_parser(self, monkeypatch):
+        builtin.cache_clear()
+        parsed = []
+        parse = codes.parse_name
+        monkeypatch.setattr(codes, "parse_name", lambda name: parsed.append(name) or parse(name))
+        builtin_scenario("ghz-split(5,2)")
+        assert parsed == ["ghz-split(5,2)", "ghz-split(5,2)"]
+
 
 class TestValidateFailures:
     def test_count_mismatch_flagged(self):

@@ -31,6 +31,43 @@ BUILTIN_NAMES = [
 ]
 
 
+# Every builtin at its defaults and with each parameter it accepts, name
+# numbers and flags both, pinned to the fingerprints of the hand-written
+# factories that the one network builder replaced.
+PINNED_FINGERPRINTS = [
+    ("chsh", {}, "faed84fe5854"),
+    ("chsh", {"phi": 0.3}, "810edb07b066"),
+    ("chsh-tilted", {}, "cc5b0998f3f5"),
+    ("chsh-tilted", {"phi": 0.3}, "b4f8f335d699"),
+    ("five-one-three-split", {}, "6563a4f94039"),
+    ("five-one-three-split", {"phi": 0.3}, "2a00a7b2aeec"),
+    ("ghz-split", {}, "858d76e001c7"),
+    ("ghz-split", {"n": 5}, "93658b8ed751"),
+    ("ghz-split", {"m": 3}, "fb1f4256ebca"),
+    ("ghz-split", {"phi": 0.3}, "fd9ea128eb55"),
+    ("ghz-split(6)", {}, "372ff31fb778"),
+    ("ghz-split(40,20)", {}, "6b9dca0ff026"),
+    ("ghz-split(4,2)", {"n": 6, "m": 3}, "43627dd56fc6"),
+    ("example-a", {}, "dc21fc72bab1"),
+    ("example-a", {"phi": 0.3}, "fb0bc4419d00"),
+    ("example-a", {"phi2": 0.5}, "a4a20284add1"),
+    ("example-a", {"phi2": -0.0}, "f4b254337851"),
+    ("example-b", {}, "a4534c860f76"),
+    ("example-b", {"phi": 0.3}, "a5092b8c6c69"),
+    ("example-b", {"phi2": 0.5}, "08a01ec5bca7"),
+    ("star", {}, "4317cf3bff22"),
+    ("star", {"n": 5}, "4caebb919071"),
+    ("star", {"phi": 0.3}, "ee4f6c27c224"),
+    ("star(51)", {}, "f2d3ab1af6c2"),
+    ("star(51)", {"n": 5}, "4caebb919071"),
+    ("star", {"n": 3, "phibar": 0.3927}, "dab35252bb7e"),
+    ("star(3)", {"phibar": 0.3927, "tilt_count": 1}, "965e522a1429"),
+    ("star(3)", {"phibar": 0.3927, "tilt_count": 3}, "dab35252bb7e"),
+    ("star(3)", {"phibar": 0.3927, "tilt_count": 0}, "4317cf3bff22"),
+    ("star(3)", {"tilt_count": 0}, "4317cf3bff22"),
+]
+
+
 def minimal_chsh_dict() -> dict:
     return {
         "name": "pair",
@@ -140,6 +177,27 @@ class TestBuiltins:
     def test_paren_arguments_rejected_where_unsupported(self):
         with pytest.raises(ScenarioError, match="takes no"):
             builtin_scenario("chsh(3)")
+
+    @pytest.mark.parametrize("name", ["star(3,7)", "ghz-split(4,2,1)"])
+    def test_extra_numbers_are_refused(self, name):
+        head = name.split("(")[0]
+        with pytest.raises(ScenarioError, match=rf"builtin scenario '{head}' takes {head}\("):
+            builtin_scenario(name)
+        # a flag for the dropped number does not rescue the name
+        with pytest.raises(ScenarioError, match="takes"):
+            builtin_scenario(name, n=5)
+
+    @pytest.mark.parametrize("name, params, digest", PINNED_FINGERPRINTS)
+    def test_fingerprint_is_pinned(self, name, params, digest):
+        assert fingerprint(builtin_scenario(name, **params)) == digest
+
+    @pytest.mark.parametrize("name", ["chsh", "chsh-tilted"])
+    def test_refused_keyword_is_named_without_a_function(self, name):
+        with pytest.raises(ScenarioError) as caught:
+            builtin_scenario(name, phibar=0.3)
+        message = str(caught.value)
+        assert message == f"bad parameters for builtin {name!r}: no parameter 'phibar' (takes phi)"
+        assert "()" not in message and "_chsh" not in message
 
     def test_bad_parameters(self):
         with pytest.raises(ScenarioError, match="bad parameters"):
