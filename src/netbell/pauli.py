@@ -17,7 +17,7 @@ on a basis state. Products and commutation are popcounts on those masks
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 # Symplectic encoding of a letter as (x bit, z bit), and its inverse
 # indexed by x | z << 1.
@@ -212,28 +212,6 @@ class PauliString:
 
     # ------------------------------------------------------------------
     # register plumbing
-
-    def embed(self, positions: Sequence[int], n: int) -> "PauliString":
-        """Place this string at the given positions of an n-qubit register.
-
-        Identity elsewhere; the phase is preserved. positions[j] is the
-        register position of this string's qubit j.
-        """
-        positions = list(positions)
-        if len(positions) != self._n:
-            raise ValueError(
-                f"need {self._n} positions for a {self._n}-qubit string, got {len(positions)}"
-            )
-        if len(set(positions)) != len(positions):
-            raise ValueError(f"duplicate positions in {positions}")
-        x = z = 0
-        for j, pos in enumerate(positions):
-            if not 0 <= pos < n:
-                raise ValueError(f"position {pos} out of range for {n} qubits")
-            s, t = self._n - 1 - j, n - 1 - pos
-            x |= (self._x >> s & 1) << t
-            z |= (self._z >> s & 1) << t
-        return _raw(x, z, self._k, n)
 
     def window(self, start: int, stop: int) -> "PauliString":
         """The letters on qubits start..stop-1 as a plus-phase string."""

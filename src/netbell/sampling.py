@@ -14,17 +14,21 @@ computational-basis frame:
   equals V S V^dag with V = exp(-(-1)^x (theta/2) ST), so applying V^dag
   (a real combination of the identity and the string ST) reduces it to the
   plain string S;
-* every remaining measured string is then diagonalized letter by letter
-  with single-qubit basis rotations (H for X, H S^dag for Y).
+* every remaining measured string is then diagonalized with single-qubit
+  basis rotations: H for X, H S^dag for Y.
 
 Every observable arrives as pieces on the groups (see observables), so a
-group's frame reads only the pieces on that group, and a measured string's
-mask is its pieces' bits, one mask per group. The squared amplitudes of
-the rotated group state are the exact outcome distribution of the group.
-Rounds draw one outcome index per group by a nested inverse CDF that
-reproduces numpy's Generator.choice on the joint distribution (see
-_draw): one uniform per round is inverted through each group's
-cumulative distribution in turn. Each inversion looks the uniform up in a
+group's frame reads only the pieces on that group. Its measured basis is
+the OR of the x and z bit masks of the pieces it measures (_basis), and
+each qubit whose x bit is set is rotated, in ascending order, by H where
+its z bit is clear and by H S^dag where it is set; tests/oracles.py works
+the same letters out one qubit at a time from the agents' local strings.
+A measured string's mask is its pieces' bits, one mask per group. The
+squared amplitudes of the rotated group state are the exact outcome
+distribution of the group. Rounds draw one outcome index per group by a
+nested inverse CDF that reproduces numpy's Generator.choice on the joint
+distribution (see _draw): one uniform per round is inverted through each
+group's cumulative distribution in turn. Each inversion looks the uniform up in a
 guide table of equal buckets and steps at most a fixed, precomputed
 number of bins from there (see _Cdf), which returns the bin a binary
 search would, so the rounds are bit for bit those of Generator.choice. A
@@ -66,7 +70,7 @@ import numpy as np
 
 from .network import NetworkLayout
 from .observables import CrossCheckError, Synthesis
-from .pauli import PauliString
+from .pauli import _LETTER_OF_BITS
 from .reports import atomic_write
 from .states import StateVector, _parity, make_rng
 
@@ -97,7 +101,9 @@ _BELOW_ONE = np.nextafter(1.0, 0.0)
 
 _H = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
 _S_DAG = np.array([[1.0, 0.0], [0.0, -1.0j]], dtype=complex)
-_BASIS_ROTATION = {"X": _H, "Y": _H @ _S_DAG, "Z": None}
+# The rotation onto Z of a measured qubit's letter, indexed by its z bit when
+# its x bit is set: H for X, H S^dag for Y. A Z letter needs none.
+_ROTATION = (_H, _H @ _S_DAG)
 
 
 @dataclass(frozen=True)
@@ -224,48 +230,46 @@ def _apply_one_qubit(amps: np.ndarray, n: int, q: int, gate: np.ndarray) -> np.n
     return np.einsum("ab,ibj->iaj", gate, amps.reshape(left, 2, right)).reshape(-1)
 
 
-def _add_letter(target: dict[int, str], q: int, letter: str, where: str) -> None:
-    if target.setdefault(q, letter) != letter:
-        raise CrossCheckError(
-            f"{where}: qubit {q} would be measured in both "
-            f"{target[q]} and {letter} bases"
-        )
+def _basis(synthesis: Synthesis, k: int, y: tuple[int, ...], mode: str) -> tuple[int, int]:
+    """The x and z masks of the basis that group k is measured in when the
+    receivers hold settings y: the OR of the pieces measured there. The
+    source agent measures S. A receiver measures B_y, or B0bar and Ppart on
+    a tilted y = 0 in direct mode; in per-qubit-discard mode it also
+    measures B_(1-y)'s letter on every qubit where B_y is the identity (the
+    repeated letter of an idle qubit)."""
+    width, tilt = synthesis.layout.group_widths[k - 1], synthesis.tilt
+    x = z = 0
 
+    def add(px: int, pz: int, where: str) -> None:
+        nonlocal x, z
+        # the first qubit that both hold in different letters, if any
+        s = ((x | z) & (px | pz) & ((x ^ px) | (z ^ pz))).bit_length() - 1
+        if s >= 0:
+            held, new = (
+                _LETTER_OF_BITS[(a >> s & 1) | (b >> s & 1) << 1] for a, b in ((x, z), (px, pz))
+            )
+            raise CrossCheckError(
+                f"{where}: qubit {width - 1 - s} would be measured in both {held} and {new} bases"
+            )
+        x, z = x | px, z | pz
 
-def _add_letters(target: dict[int, str], op: PauliString, where: str) -> None:
-    for q in op.support:
-        _add_letter(target, q, op.letter(q), where)
-
-
-def _letters(synthesis: Synthesis, k: int, y: tuple[int, ...], mode: str) -> dict[int, str]:
-    """The basis letter of every measured qubit of group k, by position in
-    the group, when the receivers hold settings y; source agents always
-    measure S."""
-    layout, receivers, tilt = synthesis.layout, synthesis.receivers, synthesis.tilt
-    letters: dict[int, str] = {}
     for src in synthesis.sources:
         if src.agent == k:
-            _add_letters(letters, src.s_piece, f"source agent {src.agent}")
-    for pos_r, (ym, rec) in enumerate(zip(y, receivers)):
+            add(src.s_piece.x, src.s_piece.z, f"source agent {src.agent}")
+    for pos_r, (ym, rec) in enumerate(zip(y, synthesis.receivers)):
         where = f"receiver agent {rec.agent} in group {k}"
-        if mode == "direct-observable":
-            if tilt is not None and ym == 0:
-                block = tilt.receivers[pos_r]
-                _add_letters(letters, block.b0_bar_pieces[k - 1], where)
-                _add_letters(letters, block.p_part_pieces[k - 1], where)
-            else:
-                _add_letters(letters, rec.b_pieces(ym)[k - 1], where)
+        piece = rec.b_pieces(ym)[k - 1]
+        if mode == "per-qubit-discard":
+            other = rec.b_pieces(1 - ym)[k - 1]
+            idle = ~(piece.x | piece.z)
+            add(piece.x | other.x & idle, piece.z | other.z & idle, where)
+        elif tilt is not None and ym == 0:
+            block = tilt.receivers[pos_r]
+            for part in (block.b0_bar_pieces[k - 1], block.p_part_pieces[k - 1]):
+                add(part.x, part.z, where)
         else:
-            chosen = rec.b0 if ym == 0 else rec.b1
-            for (i, j), letter in zip(rec.qubits, chosen.letters):
-                group, position = layout.place(i, j)
-                if group != k:
-                    continue
-                if letter == "I":
-                    letter = synthesis.classification.o_letter(i, j)
-                if letter is not None:
-                    _add_letter(letters, position, letter, where)
-    return letters
+            add(piece.x, piece.z, where)
+    return x, z
 
 
 class _Frames:
@@ -335,10 +339,11 @@ class _Frames:
         ).apply(obs.s_piece * obs.t_piece).amplitudes
 
         width = layout.group_widths[k - 1]
-        for q, letter in _letters(self.synthesis, k, y, self.mode).items():
-            gate = _BASIS_ROTATION[letter]
-            if gate is not None:
-                amps = _apply_one_qubit(amps, width, q, gate)
+        x, z = _basis(self.synthesis, k, y, self.mode)
+        for q in range(width):
+            s = width - 1 - q
+            if x >> s & 1:
+                amps = _apply_one_qubit(amps, width, q, _ROTATION[z >> s & 1])
 
         probabilities = np.abs(amps) ** 2
         total = probabilities.sum()
@@ -565,28 +570,22 @@ def run(
         qubit_masks = []
         for i, j in measured:
             group, position = layout.place(i, j)
-            z = PauliString("Z").embed([position], layout.group_widths[group - 1])
-            qubit_masks.append(_string_mask(layout, [(group, z)]))
+            bits = [0] * k
+            bits[group - 1] = 1 << (layout.group_widths[group - 1] - 1 - position)
+            qubit_masks.append(_Mask(bits=tuple(bits), sign=1))
         header = _csv_header(config.strategy, k, m, tilt is not None, measured)
         blocks = []  # per setting block: its settings text and int8 outcome rows
 
     tallies = []
     for (x, y), count in zip(combos, (int(c) for c in counts)):
-        tilted_now = tilt is not None and all(b == 0 for b in y)
-        if count == 0:
-            tallies.append(
-                SettingTally(
-                    x=x, y=y, rounds=0, product_sum=0, p_sum=0 if tilted_now else None
-                )
-            )
-            continue
+        # An empty cell draws no uniform, which leaves the generator as it was.
         indices = _draw(frames.cdfs(x, y), rng, count)
         a_cols = [frames.outcomes(indices, mask) for mask in frames.source_masks]
         b_cols = [frames.outcomes(indices, mask) for mask in frames.receiver_masks(y)]
         product = np.prod(a_cols, axis=0) * np.prod(b_cols, axis=0)
         p_sum = None
         p_cols = []
-        if tilted_now:
+        if tilt is not None and all(b == 0 for b in y):
             p_cols = [frames.outcomes(indices, mask) for mask in frames.p_masks]
             p_sum = int(np.prod(p_cols, axis=0).sum())
         tallies.append(

@@ -93,8 +93,11 @@ class Scenario:
 
 def _number(value, convert, what: str):
     """convert(value) for the scenario field named by what; a value of the
-    wrong type, too large to convert, a float that is not finite, or a
-    fractional float for an integer field is a ScenarioError."""
+    wrong type (a JSON boolean included), too large to convert, a float
+    that is not finite, or a fractional float for an integer field is a
+    ScenarioError."""
+    if isinstance(value, bool):
+        raise ScenarioError(f"{what} must be a number, got {value!r}")
     try:
         number = convert(value)
     except (TypeError, ValueError, OverflowError):

@@ -6,7 +6,9 @@ command runs:
 
 * `joint_state` is the tensor product of every source state, the
   2^n-amplitude register that `src/` never builds; `global_index` places
-  a qubit in it, `embed` lifts a source's operator into it, and `lift`
+  a qubit in it, `embed` lifts a source's operator into it through
+  `embed_positions`, which places a string's letters at register
+  positions letter by letter, and `lift`
   joins an observable's pieces on the groups of sources into one string
   on it, the n-qubit embedding `src/` no longer makes;
 * `dense_expectation` takes an expectation on a statevector's
@@ -27,7 +29,11 @@ command runs:
   products;
 * `joint_frame` rotates the joint state into the measurement frame of one
   setting cell and reads the global outcome masks, which the sampler
-  builds as one small frame per group instead; `outcome_distribution` is
+  builds as one small frame per group instead; its basis comes letter by
+  letter from `basis_letters`, which reads the receivers' local B0 and B1
+  strings and the classification's repeated letter on idle qubits, where
+  `sampling._basis` ORs the bit masks of the observables' pieces;
+  `outcome_distribution` is
   the exact distribution of the sampler's group frames at one setting,
   which sampled counts are compared against;
 * `draw` inverts each round's uniform through every group's cumulative
@@ -76,17 +82,9 @@ from netbell.network import (
     check_selection,
     classify,
 )
-from netbell.observables import Synthesis
+from netbell.observables import CrossCheckError, Synthesis
 from netbell.pauli import PauliString
-from netbell.sampling import (
-    _BASIS_ROTATION,
-    _BELOW_ONE,
-    MODES,
-    PROB_TOL,
-    _apply_one_qubit,
-    _Frames,
-    _letters,
-)
+from netbell.sampling import _BELOW_ONE, _H, _S_DAG, MODES, PROB_TOL, _apply_one_qubit, _Frames
 from netbell.states import StateVector, _parity, tensor
 
 
@@ -103,6 +101,23 @@ def global_index(layout: NetworkLayout, i: int, j: int) -> int:
     return sum(layout.source_sizes[: i - 1]) + j - 1
 
 
+def embed_positions(op: PauliString, positions: Sequence[int], n: int) -> PauliString:
+    """op placed at the given positions of an n-qubit register, letter by
+    letter: identity elsewhere, the phase kept. positions[j] is the
+    register position of op's qubit j."""
+    positions = list(positions)
+    if len(positions) != op.n:
+        raise ValueError(f"need {op.n} positions for a {op.n}-qubit string, got {len(positions)}")
+    if len(set(positions)) != len(positions):
+        raise ValueError(f"duplicate positions in {positions}")
+    letters = ["I"] * n
+    for letter, pos in zip(op.letters, positions):
+        if not 0 <= pos < n:
+            raise ValueError(f"position {pos} out of range for {n} qubits")
+        letters[pos] = letter
+    return PauliString(letters, op.phase_exponent)
+
+
 def embed(layout: NetworkLayout, i: int, op: PauliString) -> PauliString:
     """Lift a source-i operator to the joint register."""
     if op.n != layout.source_sizes[i - 1]:
@@ -111,7 +126,7 @@ def embed(layout: NetworkLayout, i: int, op: PauliString) -> PauliString:
             f"of size {layout.source_sizes[i - 1]}"
         )
     positions = [global_index(layout, i, j) for j in range(1, op.n + 1)]
-    return op.embed(positions, sum(layout.source_sizes))
+    return embed_positions(op, positions, sum(layout.source_sizes))
 
 
 def lift(layout: NetworkLayout, pieces, groups=None) -> PauliString:
@@ -351,6 +366,55 @@ def joint_oracle(state: StateVector, observables: Sequence[ObservableTerms]) -> 
     return out
 
 
+# The rotation onto Z of each measured letter.
+BASIS_ROTATION = {"X": _H, "Y": _H @ _S_DAG, "Z": None}
+
+
+def _add_letter(target: dict[int, str], q: int, letter: str, where: str) -> None:
+    if target.setdefault(q, letter) != letter:
+        raise CrossCheckError(
+            f"{where}: qubit {q} would be measured in both "
+            f"{target[q]} and {letter} bases"
+        )
+
+
+def _add_letters(target: dict[int, str], op: PauliString, where: str) -> None:
+    for q in op.support:
+        _add_letter(target, q, op.letter(q), where)
+
+
+def basis_letters(synthesis: Synthesis, k: int, y: tuple[int, ...], mode: str) -> dict[int, str]:
+    """The basis letter of every measured qubit of group k, by position in
+    the group, when the receivers hold settings y, one letter at a time: a
+    per-qubit-discard receiver reads its local B_y letters, and on an idle
+    qubit the classification's repeated letter; source agents measure S."""
+    layout, receivers, tilt = synthesis.layout, synthesis.receivers, synthesis.tilt
+    letters: dict[int, str] = {}
+    for src in synthesis.sources:
+        if src.agent == k:
+            _add_letters(letters, src.s_piece, f"source agent {src.agent}")
+    for pos_r, (ym, rec) in enumerate(zip(y, receivers)):
+        where = f"receiver agent {rec.agent} in group {k}"
+        if mode == "direct-observable":
+            if tilt is not None and ym == 0:
+                block = tilt.receivers[pos_r]
+                _add_letters(letters, block.b0_bar_pieces[k - 1], where)
+                _add_letters(letters, block.p_part_pieces[k - 1], where)
+            else:
+                _add_letters(letters, rec.b_pieces(ym)[k - 1], where)
+        else:
+            chosen = rec.b0 if ym == 0 else rec.b1
+            for (i, j), letter in zip(rec.qubits, chosen.letters):
+                group, position = layout.place(i, j)
+                if group != k:
+                    continue
+                if letter == "I":
+                    letter = synthesis.classification.o_letter(i, j)
+                if letter is not None:
+                    _add_letter(letters, position, letter, where)
+    return letters
+
+
 @dataclass(frozen=True)
 class JointFrame:
     """One setting cell rotated into the computational basis of the joint
@@ -377,8 +441,8 @@ def joint_frame(synthesis: Synthesis, thetas, x, y, mode: str) -> JointFrame:
         ).apply(w).amplitudes
     start = 0  # the group's first position in the joint register
     for k, width in enumerate(layout.group_widths, start=1):
-        for q, letter in _letters(synthesis, k, y, mode).items():
-            gate = _BASIS_ROTATION[letter]
+        for q, letter in basis_letters(synthesis, k, y, mode).items():
+            gate = BASIS_ROTATION[letter]
             if gate is not None:
                 amps = _apply_one_qubit(amps, n, start + q, gate)
         start += width

