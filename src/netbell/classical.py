@@ -95,15 +95,12 @@ class NetworkShape:
 
     @classmethod
     def from_layout(cls, layout) -> "NetworkShape":
-        reach = []
-        for agent in layout.receivers:
-            reach.append(tuple(sorted({i for i, _ in layout.qubits_of(agent)})))
         return cls(
             k=layout.K,
             m=layout.M,
             n=layout.N,
             partition=layout.partition,
-            reach=tuple(reach),
+            reach=tuple(tuple(layout.held(agent)) for agent in layout.receivers),
         )
 
     def block(self, s: int) -> tuple[int, ...]:

@@ -11,6 +11,11 @@ to it, and every other qubit goes to some receiver. Those sources form k's
 group: `place` gives a qubit's group and its position there, in the order
 the group's state lists its qubits. Sources of one code and amplitude repr
 (== merges -0.0, 0.0) share a `SourceState`, reduced once per command.
+
+A set of a source's qubits is a mask, qubit j of source i at bit n_i - j as
+in its g and h: `held` gives an agent's masks, `group_shift` moves one into
+its group, and `classify` reads its masks off the x and z masks of (g, h)
+(Aaronson & Gottesman, PRA 70, 052328 (2004), section III).
 """
 
 from __future__ import annotations
@@ -105,13 +110,6 @@ class NetworkLayout:
         return bisect.bisect_left(self.partition, i)
 
     @cached_property
-    def _agent_of(self) -> dict[tuple[int, int], int]:
-        return {(i, j): a for i, j, a in self.assignment}
-
-    def agent_of(self, i: int, j: int) -> int:
-        return self._agent_of[(i, j)]
-
-    @cached_property
     def _qubits_by_agent(self) -> dict[int, tuple[tuple[int, int], ...]]:
         by_agent = itertools.groupby(sorted(self.assignment, key=lambda t: t[2]), lambda t: t[2])
         return {agent: tuple((i, j) for i, j, _ in held) for agent, held in by_agent}
@@ -127,9 +125,6 @@ class NetworkLayout:
     def receivers(self) -> tuple[int, ...]:
         return tuple(range(self.K + 1, self.K + self.M + 1))
 
-    def is_receiver(self, agent: int) -> bool:
-        return agent > self.K
-
     def agent_label(self, agent: int) -> str:
         return f"S{agent}" if agent <= self.K else f"R{agent - self.K}"
 
@@ -141,12 +136,38 @@ class NetworkLayout:
         cuts = zip(self.partition, self.partition[1:])
         return tuple(sum(self.source_sizes[lo:hi]) for lo, hi in cuts)
 
+    @cached_property
+    def _custody(self) -> tuple[dict[int, dict[int, int]], tuple[tuple[int, int], ...]]:
+        """Per agent, the mask of its qubits of each source it holds any of,
+        in source order; per source, the source agent k whose group holds it
+        and its first qubit's position in that group."""
+        held: dict[int, dict[int, int]] = {}
+        sizes = self.source_sizes
+        for i, j, agent in self.assignment:
+            masks = held.setdefault(agent, {})
+            masks[i] = masks.get(i, 0) | 1 << (sizes[i - 1] - j)
+        offsets: list[tuple[int, int]] = []
+        for k, (lo, hi) in enumerate(zip(self.partition, self.partition[1:]), start=1):
+            starts = itertools.accumulate(sizes[lo : hi - 1], initial=0)
+            offsets += ((k, start) for start in starts)
+        return held, tuple(offsets)
+
+    def held(self, agent: int) -> dict[int, int]:
+        """The agent's qubits as {source i: mask over i's qubits}, in source
+        order; shared, so read only."""
+        return self._custody[0].get(agent, {})
+
     def place(self, i: int, j: int) -> tuple[int, int]:
         """The source agent k whose group holds qubit (i, j), and the
         qubit's 0-based position in that group: its sources' qubits in
         (i, j) order."""
-        k = self.holder(i)
-        return k, sum(self.source_sizes[self.partition[k - 1] : i - 1]) + j - 1
+        return self.holder(i), self._custody[1][i - 1][1] + j - 1
+
+    def group_shift(self, i: int) -> tuple[int, int]:
+        """The source agent k whose group holds source i, and the left shift
+        that moves a mask over i's qubits to their place in k's strings."""
+        k, offset = self._custody[1][i - 1]
+        return k, self.group_widths[k - 1] - offset - self.source_sizes[i - 1]
 
     def group_sources(self, k: int) -> tuple[SourceState, ...]:
         """Source agent k's group of sources, in group order."""
@@ -194,66 +215,45 @@ class OperatorSelection:
 
 @dataclass(frozen=True)
 class Classification:
-    """Per-qubit anticommutation structure of the (g, h) letter pairs."""
+    """Per source, masks over its qubits: d where the (g, h) letters
+    anticommute, idle where a receiver holds a qubit they commute on, and
+    o, the (x, z) masks of the letter g or h repeats on each idle qubit
+    (none where both are the identity)."""
 
-    d_sets: tuple[tuple[int, ...], ...]
-    idle: tuple[tuple[int, int], ...]
-    o_letters: tuple[tuple[tuple[int, int], str], ...]
-
-    def delta(self, i: int, j: int) -> bool:
-        """True when the (g, h) letters at qubit (i, j) anticommute."""
-        return j in self.d_sets[i - 1]
-
-    def o_letter(self, i: int, j: int) -> str | None:
-        """The repeatedly measured letter on an idle qubit, if any."""
-        return dict(self.o_letters).get((i, j))
-
-    def is_idle(self, i: int, j: int) -> bool:
-        return (i, j) in self.idle
-
-
-def _letters_anticommute(a: str, b: str) -> bool:
-    return a != "I" and b != "I" and a != b
+    d: tuple[int, ...]
+    idle: tuple[int, ...]
+    o: tuple[tuple[int, int], ...]
 
 
 def classify(layout: NetworkLayout, selection: OperatorSelection) -> Classification:
-    """Split each source's qubits into anticommuting (D) and commuting (H)
-    letter positions, and mark receiver-held commuting qubits as idle."""
+    """Split each source's qubits into anticommuting (d) and commuting
+    (g, h) positions, and mark receiver-held commuting qubits as idle."""
     if selection.N != layout.N:
         raise ValueError(
             f"selection covers {selection.N} sources, layout has {layout.N}"
         )
-    for i in range(1, layout.N + 1):
-        g, h, _ = selection.for_source(i)
+    received = [0] * layout.N
+    for agent in layout.receivers:
+        for i, mask in layout.held(agent).items():
+            received[i - 1] |= mask
+    d, idle, o = [], [], []
+    for i, (g, h, mask) in enumerate(zip(selection.g, selection.h, received), start=1):
         if g.n != layout.source_sizes[i - 1] or h.n != layout.source_sizes[i - 1]:
             raise ValueError(f"selection operators do not match source {i} size")
-
-    d_sets, idle, o_letters = [], [], []
-    for i in range(1, layout.N + 1):
-        g, h, _ = selection.for_source(i)
-        d = []
-        for j in range(1, g.n + 1):
-            s_letter, t_letter = g.letter(j - 1), h.letter(j - 1)
-            if _letters_anticommute(s_letter, t_letter):
-                d.append(j)
-            elif layout.is_receiver(layout.agent_of(i, j)):
-                idle.append((i, j))
-                nonidentity = s_letter if s_letter != "I" else t_letter
-                if nonidentity != "I":
-                    o_letters.append(((i, j), nonidentity))
-        d_sets.append(tuple(d))
-    return Classification(
-        d_sets=tuple(d_sets),
-        idle=tuple(idle),
-        o_letters=tuple(o_letters),
-    )
+        d.append((g.x & h.z) ^ (g.z & h.x))
+        idle.append(mask & ~d[-1])
+        o.append(((g.x | h.x) & idle[-1], (g.z | h.z) & idle[-1]))
+    return Classification(d=tuple(d), idle=tuple(idle), o=tuple(o))
 
 
 def anticommuting_count(
     layout: NetworkLayout, classification: Classification, agent: int
 ) -> int:
     """How many of the agent's qubits carry anticommuting (g, h) letters."""
-    return sum(classification.delta(i, j) for i, j in layout.qubits_of(agent))
+    count, d = 0, classification.d
+    for i, mask in layout.held(agent).items():
+        count += (d[i - 1] & mask).bit_count()
+    return count
 
 
 @dataclass(frozen=True)
@@ -285,7 +285,7 @@ def check_parity(layout: NetworkLayout, classification: Classification) -> Parit
     """Evaluate every anticommuting-count condition; never raises."""
     checks: list[CheckResult] = []
     for i in range(1, layout.N + 1):
-        count = len(classification.d_sets[i - 1])
+        count = classification.d[i - 1].bit_count()
         checks.append(
             CheckResult(
                 f"source {i} anticommuting count even",

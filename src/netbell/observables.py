@@ -8,17 +8,19 @@ depends on the mixing angles: a Synthesis is built once per layout and
 selection, and every engine takes it together with the angles.
 
 Each observable is kept as the agent-local string that validate lists
-and as pieces on the groups of sources, which the engines measure; this
-module is the one place that puts a letter at its place in a group. A
-source agent's qubits lie in its own group, so S and T are one piece
-each; a receiver's observables are one piece per group, in group order,
-with the string's sign on group 1's piece.
+and as pieces on the groups of sources, which the engines measure;
+`_cut` cuts both from the x and z masks of g, h or h_prime with the
+agent's held masks, and letters appear only in the text describing
+them. A source agent's qubits lie in its own group, so S and T are one
+piece each; a receiver's observables are one piece per group, in group
+order, with the string's sign on group 1's piece.
 
 The tilted construction grafts phase-flip letters onto B0: for each
 source in the tilt set, its h_prime must be identity on source-side
-qubits, must copy the g letter on anticommuting receiver qubits, and
-may put the repeated idle observable (or nothing) on idle qubits. The
-grafted letters land where B0 has identities; each h_prime's sign is
+qubits, must copy g on anticommuting receiver qubits, and may put the
+repeated idle observable o (or nothing) on idle qubits; as masks, it
+acts only as g or o, and on every anticommuting receiver qubit. The
+grafted letters land where g is the identity; each h_prime's sign is
 attributed to the lowest-numbered receiver holding any of its support.
 The phase-flip product P is one piece per group: the product of the
 group's h_primes, signs included.
@@ -139,27 +141,51 @@ def _annotate(qubits, local_op: PauliString) -> str:
     return ("-" if local_op.phase == -1 else "") + body
 
 
-def _pieces(layout, qubits, local: PauliString, groups=None) -> tuple[PauliString, ...]:
-    """local, a string on the given qubits, as one piece per group in
-    groups (default: every group): its letters at their places, identity
-    elsewhere, and its sign on the first piece."""
-    groups = layout.source_agents if groups is None else groups
-    rows = {k: ["I"] * layout.group_widths[k - 1] for k in groups}
-    for (i, j), letter in zip(qubits, local.letters):
-        k, position = layout.place(i, j)
-        rows[k][position] = letter
-    pieces = [PauliString(rows[k]) for k in groups]
-    pieces[0] = pieces[0].with_phase_exponent(local.phase_exponent)
-    return tuple(pieces)
+def _extract(mask: int, a: int, b: int, c: int, d: int) -> tuple[int, int, int, int]:
+    """The bits of a, b, c and d under mask, each packed in order into the
+    low bits, one run of adjacent mask bits at a time."""
+    oa = ob = oc = od = filled = 0
+    while mask:
+        low = mask & -mask
+        run = mask & ~(mask + low)  # the lowest run of set bits
+        s = low.bit_length() - 1
+        oa, ob = oa | (a & run) >> s << filled, ob | (b & run) >> s << filled
+        oc, od = oc | (c & run) >> s << filled, od | (d & run) >> s << filled
+        filled += run.bit_count()
+        mask ^= run
+    return oa, ob, oc, od
 
 
-def _cut_g_h(selection, qubits) -> tuple[PauliString, PauliString]:
-    """The selected g and h cut to the given qubits, as +1-phase local strings."""
+def _cut(layout, held, ops, phase_exponent=0):
+    """Two strings given per source by ops, as masks (x0, z0, x1, z1), cut
+    to an agent's qubits (held: its {source: mask}): per string, the
+    agent-local string, its qubits in (i, j) order and the given sign, and
+    its (x, z) masks per group of sources, each source's bits at their
+    place there."""
+    x0 = z0 = x1 = z1 = n = 0
+    groups: dict[int, tuple[int, int, int, int]] = {}
+    for i, mask in held.items():
+        k, shift = layout.group_shift(i)
+        a, b, c, d = ops[i - 1]
+        a, b, c, d = a & mask, b & mask, c & mask, d & mask
+        e, f, g, h = groups.get(k, (0, 0, 0, 0))
+        groups[k] = (e | a << shift, f | b << shift, g | c << shift, h | d << shift)
+        a, b, c, d = _extract(mask, a, b, c, d)
+        w = mask.bit_count()
+        x0, z0, x1, z1, n = x0 << w | a, z0 << w | b, x1 << w | c, z1 << w | d, n + w
+    return (
+        (PauliString.from_masks(x0, z0, n, phase_exponent), {k: r[:2] for k, r in groups.items()}),
+        (PauliString.from_masks(x1, z1, n, phase_exponent), {k: r[2:] for k, r in groups.items()}),
+    )
 
-    def cut(ops):
-        return PauliString([ops[i - 1].letter(j - 1) for i, j in qubits])
 
-    return cut(selection.g), cut(selection.h)
+def _pieces(layout, groups, phase_exponent=0) -> tuple[PauliString, ...]:
+    """One piece per group of sources from _cut's masks, identity where it
+    has none, with the sign on group 1's piece."""
+    return tuple(
+        PauliString.from_masks(*groups.get(k, (0, 0)), width, phase_exponent if k == 1 else 0)
+        for k, width in enumerate(layout.group_widths, start=1)
+    )
 
 
 def build_source(
@@ -170,6 +196,7 @@ def build_source(
     """Synthesize the A families; refuses layouts whose source agents
     collect an even anticommuting count, since the pair (S, T) would
     commute and A_x would not square to identity."""
+    g_h = [(g.x, g.z, h.x, h.z) for g, h in zip(selection.g, selection.h)]
     out = []
     for agent in layout.source_agents:
         if anticommuting_count(layout, classification, agent) % 2 == 0:
@@ -177,8 +204,7 @@ def build_source(
                 f"agent {layout.agent_label(agent)} holds an even anticommuting "
                 "count; its A pair would not anticommute"
             )
-        qubits = layout.qubits_of(agent)
-        s_local, t_local = _cut_g_h(selection, qubits)
+        (s_local, s_groups), (t_local, t_groups) = _cut(layout, layout.held(agent), g_h)
         if not s_local.anticommutes(t_local):
             raise RuntimeError(
                 f"agent {layout.agent_label(agent)}: restricted s and t do not anticommute"
@@ -186,11 +212,11 @@ def build_source(
         out.append(
             SourceObservables(
                 agent=agent,
-                qubits=qubits,
+                qubits=layout.qubits_of(agent),
                 s_hat=s_local,
                 t_hat=t_local,
-                s_piece=_pieces(layout, qubits, s_local, (agent,))[0],
-                t_piece=_pieces(layout, qubits, t_local, (agent,))[0],
+                s_piece=PauliString.from_masks(*s_groups[agent], layout.group_widths[agent - 1]),
+                t_piece=PauliString.from_masks(*t_groups[agent], layout.group_widths[agent - 1]),
             )
         )
     return tuple(out)
@@ -206,6 +232,7 @@ def build_receiver(
     """Synthesize the B pairs. A receiver with an even anticommuting
     count yields commuting B0, B1; that is refused unless explicitly
     allowed (the two-branch correlators stay well defined either way)."""
+    g_h = [(g.x, g.z, h.x, h.z) for g, h in zip(selection.g, selection.h)]
     out = []
     for agent in layout.receivers:
         even = anticommuting_count(layout, classification, agent) % 2 == 0
@@ -215,135 +242,103 @@ def build_receiver(
                 "anticommuting count; B0 and B1 would commute "
                 "(pass allow_commuting_pair=True to accept)"
             )
-        qubits = layout.qubits_of(agent)
-        b0, b1 = _cut_g_h(selection, qubits)
+        (b0, b0_groups), (b1, b1_groups) = _cut(layout, layout.held(agent), g_h)
         out.append(
             ReceiverObservables(
                 agent=agent,
-                qubits=qubits,
+                qubits=layout.qubits_of(agent),
                 b0=b0,
                 b1=b1,
-                b0_pieces=_pieces(layout, qubits, b0),
-                b1_pieces=_pieces(layout, qubits, b1),
+                b0_pieces=_pieces(layout, b0_groups),
+                b1_pieces=_pieces(layout, b1_groups),
             )
         )
     return tuple(out)
 
 
-def tilt_constraints(
-    layout: NetworkLayout,
-    classification: Classification,
-    selection: OperatorSelection,
-    source: int,
-) -> dict[int, set[str]]:
-    """Per-qubit letter constraints (0-based within the source) that a
-    phase-flip representative must satisfy; the coset search that finds
-    one is logical_representative in tests/oracles.py."""
-    g = selection.g[source - 1]
-    constraints: dict[int, set[str]] = {}
-    for j in range(1, layout.source_sizes[source - 1] + 1):
-        agent = layout.agent_of(source, j)
-        if not layout.is_receiver(agent):
-            constraints[j - 1] = {"I"}
-        elif classification.is_idle(source, j):
-            o = classification.o_letter(source, j)
-            constraints[j - 1] = {"I"} if o is None else {o, "I"}
-        else:
-            constraints[j - 1] = {g.letter(j - 1)}
-    return constraints
-
-
 def _check_tilt_conditions(layout, classification, selection, source) -> None:
-    prime = selection.h_prime[source - 1]
+    g, prime = selection.g[source - 1], selection.h_prime[source - 1]
     if not prime.is_hermitian():
         raise ValueError(f"source {source}: h_prime must carry a real sign")
     if prime.weight == 0:
         raise ValueError(f"source {source}: h_prime has no support")
-    allowed = tilt_constraints(layout, classification, selection, source)
-    for j0, letters in allowed.items():
-        letter = prime.letter(j0)
-        if letter in letters:
-            continue
-        agent = layout.agent_of(source, j0 + 1)
-        if not layout.is_receiver(agent):
-            raise ValueError(
-                f"source {source}: h_prime acts as {letter} on source-side "
-                f"qubit ({source},{j0 + 1}); it must be identity there"
-            )
-        if classification.is_idle(source, j0 + 1):
-            raise ValueError(
-                f"source {source}: h_prime acts as {letter} on idle qubit "
-                f"({source},{j0 + 1}); only the repeated observable or "
-                "identity is measurable there"
-            )
+    # h_prime may act only as g on the anticommuting qubits receivers hold
+    # and as o on idle ones, and must act on the former
+    own = layout.held(layout.holder(source))[source]
+    measured = classification.d[source - 1] & ~own
+    ox, oz = classification.o[source - 1]
+    support = prime.x | prime.z
+    bad = support & ((prime.x ^ (g.x & measured | ox)) | (prime.z ^ (g.z & measured | oz)))
+    bad |= measured & ~support
+    if not bad:
+        return
+    j = prime.n - bad.bit_length() + 1  # the first qubit breaking a condition
+    letter, bit = prime.letter(j - 1), 1 << (prime.n - j)
+    if bit & own:
         raise ValueError(
-            f"source {source}: h_prime acts as {letter} on qubit "
-            f"({source},{j0 + 1}) but the receiver measures "
-            f"{selection.g[source - 1].letter(j0)} there"
+            f"source {source}: h_prime acts as {letter} on source-side "
+            f"qubit ({source},{j}); it must be identity there"
         )
+    if bit & classification.idle[source - 1]:
+        raise ValueError(
+            f"source {source}: h_prime acts as {letter} on idle qubit "
+            f"({source},{j}); only the repeated observable or "
+            "identity is measurable there"
+        )
+    raise ValueError(
+        f"source {source}: h_prime acts as {letter} on qubit "
+        f"({source},{j}) but the receiver measures {g.letter(j - 1)} there"
+    )
 
 
 def build_tilted(
     layout: NetworkLayout,
     classification: Classification,
     selection: OperatorSelection,
-    receivers: tuple[ReceiverObservables, ...],
 ) -> TiltedBlock:
     """Assemble the phase-flip product P and, per receiver, the grafted
     B0bar and its share of P."""
-    tilt_sources = selection.tilt_sources
+    tilt_sources, receivers = selection.tilt_sources, layout.receivers
+    held = {agent: layout.held(agent) for agent in receivers}
+    anchor_sign = dict.fromkeys(receivers, 0)
+    # per source, the x and z masks of B0bar, then of P; h_prime agrees
+    # with g wherever both act, so B0bar's letters are their union
+    parts = [(g.x, g.z, 0, 0) for g in selection.g]
+    p_groups: dict[int, tuple[int, int, int]] = {}  # x, z and phase of P's pieces
     for source in tilt_sources:
         _check_tilt_conditions(layout, classification, selection, source)
-
-    anchor_sign: dict[int, int] = {agent: 1 for agent in layout.receivers}
-    for source in tilt_sources:
-        prime = selection.h_prime[source - 1]
-        anchor = min(
-            layout.agent_of(source, j)
-            for j in range(1, prime.n + 1)
-            if prime.letter(j - 1) != "I"
-        )
-        anchor_sign[anchor] *= int(prime.phase.real)
+        g, prime = selection.g[source - 1], selection.h_prime[source - 1]
+        anchor = next(r for r in receivers if held[r].get(source, 0) & (prime.x | prime.z))
+        anchor_sign[anchor] += prime.phase_exponent
+        parts[source - 1] = (g.x | prime.x, g.z | prime.z, prime.x, prime.z)
+        k, shift = layout.group_shift(source)
+        px, pz, phase = p_groups.get(k, (0, 0, 0))
+        p_groups[k] = (px | prime.x << shift, pz | prime.z << shift, phase + prime.phase_exponent)
+    p_pieces = []
+    for k, width in enumerate(layout.group_widths, start=1):
+        x, z, phase = p_groups.get(k, (0, 0, 0))
+        p_pieces.append(PauliString.from_masks(x, z, width, phase))
 
     per_receiver = []
-    for rec in receivers:
-        spans: dict[tuple[int, int], str] = {}
-        for source in tilt_sources:
-            prime = selection.h_prime[source - 1]
-            for i, j in rec.qubits:
-                if i == source and prime.letter(j - 1) != "I":
-                    spans[(i, j)] = prime.letter(j - 1)
-
-        def graft_letter(i, j):
-            if (i, j) in spans and selection.g[i - 1].letter(j - 1) == "I":
-                return spans[(i, j)]
-            return "I"
-
-        graft = PauliString([graft_letter(i, j) for i, j in rec.qubits])
-        p_part = PauliString([spans.get((i, j), "I") for i, j in rec.qubits])
-        b0_bar = graft * rec.b0
-        if anchor_sign[rec.agent] == -1:
-            p_part, b0_bar = -p_part, -b0_bar
+    for agent in receivers:
+        sign = anchor_sign[agent]
+        (b0_bar, bar_groups), (p_part, part_groups) = _cut(layout, held[agent], parts, sign)
         per_receiver.append(
             TiltedReceiver(
-                agent=rec.agent,
-                qubits=rec.qubits,
+                agent=agent,
+                qubits=layout.qubits_of(agent),
                 b0_bar=b0_bar,
-                b0_bar_pieces=_pieces(layout, rec.qubits, b0_bar),
+                b0_bar_pieces=_pieces(layout, bar_groups, sign),
                 p_part=p_part,
-                p_part_pieces=_pieces(layout, rec.qubits, p_part),
+                p_part_pieces=_pieces(layout, part_groups, sign),
             )
         )
 
-    p_pieces = [PauliString.identity(width) for width in layout.group_widths]
-    for source in tilt_sources:
-        prime, k = selection.h_prime[source - 1], layout.holder(source)
-        qubits = [(source, j) for j in range(1, prime.n + 1)]
-        p_pieces[k - 1] = p_pieces[k - 1] * _pieces(layout, qubits, prime, (k,))[0]
     # The parts recompose P group by group in letters, and overall in sign.
     signs = 0
-    for k, want in enumerate(p_pieces, start=1):
-        got = PauliString.product(tr.p_part_pieces[k - 1] for tr in per_receiver)
+    shares = zip(*(tr.p_part_pieces for tr in per_receiver))
+    for k, (want, share) in enumerate(zip(p_pieces, shares), start=1):
+        got = PauliString.product(share)
         if (got.x, got.z) != (want.x, want.z):
             raise RuntimeError(f"per-receiver phase-flip parts do not recompose in group {k}")
         signs += got.phase_exponent - want.phase_exponent
@@ -398,7 +393,7 @@ def synthesize(
     *,
     allow_commuting_pair: bool = False,
 ) -> Synthesis:
-    """Classify the letters once and build the A families, the B pairs and,
+    """Classify the qubits once and build the A families, the B pairs and,
     when some source carries an h_prime, the tilted block."""
     classification = classify(layout, selection)
     sources = build_source(layout, classification, selection)
@@ -407,5 +402,5 @@ def synthesize(
     )
     tilt = None
     if selection.tilt_sources:
-        tilt = build_tilted(layout, classification, selection, receivers)
+        tilt = build_tilted(layout, classification, selection)
     return Synthesis(layout, selection, classification, sources, receivers, tilt)

@@ -76,7 +76,7 @@ class PauliString:
     @classmethod
     def identity(cls, n: int) -> "PauliString":
         """The +1 identity string on n qubits."""
-        return cls("I" * n)
+        return cls.from_masks(0, 0, n)
 
     @classmethod
     def from_text(cls, text: str) -> "PauliString":
@@ -97,6 +97,13 @@ class PauliString:
         if not body:
             raise ValueError(f"no Pauli letters in {text!r}")
         return cls(body, phase_exponent=k)
+
+    @classmethod
+    def from_masks(cls, x: int, z: int, n: int, phase_exponent: int = 0) -> "PauliString":
+        """The string on n qubits with these symplectic masks (see x and z)."""
+        if n < 1 or x < 0 or z < 0 or (x | z) >> n:
+            raise ValueError(f"masks {x:#x}, {z:#x} do not fit {n} qubits")
+        return _raw(x, z, int(phase_exponent) % 4, n)
 
     @classmethod
     def product(cls, factors: Iterable["PauliString"], n: int | None = None) -> "PauliString":
@@ -158,12 +165,6 @@ class PauliString:
     def weight(self) -> int:
         """Number of non-identity letters."""
         return (self._x | self._z).bit_count()
-
-    @property
-    def support(self) -> tuple[int, ...]:
-        """Indices of non-identity letters, ascending."""
-        mask, top = self._x | self._z, self._n - 1
-        return tuple(j for j in range(self._n) if mask >> (top - j) & 1)
 
     def is_hermitian(self) -> bool:
         """True iff the phase is real (+1 or -1)."""

@@ -560,19 +560,20 @@ def run(
 
     if record_path is not None:
         # Per-qubit records cover the receiver-held qubits where g or h acts,
-        # in (i, j) order: the qubits every setting's frame measures.
-        measured = sorted(
-            (i, j)
-            for rec in receivers
-            for (i, j), b0, b1 in zip(rec.qubits, rec.b0.letters, rec.b1.letters)
-            if b0 != "I" or b1 != "I"
-        )
-        qubit_masks = []
-        for i, j in measured:
+        # in (i, j) order: the qubits of the B0 and B1 pieces, which every
+        # setting's frame measures.
+        acts = [0] * k
+        for rec in receivers:
+            for group, (b0, b1) in enumerate(zip(rec.b0_pieces, rec.b1_pieces)):
+                acts[group] |= b0.x | b0.z | b1.x | b1.z
+        measured, qubit_masks = [], []
+        for i, j in sorted(q for rec in receivers for q in rec.qubits):
             group, position = layout.place(i, j)
-            bits = [0] * k
-            bits[group - 1] = 1 << (layout.group_widths[group - 1] - 1 - position)
-            qubit_masks.append(_Mask(bits=tuple(bits), sign=1))
+            bit = 1 << (layout.group_widths[group - 1] - 1 - position)
+            if acts[group - 1] & bit:
+                measured.append((i, j))
+                bits = tuple(bit if g == group else 0 for g in layout.source_agents)
+                qubit_masks.append(_Mask(bits=bits, sign=1))
         header = _csv_header(config.strategy, k, m, tilt is not None, measured)
         blocks = []  # per setting block: its settings text and int8 outcome rows
 

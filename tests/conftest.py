@@ -114,6 +114,12 @@ def chsh_layout(phi=np.pi / 4):
     )
 
 
+def chsh_y():
+    # h = -YY, the logical XX times the stabilizer ZZ: the only Y letters
+    selection = OperatorSelection(g=(PauliString("ZZ"),), h=(PauliString.from_text("-YY"),))
+    return chsh_layout(np.pi / 5), selection
+
+
 def ghz_split_layout(n, m, phi=np.pi / 4):
     code = builtin(f"ghz-split({n},{m})")
     assignment = [(1, j, 1) for j in range(1, m + 1)]

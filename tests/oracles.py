@@ -19,10 +19,20 @@ command runs:
   agents' groups instead;
 * `_random_candidate` draws a random network layout and operator
   selection on small builtin codes, and `random_layouts` keeps the first
-  ones that pass every structural and parity check;
-* `dense` builds the Kronecker matrix of a Pauli string and
+  ones that pass every structural and parity check; `tilted_layouts`
+  gives those an h_prime wherever `logical_representative` finds one;
+* `synthesize_letters` is `observables.synthesize` one letter at a time,
+  as it was built before the x/z masks: `classify_letters` compares
+  (g, h) letter pairs, `cut_letters` reads an agent's letters,
+  `pieces_letters` places them in the groups through `group_position`,
+  which sums source sizes, `tilt_constraints` and `check_tilt_letters`
+  judge each h_prime letter by letter (`repeated_letter` is an idle
+  qubit's letter, `custody` each qubit's agent), and `tilted_letters`
+  grafts the h_primes onto B0 letter by letter;
+* `dense` builds the Kronecker matrix of a Pauli string,
   `table_product` multiplies strings letter by letter from the
-  single-qubit table;
+  single-qubit table, and `support` lists a string's non-identity
+  qubits;
 * `expectation_combo` takes an observable combination's expectation term
   by term, and `joint_oracle` builds the outcome distribution of
   commuting two-outcome observables from the expectations of their
@@ -31,8 +41,8 @@ command runs:
   setting cell and reads the global outcome masks, which the sampler
   builds as one small frame per group instead; its basis comes letter by
   letter from `basis_letters`, which reads the receivers' local B0 and B1
-  strings and the classification's repeated letter on idle qubits, where
-  `sampling._basis` ORs the bit masks of the observables' pieces;
+  strings and, where those are the identity, the letter g or h repeats,
+  where `sampling._basis` ORs the bit masks of the observables' pieces;
   `outcome_distribution` is
   the exact distribution of the sampler's group frames at one setting,
   which sampled counts are compared against;
@@ -43,7 +53,8 @@ command runs:
   literal text that `sampling._write_rounds` formats as byte matrices
   instead and must match byte for byte;
 * `logical_representative` searches a stabilizer coset for a phase-flip
-  representative that meets per-qubit letter constraints;
+  representative that meets per-qubit letter constraints, such as
+  `tilt_constraints`;
 * `loop_scan` enumerates every response table under every point label,
   scoring the combinations by broadcasting, and `_scan_reachable` every
   response pair a table can show at its column under every label: the
@@ -68,7 +79,7 @@ import functools
 import itertools
 import math
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
@@ -76,13 +87,21 @@ import numpy as np
 from netbell import classical
 from netbell.codes import StabilizerCode, builtin, codeword
 from netbell.network import (
+    Classification,
     NetworkLayout,
     OperatorSelection,
     check_parity,
     check_selection,
     classify,
 )
-from netbell.observables import CrossCheckError, Synthesis
+from netbell.observables import (
+    CrossCheckError,
+    ReceiverObservables,
+    SourceObservables,
+    Synthesis,
+    TiltedBlock,
+    TiltedReceiver,
+)
 from netbell.pauli import PauliString
 from netbell.sampling import _BELOW_ONE, _H, _S_DAG, MODES, PROB_TOL, _apply_one_qubit, _Frames
 from netbell.states import StateVector, _parity, tensor
@@ -99,6 +118,11 @@ def global_index(layout: NetworkLayout, i: int, j: int) -> int:
     if not 1 <= i <= layout.N or not 1 <= j <= layout.source_sizes[i - 1]:
         raise ValueError(f"no qubit ({i},{j}) in this layout")
     return sum(layout.source_sizes[: i - 1]) + j - 1
+
+
+def support(op: PauliString) -> tuple[int, ...]:
+    """The qubits where op's letter is not the identity, ascending."""
+    return tuple(j for j, letter in enumerate(op.letters) if letter != "I")
 
 
 def embed_positions(op: PauliString, positions: Sequence[int], n: int) -> PauliString:
@@ -379,15 +403,16 @@ def _add_letter(target: dict[int, str], q: int, letter: str, where: str) -> None
 
 
 def _add_letters(target: dict[int, str], op: PauliString, where: str) -> None:
-    for q in op.support:
+    for q in support(op):
         _add_letter(target, q, op.letter(q), where)
 
 
 def basis_letters(synthesis: Synthesis, k: int, y: tuple[int, ...], mode: str) -> dict[int, str]:
     """The basis letter of every measured qubit of group k, by position in
     the group, when the receivers hold settings y, one letter at a time: a
-    per-qubit-discard receiver reads its local B_y letters, and on an idle
-    qubit the classification's repeated letter; source agents measure S."""
+    per-qubit-discard receiver reads its local B_y letters, and where B_y
+    is the identity the letter g or h repeats there (`repeated_letter`);
+    source agents measure S."""
     layout, receivers, tilt = synthesis.layout, synthesis.receivers, synthesis.tilt
     letters: dict[int, str] = {}
     for src in synthesis.sources:
@@ -409,8 +434,8 @@ def basis_letters(synthesis: Synthesis, k: int, y: tuple[int, ...], mode: str) -
                 if group != k:
                     continue
                 if letter == "I":
-                    letter = synthesis.classification.o_letter(i, j)
-                if letter is not None:
+                    letter = repeated_letter(synthesis.selection, i, j)
+                if letter != "I":
                     _add_letter(letters, position, letter, where)
     return letters
 
@@ -549,6 +574,232 @@ def write_rounds(path, header, blocks, rng: np.random.Generator) -> None:
         for i, r in enumerate(order):
             settings, row = rounds[r]
             handle.write(f"{i},{settings},{','.join(map(str, row))}\r\n")
+
+
+# ----------------------------------------------------------------------
+# observable synthesis, one letter at a time
+
+
+def custody(layout: NetworkLayout) -> dict[tuple[int, int], int]:
+    """The agent holding each qubit (i, j)."""
+    return {(i, j): agent for i, j, agent in layout.assignment}
+
+
+def group_position(layout: NetworkLayout, i: int, j: int) -> tuple[int, int]:
+    """The group k holding qubit (i, j) and its position there, summed over
+    the sizes of the sources before i in k."""
+    k = next(k for k in layout.source_agents if i <= layout.partition[k])
+    return k, sum(layout.source_sizes[layout.partition[k - 1] : i - 1]) + j - 1
+
+
+def _anticommute(a: str, b: str) -> bool:
+    return a != "I" and b != "I" and a != b
+
+
+def repeated_letter(selection: OperatorSelection, i: int, j: int) -> str:
+    """g's letter at qubit (i, j), or h's where g is the identity: on a
+    commuting qubit, the one letter g and h measure there."""
+    s, t = selection.g[i - 1].letter(j - 1), selection.h[i - 1].letter(j - 1)
+    return s if s != "I" else t
+
+
+def classify_letters(layout: NetworkLayout, selection: OperatorSelection) -> Classification:
+    """network.classify one letter pair at a time: qubit j is in d where the
+    (g, h) letters are distinct non-identities, and idle where a receiver
+    holds it otherwise, with its repeated letter as o."""
+    held_by = custody(layout)
+    d, idle, o = [], [], []
+    for i, g in enumerate(selection.g, start=1):
+        anti = still = 0
+        letters = ["I"] * g.n
+        for j in range(1, g.n + 1):
+            bit = 1 << (g.n - j)
+            if _anticommute(g.letter(j - 1), selection.h[i - 1].letter(j - 1)):
+                anti |= bit
+            elif held_by[i, j] > layout.K:
+                still |= bit
+                letters[j - 1] = repeated_letter(selection, i, j)
+        repeated = PauliString(letters)
+        d.append(anti)
+        idle.append(still)
+        o.append((repeated.x, repeated.z))
+    return Classification(d=tuple(d), idle=tuple(idle), o=tuple(o))
+
+
+def pieces_letters(layout, qubits, local: PauliString, groups=None) -> tuple[PauliString, ...]:
+    """local, a string on the given qubits, as one piece per group in
+    groups (default: every group), letter by letter: its letters at their
+    places, identity elsewhere, and its sign on the first piece."""
+    groups = layout.source_agents if groups is None else groups
+    rows = {k: ["I"] * layout.group_widths[k - 1] for k in groups}
+    for (i, j), letter in zip(qubits, local.letters):
+        k, position = group_position(layout, i, j)
+        rows[k][position] = letter
+    pieces = [PauliString(rows[k]) for k in groups]
+    pieces[0] = pieces[0].with_phase_exponent(local.phase_exponent)
+    return tuple(pieces)
+
+
+def cut_letters(ops, qubits) -> PauliString:
+    """The per-source ops' letters at the given qubits, as a +1-phase string."""
+    return PauliString([ops[i - 1].letter(j - 1) for i, j in qubits])
+
+
+def tilt_constraints(layout, selection, source: int) -> dict[int, set[str]]:
+    """Per-qubit letter sets (0-based within the source) that a phase-flip
+    representative must meet: the identity on the source side, g's letter
+    where a receiver measures an anticommuting pair, and the identity or
+    the repeated letter on an idle qubit. `logical_representative` searches
+    a coset under them."""
+    held_by, g, h = custody(layout), selection.g[source - 1], selection.h[source - 1]
+    constraints: dict[int, set[str]] = {}
+    for j0 in range(g.n):
+        if held_by[source, j0 + 1] <= layout.K:
+            constraints[j0] = {"I"}
+        elif _anticommute(g.letter(j0), h.letter(j0)):
+            constraints[j0] = {g.letter(j0)}
+        else:
+            constraints[j0] = {"I", repeated_letter(selection, source, j0 + 1)}
+    return constraints
+
+
+def check_tilt_letters(layout, selection, source: int) -> None:
+    """The h_prime conditions of the tilted construction one qubit at a
+    time, refused with observables' texts."""
+    prime = selection.h_prime[source - 1]
+    if not prime.is_hermitian():
+        raise ValueError(f"source {source}: h_prime must carry a real sign")
+    if prime.weight == 0:
+        raise ValueError(f"source {source}: h_prime has no support")
+    held_by = custody(layout)
+    for j0, letters in tilt_constraints(layout, selection, source).items():
+        letter = prime.letter(j0)
+        if letter in letters:
+            continue
+        if held_by[source, j0 + 1] <= layout.K:
+            raise ValueError(
+                f"source {source}: h_prime acts as {letter} on source-side "
+                f"qubit ({source},{j0 + 1}); it must be identity there"
+            )
+        if not _anticommute(selection.g[source - 1].letter(j0), selection.h[source - 1].letter(j0)):
+            raise ValueError(
+                f"source {source}: h_prime acts as {letter} on idle qubit "
+                f"({source},{j0 + 1}); only the repeated observable or "
+                "identity is measurable there"
+            )
+        raise ValueError(
+            f"source {source}: h_prime acts as {letter} on qubit "
+            f"({source},{j0 + 1}) but the receiver measures "
+            f"{selection.g[source - 1].letter(j0)} there"
+        )
+
+
+def tilted_letters(layout, selection, receivers) -> TiltedBlock:
+    """The tilted block letter by letter: per receiver, each h_prime's
+    letters on its qubits, grafted onto B0 where g is the identity, and
+    each h_prime's sign on the lowest receiver holding its support."""
+    held_by = custody(layout)
+    for source in selection.tilt_sources:
+        check_tilt_letters(layout, selection, source)
+    anchor_sign = {agent: 1 for agent in layout.receivers}
+    for source in selection.tilt_sources:
+        prime = selection.h_prime[source - 1]
+        anchor = min(held_by[source, j + 1] for j in support(prime))
+        anchor_sign[anchor] *= int(prime.phase.real)
+    per_receiver = []
+    for rec in receivers:
+        spans = {
+            (i, j): selection.h_prime[i - 1].letter(j - 1)
+            for i, j in rec.qubits
+            if i in selection.tilt_sources and selection.h_prime[i - 1].letter(j - 1) != "I"
+        }
+        graft = PauliString(
+            [
+                spans[i, j] if (i, j) in spans and selection.g[i - 1].letter(j - 1) == "I" else "I"
+                for i, j in rec.qubits
+            ]
+        )
+        p_part = PauliString([spans.get((i, j), "I") for i, j in rec.qubits])
+        b0_bar = graft * rec.b0
+        if anchor_sign[rec.agent] == -1:
+            p_part, b0_bar = -p_part, -b0_bar
+        per_receiver.append(
+            TiltedReceiver(
+                agent=rec.agent,
+                qubits=rec.qubits,
+                b0_bar=b0_bar,
+                b0_bar_pieces=pieces_letters(layout, rec.qubits, b0_bar),
+                p_part=p_part,
+                p_part_pieces=pieces_letters(layout, rec.qubits, p_part),
+            )
+        )
+    p_pieces = [PauliString.identity(width) for width in layout.group_widths]
+    for source in selection.tilt_sources:
+        prime, (k, _) = selection.h_prime[source - 1], group_position(layout, source, 1)
+        qubits = [(source, j) for j in range(1, prime.n + 1)]
+        p_pieces[k - 1] = p_pieces[k - 1] * pieces_letters(layout, qubits, prime, (k,))[0]
+    return TiltedBlock(
+        tilt_sources=selection.tilt_sources, p_pieces=tuple(p_pieces), receivers=tuple(per_receiver)
+    )
+
+
+def synthesize_letters(layout, selection, *, allow_commuting_pair: bool = False) -> Synthesis:
+    """observables.synthesize one letter at a time, with its refusals: each
+    agent's strings cut from g and h letter by letter and placed in the
+    groups letter by letter, its anticommuting count read off letter pairs."""
+    classification = classify_letters(layout, selection)
+
+    def even(qubits):
+        g, h = cut_letters(selection.g, qubits), cut_letters(selection.h, qubits)
+        return sum(_anticommute(a, b) for a, b in zip(g.letters, h.letters)) % 2 == 0
+
+    sources, receivers = [], []
+    for agent in layout.source_agents:
+        qubits = layout.qubits_of(agent)
+        if even(qubits):
+            raise ValueError(
+                f"agent {layout.agent_label(agent)} holds an even anticommuting "
+                "count; its A pair would not anticommute"
+            )
+        s_hat, t_hat = cut_letters(selection.g, qubits), cut_letters(selection.h, qubits)
+        s_piece, t_piece = (
+            pieces_letters(layout, qubits, op, (agent,))[0] for op in (s_hat, t_hat)
+        )
+        sources.append(SourceObservables(agent, qubits, s_hat, t_hat, s_piece, t_piece))
+    for agent in layout.receivers:
+        qubits = layout.qubits_of(agent)
+        if even(qubits) and not allow_commuting_pair:
+            raise ValueError(
+                f"agent {layout.agent_label(agent)} holds an even "
+                "anticommuting count; B0 and B1 would commute "
+                "(pass allow_commuting_pair=True to accept)"
+            )
+        b0, b1 = cut_letters(selection.g, qubits), cut_letters(selection.h, qubits)
+        pieces = [pieces_letters(layout, qubits, op) for op in (b0, b1)]
+        receivers.append(ReceiverObservables(agent, qubits, b0, b1, *pieces))
+    tilt = tilted_letters(layout, selection, receivers) if selection.tilt_sources else None
+    return Synthesis(layout, selection, classification, tuple(sources), tuple(receivers), tilt)
+
+
+def tilted_layouts(seed: int = 20261019) -> list:
+    """random_layouts() with an h_prime on every source where
+    logical_representative finds one under tilt_constraints, searching the
+    coset of the logical Z times a seeded random set of generators; the
+    layouts where no source gets one are left out."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for layout, selection in random_layouts():
+        primes = []
+        for i, source in enumerate(layout.sources, start=1):
+            code, base = source.code, source.code.logical_z[0]
+            for generator in code.generators:
+                if rng.random() < 0.5:
+                    base = generator * base
+            constraints = tilt_constraints(layout, selection, i)
+            primes.append(logical_representative(code, base, constraints))
+        if any(prime is not None for prime in primes):
+            out.append((layout, replace(selection, h_prime=tuple(primes))))
+    return out
 
 
 # ----------------------------------------------------------------------

@@ -31,10 +31,10 @@ from netbell.bell import (
     maximize,
     tilt_parameters,
 )
-from netbell.network import OperatorSelection
+from netbell.network import OperatorSelection, check_selection
 from netbell.observables import build_tilted, synthesize
 from netbell.pauli import PauliString
-from oracles import dense_expectation, joint_values, random_layouts
+from oracles import dense_expectation, joint_values, random_layouts, tilted_layouts
 
 TOL = 1e-9
 DATA = Path(__file__).parent / "data"
@@ -337,7 +337,7 @@ class TestEvaluateTilted:
         # with no tilt source, build_tilted gives the trivial block: P = 1
         synthesis = synth(chsh_layout(math.pi / 4), chsh_selection(tilted=False))
         layout, selection = synthesis.layout, synthesis.selection
-        tilt = build_tilted(layout, synthesis.classification, selection, synthesis.receivers)
+        tilt = build_tilted(layout, synthesis.classification, selection)
         report = evaluate_tilted(replace(synthesis, tilt=tilt), [math.pi / 4], 0.4)
         assert report.tilt.p_value == 1.0
         assert abs(report.tilt.g_value - (0.4 + math.sqrt(2))) < TOL
@@ -529,6 +529,22 @@ class TestStabilizerEngine:
                 assert engine_against_oracles(synth(layout, selection), thetas) > 0
             except AssertionError as err:
                 raise AssertionError(f"random layout {index}: {err}") from err
+
+
+    def test_tilted_random_layouts_match_the_statevectors(self):
+        # every engine value, P included, on the random layouts that take
+        # an h_prime; their joint states hold at most 10 qubits
+        rng = np.random.default_rng(22)
+        layouts = tilted_layouts()
+        assert len(layouts) == 155
+        for index, (layout, selection) in enumerate(layouts):
+            assert check_selection(layout, selection).passed, index
+            thetas = rng.uniform(0.1, math.pi / 2 - 0.1, layout.K)
+            synthesis = synth(layout, selection)
+            try:
+                assert engine_against_oracles(synthesis, thetas) > 0
+            except AssertionError as err:
+                raise AssertionError(f"tilted random layout {index}: {err}") from err
 
 
 class TestGroups:

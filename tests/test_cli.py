@@ -109,11 +109,33 @@ def read_csv_row(path):
     return rows[0]
 
 
+# validate's whole listing, pinned: every builtin at its defaults and two
+# tilted stars, one with every source tilted and one with two of five.
+VALIDATE_PINS = {
+    "chsh": ["chsh"],
+    "chsh-tilted": ["chsh-tilted"],
+    "five-one-three-split": ["five-one-three-split"],
+    "ghz-split": ["ghz-split"],
+    "example-a": ["example-a"],
+    "example-b": ["example-b"],
+    "star": ["star"],
+    "star3-tilted": ["star", "--N", "3", "--phibar", "0.3927"],
+    "star5-tilt2": ["star", "--N", "5", "--phibar", "0.3927", "--tilt-count", "2"],
+}
+
+
 class TestValidate:
     def test_builtin_passes(self, capsys):
         assert main(["validate", "chsh"]) == EXIT_OK
         out = capsys.readouterr().out
         assert out.strip().endswith("PASS")
+
+    @pytest.mark.parametrize("stem", sorted(VALIDATE_PINS))
+    def test_listing_is_pinned(self, capsys, stem):
+        assert set(scenarios.BUILTIN_SCENARIOS) <= set(VALIDATE_PINS)
+        assert main(["validate", *VALIDATE_PINS[stem]]) == EXIT_OK
+        pinned = (DATA / f"validate-{stem}.txt").read_text(encoding="utf-8")
+        assert capsys.readouterr().out == pinned
 
     def test_lists_the_synthesized_observables(self, capsys):
         assert main(["validate", "chsh"]) == EXIT_OK

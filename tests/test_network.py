@@ -206,37 +206,40 @@ class TestLayout:
             )
 
 
-def commuting_sets(layout, cls):
-    """Per source, the positions whose (g, h) letters commute: those outside d_sets."""
+def qubit_sets(layout, masks):
+    """Per source, the qubits j whose bit n_i - j a mask sets."""
     return tuple(
-        tuple(j for j in range(1, size + 1) if not cls.delta(i, j))
-        for i, size in enumerate(layout.source_sizes, start=1)
+        tuple(j for j in range(1, n + 1) if mask >> (n - j) & 1)
+        for mask, n in zip(masks, layout.source_sizes)
     )
+
+
+def commuting_sets(layout, cls):
+    """Per source, the positions whose (g, h) letters commute: those outside d."""
+    return qubit_sets(layout, [~d for d in cls.d])
 
 
 class TestClassify:
     def test_flip_partner_classification(self):
         layout = bilocal_layout()
         cls = classify(layout, selection_a())
-        assert cls.d_sets == ((1, 2), (1, 2))
+        assert qubit_sets(layout, cls.d) == ((1, 2), (1, 2))
         assert commuting_sets(layout, cls) == ((3, 4, 5), (3, 4, 5))
-        assert cls.idle == ((1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5))
-        assert cls.o_letter(1, 3) == "X"
-        assert cls.o_letter(1, 4) == "X"
-        assert cls.o_letter(2, 5) == "X"
+        assert qubit_sets(layout, cls.idle) == ((3, 4, 5), (3, 4, 5))
+        # the repeated letter is X on qubits 3, 4 and 5 of both sources
+        assert [PauliString.from_masks(x, z, 5) for x, z in cls.o] == [PauliString("IIXXX")] * 2
 
     def test_generator_partner_classification(self):
-        cls = classify(bilocal_layout(), selection_b())
-        assert cls.d_sets == ((1, 3), (1, 3))
-        assert cls.idle == ((1, 2), (1, 4), (1, 5), (2, 2), (2, 4), (2, 5))
-        assert cls.o_letter(1, 2) == "Z"
-        assert cls.o_letter(1, 4) == "X"
-        assert cls.o_letter(1, 5) == "X"
+        layout = bilocal_layout()
+        cls = classify(layout, selection_b())
+        assert qubit_sets(layout, cls.d) == ((1, 3), (1, 3))
+        assert qubit_sets(layout, cls.idle) == ((2, 4, 5), (2, 4, 5))
+        assert [PauliString.from_masks(x, z, 5) for x, z in cls.o] == [PauliString("IZIXX")] * 2
 
     def test_equal_operators_give_empty_d(self):
         sel = OperatorSelection(g=(G_PRODUCT, G_PRODUCT), h=(G_PRODUCT, G_PRODUCT))
         cls = classify(bilocal_layout(), sel)
-        assert cls.d_sets == ((), ())
+        assert cls.d == (0, 0)
 
     def test_classification_ignores_shared_identity_positions(self):
         code = builtin("ghz(3)")
@@ -250,7 +253,7 @@ class TestClassify:
         bare = OperatorSelection(g=(PauliString("ZZI"),), h=(PauliString("XXI"),))
         dressed = OperatorSelection(g=(PauliString("ZZZ"),), h=(PauliString("XXZ"),))
         a, b = classify(layout, bare), classify(layout, dressed)
-        assert a.d_sets == b.d_sets
+        assert a.d == b.d
         assert commuting_sets(layout, a) == commuting_sets(layout, b)
 
     def test_idle_with_no_letter_gets_no_o(self):
@@ -264,8 +267,8 @@ class TestClassify:
         )
         sel = OperatorSelection(g=(PauliString("ZZI"),), h=(PauliString("XXI"),))
         cls = classify(layout, sel)
-        assert cls.is_idle(1, 3)
-        assert cls.o_letter(1, 3) is None
+        assert qubit_sets(layout, cls.idle) == ((3,),)
+        assert cls.o == ((0, 0),)
 
     def test_size_mismatch_rejected(self):
         sel = OperatorSelection(g=(PauliString("ZZ"), G_PRODUCT), h=(PauliString("XX"), H_FLIP))

@@ -1,5 +1,8 @@
 """Observable synthesis: A pairs, B pairs, and the tilted construction."""
 
+import itertools
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from conftest import (
@@ -10,6 +13,7 @@ from conftest import (
     bilocal_layout,
     chsh_layout,
     chsh_selection,
+    chsh_y,
     ghz_split_layout,
     one_group_star5,
     selection_a,
@@ -26,16 +30,22 @@ from netbell.observables import (
     build_source,
     build_tilted,
     synthesize,
-    tilt_constraints,
 )
 from netbell.pauli import PauliString
 from oracles import (
+    _random_candidate,
+    custody,
     dense,
     embed,
     embed_positions,
     global_index,
     lift,
     logical_representative,
+    random_layouts,
+    support,
+    synthesize_letters,
+    tilt_constraints,
+    tilted_layouts,
 )
 
 
@@ -199,7 +209,7 @@ class TestTilted:
         layout = chsh_layout()
         sel = chsh_selection(tilted=False)
         cls, _, receivers = synth(layout, sel)
-        block = build_tilted(layout, cls, sel, receivers)
+        block = build_tilted(layout, cls, sel)
         assert block.tilt_sources == ()
         assert block.p_pieces == (PauliString("II"),)
         assert block.receivers[0].b0_bar == receivers[0].b0
@@ -209,7 +219,7 @@ class TestTilted:
         layout = chsh_layout()
         sel = chsh_selection(tilted=True)
         cls, _, receivers = synth(layout, sel)
-        block = build_tilted(layout, cls, sel, receivers)
+        block = build_tilted(layout, cls, sel)
         tr = block.receivers[0]
         assert tr.b0_bar == receivers[0].b0  # nothing grafted
         assert tr.p_part.letters == "Z"
@@ -217,14 +227,14 @@ class TestTilted:
         assert block.p_pieces == (PauliString("IZ"),)
         # the sign of h_prime is attributed to the lowest receiver holding
         # its support: here agent 2, the only receiver
-        anchor = min(layout.agent_of(1, j + 1) for j in sel.h_prime[0].support)
+        anchor = min(custody(layout)[1, j + 1] for j in support(sel.h_prime[0]))
         assert anchor == 2
 
     def test_star_graft_and_sign(self):
         layout = star_layout(3)
         sel = star_selection(3)
         cls, _, receivers = synth(layout, sel)
-        block = build_tilted(layout, cls, sel, receivers)
+        block = build_tilted(layout, cls, sel)
         tr = block.receivers[0]
         # the grafted letters sit on the fourth qubit of every source and
         # the three negative phase-flip signs collapse onto the receiver
@@ -245,7 +255,7 @@ class TestTilted:
         layout = star_layout(3)
         sel = star_selection(3)
         cls, _, receivers = synth(layout, sel)
-        block = build_tilted(layout, cls, sel, receivers)
+        block = build_tilted(layout, cls, sel)
         tr = block.receivers[0]
         # dropping the grafted outcomes and the attributed sign gives B0
         graft_global = PauliString.product(
@@ -258,7 +268,7 @@ class TestTilted:
         layout = star_layout(3)
         sel = star_selection(3)
         cls, _, receivers = synth(layout, sel)
-        block = build_tilted(layout, cls, sel, receivers)
+        block = build_tilted(layout, cls, sel)
         want = PauliString.product(
             [embed(layout, i, H_PRIME_STAR) for i in (1, 2, 3)]
         )
@@ -271,7 +281,7 @@ class TestTilted:
         layout = star_layout(3)
         sel = star_selection(3)
         cls, _, receivers = synth(layout, sel)
-        tr = build_tilted(layout, cls, sel, receivers).receivers[0]
+        tr = build_tilted(layout, cls, sel).receivers[0]
         graft = -(tr.b0_bar * receivers[0].b0)
         assert tr.b0_bar.commutes(tr.p_part)
         assert tr.b0_bar.commutes(graft)
@@ -286,7 +296,7 @@ class TestTilted:
         )
         cls, _, receivers = synth(layout, sel)
         with pytest.raises(ValueError, match="identity there"):
-            build_tilted(layout, cls, sel, receivers)
+            build_tilted(layout, cls, sel)
 
     def test_wrong_letter_at_measured_qubit_rejected(self):
         layout = chsh_layout()
@@ -297,7 +307,7 @@ class TestTilted:
         )
         cls, _, receivers = synth(layout, sel)
         with pytest.raises(ValueError, match="receiver measures"):
-            build_tilted(layout, cls, sel, receivers)
+            build_tilted(layout, cls, sel)
 
     def test_wrong_letter_at_idle_qubit_rejected(self):
         layout = star_layout(3)
@@ -307,13 +317,50 @@ class TestTilted:
         )
         cls, _, receivers = synth(layout, sel)
         with pytest.raises(ValueError, match="idle"):
-            build_tilted(layout, cls, sel, receivers)
+            build_tilted(layout, cls, sel)
+
+    @pytest.mark.parametrize(
+        "layout,prime,text",
+        [
+            (chsh_layout, PauliString("IZ", 1), "source 1: h_prime must carry a real sign"),
+            (chsh_layout, PauliString("II"), "source 1: h_prime has no support"),
+            (
+                chsh_layout,
+                PauliString("ZI"),
+                "source 1: h_prime acts as Z on source-side qubit (1,1); "
+                "it must be identity there",
+            ),
+            (
+                lambda: star_layout(3),
+                PauliString("ZIZXI", 2),
+                "source 1: h_prime acts as Z on idle qubit (1,3); only the "
+                "repeated observable or identity is measurable there",
+            ),
+            (
+                chsh_layout,
+                PauliString("IY"),
+                "source 1: h_prime acts as Y on qubit (1,2) but the receiver measures Z there",
+            ),
+            (
+                lambda: star_layout(3),
+                PauliString("IIXXI", 2),
+                "source 1: h_prime acts as I on qubit (1,1) but the receiver measures Z there",
+            ),
+        ],
+        ids=["imaginary", "no-support", "source-side", "idle", "wrong-letter", "missing-letter"],
+    )
+    def test_refusal_texts_are_pinned(self, layout, prime, text):
+        layout = layout()
+        plain = star_selection(layout.N, tilted=False) if layout.N > 1 else chsh_selection()
+        sel = OperatorSelection(g=plain.g, h=plain.h, h_prime=(prime,) + (None,) * (layout.N - 1))
+        with pytest.raises(ValueError) as err:
+            build_tilted(layout, classify(layout, sel), sel)
+        assert str(err.value) == text
 
     def test_constraints_feed_the_coset_search(self):
         layout = star_layout(3)
         sel = star_selection(3, tilted=False)
-        cls = classify(layout, sel)
-        constraints = tilt_constraints(layout, cls, sel, 1)
+        constraints = tilt_constraints(layout, sel, 1)
         assert constraints == {
             0: {"Z"},
             1: {"I"},
@@ -329,19 +376,27 @@ class TestTilted:
         # condition; the coset search relocates it to the receiver
         layout = chsh_layout()
         sel = chsh_selection(tilted=False)
-        cls = classify(layout, sel)
-        constraints = tilt_constraints(layout, cls, sel, 1)
+        constraints = tilt_constraints(layout, sel, 1)
         assert constraints == {0: {"I"}, 1: {"Z"}}
         code = builtin("two-one-two")
         found = logical_representative(code, PauliString("ZI"), constraints)
         assert found == PauliString("IZ")
 
 
+# tilted stars: name -> (builtin, parameters)
+TILTED_STARS = {
+    "star(3)-tilted": ("star(3)", {"phibar": 0.3927}),
+    "star(5)-tilted": ("star(5)", {"phibar": 0.3927}),
+    "star(5)-tilt2": ("star(5)", {"phibar": 0.3927, "tilt_count": 2}),
+}
+
+
 def reference_synthesis(name):
-    """The synthesis of a builtin scenario, of tilted star(3), of star(3)
+    """The synthesis of a builtin scenario, of a tilted star, of star(3)
     with its receiver split in two, or of star(5) in one 25-qubit group."""
-    if name == "star(3)-tilted":
-        scenario = scenarios.builtin_scenario("star(3)", phibar=0.3927)
+    if name in TILTED_STARS:
+        builtin_name, params = TILTED_STARS[name]
+        scenario = scenarios.builtin_scenario(builtin_name, **params)
     elif name == "star(3)-split-receiver":
         return synthesize(
             split_receiver_star_layout(3), star_selection(3), allow_commuting_pair=True
@@ -357,8 +412,7 @@ def reference_synthesis(name):
     )
 
 
-REFERENCE_NAMES = sorted(scenarios.BUILTIN_SCENARIOS) + [
-    "star(3)-tilted",
+REFERENCE_NAMES = sorted(scenarios.BUILTIN_SCENARIOS) + sorted(TILTED_STARS) + [
     "star(3)-split-receiver",
     "star(5)-one-group",
 ]
@@ -434,3 +488,102 @@ class TestDescribe:
     def test_negative_sign_rendered(self):
         text = synthesize(star_layout(3), star_selection(3)).describe((np.pi / 4,) * 3)
         assert "R1: B0bar = -Z(1,1)X(1,3)X(1,4)X(1,5)·Z(2,1)" in text
+
+
+def both_routes(layout, selection, allow=False):
+    """The synthesis cut from the x/z masks and the one built letter by
+    letter in tests/oracles.py, or the text each refuses it with."""
+
+    def run(route):
+        try:
+            return route(layout, selection, allow_commuting_pair=allow)
+        except ValueError as err:
+            return str(err)
+
+    return run(synthesize), run(synthesize_letters)
+
+
+def assert_routes_agree(got, want):
+    if isinstance(want, str) or isinstance(got, str):
+        assert got == want
+        return
+    assert got.classification == want.classification
+    assert got.sources == want.sources  # local strings and pieces
+    assert got.receivers == want.receivers
+    assert got.tilt == want.tilt
+
+
+def with_letter(op, j0, letter):
+    """op with letter at qubit j0, its sign kept."""
+    letters = list(op.letters)
+    letters[j0] = letter
+    return PauliString(letters, op.phase_exponent)
+
+
+class TestLetterRoute:
+    """The classification, every local string and piece, and the tilted
+    block, from the x/z masks and from tests/oracles.py's letter-by-letter
+    route (the synthesis as it was before the masks), which must agree
+    exactly."""
+
+    @pytest.mark.parametrize("name", REFERENCE_NAMES)
+    def test_builtins_and_reference_layouts(self, name):
+        synthesis = reference_synthesis(name)
+        got, want = both_routes(synthesis.layout, synthesis.selection, allow=True)
+        assert_routes_agree(got, want)
+        assert_routes_agree(synthesis, want)
+
+    def test_chsh_measured_in_y(self):
+        # h = -YY: the only Y letters, and a minus sign on h
+        assert_routes_agree(*both_routes(*chsh_y()))
+
+    def test_random_layouts(self):
+        layouts = random_layouts()
+        assert len(layouts) == 200
+        for index, (layout, selection) in enumerate(layouts):
+            got, want = both_routes(layout, selection)
+            assert not isinstance(want, str), index
+            assert_routes_agree(got, want)
+
+    def test_tilted_random_layouts(self):
+        layouts = tilted_layouts()
+        assert len(layouts) == 155
+        assert sum(len(selection.tilt_sources) == 2 for _, selection in layouts) == 28
+        for index, (layout, selection) in enumerate(layouts):
+            got, want = both_routes(layout, selection)
+            assert not isinstance(want, str), index
+            assert_routes_agree(got, want)
+
+    def test_random_candidates_are_refused_alike(self):
+        # unfiltered draws: many fail a parity condition, and both routes
+        # must refuse them with the same text
+        rng = np.random.default_rng(5)
+        refused = 0
+        for _ in range(400):
+            candidate = _random_candidate(rng)
+            if candidate is not None:
+                got, want = both_routes(*candidate)
+                assert_routes_agree(got, want)
+                refused += isinstance(want, str)
+        assert refused > 50
+
+    @pytest.mark.parametrize("name", ["chsh-tilted", "star(3)-tilted", "tilted-random"])
+    def test_every_h_prime_letter_is_judged_alike(self, name):
+        # h_prime given each letter on each qubit of its first tilted
+        # source: both routes build equal blocks or refuse with one text
+        if name == "tilted-random":
+            cases = tilted_layouts()[:40]
+        else:
+            synthesis = reference_synthesis(name)
+            cases = [(synthesis.layout, synthesis.selection)]
+        outcomes = []
+        for layout, selection in cases:
+            source = selection.tilt_sources[0]
+            prime = selection.h_prime[source - 1]
+            for j0, letter in itertools.product(range(prime.n), "IXYZ"):
+                primes = list(selection.h_prime)
+                primes[source - 1] = with_letter(prime, j0, letter)
+                got, want = both_routes(layout, replace(selection, h_prime=tuple(primes)))
+                assert_routes_agree(got, want)
+                outcomes.append(isinstance(want, str))
+        assert any(outcomes) and not all(outcomes)

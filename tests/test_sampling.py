@@ -27,6 +27,7 @@ from conftest import (
     bilocal_layout,
     chsh_layout,
     chsh_selection,
+    chsh_y,
     selection_a,
     split_receiver_star_layout,
     star_layout,
@@ -49,6 +50,7 @@ from oracles import (
     lift,
     outcome_distribution,
     random_layouts,
+    tilted_layouts,
     write_rounds,
 )
 
@@ -95,11 +97,6 @@ def _two_source_group_mixed_h():
     return layout, replace(selection, h=(H_FLIP, FIVE.generators[0], H_FLIP))
 
 
-def _chsh_y():
-    # h = -YY, the logical XX times the stabilizer ZZ: the only Y letters
-    return chsh_layout(np.pi / 5), replace(chsh_selection(), h=(PauliString.from_text("-YY"),))
-
-
 # Layouts the builtins lack, on joint states within the cap: tilted
 # star(3) with its receiver split in two, so every group's receiver
 # letters come from two receivers; groups of 10 and 5 qubits whose
@@ -107,7 +104,7 @@ def _chsh_y():
 # positions; and CHSH measured in Y, which no builtin measures.
 # name -> (layout and selection, angles).
 JOINT_LAYOUTS = {
-    "chsh-y": (_chsh_y, [0.7]),
+    "chsh-y": (chsh_y, [0.7]),
     "star(3)-split-receiver": (
         lambda: (split_receiver_star_layout(3, np.pi / 7), star_selection(3)),
         [0.3, 0.6, 0.9],
@@ -320,6 +317,14 @@ class TestBasis:
             synthesis = observables.synthesize(layout, selection)
             assert bases(sampling._basis, synthesis) == bases(oracle_basis, synthesis), index
 
+    def test_tilted_random_layout_basis_is_the_letter_route(self):
+        # direct mode measures B0bar and Ppart on every y = 0 receiver
+        for index, (layout, selection) in enumerate(tilted_layouts()):
+            synthesis = observables.synthesize(layout, selection)
+            want = bases(oracle_basis, synthesis)
+            assert not any(isinstance(per_mode, str) for per_mode in want), index
+            assert bases(sampling._basis, synthesis) == want, index
+
     @pytest.mark.parametrize("name", ["chsh", "example-a", "star-tilted"])
     def test_tampered_source_piece_fails_alike(self, name):
         # S given each letter on each receiver-held qubit of its group: the
@@ -332,7 +337,7 @@ class TestBasis:
         held = [
             layout.place(i, j)[1]
             for i, j, agent in layout.assignment
-            if layout.is_receiver(agent) and layout.place(i, j)[0] == source.agent
+            if agent > layout.K and layout.place(i, j)[0] == source.agent
         ]
         refusals = []
         for q, letter in itertools.product(held, "XYZ"):
