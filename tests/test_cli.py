@@ -3,6 +3,7 @@
 import contextlib
 import csv
 import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -1080,7 +1081,14 @@ PINNED_COMMANDS = [
     # empty setting cells, and at K = 2 the zero J leaves value_se null
     (["sample", "example-a", "--rounds", "5", "--seed", "2"],
      "example-a-sample", "sample-example-a-empty"),
+    # 256 setting cells of about 12 rounds each, drawn by the per-cell loop
+    (["sample", "star(7)", "--rounds", "3000", "--seed", "5"], "star(7)-sample", "sample-star7"),
 ]
+
+# SHA-256 of the round record of `sample chsh --rounds 40000 --seed 2`
+# (about 0.6 MB, so not kept as a file), written by the per-cell loop: each
+# of its four setting cells holds more than 8192 rounds.
+CHSH_40000_RECORD_SHA256 = "6b04265953031b4301164e308ab42573ee3f3c455368ed5448ad619fcd0cf06c"
 
 
 class TestPinnedReports:
@@ -1115,6 +1123,12 @@ class TestPinnedReports:
         ]
         assert main(argv) == EXIT_OK
         assert record.read_bytes() == (DATA / "rounds-star3-per-qubit.csv").read_bytes()
+
+    def test_record_of_cells_past_a_chunk_is_pinned(self, out_dir, tmp_path):
+        record = tmp_path / "rounds.csv"
+        argv = ["sample", "chsh", "--rounds", "40000", "--seed", "2", "--rounds-csv", str(record)]
+        assert main(argv) == EXIT_OK
+        assert hashlib.sha256(record.read_bytes()).hexdigest() == CHSH_40000_RECORD_SHA256
 
 
 class TestOutputRouting:
