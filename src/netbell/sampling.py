@@ -25,20 +25,32 @@ its z bit is clear and by H S^dag where it is set; tests/oracles.py works
 the same letters out one qubit at a time from the agents' local strings.
 A measured string's mask is its pieces' bits, one mask per group. The
 squared amplitudes of the rotated group state are the exact outcome
-distribution of the group. Rounds draw one outcome index per group by a
-nested inverse CDF that reproduces numpy's Generator.choice on the joint
-distribution (see _draw): one uniform per round is inverted through each
-group's cumulative distribution in turn. Each inversion looks the uniform up in a
-guide table of equal buckets and steps at most a fixed, precomputed
-number of bins from there (see _Cdf), which returns the bin a binary
-search would, so the rounds are bit for bit those of Generator.choice. A
-source agent's outcome is its group's S parity; a receiver's is its sign
-times the product of its parities in every group. Round counts per
-setting combination follow one multinomial draw, which together with
-independent draws inside each combination reproduces independent
-uniformly chosen settings exactly. The 2^(K+M) setting cells are listed
-up front, so a network with more than MAX_SETTING_CELLS of them is
-refused before anything is allocated.
+distribution of the group. Round counts per setting cell follow one
+multinomial draw, which together with independent draws inside each cell
+reproduces independent uniformly chosen settings exactly. The 2^(K+M)
+setting cells are listed up front, so a network with more than
+MAX_SETTING_CELLS of them is refused before anything is allocated.
+
+Each group's frames, one per (x_k, y), are stacked into one guide table
+(see _Table) of equal power-of-two buckets per frame, so a round reads its
+frame at a start row. Every recorded outcome is the parity of a string's
+bits in the groups' outcome indices, so the table keeps, per bin, one
+parity bit for each string read on the group: the product of all
+outcomes, the phase-flip product when tilted, and each record column.
+The rounds are then drawn in one pass over pieces of at most
+_RECORD_CHUNK rounds, in cell order: a run of whole small cells, or a
+slice of one large cell. A piece takes its uniforms in one call, which
+continues the generator exactly as one call per cell would, and inverts
+each uniform through every group's table in turn by a nested inverse CDF
+that reproduces numpy's Generator.choice on the joint distribution (see
+_locate). Each inversion looks the uniform up in its frame's buckets and
+steps at most a fixed, precomputed number of bins from there, which
+returns the bin a binary search would, so the rounds are bit for bit
+those of Generator.choice. A string's outcome in a round is the XOR of its
+bins' parity bits across the groups, started from its sign; a cell's
+product sum is its rounds less twice its odd rounds, and the record's
+outcome cells are written straight into one matrix. Memory without a
+record does not grow with the rounds.
 
 Two acquisition strategies are supported. "direct-observable" measures each
 agent's chosen observable as a whole (for tilted runs the receiver measures
@@ -47,10 +59,10 @@ product of its bits). "per-qubit-discard" measures every receiver qubit in
 a single-qubit basis (the repeated letter on idle qubits) and multiplies
 the relevant bits, discarding the rest. Both strategies share the same
 estimators; they differ in which qubits are measured and in what the
-per-round record contains. The record is formatted in numpy, one matrix
-of 4-byte words per chunk of shuffled rounds with a column per line
-(4-digit words of the index, the settings, one word per outcome cell,
-CRLF), whose pad bytes are deleted before the write.
+per-round record contains. The record is shuffled and formatted in
+numpy, one matrix of 4-byte words per chunk of rounds with a column per
+line (4-digit words of the index, the settings, one word per outcome
+cell, CRLF), whose pad bytes are deleted before the write.
 
 Standard errors use the plug-in binomial variance per setting cell and the
 delta method through the K-th roots; they are approximate (the phase-flip
@@ -77,13 +89,16 @@ from .states import StateVector, _parity, make_rng
 MODES = ("direct-observable", "per-qubit-discard")
 
 PROB_TOL = 1e-9
-# Memory grows with the rounds drawn; the setting draw itself overflows at 2**63.
+# Without a round record a run holds one piece of rounds at a time, so its
+# memory does not grow with the rounds; a record holds one padded row of
+# outcome cells per round. The setting draw itself overflows at 2**63.
 MAX_ROUNDS = 10**9
-# Every setting cell is a tally and a pass over the groups: 2^(K+M) of them
+# Every setting cell is a tally and a start row per group: 2^(K+M) of them
 # are listed before any round is drawn, so larger networks are refused first.
 MAX_SETTING_CELLS = 2**12
 
-# Rounds per write of the round record: bounds the text held at once.
+# Rounds per piece of the sampling pass and per write of the round record:
+# bounds the uniforms, bins and text held at once.
 _RECORD_CHUNK = 8192
 # The round record is assembled from 4-byte words, padded with 0 bytes that
 # are deleted before the write. _DIGITS[v] spells v in four digits, and
@@ -96,6 +111,9 @@ _POWERS = 10 ** np.arange(1, 10)
 _OUTCOME = np.zeros(256, dtype=np.uint32)
 _OUTCOME[[0, 1, 255]] = np.frombuffer(b",0\0\0,1\0\0,-1\0", dtype=np.uint32)
 _EOL = np.frombuffer(b"\r\n\0\0", dtype=np.uint32)
+# An outcome cell from its read's code: +1 and -1 by the parity in bit 0,
+# and 0 where bit 1 marks the string as not collected.
+_CODE = np.array([1, -1, 0, 0], dtype=np.int8)
 # Largest double below 1: keeps a rescaled uniform inside [0, 1).
 _BELOW_ONE = np.nextafter(1.0, 0.0)
 
@@ -272,13 +290,25 @@ def _basis(synthesis: Synthesis, k: int, y: tuple[int, ...], mode: str) -> tuple
     return x, z
 
 
+def _product(masks) -> _Mask:
+    """The mask of a product of measured strings: their bits XORed in each
+    group, their signs multiplied."""
+    bits, sign = [0] * len(masks[0].bits), 1
+    for mask in masks:
+        bits = [a ^ b for a, b in zip(bits, mask.bits)]
+        sign *= mask.sign
+    return _Mask(bits=tuple(bits), sign=sign)
+
+
 class _Frames:
     """Each group's outcome distribution in its measurement frame, and the
     masks that read every agent's outcome off the groups' indices.
 
     The distribution of group k depends only on its source agent's setting
     and on the receivers' settings y, so each is built once per
-    (k, x_k, y) and reused by every setting cell that shares them.
+    (k, x_k, y). S T is applied to the group's state once, and the state
+    rotated by the source agent's setting once per (k, x_k), shared by
+    every y.
     """
 
     def __init__(self, synthesis: Synthesis, thetas: tuple[float, ...], mode: str):
@@ -301,26 +331,10 @@ class _Frames:
             _string_mask(layout, enumerate(block.p_part_pieces, start=1))
             for block in tilt.receivers
         ]
-        self._cdfs: dict[tuple, _Cdf] = {}
+        self._rotated: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         # The only statevectors any command builds: past the cap this
-        # raises before a frame or the sign table is allocated.
+        # raises before a frame is allocated.
         self.states = layout.group_states
-        # (-1)^parity of every index of the largest group
-        self._signs = 1 - 2 * _parity(np.arange(1 << max(layout.group_widths)))
-
-    def outcomes(self, indices: list[np.ndarray], mask: _Mask) -> np.ndarray:
-        """A string's outcome per round: its sign times the parity of its
-        bits in every group's outcome index."""
-        out = None
-        for group_indices, bits in zip(indices, mask.bits):
-            if bits:
-                signs = self._signs[group_indices & bits]
-                out = signs if out is None else np.multiply(out, signs, out=out)
-        if out is None:
-            return np.full(len(indices[0]), mask.sign, dtype=np.int64)
-        if mask.sign < 0:
-            np.negative(out, out=out)
-        return out
 
     def receiver_masks(self, y: tuple[int, ...]) -> list[_Mask]:
         return [masks[ym] for masks, ym in zip(self._receiver_masks, y)]
@@ -328,17 +342,18 @@ class _Frames:
     def probabilities(self, k: int, xk: int, y: tuple[int, ...]) -> np.ndarray:
         """Group k's outcome probabilities, with its source agent on
         setting xk and the receivers on y, over the group's basis index."""
-        layout = self.synthesis.layout
-        obs = self.synthesis.sources[self.owners[k - 1]]
-        # Rotate cos(theta) S +/- sin(theta) T onto S, inside the group.
-        half = self.thetas[self.owners[k - 1]] / 2.0
-        sign = 1.0 if xk == 0 else -1.0
-        amps = self.states[k - 1].amplitudes
-        amps = math.cos(half) * amps + sign * math.sin(half) * StateVector(
-            amps
-        ).apply(obs.s_piece * obs.t_piece).amplitudes
+        if k not in self._rotated:
+            # Rotate cos(theta) S +/- sin(theta) T onto S, inside the group.
+            obs = self.synthesis.sources[self.owners[k - 1]]
+            half = self.thetas[self.owners[k - 1]] / 2.0
+            amps = self.states[k - 1].amplitudes
+            turned = StateVector(amps).apply(obs.s_piece * obs.t_piece).amplitudes
+            self._rotated[k] = tuple(
+                math.cos(half) * amps + sign * math.sin(half) * turned for sign in (1.0, -1.0)
+            )
+        amps = self._rotated[k][xk]
 
-        width = layout.group_widths[k - 1]
+        width = self.synthesis.layout.group_widths[k - 1]
         x, z = _basis(self.synthesis, k, y, self.mode)
         for q in range(width):
             s = width - 1 - q
@@ -351,32 +366,55 @@ class _Frames:
             raise CrossCheckError(f"group {k} frame probabilities sum to {total!r}")
         return probabilities / total
 
-    def cdfs(self, x: tuple[int, ...], y: tuple[int, ...]) -> list[_Cdf]:
-        """Per group, in group order, its cumulative distribution at setting
-        cell (x, y)."""
-        out = []
-        for k, pos in enumerate(self.owners, start=1):
-            key = (k, x[pos], y)
-            if key not in self._cdfs:
-                self._cdfs[key] = _cdf(self.probabilities(k, x[pos], y))
-            out.append(self._cdfs[key])
-        return out
+    def tables(self, reads) -> list[_Table]:
+        """Per group, in group order, its guide table stacked over its
+        frames: frame f has its source agent on setting f // 2^M and the
+        receivers on the (f mod 2^M)-th settings y in product order.
+        reads[s][y] is string s's mask at that y, or None where it is not
+        collected. The frames are built in the order in which a pass over
+        the setting cells, in product order, first meets them."""
+        layout = self.synthesis.layout
+        ys = list(itertools.product((0, 1), repeat=layout.M))
+
+        def first_cell(key):
+            k, xk, y = key
+            return (xk << (layout.K - 1 - self.owners[k - 1])) * len(ys) + y, k
+
+        keys = itertools.product(layout.source_agents, (0, 1), range(len(ys)))
+        keys = sorted(keys, key=first_cell)
+        built = {(k, xk, y): self.probabilities(k, xk, ys[y]) for k, xk, y in keys}
+        frames = [(xk, y) for xk in (0, 1) for y in range(len(ys))]
+        return [
+            _table(
+                [built[k, xk, y] for xk, y in frames],
+                [
+                    [0 if read[y] is None else read[y].bits[k - 1] for _, y in frames]
+                    for read in reads
+                ],
+            )
+            for k in layout.source_agents
+        ]
 
 
 @dataclass(frozen=True)
-class _Cdf:
-    """One group's cumulative distribution, inverted through a guide table.
+class _Table:
+    """One group's guide table, stacked over the group's frames.
 
-    Only the distinct bins [low, upper) of the cumulative sums are kept,
-    each with the outcome index that a searchsorted(side="right") returns
-    inside it: the last of a run of zero-probability outcomes, which
-    repeat an edge. start holds, for each of a power-of-two number of
-    equal buckets, the bin holding the bucket's left end (the indexed
-    search of Chen and Asau, 1974; see Devroye, Non-Uniform Random Variate
-    Generation, III.2.4). A power of two makes u * buckets exact, so u lies
-    in bucket floor(u * buckets) and its bin is at or past that bucket's
-    start; steps is the most bins a bucket spans past its start, so that
-    many steps of j += upper[j] <= u reach every u's bin.
+    Each frame keeps only the distinct bins [low, upper) of its cumulative
+    sums, each with the outcome index that a searchsorted(side="right")
+    returns inside it: the last of a run of zero-probability outcomes,
+    which repeat an edge. The frames' bins follow one another in the
+    stacked arrays. start holds, for each frame in turn, one row of a
+    power-of-two number of equal buckets, each bucket's entry the bin
+    holding its left end (the indexed search of Chen and Asau, 1974; see
+    Devroye, Non-Uniform Random Variate Generation, III.2.4). A power of
+    two makes u * buckets exact, so u lies in bucket floor(u * buckets) and
+    its bin is at or past that bucket's start; steps is the most bins a
+    bucket of any frame spans past its start, so that many steps of
+    j += upper[j] <= u reach every u's bin, and stay there, since a frame's
+    last bin ends at 1. parities[s] holds string s's parity (its bits of
+    the bin's outcome index) per bin, or None if the string has no bits
+    on the group.
     """
 
     index: np.ndarray
@@ -386,10 +424,12 @@ class _Cdf:
     start: np.ndarray
     buckets: int
     steps: int
+    parities: list[np.ndarray | None]
 
-    def bins(self, u: np.ndarray) -> np.ndarray:
-        """The bin of each uniform u in [0, 1)."""
-        j = self.start[(u * self.buckets).astype(np.intp)]
+    def locate(self, u: np.ndarray, base) -> np.ndarray:
+        """The bin of each uniform u in [0, 1) in the frame whose start row
+        begins at base (frame * buckets; one for all, or one per u)."""
+        j = self.start[base + (u * self.buckets).astype(np.intp)]
         for _ in range(self.steps):
             j += self.upper[j] <= u
         return j
@@ -401,49 +441,86 @@ class _Cdf:
         return np.minimum((u - self.low[j]) / self.width[j], _BELOW_ONE)
 
 
-def _cdf(probabilities: np.ndarray) -> _Cdf:
-    """The guide table of one group's distribution.
+def _table(frames: list[np.ndarray], reads: list[list[int]]) -> _Table:
+    """The guide table stacked over one group's frames, given by their
+    probabilities, and the parities of the strings read there: reads[s][f]
+    is string s's bits on the group in frame f.
 
     The edges are 0 followed by the normalized cumulative sums, as
     Generator.choice forms them. The buckets are the smallest power of two
-    at least four times the bins, so few buckets hold an edge inside them
-    and steps is at most 2 on every builtin.
+    at least four times the most bins of a frame, so few buckets hold an
+    edge inside them and steps is at most 2 on every builtin.
     """
-    cdf = probabilities.cumsum()
-    cdf /= cdf[-1]
-    edges = np.concatenate(([0.0], cdf))
-    index = np.flatnonzero(edges[:-1] < edges[1:])
-    low, upper = edges[index], edges[index + 1]
-    buckets = 1 << (4 * index.size - 1).bit_length()
+    cuts = []
+    for probabilities in frames:
+        cdf = probabilities.cumsum()
+        cdf /= cdf[-1]
+        edges = np.concatenate(([0.0], cdf))
+        index = np.flatnonzero(edges[:-1] < edges[1:])
+        cuts.append((index, edges[index], edges[index + 1]))
+    buckets = 1 << (4 * max(index.size for index, _, _ in cuts) - 1).bit_length()
     bounds = np.arange(buckets + 1) / buckets
-    start = low.searchsorted(bounds[:-1], side="right") - 1
-    # the last bin that a u below the next bucket's left end can lie in
-    end = low.searchsorted(bounds[1:], side="left") - 1
-    return _Cdf(index, low, upper, upper - low, start, buckets, int((end - start).max()))
+    starts, ends, offset = [], [], 0
+    for index, low, _ in cuts:
+        starts.append(low.searchsorted(bounds[:-1], side="right") - 1 + offset)
+        # the last bin that a u below the next bucket's left end can lie in
+        ends.append(low.searchsorted(bounds[1:], side="left") - 1 + offset)
+        offset += index.size
+    start, end = np.concatenate(starts), np.concatenate(ends)
+    parities = [
+        np.concatenate([_parity(index & b) for (index, _, _), b in zip(cuts, bits)])
+        .astype(np.uint8) if any(bits) else None
+        for bits in reads
+    ]
+    index, low, upper = (np.concatenate(part) for part in zip(*cuts))
+    steps = int((end - start).max())
+    return _Table(index, low, upper, upper - low, start, buckets, steps, parities)
 
 
-def _draw(cdfs: list[_Cdf], rng: np.random.Generator, count: int) -> list[np.ndarray]:
-    """count outcome indices per group from the product of the groups'
-    distributions, group 1 most significant.
+def _locate(tables: list[_Table], u: np.ndarray, bases) -> list[np.ndarray]:
+    """Each group's bin in its stacked table for every round's uniform u,
+    in group order, group k in the frame at bases[k - 1]: a start row per
+    round, or one for all.
 
     rng.choice(size, count, p) takes one uniform u per round and returns
-    searchsorted(cdf, u, side="right") on the joint cumulative sums. Here
-    u is inverted through each group's distribution in turn and rescaled
-    into the chosen bin, which is the same draw in exact arithmetic and
-    advances the generator the same way. Each group's guide table finds
-    the bin that searchsorted(side="right") finds on its edges, and the
-    rescale repeats the search's floating-point operations, so every index
-    and every rescaled u equal those of the binary search bit for bit. The
-    last group's rescaled u is never read, so it is not computed.
+    searchsorted(cdf, u, side="right") on the joint cumulative sums, group
+    1 most significant. Here u is inverted through each group's frame in
+    turn and rescaled into the chosen bin, which is the same draw in exact
+    arithmetic. Each guide table finds the bin that searchsorted(side=
+    "right") finds on its frame's edges, and the rescale repeats the
+    search's floating-point operations, so every index and every rescaled
+    u equal those of the binary search bit for bit. The last group's
+    rescaled u is never read, so it is not computed.
     """
-    u = rng.random(count)
     out = []
-    for k, cdf in enumerate(cdfs, start=1):
-        j = cdf.bins(u)
-        out.append(cdf.index[j])
-        if k < len(cdfs):
-            u = cdf.rescale(u, j)
+    for k, (table, base) in enumerate(zip(tables, bases), start=1):
+        j = table.locate(u, base)
+        out.append(j)
+        if k < len(tables):
+            u = table.rescale(u, j)
     return out
+
+
+def _pieces(counts: list[int]):
+    """The setting cells' rounds in cell order, cut into pieces of at most
+    _RECORD_CHUNK rounds: a run of whole cells, or a slice of one cell
+    larger than a piece. Each piece is a list of (cell, rounds) pairs;
+    empty cells are left out."""
+    size, run, total = _RECORD_CHUNK, [], 0
+    for cell, count in enumerate(counts):
+        if not count:
+            continue
+        if run and total + count > size:
+            yield run
+            run, total = [], 0
+        if count > size:
+            for start in range(0, count, size):
+                yield [(cell, min(size, count - start))]
+        else:
+            run.append((cell, count))
+            total += count
+    if run:
+        yield run
 
 
 def _setting_combos(k: int, m: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -519,6 +596,36 @@ def _csv_header(mode, k, m, tilted, measured_qubits) -> list[str]:
     return header
 
 
+def _record_reads(synthesis: Synthesis, frames: _Frames, mode: str, ys, tilted):
+    """The round record's header and what each of its outcome columns
+    reads: the column's mask at every receiver setting y, or None where it
+    is not collected."""
+    layout, receivers = synthesis.layout, synthesis.receivers
+    k, m = layout.K, layout.M
+    columns = [[mask] * len(ys) for mask in frames.source_masks]
+    measured = []
+    if mode == "direct-observable":
+        columns += [[frames.receiver_masks(y)[r] for y in ys] for r in range(m)]
+        if synthesis.tilt is not None:
+            columns += [[mask if now else None for now in tilted] for mask in frames.p_masks]
+    else:
+        # Per-qubit records cover the receiver-held qubits where g or h acts,
+        # in (i, j) order: the qubits of the B0 and B1 pieces, which every
+        # setting's frame measures.
+        acts = [0] * k
+        for rec in receivers:
+            for group, (b0, b1) in enumerate(zip(rec.b0_pieces, rec.b1_pieces)):
+                acts[group] |= b0.x | b0.z | b1.x | b1.z
+        for i, j in sorted(q for rec in receivers for q in rec.qubits):
+            group, position = layout.place(i, j)
+            bit = 1 << (layout.group_widths[group - 1] - 1 - position)
+            if acts[group - 1] & bit:
+                measured.append((i, j))
+                bits = tuple(bit if g == group else 0 for g in layout.source_agents)
+                columns.append([_Mask(bits=bits, sign=1)] * len(ys))
+    return _csv_header(mode, k, m, synthesis.tilt is not None, measured), columns
+
+
 def run(
     synthesis: Synthesis,
     thetas,
@@ -540,7 +647,7 @@ def run(
     CRLF, and the same seed writes the same bytes. The file is written
     atomically, like the reports.
     """
-    layout, receivers, tilt = synthesis.layout, synthesis.receivers, synthesis.tilt
+    layout, tilt = synthesis.layout, synthesis.tilt
     if beta is not None:
         synthesis.check_beta(beta)
     thetas = synthesis.angles(thetas)
@@ -556,59 +663,79 @@ def run(
     frames = _Frames(synthesis, thetas, config.strategy)
 
     rng = make_rng(config.seed)
-    counts = rng.multinomial(config.rounds, weights)
+    counts = rng.multinomial(config.rounds, weights).tolist()
 
+    # Every string read, as its mask at each receiver setting y (or None
+    # where it is not collected): the product of all outcomes, the
+    # phase-flip product when tilted, then the record's columns.
+    ys = list(itertools.product((0, 1), repeat=m))
+    tilted = [tilt is not None and not any(y) for y in ys]
+    reads = [[_product(frames.source_masks + frames.receiver_masks(y)) for y in ys]]
+    if tilt is not None:
+        flip = _product(frames.p_masks)
+        reads.append([flip if now else None for now in tilted])
+    tallied = len(reads)
     if record_path is not None:
-        # Per-qubit records cover the receiver-held qubits where g or h acts,
-        # in (i, j) order: the qubits of the B0 and B1 pieces, which every
-        # setting's frame measures.
-        acts = [0] * k
-        for rec in receivers:
-            for group, (b0, b1) in enumerate(zip(rec.b0_pieces, rec.b1_pieces)):
-                acts[group] |= b0.x | b0.z | b1.x | b1.z
-        measured, qubit_masks = [], []
-        for i, j in sorted(q for rec in receivers for q in rec.qubits):
-            group, position = layout.place(i, j)
-            bit = 1 << (layout.group_widths[group - 1] - 1 - position)
-            if acts[group - 1] & bit:
-                measured.append((i, j))
-                bits = tuple(bit if g == group else 0 for g in layout.source_agents)
-                qubit_masks.append(_Mask(bits=bits, sign=1))
-        header = _csv_header(config.strategy, k, m, tilt is not None, measured)
-        blocks = []  # per setting block: its settings text and int8 outcome rows
+        header, columns = _record_reads(synthesis, frames, config.strategy, ys, tilted)
+        reads += columns
+        outcomes = np.zeros((config.rounds, -(-len(columns) // 4) * 4), dtype=np.int8)
+    tables = frames.tables(reads)
 
-    tallies = []
-    for (x, y), count in zip(combos, (int(c) for c in counts)):
-        # An empty cell draws no uniform, which leaves the generator as it was.
-        indices = _draw(frames.cdfs(x, y), rng, count)
-        a_cols = [frames.outcomes(indices, mask) for mask in frames.source_masks]
-        b_cols = [frames.outcomes(indices, mask) for mask in frames.receiver_masks(y)]
-        product = np.prod(a_cols, axis=0) * np.prod(b_cols, axis=0)
-        p_sum = None
-        p_cols = []
-        if tilt is not None and all(b == 0 for b in y):
-            p_cols = [frames.outcomes(indices, mask) for mask in frames.p_masks]
-            p_sum = int(np.prod(p_cols, axis=0).sum())
-        tallies.append(
-            SettingTally(
-                x=x,
-                y=y,
-                rounds=count,
-                product_sum=int(product.sum()),
-                p_sum=p_sum,
-            )
-        )
-        if record_path is not None:
-            if config.strategy == "direct-observable":
-                outcome_cols = a_cols + b_cols
-                if tilt is not None:
-                    pad = p_cols if p_cols else [np.zeros(count, dtype=int)] * m
-                    outcome_cols += pad
+    # Per group, each cell's start row: its frame (x_k, y) times the buckets.
+    cell = np.arange(len(combos))
+    y_of = cell % len(ys)
+    bases = [
+        table.buckets * ((cell >> (m + k - 1 - pos) & 1) * len(ys) + y_of)
+        for table, pos in zip(tables, frames.owners)
+    ]
+    # Per string and cell, the code a read starts from: bit 0 the parity of
+    # the string's sign, bit 1 set where it is not collected.
+    initial = np.array(
+        [[2 if mask is None else int(mask.sign < 0) for mask in read] for read in reads],
+        dtype=np.uint8,
+    )[:, y_of]
+
+    odd = np.zeros((tallied, len(combos)), dtype=np.int64)
+    done = 0
+    for piece in _pieces(counts):
+        ids, lengths = (np.array(part) for part in zip(*piece))
+        size = int(lengths.sum())
+        # a piece inside one cell reads its tables at one start row
+        at = ids[0] if len(ids) == 1 else np.repeat(ids, lengths)
+        bins = _locate(tables, rng.random(size), [base[at] for base in bases])
+        firsts = np.concatenate(([0], lengths[:-1].cumsum()))
+        for s in range(len(reads)):
+            bits = np.empty(size, dtype=np.uint8)
+            bits[:] = initial[s, at]
+            for table, j in zip(tables, bins):
+                if table.parities[s] is not None:
+                    bits ^= table.parities[s][j]
+            if s < tallied:
+                odd[s, ids] += np.add.reduceat(bits, firsts, dtype=np.int64)
             else:
-                outcome_cols = a_cols + [frames.outcomes(indices, mask) for mask in qubit_masks]
-            settings_text = "".join(map(str, x)) + "|" + "".join(map(str, y))
-            blocks.append((settings_text, np.array(outcome_cols, dtype=np.int8).T))
+                outcomes[done : done + size, s - tallied] = _CODE[bits]
+        done += size
 
+    sums = (np.array(counts) - 2 * odd).tolist()
+    tallies = [
+        SettingTally(
+            x=x,
+            y=y,
+            rounds=count,
+            product_sum=sums[0][c],
+            p_sum=sums[1][c] if tilted[c % len(ys)] else None,
+        )
+        for c, ((x, y), count) in enumerate(zip(combos, counts))
+    ]
+    report = _report(config, k, tallies, beta)
+    if record_path is not None:
+        settings = ["".join(map(str, x)) + "|" + "".join(map(str, y)) for x, y in combos]
+        _write_rounds(record_path, header, settings, counts, outcomes, rng)
+    return report
+
+
+def _report(config: RunConfig, k: int, tallies: list[SettingTally], beta) -> TallyReport:
+    """The estimates of a run's tallies."""
     i_est, i_se, j_est, j_se = _correlator_estimates(tallies, k)
     p_est, p_se = _phase_flip_estimate(tallies)
 
@@ -627,9 +754,6 @@ def run(
         g_est = beta * p_root + value
         if value_se is not None and p_root_se is not None:
             g_se = math.sqrt(value_se**2 + (beta * p_root_se) ** 2)
-
-    if record_path is not None:
-        _write_rounds(record_path, header, blocks, rng)
 
     return TallyReport(
         mode=config.strategy,
@@ -651,28 +775,28 @@ def run(
     )
 
 
-def _write_rounds(path, header, blocks, rng) -> None:
-    """Shuffle the rounds of all setting blocks and write them under the
-    header through the reports' atomic writer. Each chunk of rounds is a
-    (words, rounds) matrix of 4-byte words, filled one row at a time: the
-    round index in 4-digit words, the block's settings, one cell per outcome
-    and CRLF. It is read round by round, with the pad bytes (0) deleted."""
+def _write_rounds(path, header, settings, counts, outcomes, rng) -> None:
+    """Shuffle the rounds and write them under the header through the
+    reports' atomic writer. The rounds come in blocks: counts[b] rounds of
+    the setting text settings[b] in turn, whose int8 outcome cells are the
+    rows of outcomes, each row padded with 0 to whole 4-byte words. Each
+    chunk of rounds is a (words, rounds) matrix of 4-byte words, filled one
+    row at a time: the round index in 4-digit words, the block's settings,
+    one cell per outcome and CRLF. It is read round by round, with the pad
+    bytes (0) deleted."""
     width = len(header) - 2
-    for _, rows in blocks:
-        if rows.shape[1] != width:
-            raise RuntimeError(
-                f"round record width {rows.shape[1]} does not match header {width}"
-            )
-    texts = [f",{text}".encode() for text, _ in blocks]
+    if outcomes.shape != (sum(counts), -(-width // 4) * 4):
+        raise RuntimeError(
+            f"round record of shape {outcomes.shape} does not match "
+            f"{sum(counts)} rounds and header width {width}"
+        )
+    texts = [f",{text}".encode() for text in settings]
     size = -(-max(map(len, texts)) // 4) * 4
     settings = np.frombuffer(b"".join(text.ljust(size, b"\0") for text in texts), np.uint32)
-    settings = settings.reshape(len(blocks), -1).T
+    settings = settings.reshape(len(texts), -1).T
     # a block number per round, in the smallest integer type that holds it
-    numbers = np.arange(len(blocks), dtype=np.min_scalar_type(len(blocks)))
-    block_of = np.repeat(numbers, [len(rows) for _, rows in blocks])
-    # outcome rows padded to whole words, so that a round's row is one gather
-    outcomes = np.zeros((len(block_of), -(-width // 4) * 4), dtype=np.int8)
-    np.concatenate([rows for _, rows in blocks], out=outcomes[:, :width])
+    numbers = np.arange(len(texts), dtype=np.min_scalar_type(len(texts)))
+    block_of = np.repeat(numbers, counts)
     outcomes = outcomes.view(np.uint32)
     order = rng.permutation(len(outcomes))
 

@@ -19,8 +19,9 @@ command runs:
   agents' groups instead;
 * `_random_candidate` draws a random network layout and operator
   selection on small builtin codes, and `random_layouts` keeps the first
-  ones that pass every structural and parity check; `tilted_layouts`
-  gives those an h_prime wherever `logical_representative` finds one;
+  ones that pass every structural and parity check, once per session;
+  `tilted_layouts` gives those an h_prime wherever
+  `logical_representative` finds one;
 * `synthesize_letters` is `observables.synthesize` one letter at a time,
   as it was built before the x/z masks: `classify_letters` compares
   (g, h) letter pairs, `cut_letters` reads an agent's letters,
@@ -45,10 +46,15 @@ command runs:
   where `sampling._basis` ORs the bit masks of the observables' pieces;
   `outcome_distribution` is
   the exact distribution of the sampler's group frames at one setting,
-  which sampled counts are compared against;
+  which sampled counts are compared against, read by `outcomes`;
 * `draw` inverts each round's uniform through every group's cumulative
-  sums by binary search (`invert`), the draw `sampling._draw` makes through
-  guide tables instead and must match bit for bit;
+  sums by binary search (`invert`), the draw `sampling._locate` makes
+  through the groups' stacked guide tables instead and must match bit for
+  bit; `sample_cells` is `sampling.run` one setting cell at a time on
+  `draw` and `outcomes`, multiplying each cell's outcome columns, where
+  run reads per-bin parities in pieces of rounds; the two must give equal
+  reports and round records; `as_record` lays (settings, outcome rows)
+  blocks out as the writer takes them;
 * `write_rounds` writes the round record one f-string per round, the
   literal text that `sampling._write_rounds` formats as byte matrices
   instead and must match byte for byte;
@@ -84,7 +90,7 @@ from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
-from netbell import classical
+from netbell import classical, sampling
 from netbell.codes import StabilizerCode, builtin, codeword
 from netbell.network import (
     Classification,
@@ -104,7 +110,7 @@ from netbell.observables import (
 )
 from netbell.pauli import PauliString
 from netbell.sampling import _BELOW_ONE, _H, _S_DAG, MODES, PROB_TOL, _apply_one_qubit, _Frames
-from netbell.states import StateVector, _parity, tensor
+from netbell.states import StateVector, _parity, make_rng, tensor
 
 
 def joint_state(layout: NetworkLayout) -> StateVector:
@@ -282,10 +288,13 @@ def _random_candidate(rng):
     return layout, selection
 
 
-def random_layouts(seed: int = 20260816, count: int = 200) -> list:
+@functools.cache
+def random_layouts(seed: int = 20260816, count: int = 200) -> tuple:
     """The first count candidates of _random_candidate that pass
     check_selection and every parity condition: from the default seed,
-    the parity-valid layouts of acceptance criterion 6."""
+    the parity-valid layouts of acceptance criterion 6. Drawn once per
+    session and shared, so each source state's expectation memo is shared
+    too; no test counts those memos."""
     rng = np.random.default_rng(seed)
     valid = []
     for _ in range(25 * count):
@@ -298,7 +307,7 @@ def random_layouts(seed: int = 20260816, count: int = 200) -> list:
         ).passed:
             valid.append(candidate)
             if len(valid) == count:
-                return valid
+                return tuple(valid)
     raise RuntimeError(f"{count} parity-valid layouts not drawn from seed {seed}")
 
 
@@ -526,12 +535,108 @@ def outcome_distribution(
     masks = frames.source_masks + frames.receiver_masks(y)
     if synthesis.tilt is not None and all(b == 0 for b in y):
         masks += frames.p_masks
-    stacked = np.stack([frames.outcomes(list(grid), mask) for mask in masks], axis=1)
+    stacked = np.stack([outcomes(list(grid), mask) for mask in masks], axis=1)
     out: dict[tuple[int, ...], float] = {}
     for idx in np.flatnonzero(weights > 0):
         key = tuple(int(v) for v in stacked[idx])
         out[key] = out.get(key, 0.0) + float(weights[idx])
     return out
+
+
+@functools.cache
+def _signs(width: int) -> np.ndarray:
+    """(-1) to the parity of every index below 2^width."""
+    return 1 - 2 * _parity(np.arange(1 << width))
+
+
+def outcomes(indices: list[np.ndarray], mask) -> np.ndarray:
+    """A measured string's outcome per round, from each group's outcome
+    indices: the string's sign times (-1) to the parity of its bits in
+    every group's index."""
+    out = np.full(len(indices[0]), mask.sign, dtype=np.int64)
+    for group_indices, bits in zip(indices, mask.bits):
+        if bits:
+            out *= _signs(bits.bit_length())[group_indices & bits]
+    return out
+
+
+def sample_cells(synthesis: Synthesis, thetas, config, *, beta=None, record_path=None):
+    """`sampling.run` one setting cell at a time, as it ran before the
+    chunked pass: each cell's frames are built as the cell first meets
+    them, its rounds drawn by binary search (`draw`), every agent's outcome
+    per round read by `outcomes` and multiplied, and the cells handed to
+    the round record's writer in blocks (`as_record`). The report and
+    record must equal run's."""
+    layout, receivers, tilt = synthesis.layout, synthesis.receivers, synthesis.tilt
+    if beta is not None:
+        synthesis.check_beta(beta)
+    thetas = synthesis.angles(thetas)
+    k, m = layout.K, layout.M
+    combos = sampling._setting_combos(k, m)
+    frames = _Frames(synthesis, thetas, config.strategy)
+    rng = make_rng(config.seed)
+    counts = rng.multinomial(config.rounds, np.full(len(combos), 1.0 / len(combos)))
+
+    if record_path is not None:
+        acts = [0] * k
+        for rec in receivers:
+            for group, (b0, b1) in enumerate(zip(rec.b0_pieces, rec.b1_pieces)):
+                acts[group] |= b0.x | b0.z | b1.x | b1.z
+        measured, qubit_masks = [], []
+        for i, j in sorted(q for rec in receivers for q in rec.qubits):
+            group, position = layout.place(i, j)
+            bit = 1 << (layout.group_widths[group - 1] - 1 - position)
+            if acts[group - 1] & bit:
+                measured.append((i, j))
+                bits = tuple(bit if g == group else 0 for g in layout.source_agents)
+                qubit_masks.append(sampling._Mask(bits=bits, sign=1))
+        header = sampling._csv_header(config.strategy, k, m, tilt is not None, measured)
+        blocks = []
+
+    built, tallies = {}, []
+    for (x, y), count in zip(combos, (int(c) for c in counts)):
+        groups = []
+        for group, pos in enumerate(frames.owners, start=1):
+            key = (group, x[pos], y)
+            if key not in built:
+                built[key] = frames.probabilities(*key)
+            groups.append(built[key])
+        indices = draw(groups, rng, count)
+        a_cols = [outcomes(indices, mask) for mask in frames.source_masks]
+        b_cols = [outcomes(indices, mask) for mask in frames.receiver_masks(y)]
+        product = np.prod(a_cols, axis=0) * np.prod(b_cols, axis=0)
+        p_sum, p_cols = None, []
+        if tilt is not None and all(b == 0 for b in y):
+            p_cols = [outcomes(indices, mask) for mask in frames.p_masks]
+            p_sum = int(np.prod(p_cols, axis=0).sum())
+        tallies.append(sampling.SettingTally(x, y, count, int(product.sum()), p_sum))
+        if record_path is not None:
+            if config.strategy == "direct-observable":
+                outcome_cols = a_cols + b_cols
+                if tilt is not None:
+                    outcome_cols += p_cols if p_cols else [np.zeros(count, dtype=int)] * m
+            else:
+                outcome_cols = a_cols + [outcomes(indices, mask) for mask in qubit_masks]
+            settings = "".join(map(str, x)) + "|" + "".join(map(str, y))
+            blocks.append((settings, np.array(outcome_cols, dtype=np.int8).T))
+
+    report = sampling._report(config, k, tallies, beta)
+    if record_path is not None:
+        # the writer's text is checked against write_rounds on its own
+        sampling._write_rounds(record_path, header, *as_record(header, blocks), rng)
+    return report
+
+
+def as_record(header, blocks):
+    """(settings, outcome rows) blocks as `sampling._write_rounds` takes
+    them: the blocks' settings texts, their round counts, and every round's
+    outcome cells in one int8 matrix, each row padded with 0 to whole
+    4-byte words."""
+    width = len(header) - 2
+    rows = np.concatenate([rows for _, rows in blocks])
+    cells = np.zeros((len(rows), -(-width // 4) * 4), dtype=np.int8)
+    cells[:, :width] = rows
+    return [text for text, _ in blocks], [len(rows) for _, rows in blocks], cells
 
 
 def cdf_edges(probabilities: np.ndarray) -> np.ndarray:

@@ -12,6 +12,7 @@ import functools
 import itertools
 import json
 import tempfile
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -38,6 +39,7 @@ from netbell import bell, observables, sampling, scenarios
 from netbell.pauli import PauliString
 from netbell.sampling import RunConfig, run
 from oracles import (
+    as_record,
     basis_letters,
     cdf_edges,
     draw,
@@ -49,7 +51,9 @@ from oracles import (
     joint_state,
     lift,
     outcome_distribution,
+    outcomes,
     random_layouts,
+    sample_cells,
     tilted_layouts,
     write_rounds,
 )
@@ -143,6 +147,24 @@ def synth(layout, selection, thetas, *, allow=False):
     """The observables of layout and selection, with the angles to run them at."""
     synthesis = observables.synthesize(layout, selection, allow_commuting_pair=allow)
     return synthesis, tuple(thetas)
+
+
+def stack(distributions):
+    """One group's stacked guide table over the given frames, reading no
+    strings."""
+    return sampling._table(list(distributions), [])
+
+
+def cell_bases(frames, tables, x, y):
+    """Each group's start row in its stacked table at setting cell (x, y):
+    its frame (x_k, y) times its buckets."""
+    y_index = int("".join(map(str, y)), 2)
+    return [t.buckets * (x[pos] * 2 ** len(y) + y_index) for t, pos in zip(tables, frames.owners)]
+
+
+def cell_indices(tables, bins):
+    """Each group's outcome indices from its bins in its stacked table."""
+    return [table.index[j] for table, j in zip(tables, bins)]
 
 
 def write_pinned_record(name, path):
@@ -380,27 +402,30 @@ class TestGroupFrames:
             everywhere = np.arange(product.size)
             for group_masks, global_masks in zip(masks, joint_masks):
                 want = joint_outcomes(everywhere, global_masks)
-                got = [frames.outcomes(grid, mask) for mask in group_masks]
+                got = [outcomes(grid, mask) for mask in group_masks]
                 assert np.array_equal(got, want)
 
     def test_one_group_draw_is_rng_choice(self):
         probabilities = np.random.default_rng(3).random(32)
         probabilities[[0, 7, 8, 31]] = 0.0
         probabilities /= probabilities.sum()
+        table = stack([probabilities])
         for seed in range(5):
             nested, choice = np.random.default_rng(seed), np.random.default_rng(seed)
-            [indices] = sampling._draw([sampling._cdf(probabilities)], nested, 10000)
-            assert np.array_equal(indices, choice.choice(32, 10000, p=probabilities))
+            [bins] = sampling._locate([table], nested.random(10000), [0])
+            assert np.array_equal(table.index[bins], choice.choice(32, 10000, p=probabilities))
             assert nested.bit_generator.state == choice.bit_generator.state
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_star3_draw_matches_choice_on_the_joint_frame(self, seed):
         synthesis, thetas = builtin_synthesis("star(3)")
         frames = sampling._Frames(synthesis, thetas, "direct-observable")
+        tables = frames.tables([])
         for x, y in [((0, 0, 0), (0,)), ((1, 0, 1), (1,)), ((1, 1, 1), (0,))]:
             joint = joint_frame(synthesis, thetas, x, y, "direct-observable")
             nested, choice = np.random.default_rng(seed), np.random.default_rng(seed)
-            first, second, third = sampling._draw(frames.cdfs(x, y), nested, 20000)
+            bins = sampling._locate(tables, nested.random(20000), cell_bases(frames, tables, x, y))
+            first, second, third = cell_indices(tables, bins)
             want = choice.choice(joint.probabilities.size, 20000, p=joint.probabilities)
             assert np.array_equal((first << 10) | (second << 5) | third, want)
             assert nested.bit_generator.state == choice.bit_generator.state
@@ -496,64 +521,78 @@ def probe_points(edges, buckets, seed):
     ])
 
 
-def assert_same_inversion(probabilities, seed=0):
-    cdf = sampling._cdf(probabilities)
+def assert_same_inversion(table, frame, probabilities, seed=0):
+    """Frame frame of a stacked table inverts every probe point as the
+    binary search on the probabilities' edges does: the index and the
+    rescaled uniform, bit for bit."""
     edges = cdf_edges(probabilities)
-    u = probe_points(edges, cdf.buckets, seed)
-    bins = cdf.bins(u)
-    got_index, got_u = cdf.index[bins], cdf.rescale(u, bins)
+    u = probe_points(edges, table.buckets, seed)
+    bins = table.locate(u, frame * table.buckets)
+    got_index, got_u = table.index[bins], table.rescale(u, bins)
     want_index, want_u = invert(edges, u)
     assert np.array_equal(got_index, want_index)
     assert np.array_equal(got_u.view(np.int64), want_u.view(np.int64))
 
 
+def assert_alone_and_stacked(distributions):
+    """Each distribution inverts as the binary search in a table of its
+    own, and as one frame of a table stacked over all of them, whose
+    buckets are set by the frame with the most bins."""
+    stacked = stack(distributions)
+    for number, probabilities in enumerate(distributions):
+        assert_same_inversion(stack([probabilities]), 0, probabilities, seed=number)
+        assert_same_inversion(stacked, number, probabilities, seed=number)
+
+
 class TestGuideTable:
-    """The guide-table draw against the binary search of tests/oracles.py,
-    bit for bit: every index, every rescaled uniform, the generator state."""
+    """The stacked guide tables against the binary search of
+    tests/oracles.py, bit for bit: every index, every rescaled uniform, the
+    generator state."""
 
     @pytest.mark.parametrize("seed", range(5))
     def test_zero_runs_invert_as_the_binary_search(self, seed):
-        for number, probabilities in enumerate(zero_run_distributions(seed)):
-            assert_same_inversion(probabilities, seed=number)
+        assert_alone_and_stacked(zero_run_distributions(seed))
 
     def test_aligned_edges_invert_as_the_binary_search(self):
-        for number, probabilities in enumerate(ALIGNED):
-            assert_same_inversion(probabilities, seed=number)
+        assert_alone_and_stacked(ALIGNED)
 
     def test_buckets_split_the_unit_interval_exactly(self):
         # u * buckets is exact, so a bucket's left end and the double below
         # it fall on either side of the boundary, as the start table assumes
         for probabilities in ALIGNED + zero_run_distributions(0):
-            buckets = sampling._cdf(probabilities).buckets
+            buckets = stack([probabilities]).buckets
             b = np.arange(1, buckets)
             assert np.array_equal(((b / buckets) * buckets).astype(np.intp), b)
             below = np.nextafter(b / buckets, 0.0) * buckets
             assert np.array_equal(below.astype(np.intp), b - 1)
 
     def test_one_outcome(self):
-        cdf = sampling._cdf(np.array([1.0]))
-        assert cdf.steps == 0
-        assert_same_inversion(np.array([1.0]))
+        table = stack([np.array([1.0])])
+        assert table.steps == 0
+        assert_same_inversion(table, 0, np.array([1.0]))
         u = np.array([0.0, 0.5, sampling._BELOW_ONE])
-        bins = cdf.bins(u)
-        assert cdf.index[bins].tolist() == [0, 0, 0]
-        assert np.array_equal(cdf.rescale(u, bins).view(np.int64), u.view(np.int64))
+        bins = table.locate(u, 0)
+        assert table.index[bins].tolist() == [0, 0, 0]
+        assert np.array_equal(table.rescale(u, bins).view(np.int64), u.view(np.int64))
 
     def test_at_most_two_steps_on_the_builtins(self):
         for name in GUIDE_SCENARIOS:
             synthesis, thetas = builtin_scenario_synthesis(name)
             for mode in sampling.MODES:
-                frames = sampling._Frames(synthesis, thetas, mode)
-                for x, y in sampling._setting_combos(synthesis.layout.K, synthesis.layout.M):
-                    assert all(cdf.steps <= 2 for cdf in frames.cdfs(x, y)), name
+                tables = sampling._Frames(synthesis, thetas, mode).tables([])
+                assert all(table.steps <= 2 for table in tables), name
 
     @pytest.mark.parametrize("count", [0, 1, 10**4])
     def test_draw_matches_the_binary_search(self, count):
+        # each group's distribution is the middle frame of a stacked table
         groups = zero_run_distributions(7, count=3)
         groups.insert(1, np.array([1.0]))
+        others = zero_run_distributions(8, count=2 * len(groups))
+        tables = [stack([others[2 * g], p, others[2 * g + 1]]) for g, p in enumerate(groups)]
         for seed in range(3):
             guided, searched = np.random.default_rng(seed), np.random.default_rng(seed)
-            got = sampling._draw([sampling._cdf(p) for p in groups], guided, count)
+            bins = sampling._locate(tables, guided.random(count), [t.buckets for t in tables])
+            got = cell_indices(tables, bins)
             want = draw(groups, searched, count)
             assert len(got) == len(want) == len(groups)
             for g, w in zip(got, want):
@@ -566,19 +605,34 @@ class TestGuideTable:
     def test_every_setting_cell_of_the_builtins(self, name, mode):
         synthesis, thetas = builtin_scenario_synthesis(name)
         frames = sampling._Frames(synthesis, thetas, mode)
+        tables = frames.tables([])
         cells = sampling._setting_combos(synthesis.layout.K, synthesis.layout.M)
-        for seed, (x, y) in enumerate(cells):
-            groups = [
-                frames.probabilities(k, x[pos], y)
-                for k, pos in enumerate(frames.owners, start=1)
+        groups_of = {
+            (x, y): [
+                frames.probabilities(k, x[pos], y) for k, pos in enumerate(frames.owners, start=1)
             ]
-            for probabilities in groups:
-                assert_same_inversion(probabilities, seed)
+            for x, y in cells
+        }
+        for seed, (x, y) in enumerate(cells):
+            bases = cell_bases(frames, tables, x, y)
+            for table, base, probabilities in zip(tables, bases, groups_of[x, y]):
+                assert_same_inversion(table, base // table.buckets, probabilities, seed)
             guided, searched = np.random.default_rng(seed), np.random.default_rng(seed)
-            got = sampling._draw(frames.cdfs(x, y), guided, 2000)
-            want = draw(groups, searched, 2000)
+            got = cell_indices(tables, sampling._locate(tables, guided.random(2000), bases))
+            want = draw(groups_of[x, y], searched, 2000)
             assert all(np.array_equal(g, w) for g, w in zip(got, want))
             assert guided.bit_generator.state == searched.bit_generator.state
+        # Every cell in one pass, a start row per round, as a piece of
+        # several cells reads them, against one draw per cell in turn.
+        counts = np.random.default_rng(len(cells)).integers(0, 40, len(cells))
+        guided, searched = np.random.default_rng(1), np.random.default_rng(1)
+        rows = [cell_bases(frames, tables, x, y) for x, y in cells]
+        bases = [np.repeat(column, counts) for column in zip(*rows)]
+        got = cell_indices(tables, sampling._locate(tables, guided.random(counts.sum()), bases))
+        parts = [draw(groups_of[cell], searched, c) for cell, c in zip(cells, counts)]
+        want = [np.concatenate(group) for group in zip(*parts)]
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        assert guided.bit_generator.state == searched.bit_generator.state
 
 
 class TestRun:
@@ -857,7 +911,7 @@ class TestRoundRecord:
         with tempfile.TemporaryDirectory() as work:
             ours, theirs = Path(work, "ours.csv"), Path(work, "theirs.csv")
             with mock.patch.object(sampling, "_RECORD_CHUNK", chunk):
-                sampling._write_rounds(ours, header, blocks, written)
+                sampling._write_rounds(ours, header, *as_record(header, blocks), written)
             write_rounds(theirs, header, blocks, literal)
             assert ours.read_bytes() == theirs.read_bytes()
         assert written.bit_generator.state == literal.bit_generator.state
@@ -874,16 +928,24 @@ class TestRoundRecord:
         written, literal = (np.random.default_rng(chunk) for _ in range(2))
         ours, theirs = tmp_path / "ours.csv", tmp_path / "theirs.csv"
         with mock.patch.object(sampling, "_RECORD_CHUNK", chunk):
-            sampling._write_rounds(ours, header, blocks, written)
+            sampling._write_rounds(ours, header, *as_record(header, blocks), written)
         write_rounds(theirs, header, blocks, literal)
         assert ours.read_bytes() == theirs.read_bytes()
         assert written.bit_generator.state == literal.bit_generator.state
 
     def test_record_width_must_match_the_header(self, tmp_path):
+        # rows of two cells, or of one padded word but one round too few,
+        # against a header of three outcomes
         header = ["round", "settings", "a1", "b1", "b2"]
-        blocks = [("0|1", np.ones((3, 2), dtype=np.int8))]
-        with pytest.raises(RuntimeError, match="width 2 does not match header 3"):
-            sampling._write_rounds(tmp_path / "r.csv", header, blocks, np.random.default_rng(0))
+        for counts, cells, shape in [
+            ([3], np.ones((3, 2), dtype=np.int8), r"\(3, 2\)"),
+            ([4], np.ones((3, 4), dtype=np.int8), r"\(3, 4\)"),
+        ]:
+            text = f"shape {shape} does not match {counts[0]} rounds and header width 3"
+            with pytest.raises(RuntimeError, match=text):
+                sampling._write_rounds(
+                    tmp_path / "r.csv", header, ["0|1"], counts, cells, np.random.default_rng(0)
+                )
         assert list(tmp_path.iterdir()) == []
 
     def test_record_does_not_change_estimates(self, tmp_path):
@@ -898,3 +960,102 @@ class TestRoundRecord:
             record_path=tmp_path / "rounds.csv",
         )
         assert bare == recorded
+
+
+# Every builtin at its defaults, every tilted form, and star(7), whose 256
+# setting cells share pieces: name -> (builtin, builtin parameters).
+CELL_LOOP_FORMS = {name: (name, {}) for name in scenarios.BUILTIN_SCENARIOS}
+CELL_LOOP_FORMS.update({
+    "star-tilted": ("star", {"phibar": 0.3927}),
+    "star(5)-tilt-2": ("star(5)", {"phibar": 0.3927, "tilt_count": 2}),
+    "star(7)": ("star(7)", {}),
+})
+# One round, one round short of a piece, a piece, one round past it, and
+# a cell larger than a piece.
+CELL_LOOP_ROUNDS = (1, 37, 8191, 8192, 8193, 40000)
+
+
+def assert_same_run(synthesis, thetas, config, beta, tmp_path):
+    """run and the cell-by-cell sample_cells give equal reports, every
+    field, and equal round records, byte for byte."""
+    ours, theirs = tmp_path / "ours.csv", tmp_path / "theirs.csv"
+    got = run(synthesis, thetas, config, beta=beta, record_path=ours)
+    want = sample_cells(synthesis, thetas, config, beta=beta, record_path=theirs)
+    assert got == want
+    assert ours.read_bytes() == theirs.read_bytes()
+
+
+class TestChunkedPass:
+    """run, one pass per group over pieces of rounds reading per-bin
+    parities, against sample_cells in tests/oracles.py, the cell-by-cell
+    loop it replaced."""
+
+    @pytest.mark.parametrize("mode", sampling.MODES)
+    @pytest.mark.parametrize("name", sorted(CELL_LOOP_FORMS))
+    def test_builtins_equal_the_cell_loop(self, tmp_path, name, mode):
+        builtin, params = CELL_LOOP_FORMS[name]
+        scenario = scenarios.builtin_scenario(builtin, **params)
+        synthesis, thetas = builtin_scenario_synthesis(builtin, **params)
+        beta, _ = scenarios.resolve_beta(scenario)
+        for rounds in CELL_LOOP_ROUNDS:
+            config = RunConfig(rounds=rounds, seed=rounds, strategy=mode)
+            assert_same_run(synthesis, thetas, config, beta, tmp_path)
+
+    @pytest.mark.parametrize("family", ["random", "tilted"])
+    def test_random_layouts_equal_the_cell_loop(self, tmp_path, monkeypatch, family):
+        layouts = random_layouts() if family == "random" else tilted_layouts()
+        assert len(layouts) == {"random": 200, "tilted": 155}[family]
+        rng = np.random.default_rng(23)
+        for index, (layout, selection) in enumerate(layouts):
+            synthesis = observables.synthesize(layout, selection)
+            thetas = tuple(rng.uniform(0.1, np.pi / 2 - 0.1, layout.K))
+            beta = None if synthesis.tilt is None else 0.4
+            # 7-round pieces slice every cell; 50-round pieces mostly run
+            # several small cells together
+            monkeypatch.setattr(sampling, "_RECORD_CHUNK", (7, 50, 8192)[index % 3])
+            for mode in sampling.MODES:
+                config = RunConfig(rounds=150, seed=index, strategy=mode)
+                try:
+                    assert_same_run(synthesis, thetas, config, beta, tmp_path)
+                except AssertionError as err:
+                    raise AssertionError(f"{family} layout {index}, {mode}: {err}") from err
+
+    @pytest.mark.parametrize("name", ["chsh", "example-a", "star-tilted"])
+    def test_refusals_equal_the_cell_loop(self, name):
+        # S given each letter on each receiver-held qubit of its group:
+        # both routes build the frames in the same order, so they run or
+        # refuse with the same text
+        builtin, params = BASIS_BUILTINS[name]
+        synthesis, thetas = builtin_scenario_synthesis(builtin, **params)
+        layout, source = synthesis.layout, synthesis.sources[0]
+        width = layout.group_widths[source.agent - 1]
+        refused = 0
+        for q, letter, mode in itertools.product(range(width), "XYZ", sampling.MODES):
+            extra = PauliString("I" * q + letter + "I" * (width - 1 - q))
+            tampered = replace(source, s_piece=source.s_piece * extra)
+            synthesis_q = replace(synthesis, sources=(tampered,) + synthesis.sources[1:])
+            config = RunConfig(rounds=50, seed=1, strategy=mode)
+            texts = []
+            for route in (run, sample_cells):
+                try:
+                    texts.append(route(synthesis_q, thetas, config))
+                except (ValueError, observables.CrossCheckError) as err:
+                    texts.append(f"{type(err).__name__}: {err}")
+            assert texts[0] == texts[1], (q, letter, mode)
+            refused += isinstance(texts[0], str)
+        assert refused
+
+    def test_memory_does_not_grow_with_the_rounds(self):
+        # without a record a run holds one piece of rounds at a time
+        synthesis, thetas = builtin_scenario_synthesis("example-a")
+        run(synthesis, thetas, RunConfig(rounds=1000, seed=1))  # the group states
+        peaks = []
+        for rounds in (100_000, 2_000_000):
+            tracemalloc.start()
+            try:
+                run(synthesis, thetas, RunConfig(rounds=rounds, seed=1))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) < 2 * 2**20, peaks
+        assert abs(peaks[1] - peaks[0]) < 2**19, peaks
