@@ -49,7 +49,7 @@ returns the bin a binary search would, so the rounds are bit for bit
 those of Generator.choice. A string's outcome in a round is the XOR of its
 bins' parity bits across the groups, started from its sign; a cell's
 product sum is its rounds less twice its odd rounds, and the record's
-outcome cells are written straight into one matrix. Memory without a
+outcome codes are written straight into one matrix. Memory without a
 record does not grow with the rounds.
 
 Two acquisition strategies are supported. "direct-observable" measures each
@@ -103,17 +103,15 @@ _RECORD_CHUNK = 8192
 # The round record is assembled from 4-byte words, padded with 0 bytes that
 # are deleted before the write. _DIGITS[v] spells v in four digits, and
 # _LEADING[s] keeps a word's last s bytes, which blanks the places left of an
-# index's leading digit. _OUTCOME maps an int8 outcome's byte to its cell.
+# index's leading digit. _OUTCOME maps an outcome code's byte to its cell:
+# code 0 is +1, 1 is -1, and 2 is 0, a string not collected in the round.
 _DIGITS = np.arange(10**4)[:, None] // [1000, 100, 10, 1] % 10 + ord("0")
 _DIGITS = _DIGITS.astype(np.uint8).view(np.uint32).ravel()
 _LEADING = np.frombuffer(bytes.fromhex("00000000 000000ff 0000ffff 00ffffff ffffffff"), np.uint32)
 _POWERS = 10 ** np.arange(1, 10)
 _OUTCOME = np.zeros(256, dtype=np.uint32)
-_OUTCOME[[0, 1, 255]] = np.frombuffer(b",0\0\0,1\0\0,-1\0", dtype=np.uint32)
+_OUTCOME[[0, 1, 2]] = np.frombuffer(b",1\0\0,-1\0,0\0\0", dtype=np.uint32)
 _EOL = np.frombuffer(b"\r\n\0\0", dtype=np.uint32)
-# An outcome cell from its read's code: +1 and -1 by the parity in bit 0,
-# and 0 where bit 1 marks the string as not collected.
-_CODE = np.array([1, -1, 0, 0], dtype=np.int8)
 # Largest double below 1: keeps a rescaled uniform inside [0, 1).
 _BELOW_ONE = np.nextafter(1.0, 0.0)
 
@@ -678,7 +676,7 @@ def run(
     if record_path is not None:
         header, columns = _record_reads(synthesis, frames, config.strategy, ys, tilted)
         reads += columns
-        outcomes = np.zeros((config.rounds, -(-len(columns) // 4) * 4), dtype=np.int8)
+        outcomes = np.zeros((config.rounds, -(-len(columns) // 4) * 4), dtype=np.uint8)
     tables = frames.tables(reads)
 
     # Per group, each cell's start row: its frame (x_k, y) times the buckets.
@@ -688,8 +686,8 @@ def run(
         table.buckets * ((cell >> (m + k - 1 - pos) & 1) * len(ys) + y_of)
         for table, pos in zip(tables, frames.owners)
     ]
-    # Per string and cell, the code a read starts from: bit 0 the parity of
-    # the string's sign, bit 1 set where it is not collected.
+    # Per string and cell, the outcome code a read starts from: bit 0 the
+    # parity of the string's sign, bit 1 set where it is not collected.
     initial = np.array(
         [[2 if mask is None else int(mask.sign < 0) for mask in read] for read in reads],
         dtype=np.uint8,
@@ -713,7 +711,7 @@ def run(
             if s < tallied:
                 odd[s, ids] += np.add.reduceat(bits, firsts, dtype=np.int64)
             else:
-                outcomes[done : done + size, s - tallied] = _CODE[bits]
+                outcomes[done : done + size, s - tallied] = bits
         done += size
 
     sums = (np.array(counts) - 2 * odd).tolist()
@@ -778,8 +776,9 @@ def _report(config: RunConfig, k: int, tallies: list[SettingTally], beta) -> Tal
 def _write_rounds(path, header, settings, counts, outcomes, rng) -> None:
     """Shuffle the rounds and write them under the header through the
     reports' atomic writer. The rounds come in blocks: counts[b] rounds of
-    the setting text settings[b] in turn, whose int8 outcome cells are the
-    rows of outcomes, each row padded with 0 to whole 4-byte words. Each
+    the setting text settings[b] in turn, whose outcome codes (see
+    _OUTCOME) are the rows of the uint8 matrix outcomes, each row padded to
+    whole 4-byte words. Each
     chunk of rounds is a (words, rounds) matrix of 4-byte words, filled one
     row at a time: the round index in 4-digit words, the block's settings,
     one cell per outcome and CRLF. It is read round by round, with the pad

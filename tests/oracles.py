@@ -630,12 +630,12 @@ def sample_cells(synthesis: Synthesis, thetas, config, *, beta=None, record_path
 def as_record(header, blocks):
     """(settings, outcome rows) blocks as `sampling._write_rounds` takes
     them: the blocks' settings texts, their round counts, and every round's
-    outcome cells in one int8 matrix, each row padded with 0 to whole
-    4-byte words."""
+    outcome code (0 for +1, 1 for -1, 2 for 0) in one uint8 matrix, each
+    row padded to whole 4-byte words."""
     width = len(header) - 2
     rows = np.concatenate([rows for _, rows in blocks])
-    cells = np.zeros((len(rows), -(-width // 4) * 4), dtype=np.int8)
-    cells[:, :width] = rows
+    cells = np.zeros((len(rows), -(-width // 4) * 4), dtype=np.uint8)
+    cells[:, :width] = np.array([1, 2, 0], dtype=np.uint8)[rows + 1]
     return [text for text, _ in blocks], [len(rows) for _, rows in blocks], cells
 
 

@@ -938,8 +938,8 @@ class TestRoundRecord:
         # against a header of three outcomes
         header = ["round", "settings", "a1", "b1", "b2"]
         for counts, cells, shape in [
-            ([3], np.ones((3, 2), dtype=np.int8), r"\(3, 2\)"),
-            ([4], np.ones((3, 4), dtype=np.int8), r"\(3, 4\)"),
+            ([3], np.ones((3, 2), dtype=np.uint8), r"\(3, 2\)"),
+            ([4], np.ones((3, 4), dtype=np.uint8), r"\(3, 4\)"),
         ]:
             text = f"shape {shape} does not match {counts[0]} rounds and header width 3"
             with pytest.raises(RuntimeError, match=text):
