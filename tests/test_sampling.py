@@ -962,6 +962,82 @@ class TestRoundRecord:
         assert bare == recorded
 
 
+# The refusal texts of S tampered with each letter on each qubit of its
+# group, pinned from the per-cell sampler: (scenario, qubit, letter) -> text,
+# the same in both strategies. Every other tampered S runs.
+TAMPERED_REFUSALS = {
+    ("chsh", 0, "X"): "ValueError: measured string must carry a real sign, got phase i^1",
+    ("chsh", 0, "Y"): "ValueError: measured string must carry a real sign, got phase i^3",
+    ("chsh", 1, "X"):
+        "CrossCheckError: receiver agent 2 in group 1: "
+        "qubit 1 would be measured in both X and Z bases",
+    ("chsh", 1, "Y"):
+        "CrossCheckError: receiver agent 2 in group 1: "
+        "qubit 1 would be measured in both Y and Z bases",
+    ("chsh", 1, "Z"):
+        "CrossCheckError: receiver agent 2 in group 1: "
+        "qubit 1 would be measured in both Z and X bases",
+    ("example-a", 0, "X"): "ValueError: measured string must carry a real sign, got phase i^1",
+    ("example-a", 0, "Y"): "ValueError: measured string must carry a real sign, got phase i^3",
+    ("example-a", 1, "X"):
+        "CrossCheckError: receiver agent 3 in group 1: "
+        "qubit 1 would be measured in both X and Z bases",
+    ("example-a", 1, "Y"):
+        "CrossCheckError: receiver agent 3 in group 1: "
+        "qubit 1 would be measured in both Y and Z bases",
+    ("example-a", 1, "Z"):
+        "CrossCheckError: receiver agent 3 in group 1: "
+        "qubit 1 would be measured in both Z and X bases",
+    ("example-a", 2, "Y"):
+        "CrossCheckError: receiver agent 3 in group 1: "
+        "qubit 2 would be measured in both Y and X bases",
+    ("example-a", 2, "Z"):
+        "CrossCheckError: receiver agent 3 in group 1: "
+        "qubit 2 would be measured in both Z and X bases",
+    ("example-a", 3, "Y"):
+        "CrossCheckError: receiver agent 3 in group 1: "
+        "qubit 3 would be measured in both Y and X bases",
+    ("example-a", 3, "Z"):
+        "CrossCheckError: receiver agent 3 in group 1: "
+        "qubit 3 would be measured in both Z and X bases",
+    ("example-a", 4, "Y"):
+        "CrossCheckError: receiver agent 3 in group 1: "
+        "qubit 4 would be measured in both Y and X bases",
+    ("example-a", 4, "Z"):
+        "CrossCheckError: receiver agent 3 in group 1: "
+        "qubit 4 would be measured in both Z and X bases",
+    ("star-tilted", 0, "X"):
+        "CrossCheckError: receiver agent 4 in group 1: "
+        "qubit 0 would be measured in both X and Z bases",
+    ("star-tilted", 0, "Y"):
+        "CrossCheckError: receiver agent 4 in group 1: "
+        "qubit 0 would be measured in both Y and Z bases",
+    ("star-tilted", 0, "Z"):
+        "CrossCheckError: receiver agent 4 in group 1: "
+        "qubit 0 would be measured in both Z and X bases",
+    ("star-tilted", 1, "X"): "ValueError: measured string must carry a real sign, got phase i^1",
+    ("star-tilted", 1, "Y"): "ValueError: measured string must carry a real sign, got phase i^3",
+    ("star-tilted", 2, "Y"):
+        "CrossCheckError: receiver agent 4 in group 1: "
+        "qubit 2 would be measured in both Y and X bases",
+    ("star-tilted", 2, "Z"):
+        "CrossCheckError: receiver agent 4 in group 1: "
+        "qubit 2 would be measured in both Z and X bases",
+    ("star-tilted", 3, "Y"):
+        "CrossCheckError: receiver agent 4 in group 1: "
+        "qubit 3 would be measured in both Y and X bases",
+    ("star-tilted", 3, "Z"):
+        "CrossCheckError: receiver agent 4 in group 1: "
+        "qubit 3 would be measured in both Z and X bases",
+    ("star-tilted", 4, "Y"):
+        "CrossCheckError: receiver agent 4 in group 1: "
+        "qubit 4 would be measured in both Y and X bases",
+    ("star-tilted", 4, "Z"):
+        "CrossCheckError: receiver agent 4 in group 1: "
+        "qubit 4 would be measured in both Z and X bases",
+}
+
+
 # Every builtin at its defaults, every tilted form, and star(7), whose 256
 # setting cells share pieces: name -> (builtin, builtin parameters).
 CELL_LOOP_FORMS = {name: (name, {}) for name in scenarios.BUILTIN_SCENARIOS}
@@ -1042,8 +1118,13 @@ class TestChunkedPass:
                 except (ValueError, observables.CrossCheckError) as err:
                     texts.append(f"{type(err).__name__}: {err}")
             assert texts[0] == texts[1], (q, letter, mode)
+            want = TAMPERED_REFUSALS.get((name, q, letter))
+            if want is None:
+                assert not isinstance(texts[0], str), (q, letter, mode)
+            else:
+                assert texts[0] == want, (q, letter, mode)
             refused += isinstance(texts[0], str)
-        assert refused
+        assert refused == 2 * sum(key[0] == name for key in TAMPERED_REFUSALS)
 
     def test_memory_does_not_grow_with_the_rounds(self):
         # without a record a run holds one piece of rounds at a time
