@@ -23,7 +23,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from netbell.pauli import PauliString
-from netbell.states import NORM_TOL, StateVector
+from netbell.states import NORM_TOL, StateVector, apply_pauli
 
 EXPECTATION_TOL = 1e-9
 
@@ -275,14 +275,9 @@ def validate(code: StabilizerCode) -> ValidationReport:
 
 def _project_stabilized(fiducial: StateVector, ops: Sequence[PauliString]) -> np.ndarray:
     """Apply prod (I+g)/2 for all ops; returns raw (possibly zero) amplitudes."""
-    amps = fiducial.amplitudes.copy()
+    amps = fiducial.amplitudes
     for g in ops:
-        # apply() demands a normalized state, so renormalize before each step
-        norm = float(np.linalg.norm(amps))
-        if norm < NORM_TOL:
-            return amps
-        unit = StateVector(amps / norm)
-        amps = 0.5 * (amps + norm * unit.apply(g).amplitudes)
+        amps = 0.5 * (amps + apply_pauli(amps, g))
     return amps
 
 

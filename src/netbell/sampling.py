@@ -25,32 +25,28 @@ its z bit is clear and by H S^dag where it is set; tests/oracles.py works
 the same letters out one qubit at a time from the agents' local strings.
 A measured string's mask is its pieces' bits, one mask per group. The
 squared amplitudes of the rotated group state are the exact outcome
-distribution of the group. Round counts per setting cell follow one
-multinomial draw, which together with independent draws inside each cell
-reproduces independent uniformly chosen settings exactly. The 2^(K+M)
-setting cells are listed up front, so a network with more than
-MAX_SETTING_CELLS of them is refused before anything is allocated.
+distribution of the group.
 
-Each group's frames, one per (x_k, y), are stacked into one guide table
-(see _Table) of equal power-of-two buckets per frame, so a round reads its
-frame at a start row. Every recorded outcome is the parity of a string's
-bits in the groups' outcome indices, so the table keeps, per bin, one
+The settings are drawn per round, uniformly, each source agent's x_k
+together with its group's outcome: at receiver settings y, group k's
+joint frame runs over the index (x_k, outcome), x_k the bit above the
+group's qubits, with half the outcome probabilities at x_k = 0 followed
+by half those at x_k = 1. Each group stacks its 2^M joint frames into
+one guide table (see _Table), read at a start row per round; hence the
+bound of MAX_RECEIVER_SETTINGS. Every recorded outcome is the parity of
+a string's bits in the groups' indices, so the table keeps, per bin, one
 parity bit for each string read on the group: the product of all
-outcomes, the phase-flip product when tilted, and each record column.
-The rounds are then drawn in one pass over pieces of at most
-_RECORD_CHUNK rounds, in cell order: a run of whole small cells, or a
-slice of one large cell. A piece takes its uniforms in one call, which
-continues the generator exactly as one call per cell would, and inverts
-each uniform through every group's table in turn by a nested inverse CDF
-that reproduces numpy's Generator.choice on the joint distribution (see
-_locate). Each inversion looks the uniform up in its frame's buckets and
-steps at most a fixed, precomputed number of bins from there, which
-returns the bin a binary search would, so the rounds are bit for bit
-those of Generator.choice. A string's outcome in a round is the XOR of its
-bins' parity bits across the groups, started from its sign; a cell's
-product sum is its rounds less twice its odd rounds, and the record's
-outcome codes are written straight into one matrix. Memory without a
-record does not grow with the rounds.
+outcomes (whose mask at y = 1...1 also holds every x bit, so that it
+reads (-1)^|x| times the product), the phase-flip product when tilted,
+and each record column.
+
+The rounds are drawn in chunks of _RECORD_CHUNK rounds, one call to the
+generator per chunk. Each round takes K + 1 consecutive uniforms, so the
+draws do not depend on the chunk size: the first gives y = floor(u 2^M),
+exact since 2^M is a power of two, and the others each group's bin in its
+frame at y. A string's outcome is the XOR of its bins' parity bits
+across the groups, started from its sign. Memory without a record does
+not grow with the rounds.
 
 Two acquisition strategies are supported. "direct-observable" measures each
 agent's chosen observable as a whole (for tilted runs the receiver measures
@@ -59,16 +55,19 @@ product of its bits). "per-qubit-discard" measures every receiver qubit in
 a single-qubit basis (the repeated letter on idle qubits) and multiplies
 the relevant bits, discarding the rest. Both strategies share the same
 estimators; they differ in which qubits are measured and in what the
-per-round record contains. The record is shuffled and formatted in
-numpy, one matrix of 4-byte words per chunk of rounds with a column per
-line (4-digit words of the index, the settings, one word per outcome
-cell, CRLF), whose pad bytes are deleted before the write.
+per-round record contains. The record lists the rounds in the order they
+were drawn, formatted in numpy as one matrix of 4-byte words per chunk of
+rounds with a column per line (4-digit words of the index, the settings,
+one word per outcome cell, CRLF), whose pad bytes are deleted before the
+write.
 
-Standard errors use the plug-in binomial variance per setting cell and the
-delta method through the K-th roots; they are approximate (the phase-flip
-estimate shares rounds with the correlator cells, and cells left empty by
-the multinomial draw contribute a zero mean with a conservative unit
-standard error).
+The estimators pool the rounds of a receiver setting, unbiased under
+uniform settings: I is the mean product over the rounds with y = 0...0,
+J the mean of (-1)^|x| times the product over those with y = 1...1, and
+P the mean phase-flip product over those with y = 0...0. Standard errors
+use the plug-in binomial variance and the delta method through the K-th
+roots; they are approximate (P shares rounds with I, and a receiver
+setting with no rounds counts as a zero mean with a unit standard error).
 """
 
 from __future__ import annotations
@@ -84,20 +83,21 @@ from .network import NetworkLayout
 from .observables import CrossCheckError, Synthesis
 from .pauli import _LETTER_OF_BITS
 from .reports import atomic_write
-from .states import StateVector, _parity, make_rng
+from .states import _parity, apply_pauli, make_rng
 
 MODES = ("direct-observable", "per-qubit-discard")
 
 PROB_TOL = 1e-9
-# Without a round record a run holds one piece of rounds at a time, so its
+# Without a round record a run holds one chunk of rounds at a time, so its
 # memory does not grow with the rounds; a record holds one padded row of
-# outcome cells per round. The setting draw itself overflows at 2**63.
+# settings text and of outcome cells per round.
 MAX_ROUNDS = 10**9
-# Every setting cell is a tally and a start row per group: 2^(K+M) of them
-# are listed before any round is drawn, so larger networks are refused first.
-MAX_SETTING_CELLS = 2**12
+# Each group stacks one frame per receiver setting into its guide table, and
+# each receiver setting is a tally: 2^M of them are built before any round
+# is drawn, so networks with more are refused first.
+MAX_RECEIVER_SETTINGS = 2**12
 
-# Rounds per piece of the sampling pass and per write of the round record:
+# Rounds per chunk of the sampling pass and per write of the round record:
 # bounds the uniforms, bins and text held at once.
 _RECORD_CHUNK = 8192
 # The round record is assembled from 4-byte words, padded with 0 bytes that
@@ -112,8 +112,6 @@ _POWERS = 10 ** np.arange(1, 10)
 _OUTCOME = np.zeros(256, dtype=np.uint32)
 _OUTCOME[[0, 1, 2]] = np.frombuffer(b",1\0\0,-1\0,0\0\0", dtype=np.uint32)
 _EOL = np.frombuffer(b"\r\n\0\0", dtype=np.uint32)
-# Largest double below 1: keeps a rescaled uniform inside [0, 1).
-_BELOW_ONE = np.nextafter(1.0, 0.0)
 
 _H = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
 _S_DAG = np.array([[1.0, 0.0], [0.0, -1.0j]], dtype=complex)
@@ -144,9 +142,10 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class SettingTally:
-    """Counts and outcome sums for one setting combination."""
+    """Rounds and outcome sums at one receiver setting y: product_sum sums
+    the product of all outcomes, times (-1)^|x| where every receiver is on
+    setting 1, and p_sum the phase-flip product where it is collected."""
 
-    x: tuple[int, ...]
     y: tuple[int, ...]
     rounds: int
     product_sum: int
@@ -164,7 +163,6 @@ class SettingTally:
 
     def as_dict(self) -> dict:
         return {
-            "x": "".join(str(b) for b in self.x),
             "y": "".join(str(b) for b in self.y),
             "rounds": self.rounds,
             "product_mean": self.product_mean,
@@ -345,7 +343,7 @@ class _Frames:
             obs = self.synthesis.sources[self.owners[k - 1]]
             half = self.thetas[self.owners[k - 1]] / 2.0
             amps = self.states[k - 1].amplitudes
-            turned = StateVector(amps).apply(obs.s_piece * obs.t_piece).amplitudes
+            turned = apply_pauli(amps, obs.s_piece * obs.t_piece)
             self._rotated[k] = tuple(
                 math.cos(half) * amps + sign * math.sin(half) * turned for sign in (1.0, -1.0)
             )
@@ -365,30 +363,26 @@ class _Frames:
         return probabilities / total
 
     def tables(self, reads) -> list[_Table]:
-        """Per group, in group order, its guide table stacked over its
-        frames: frame f has its source agent on setting f // 2^M and the
-        receivers on the (f mod 2^M)-th settings y in product order.
-        reads[s][y] is string s's mask at that y, or None where it is not
-        collected. The frames are built in the order in which a pass over
-        the setting cells, in product order, first meets them."""
+        """Per group, in group order, its guide table stacked over one
+        joint frame per receiver setting y, in product order: the index
+        (x_k, outcome), x_k the bit above the group's qubits, with the
+        outcome probabilities at x_k = 0 followed by those at x_k = 1 (the
+        table normalizes them, which halves each exactly). reads[s][y] is
+        string s's mask at y on that index, or None where it is not
+        collected. The frames are built y outermost, then by group, then
+        by x_k, so a basis refused at several receiver settings or groups
+        is reported at the first."""
         layout = self.synthesis.layout
         ys = list(itertools.product((0, 1), repeat=layout.M))
-
-        def first_cell(key):
-            k, xk, y = key
-            return (xk << (layout.K - 1 - self.owners[k - 1])) * len(ys) + y, k
-
-        keys = itertools.product(layout.source_agents, (0, 1), range(len(ys)))
-        keys = sorted(keys, key=first_cell)
-        built = {(k, xk, y): self.probabilities(k, xk, ys[y]) for k, xk, y in keys}
-        frames = [(xk, y) for xk in (0, 1) for y in range(len(ys))]
+        built = {
+            (k, y): np.concatenate([self.probabilities(k, xk, y) for xk in (0, 1)])
+            for y in ys
+            for k in layout.source_agents
+        }
         return [
             _table(
-                [built[k, xk, y] for xk, y in frames],
-                [
-                    [0 if read[y] is None else read[y].bits[k - 1] for _, y in frames]
-                    for read in reads
-                ],
+                [built[k, y] for y in ys],
+                [[0 if mask is None else mask.bits[k - 1] for mask in read] for read in reads],
             )
             for k in layout.source_agents
         ]
@@ -411,14 +405,12 @@ class _Table:
     bucket of any frame spans past its start, so that many steps of
     j += upper[j] <= u reach every u's bin, and stay there, since a frame's
     last bin ends at 1. parities[s] holds string s's parity (its bits of
-    the bin's outcome index) per bin, or None if the string has no bits
-    on the group.
+    the bin's index) per bin, or None if the string has no bits on the
+    group.
     """
 
     index: np.ndarray
-    low: np.ndarray
     upper: np.ndarray
-    width: np.ndarray
     start: np.ndarray
     buckets: int
     steps: int
@@ -431,12 +423,6 @@ class _Table:
         for _ in range(self.steps):
             j += self.upper[j] <= u
         return j
-
-    def rescale(self, u: np.ndarray, j: np.ndarray) -> np.ndarray:
-        """Each u rescaled into [0, 1) from its bin j by the floating-point
-        operations of the binary search: (u - low) / (upper - low), clipped
-        below 1."""
-        return np.minimum((u - self.low[j]) / self.width[j], _BELOW_ONE)
 
 
 def _table(frames: list[np.ndarray], reads: list[list[int]]) -> _Table:
@@ -451,9 +437,9 @@ def _table(frames: list[np.ndarray], reads: list[list[int]]) -> _Table:
     """
     cuts = []
     for probabilities in frames:
-        cdf = probabilities.cumsum()
+        edges = np.zeros(probabilities.size + 1)
+        cdf = np.cumsum(probabilities, out=edges[1:])
         cdf /= cdf[-1]
-        edges = np.concatenate(([0.0], cdf))
         index = np.flatnonzero(edges[:-1] < edges[1:])
         cuts.append((index, edges[index], edges[index + 1]))
     buckets = 1 << (4 * max(index.size for index, _, _ in cuts) - 1).bit_length()
@@ -470,63 +456,9 @@ def _table(frames: list[np.ndarray], reads: list[list[int]]) -> _Table:
         .astype(np.uint8) if any(bits) else None
         for bits in reads
     ]
-    index, low, upper = (np.concatenate(part) for part in zip(*cuts))
+    index, _, upper = (np.concatenate(part) for part in zip(*cuts))
     steps = int((end - start).max())
-    return _Table(index, low, upper, upper - low, start, buckets, steps, parities)
-
-
-def _locate(tables: list[_Table], u: np.ndarray, bases) -> list[np.ndarray]:
-    """Each group's bin in its stacked table for every round's uniform u,
-    in group order, group k in the frame at bases[k - 1]: a start row per
-    round, or one for all.
-
-    rng.choice(size, count, p) takes one uniform u per round and returns
-    searchsorted(cdf, u, side="right") on the joint cumulative sums, group
-    1 most significant. Here u is inverted through each group's frame in
-    turn and rescaled into the chosen bin, which is the same draw in exact
-    arithmetic. Each guide table finds the bin that searchsorted(side=
-    "right") finds on its frame's edges, and the rescale repeats the
-    search's floating-point operations, so every index and every rescaled
-    u equal those of the binary search bit for bit. The last group's
-    rescaled u is never read, so it is not computed.
-    """
-    out = []
-    for k, (table, base) in enumerate(zip(tables, bases), start=1):
-        j = table.locate(u, base)
-        out.append(j)
-        if k < len(tables):
-            u = table.rescale(u, j)
-    return out
-
-
-def _pieces(counts: list[int]):
-    """The setting cells' rounds in cell order, cut into pieces of at most
-    _RECORD_CHUNK rounds: a run of whole cells, or a slice of one cell
-    larger than a piece. Each piece is a list of (cell, rounds) pairs;
-    empty cells are left out."""
-    size, run, total = _RECORD_CHUNK, [], 0
-    for cell, count in enumerate(counts):
-        if not count:
-            continue
-        if run and total + count > size:
-            yield run
-            run, total = [], 0
-        if count > size:
-            for start in range(0, count, size):
-                yield [(cell, min(size, count - start))]
-        else:
-            run.append((cell, count))
-            total += count
-    if run:
-        yield run
-
-
-def _setting_combos(k: int, m: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    return [
-        (x, y)
-        for x in itertools.product((0, 1), repeat=k)
-        for y in itertools.product((0, 1), repeat=m)
-    ]
+    return _Table(index, upper, start, buckets, steps, parities)
 
 
 # ----------------------------------------------------------------------
@@ -541,41 +473,13 @@ def _power_and_se(value: float, se: float, k: int) -> tuple[float, float | None]
     return root, derivative * se
 
 
-def _cell_se(tally: SettingTally) -> float:
-    if tally.rounds == 0:
-        return 1.0
-    variance = max(0.0, 1.0 - tally.product_mean**2)
-    return math.sqrt(variance / tally.rounds)
-
-
-def _correlator_estimates(tallies, k: int):
-    scale = 1.0 / 2.0**k
-    i_sum = 0.0
-    i_var = 0.0
-    j_sum = 0.0
-    j_var = 0.0
-    for tally in tallies:
-        if all(b == 0 for b in tally.y):
-            i_sum += tally.product_mean
-            i_var += _cell_se(tally) ** 2
-        if all(b == 1 for b in tally.y):
-            sign = -1.0 if sum(tally.x) % 2 else 1.0
-            j_sum += sign * tally.product_mean
-            j_var += _cell_se(tally) ** 2
-    return scale * i_sum, scale * math.sqrt(i_var), scale * j_sum, scale * math.sqrt(j_var)
-
-
-def _phase_flip_estimate(tallies) -> tuple[float | None, float | None]:
-    total = 0
-    weight = 0
-    for tally in tallies:
-        if tally.p_sum is not None:
-            total += tally.p_sum
-            weight += tally.rounds
-    if weight == 0:
-        return None, None
-    mean = total / weight
-    return mean, math.sqrt(max(0.0, 1.0 - mean**2) / weight)
+def _pooled(rounds: int, total: int) -> tuple[float, float]:
+    """The mean of a +-1 outcome that sums to total over rounds, and its
+    plug-in binomial standard error; no rounds give 0 and 1."""
+    if not rounds:
+        return 0.0, 1.0
+    mean = total / rounds
+    return mean, math.sqrt(max(0.0, 1.0 - mean**2) / rounds)
 
 
 # ----------------------------------------------------------------------
@@ -651,24 +555,25 @@ def run(
     thetas = synthesis.angles(thetas)
     k = layout.K
     m = layout.M
-    if 2 ** (k + m) > MAX_SETTING_CELLS:
+    if 2**m > MAX_RECEIVER_SETTINGS:
         raise ValueError(
-            f"sampling needs 2^{k + m} setting cells (K={k}, M={m}), "
-            f"more than the {MAX_SETTING_CELLS} allowed"
+            f"sampling needs 2^{m} receiver settings (M={m}), "
+            f"more than the {MAX_RECEIVER_SETTINGS} allowed"
         )
-    combos = _setting_combos(k, m)
-    weights = np.full(len(combos), 1.0 / len(combos))
     frames = _Frames(synthesis, thetas, config.strategy)
-
     rng = make_rng(config.seed)
-    counts = rng.multinomial(config.rounds, weights).tolist()
 
     # Every string read, as its mask at each receiver setting y (or None
-    # where it is not collected): the product of all outcomes, the
-    # phase-flip product when tilted, then the record's columns.
+    # where it is not collected): the product of all outcomes, with every
+    # x bit at y = 1...1, the phase-flip product when tilted, then the
+    # record's columns.
     ys = list(itertools.product((0, 1), repeat=m))
     tilted = [tilt is not None and not any(y) for y in ys]
-    reads = [[_product(frames.source_masks + frames.receiver_masks(y)) for y in ys]]
+    x_bits = [_Mask(bits=tuple(1 << width for width in layout.group_widths), sign=1)]
+    reads = [[
+        _product(frames.source_masks + frames.receiver_masks(y) + (x_bits if all(y) else []))
+        for y in ys
+    ]]
     if tilt is not None:
         flip = _product(frames.p_masks)
         reads.append([flip if now else None for now in tilted])
@@ -677,65 +582,70 @@ def run(
         header, columns = _record_reads(synthesis, frames, config.strategy, ys, tilted)
         reads += columns
         outcomes = np.zeros((config.rounds, -(-len(columns) // 4) * 4), dtype=np.uint8)
+        # each round's settings text: a comma, the x bits, "|", the y bits
+        settings = np.zeros((config.rounds, -(-(k + m + 2) // 4) * 4), dtype=np.uint8)
+        settings[:, 0], settings[:, k + 1] = ord(","), ord("|")
+        y_text = np.array(ys, dtype=np.uint8).reshape(len(ys), m) + ord("0")
     tables = frames.tables(reads)
-
-    # Per group, each cell's start row: its frame (x_k, y) times the buckets.
-    cell = np.arange(len(combos))
-    y_of = cell % len(ys)
-    bases = [
-        table.buckets * ((cell >> (m + k - 1 - pos) & 1) * len(ys) + y_of)
-        for table, pos in zip(tables, frames.owners)
-    ]
-    # Per string and cell, the outcome code a read starts from: bit 0 the
-    # parity of the string's sign, bit 1 set where it is not collected.
+    # Per string and receiver setting, the outcome code a read starts from:
+    # bit 0 the parity of the string's sign, bit 1 set where it is not
+    # collected.
     initial = np.array(
         [[2 if mask is None else int(mask.sign < 0) for mask in read] for read in reads],
         dtype=np.uint8,
-    )[:, y_of]
+    )
 
-    odd = np.zeros((tallied, len(combos)), dtype=np.int64)
-    done = 0
-    for piece in _pieces(counts):
-        ids, lengths = (np.array(part) for part in zip(*piece))
-        size = int(lengths.sum())
-        # a piece inside one cell reads its tables at one start row
-        at = ids[0] if len(ids) == 1 else np.repeat(ids, lengths)
-        bins = _locate(tables, rng.random(size), [base[at] for base in bases])
-        firsts = np.concatenate(([0], lengths[:-1].cumsum()))
+    counts = np.zeros(len(ys), dtype=np.int64)
+    odd = np.zeros((tallied, len(ys)))
+    for start in range(0, config.rounds, _RECORD_CHUNK):
+        size = min(_RECORD_CHUNK, config.rounds - start)
+        # a round's uniforms are consecutive; each row is made contiguous
+        u = rng.random((size, k + 1)).T.copy()
+        y = (u[0] * len(ys)).astype(np.intp)
+        bins = [table.locate(row, y * table.buckets) for table, row in zip(tables, u[1:])]
+        counts += np.bincount(y, minlength=len(ys))
+        rows = slice(start, start + size)
         for s in range(len(reads)):
-            bits = np.empty(size, dtype=np.uint8)
-            bits[:] = initial[s, at]
+            bits = initial[s, y]
             for table, j in zip(tables, bins):
                 if table.parities[s] is not None:
                     bits ^= table.parities[s][j]
             if s < tallied:
-                odd[s, ids] += np.add.reduceat(bits, firsts, dtype=np.int64)
+                odd[s] += np.bincount(y, weights=bits, minlength=len(ys))
             else:
-                outcomes[done : done + size, s - tallied] = bits
-        done += size
+                outcomes[rows, s - tallied] = bits
+        if record_path is not None:
+            # x_k is the bit above group k's qubits in its bin's index
+            for table, j, pos, width in zip(tables, bins, frames.owners, layout.group_widths):
+                settings[rows, 1 + pos] = (table.index[j] >> width) + ord("0")
+            settings[rows, k + 2 : k + 2 + m] = y_text[y]
 
-    sums = (np.array(counts) - 2 * odd).tolist()
+    sums = (counts - 2 * odd).astype(np.int64).tolist()
     tallies = [
         SettingTally(
-            x=x,
             y=y,
-            rounds=count,
-            product_sum=sums[0][c],
-            p_sum=sums[1][c] if tilted[c % len(ys)] else None,
+            rounds=int(count),
+            product_sum=sums[0][v],
+            p_sum=sums[1][v] if tilted[v] else None,
         )
-        for c, ((x, y), count) in enumerate(zip(combos, counts))
+        for v, (y, count) in enumerate(zip(ys, counts))
     ]
     report = _report(config, k, tallies, beta)
     if record_path is not None:
-        settings = ["".join(map(str, x)) + "|" + "".join(map(str, y)) for x, y in combos]
-        _write_rounds(record_path, header, settings, counts, outcomes, rng)
+        _write_rounds(record_path, header, settings, outcomes)
     return report
 
 
 def _report(config: RunConfig, k: int, tallies: list[SettingTally], beta) -> TallyReport:
-    """The estimates of a run's tallies."""
-    i_est, i_se, j_est, j_se = _correlator_estimates(tallies, k)
-    p_est, p_se = _phase_flip_estimate(tallies)
+    """The estimates of a run's tallies, one per receiver setting in
+    product order: I from y = 0...0, J from y = 1...1, and P from y =
+    0...0 when its phase-flip product is collected there."""
+    first, last = tallies[0], tallies[-1]
+    i_est, i_se = _pooled(first.rounds, first.product_sum)
+    j_est, j_se = _pooled(last.rounds, last.product_sum)
+    p_est = p_se = None
+    if first.p_sum is not None and first.rounds:
+        p_est, p_se = _pooled(first.rounds, first.p_sum)
 
     i_root, i_root_se = _power_and_se(i_est, i_se, k)
     j_root, j_root_se = _power_and_se(j_est, j_se, k)
@@ -773,40 +683,31 @@ def _report(config: RunConfig, k: int, tallies: list[SettingTally], beta) -> Tal
     )
 
 
-def _write_rounds(path, header, settings, counts, outcomes, rng) -> None:
-    """Shuffle the rounds and write them under the header through the
-    reports' atomic writer. The rounds come in blocks: counts[b] rounds of
-    the setting text settings[b] in turn, whose outcome codes (see
-    _OUTCOME) are the rows of the uint8 matrix outcomes, each row padded to
-    whole 4-byte words. Each
-    chunk of rounds is a (words, rounds) matrix of 4-byte words, filled one
-    row at a time: the round index in 4-digit words, the block's settings,
-    one cell per outcome and CRLF. It is read round by round, with the pad
-    bytes (0) deleted."""
-    width = len(header) - 2
-    if outcomes.shape != (sum(counts), -(-width // 4) * 4):
+def _write_rounds(path, header, settings, outcomes) -> None:
+    """Write the rounds, in order, under the header through the reports'
+    atomic writer. Round r's settings text is row r of the uint8 matrix
+    settings, and its outcome codes (see _OUTCOME) row r of the uint8
+    matrix outcomes, each row padded with 0 bytes to whole 4-byte words.
+    Each chunk of rounds is a (words, rounds) matrix of 4-byte words,
+    filled one row at a time: the round index in 4-digit words, the
+    settings, one cell per outcome and CRLF. It is read round by round,
+    with the pad bytes (0) deleted."""
+    width, rounds = len(header) - 2, len(settings)
+    if outcomes.shape != (rounds, -(-width // 4) * 4):
         raise RuntimeError(
             f"round record of shape {outcomes.shape} does not match "
-            f"{sum(counts)} rounds and header width {width}"
+            f"{rounds} rounds and header width {width}"
         )
-    texts = [f",{text}".encode() for text in settings]
-    size = -(-max(map(len, texts)) // 4) * 4
-    settings = np.frombuffer(b"".join(text.ljust(size, b"\0") for text in texts), np.uint32)
-    settings = settings.reshape(len(texts), -1).T
-    # a block number per round, in the smallest integer type that holds it
-    numbers = np.arange(len(texts), dtype=np.min_scalar_type(len(texts)))
-    block_of = np.repeat(numbers, counts)
-    outcomes = outcomes.view(np.uint32)
-    order = rng.permutation(len(outcomes))
+    settings = settings.view(np.uint32)
 
     def emit(handle):
         csv.writer(handle).writerow(header)
-        for start in range(0, len(order), _RECORD_CHUNK):
-            rounds = order[start : start + _RECORD_CHUNK]
-            index = np.arange(start, start + len(rounds))
+        for start in range(0, rounds, _RECORD_CHUNK):
+            chunk = slice(start, min(start + _RECORD_CHUNK, rounds))
+            index = np.arange(chunk.start, chunk.stop)
             places = len(str(index[-1]))
             lead = -(-places // 4)
-            words = np.empty((lead + len(settings) + width + 1, len(rounds)), dtype=np.uint32)
+            words = np.empty((lead + settings.shape[1] + width + 1, len(index)), dtype=np.uint32)
             # the digit count is one per chunk unless it crosses a power of ten
             digits = places
             if start < 10 ** (places - 1):
@@ -820,11 +721,9 @@ def _write_rounds(path, header, settings, counts, outcomes, rng) -> None:
                     # a place left of the index's leading digit is a pad byte
                     row &= _LEADING[np.clip(digits - 4 * j, 0, 4)]
                 part = part // 10**4
-            block = block_of[rounds]
-            for row, column in zip(words[lead:], settings):
-                np.take(column, block, out=row, mode="clip")
-            cells = np.take(outcomes, rounds, axis=0).view(np.uint8)
-            for c, row in enumerate(words[lead + len(settings) : -1]):
+            words[lead : lead + settings.shape[1]] = settings[chunk].T
+            cells = outcomes[chunk]
+            for c, row in enumerate(words[lead + settings.shape[1] : -1]):
                 np.take(_OUTCOME, cells[:, c], out=row, mode="clip")
             words[-1] = _EOL
             handle.write(words.T.tobytes().translate(None, b"\0").decode("ascii"))

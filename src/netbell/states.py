@@ -118,18 +118,7 @@ class StateVector:
 
     def apply(self, p: PauliString) -> "StateVector":
         """Exact action of a phased Pauli string, including its phase."""
-        if p.n != self._n:
-            raise ValueError(f"operator on {p.n} qubits applied to {self._n}-qubit state")
-        n = self._n
-        # The string's masks are the basis-index bit-flip and sign masks,
-        # since qubit j is bit (n-1-j) of both.
-        xmask, zmask = p.x, p.z
-        phase = (1j) ** ((p.phase_exponent + (xmask & zmask).bit_count()) % 4)
-        idx = np.arange(1 << n)
-        signs = 1.0 - 2.0 * _parity(idx & zmask)
-        out = np.empty(1 << n, dtype=complex)
-        out[idx ^ xmask] = phase * signs * self._amps
-        return StateVector(out)
+        return StateVector(apply_pauli(self._amps, p))
 
     def expectation(self, p: PauliString) -> float:
         """<psi|P|psi> for a hermitian string; the tiny imaginary residue is
@@ -140,6 +129,23 @@ class StateVector:
         if not abs(value.imag) < IMAG_TOL:
             raise RuntimeError(f"imaginary residue {value.imag!r} in expectation")
         return float(value.real)
+
+
+def apply_pauli(amps: np.ndarray, p: PauliString) -> np.ndarray:
+    """The amplitudes of P applied to amps, normalized or not, for a phased
+    Pauli string P on as many qubits: exact, including its phase."""
+    n = amps.shape[0].bit_length() - 1
+    if p.n != n:
+        raise ValueError(f"operator on {p.n} qubits applied to {n}-qubit state")
+    # The string's masks are the basis-index bit-flip and sign masks,
+    # since qubit j is bit (n-1-j) of both.
+    xmask, zmask = p.x, p.z
+    phase = (1j) ** ((p.phase_exponent + (xmask & zmask).bit_count()) % 4)
+    idx = np.arange(1 << n)
+    signs = 1.0 - 2.0 * _parity(idx & zmask)
+    out = np.empty(1 << n, dtype=complex)
+    out[idx ^ xmask] = phase * signs * amps
+    return out
 
 
 def tensor(states: Iterable[StateVector]) -> StateVector:

@@ -11,6 +11,9 @@ command runs:
   positions letter by letter, and `lift`
   joins an observable's pieces on the groups of sources into one string
   on it, the n-qubit embedding `src/` no longer makes;
+* `project_renormalized` projects a fiducial state onto a code through
+  `StateVector.apply`, renormalizing before every step, where
+  `codes._project_stabilized` projects the plain amplitude array;
 * `dense_expectation` takes an expectation on a statevector's
   amplitudes, the route `codes.SourceState.expectation` replaces with the
   stabilizing and logical operators; `joint_correlator` expands a Bell
@@ -47,14 +50,15 @@ command runs:
   `outcome_distribution` is
   the exact distribution of the sampler's group frames at one setting,
   which sampled counts are compared against, read by `outcomes`;
-* `draw` inverts each round's uniform through every group's cumulative
-  sums by binary search (`invert`), the draw `sampling._locate` makes
-  through the groups' stacked guide tables instead and must match bit for
-  bit; `sample_cells` is `sampling.run` one setting cell at a time on
-  `draw` and `outcomes`, multiplying each cell's outcome columns, where
-  run reads per-bin parities in pieces of rounds; the two must give equal
-  reports and round records; `as_record` lays (settings, outcome rows)
-  blocks out as the writer takes them;
+* `invert` finds a uniform's bin by binary search on a frame's
+  cumulative sums (`cdf_edges`), which `sampling._Table` finds through
+  guide tables instead and must match; `sample_rounds` is `sampling.run`
+  round by round on `invert` and `outcomes`: each round's receiver
+  settings, then each group's (x_k, outcome) index in its joint frame,
+  every agent's outcome read and multiplied, where run reads per-bin
+  parities in chunks of rounds; the two must give equal reports and
+  round records; `as_record` lays rounds' settings texts and outcome
+  rows out as the writer takes them;
 * `write_rounds` writes the round record one f-string per round, the
   literal text that `sampling._write_rounds` formats as byte matrices
   instead and must match byte for byte;
@@ -109,8 +113,8 @@ from netbell.observables import (
     TiltedReceiver,
 )
 from netbell.pauli import PauliString
-from netbell.sampling import _BELOW_ONE, _H, _S_DAG, MODES, PROB_TOL, _apply_one_qubit, _Frames
-from netbell.states import StateVector, _parity, make_rng, tensor
+from netbell.sampling import _H, _S_DAG, MODES, PROB_TOL, _apply_one_qubit, _Frames
+from netbell.states import NORM_TOL, StateVector, _parity, make_rng, tensor
 
 
 def joint_state(layout: NetworkLayout) -> StateVector:
@@ -177,6 +181,21 @@ def lift(layout: NetworkLayout, pieces, groups=None) -> PauliString:
 
 # ----------------------------------------------------------------------
 # Bell correlators on the joint state
+
+
+def project_renormalized(fiducial: StateVector, ops: Sequence[PauliString]) -> np.ndarray:
+    """`codes._project_stabilized` through `StateVector.apply`: before each
+    (I+g)/2 step the amplitudes are renormalized and wrapped in a
+    StateVector, and the step's result scaled back, where the package
+    projects the plain amplitude array."""
+    amps = fiducial.amplitudes.copy()
+    for g in ops:
+        norm = float(np.linalg.norm(amps))
+        if norm < NORM_TOL:
+            return amps
+        unit = StateVector(amps / norm)
+        amps = 0.5 * (amps + norm * unit.apply(g).amplitudes)
+    return amps
 
 
 def dense_expectation(state: StateVector, op: PauliString, cache: dict) -> complex:
@@ -560,83 +579,109 @@ def outcomes(indices: list[np.ndarray], mask) -> np.ndarray:
     return out
 
 
-def sample_cells(synthesis: Synthesis, thetas, config, *, beta=None, record_path=None):
-    """`sampling.run` one setting cell at a time, as it ran before the
-    chunked pass: each cell's frames are built as the cell first meets
-    them, its rounds drawn by binary search (`draw`), every agent's outcome
-    per round read by `outcomes` and multiplied, and the cells handed to
-    the round record's writer in blocks (`as_record`). The report and
-    record must equal run's."""
+def sample_rounds(synthesis: Synthesis, thetas, config, *, beta=None, record_path=None):
+    """`sampling.run` round by round, without guide tables or parities.
+    Round r reads the r-th K + 1 uniforms of one call: y = floor(u_0 2^M),
+    and group k's (x_k, outcome) index is the binary search (`invert`) of
+    u_k on the cumulative sums of its joint frame at y, half the outcome
+    probabilities at x_k = 0 followed by half those at x_k = 1. Every
+    agent's outcome is read by `outcomes`, the product of all outcomes
+    (times (-1)^|x| at y = 1...1) and the phase-flip product summed per
+    receiver setting, and the rounds' settings texts and outcome rows handed
+    to the record's writer (`as_record`). The frames are built in run's
+    order, so a refusal names the same frame. The report and record must
+    equal run's."""
     layout, receivers, tilt = synthesis.layout, synthesis.receivers, synthesis.tilt
     if beta is not None:
         synthesis.check_beta(beta)
     thetas = synthesis.angles(thetas)
     k, m = layout.K, layout.M
-    combos = sampling._setting_combos(k, m)
     frames = _Frames(synthesis, thetas, config.strategy)
     rng = make_rng(config.seed)
-    counts = rng.multinomial(config.rounds, np.full(len(combos), 1.0 / len(combos)))
+    ys = list(itertools.product((0, 1), repeat=m))
+    edges = {
+        (group, y): cdf_edges(
+            np.concatenate([frames.probabilities(group, xk, y) for xk in (0, 1)]) / 2
+        )
+        for y in ys
+        for group in layout.source_agents
+    }
 
-    if record_path is not None:
-        acts = [0] * k
-        for rec in receivers:
-            for group, (b0, b1) in enumerate(zip(rec.b0_pieces, rec.b1_pieces)):
-                acts[group] |= b0.x | b0.z | b1.x | b1.z
-        measured, qubit_masks = [], []
-        for i, j in sorted(q for rec in receivers for q in rec.qubits):
-            group, position = layout.place(i, j)
-            bit = 1 << (layout.group_widths[group - 1] - 1 - position)
-            if acts[group - 1] & bit:
-                measured.append((i, j))
-                bits = tuple(bit if g == group else 0 for g in layout.source_agents)
-                qubit_masks.append(sampling._Mask(bits=bits, sign=1))
-        header = sampling._csv_header(config.strategy, k, m, tilt is not None, measured)
-        blocks = []
+    u = rng.random((config.rounds, k + 1))
+    y_of = (u[:, 0] * len(ys)).astype(int)
+    joint = np.zeros((k, config.rounds), dtype=int)
+    for v, y in enumerate(ys):
+        at = y_of == v
+        for group in layout.source_agents:
+            joint[group - 1, at] = invert(edges[group, y], u[at, group])
+    widths = np.array(layout.group_widths)[:, None]
+    indices = list(joint & ((1 << widths) - 1))
+    x_of = joint >> widths  # by group
+    x_pos = x_of[[frames.owners.index(pos) for pos in range(k)]]  # by source position
 
-    built, tallies = {}, []
-    for (x, y), count in zip(combos, (int(c) for c in counts)):
-        groups = []
-        for group, pos in enumerate(frames.owners, start=1):
-            key = (group, x[pos], y)
-            if key not in built:
-                built[key] = frames.probabilities(*key)
-            groups.append(built[key])
-        indices = draw(groups, rng, count)
-        a_cols = [outcomes(indices, mask) for mask in frames.source_masks]
-        b_cols = [outcomes(indices, mask) for mask in frames.receiver_masks(y)]
-        product = np.prod(a_cols, axis=0) * np.prod(b_cols, axis=0)
-        p_sum, p_cols = None, []
-        if tilt is not None and all(b == 0 for b in y):
-            p_cols = [outcomes(indices, mask) for mask in frames.p_masks]
-            p_sum = int(np.prod(p_cols, axis=0).sum())
-        tallies.append(sampling.SettingTally(x, y, count, int(product.sum()), p_sum))
-        if record_path is not None:
-            if config.strategy == "direct-observable":
-                outcome_cols = a_cols + b_cols
-                if tilt is not None:
-                    outcome_cols += p_cols if p_cols else [np.zeros(count, dtype=int)] * m
-            else:
-                outcome_cols = a_cols + [outcomes(indices, mask) for mask in qubit_masks]
-            settings = "".join(map(str, x)) + "|" + "".join(map(str, y))
-            blocks.append((settings, np.array(outcome_cols, dtype=np.int8).T))
-
+    a_cols = [outcomes(indices, mask) for mask in frames.source_masks]
+    on_zero, on_one = (frames.receiver_masks((ym,) * m) for ym in (0, 1))
+    b_cols = [
+        np.where(y_of >> (m - 1 - r) & 1, outcomes(indices, one), outcomes(indices, zero))
+        for r, (zero, one) in enumerate(zip(on_zero, on_one))
+    ]
+    product = np.prod(a_cols + b_cols, axis=0)
+    product = np.where(y_of == len(ys) - 1, product * (-1) ** x_of.sum(axis=0), product)
+    p_cols = []
+    if tilt is not None:
+        p_cols = [np.where(y_of == 0, outcomes(indices, mask), 0) for mask in frames.p_masks]
+        flip = np.prod(p_cols, axis=0)
+    tallies = [
+        sampling.SettingTally(
+            y,
+            int((y_of == v).sum()),
+            int(product[y_of == v].sum()),
+            int(flip[y_of == v].sum()) if tilt is not None and not any(y) else None,
+        )
+        for v, y in enumerate(ys)
+    ]
     report = sampling._report(config, k, tallies, beta)
+
     if record_path is not None:
+        if config.strategy == "direct-observable":
+            measured, columns = [], a_cols + b_cols + p_cols
+        else:
+            acts = [0] * k
+            for rec in receivers:
+                for group, (b0, b1) in enumerate(zip(rec.b0_pieces, rec.b1_pieces)):
+                    acts[group] |= b0.x | b0.z | b1.x | b1.z
+            measured, columns = [], list(a_cols)
+            for i, j in sorted(q for rec in receivers for q in rec.qubits):
+                group, position = layout.place(i, j)
+                bit = 1 << (layout.group_widths[group - 1] - 1 - position)
+                if acts[group - 1] & bit:
+                    measured.append((i, j))
+                    bits = tuple(bit if g == group else 0 for g in layout.source_agents)
+                    columns.append(outcomes(indices, sampling._Mask(bits=bits, sign=1)))
+        header = sampling._csv_header(config.strategy, k, m, tilt is not None, measured)
+        texts, settings = {}, []
+        for x, v in zip(map(tuple, x_pos.T.tolist()), y_of.tolist()):
+            if (x, v) not in texts:
+                texts[x, v] = "".join(map(str, x)) + "|" + "".join(map(str, ys[v]))
+            settings.append(texts[x, v])
         # the writer's text is checked against write_rounds on its own
-        sampling._write_rounds(record_path, header, *as_record(header, blocks), rng)
+        rows = np.array(columns, dtype=np.int8).T
+        sampling._write_rounds(record_path, header, *as_record(header, settings, rows))
     return report
 
 
-def as_record(header, blocks):
-    """(settings, outcome rows) blocks as `sampling._write_rounds` takes
-    them: the blocks' settings texts, their round counts, and every round's
-    outcome code (0 for +1, 1 for -1, 2 for 0) in one uint8 matrix, each
-    row padded to whole 4-byte words."""
+def as_record(header, settings, rows):
+    """Rounds as `sampling._write_rounds` takes them, given each round's
+    settings text and outcome row: the texts after a comma, and the
+    outcome codes (0 for +1, 1 for -1, 2 for 0), each in a uint8 matrix
+    whose rows are padded with 0 bytes to whole 4-byte words."""
     width = len(header) - 2
-    rows = np.concatenate([rows for _, rows in blocks])
+    texts = [f",{text}".encode() for text in settings]
+    size = -(-max(map(len, texts)) // 4) * 4
+    padded = b"".join(text.ljust(size, b"\0") for text in texts)
     cells = np.zeros((len(rows), -(-width // 4) * 4), dtype=np.uint8)
     cells[:, :width] = np.array([1, 2, 0], dtype=np.uint8)[rows + 1]
-    return [text for text, _ in blocks], [len(rows) for _, rows in blocks], cells
+    return np.frombuffer(padded, np.uint8).reshape(len(texts), size), cells
 
 
 def cdf_edges(probabilities: np.ndarray) -> np.ndarray:
@@ -647,38 +692,18 @@ def cdf_edges(probabilities: np.ndarray) -> np.ndarray:
     return np.concatenate(([0.0], cdf))
 
 
-def invert(edges: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The bin of each uniform u by binary search on the edges, and u
-    rescaled into [0, 1) from that bin."""
-    index = edges.searchsorted(u, side="right") - 1
-    low = edges[index]
-    return index, np.minimum((u - low) / (edges[index + 1] - low), _BELOW_ONE)
+def invert(edges: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The bin of each uniform u by binary search on the edges."""
+    return edges.searchsorted(u, side="right") - 1
 
 
-def draw(distributions, rng: np.random.Generator, count: int) -> list[np.ndarray]:
-    """count outcome indices per group, group 1 most significant: one
-    uniform per round, inverted through each group's distribution in turn
-    and rescaled into the chosen bin, which is Generator.choice on the
-    product of the distributions."""
-    u = rng.random(count)
-    out = []
-    for probabilities in distributions:
-        index, u = invert(cdf_edges(probabilities), u)
-        out.append(index)
-    return out
-
-
-def write_rounds(path, header, blocks, rng: np.random.Generator) -> None:
-    """The round record: the header, then the rounds of all (settings,
-    outcome rows) blocks in the order of one rng.permutation, one line
-    "index,settings,outcomes" per round."""
-    rounds = [(settings, row) for settings, rows in blocks for row in rows.tolist()]
-    order = rng.permutation(len(rounds))
+def write_rounds(path, header, settings, rows) -> None:
+    """The round record: the header, then one line "index,settings,outcomes"
+    per round, in order, from each round's settings text and outcome row."""
     with open(path, "w", newline="") as handle:
         csv.writer(handle).writerow(header)
-        for i, r in enumerate(order):
-            settings, row = rounds[r]
-            handle.write(f"{i},{settings},{','.join(map(str, row))}\r\n")
+        for i, (text, row) in enumerate(zip(settings, rows.tolist())):
+            handle.write(f"{i},{text},{','.join(map(str, row))}\r\n")
 
 
 # ----------------------------------------------------------------------

@@ -69,7 +69,6 @@ CI_REFUSALS = (
     "evaluate chsh --theta nan",
     "maximize chsh --grid 100000000000",
     "sample chsh --rounds 1180591620717411303424",
-    "sample star(51)",
     "sample ghz-split(40,20)",
     "classical-bound chsh --mode full",
     "maximize chsh --grid abc",
@@ -842,12 +841,34 @@ class TestBuiltinStar:
         assert main(["validate", "star(5)"]) == EXIT_OK
         assert "[warn]" not in capsys.readouterr().out
 
-    def test_sample_refuses_too_many_setting_cells(self, out_dir, capsys):
-        assert main(["sample", "star(51)"]) == EXIT_VALIDATION
+    @pytest.mark.parametrize("name,rounds", [("star(13)", None), ("star(21)", 1_000_000)])
+    def test_sample_large_stars_land_near_the_exact_values(self, out_dir, name, rounds):
+        # the settings are drawn per round, so the sources do not bound sample
+        argv = ["sample", name] + ([] if rounds is None else ["--rounds", str(rounds)])
+        assert main(argv) == EXIT_OK
+        payload = json.load(open(out_dir / f"{name}-sample.json"))
+        scenario = scenarios.builtin_scenario(name)
+        synthesis = observables.synthesize(scenario.layout, scenario.selection)
+        exact = bell.evaluate(synthesis, scenario.thetas)
+        assert payload["rounds"] == (rounds or scenario.rounds)
+        assert abs(payload["I"] - exact.i_value) < 4 * payload["I_se"]
+        assert abs(payload["J"] - exact.j_value) < 4 * payload["J_se"]
+
+    def test_sample_star51_runs(self, out_dir):
+        assert main(["sample", "star(51)"]) == EXIT_OK
+        payload = json.load(open(out_dir / "star(51)-sample.json"))
+        assert payload["K"] == 51
+        assert [tally["y"] for tally in payload["tallies"]] == ["0", "1"]
+        assert sum(tally["rounds"] for tally in payload["tallies"]) == payload["rounds"]
+
+    def test_sample_refuses_too_many_receiver_settings(self, out_dir, monkeypatch, capsys):
+        # each group stacks a frame per receiver setting, so 2^M is bounded
+        monkeypatch.setattr(sampling, "MAX_RECEIVER_SETTINGS", 1)
+        assert main(["sample", "chsh", "--rounds", "10"]) == EXIT_VALIDATION
         assert capsys.readouterr().err.splitlines() == [
-            "error: sampling needs 2^52 setting cells (K=51, M=1), "
-            f"more than the {sampling.MAX_SETTING_CELLS} allowed"
+            "error: sampling needs 2^1 receiver settings (M=1), more than the 1 allowed"
         ]
+        assert list(out_dir.iterdir()) == []
 
     def test_wide_per_qubit_round_record(self, out_dir, tmp_path):
         # 9 + 36 outcome columns: a base-3 row code wider than one int64
@@ -1076,26 +1097,30 @@ PINNED_COMMANDS = [
      "example-a-sample", "sample-example-a-per-qubit"),
     (["sample", "chsh-tilted", "--rounds", "1000", "--seed", "1"],
      "chsh-tilted-sample", "sample-chsh-tilted"),
-    # empty setting cells
-    (["sample", "chsh", "--rounds", "2", "--seed", "1"], "chsh-sample", "sample-chsh-empty"),
-    # empty setting cells, and at K = 2 the zero J leaves value_se null
-    (["sample", "example-a", "--rounds", "5", "--seed", "2"],
+    # a receiver setting left empty
+    (["sample", "chsh", "--rounds", "2", "--seed", "4"], "chsh-sample", "sample-chsh-empty"),
+    # a receiver setting left empty, and at K = 2 its zero correlator
+    # leaves value_se null
+    (["sample", "example-a", "--rounds", "5", "--seed", "14"],
      "example-a-sample", "sample-example-a-empty"),
-    # 256 setting cells of about 12 rounds each, drawn by the per-cell loop
+    # seven groups
     (["sample", "star(7)", "--rounds", "3000", "--seed", "5"], "star(7)-sample", "sample-star7"),
 ]
 
 # SHA-256 of the round record of `sample chsh --rounds 40000 --seed 2`
-# (about 0.6 MB, so not kept as a file), written by the per-cell loop: each
-# of its four setting cells holds more than 8192 rounds.
-CHSH_40000_RECORD_SHA256 = "6b04265953031b4301164e308ab42573ee3f3c455368ed5448ad619fcd0cf06c"
+# (about 0.6 MB, so not kept as a file): its rounds fill four 8192-round
+# chunks and part of a fifth.
+CHSH_40000_RECORD_SHA256 = "6d4a2a5185d9f0dacd205b9fc3bc81ddbaf2a452a3b68059385d1d59c2dcc38d"
 
 
 class TestPinnedReports:
     """Reports and round records pinned byte for byte; not regenerated,
-    except once: the five classical-* pins were rewritten when the refine
-    pass began to take its random draws in bulk (classical._draw_restarts),
-    which moved only their scanned and best_stochastic_strategy fields."""
+    except once each: the five classical-* pins were rewritten when the
+    refine pass began to take its random draws in bulk
+    (classical._draw_restarts), which moved only their scanned and
+    best_stochastic_strategy fields, and the sample-* pins and round
+    records when the sampler began to draw each round's settings with its
+    outcomes, which moved every draw and the tallies' schema."""
 
     @pytest.mark.parametrize(
         "argv,stem,pin", PINNED_COMMANDS, ids=[pin for _, _, pin in PINNED_COMMANDS]

@@ -10,7 +10,7 @@ from netbell import codes
 from netbell.codes import StabilizerCode, builtin, codeword, validate
 from netbell.pauli import PauliString
 from netbell.scenarios import ScenarioError, builtin_scenario, scenario_from_dict
-from oracles import logical_representative
+from oracles import logical_representative, project_renormalized
 
 PHI_GRID = np.linspace(0.0, np.pi / 4, 7)
 
@@ -348,6 +348,21 @@ class TestCodeword:
             codes._logical_basis.cache_clear()
             fresh = codeword(source.code, source.amplitudes)
             assert fresh.state.amplitudes.tobytes() == state.amplitudes.tobytes()
+
+    def test_logical_basis_equals_the_state_vector_route(self, monkeypatch):
+        # every builtin code up to 12 qubits, every ghz-split(n,m) included:
+        # the projection on the plain array gives the same basis bytes
+        names = ["two-one-two", "five-one-three"]
+        names += [f"ghz({n})" for n in range(2, 13)]
+        names += [f"ghz-split({n},{m})" for n in range(2, 13) for m in range(1, n)]
+        search = codes._logical_basis.__wrapped__
+        got = {name: search(builtin(name)) for name in names}
+        monkeypatch.setattr(codes, "_project_stabilized", project_renormalized)
+        for name in names:
+            want = search(builtin(name))
+            assert [v.amplitudes.tobytes() for v in got[name]] == [
+                v.amplitudes.tobytes() for v in want
+            ], name
 
     def test_generators_are_checked_on_every_state(self, monkeypatch):
         # the cached basis is shared; the stabilizer check is per codeword,

@@ -42,7 +42,6 @@ from oracles import (
     as_record,
     basis_letters,
     cdf_edges,
-    draw,
     expectation_combo,
     invert,
     joint_frame,
@@ -53,20 +52,19 @@ from oracles import (
     outcome_distribution,
     outcomes,
     random_layouts,
-    sample_cells,
+    sample_rounds,
     tilted_layouts,
     write_rounds,
 )
 
 # 0.999 chi-squared quantiles by degrees of freedom.
-CHI2_999 = {3: 16.266, 7: 24.322}
+CHI2_999 = {3: 16.266, 7: 24.322, 15: 37.697}
 
 DATA = Path(__file__).parent / "data"
 
 # Round records pinned as files in tests/data/rounds-<name>.csv; each entry
-# is (builtin scenario, RunConfig keywords, beta). The 500-round records were
-# written by the earlier writer that made one csv.writerow call per round.
-# The five-round record leaves four of the eight setting cells empty.
+# is (builtin scenario, RunConfig keywords, beta). The five-round record
+# leaves a receiver setting empty.
 PINNED_RECORDS = {
     "example-a-direct": ("example-a", dict(rounds=500, seed=1), None),
     "example-a-per-qubit": (
@@ -80,7 +78,7 @@ PINNED_RECORDS = {
         dict(rounds=500, seed=1, strategy="per-qubit-discard"),
         0.7,
     ),
-    "example-a-five-rounds": ("example-a", dict(rounds=5, seed=2), None),
+    "example-a-five-rounds": ("example-a", dict(rounds=5, seed=14), None),
 }
 
 
@@ -155,16 +153,13 @@ def stack(distributions):
     return sampling._table(list(distributions), [])
 
 
-def cell_bases(frames, tables, x, y):
-    """Each group's start row in its stacked table at setting cell (x, y):
-    its frame (x_k, y) times its buckets."""
-    y_index = int("".join(map(str, y)), 2)
-    return [t.buckets * (x[pos] * 2 ** len(y) + y_index) for t, pos in zip(tables, frames.owners)]
-
-
-def cell_indices(tables, bins):
-    """Each group's outcome indices from its bins in its stacked table."""
-    return [table.index[j] for table, j in zip(tables, bins)]
+def setting_cells(k, m):
+    """Every (x, y) setting pair, in product order."""
+    return [
+        (x, y)
+        for x in itertools.product((0, 1), repeat=k)
+        for y in itertools.product((0, 1), repeat=m)
+    ]
 
 
 def write_pinned_record(name, path):
@@ -386,7 +381,7 @@ class TestGroupFrames:
         synthesis, thetas = builtin_synthesis(name)
         layout = synthesis.layout
         frames = sampling._Frames(synthesis, thetas, mode)
-        for x, y in sampling._setting_combos(layout.K, layout.M):
+        for x, y in setting_cells(layout.K, layout.M):
             groups = [frames.probabilities(k, x[k - 1], y) for k in layout.source_agents]
             joint = joint_frame(synthesis, thetas, x, y, mode)
             product = functools.reduce(np.kron, groups)
@@ -411,24 +406,10 @@ class TestGroupFrames:
         probabilities /= probabilities.sum()
         table = stack([probabilities])
         for seed in range(5):
-            nested, choice = np.random.default_rng(seed), np.random.default_rng(seed)
-            [bins] = sampling._locate([table], nested.random(10000), [0])
+            guided, choice = np.random.default_rng(seed), np.random.default_rng(seed)
+            bins = table.locate(guided.random(10000), 0)
             assert np.array_equal(table.index[bins], choice.choice(32, 10000, p=probabilities))
-            assert nested.bit_generator.state == choice.bit_generator.state
-
-    @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_star3_draw_matches_choice_on_the_joint_frame(self, seed):
-        synthesis, thetas = builtin_synthesis("star(3)")
-        frames = sampling._Frames(synthesis, thetas, "direct-observable")
-        tables = frames.tables([])
-        for x, y in [((0, 0, 0), (0,)), ((1, 0, 1), (1,)), ((1, 1, 1), (0,))]:
-            joint = joint_frame(synthesis, thetas, x, y, "direct-observable")
-            nested, choice = np.random.default_rng(seed), np.random.default_rng(seed)
-            bins = sampling._locate(tables, nested.random(20000), cell_bases(frames, tables, x, y))
-            first, second, third = cell_indices(tables, bins)
-            want = choice.choice(joint.probabilities.size, 20000, p=joint.probabilities)
-            assert np.array_equal((first << 10) | (second << 5) | third, want)
-            assert nested.bit_generator.state == choice.bit_generator.state
+            assert guided.bit_generator.state == choice.bit_generator.state
 
     def test_frames_are_built_once_per_group_setting(self, monkeypatch):
         synthesis, thetas = builtin_synthesis("star(3)")
@@ -456,16 +437,21 @@ class TestGroupFrames:
         with pytest.raises(ValueError, match="operator on 10 qubits applied to 5-qubit state"):
             run(broken, thetas, RunConfig(rounds=100, seed=1))
 
-    def test_too_many_setting_cells_are_refused_before_sampling(self, monkeypatch):
-        monkeypatch.setattr(sampling, "_setting_combos", None)  # never reached
-        scenario = scenarios.builtin_scenario("star(13)")
-        synthesis, thetas = synth(scenario.layout, scenario.selection, scenario.thetas)
-        with pytest.raises(ValueError, match=r"2\^14 setting cells \(K=13, M=1\), more than the 4096"):
+    def test_too_many_receiver_settings_are_refused_before_sampling(self, monkeypatch):
+        # each group stacks a frame per receiver setting: with the bound
+        # lowered to 2, one receiver runs and two are refused before any
+        # frame is built
+        monkeypatch.setattr(sampling, "MAX_RECEIVER_SETTINGS", 2)
+        synthesis, thetas = builtin_synthesis("chsh")
+        assert run(synthesis, thetas, RunConfig(rounds=10)).rounds == 10
+        monkeypatch.setattr(sampling, "_Frames", None)  # never reached
+        synthesis, thetas = builtin_synthesis("star(3)-split-receiver")
+        with pytest.raises(ValueError, match=r"^sampling needs 2\^2 receiver settings \(M=2\), more than the 2 allowed$"):
             run(synthesis, thetas, RunConfig(rounds=10))
 
 
-# Builtins on whose every setting cell, in both strategies, the guide
-# tables are compared with the binary search.
+# Builtins on whose every joint frame, in both strategies, the guide tables
+# are compared with the binary search.
 GUIDE_SCENARIOS = (
     "chsh",
     "chsh-tilted",
@@ -514,7 +500,7 @@ def probe_points(edges, buckets, seed):
     return np.concatenate([
         inner,
         np.nextafter(inner[inner > 0.0], 0.0),
-        [0.0, sampling._BELOW_ONE],
+        [0.0, np.nextafter(1.0, 0.0)],
         bounds,
         np.nextafter(bounds[1:], 0.0),
         np.random.default_rng(seed).random(10**4),
@@ -522,16 +508,12 @@ def probe_points(edges, buckets, seed):
 
 
 def assert_same_inversion(table, frame, probabilities, seed=0):
-    """Frame frame of a stacked table inverts every probe point as the
-    binary search on the probabilities' edges does: the index and the
-    rescaled uniform, bit for bit."""
+    """Frame frame of a stacked table inverts every probe point to the
+    index the binary search on the probabilities' edges finds."""
     edges = cdf_edges(probabilities)
     u = probe_points(edges, table.buckets, seed)
     bins = table.locate(u, frame * table.buckets)
-    got_index, got_u = table.index[bins], table.rescale(u, bins)
-    want_index, want_u = invert(edges, u)
-    assert np.array_equal(got_index, want_index)
-    assert np.array_equal(got_u.view(np.int64), want_u.view(np.int64))
+    assert np.array_equal(table.index[bins], invert(edges, u))
 
 
 def assert_alone_and_stacked(distributions):
@@ -546,8 +528,7 @@ def assert_alone_and_stacked(distributions):
 
 class TestGuideTable:
     """The stacked guide tables against the binary search of
-    tests/oracles.py, bit for bit: every index, every rescaled uniform, the
-    generator state."""
+    tests/oracles.py: every index."""
 
     @pytest.mark.parametrize("seed", range(5))
     def test_zero_runs_invert_as_the_binary_search(self, seed):
@@ -570,10 +551,8 @@ class TestGuideTable:
         table = stack([np.array([1.0])])
         assert table.steps == 0
         assert_same_inversion(table, 0, np.array([1.0]))
-        u = np.array([0.0, 0.5, sampling._BELOW_ONE])
-        bins = table.locate(u, 0)
+        bins = table.locate(np.array([0.0, 0.5, np.nextafter(1.0, 0.0)]), 0)
         assert table.index[bins].tolist() == [0, 0, 0]
-        assert np.array_equal(table.rescale(u, bins).view(np.int64), u.view(np.int64))
 
     def test_at_most_two_steps_on_the_builtins(self):
         for name in GUIDE_SCENARIOS:
@@ -584,55 +563,47 @@ class TestGuideTable:
 
     @pytest.mark.parametrize("count", [0, 1, 10**4])
     def test_draw_matches_the_binary_search(self, count):
-        # each group's distribution is the middle frame of a stacked table
+        # each group's distribution is the middle frame of a stacked table,
+        # and reads its own column of uniforms
         groups = zero_run_distributions(7, count=3)
         groups.insert(1, np.array([1.0]))
         others = zero_run_distributions(8, count=2 * len(groups))
         tables = [stack([others[2 * g], p, others[2 * g + 1]]) for g, p in enumerate(groups)]
         for seed in range(3):
-            guided, searched = np.random.default_rng(seed), np.random.default_rng(seed)
-            bins = sampling._locate(tables, guided.random(count), [t.buckets for t in tables])
-            got = cell_indices(tables, bins)
-            want = draw(groups, searched, count)
-            assert len(got) == len(want) == len(groups)
-            for g, w in zip(got, want):
-                assert g.shape == (count,)
-                assert np.array_equal(g, w)
-            assert guided.bit_generator.state == searched.bit_generator.state
+            u = np.random.default_rng(seed).random((count, len(groups))).T
+            for table, p, column in zip(tables, groups, u):
+                got = table.index[table.locate(column, table.buckets)]
+                assert got.shape == (count,)
+                assert np.array_equal(got, invert(cdf_edges(p), column))
 
     @pytest.mark.parametrize("mode", sampling.MODES)
     @pytest.mark.parametrize("name", GUIDE_SCENARIOS)
     def test_every_setting_cell_of_the_builtins(self, name, mode):
+        # group k's frame at y runs over (x_k, outcome): half the outcome
+        # probabilities at x_k = 0, then half those at x_k = 1
         synthesis, thetas = builtin_scenario_synthesis(name)
+        layout = synthesis.layout
         frames = sampling._Frames(synthesis, thetas, mode)
         tables = frames.tables([])
-        cells = sampling._setting_combos(synthesis.layout.K, synthesis.layout.M)
-        groups_of = {
-            (x, y): [
-                frames.probabilities(k, x[pos], y) for k, pos in enumerate(frames.owners, start=1)
+        ys = list(itertools.product((0, 1), repeat=layout.M))
+        joint = [
+            [
+                np.concatenate([frames.probabilities(k, xk, y) for xk in (0, 1)]) / 2
+                for y in ys
             ]
-            for x, y in cells
-        }
-        for seed, (x, y) in enumerate(cells):
-            bases = cell_bases(frames, tables, x, y)
-            for table, base, probabilities in zip(tables, bases, groups_of[x, y]):
-                assert_same_inversion(table, base // table.buckets, probabilities, seed)
-            guided, searched = np.random.default_rng(seed), np.random.default_rng(seed)
-            got = cell_indices(tables, sampling._locate(tables, guided.random(2000), bases))
-            want = draw(groups_of[x, y], searched, 2000)
-            assert all(np.array_equal(g, w) for g, w in zip(got, want))
-            assert guided.bit_generator.state == searched.bit_generator.state
-        # Every cell in one pass, a start row per round, as a piece of
-        # several cells reads them, against one draw per cell in turn.
-        counts = np.random.default_rng(len(cells)).integers(0, 40, len(cells))
-        guided, searched = np.random.default_rng(1), np.random.default_rng(1)
-        rows = [cell_bases(frames, tables, x, y) for x, y in cells]
-        bases = [np.repeat(column, counts) for column in zip(*rows)]
-        got = cell_indices(tables, sampling._locate(tables, guided.random(counts.sum()), bases))
-        parts = [draw(groups_of[cell], searched, c) for cell, c in zip(cells, counts)]
-        want = [np.concatenate(group) for group in zip(*parts)]
-        assert all(np.array_equal(g, w) for g, w in zip(got, want))
-        assert guided.bit_generator.state == searched.bit_generator.state
+            for k in layout.source_agents
+        ]
+        for table, per_y in zip(tables, joint):
+            for v, probabilities in enumerate(per_y):
+                assert_same_inversion(table, v, probabilities, seed=v)
+        # a start row per round, as the pass reads them, against one binary
+        # search per receiver setting
+        u = np.random.default_rng(1).random(5000)
+        y = np.random.default_rng(2).integers(0, len(ys), 5000)
+        for table, per_y in zip(tables, joint):
+            got = table.index[table.locate(u, y * table.buckets)]
+            for v, probabilities in enumerate(per_y):
+                assert np.array_equal(got[y == v], invert(cdf_edges(probabilities), u[y == v]))
 
 
 class TestRun:
@@ -689,19 +660,26 @@ class TestRun:
         assert abs(report.j_estimate) < 4 * max(report.j_se, 1e-3)
 
     def test_empty_correlator_cells_give_conservative_errors(self):
-        # Five rounds leave four of the eight setting cells empty; an empty
-        # cell counts as a zero mean with a unit standard error.
+        # I pools the rounds at y = 0 and J those at y = 1; one round
+        # leaves a receiver setting empty, which counts as a zero mean with
+        # a unit standard error
         layout = bilocal_layout()
         selection = selection_a()
         synthesis, thetas = synth(layout, selection, [np.pi / 4] * 2, allow=True)
         report = run(synthesis, thetas, RunConfig(rounds=5, seed=2))
-        empty = [(t.x, t.y) for t in report.tallies if not t.rounds]
-        assert empty == [((0, 0), (0,)), ((0, 0), (1,)), ((0, 1), (1,)), ((1, 1), (0,))]
-        # I: two empty cells, a two-round cell at mean 0, a one-round cell
-        assert report.i_se == pytest.approx(np.sqrt(1 + 1 + 1 / 2) / 4)
-        # J: two empty cells, two one-round cells of opposite sign
-        assert report.j_estimate == 0.0
-        assert report.j_se == pytest.approx(np.sqrt(2) / 4)
+        for tally, mean, se in zip(
+            report.tallies, (report.i_estimate, report.j_estimate), (report.i_se, report.j_se)
+        ):
+            assert 0 < tally.rounds < 5
+            assert mean == tally.product_sum / tally.rounds
+            assert se == pytest.approx(np.sqrt((1 - mean**2) / tally.rounds))
+        report = run(synthesis, thetas, RunConfig(rounds=1, seed=2))
+        [empty] = [t for t in report.tallies if not t.rounds]
+        [full] = [t for t in report.tallies if t.rounds]
+        estimates = {(0,): (report.i_estimate, report.i_se), (1,): (report.j_estimate, report.j_se)}
+        assert estimates[empty.y] == (0.0, 1.0)
+        assert abs(full.product_sum) == 1
+        assert estimates[full.y] == (full.product_sum, 0.0)
         assert report.value_se is None
 
     def test_beta_without_tilt_is_rejected(self):
@@ -727,7 +705,8 @@ class TestRun:
         assert payload["rounds"] == 500
         assert payload["seed"] == 2
         assert payload["P"] is None
-        assert len(payload["tallies"]) == 4
+        assert [tally["y"] for tally in payload["tallies"]] == ["0", "1"]
+        assert set(payload["tallies"][0]) == {"y", "rounds", "product_mean", "p_mean"}
 
 
 class TestTiltedRun:
@@ -769,21 +748,32 @@ class TestTiltedRun:
 
 
 class TestBornRule:
-    """Each check reads one setting cell of a run with uniform settings."""
+    """Empirical counts from round records of runs with uniform settings."""
 
-    def test_chsh_counts_follow_the_exact_distribution(self):
+    def test_chsh_counts_follow_the_exact_distribution(self, tmp_path):
+        # every (x, y, a, b) of the record against 1/4 of p(a, b | x, y):
+        # the draw of the settings and of the outcomes together
         layout = chsh_layout(np.pi / 8)
         selection = chsh_selection()
         synthesis, thetas = synth(layout, selection, [0.7])
-        dist = outcome_distribution(synthesis, thetas, (0,), (0,))
-        report = run(synthesis, thetas, RunConfig(rounds=120000, seed=1234))
-        cell = next(t for t in report.tallies if t.x == (0,) and t.y == (0,))
-        # Two-observable products only expose a*b; rebuild cell counts from
-        # the recorded mean and check the product marginal instead.
-        empirical_mean = cell.product_mean
-        exact_mean = sum(a * b * w for (a, b), w in dist.items())
-        se = np.sqrt((1 - exact_mean**2) / cell.rounds)
-        assert abs(empirical_mean - exact_mean) < 4 * se
+        path = tmp_path / "rounds.csv"
+        run(synthesis, thetas, RunConfig(rounds=120000, seed=1234), record_path=path)
+        counts = {}
+        with open(path, newline="") as handle:
+            for row in csv.DictReader(handle):
+                key = (row["settings"], int(row["a1"]), int(row["b1"]))
+                counts[key] = counts.get(key, 0) + 1
+        chi2 = 0.0
+        cells = 0
+        for x, y in setting_cells(1, 1):
+            dist = outcome_distribution(synthesis, thetas, x, y)
+            for (a, b), weight in dist.items():
+                expected = weight / 4 * 120000
+                assert expected > 5
+                chi2 += (counts.pop((f"{x[0]}|{y[0]}", a, b), 0) - expected) ** 2 / expected
+                cells += 1
+        assert cells == 16 and not counts
+        assert chi2 < CHI2_999[cells - 1]
 
     def test_bilocal_joint_counts_pass_chi_squared(self, tmp_path):
         layout = bilocal_layout()
@@ -901,20 +891,18 @@ class TestRoundRecord:
         if width > 40 and rounds > 1:
             for r, code in ((-2, 12345), (-1, 12345 + 2**64)):
                 rows[r] = [(code // 3**e) % 3 - 1 for e in reversed(range(width))]
-        cuts = np.sort(rng.choice(np.arange(1, rounds), min(3, rounds - 1), replace=False))
-        blocks = [
-            ("".join(map(str, rng.integers(0, 2, 3))) + "|" + str(b % 2), part)
-            for b, part in enumerate(np.split(rows, cuts))
+        # settings texts of 1 to 9 x bits, so some fill their last word
+        settings = [
+            "".join(map(str, rng.integers(0, 2, int(rng.integers(1, 10))))) + "|" + str(r % 2)
+            for r in range(rounds)
         ]
         header = ["round", "settings"] + [f"q{c}" for c in range(width)]
-        written, literal = (np.random.default_rng(seed + 1) for _ in range(2))
         with tempfile.TemporaryDirectory() as work:
             ours, theirs = Path(work, "ours.csv"), Path(work, "theirs.csv")
             with mock.patch.object(sampling, "_RECORD_CHUNK", chunk):
-                sampling._write_rounds(ours, header, *as_record(header, blocks), written)
-            write_rounds(theirs, header, blocks, literal)
+                sampling._write_rounds(ours, header, *as_record(header, settings, rows))
+            write_rounds(theirs, header, settings, rows)
             assert ours.read_bytes() == theirs.read_bytes()
-        assert written.bit_generator.state == literal.bit_generator.state
 
     @pytest.mark.parametrize("chunk", [7, 8192])
     @pytest.mark.parametrize("rounds", [10_001, 100_003])
@@ -923,29 +911,26 @@ class TestRoundRecord:
         # 100,000: a round index gains a 4-digit word or a place in one.
         rng = np.random.default_rng(rounds + chunk)
         rows = rng.integers(-1, 2, size=(rounds, 3)).astype(np.int8)
-        blocks = [(f"{b:02b}|{b % 2}", part) for b, part in enumerate(np.array_split(rows, 4))]
+        settings = [f"{r % 4:02b}|{r % 2}" for r in rng.integers(0, 8, rounds)]
         header = ["round", "settings", "a1", "b1", "p1"]
-        written, literal = (np.random.default_rng(chunk) for _ in range(2))
         ours, theirs = tmp_path / "ours.csv", tmp_path / "theirs.csv"
         with mock.patch.object(sampling, "_RECORD_CHUNK", chunk):
-            sampling._write_rounds(ours, header, *as_record(header, blocks), written)
-        write_rounds(theirs, header, blocks, literal)
+            sampling._write_rounds(ours, header, *as_record(header, settings, rows))
+        write_rounds(theirs, header, settings, rows)
         assert ours.read_bytes() == theirs.read_bytes()
-        assert written.bit_generator.state == literal.bit_generator.state
 
     def test_record_width_must_match_the_header(self, tmp_path):
         # rows of two cells, or of one padded word but one round too few,
         # against a header of three outcomes
         header = ["round", "settings", "a1", "b1", "b2"]
-        for counts, cells, shape in [
-            ([3], np.ones((3, 2), dtype=np.uint8), r"\(3, 2\)"),
-            ([4], np.ones((3, 4), dtype=np.uint8), r"\(3, 4\)"),
+        for rounds, cells, shape in [
+            (3, np.ones((3, 2), dtype=np.uint8), r"\(3, 2\)"),
+            (4, np.ones((3, 4), dtype=np.uint8), r"\(3, 4\)"),
         ]:
-            text = f"shape {shape} does not match {counts[0]} rounds and header width 3"
+            settings, _ = as_record(header, ["0|1"] * rounds, np.ones((rounds, 3), dtype=np.int8))
+            text = f"shape {shape} does not match {rounds} rounds and header width 3"
             with pytest.raises(RuntimeError, match=text):
-                sampling._write_rounds(
-                    tmp_path / "r.csv", header, ["0|1"], counts, cells, np.random.default_rng(0)
-                )
+                sampling._write_rounds(tmp_path / "r.csv", header, settings, cells)
         assert list(tmp_path.iterdir()) == []
 
     def test_record_does_not_change_estimates(self, tmp_path):
@@ -1038,33 +1023,34 @@ TAMPERED_REFUSALS = {
 }
 
 
-# Every builtin at its defaults, every tilted form, and star(7), whose 256
-# setting cells share pieces: name -> (builtin, builtin parameters).
+# Every builtin at its defaults, every tilted form, and star(7): name ->
+# (builtin, builtin parameters).
 CELL_LOOP_FORMS = {name: (name, {}) for name in scenarios.BUILTIN_SCENARIOS}
 CELL_LOOP_FORMS.update({
     "star-tilted": ("star", {"phibar": 0.3927}),
     "star(5)-tilt-2": ("star(5)", {"phibar": 0.3927, "tilt_count": 2}),
     "star(7)": ("star(7)", {}),
 })
-# One round, one round short of a piece, a piece, one round past it, and
-# a cell larger than a piece.
+# One round, a few, one round short of a chunk, a chunk, one round past it,
+# and several chunks.
 CELL_LOOP_ROUNDS = (1, 37, 8191, 8192, 8193, 40000)
 
 
 def assert_same_run(synthesis, thetas, config, beta, tmp_path):
-    """run and the cell-by-cell sample_cells give equal reports, every
+    """run and the round-by-round sample_rounds give equal reports, every
     field, and equal round records, byte for byte."""
     ours, theirs = tmp_path / "ours.csv", tmp_path / "theirs.csv"
     got = run(synthesis, thetas, config, beta=beta, record_path=ours)
-    want = sample_cells(synthesis, thetas, config, beta=beta, record_path=theirs)
+    want = sample_rounds(synthesis, thetas, config, beta=beta, record_path=theirs)
     assert got == want
     assert ours.read_bytes() == theirs.read_bytes()
 
 
 class TestChunkedPass:
-    """run, one pass per group over pieces of rounds reading per-bin
-    parities, against sample_cells in tests/oracles.py, the cell-by-cell
-    loop it replaced."""
+    """run, one pass over chunks of rounds reading per-bin parities through
+    guide tables, against sample_rounds in tests/oracles.py, which reads
+    every round's outcomes by binary search, one receiver setting at a
+    time."""
 
     @pytest.mark.parametrize("mode", sampling.MODES)
     @pytest.mark.parametrize("name", sorted(CELL_LOOP_FORMS))
@@ -1086,8 +1072,7 @@ class TestChunkedPass:
             synthesis = observables.synthesize(layout, selection)
             thetas = tuple(rng.uniform(0.1, np.pi / 2 - 0.1, layout.K))
             beta = None if synthesis.tilt is None else 0.4
-            # 7-round pieces slice every cell; 50-round pieces mostly run
-            # several small cells together
+            # chunks of 7, 50 and 8192 rounds
             monkeypatch.setattr(sampling, "_RECORD_CHUNK", (7, 50, 8192)[index % 3])
             for mode in sampling.MODES:
                 config = RunConfig(rounds=150, seed=index, strategy=mode)
@@ -1112,7 +1097,7 @@ class TestChunkedPass:
             synthesis_q = replace(synthesis, sources=(tampered,) + synthesis.sources[1:])
             config = RunConfig(rounds=50, seed=1, strategy=mode)
             texts = []
-            for route in (run, sample_cells):
+            for route in (run, sample_rounds):
                 try:
                     texts.append(route(synthesis_q, thetas, config))
                 except (ValueError, observables.CrossCheckError) as err:
@@ -1127,7 +1112,7 @@ class TestChunkedPass:
         assert refused == 2 * sum(key[0] == name for key in TAMPERED_REFUSALS)
 
     def test_memory_does_not_grow_with_the_rounds(self):
-        # without a record a run holds one piece of rounds at a time
+        # without a record a run holds one chunk of rounds at a time
         synthesis, thetas = builtin_scenario_synthesis("example-a")
         run(synthesis, thetas, RunConfig(rounds=1000, seed=1))  # the group states
         peaks = []
