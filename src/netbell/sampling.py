@@ -595,23 +595,27 @@ def run(
         dtype=np.uint8,
     )
 
-    counts = np.zeros(len(ys), dtype=np.int64)
-    odd = np.zeros((tallied, len(ys)))
+    # per tallied string, its rounds by outcome code and receiver setting
+    codes = np.zeros((tallied, 3 * len(ys)), dtype=np.int64)
+    span = np.intp(len(ys))
+    # A round's uniforms are consecutive in draws, and each is copied to
+    # uniforms, a row per use; both buffers are reused from chunk to chunk.
+    draws = np.empty((min(_RECORD_CHUNK, config.rounds), k + 1))
+    uniforms = np.empty(draws.shape[::-1])
     for start in range(0, config.rounds, _RECORD_CHUNK):
         size = min(_RECORD_CHUNK, config.rounds - start)
-        # a round's uniforms are consecutive; each row is made contiguous
-        u = rng.random((size, k + 1)).T.copy()
+        u = uniforms[:, :size]
+        np.copyto(u, rng.random(out=draws[:size]).T)
         y = (u[0] * len(ys)).astype(np.intp)
         bins = [table.locate(row, y * table.buckets) for table, row in zip(tables, u[1:])]
-        counts += np.bincount(y, minlength=len(ys))
         rows = slice(start, start + size)
         for s in range(len(reads)):
-            bits = initial[s, y]
+            bits = initial[s][y]
             for table, j in zip(tables, bins):
                 if table.parities[s] is not None:
                     bits ^= table.parities[s][j]
             if s < tallied:
-                odd[s] += np.bincount(y, weights=bits, minlength=len(ys))
+                codes[s] += np.bincount(bits * span + y, minlength=3 * len(ys))
             else:
                 outcomes[rows, s - tallied] = bits
         if record_path is not None:
@@ -620,7 +624,9 @@ def run(
                 settings[rows, 1 + pos] = (table.index[j] >> width) + ord("0")
             settings[rows, k + 2 : k + 2 + m] = y_text[y]
 
-    sums = (counts - 2 * odd).astype(np.int64).tolist()
+    codes = codes.reshape(tallied, 3, len(ys))
+    counts = codes[0].sum(axis=0)
+    sums = (counts - 2 * codes[:, 1]).tolist()
     tallies = [
         SettingTally(
             y=y,

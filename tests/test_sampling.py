@@ -649,6 +649,23 @@ class TestRun:
         gap = abs(direct.value_estimate - per_qubit.value_estimate)
         assert gap < 4 * np.hypot(direct.value_se, per_qubit.value_se)
 
+    @pytest.mark.parametrize("name", scenarios.BUILTIN_SCENARIOS)
+    def test_strategies_agree_on_every_builtin(self, name):
+        # I, J and P within 4 sigma, from independent seeds
+        scenario = scenarios.builtin_scenario(name)
+        synthesis, thetas = builtin_scenario_synthesis(name)
+        beta, _ = scenarios.resolve_beta(scenario)
+        direct, per_qubit = (
+            run(synthesis, thetas, RunConfig(rounds=100000, seed=seed, strategy=mode), beta=beta)
+            for seed, mode in enumerate(sampling.MODES, start=1)
+        )
+        pairs = [("i_estimate", "i_se"), ("j_estimate", "j_se")]
+        if synthesis.tilt is not None:
+            pairs.append(("p_estimate", "p_se"))
+        for value, se in pairs:
+            gap = getattr(direct, value) - getattr(per_qubit, value)
+            assert abs(gap) < 4 * np.hypot(getattr(direct, se), getattr(per_qubit, se)), value
+
     def test_zero_angle_makes_the_first_correlator_exact(self):
         # At theta 0 both A settings equal the stabilizer restriction, so
         # every setting-0 product is the generator-product outcome +1.
