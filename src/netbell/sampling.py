@@ -553,8 +553,7 @@ def run(
     if beta is not None:
         synthesis.check_beta(beta)
     thetas = synthesis.angles(thetas)
-    k = layout.K
-    m = layout.M
+    k, m = layout.K, layout.M
     if 2**m > MAX_RECEIVER_SETTINGS:
         raise ValueError(
             f"sampling needs 2^{m} receiver settings (M={m}), "
@@ -585,7 +584,7 @@ def run(
         # each round's settings text: a comma, the x bits, "|", the y bits
         settings = np.zeros((config.rounds, -(-(k + m + 2) // 4) * 4), dtype=np.uint8)
         settings[:, 0], settings[:, k + 1] = ord(","), ord("|")
-        y_text = np.array(ys, dtype=np.uint8).reshape(len(ys), m) + ord("0")
+        y_text = np.array(ys, dtype=np.uint8) + ord("0")
     tables = frames.tables(reads)
     # Per string and receiver setting, the outcome code a read starts from:
     # bit 0 the parity of the string's sign, bit 1 set where it is not
@@ -598,8 +597,8 @@ def run(
     # per tallied string, its rounds by outcome code and receiver setting
     codes = np.zeros((tallied, 3 * len(ys)), dtype=np.int64)
     span = np.intp(len(ys))
-    # A round's uniforms are consecutive in draws, and each is copied to
-    # uniforms, a row per use; both buffers are reused from chunk to chunk.
+    # Reused buffers: a round's K + 1 uniforms in a row of draws, as the
+    # generator gives them, and in a column of uniforms, a row per use.
     draws = np.empty((min(_RECORD_CHUNK, config.rounds), k + 1))
     uniforms = np.empty(draws.shape[::-1])
     for start in range(0, config.rounds, _RECORD_CHUNK):
@@ -628,12 +627,7 @@ def run(
     counts = codes[0].sum(axis=0)
     sums = (counts - 2 * codes[:, 1]).tolist()
     tallies = [
-        SettingTally(
-            y=y,
-            rounds=int(count),
-            product_sum=sums[0][v],
-            p_sum=sums[1][v] if tilted[v] else None,
-        )
+        SettingTally(y, int(count), sums[0][v], sums[1][v] if tilted[v] else None)
         for v, (y, count) in enumerate(zip(ys, counts))
     ]
     report = _report(config, k, tallies, beta)
@@ -661,8 +655,7 @@ def _report(config: RunConfig, k: int, tallies: list[SettingTally], beta) -> Tal
     else:
         value_se = math.sqrt(i_root_se**2 + j_root_se**2)
 
-    g_est = None
-    g_se = None
+    g_est = g_se = None
     if beta is not None and p_est is not None:
         p_root, p_root_se = _power_and_se(p_est, p_se, k)
         g_est = beta * p_root + value
