@@ -45,8 +45,9 @@ generator per chunk. Each round takes K + 1 consecutive uniforms, so the
 draws do not depend on the chunk size: the first gives y = floor(u 2^M),
 exact since 2^M is a power of two, and the others each group's bin in its
 frame at y. A string's outcome is the XOR of its bins' parity bits
-across the groups, started from its sign. Memory without a record does
-not grow with the rounds.
+across the groups, started from its sign. The round record is opened once
+every table is built and takes each chunk's lines as soon as it is drawn,
+so memory does not grow with the rounds, with a record or without.
 
 Two acquisition strategies are supported. "direct-observable" measures each
 agent's chosen observable as a whole (for tilted runs the receiver measures
@@ -88,9 +89,9 @@ from .states import _parity, apply_pauli, make_rng
 MODES = ("direct-observable", "per-qubit-discard")
 
 PROB_TOL = 1e-9
-# Without a round record a run holds one chunk of rounds at a time, so its
-# memory does not grow with the rounds; a record holds one padded row of
-# settings text and of outcome cells per round.
+# A run holds one chunk of rounds at a time and writes the chunk's lines of
+# the round record before it draws the next, so its memory does not grow
+# with the rounds, with a record or without; a record's file does.
 MAX_ROUNDS = 10**9
 # Each group stacks one frame per receiver setting into its guide table, and
 # each receiver setting is a tally: 2^M of them are built before any round
@@ -108,7 +109,6 @@ _RECORD_CHUNK = 8192
 _DIGITS = np.arange(10**4)[:, None] // [1000, 100, 10, 1] % 10 + ord("0")
 _DIGITS = _DIGITS.astype(np.uint8).view(np.uint32).ravel()
 _LEADING = np.frombuffer(bytes.fromhex("00000000 000000ff 0000ffff 00ffffff ffffffff"), np.uint32)
-_POWERS = 10 ** np.arange(1, 10)
 _OUTCOME = np.zeros(256, dtype=np.uint32)
 _OUTCOME[[0, 1, 2]] = np.frombuffer(b",1\0\0,-1\0,0\0\0", dtype=np.uint32)
 _EOL = np.frombuffer(b"\r\n\0\0", dtype=np.uint32)
@@ -577,12 +577,17 @@ def run(
         flip = _product(frames.p_masks)
         reads.append([flip if now else None for now in tilted])
     tallied = len(reads)
+    # Buffers reused by every chunk of rounds: a round's K + 1 uniforms in a
+    # row of draws, as the generator gives them, and in a column of
+    # uniforms, a row per use; with a record, its outcome codes and text.
+    draws = np.empty((min(_RECORD_CHUNK, config.rounds), k + 1))
+    uniforms = np.empty(draws.shape[::-1])
     if record_path is not None:
         header, columns = _record_reads(synthesis, frames, config.strategy, ys, tilted)
         reads += columns
-        outcomes = np.zeros((config.rounds, -(-len(columns) // 4) * 4), dtype=np.uint8)
+        outcomes = np.zeros((len(draws), -(-len(columns) // 4) * 4), dtype=np.uint8)
         # each round's settings text: a comma, the x bits, "|", the y bits
-        settings = np.zeros((config.rounds, -(-(k + m + 2) // 4) * 4), dtype=np.uint8)
+        settings = np.zeros((len(draws), -(-(k + m + 2) // 4) * 4), dtype=np.uint8)
         settings[:, 0], settings[:, k + 1] = ord(","), ord("|")
         y_text = np.array(ys, dtype=np.uint8) + ord("0")
     tables = frames.tables(reads)
@@ -597,31 +602,39 @@ def run(
     # per tallied string, its rounds by outcome code and receiver setting
     codes = np.zeros((tallied, 3 * len(ys)), dtype=np.int64)
     span = np.intp(len(ys))
-    # Reused buffers: a round's K + 1 uniforms in a row of draws, as the
-    # generator gives them, and in a column of uniforms, a row per use.
-    draws = np.empty((min(_RECORD_CHUNK, config.rounds), k + 1))
-    uniforms = np.empty(draws.shape[::-1])
-    for start in range(0, config.rounds, _RECORD_CHUNK):
-        size = min(_RECORD_CHUNK, config.rounds - start)
-        u = uniforms[:, :size]
-        np.copyto(u, rng.random(out=draws[:size]).T)
-        y = (u[0] * len(ys)).astype(np.intp)
-        bins = [table.locate(row, y * table.buckets) for table, row in zip(tables, u[1:])]
-        rows = slice(start, start + size)
-        for s in range(len(reads)):
-            bits = initial[s][y]
-            for table, j in zip(tables, bins):
-                if table.parities[s] is not None:
-                    bits ^= table.parities[s][j]
-            if s < tallied:
-                codes[s] += np.bincount(bits * span + y, minlength=3 * len(ys))
-            else:
-                outcomes[rows, s - tallied] = bits
-        if record_path is not None:
-            # x_k is the bit above group k's qubits in its bin's index
-            for table, j, pos, width in zip(tables, bins, frames.owners, layout.group_widths):
-                settings[rows, 1 + pos] = (table.index[j] >> width) + ord("0")
-            settings[rows, k + 2 : k + 2 + m] = y_text[y]
+
+    def draw(handle) -> None:
+        """Tally each chunk of rounds, and write its lines to handle if given."""
+        if handle is not None:
+            csv.writer(handle).writerow(header)
+            handle.flush()  # the lines go to the binary layer below
+        for start in range(0, config.rounds, _RECORD_CHUNK):
+            size = min(_RECORD_CHUNK, config.rounds - start)
+            u = uniforms[:, :size]
+            np.copyto(u, rng.random(out=draws[:size]).T)
+            y = (u[0] * len(ys)).astype(np.intp)
+            bins = [table.locate(row, y * table.buckets) for table, row in zip(tables, u[1:])]
+            for s in range(len(reads)):
+                bits = initial[s][y]
+                for table, j in zip(tables, bins):
+                    if table.parities[s] is not None:
+                        bits ^= table.parities[s][j]
+                if s < tallied:
+                    codes[s] += np.bincount(bits * span + y, minlength=3 * len(ys))
+                else:
+                    outcomes[:size, s - tallied] = bits
+            if handle is not None:
+                # x_k is the bit above group k's qubits in its bin's index
+                for table, j, pos, width in zip(tables, bins, frames.owners, layout.group_widths):
+                    settings[:size, 1 + pos] = (table.index[j] >> width) + ord("0")
+                settings[:size, k + 2 : k + 2 + m] = y_text[y]
+                lines = _format_rounds(start, len(columns), settings[:size], outcomes[:size])
+                handle.buffer.write(lines)
+
+    if record_path is None:
+        draw(None)
+    else:
+        atomic_write(record_path, draw)
 
     codes = codes.reshape(tallied, 3, len(ys))
     counts = codes[0].sum(axis=0)
@@ -630,10 +643,7 @@ def run(
         SettingTally(y, int(count), sums[0][v], sums[1][v] if tilted[v] else None)
         for v, (y, count) in enumerate(zip(ys, counts))
     ]
-    report = _report(config, k, tallies, beta)
-    if record_path is not None:
-        _write_rounds(record_path, header, settings, outcomes)
-    return report
+    return _report(config, k, tallies, beta)
 
 
 def _report(config: RunConfig, k: int, tallies: list[SettingTally], beta) -> TallyReport:
@@ -682,49 +692,39 @@ def _report(config: RunConfig, k: int, tallies: list[SettingTally], beta) -> Tal
     )
 
 
-def _write_rounds(path, header, settings, outcomes) -> None:
-    """Write the rounds, in order, under the header through the reports'
-    atomic writer. Round r's settings text is row r of the uint8 matrix
-    settings, and its outcome codes (see _OUTCOME) row r of the uint8
-    matrix outcomes, each row padded with 0 bytes to whole 4-byte words.
-    Each chunk of rounds is a (words, rounds) matrix of 4-byte words,
-    filled one row at a time: the round index in 4-digit words, the
-    settings, one cell per outcome and CRLF. It is read round by round,
-    with the pad bytes (0) deleted."""
-    width, rounds = len(header) - 2, len(settings)
+def _format_rounds(start: int, width: int, settings, outcomes) -> bytes:
+    """The record lines of rounds start, start + 1, ..., under a header of
+    width outcome columns: round start + r's settings text and outcome codes
+    (see _OUTCOME) are row r of the uint8 matrices settings and outcomes,
+    padded with 0 bytes to whole 4-byte words. A (words, rounds) matrix of
+    4-byte words is filled a row at a time (the index's 4-digit words, the
+    settings, the outcome cells, CRLF) and read by round, pad bytes deleted."""
+    rounds = len(settings)
     if outcomes.shape != (rounds, -(-width // 4) * 4):
         raise RuntimeError(
             f"round record of shape {outcomes.shape} does not match "
             f"{rounds} rounds and header width {width}"
         )
+    stop = start + rounds
+    lead = -(-len(str(stop - 1)) // 4)
     settings = settings.view(np.uint32)
-
-    def emit(handle):
-        csv.writer(handle).writerow(header)
-        for start in range(0, rounds, _RECORD_CHUNK):
-            chunk = slice(start, min(start + _RECORD_CHUNK, rounds))
-            index = np.arange(chunk.start, chunk.stop)
-            places = len(str(index[-1]))
-            lead = -(-places // 4)
-            words = np.empty((lead + settings.shape[1] + width + 1, len(index)), dtype=np.uint32)
-            # the digit count is one per chunk unless it crosses a power of ten
-            digits = places
-            if start < 10 ** (places - 1):
-                digits = np.searchsorted(_POWERS, index, side="right") + 1
-            # take's default mode copies through a buffer; every index is in range
-            part = index
-            for j in range(lead):  # the j-th word from the right
-                row = words[lead - 1 - j]
-                np.take(_DIGITS, part % 10**4, out=row, mode="clip")
-                if start < 10 ** (4 * j + 3):
-                    # a place left of the index's leading digit is a pad byte
-                    row &= _LEADING[np.clip(digits - 4 * j, 0, 4)]
-                part = part // 10**4
-            words[lead : lead + settings.shape[1]] = settings[chunk].T
-            cells = outcomes[chunk]
-            for c, row in enumerate(words[lead + settings.shape[1] : -1]):
-                np.take(_OUTCOME, cells[:, c], out=row, mode="clip")
-            words[-1] = _EOL
-            handle.write(words.T.tobytes().translate(None, b"\0").decode("ascii"))
-
-    atomic_write(path, emit)
+    words = np.empty((lead + settings.shape[1] + width + 1, rounds), dtype=np.uint32)
+    # The index's words, over runs of rounds that share its digit count and
+    # all but its last word, whose values there are a slice of _DIGITS; a
+    # place left of the leading digit is a pad byte.
+    low = start
+    while low < stop:
+        places = len(str(low))
+        high = min(stop, low - low % 10**4 + 10**4, 10**places)
+        for j in range(lead):  # the j-th word from the right
+            value = low // 10 ** (4 * j) % 10**4
+            digits = _DIGITS[value : value + high - low] if j == 0 else _DIGITS[value]
+            row = words[lead - 1 - j, low - start : high - start]
+            np.bitwise_and(digits, _LEADING[min(max(places - 4 * j, 0), 4)], out=row)
+        low = high
+    words[lead : lead + settings.shape[1]] = settings.T
+    # take's default mode copies through a buffer; every index is in range
+    for c, row in enumerate(words[lead + settings.shape[1] : -1]):
+        np.take(_OUTCOME, outcomes[:, c], out=row, mode="clip")
+    words[-1] = _EOL
+    return words.T.tobytes().translate(None, b"\0")

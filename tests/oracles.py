@@ -58,9 +58,11 @@ command runs:
   every agent's outcome read and multiplied, where run reads per-bin
   parities in chunks of rounds; the two must give equal reports and
   round records; `as_record` lays rounds' settings texts and outcome
-  rows out as the writer takes them;
+  rows out as whole-run matrices, which `write_matrices` writes through
+  `sampling._format_rounds`, chunk by chunk, where run formats each chunk
+  as it is drawn;
 * `write_rounds` writes the round record one f-string per round, the
-  literal text that `sampling._write_rounds` formats as byte matrices
+  literal text that `sampling._format_rounds` formats as byte matrices
   instead and must match byte for byte;
 * `logical_representative` searches a stabilizer coset for a phase-flip
   representative that meets per-qubit letter constraints, such as
@@ -113,6 +115,7 @@ from netbell.observables import (
     TiltedReceiver,
 )
 from netbell.pauli import PauliString
+from netbell.reports import atomic_write
 from netbell.sampling import _H, _S_DAG, MODES, PROB_TOL, _apply_one_qubit, _Frames
 from netbell.states import NORM_TOL, StateVector, _parity, make_rng, tensor
 
@@ -666,12 +669,33 @@ def sample_rounds(synthesis: Synthesis, thetas, config, *, beta=None, record_pat
             settings.append(texts[x, v])
         # the writer's text is checked against write_rounds on its own
         rows = np.array(columns, dtype=np.int8).T
-        sampling._write_rounds(record_path, header, *as_record(header, settings, rows))
+        write_matrices(record_path, header, *as_record(header, settings, rows))
     return report
 
 
+def write_matrices(path, header, settings, outcomes) -> None:
+    """Write the rounds, in order, under the header through the reports'
+    atomic writer, from whole-run matrices: round r's settings text is row
+    r of the uint8 matrix settings and its outcome codes row r of the uint8
+    matrix outcomes, as `as_record` lays them out. Each chunk of
+    `sampling._RECORD_CHUNK` rounds is formatted by
+    `sampling._format_rounds`, which refuses a shape that does not match."""
+    width = len(header) - 2
+
+    def emit(handle):
+        csv.writer(handle).writerow(header)
+        handle.flush()
+        for start in range(0, len(settings), sampling._RECORD_CHUNK):
+            chunk = slice(start, start + sampling._RECORD_CHUNK)
+            handle.buffer.write(
+                sampling._format_rounds(start, width, settings[chunk], outcomes[chunk])
+            )
+
+    atomic_write(path, emit)
+
+
 def as_record(header, settings, rows):
-    """Rounds as `sampling._write_rounds` takes them, given each round's
+    """Rounds as `write_matrices` takes them, given each round's
     settings text and outcome row: the texts after a comma, and the
     outcome codes (0 for +1, 1 for -1, 2 for 0), each in a uint8 matrix
     whose rows are padded with 0 bytes to whole 4-byte words."""

@@ -3,6 +3,7 @@
 import contextlib
 import csv
 import dataclasses
+import errno
 import hashlib
 import io
 import json
@@ -694,6 +695,31 @@ class TestSample:
             f"error: cannot write round record {fifo}: not a regular file"
         ]
         assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+
+    def test_round_record_failing_mid_stream_leaves_nothing(
+        self, out_dir, tmp_path, monkeypatch, capsys
+    ):
+        # the disk fills on the second chunk's write, after the header and
+        # the first chunk went to the temp file
+        class FullDisk(io.BufferedWriter):
+            def write(self, data):
+                if bytes(data).startswith(b"7,"):
+                    assert [p.suffix for p in tmp_path.iterdir()] == [".tmp"]
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                return super().write(data)
+
+        def fdopen(fd, mode, **kwargs):
+            return io.TextIOWrapper(FullDisk(io.FileIO(fd, mode)), **kwargs)
+
+        monkeypatch.setattr(sampling, "_RECORD_CHUNK", 7)
+        monkeypatch.setattr(os, "fdopen", fdopen)
+        record = tmp_path / "rounds.csv"
+        argv = ["sample", "chsh", "--rounds", "20", "--rounds-csv", str(record)]
+        assert main(argv) == EXIT_IO
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: cannot write round record {record}: No space left on device"
+        ]
+        assert list(tmp_path.iterdir()) == []
 
     def test_report_onto_a_fifo_exits_io(self, out_dir, capsys):
         fifo = out_dir / "chsh-sample.json"

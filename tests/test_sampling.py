@@ -37,6 +37,7 @@ from conftest import (
 )
 from netbell import bell, observables, sampling, scenarios
 from netbell.pauli import PauliString
+from netbell.reports import atomic_write
 from netbell.sampling import RunConfig, run
 from oracles import (
     as_record,
@@ -54,6 +55,7 @@ from oracles import (
     random_layouts,
     sample_rounds,
     tilted_layouts,
+    write_matrices,
     write_rounds,
 )
 
@@ -917,7 +919,7 @@ class TestRoundRecord:
         with tempfile.TemporaryDirectory() as work:
             ours, theirs = Path(work, "ours.csv"), Path(work, "theirs.csv")
             with mock.patch.object(sampling, "_RECORD_CHUNK", chunk):
-                sampling._write_rounds(ours, header, *as_record(header, settings, rows))
+                write_matrices(ours, header, *as_record(header, settings, rows))
             write_rounds(theirs, header, settings, rows)
             assert ours.read_bytes() == theirs.read_bytes()
 
@@ -932,7 +934,7 @@ class TestRoundRecord:
         header = ["round", "settings", "a1", "b1", "p1"]
         ours, theirs = tmp_path / "ours.csv", tmp_path / "theirs.csv"
         with mock.patch.object(sampling, "_RECORD_CHUNK", chunk):
-            sampling._write_rounds(ours, header, *as_record(header, settings, rows))
+            write_matrices(ours, header, *as_record(header, settings, rows))
         write_rounds(theirs, header, settings, rows)
         assert ours.read_bytes() == theirs.read_bytes()
 
@@ -947,7 +949,7 @@ class TestRoundRecord:
             settings, _ = as_record(header, ["0|1"] * rounds, np.ones((rounds, 3), dtype=np.int8))
             text = f"shape {shape} does not match {rounds} rounds and header width 3"
             with pytest.raises(RuntimeError, match=text):
-                sampling._write_rounds(tmp_path / "r.csv", header, settings, cells)
+                write_matrices(tmp_path / "r.csv", header, settings, cells)
         assert list(tmp_path.iterdir()) == []
 
     def test_record_does_not_change_estimates(self, tmp_path):
@@ -962,6 +964,21 @@ class TestRoundRecord:
             record_path=tmp_path / "rounds.csv",
         )
         assert bare == recorded
+
+    def test_frame_refusal_opens_no_record(self, tmp_path, monkeypatch):
+        # every frame and table is built before the record is opened
+        synthesis, thetas = builtin_scenario_synthesis("chsh")
+        source = synthesis.sources[0]
+        tampered = replace(source, s_piece=source.s_piece * PauliString("IX"))
+        synthesis = replace(synthesis, sources=(tampered,) + synthesis.sources[1:])
+        opened = []
+        monkeypatch.setattr(
+            sampling, "atomic_write", lambda *args: opened.append(args) or atomic_write(*args)
+        )
+        with pytest.raises(observables.CrossCheckError, match="qubit 1 would be measured"):
+            run(synthesis, thetas, RunConfig(rounds=50, seed=1), record_path=tmp_path / "r.csv")
+        assert opened == []
+        assert list(tmp_path.iterdir()) == []
 
 
 # The refusal texts of S tampered with each letter on each qubit of its
@@ -1140,5 +1157,22 @@ class TestChunkedPass:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
+        assert max(peaks) < 2 * 2**20, peaks
+        assert abs(peaks[1] - peaks[0]) < 2**19, peaks
+
+    def test_record_memory_does_not_grow_with_the_rounds(self, tmp_path):
+        # each chunk's lines of the record are written as it is drawn
+        synthesis, thetas = builtin_scenario_synthesis("example-a")
+        path = tmp_path / "rounds.csv"
+        run(synthesis, thetas, RunConfig(rounds=1000, seed=1), record_path=path)
+        peaks = []
+        for rounds in (100_000, 2_000_000):
+            tracemalloc.start()
+            try:
+                run(synthesis, thetas, RunConfig(rounds=rounds, seed=1), record_path=path)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            path.unlink()
         assert max(peaks) < 2 * 2**20, peaks
         assert abs(peaks[1] - peaks[0]) < 2**19, peaks
