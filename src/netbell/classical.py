@@ -9,12 +9,12 @@ in {-1, 0, +1}: a source agent gives (a0 + a1) / 2 to I and
 (a0 - a1) / 2 to J, so I is nonzero only when every source agent has
 a0 = a1 and J only when every one has a0 != a1.  The objective is
 therefore at most 1 (or 1 + beta tilted), and the all-(+1) tables under
-label 0 reach it.  A stochastic pass then probes mixed label
-distributions with random restarts and hill climbing: its draws come
-first, in five bulk calls, then all restarts climb at once, each
-candidate scored in a few numpy calls.  A flip re-signs only the labels
-that read its entry and sums on, left to right in grid order, from the
-running sum before the first of them: every score is the float of a
+label 0 reach it.  A stochastic pass then probes mixed label distributions
+with random restarts and hill climbing: its draws come first, in five
+bulk calls, then all restarts climb at once, each candidate staged in
+reused buffers and scored in a few numpy calls.  A flip re-signs only the
+labels that read its entry and sums on, left to right in grid order, from
+the running sum before the first of them: every score is the float of a
 whole-grid sum.
 The pass is falsification pressure for the analytic bound, not a search
 for new physics: the objective must never come out above the
@@ -240,10 +240,11 @@ class _Climb:
     (I, J, and P when tilted) and grid label it keeps the sign as a float
     and the running sums of weight * sign from +0.0 in grid order (each
     weight built source by source as math.prod multiplies), whose last
-    row is the parts' totals; state stacks their powers (math.pow, the C
-    pow of float **) and the objective.  flip() and weigh() score a
-    candidate in every restart, with one np.add.accumulate and one power
-    pass; settle() keeps it where asked.
+    row is the parts' totals; state stacks their powers (np.float_power,
+    the C pow of math.pow; np.power may take a SIMD pow that rounds
+    otherwise) and the objective.  flip() and weigh() stage a candidate in
+    every restart in buffers made once, with one np.add.accumulate and one
+    power call; settle() keeps it where asked.
     """
 
     def __init__(self, shape, alphabet, beta, tables, weights):
@@ -284,6 +285,8 @@ class _Climb:
         self.label_weights = np.zeros((len(grid), restarts))
         self.state = np.zeros((len(self.signs) + 1, restarts))
         self.totals, self.value = self.sums[:, -1], self.state[-1]
+        # every candidate is staged in these; the sums' first row stays +0.0
+        self._next = [np.zeros_like(a) for a in (self.signs, self.sums, self.state)]
         self.weigh(weights)
         self.settle(np.ones(restarts, dtype=bool))
 
@@ -295,11 +298,11 @@ class _Climb:
     def _score(self, parts, totals, row, *staged):
         """Stage a candidate whose parts total these, the row a flip negated
         (None for weights) and the (array, candidate) pairs to keep; its objectives."""
-        state = self.state.copy()
+        state = self._next[2]
+        state[...] = self.state
         powered = np.abs(totals, out=state[parts])
         if self._shape.k > 1:  # x ** 1.0 is exactly x
-            root = itertools.repeat(1.0 / self._shape.k)
-            powered.flat = list(map(math.pow, powered.ravel().tolist(), root))
+            np.float_power(powered, 1.0 / self._shape.k, out=powered)
         value = np.add(state[0], state[1], out=state[-1])
         if self._beta is not None:
             np.add(self._beta * state[2], value, out=value)
@@ -313,7 +316,8 @@ class _Climb:
         parts, first, after, pairs = self._flips[entry]
         row = self.tables[entry]
         np.negative(row, out=row)
-        signs, sums = self.signs[parts, first:].copy(), self.sums[parts, first:].copy()
+        signs, sums = self._next[0][parts, first:], self._next[1][parts, first:]
+        signs[...], sums[:, 0] = self.signs[parts, first:], self.sums[parts, first]
         if pairs is None:
             signs[:, after] = 0.0 - signs[:, after]  # a 0 sign stays 0.0, not -0.0
         else:
@@ -327,7 +331,7 @@ class _Climb:
         """Score new (source, label value, restart) weights; the candidate objectives."""
         picked = weights.reshape(-1, weights.shape[-1])[self._picks]
         label_weights = functools.reduce(np.multiply, picked)
-        sums = self.sums.copy()  # its first row stays +0.0
+        sums = self._next[1]
         np.multiply(label_weights, self.signs, out=sums[:, 1:])
         np.add.accumulate(sums, 1, out=sums)
         staged = (self.weights, weights), (self.label_weights, label_weights), (self.sums, sums)
@@ -352,13 +356,6 @@ class _Climb:
         p_tables = None if self._beta is None else list(rows)
         weights = [self.weights[i, :size, r].tolist() for i, size in enumerate(self._alphabet)]
         return HiddenStrategy(self._shape, self._alphabet, weights, a_tables, b_tables, p_tables)
-
-
-def _left_sum(values, axis=-1):
-    """values added left to right along an axis in plain float arithmetic:
-    the builtin sum of Python 3.11 and earlier, which 3.12 replaced by a
-    compensated sum that can round differently (np.sum adds pairwise)."""
-    return np.add.accumulate(values, axis).take(-1, axis)
 
 
 def _refine(shape, alphabet, beta, value, rng, draws, steps):
@@ -406,12 +403,15 @@ def _refine(shape, alphabet, beta, value, rng, draws, steps):
     # and where in the weights the walked source's weights sit
     values = np.arange(max(alphabet))[:, None]
     pulls = np.where(values == vertices[:, None], etas[:, None], 0.0)
-    offsets = values * draws + np.arange(draws)
-    for source, stay, pull in zip(sources * (len(values) * draws), 1 - etas, pulls):
-        site = source + offsets
-        mixed = stay * climb.weights.take(site) + pull
-        candidate = climb.weights.copy()
-        candidate.put(site, mixed / _left_sum(mixed, axis=0))
+    sites = (sources * (len(values) * draws))[:, None] + values * draws + np.arange(draws)
+    candidate, mixed = np.empty_like(climb.weights), np.empty(pulls.shape[1:])
+    for site, stay, pull in zip(sites, 1 - etas, pulls):
+        np.multiply(stay, climb.weights.take(site), out=mixed)
+        mixed += pull
+        # added left to right, as Python 3.11's sum (not 3.12's, nor np.sum's)
+        mixed /= np.add.accumulate(mixed, 0)[-1]
+        candidate[...] = climb.weights
+        candidate.put(site, mixed)
         climb.settle(climb.weigh(candidate) > climb.value)
 
     scores = climb.value.tolist()

@@ -132,7 +132,7 @@ def atomic_write(path, writer) -> None:
 
 
 def write_json(path, payload: dict) -> None:
-    atomic_write(path, lambda h: (json.dump(payload, h, indent=2), h.write("\n")))
+    atomic_write(path, lambda h: h.write(json.dumps(payload, indent=2) + "\n"))
 
 
 def write_csv(path, columns: list[str], rows: list[dict]) -> None:

@@ -369,19 +369,18 @@ class _Frames:
         outcome probabilities at x_k = 0 followed by those at x_k = 1 (the
         table normalizes them, which halves each exactly). reads[s][y] is
         string s's mask at y on that index, or None where it is not
-        collected. The frames are built y outermost, then by group, then
-        by x_k, so a basis refused at several receiver settings or groups
-        is reported at the first."""
+        collected. Every basis is checked first, y outermost, then by
+        group, so a basis refused at several receiver settings or groups is
+        reported at the first; then each group's frames are built, by y
+        then x_k, and each is dropped once its table has read it."""
         layout = self.synthesis.layout
         ys = list(itertools.product((0, 1), repeat=layout.M))
-        built = {
-            (k, y): np.concatenate([self.probabilities(k, xk, y) for xk in (0, 1)])
-            for y in ys
-            for k in layout.source_agents
-        }
+        for y in ys:
+            for k in layout.source_agents:
+                _basis(self.synthesis, k, y, self.mode)
         return [
             _table(
-                [built[k, y] for y in ys],
+                (np.concatenate([self.probabilities(k, xk, y) for xk in (0, 1)]) for y in ys),
                 [[0 if mask is None else mask.bits[k - 1] for mask in read] for read in reads],
             )
             for k in layout.source_agents
@@ -425,23 +424,24 @@ class _Table:
         return j
 
 
-def _table(frames: list[np.ndarray], reads: list[list[int]]) -> _Table:
-    """The guide table stacked over one group's frames, given by their
-    probabilities, and the parities of the strings read there: reads[s][f]
-    is string s's bits on the group in frame f.
+def _table(frames, reads: list[list[int]]) -> _Table:
+    """The guide table stacked over one group's frames, an iterable of
+    their probabilities read once, and the parities of the strings read
+    there: reads[s][f] is string s's bits on the group in frame f.
 
     The edges are 0 followed by the normalized cumulative sums, as
     Generator.choice forms them. The buckets are the smallest power of two
     at least four times the most bins of a frame, so few buckets hold an
     edge inside them and steps is at most 2 on every builtin.
     """
-    cuts = []
-    for probabilities in frames:
+    def cut(probabilities):  # a frame's bins, holding no frame past its return
         edges = np.zeros(probabilities.size + 1)
         cdf = np.cumsum(probabilities, out=edges[1:])
         cdf /= cdf[-1]
         index = np.flatnonzero(edges[:-1] < edges[1:])
-        cuts.append((index, edges[index], edges[index + 1]))
+        return index, edges[index], edges[index + 1]
+
+    cuts = list(map(cut, frames))
     buckets = 1 << (4 * max(index.size for index, _, _ in cuts) - 1).bit_length()
     bounds = np.arange(buckets + 1) / buckets
     starts, ends, offset = [], [], 0

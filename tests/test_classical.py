@@ -376,6 +376,50 @@ class TestGridScorer:
         assert climb.strategy(0) == strategy
 
 
+class TestRoot:
+    """The scorer's K-th roots are libm's pow, the one math.pow calls, bit
+    for bit: np.float_power's float64 loop.  A numpy that sends it to a
+    SIMD pow, as np.power can be, fails here by name, not only in the pins."""
+
+    def test_float_power_is_math_pow(self):
+        rng = np.random.default_rng(17)
+        tiny = np.finfo(float).smallest_subnormal
+        values = np.concatenate(
+            (rng.uniform(0.0, 2.0, 20000), [0.0, 1.0, tiny, 3 * tiny, 2.0**-1030, 2.0**-1022])
+        )
+        for k in range(2, 13):
+            got = np.float_power(values, 1.0 / k)
+            want = [math.pow(v, 1.0 / k) for v in values.tolist()]
+            assert got.tolist() == want, f"k = {k}"
+
+    @pytest.mark.parametrize("beta", [None, 0.7], ids=["untilted", "tilted"])
+    @pytest.mark.parametrize("shape", [STAR3, STAR5, STAR7], ids=["star3", "star5", "star7"])
+    def test_scorer_roots_are_math_pow_of_its_totals(self, shape, beta):
+        rng = np.random.default_rng(23)
+        sizes = classical._normalize_alphabet(shape, 2)
+        drawn = classical._draw_restarts(shape, sizes, beta is not None, rng, 6, 0)
+        climb = classical._Climb(shape, sizes, beta, drawn[0].T.copy(), drawn[1][..., :5])
+
+        def assert_roots(state, totals):
+            want = [[math.pow(abs(t), 1.0 / shape.k) for t in row] for row in totals.tolist()]
+            assert state.tolist() == want
+
+        parts = slice(0, len(climb.totals))
+        assert_roots(climb.state[parts], climb.totals)
+        for step in range(30):
+            if step % 3:
+                entry = int(rng.integers(len(climb.tables)))
+                climb.flip(entry)
+                flipped = climb._flips[entry][0]  # the parts the candidate re-sums
+            else:
+                climb.weigh(rng.dirichlet(np.ones(2), size=(shape.n, 5)).transpose(0, 2, 1))
+                flipped = parts
+            staged = climb._pending[1][-1][1]  # the candidate's state, before settle
+            assert_roots(staged[flipped], climb._next[1][flipped, -1])
+            climb.settle(rng.integers(2, size=5).astype(bool))
+            assert_roots(climb.state[parts], climb.totals)
+
+
 # (shape, alphabet, beta of its tilted run): single sources at alphabets 4
 # and 3, the bilocal network, one source agent serving two receivers, stars
 REFINE_CASES = [
@@ -790,11 +834,9 @@ class TestScan:
         assert report.stochastic_strategy.to_json() == strategy
 
     def test_weight_walk_renormalizes_left_to_right(self):
-        # the plain float fold, which Python 3.12's compensated sum
-        # would round to 1.0: the pins were walked with the fold
-        assert classical._left_sum([0.1] * 10) == 0.9999999999999999
-        assert classical._left_sum([1.0, 2.0**-53, 2.0**-53]) == 1.0
-        # a compensated renormalization walks this seed to other weights
+        # the walk divides by the plain float fold of Python 3.11's sum,
+        # which the pins were walked with; a compensated renormalization
+        # (3.12's sum, math.fsum) walks this seed to other weights
         report = max_deterministic(SINGLE, (3,), seed=0)
         assert report.stochastic_strategy.weights == (
             (0.3794852371420029, 0.5421185165346941, 0.07839624632330314),
