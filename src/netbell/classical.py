@@ -285,7 +285,7 @@ class _Climb:
         self.label_weights = np.zeros((len(grid), restarts))
         self.state = np.zeros((len(self.signs) + 1, restarts))
         self.totals, self.value = self.sums[:, -1], self.state[-1]
-        # every candidate is staged in these; the sums' first row stays +0.0
+        # each candidate's signs, sums and state are staged in these (sums' row 0 stays +0.0)
         self._next = [np.zeros_like(a) for a in (self.signs, self.sums, self.state)]
         self.weigh(weights)
         self.settle(np.ones(restarts, dtype=bool))
