@@ -10,8 +10,8 @@ synthesized observables do not implement the selected operators, so it
 raises instead of reporting a number.
 
 Every expectation comes from `codes.SourceState.expectation`, which builds
-no statevector (no group meets the cap) and reduces each operator once per
-distinct codeword and command; the dense statevector route is its oracle.
+no amplitude array (no group meets the cap) and reduces each operator once
+per distinct codeword and command; the tests' oracle is `states`' arrays.
 """
 
 from __future__ import annotations

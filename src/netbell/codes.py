@@ -1,14 +1,14 @@
 """Stabilizer codes: validation, codeword expectations, built-in definitions.
 
-Codes are used as state factories and operator suppliers. A code is an
+Codes supply codewords and their operators. A code is an
 [[n, k, d]] generator set plus logical bit-flip/phase-flip pairs; the
 library ships the two-qubit detection code, the five-qubit code, and
 GHZ chains (plain and split at a chosen cut).
 
 A codeword is kept as its 2^k logical amplitudes, and a layout keeps one
 per distinct codeword: each exact expectation is reduced once from the
-stabilizing and logical operators (`SourceState.expectation`), and only
-the sampler's frames build its statevector (`SourceState.state`), the tests' oracle.
+stabilizing and logical operators (`SourceState.expectation`); only
+`states` builds its amplitudes, for the sampler's frames and the tests.
 """
 
 from __future__ import annotations
@@ -23,9 +23,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from netbell.pauli import PauliString
-from netbell.states import NORM_TOL, StateVector, apply_pauli
-
-EXPECTATION_TOL = 1e-9
+from netbell.states import NORM_TOL
 
 
 @dataclass(frozen=True)
@@ -119,8 +117,9 @@ class SourceState:
         with Zbar_i (Xbar_i), exactly when p (Xbar^a Zbar^b)^-1 reduces to c
         times identity letters; else p anticommutes with a generator and
         <p> = 0. S fixes the codeword, Zbar fixes |0-bar> and |z-bar> =
-        Xbar^z |0-bar> (see _logical_basis), so <p> = c sum_z conj(a_(z^a))
-        a_z (-1)^|b & z|, summed exactly in integers, rounded once, memoized."""
+        Xbar^z |0-bar> (see states._logical_basis), so <p> = c sum_z
+        conj(a_(z^a)) a_z (-1)^|b & z|, summed exactly in integers, rounded
+        once, memoized."""
         if p in self._memo:
             return self._memo[p]
         code = self.code
@@ -152,22 +151,16 @@ class SourceState:
         ints = [n * (den // d) for n, d in ratios]
         return ints[0::2], ints[1::2], den * den
 
-    @cached_property
-    def state(self) -> StateVector:
-        """The codeword's statevector, checked against every generator; past
-        the qubit cap it raises before allocating."""
-        basis = _logical_basis(self.code)
-        total = np.zeros(1 << self.code.n, dtype=complex)
-        for a_z, vec in zip(self.amplitudes, basis):
-            total += a_z * vec.amplitudes
-        state = StateVector(total)
-        for g in self.code.generators:
-            value = state.expectation(g)
-            if not abs(value - 1.0) < EXPECTATION_TOL:
-                raise RuntimeError(
-                    f"generator {g} has expectation {value!r} on synthesized codeword"
-                )
-        return state
+
+def codeword(code: StabilizerCode, amplitudes: Sequence[complex]) -> SourceState:
+    """sum_z a_z |z-bar> on the code's logical basis, normalized within
+    NORM_TOL."""
+    amps = np.asarray(list(amplitudes), dtype=complex)
+    if amps.shape != (1 << code.k,):
+        raise ValueError(f"need {1 << code.k} logical amplitudes, got {amps.shape}")
+    if not abs(float(np.linalg.norm(amps)) - 1.0) <= NORM_TOL:
+        raise ValueError("logical amplitudes must be normalized")
+    return SourceState(code=code, amplitudes=tuple(amps.tolist()))
 
 
 # ----------------------------------------------------------------------
@@ -267,62 +260,6 @@ def validate(code: StabilizerCode) -> ValidationReport:
     )
     overlap = "k>1 code: real logical-basis overlap condition is not enforced"
     return ValidationReport(tuple(checks), (overlap,) if code.k > 1 else ())
-
-
-# ----------------------------------------------------------------------
-# codeword synthesis
-
-
-def _project_stabilized(fiducial: StateVector, ops: Sequence[PauliString]) -> np.ndarray:
-    """Apply prod (I+g)/2 for all ops; returns raw (possibly zero) amplitudes."""
-    amps = fiducial.amplitudes
-    for g in ops:
-        amps = 0.5 * (amps + apply_pauli(amps, g))
-    return amps
-
-
-@functools.lru_cache(maxsize=32)
-def _logical_basis(code: StabilizerCode) -> tuple[StateVector, ...]:
-    """The code's logical basis states |z-bar>, searched once per code.
-
-    The logical zero is the fiducial basis state projected through all
-    (I+g)/2 and (I+Zbar_a)/2, with its global phase fixed by making the
-    first nonzero amplitude real positive. The other logical basis states
-    are bit-flip products |z-bar> = prod Xbar_a^{z_a} |0-bar> taken
-    literally, signs included, so logical expectations follow the chosen
-    bit-flip operators exactly.
-    """
-    projectors = list(code.generators) + list(code.logical_z)
-    zero = None
-    for fiducial_index in range(1 << code.n):
-        raw = _project_stabilized(StateVector.basis(code.n, fiducial_index), projectors)
-        if float(np.linalg.norm(raw)) > 1e-6:
-            zero = StateVector.from_unnormalized(raw).with_canonical_phase()
-            break
-    if zero is None:
-        raise ValueError(
-            f"projection annihilated every computational fiducial for code {code.name}"
-        )
-
-    basis: list[StateVector] = []
-    for label in range(1 << code.k):
-        vec = zero
-        for a in range(code.k):
-            if (label >> (code.k - 1 - a)) & 1:
-                vec = vec.apply(code.logical_x[a])
-        basis.append(vec)
-    return tuple(basis)
-
-
-def codeword(code: StabilizerCode, amplitudes: Sequence[complex]) -> SourceState:
-    """sum_z a_z |z-bar> on the code's logical basis, normalized within the
-    statevector's NORM_TOL; its statevector is built on first use."""
-    amps = np.asarray(list(amplitudes), dtype=complex)
-    if amps.shape != (1 << code.k,):
-        raise ValueError(f"need {1 << code.k} logical amplitudes, got {amps.shape}")
-    if not abs(float(np.linalg.norm(amps)) - 1.0) <= NORM_TOL:
-        raise ValueError("logical amplitudes must be normalized")
-    return SourceState(code=code, amplitudes=tuple(amps.tolist()))
 
 
 # ----------------------------------------------------------------------

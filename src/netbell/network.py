@@ -9,8 +9,8 @@ Source agent k holds sources partition[k-1]+1 .. partition[k] (a block of
 consecutive source ids); its qubits from those sources are the ones assigned
 to it, and every other qubit goes to some receiver. Those sources form k's
 group: `place` gives a qubit's group and its position there, in the order
-the group's state lists its qubits. Sources of one code and amplitude repr
-(== merges -0.0, 0.0) share a `SourceState`, reduced once per command.
+`states.group_state` lists its qubits. Sources of one code and amplitude
+repr (== merges -0.0, 0.0) share a `SourceState`, reduced once per command.
 
 A set of a source's qubits is a mask, qubit j of source i at bit n_i - j as
 in its g and h: `held` gives an agent's masks, `group_shift` moves one into
@@ -27,7 +27,6 @@ from functools import cached_property
 
 from netbell.codes import CheckResult, SourceState, ValidationReport
 from netbell.pauli import PauliString
-from netbell.states import StateVector, tensor
 
 STABILIZER_TOL = 1e-9
 
@@ -172,15 +171,6 @@ class NetworkLayout:
     def group_sources(self, k: int) -> tuple[SourceState, ...]:
         """Source agent k's group of sources, in group order."""
         return self.sources[self.partition[k - 1] : self.partition[k]]
-
-    @cached_property
-    def group_states(self) -> tuple[StateVector, ...]:
-        """Per source agent, the tensor product of its group's source states,
-        which only the sampler's frames build; the joint state is never
-        built, so the statevector cap bounds one group, for sample only."""
-        return tuple(
-            tensor(src.state for src in self.group_sources(k)) for k in self.source_agents
-        )
 
 
 @dataclass(frozen=True)

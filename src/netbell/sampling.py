@@ -8,7 +8,8 @@ round is a product over the groups. Each group's factor is built on the
 group's own state (the joint state of the network is never formed, and
 the statevector cap bounds one group), once per source setting and
 receiver settings, by rotating the commuting observables into one shared
-computational-basis frame:
+computational-basis frame (in `states`; a group's state and its
+rotations live only while its frames are built):
 
 * a source agent's two-outcome observable cos(theta) S + (-1)^x sin(theta) T
   equals V S V^dag with V = exp(-(-1)^x (theta/2) ST), so applying V^dag
@@ -21,8 +22,9 @@ Every observable arrives as pieces on the groups (see observables), so a
 group's frame reads only the pieces on that group. Its measured basis is
 the OR of the x and z bit masks of the pieces it measures (_basis), and
 each qubit whose x bit is set is rotated, in ascending order, by H where
-its z bit is clear and by H S^dag where it is set; tests/oracles.py works
-the same letters out one qubit at a time from the agents' local strings.
+its z bit is clear and by H S^dag where it is set
+(`states.basis_probabilities`); tests/oracles.py works the same letters
+out one qubit at a time from the agents' local strings.
 A measured string's mask is its pieces' bits, one mask per group. The
 squared amplitudes of the rotated group state are the exact outcome
 distribution of the group.
@@ -84,7 +86,7 @@ from .network import NetworkLayout
 from .observables import CrossCheckError, Synthesis
 from .pauli import _LETTER_OF_BITS
 from .reports import atomic_write
-from .states import _parity, apply_pauli, make_rng
+from .states import _parity, basis_probabilities, group_state, make_rng, setting_rotations
 
 MODES = ("direct-observable", "per-qubit-discard")
 
@@ -112,12 +114,6 @@ _LEADING = np.frombuffer(bytes.fromhex("00000000 000000ff 0000ffff 00ffffff ffff
 _OUTCOME = np.zeros(256, dtype=np.uint32)
 _OUTCOME[[0, 1, 2]] = np.frombuffer(b",1\0\0,-1\0,0\0\0", dtype=np.uint32)
 _EOL = np.frombuffer(b"\r\n\0\0", dtype=np.uint32)
-
-_H = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
-_S_DAG = np.array([[1.0, 0.0], [0.0, -1.0j]], dtype=complex)
-# The rotation onto Z of a measured qubit's letter, indexed by its z bit when
-# its x bit is set: H for X, H S^dag for Y. A Z letter needs none.
-_ROTATION = (_H, _H @ _S_DAG)
 
 
 @dataclass(frozen=True)
@@ -237,13 +233,6 @@ def _string_mask(layout: NetworkLayout, pieces) -> _Mask:
     return _Mask(bits=tuple(bits), sign=1 - exponent % 4)
 
 
-def _apply_one_qubit(amps: np.ndarray, n: int, q: int, gate: np.ndarray) -> np.ndarray:
-    # Qubit q is bit (n-1-q) of the basis index, so axis sizes split at q.
-    left = 1 << q
-    right = 1 << (n - 1 - q)
-    return np.einsum("ab,ibj->iaj", gate, amps.reshape(left, 2, right)).reshape(-1)
-
-
 def _basis(synthesis: Synthesis, k: int, y: tuple[int, ...], mode: str) -> tuple[int, int]:
     """The x and z masks of the basis that group k is measured in when the
     receivers hold settings y: the OR of the pieces measured there. The
@@ -297,14 +286,14 @@ def _product(masks) -> _Mask:
 
 
 class _Frames:
-    """Each group's outcome distribution in its measurement frame, and the
-    masks that read every agent's outcome off the groups' indices.
+    """Each group's outcome distributions in its measurement frames, and
+    the masks that read every agent's outcome off the groups' indices.
 
     The distribution of group k depends only on its source agent's setting
-    and on the receivers' settings y, so each is built once per
-    (k, x_k, y). S T is applied to the group's state once, and the state
-    rotated by the source agent's setting once per (k, x_k), shared by
-    every y.
+    x_k and on the receivers' settings y, so each group's frames are built
+    together (group_frames): the group's state and its two source-setting
+    rotations once, then one frame per y, all dropped before the next
+    group's; only the run's distinct codewords are kept from group to group.
     """
 
     def __init__(self, synthesis: Synthesis, thetas: tuple[float, ...], mode: str):
@@ -315,6 +304,13 @@ class _Frames:
             raise ValueError(f"expected one observable per source agent 1..{layout.K}")
         self.synthesis, self.thetas, self.mode = synthesis, thetas, mode
         self.owners = [owner[k] for k in layout.source_agents]
+        self.ys = list(itertools.product((0, 1), repeat=layout.M))
+        # Every basis is checked before any frame is built, y outermost,
+        # then by group, so a basis refused at several receiver settings or
+        # groups is reported at the first.
+        for y in self.ys:
+            for k in layout.source_agents:
+                _basis(synthesis, k, y, mode)
         self.source_masks = [
             _string_mask(layout, [(obs.agent, obs.s_piece)]) for obs in synthesis.sources
         ]
@@ -327,64 +323,48 @@ class _Frames:
             _string_mask(layout, enumerate(block.p_part_pieces, start=1))
             for block in tilt.receivers
         ]
-        self._rotated: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        # The only statevectors any command builds: past the cap this
-        # raises before a frame is allocated.
-        self.states = layout.group_states
 
     def receiver_masks(self, y: tuple[int, ...]) -> list[_Mask]:
         return [masks[ym] for masks, ym in zip(self._receiver_masks, y)]
 
-    def probabilities(self, k: int, xk: int, y: tuple[int, ...]) -> np.ndarray:
-        """Group k's outcome probabilities, with its source agent on
-        setting xk and the receivers on y, over the group's basis index."""
-        if k not in self._rotated:
-            # Rotate cos(theta) S +/- sin(theta) T onto S, inside the group.
-            obs = self.synthesis.sources[self.owners[k - 1]]
-            half = self.thetas[self.owners[k - 1]] / 2.0
-            amps = self.states[k - 1].amplitudes
-            turned = apply_pauli(amps, obs.s_piece * obs.t_piece)
-            self._rotated[k] = tuple(
-                math.cos(half) * amps + sign * math.sin(half) * turned for sign in (1.0, -1.0)
-            )
-        amps = self._rotated[k][xk]
-
-        width = self.synthesis.layout.group_widths[k - 1]
-        x, z = _basis(self.synthesis, k, y, self.mode)
-        for q in range(width):
-            s = width - 1 - q
-            if x >> s & 1:
-                amps = _apply_one_qubit(amps, width, q, _ROTATION[z >> s & 1])
-
-        probabilities = np.abs(amps) ** 2
-        total = probabilities.sum()
-        if not abs(total - 1.0) < PROB_TOL:
-            raise CrossCheckError(f"group {k} frame probabilities sum to {total!r}")
-        return probabilities / total
+    def group_frames(self, k: int, codewords: dict):
+        """Group k's joint frames, one per receiver setting y in product
+        order, each built as it is read: over the index (x_k, outcome), x_k
+        the bit above the group's qubits, the outcome probabilities at
+        x_k = 0 followed by those at x_k = 1, each half summing to 1. The
+        group's state takes its sources' codewords from codewords (see
+        states.group_state); only its two rotations are kept past them."""
+        pos = self.owners[k - 1]
+        obs = self.synthesis.sources[pos]
+        state = group_state(self.synthesis.layout.group_sources(k), codewords)
+        rotated = setting_rotations(state, obs.s_piece * obs.t_piece, self.thetas[pos])
+        del state
+        for y in self.ys:
+            x, z = _basis(self.synthesis, k, y, self.mode)
+            yield np.concatenate([_normalized(basis_probabilities(a, x, z), k) for a in rotated])
 
     def tables(self, reads) -> list[_Table]:
-        """Per group, in group order, its guide table stacked over one
-        joint frame per receiver setting y, in product order: the index
-        (x_k, outcome), x_k the bit above the group's qubits, with the
-        outcome probabilities at x_k = 0 followed by those at x_k = 1 (the
-        table normalizes them, which halves each exactly). reads[s][y] is
-        string s's mask at y on that index, or None where it is not
-        collected. Every basis is checked first, y outermost, then by
-        group, so a basis refused at several receiver settings or groups is
-        reported at the first; then each group's frames are built, by y
-        then x_k, and each is dropped once its table has read it."""
-        layout = self.synthesis.layout
-        ys = list(itertools.product((0, 1), repeat=layout.M))
-        for y in ys:
-            for k in layout.source_agents:
-                _basis(self.synthesis, k, y, self.mode)
+        """Per group, in group order, its guide table stacked over its
+        joint frames (see group_frames; the table normalizes them, which
+        halves each exactly). reads[s][y] is string s's mask at y on that
+        index, or None where it is not collected. Each group's frames are
+        built as its table reads them, and each distinct codeword once."""
+        codewords: dict = {}
         return [
             _table(
-                (np.concatenate([self.probabilities(k, xk, y) for xk in (0, 1)]) for y in ys),
+                self.group_frames(k, codewords),
                 [[0 if mask is None else mask.bits[k - 1] for mask in read] for read in reads],
             )
-            for k in layout.source_agents
+            for k in self.synthesis.layout.source_agents
         ]
+
+
+def _normalized(probabilities: np.ndarray, k: int) -> np.ndarray:
+    """Group k's outcome probabilities over their sum, which must be 1."""
+    total = probabilities.sum()
+    if not abs(total - 1.0) < PROB_TOL:
+        raise CrossCheckError(f"group {k} frame probabilities sum to {total!r}")
+    return probabilities / total
 
 
 @dataclass(frozen=True)
@@ -566,7 +546,7 @@ def run(
     # where it is not collected): the product of all outcomes, with every
     # x bit at y = 1...1, the phase-flip product when tilted, then the
     # record's columns.
-    ys = list(itertools.product((0, 1), repeat=m))
+    ys = frames.ys
     tilted = [tilt is not None and not any(y) for y in ys]
     x_bits = [_Mask(bits=tuple(1 << width for width in layout.group_widths), sign=1)]
     reads = [[

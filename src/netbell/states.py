@@ -1,24 +1,35 @@
-"""Dense statevector engine: Pauli application and expectations. Of the
-commands only `sample` builds statevectors, for its frames; the tests
-keep them as the oracle of the exact engine in `codes`.
-
-States are immutable complex128 vectors over the computational basis.
-Qubit 0 is the most significant bit of the basis label, matching the
-letter order of PauliString.
+"""Dense amplitude arrays, the only ones the package builds: plain
+complex128 numpy arrays over the computational basis, qubit 0 the most
+significant bit of the index, as in PauliString's letter order. Only
+`sample` needs them, for its frames: a source's codeword, a group's
+Kronecker product of codewords, their rotations into a measured basis and
+the squared amplitudes there. The exact engine reads each source from its
+stabilizing and logical operators (`codes.SourceState.expectation`) and
+builds none; the tests keep these arrays as its oracle.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import Iterable, Sequence
+import math
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from netbell.pauli import PauliString
 
+if TYPE_CHECKING:
+    from netbell.codes import SourceState, StabilizerCode
+
 STATE_QUBIT_CAP = 20
 NORM_TOL = 1e-12
-IMAG_TOL = 1e-10
+EXPECTATION_TOL = 1e-9
+
+_H = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
+_S_DAG = np.array([[1.0, 0.0], [0.0, -1.0j]], dtype=complex)
+# The rotation onto Z of a measured qubit's letter, indexed by its z bit when
+# its x bit is set: H for X, H S^dag for Y. A Z letter needs none.
+_ROTATION = (_H, _H @ _S_DAG)
 
 
 def make_rng(seed: int | None) -> np.random.Generator:
@@ -36,99 +47,10 @@ def _parity(values: np.ndarray) -> np.ndarray:
     return v & 1
 
 
-class StateVector:
-    """Normalized pure state on n qubits."""
-
-    __slots__ = ("_amps", "_n")
-
-    def __init__(self, amplitudes: np.ndarray | Sequence[complex]):
-        amps = np.asarray(amplitudes, dtype=complex)
-        if amps.ndim != 1 or amps.shape[0] < 2 or (amps.shape[0] & (amps.shape[0] - 1)):
-            raise ValueError(f"amplitude count {amps.shape} is not a power of two >= 2")
-        n = int(amps.shape[0]).bit_length() - 1
-        if n > STATE_QUBIT_CAP:
-            raise ValueError(f"{n} qubits exceeds the cap of {STATE_QUBIT_CAP}")
-        norm = float(np.linalg.norm(amps))
-        if not abs(norm - 1.0) <= NORM_TOL:
-            raise ValueError(f"state norm {norm!r} is not 1 within {NORM_TOL}")
-        amps = amps.copy()
-        amps.setflags(write=False)
-        self._amps = amps
-        self._n = n
-
-    # ------------------------------------------------------------------
-    # constructors
-
-    @classmethod
-    def from_unnormalized(cls, amplitudes: np.ndarray | Sequence[complex]) -> "StateVector":
-        amps = np.asarray(amplitudes, dtype=complex)
-        norm = float(np.linalg.norm(amps))
-        if norm < NORM_TOL:
-            raise ValueError("cannot normalize a (near-)zero vector")
-        return cls(amps / norm)
-
-    @classmethod
-    def basis(cls, n: int, label: int | str | Sequence[int]) -> "StateVector":
-        """Computational basis state; label as index, bit string, or bit list.
-        The qubit cap is checked before the 2^n amplitudes are allocated."""
-        if n > STATE_QUBIT_CAP:
-            raise ValueError(f"{n} qubits exceeds the cap of {STATE_QUBIT_CAP}")
-        if isinstance(label, str):
-            index = int(label, 2)
-        elif isinstance(label, int):
-            index = label
-        else:
-            index = 0
-            for bit in label:
-                index = (index << 1) | int(bit)
-        dim = 1 << n
-        if not 0 <= index < dim:
-            raise ValueError(f"basis label {label!r} out of range for {n} qubits")
-        amps = np.zeros(dim, dtype=complex)
-        amps[index] = 1.0
-        return cls(amps)
-
-    # ------------------------------------------------------------------
-    # accessors
-
-    @property
-    def n(self) -> int:
-        return self._n
-
-    @property
-    def amplitudes(self) -> np.ndarray:
-        """Read-only amplitude array."""
-        return self._amps
-
-    def inner(self, other: "StateVector") -> complex:
-        """<self|other>."""
-        if self._n != other._n:
-            raise ValueError("qubit count mismatch in inner product")
-        return complex(np.vdot(self._amps, other._amps))
-
-    def with_canonical_phase(self) -> "StateVector":
-        """Rotate the global phase so the first nonzero amplitude is real positive."""
-        for a in self._amps:
-            if abs(a) > NORM_TOL:
-                return StateVector(self._amps * (abs(a) / a))
-        raise ValueError("zero state has no canonical phase")
-
-    # ------------------------------------------------------------------
-    # operator action
-
-    def apply(self, p: PauliString) -> "StateVector":
-        """Exact action of a phased Pauli string, including its phase."""
-        return StateVector(apply_pauli(self._amps, p))
-
-    def expectation(self, p: PauliString) -> float:
-        """<psi|P|psi> for a hermitian string; the tiny imaginary residue is
-        checked below 1e-10 and discarded."""
-        if not p.is_hermitian():
-            raise ValueError(f"expectation of non-hermitian operator {p}")
-        value = self.inner(self.apply(p))
-        if not abs(value.imag) < IMAG_TOL:
-            raise RuntimeError(f"imaginary residue {value.imag!r} in expectation")
-        return float(value.real)
+def _check_cap(n: int) -> None:
+    """Refuse n qubits past the cap, before their 2^n amplitudes exist."""
+    if n > STATE_QUBIT_CAP:
+        raise ValueError(f"{n} qubits exceeds the cap of {STATE_QUBIT_CAP}")
 
 
 def apply_pauli(amps: np.ndarray, p: PauliString) -> np.ndarray:
@@ -148,13 +70,113 @@ def apply_pauli(amps: np.ndarray, p: PauliString) -> np.ndarray:
     return out
 
 
-def tensor(states: Iterable[StateVector]) -> StateVector:
-    """Kronecker product in global qubit order (first state owns qubit 0)."""
-    states = list(states)
-    if not states:
-        raise ValueError("tensor of no states")
-    total = sum(s.n for s in states)
-    if total > STATE_QUBIT_CAP:
-        raise ValueError(f"{total} qubits exceeds the cap of {STATE_QUBIT_CAP}")
-    amps = functools.reduce(np.kron, (s.amplitudes for s in states))
-    return StateVector(amps)
+# ----------------------------------------------------------------------
+# codewords and groups
+
+
+def _project_stabilized(amps: np.ndarray, ops: Sequence[PauliString]) -> np.ndarray:
+    """Apply prod (I+g)/2 for all ops; returns raw (possibly zero) amplitudes."""
+    for g in ops:
+        amps = 0.5 * (amps + apply_pauli(amps, g))
+    return amps
+
+
+@functools.lru_cache(maxsize=32)
+def _logical_basis(code: StabilizerCode) -> tuple[np.ndarray, ...]:
+    """The code's logical basis states |z-bar>, searched once per code and
+    shared, so read only.
+
+    The logical zero is the first computational basis state whose
+    projection through all (I+g)/2 and (I+Zbar_a)/2 survives, normalized,
+    with its global phase fixed by making its first nonzero amplitude real
+    positive. The other logical basis states are bit-flip products
+    |z-bar> = prod Xbar_a^{z_a} |0-bar> taken literally, signs included, so
+    logical expectations follow the chosen bit-flip operators exactly.
+    """
+    projectors = list(code.generators) + list(code.logical_z)
+    for fiducial_index in range(1 << code.n):
+        fiducial = np.zeros(1 << code.n, dtype=complex)
+        fiducial[fiducial_index] = 1.0
+        raw = _project_stabilized(fiducial, projectors)
+        norm = float(np.linalg.norm(raw))
+        if norm > 1e-6:
+            zero = raw / norm
+            first = zero[np.flatnonzero(np.abs(zero) > NORM_TOL)[0]]
+            zero = zero * (abs(first) / first)
+            break
+    else:
+        raise ValueError(
+            f"projection annihilated every computational fiducial for code {code.name}"
+        )
+
+    basis: list[np.ndarray] = []
+    for label in range(1 << code.k):
+        vec = zero
+        for a in range(code.k):
+            if (label >> (code.k - 1 - a)) & 1:
+                vec = apply_pauli(vec, code.logical_x[a])
+        vec.setflags(write=False)
+        basis.append(vec)
+    return tuple(basis)
+
+
+def codeword_state(source: SourceState) -> np.ndarray:
+    """The amplitudes of a source's codeword sum_z a_z |z-bar>, checked
+    against every generator g: the complex <g> must be 1 within
+    EXPECTATION_TOL, which also bounds its imaginary residue. Past the
+    qubit cap it raises before allocating."""
+    code = source.code
+    _check_cap(code.n)
+    total = np.zeros(1 << code.n, dtype=complex)
+    for a_z, vec in zip(source.amplitudes, _logical_basis(code)):
+        total += a_z * vec
+    for g in code.generators:
+        value = complex(np.vdot(total, apply_pauli(total, g)))
+        if not abs(value - 1.0) < EXPECTATION_TOL:
+            raise RuntimeError(f"generator {g} has expectation {value!r} on synthesized codeword")
+    return total
+
+
+def group_state(sources: Sequence[SourceState], codewords: dict) -> np.ndarray:
+    """The Kronecker product of the sources' codewords in their order (the
+    first source owns qubit 0), refused past the qubit cap before any
+    amplitude is allocated. codewords maps each source to its codeword,
+    built here on first use, so a caller that keeps it builds each
+    distinct codeword once."""
+    _check_cap(sum(src.code.n for src in sources))
+    for src in sources:
+        if src not in codewords:
+            codewords[src] = codeword_state(src)
+    return functools.reduce(np.kron, [codewords[src] for src in sources])
+
+
+# ----------------------------------------------------------------------
+# measurement frames
+
+
+def setting_rotations(amps: np.ndarray, st: PauliString, theta: float) -> tuple[np.ndarray, ...]:
+    """amps turned by V^dag for setting x = 0 and 1, V = exp(-(-1)^x
+    (theta/2) ST): cos(theta/2) amps +- sin(theta/2) ST amps. V^dag takes
+    the observable cos(theta) S + (-1)^x sin(theta) T to S."""
+    half = theta / 2.0
+    turned = apply_pauli(amps, st)
+    return tuple(math.cos(half) * amps + sign * math.sin(half) * turned for sign in (1.0, -1.0))
+
+
+def _apply_one_qubit(amps: np.ndarray, n: int, q: int, gate: np.ndarray) -> np.ndarray:
+    # Qubit q is bit (n-1-q) of the basis index, so axis sizes split at q.
+    left = 1 << q
+    right = 1 << (n - 1 - q)
+    return np.einsum("ab,ibj->iaj", gate, amps.reshape(left, 2, right)).reshape(-1)
+
+
+def basis_probabilities(amps: np.ndarray, x: int, z: int) -> np.ndarray:
+    """The squared amplitudes of amps in the basis of the x and z masks:
+    each qubit whose x bit is set is rotated onto Z, in ascending order, by
+    H where its z bit is clear and by H S^dag where it is set."""
+    n = amps.shape[0].bit_length() - 1
+    for q in range(n):
+        s = n - 1 - q
+        if x >> s & 1:
+            amps = _apply_one_qubit(amps, n, q, _ROTATION[z >> s & 1])
+    return np.abs(amps) ** 2

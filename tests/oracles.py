@@ -4,19 +4,20 @@ Each function reaches a quantity by a slower or more literal route than
 the package takes, and lives here so that `src/` keeps only what a
 command runs:
 
-* `joint_state` is the tensor product of every source state, the
+* `joint_state` is the Kronecker product of every source's codeword, the
   2^n-amplitude register that `src/` never builds; `global_index` places
   a qubit in it, `embed` lifts a source's operator into it through
   `embed_positions`, which places a string's letters at register
   positions letter by letter, and `lift`
   joins an observable's pieces on the groups of sources into one string
   on it, the n-qubit embedding `src/` no longer makes;
-* `project_renormalized` projects a fiducial state onto a code through
-  `StateVector.apply`, renormalizing before every step, where
-  `codes._project_stabilized` projects the plain amplitude array;
-* `dense_expectation` takes an expectation on a statevector's
-  amplitudes, the route `codes.SourceState.expectation` replaces with the
-  stabilizing and logical operators; `joint_correlator` expands a Bell
+* `project_renormalized` projects a fiducial state onto a code one
+  renormalized (I+g)/2 step at a time, where
+  `states._project_stabilized` projects the plain amplitude array;
+* `expectation` takes <psi|op|psi> on an amplitude array, and
+  `dense_expectation` memoizes it per letters: the route
+  `codes.SourceState.expectation` replaces with the stabilizing and
+  logical operators; `joint_correlator` expands a Bell
   correlator's whole product of local observables term by term on the
   joint state of all sources, which `bell` factors over the source
   agents' groups instead;
@@ -49,7 +50,8 @@ command runs:
   where `sampling._basis` ORs the bit masks of the observables' pieces;
   `outcome_distribution` is
   the exact distribution of the sampler's group frames at one setting,
-  which sampled counts are compared against, read by `outcomes`;
+  read through `sampling._Frames.group_frames`, which sampled counts are
+  compared against, read by `outcomes`;
 * `invert` finds a uniform's bin by binary search on a frame's
   cumulative sums (`cdf_edges`), which `sampling._Table` finds through
   guide tables instead and must match; `sample_rounds` is `sampling.run`
@@ -116,13 +118,23 @@ from netbell.observables import (
 )
 from netbell.pauli import PauliString
 from netbell.reports import atomic_write
-from netbell.sampling import _H, _S_DAG, MODES, PROB_TOL, _apply_one_qubit, _Frames
-from netbell.states import NORM_TOL, StateVector, _parity, make_rng, tensor
+from netbell.sampling import MODES, PROB_TOL, _Frames
+from netbell.states import (
+    _H,
+    _S_DAG,
+    NORM_TOL,
+    _apply_one_qubit,
+    _parity,
+    apply_pauli,
+    group_state,
+    make_rng,
+)
 
 
-def joint_state(layout: NetworkLayout) -> StateVector:
-    """Joint state: tensor product of the source states in source-id order."""
-    return tensor([src.state for src in layout.sources])
+def joint_state(layout: NetworkLayout) -> np.ndarray:
+    """Joint state: the Kronecker product of the source codewords in
+    source-id order, as one group of every source, under the qubit cap."""
+    return group_state(layout.sources, {})
 
 
 def global_index(layout: NetworkLayout, i: int, j: int) -> int:
@@ -186,31 +198,33 @@ def lift(layout: NetworkLayout, pieces, groups=None) -> PauliString:
 # Bell correlators on the joint state
 
 
-def project_renormalized(fiducial: StateVector, ops: Sequence[PauliString]) -> np.ndarray:
-    """`codes._project_stabilized` through `StateVector.apply`: before each
-    (I+g)/2 step the amplitudes are renormalized and wrapped in a
-    StateVector, and the step's result scaled back, where the package
-    projects the plain amplitude array."""
-    amps = fiducial.amplitudes.copy()
+def project_renormalized(fiducial: np.ndarray, ops: Sequence[PauliString]) -> np.ndarray:
+    """`states._project_stabilized` with each (I+g)/2 step taken on the
+    amplitudes renormalized to 1 and the step's result scaled back, where
+    the package projects the plain amplitude array."""
+    amps = fiducial.copy()
     for g in ops:
         norm = float(np.linalg.norm(amps))
         if norm < NORM_TOL:
             return amps
-        unit = StateVector(amps / norm)
-        amps = 0.5 * (amps + norm * unit.apply(g).amplitudes)
+        amps = 0.5 * (amps + norm * apply_pauli(amps / norm, g))
     return amps
 
 
-def dense_expectation(state: StateVector, op: PauliString, cache: dict) -> complex:
-    """<psi|op|psi> on a statevector, without a hermiticity demand,
-    memoized on the letters: the cache keeps the plus-phase value per
-    (x, z) mask pair. The amplitude route that
+def expectation(amps: np.ndarray, op: PauliString) -> complex:
+    """<psi|op|psi> on an amplitude array, op applied with its phase and
+    with no hermiticity demand."""
+    return complex(np.vdot(amps, apply_pauli(amps, op)))
+
+
+def dense_expectation(amps: np.ndarray, op: PauliString, cache: dict) -> complex:
+    """`expectation`, memoized on the letters: the cache keeps the
+    plus-phase value per (x, z) mask pair. The amplitude route that
     `codes.SourceState.expectation` replaces in `src/`."""
     key = (op.x, op.z)
     value = cache.get(key)
     if value is None:
-        plain = op.with_phase_exponent(0)
-        value = cache[key] = complex(np.vdot(state.amplitudes, state.apply(plain).amplitudes))
+        value = cache[key] = expectation(amps, op.with_phase_exponent(0))
     return op.phase * value
 
 
@@ -220,7 +234,8 @@ def joint_correlator(synthesis: Synthesis, thetas, y: int, cache: dict) -> compl
     memoized in cache."""
     layout = synthesis.layout
     state = joint_state(layout)
-    terms: list[tuple[float, PauliString]] = [(1.0, PauliString.identity(state.n))]
+    identity = PauliString.identity(sum(layout.source_sizes))
+    terms: list[tuple[float, PauliString]] = [(1.0, identity)]
     flip = 1.0 if y == 0 else -1.0
     for obs, theta in zip(synthesis.sources, synthesis.angles(thetas)):
         branch = obs.a_terms(0, theta) + [(flip * c, p) for c, p in obs.a_terms(1, theta)]
@@ -243,7 +258,7 @@ def joint_values(synthesis: Synthesis, thetas, cache=None) -> dict:
     }
     if synthesis.tilt is not None:
         p = lift(synthesis.layout, synthesis.tilt.p_pieces)
-        out["P"] = joint_state(synthesis.layout).expectation(p)
+        out["P"] = expectation(joint_state(synthesis.layout), p).real
     return out
 
 
@@ -388,12 +403,12 @@ def _as_terms(terms: ObservableTerms) -> list[tuple[float, PauliString]]:
     return [(1.0, terms)] if isinstance(terms, PauliString) else list(terms)
 
 
-def expectation_combo(state: StateVector, terms: ObservableTerms) -> float:
+def expectation_combo(amps: np.ndarray, terms: ObservableTerms) -> complex:
     """Expectation of a real combination of hermitian strings, term by term."""
-    return sum(float(c) * state.expectation(p) for c, p in _as_terms(terms))
+    return sum(float(c) * expectation(amps, p) for c, p in _as_terms(terms))
 
 
-def joint_oracle(state: StateVector, observables: Sequence[ObservableTerms]) -> dict:
+def joint_oracle(amps: np.ndarray, observables: Sequence[ObservableTerms]) -> dict:
     """Exact distribution of commuting two-outcome observables, from the
     expectations of all their products."""
     observables = [_as_terms(o) for o in observables]
@@ -416,7 +431,7 @@ def joint_oracle(state: StateVector, observables: Sequence[ObservableTerms]) -> 
             if combo is None:
                 total += 1.0
             else:
-                total += factor * expectation_combo(state, combo)
+                total += factor * expectation_combo(amps, combo)
         out[outcome] = total / 2.0**labels
     return out
 
@@ -488,13 +503,11 @@ def joint_frame(synthesis: Synthesis, thetas, x, y, mode: str) -> JointFrame:
     every source rotation and basis change acts on all 2^n amplitudes."""
     layout, sources, receivers = synthesis.layout, synthesis.sources, synthesis.receivers
     n = sum(layout.source_sizes)
-    amps = joint_state(layout).amplitudes
+    amps = joint_state(layout)
     for xk, src, theta in zip(x, sources, synthesis.angles(thetas)):
         w = lift(layout, [src.s_piece], [src.agent]) * lift(layout, [src.t_piece], [src.agent])
         sign = 1.0 if xk == 0 else -1.0
-        amps = math.cos(theta / 2) * amps + sign * math.sin(theta / 2) * StateVector(
-            amps
-        ).apply(w).amplitudes
+        amps = math.cos(theta / 2) * amps + sign * math.sin(theta / 2) * apply_pauli(amps, w)
     start = 0  # the group's first position in the joint register
     for k, width in enumerate(layout.group_widths, start=1):
         for q, letter in basis_letters(synthesis, k, y, mode).items():
@@ -548,10 +561,11 @@ def outcome_distribution(
     if mode not in MODES:
         raise ValueError(f"unknown strategy {mode!r}; expected one of {MODES}")
     frames = _Frames(synthesis, synthesis.angles(thetas), mode)
-    groups = [
-        frames.probabilities(k, x[pos], y)
-        for k, pos in enumerate(frames.owners, start=1)
-    ]
+    at, codewords, groups = frames.ys.index(tuple(y)), {}, []
+    for k, pos in enumerate(frames.owners, start=1):
+        # the frame at y, over (x_k, outcome): its half at x_k
+        frame = next(itertools.islice(frames.group_frames(k, codewords), at, None))
+        groups.append(np.split(frame, 2)[x[pos]])
     grid = np.indices([p.size for p in groups]).reshape(len(groups), -1)
     weights = functools.reduce(np.kron, groups)
     masks = frames.source_masks + frames.receiver_masks(y)
@@ -601,13 +615,11 @@ def sample_rounds(synthesis: Synthesis, thetas, config, *, beta=None, record_pat
     k, m = layout.K, layout.M
     frames = _Frames(synthesis, thetas, config.strategy)
     rng = make_rng(config.seed)
-    ys = list(itertools.product((0, 1), repeat=m))
+    ys, codewords = frames.ys, {}
     edges = {
-        (group, y): cdf_edges(
-            np.concatenate([frames.probabilities(group, xk, y) for xk in (0, 1)]) / 2
-        )
-        for y in ys
+        (group, y): cdf_edges(frame / 2)
         for group in layout.source_agents
+        for y, frame in zip(ys, frames.group_frames(group, codewords))
     }
 
     u = rng.random((config.rounds, k + 1))

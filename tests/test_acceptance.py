@@ -20,6 +20,7 @@ from netbell.network import (
 )
 from netbell.observables import build_receiver, build_source, synthesize
 from netbell.pauli import PauliString
+from netbell.states import codeword_state
 
 from conftest import (
     bilocal_layout,
@@ -29,7 +30,7 @@ from conftest import (
     selection_a,
     selection_b,
 )
-from oracles import _random_candidate, dense, loop_scan
+from oracles import _random_candidate, dense, expectation, loop_scan
 
 CRITERIA = {
     1: "pair-source closed form 2*sqrt(1+sin^2 2phi) over three angles",
@@ -272,9 +273,9 @@ def test_criterion_07_tilted_optimum():
 def test_criterion_08_codeword_validation():
     five = builtin("five-one-three")
     for phi in np.linspace(0.0, 2.0 * math.pi, 29):
-        state = codeword_angle(five, float(phi)).state
+        state = codeword_state(codeword_angle(five, float(phi)))
         for generator in five.generators:
-            assert abs(state.expectation(generator) - 1.0) <= TOL
+            assert abs(expectation(state, generator) - 1.0) <= TOL
     g1, g2, g3, g4 = five.generators
     assert str(g1 * g2 * g3 * g4) == "+ZZXIX"
     assert str(g1 * g3 * five.logical_z[0]) == "-ZIXXI"

@@ -34,6 +34,7 @@ from netbell.bell import (
 from netbell.network import OperatorSelection, check_selection
 from netbell.observables import build_tilted, synthesize
 from netbell.pauli import PauliString
+from netbell.states import codeword_state, group_state
 from oracles import dense_expectation, joint_values, random_layouts, tilted_layouts
 
 TOL = 1e-9
@@ -447,9 +448,9 @@ FOUR_TWO_TWO = StabilizerCode(
 def engine_against_oracles(synthesis, thetas):
     """Evaluate (and, with a tilted block, evaluate_tilted) while recording
     every value codes.SourceState.expectation gives; each must match the
-    dense expectation on the source's statevector, built here (which runs
-    its generator check), and each report's I, J and P the joint-state
-    expansion. Returns how many engine values were checked."""
+    dense expectation on the source's amplitudes, built here once per
+    source (which runs its generator check), and each report's I, J and P
+    the joint-state expansion. Returns how many engine values were checked."""
     values = []
     engine = SourceState.expectation
 
@@ -470,8 +471,9 @@ def engine_against_oracles(synthesis, thetas):
             got["P"] = report.tilt.p_value
         for key in got:
             assert abs(got[key] - want[key]) <= 1e-12, (key, got[key], want[key])
+    codewords = {}
     for source, op, value in values:
-        dense = dense_expectation(source.state, op, {})
+        dense = dense_expectation(group_state([source], codewords), op, {})
         assert abs(value - dense) <= bell.CROSS_CHECK_TOL, (source.code.name, str(op), value, dense)
     return len(values)
 
@@ -516,7 +518,7 @@ class TestStabilizerEngine:
                     "IXZY"[(x >> s & 1) | (z >> s & 1) << 1] for s in range(code.n - 1, -1, -1)
                 )
                 op = PauliString(letters, int(rng.integers(4)))
-                dense = dense_expectation(source.state, op, {})
+                dense = dense_expectation(codeword_state(source), op, {})
                 assert abs(source.expectation(op) - dense) <= bell.CROSS_CHECK_TOL, (str(op), dense)
 
     def test_random_layouts_match_the_statevectors(self):
@@ -550,7 +552,9 @@ class TestStabilizerEngine:
 class TestGroups:
     def test_group_of_two_sources_matches_joint_expansion(self):
         layout, selection = two_source_group_layout()
-        assert [len(state.amplitudes) for state in layout.group_states] == [2**10, 2**5]
+        codewords = {}
+        groups = [group_state(layout.group_sources(k), codewords) for k in layout.source_agents]
+        assert [len(state) for state in groups] == [2**10, 2**5]
         synthesis = synth(layout, selection, allow=True)
         for thetas in ([0.4, 1.1], [0.0, math.pi / 4]):
             report = evaluate(synthesis, thetas)

@@ -1066,6 +1066,17 @@ class TestHugeCounts:
         ]
         assert list(out_dir.iterdir()) == []
 
+    def test_one_qubit_past_the_cap_is_refused(self, tmp_path, capsys):
+        # ghz-split(21,10) is one 21-qubit group: refused with one line,
+        # with no report directory and no round record left behind
+        out, record = tmp_path / "out", tmp_path / "rounds.csv"
+        argv = ["sample", "ghz-split(21,10)", "--rounds-csv", str(record), "--out", str(out)]
+        assert main(argv) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.err == "error: 21 qubits exceeds the cap of 20\n"
+        assert not out.exists() and not record.exists()
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize(
         "command", ["validate", "evaluate", "maximize", "tilted", "classical-bound"]
     )

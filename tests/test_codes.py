@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import codeword_angle
-from netbell import codes
+from netbell import codes, states
 from netbell.codes import StabilizerCode, builtin, codeword, validate
 from netbell.pauli import PauliString
 from netbell.scenarios import ScenarioError, builtin_scenario, scenario_from_dict
-from oracles import logical_representative, project_renormalized
+from netbell.states import apply_pauli, codeword_state
+from oracles import expectation, logical_representative, project_renormalized
 
 PHI_GRID = np.linspace(0.0, np.pi / 4, 7)
 
@@ -230,7 +231,7 @@ class TestCodeword:
     def test_two_one_two_matches_direct_construction(self, phi):
         src = codeword_angle(builtin("two-one-two"), phi)
         want = np.array([np.cos(phi), 0.0, 0.0, np.sin(phi)], dtype=complex)
-        assert np.allclose(src.state.amplitudes, want, atol=1e-12)
+        assert np.allclose(codeword_state(src), want, atol=1e-12)
 
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_ghz_matches_direct_construction(self, n):
@@ -239,16 +240,16 @@ class TestCodeword:
         want = np.zeros(1 << n, dtype=complex)
         want[0] = np.cos(phi)
         want[-1] = np.sin(phi)
-        assert np.allclose(src.state.amplitudes, want, atol=1e-12)
+        assert np.allclose(codeword_state(src), want, atol=1e-12)
 
     def test_ghz_split_state_equals_plain_ghz_state(self):
         plain = codeword_angle(builtin("ghz(4)"), 0.7)
         split = codeword_angle(builtin("ghz-split(4,2)"), 0.7)
-        assert np.allclose(plain.state.amplitudes, split.state.amplitudes, atol=1e-12)
+        assert np.allclose(codeword_state(plain), codeword_state(split), atol=1e-12)
 
     def test_five_qubit_zero_structure(self):
         src = codeword(builtin("five-one-three"), (1.0, 0.0))
-        amps = src.state.amplitudes
+        amps = codeword_state(src)
         live = amps[np.abs(amps) > 1e-12]
         assert live.size == 16
         assert np.allclose(np.abs(live), 0.25, atol=1e-12)
@@ -259,28 +260,28 @@ class TestCodeword:
         code = builtin("five-one-three")
         src = codeword_angle(code, phi)
         for g in code.generators:
-            assert abs(src.state.expectation(g) - 1.0) < 1e-9
+            assert abs(expectation(codeword_state(src), g) - 1.0) < 1e-9
 
     @pytest.mark.parametrize("phi", PHI_GRID)
     def test_five_qubit_logical_expectations(self, phi):
         code = builtin("five-one-three")
-        state = codeword_angle(code, phi).state
-        assert abs(state.expectation(code.logical_z[0]) - np.cos(2 * phi)) < 1e-9
-        assert abs(state.expectation(code.logical_x[0]) - np.sin(2 * phi)) < 1e-9
+        state = codeword_state(codeword_angle(code, phi))
+        assert abs(expectation(state, code.logical_z[0]) - np.cos(2 * phi)) < 1e-9
+        assert abs(expectation(state, code.logical_x[0]) - np.sin(2 * phi)) < 1e-9
 
     @pytest.mark.parametrize("name", ["two-one-two", "five-one-three", "ghz(3)"])
     def test_bit_flip_maps_zero_to_one(self, name):
         code = builtin(name)
-        zero = codeword(code, (1.0, 0.0)).state
-        one = codeword(code, (0.0, 1.0)).state
-        assert abs(abs(zero.apply(code.logical_x[0]).inner(one)) ** 2 - 1.0) < 1e-12
+        zero = codeword_state(codeword(code, (1.0, 0.0)))
+        one = codeword_state(codeword(code, (0.0, 1.0)))
+        assert abs(abs(np.vdot(apply_pauli(zero, code.logical_x[0]), one)) ** 2 - 1.0) < 1e-12
 
     def test_complex_amplitudes_give_logical_y_eigenstate(self):
         code = builtin("two-one-two")
         src = codeword(code, (1 / np.sqrt(2), 1j / np.sqrt(2)))
         y_logical = PauliString("XY")  # i * XX * IZ
-        assert abs(src.state.expectation(y_logical) - 1.0) < 1e-12
-        assert abs(src.state.expectation(code.logical_z[0])) < 1e-12
+        assert abs(expectation(codeword_state(src), y_logical) - 1.0) < 1e-12
+        assert abs(expectation(codeword_state(src), code.logical_z[0])) < 1e-12
 
     def test_rejects_wrong_amplitude_count(self):
         with pytest.raises(ValueError, match="amplitudes"):
@@ -321,33 +322,37 @@ class TestCodeword:
         )
         src = codeword(code, (0.5, 0.5, 0.5, 0.5))
         plus = np.full(4, 0.5, dtype=complex)
-        assert abs(abs(np.vdot(src.state.amplitudes, plus)) ** 2 - 1.0) < 1e-12
+        assert abs(abs(np.vdot(codeword_state(src), plus)) ** 2 - 1.0) < 1e-12
 
     def test_star51_searches_the_logical_basis_once(self, monkeypatch):
         projections = []
-        project = codes._project_stabilized
+        project = states._project_stabilized
 
         def counted(fiducial, ops):
             projections.append(fiducial)
             return project(fiducial, ops)
 
-        monkeypatch.setattr(codes, "_project_stabilized", counted)
-        codes._logical_basis.cache_clear()
-        codeword(builtin("five-one-three"), (1.0, 0.0)).state
+        monkeypatch.setattr(states, "_project_stabilized", counted)
+        states._logical_basis.cache_clear()
+        codeword_state(codeword(builtin("five-one-three"), (1.0, 0.0)))
         one_search = len(projections)
         assert one_search >= 1
 
-        codes._logical_basis.cache_clear()
+        states._logical_basis.cache_clear()
         projections.clear()
-        sources = builtin_scenario("star(51)").layout.sources
+        layout = builtin_scenario("star(51)").layout
         assert projections == []  # loading builds no statevector
-        states = [source.state for source in sources]
+        codewords = {}
+        groups = [
+            states.group_state(layout.group_sources(k), codewords) for k in layout.source_agents
+        ]
         assert len(projections) == one_search
+        assert len(codewords) == 1
         # every source's state, bit for bit, as a build with its own search
-        for source, state in zip(sources, states):
-            codes._logical_basis.cache_clear()
+        for source, state in zip(layout.sources, groups):
+            states._logical_basis.cache_clear()
             fresh = codeword(source.code, source.amplitudes)
-            assert fresh.state.amplitudes.tobytes() == state.amplitudes.tobytes()
+            assert codeword_state(fresh).tobytes() == state.tobytes()
 
     def test_logical_basis_equals_the_state_vector_route(self, monkeypatch):
         # every builtin code up to 12 qubits, every ghz-split(n,m) included:
@@ -355,26 +360,26 @@ class TestCodeword:
         names = ["two-one-two", "five-one-three"]
         names += [f"ghz({n})" for n in range(2, 13)]
         names += [f"ghz-split({n},{m})" for n in range(2, 13) for m in range(1, n)]
-        search = codes._logical_basis.__wrapped__
+        search = states._logical_basis.__wrapped__
         got = {name: search(builtin(name)) for name in names}
-        monkeypatch.setattr(codes, "_project_stabilized", project_renormalized)
+        monkeypatch.setattr(states, "_project_stabilized", project_renormalized)
         for name in names:
             want = search(builtin(name))
-            assert [v.amplitudes.tobytes() for v in got[name]] == [
-                v.amplitudes.tobytes() for v in want
-            ], name
+            assert [v.tobytes() for v in got[name]] == [v.tobytes() for v in want], name
 
     def test_generators_are_checked_on_every_state(self, monkeypatch):
         # the cached basis is shared; the stabilizer check is per codeword,
-        # run where its statevector is built
+        # run where its amplitudes are built
         code = builtin("five-one-three")
-        cached = codes._logical_basis(code)
-        broken = (cached[0], codes.StateVector.basis(code.n, 0))
-        monkeypatch.setattr(codes, "_logical_basis", lambda code: broken)
-        assert codeword(code, (1.0, 0.0)).state.n == 5
+        cached = states._logical_basis(code)
+        computational_zero = np.zeros(1 << code.n, dtype=complex)
+        computational_zero[0] = 1.0
+        broken = (cached[0], computational_zero)
+        monkeypatch.setattr(states, "_logical_basis", lambda code: broken)
+        assert codeword_state(codeword(code, (1.0, 0.0))).shape == (2**5,)
         one = codeword(code, (0.0, 1.0))
         with pytest.raises(RuntimeError, match="expectation"):
-            one.state
+            codeword_state(one)
 
     @given(
         n=st.integers(min_value=2, max_value=7),
@@ -383,7 +388,7 @@ class TestCodeword:
     @settings(max_examples=40, deadline=None)
     def test_ghz_family_amplitudes(self, n, phi):
         src = codeword_angle(builtin(f"ghz({n})"), phi)
-        amps = src.state.amplitudes
+        amps = codeword_state(src)
         assert abs(amps[0] - np.cos(phi)) < 1e-12
         assert abs(amps[-1] - np.sin(phi)) < 1e-12
         assert np.allclose(amps[1:-1], 0.0, atol=1e-12)

@@ -14,7 +14,7 @@ from conftest import (
     star_layout,
 )
 
-from oracles import embed, global_index, joint_state, random_layouts
+from oracles import embed, expectation, global_index, joint_state, random_layouts
 
 from netbell import scenarios
 from netbell.codes import builtin
@@ -26,6 +26,7 @@ from netbell.network import (
     classify,
 )
 from netbell.pauli import PauliString
+from netbell.states import codeword_state, group_state
 
 
 class TestLayout:
@@ -56,14 +57,20 @@ class TestLayout:
 
     def test_equal_sources_share_one_state(self):
         # star(3)'s three codewords are built apart but kept once, with one
-        # statevector; codewords at two angles stay apart
+        # amplitude array over its groups; codewords at two angles stay apart
         layout = star_layout(3)
         first = layout.sources[0]
         assert all(src is first for src in layout.sources)
-        assert all(src.state is first.state for src in layout.sources)
-        apart = bilocal_layout(0.3, 0.5).sources
-        assert apart[0] is not apart[1]
-        assert apart[0].state is not apart[1].state
+        codewords = {}
+        for k in layout.source_agents:
+            group_state(layout.group_sources(k), codewords)
+        assert list(codewords) == [first]
+        apart = bilocal_layout(0.3, 0.5)
+        assert apart.sources[0] is not apart.sources[1]
+        codewords = {}
+        for k in apart.source_agents:
+            group_state(apart.group_sources(k), codewords)
+        assert list(codewords) == list(apart.sources)
 
     def test_qubits_of_sorted(self):
         layout = bilocal_layout()
@@ -92,12 +99,12 @@ class TestLayout:
         want = np.zeros(4, dtype=complex)
         want[0b00] = np.cos(phi)
         want[0b11] = np.sin(phi)
-        assert np.allclose(joint_state(layout).amplitudes, want, atol=1e-12)
+        assert np.allclose(joint_state(layout), want, atol=1e-12)
 
         big = bilocal_layout(phi)
-        single = codeword_angle(FIVE, phi).state.amplitudes
+        single = codeword_state(codeword_angle(FIVE, phi))
         assert np.allclose(
-            joint_state(big).amplitudes, np.kron(single, single), atol=1e-12
+            joint_state(big), np.kron(single, single), atol=1e-12
         )
 
     def test_groups_tile_the_joint_state(self):
@@ -114,15 +121,17 @@ class TestLayout:
         assert [layout.place(i, j) for i in (1, 2, 3) for j in (1, 2)] == [
             (1, 0), (1, 1), (1, 2), (1, 3), (2, 0), (2, 1)
         ]
-        first, second = (state.amplitudes for state in layout.group_states)
-        assert np.array_equal(first, np.kron(sources[0].state.amplitudes, sources[1].state.amplitudes))
-        assert np.allclose(np.kron(first, second), joint_state(layout).amplitudes, atol=1e-15)
+        codewords = {}
+        first, second = (group_state(layout.group_sources(k), codewords) for k in (1, 2))
+        pair = np.kron(codeword_state(sources[0]), codeword_state(sources[1]))
+        assert np.array_equal(first, pair)
+        assert np.allclose(np.kron(first, second), joint_state(layout), atol=1e-15)
 
     def test_embed_hits_the_right_block(self):
         layout = bilocal_layout(0.3)
         lifted = embed(layout, 2, G_PRODUCT)
         assert lifted.letters == "I" * 5 + "ZZXIX"
-        assert abs(joint_state(layout).expectation(lifted) - 1.0) < 1e-9
+        assert abs(expectation(joint_state(layout), lifted) - 1.0) < 1e-9
 
     def test_embed_rejects_wrong_size(self):
         with pytest.raises(ValueError, match="does not fit"):

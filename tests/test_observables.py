@@ -1,6 +1,7 @@
 """Observable synthesis: A pairs, B pairs, and the tilted construction."""
 
 import itertools
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -22,7 +23,7 @@ from conftest import (
     star_selection,
 )
 
-from netbell import scenarios
+from netbell import scenarios, states
 from netbell.codes import builtin
 from netbell.network import OperatorSelection, classify
 from netbell.observables import (
@@ -457,14 +458,22 @@ class TestPieces:
             assert tuple(piece.n for piece in pieces) == layout.group_widths
             assert lift(layout, pieces) == embedded(local, qubits)
 
-    def test_one_group_past_the_cap_synthesizes_without_its_state(self):
+    def test_one_group_past_the_cap_synthesizes_without_its_state(self, monkeypatch):
         # group widths come from the source sizes: synthesis never builds
-        # the 25-qubit state that evaluate and sample refuse
+        # the 25-qubit state that sample refuses
+        def refuse(*args):
+            raise AssertionError("synthesis built an amplitude array")
+
+        builders = (states.group_state, states.codeword_state)
+        for module in [m for name, m in sys.modules.items() if name.startswith("netbell")]:
+            for attr, value in list(vars(module).items()):
+                if any(value is builder for builder in builders):
+                    monkeypatch.setattr(module, attr, refuse)
         synthesis = reference_synthesis("star(5)-one-group")
         assert synthesis.layout.group_widths == (25,)
-        assert "group_states" not in vars(synthesis.layout)
+        monkeypatch.undo()
         with pytest.raises(ValueError, match="25 qubits exceeds the cap of 20"):
-            synthesis.layout.group_states
+            states.group_state(synthesis.layout.group_sources(1), {})
 
     def test_split_receiver_signs_ride_on_group_one(self):
         synthesis = reference_synthesis("star(3)-split-receiver")

@@ -35,7 +35,7 @@ from conftest import (
     star_selection,
     two_source_group_layout,
 )
-from netbell import bell, observables, sampling, scenarios
+from netbell import bell, observables, sampling, scenarios, states
 from netbell.pauli import PauliString
 from netbell.reports import atomic_write
 from netbell.sampling import RunConfig, run
@@ -383,8 +383,12 @@ class TestGroupFrames:
         synthesis, thetas = builtin_synthesis(name)
         layout = synthesis.layout
         frames = sampling._Frames(synthesis, thetas, mode)
+        codewords = {}
+        per_group = [list(frames.group_frames(k, codewords)) for k in layout.source_agents]
         for x, y in setting_cells(layout.K, layout.M):
-            groups = [frames.probabilities(k, x[k - 1], y) for k in layout.source_agents]
+            # each group's frame at y runs over (x_k, outcome): its half at x_k
+            at = frames.ys.index(y)
+            groups = [np.split(per_y[at], 2)[xk] for per_y, xk in zip(per_group, x)]
             joint = joint_frame(synthesis, thetas, x, y, mode)
             product = functools.reduce(np.kron, groups)
             assert np.max(np.abs(product - joint.probabilities)) <= 1e-12
@@ -414,17 +418,47 @@ class TestGroupFrames:
             assert guided.bit_generator.state == choice.bit_generator.state
 
     def test_frames_are_built_once_per_group_setting(self, monkeypatch):
+        # star(3)'s three groups share one codeword, built once per run;
+        # each group's state is built once, and each frame half once
         synthesis, thetas = builtin_synthesis("star(3)")
-        built = []
-        original = sampling._Frames.probabilities
+        built, calls = [], []
+        original = sampling._Frames.group_frames
 
-        def spy(self, k, xk, y):
-            built.append((k, xk, y))
-            return original(self, k, xk, y)
+        def spy(self, k, codewords):
+            for y, frame in zip(self.ys, original(self, k, codewords)):
+                built.append((k, y))
+                yield frame
 
-        monkeypatch.setattr(sampling._Frames, "probabilities", spy)
+        def counted(name, func):
+            def wrapper(*args):
+                calls.append(name)
+                return func(*args)
+            return wrapper
+
+        monkeypatch.setattr(sampling._Frames, "group_frames", spy)
+        for module, name in ((states, "codeword_state"), (sampling, "group_state"),
+                             (sampling, "basis_probabilities")):
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
         run(synthesis, thetas, RunConfig(rounds=2000, seed=1))
-        assert sorted(built) == sorted(itertools.product((1, 2, 3), (0, 1), ((0,), (1,))))
+        assert sorted(built) == sorted(itertools.product((1, 2, 3), ((0,), (1,))))
+        assert [calls.count(name) for name in ("codeword_state", "group_state")] == [1, 3]
+        assert calls.count("basis_probabilities") == 3 * 2 * 2  # per group, x_k and y
+
+    def test_tables_keep_no_group_state(self):
+        # once tables returns only the tables are left: each group's state
+        # and its two rotations go with its frames
+        synthesis, thetas = builtin_scenario_synthesis("ghz-split(14,7)")
+        mode = sampling.MODES[0]
+        sampling._Frames(synthesis, thetas, mode).tables([])  # searches the logical basis
+        frames = sampling._Frames(synthesis, thetas, mode)
+        tracemalloc.start()
+        try:
+            tables = frames.tables([])
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        kept = sum(t.index.nbytes + t.upper.nbytes + t.start.nbytes for t in tables)
+        assert held - kept < 2**14 * 16, (held, kept)
 
     def test_source_observable_outside_its_group_is_refused(self):
         # pieces of the wrong width: S1's S and T with letters on source 2
@@ -587,12 +621,9 @@ class TestGuideTable:
         layout = synthesis.layout
         frames = sampling._Frames(synthesis, thetas, mode)
         tables = frames.tables([])
-        ys = list(itertools.product((0, 1), repeat=layout.M))
+        ys, codewords = frames.ys, {}
         joint = [
-            [
-                np.concatenate([frames.probabilities(k, xk, y) for xk in (0, 1)]) / 2
-                for y in ys
-            ]
+            [frame / 2 for frame in frames.group_frames(k, codewords)]
             for k in layout.source_agents
         ]
         for table, per_y in zip(tables, joint):
