@@ -12,10 +12,9 @@ therefore at most 1 (or 1 + beta tilted), and the all-(+1) tables under
 label 0 reach it.  A stochastic pass then probes mixed label distributions
 with random restarts and hill climbing: its draws come first, in five
 bulk calls, then all restarts climb at once, each candidate staged in
-reused buffers and scored in a few numpy calls.  A flip re-signs only the
-labels that read its entry and sums on, left to right in grid order, from
-the running sum before the first of them: every score is the float of a
-whole-grid sum.
+reused buffers and scored in a few numpy calls.  Label weights are rounded
+once onto a 2^-60 grid, so every total is an exact integer sum, and a flip
+moves it only at the labels that read its entry.
 The pass is falsification pressure for the analytic bound, not a search
 for new physics: the objective must never come out above the
 deterministic maximum.
@@ -45,6 +44,9 @@ DEFAULT_BUDGET = 10**8
 _REFINE_DRAWS = 40
 _REFINE_STEPS = 60
 _REFINE_SWEEPS = 4
+# Refine label weights are whole numbers of 1 / _UNIT.  A flip can move a
+# total by twice its size, 2 * _UNIT, which must fit in an int64: 2**62 would not.
+_UNIT = 2**60
 
 
 class BoundViolation(RuntimeError):
@@ -236,15 +238,15 @@ class _Climb:
     tables is int8 (entries, restarts), climbed in place: a restart's
     tables are a column of +/-1 entries in flip order (each source agent's
     a0 and a1 rows, each receiver's b0 and b1, then the p rows); weights
-    is (source, label value, restart), zero past an alphabet.  Per part
-    (I, J, and P when tilted) and grid label it keeps the sign as a float
-    and the running sums of weight * sign from +0.0 in grid order (each
-    weight built source by source as math.prod multiplies), whose last
-    row is the parts' totals; state stacks their powers (np.float_power,
-    the C pow of math.pow; np.power may take a SIMD pow that rounds
-    otherwise) and the objective.  flip() and weigh() stage a candidate in
-    every restart in buffers made once, with one np.add.accumulate and one
-    power call; settle() keeps it where asked.
+    is (source, label value, restart), zero past an alphabet.  Each grid
+    label's weight, built source by source as math.prod multiplies, is
+    rounded once to units, a whole number of 1 / _UNIT.  Per part (I, J,
+    and P when tilted) it keeps every label's sign and the total of units *
+    sign, all int64, so a total is exact in any order; state stacks the
+    totals' powers, each total taken to float once (np.float_power, the C
+    pow of math.pow; np.power may take a SIMD pow that rounds otherwise),
+    and the objective.  flip() and weigh() stage a candidate in every
+    restart in buffers made once; settle() keeps it where asked.
     """
 
     def __init__(self, shape, alphabet, beta, tables, weights):
@@ -267,83 +269,80 @@ class _Climb:
         # multiply to a label's I and J, factors (a0 +- a1) / 2 and b0 or b1
         pairs = np.array([[np.vstack((shown[a : 2 * k : 2], shown[b : 2 * (k + m) : 2]))
                            for b in (2 * k, 2 * k + 1)] for a in (0, 1)])
-        self._w = np.array([[1] * (k + m), [-1] * k + [1] * m], np.int8)[..., None, None]
-        # per entry: its parts, its first reader, its readers counted from
-        # there (a slice when evenly spaced), and their pairs for an a entry
-        self._flips = []
-        for t, parts in rows:
-            for labels in readers[t]:
-                after = (labels - labels[0]).tolist()
-                even = range(0, after[-1] + 1, after[1] if len(after) > 1 else 1)
-                after = slice(0, even.stop, even.step) if after == list(even) else np.array(after)
-                self._flips.append((parts, labels[0], after, pairs[..., labels] if t < k else None))
+        self._w = np.array([[1] * (k + m), [-1] * k + [1] * m], np.int64)[..., None, None]
+        # per entry: its parts, its readers, and their pairs for an a entry
+        self._flips = [(parts, labels, pairs[..., labels] if t < k else None)
+                       for t, parts in rows for labels in readers[t]]
         self.tables, self.weights = tables, weights
         p = np.multiply.reduce(tables[shown[2 * (k + m) :]], 0)[None]  # P: all +1 untilted
-        self.signs = np.vstack((self._signs(pairs), p), dtype=float)[: 2 if beta is None else 3]
-        # the running sums start from a row of +0.0 before the first label
-        self.sums = np.zeros((len(self.signs), len(grid) + 1, restarts))
-        self.label_weights = np.zeros((len(grid), restarts))
+        self.signs = np.vstack((self._signs(pairs), p))[: 2 if beta is None else 3]
+        self.units = np.zeros((len(grid), restarts), np.int64)
+        self.totals = np.zeros((len(self.signs), restarts), np.int64)
         self.state = np.zeros((len(self.signs) + 1, restarts))
-        self.totals, self.value = self.sums[:, -1], self.state[-1]
-        # each candidate's signs, sums and state are staged in these (sums' row 0 stays +0.0)
-        self._next = [np.zeros_like(a) for a in (self.signs, self.sums, self.state)]
+        self.value = self.state[-1]
+        # each candidate's units, totals and state are staged in these
+        self._next = [np.zeros_like(a) for a in (self.units, self.totals, self.state)]
         self.weigh(weights)
         self.settle(np.ones(restarts, dtype=bool))
 
     def _signs(self, pairs):
-        """(I, J) signs, as integers, of the labels whose entry pairs these are."""
+        """(I, J) signs of the labels whose entry pairs these are."""
         x, y = self.tables[pairs]
         return np.multiply.reduce((x + self._w * y) >> 1, 1)
 
-    def _score(self, parts, totals, row, *staged):
-        """Stage a candidate whose parts total these, the row a flip negated
-        (None for weights) and the (array, candidate) pairs to keep; its objectives."""
-        state = self._next[2]
+    def _score(self, parts, row, resigned, *staged):
+        """Stage a candidate with new totals at these parts, the row a flip
+        negated and its readers' old and new signs (None for weights), and
+        the (array, candidate) pairs to keep; its objectives."""
+        totals, state = self._next[1], self._next[2]
         state[...] = self.state
-        powered = np.abs(totals, out=state[parts])
+        powered = state[parts]
+        powered[...] = totals[parts]  # each total taken to float once
+        powered *= 1.0 / _UNIT
+        np.abs(powered, out=powered)
         if self._shape.k > 1:  # x ** 1.0 is exactly x
             np.float_power(powered, 1.0 / self._shape.k, out=powered)
         value = np.add(state[0], state[1], out=state[-1])
         if self._beta is not None:
             np.add(self._beta * state[2], value, out=value)
-        self._pending = row, (*staged, (self.state, state))
+        staged += (self.totals[parts], totals[parts]), (self.state, state)
+        self._pending = parts, row, resigned, staged
         return value
 
     def flip(self, entry):
         """Negate one table entry in every restart; the candidate objectives.
         A b or p entry negates its part's sign at the labels that read it;
-        an a entry has their I and J re-read."""
-        parts, first, after, pairs = self._flips[entry]
+        an a entry has their I and J re-read.  Only those labels move its
+        parts' totals."""
+        parts, labels, pairs = self._flips[entry]
         row = self.tables[entry]
         np.negative(row, out=row)
-        signs, sums = self._next[0][parts, first:], self._next[1][parts, first:]
-        signs[...], sums[:, 0] = self.signs[parts, first:], self.sums[parts, first]
-        if pairs is None:
-            signs[:, after] = 0.0 - signs[:, after]  # a 0 sign stays 0.0, not -0.0
-        else:
-            signs[:, after] = self._signs(pairs)
-        np.multiply(self.label_weights[first:], signs, out=sums[:, 1:])
-        np.add.accumulate(sums, 1, out=sums)
-        staged = (self.signs[parts, first:], signs), (self.sums[parts, first:], sums)
-        return self._score(parts, sums[:, -1], row, *staged)
+        old = self.signs[parts].take(labels, 1)
+        new = np.negative(old) if pairs is None else self._signs(pairs)
+        moved = np.multiply(new - old, self.units.take(labels, 0)).sum(1)
+        np.add(self.totals[parts], moved, out=self._next[1][parts])
+        return self._score(parts, row, (labels, old, new))
 
     def weigh(self, weights):
         """Score new (source, label value, restart) weights; the candidate objectives."""
-        picked = weights.reshape(-1, weights.shape[-1])[self._picks]
+        picked = weights.reshape(-1, weights.shape[-1]).take(self._picks, 0)
         label_weights = functools.reduce(np.multiply, picked)
-        sums = self._next[1]
-        np.multiply(label_weights, self.signs, out=sums[:, 1:])
-        np.add.accumulate(sums, 1, out=sums)
-        staged = (self.weights, weights), (self.label_weights, label_weights), (self.sums, sums)
-        return self._score(slice(0, len(sums)), sums[:, -1], None, *staged)
+        units = self._next[0]
+        units[...] = np.rint(label_weights * _UNIT)
+        np.einsum("plr,lr->pr", self.signs, units, out=self._next[1])
+        staged = (self.weights, weights), (self.units, units)
+        return self._score(slice(0, len(self.totals)), None, None, *staged)
 
     def settle(self, keep):
         """Keep the last flip() or weigh() in the restarts where keep is
         true and take it back in the others; how many restarts kept it."""
-        row, staged = self._pending
+        parts, row, resigned, staged = self._pending
         kept = np.count_nonzero(keep)
         if row is not None:  # a flip negated it in every restart
             np.negative(row, out=row, where=~keep if kept else True)
+        if kept and resigned is not None:
+            labels, old, new = resigned
+            self.signs[parts, labels] = np.where(keep, new, old)
         for target, candidate in staged if kept else ():
             np.copyto(target, candidate, where=keep)
         return kept
@@ -374,7 +373,7 @@ def _refine(shape, alphabet, beta, value, rng, draws, steps):
     it was scored and rejected against this same state one sweep before.
     The best restart, the first of any equals, is kept if it beats value,
     the closed form: the exact score of the all-(+1) tables under label 0,
-    whose one-hot weights make every left sum exactly 1.0 or 0.0.
+    whose one-hot weights round to exactly _UNIT there and 0 elsewhere.
 
     Returns (best value, best strategy or None when none beats value,
     strategies scored): the closed form's, then per restart its start,

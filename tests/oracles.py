@@ -76,7 +76,8 @@ command runs:
   closed form, with its strategy; `_decode_labels` unflattens their label
   index;
 * `correlators` sums a hidden strategy's I, J and P through `grid_sums`,
-  which walks the whole label grid of `label_grid` term by term, and
+  which walks the whole label grid of `label_grid` term by term in Python
+  ints, each label's weight rounded once by `units`, and
   `objective_value` scores them; the refine pass's batched
   `classical._Climb` must give the same floats bit for bit;
 * `refine` is the refine pass one restart at a time, on the same
@@ -1173,27 +1174,29 @@ def label_grid(shape: classical.NetworkShape, alphabet) -> list:
     ]
 
 
+def units(weight: float) -> int:
+    """A label's weight rounded once to a whole number of 1 / classical._UNIT."""
+    return round(weight * classical._UNIT)
+
+
 def grid_sums(grid, weights, a_tables, b_tables, p_tables) -> ClassicalCorrelators:
     """I, J (and P when p_tables is given) summed over a label grid, one
-    label at a time in grid order, skipping labels of weight 0.
+    label at a time in grid order, as Python ints: each label's weight in
+    units, times its sign; each total is taken to float once.
 
-    Tables may be tuples or lists; the summation order is fixed, so the
-    same strategy always gives the same floats.
+    Tables may be tuples or lists; the sums are exact, so the same
+    strategy always gives the same floats.
     """
-    i_total = 0.0
-    j_total = 0.0
-    p_total = 0.0 if p_tables is not None else None
+    i_total = j_total = p_total = 0
     for labels, a_cols, b_cols in grid:
-        weight = math.prod(w[v] for w, v in zip(weights, labels))
-        if weight == 0.0:
-            continue
-        half_sum = 1.0
-        half_diff = 1.0
+        weight = units(math.prod(w[v] for w, v in zip(weights, labels)))
+        half_sum = 1
+        half_diff = 1
         for table, column in zip(a_tables, a_cols):
             a0 = table[0][column]
             a1 = table[1][column]
-            half_sum *= (a0 + a1) / 2
-            half_diff *= (a0 - a1) / 2
+            half_sum *= (a0 + a1) // 2
+            half_diff *= (a0 - a1) // 2
         b0 = 1
         b1 = 1
         p = 1
@@ -1204,9 +1207,12 @@ def grid_sums(grid, weights, a_tables, b_tables, p_tables) -> ClassicalCorrelato
                 p *= p_tables[m][column]
         i_total += weight * half_sum * b0
         j_total += weight * half_diff * b1
-        if p_total is not None:
-            p_total += weight * p
-    return ClassicalCorrelators(i_total, j_total, p_total)
+        p_total += weight * p
+    return ClassicalCorrelators(
+        i_total / classical._UNIT,
+        j_total / classical._UNIT,
+        None if p_tables is None else p_total / classical._UNIT,
+    )
 
 
 def correlators(strategy: classical.HiddenStrategy) -> ClassicalCorrelators:
@@ -1228,10 +1234,9 @@ class GridScorer:
     product order (source agents, then receivers, whose p tables read the
     b tables' columns), the labels that read each column, and each
     source's label under every label.  Per label it holds an integer sign
-    triple and a weight built source by source as math.prod multiplies;
-    each total sums weight * sign left to right from +0.0.  Every term is
-    +/-weight or +/-0.0 and no total ever becomes -0.0, so the totals are
-    the floats of the whole-grid sum, zero-weight labels included.
+    triple and a weight built source by source as math.prod multiplies,
+    rounded once to units; each total re-sums units * sign over the whole
+    grid as Python ints, one label at a time, and is taken to float once.
     """
 
     def __init__(self, shape, alphabet, beta):
@@ -1273,10 +1278,10 @@ class GridScorer:
         if parts:
             self.totals = totals = list(self.totals)
             for part in parts:
-                total = 0.0
+                total = 0
                 for weight, sign in zip(self._weights, self._signs[part]):
                     total += weight * sign
-                totals[part] = total
+                totals[part] = total / classical._UNIT
             i, j, p = totals
             self.value = abs(i) ** self._root + abs(j) ** self._root
             if self._beta is not None:
@@ -1309,6 +1314,7 @@ class GridScorer:
         self._weights = [1] * len(self._columns)
         for w, labels in zip(weights, self._source_labels):
             self._weights = [x * w[v] for x, v in zip(self._weights, labels)]
+        self._weights = list(map(units, self._weights))
         return self._rescore((0, 1) if self._beta is None else (0, 1, 2))
 
     def undo(self):

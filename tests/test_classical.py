@@ -25,7 +25,9 @@ from oracles import (
     label_grid,
     loop_scan,
     objective_value,
+    random_layouts,
     refine,
+    tilted_layouts,
 )
 
 BILOCAL = NetworkShape(k=2, m=1, n=2, partition=(0, 1, 2), reach=((1, 2),))
@@ -124,26 +126,27 @@ class TestShapes:
 
 
 # (I, J, P) as float.hex for 20 seeded random strategies, pinned: any
-# change to the summation order of correlators() moves them
+# change to how correlators() rounds the label weights or the totals
+# moves them
 PINNED_CORRELATORS = [
     ("0x0.0p+0", "0x1.1599423482a7ap-3", None),
     ("-0x1.5a6ec8ee0eb96p-1", "-0x1.b3fb99ecec480p-3", None),
     ("0x1.1ec42ea625930p-2", "0x1.709de8aced368p-1", None),
     ("-0x1.024629ea80785p-3", "-0x1.0dbb82811387fp-3", None),
-    ("-0x1.47aeaeb0df510p-3", "0x0.0p+0", "0x1.e6e954a55a19ep-4"),
+    ("-0x1.47aeaeb0df510p-3", "0x0.0p+0", "0x1.e6e954a55a19fp-4"),
     ("0x1.53addd8ef4edap-1", "-0x1.58a444e21624dp-2", "0x1.4eb7763bd3b67p-2"),
     ("-0x1.309f512658886p-1", "-0x1.9ec15db34eef4p-2", "-0x1.0000000000000p+0"),
-    ("0x1.32c27b48c38a5p-5", "0x1.2a0b977f61e6cp-5", "0x1.5444782a4009dp-3"),
+    ("0x1.32c27b48c38a5p-5", "0x1.2a0b977f61e6ap-5", "0x1.5444782a400a0p-3"),
     ("0x1.46bb1cecaeb4ap-1", "-0x1.7289c626a296bp-2", "0x1.1aec73b2bad29p-2"),
-    ("0x1.485da70abcab8p-5", "0x0.0p+0", "0x1.0000000000000p+0"),
-    ("0x1.4796dc0695811p-6", "-0x1.712a1421987fbp-1", "0x1.23cd0a96b9f2ep-3"),
+    ("0x1.485da70abcab4p-5", "0x0.0p+0", "0x1.0000000000000p+0"),
+    ("0x1.4796dc0695811p-6", "-0x1.712a1421987fcp-1", "0x1.23cd0a96b9f2ep-3"),
     ("0x1.be58a490245f2p-3", "0x1.b53ab58ab3758p-2", None),
     ("0x1.16e188d34f84bp-2", "-0x1.7c0dcbb56aea6p-7", "-0x1.00e8e00abd0b8p-1"),
     ("0x1.8ba1a56fccbf6p-4", "0x1.ce8bcb5206681p-1", None),
     ("0x0.0p+0", "-0x1.ad72a0e029566p-4", None),
-    ("0x0.0p+0", "0x1.ddd91c7fbdd20p-2", "-0x1.f3b5f5b854bd6p-2"),
+    ("0x0.0p+0", "0x1.ddd91c7fbdd20p-2", "-0x1.f3b5f5b854bd7p-2"),
     ("0x0.0p+0", "0x0.0p+0", None),
-    ("0x1.43e1f246a070ep-4", "-0x1.ec4ffc934b8b6p-5", None),
+    ("0x1.43e1f246a070dp-4", "-0x1.ec4ffc934b8b6p-5", None),
     ("0x0.0p+0", "-0x1.a3de685414390p-1", None),
     ("-0x1.0000000000000p+0", "0x0.0p+0", None),
 ]
@@ -253,6 +256,11 @@ SPLIT = NetworkShape(k=1, m=2, n=2, partition=(0, 2), reach=((1,), (1, 2)))
 STAR7 = NetworkShape(k=7, m=1, n=7, partition=tuple(range(8)), reach=(tuple(range(1, 8)),))
 
 
+def as_floats(totals):
+    """The scorer's int64 totals as the floats they stand for."""
+    return [t / classical._UNIT for t in totals.tolist()]
+
+
 class TestGridScorer:
     """The refine pass's batched scorer, one restart row at a time, against
     the oracle's whole-grid sum, compared bit for bit (float.hex), never
@@ -287,11 +295,12 @@ class TestGridScorer:
         return sums, [objective_value(want, shape.k, beta).hex() for want in sums]
 
     def assert_rows_match(self, climb, shape, sizes, beta, weights, tables):
-        """The scorer's settled totals and objectives, one restart at a time."""
+        """The scorer's settled totals, taken to float, and objectives, one
+        restart at a time."""
         sums, objectives = self.objectives(shape, sizes, beta, weights, tables)
         for r, want in enumerate(sums):
             totals = [want.i_value, want.j_value] + ([want.p_value] if beta is not None else [])
-            got = climb.totals[: len(totals), r].tolist()
+            got = as_floats(climb.totals[: len(totals), r])
             assert [v.hex() for v in got] == [v.hex() for v in totals]
             assert climb.value[r].item().hex() == objectives[r]
 
@@ -357,6 +366,25 @@ class TestGridScorer:
                 self.assert_rows_match(climb, shape, sizes, beta, weights, tables)
                 assert climb.tables.T.tolist() == [sum(r, []) for r in rows]
 
+    def test_one_hot_flip_moves_a_total_by_twice_its_size(self):
+        # all the weight on labels (1, 1, 1), which one b0 entry alone
+        # reads: its flips take I from exactly +1.0 to exactly -1.0 and
+        # back, each a change of 2 * _UNIT.  int64 arithmetic wraps, so the
+        # totals alone would come out right past 2**63 too; the change
+        # itself must fit
+        assert 2 * classical._UNIT <= np.iinfo(np.int64).max
+        sizes = (2, 2, 2)
+        entries = sum(classical._table_bits(STAR3, sizes, False)[2])
+        ones = np.ones((entries, 1), dtype=np.int8)
+        climb = classical._Climb(STAR3, sizes, None, ones, self.slab([[(0.0, 1.0)] * 3], sizes))
+        entry = climb._starts[2 * STAR3.k] + 7  # b0 at the last label's column
+        assert climb.totals[:, 0].tolist() == [classical._UNIT, 0]
+        for sign in (-1, 1):
+            assert climb.flip(entry).tolist() == [1.0]
+            climb.settle(np.ones(1, dtype=bool))
+            assert climb.totals[:, 0].tolist() == [sign * classical._UNIT, 0]
+            assert as_floats(climb.totals[:, 0]) == [float(sign), 0.0]
+
     def test_point_mass_seed_strategy_matches(self, monkeypatch):
         # the refine pass starts its best at the closed form, which is the
         # score of the all-(+1) tables under its one-hot weights: all weight
@@ -401,7 +429,7 @@ class TestRoot:
         climb = classical._Climb(shape, sizes, beta, drawn[0].T.copy(), drawn[1][..., :5])
 
         def assert_roots(state, totals):
-            want = [[math.pow(abs(t), 1.0 / shape.k) for t in row] for row in totals.tolist()]
+            want = [[math.pow(abs(t), 1.0 / shape.k) for t in as_floats(row)] for row in totals]
             assert state.tolist() == want
 
         parts = slice(0, len(climb.totals))
@@ -414,8 +442,8 @@ class TestRoot:
             else:
                 climb.weigh(rng.dirichlet(np.ones(2), size=(shape.n, 5)).transpose(0, 2, 1))
                 flipped = parts
-            staged = climb._pending[1][-1][1]  # the candidate's state, before settle
-            assert_roots(staged[flipped], climb._next[1][flipped, -1])
+            staged = climb._pending[-1][-1][1]  # the candidate's state, before settle
+            assert_roots(staged[flipped], climb._next[1][flipped])
             climb.settle(rng.integers(2, size=5).astype(bool))
             assert_roots(climb.state[parts], climb.totals)
 
@@ -704,6 +732,19 @@ class TestScan:
         assert report.value == value
         assert report.strategy.to_json() == strategy.to_json()
 
+    @pytest.mark.parametrize("beta", [None, 0.5], ids=["untilted", "tilted"])
+    def test_random_layout_shapes_match_the_reachable_scan(self, beta):
+        # every distinct shape of the random layouts (tilted: of those with
+        # an h_prime) at its default alphabet, refine pass included
+        layouts = random_layouts() if beta is None else tilted_layouts()
+        shapes = dict.fromkeys(NetworkShape.from_layout(layout) for layout, _ in layouts)
+        assert len(shapes) == (9 if beta is None else 8)
+        for shape in shapes:
+            report = max_deterministic(shape, beta=beta)
+            value, strategy, _ = _scan_reachable(shape, report.alphabet, beta)
+            assert abs(report.value - value) <= classical.BOUND_TOL
+            assert report.strategy.to_json() == strategy.to_json()
+
     @pytest.mark.parametrize(
         "shape, alphabet, beta",
         [
@@ -786,20 +827,21 @@ class TestScan:
                 SINGLE,
                 4,
                 0.7,
-                "1.7000000000000006",
+                # weights whose float sum is one ulp above 1
+                "1.7000000000000002",
                 {
                     "shape": {"k": 1, "m": 1, "n": 1, "partition": [0, 1], "reach": [[1]]},
                     "alphabet": [4],
                     "weights": [
                         [
-                            0.17946675859265546,
-                            0.5228984696701848,
-                            0.25823927804046487,
-                            0.039395493696695094,
+                            0.7804053397616718,
+                            0.05872919949912717,
+                            0.06036303562468532,
+                            0.10050242511451583,
                         ]
                     ],
-                    "a_tables": [[[-1, 1, -1, 1], [1, -1, -1, -1]]],
-                    "b_tables": [[[-1, -1, -1, 1], [-1, 1, -1, 1]]],
+                    "a_tables": [[[1, 1, 1, 1], [1, 1, 1, 1]]],
+                    "b_tables": [[[1, 1, 1, 1], [1, 1, 1, 1]]],
                     "p_tables": [[1, 1, 1, 1]],
                 },
             ),
@@ -828,7 +870,7 @@ class TestScan:
     )
     def test_seeded_refinement_is_pinned(self, shape, alphabet, beta, value, strategy):
         # seed-7 results of the refine pass, pinned: any change to its
-        # draw order or summation order moves them
+        # draw order or to how it rounds the label weights moves them
         report = max_deterministic(shape, alphabet, beta=beta, seed=7)
         assert repr(report.stochastic_value) == value
         assert report.stochastic_strategy.to_json() == strategy

@@ -1119,13 +1119,14 @@ PINNED_COMMANDS = [
      "chsh-tilted-classical-bound", "classical-chsh-tilted-beta"),
     (["classical-bound", "star(3)", "--tilt-count", "0"],
      "star(3)-classical-bound", "classical-star3"),
-    # written by the refine pass that summed the whole label grid for every
-    # score, before the incremental scorer; the first pins whose refine
-    # pass has 32 labels (the others have at most 8)
+    # the first pins whose refine pass has 32 labels (the others have at most 8)
     (["classical-bound", "star(5)", "--tilt-count", "0"],
      "star(5)-classical-bound", "classical-star5"),
     (["classical-bound", "star", "--N", "5", "--phibar", "0.3927"],
      "star(5)-classical-bound", "classical-star5-tilted"),
+    # the largest star the refine budget admits, where a flip's readers
+    # differ most from the grid: one of 512 labels for each receiver entry
+    (["classical-bound", "star(9)"], "star(9)-classical-bound", "classical-star9"),
     (["sample", "example-a", "--rounds", "1000", "--seed", "1",
       "--strategy", "direct-observable"],
      "example-a-sample", "sample-example-a-direct"),
@@ -1152,12 +1153,15 @@ CHSH_40000_RECORD_SHA256 = "6d4a2a5185d9f0dacd205b9fc3bc81ddbaf2a452a3b68059385d
 
 class TestPinnedReports:
     """Reports and round records pinned byte for byte; not regenerated,
-    except once each: the five classical-* pins were rewritten when the
-    refine pass began to take its random draws in bulk
-    (classical._draw_restarts), which moved only their scanned and
-    best_stochastic_strategy fields, and the sample-* pins and round
-    records when the sampler began to draw each round's settings with its
-    outcomes, which moved every draw and the tallies' schema."""
+    except in these rewrites: the classical-* pins of example-a,
+    chsh-tilted, star(3) and the two star(5) when the refine pass began to
+    take its random draws in bulk (classical._draw_restarts), which moved
+    only their scanned and best_stochastic_strategy fields, and all but
+    chsh-tilted's again when it began to score exact integer totals, which
+    moved only their stochastic_max and best_stochastic_strategy fields;
+    the sample-* pins and round records when the sampler began to draw
+    each round's settings with its outcomes, which moved every draw and
+    the tallies' schema."""
 
     @pytest.mark.parametrize(
         "argv,stem,pin", PINNED_COMMANDS, ids=[pin for _, _, pin in PINNED_COMMANDS]
