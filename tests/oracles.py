@@ -93,6 +93,7 @@ import csv
 import functools
 import itertools
 import math
+import operator
 from collections import defaultdict
 from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence, Union
@@ -1278,9 +1279,7 @@ class GridScorer:
         if parts:
             self.totals = totals = list(self.totals)
             for part in parts:
-                total = 0
-                for weight, sign in zip(self._weights, self._signs[part]):
-                    total += weight * sign
+                total = sum(map(operator.mul, self._weights, self._signs[part]))
                 totals[part] = total / classical._UNIT
             i, j, p = totals
             self.value = abs(i) ** self._root + abs(j) ** self._root
