@@ -1,68 +1,55 @@
 """Finite-round sampling of network Bell experiments.
 
-Rounds are simulated exactly rather than by per-round state collapse. The
-sources are independent, every source agent's observables act inside its
-own group of sources, and each receiver measures a product over the
-groups, so once the settings are fixed the outcome distribution of a
-round is a product over the groups. Each group's factor is built on the
-group's own state (the joint state of the network is never formed, and
-the statevector cap bounds one group), once per source setting and
-receiver settings, by rotating the commuting observables into one shared
-computational-basis frame (in `states`; a group's state and its
-rotations live only while its frames are built):
+A run draws its tallies from their exact law; only a run that writes a
+round record draws rounds, conditioned on those counts, so a seed gives
+the same report with a record or without.
 
-* a source agent's two-outcome observable cos(theta) S + (-1)^x sin(theta) T
-  equals V S V^dag with V = exp(-(-1)^x (theta/2) ST), so applying V^dag
-  (a real combination of the identity and the string ST) reduces it to the
-  plain string S;
-* every remaining measured string is then diagonalized with single-qubit
-  basis rotations: H for X, H S^dag for Y.
+The law. The sources are independent and every observable is a product
+of pieces on the groups of sources (see observables), so at receiver
+settings y the product of all outcomes is a product of independent +-1
+outcomes, one per group. Under uniform source settings group k's mean is
+cos(theta_k) <S_k B_y,k>, or sin(theta_k) <T_k B_y,k> at y = 1...1, where
+the tally takes (-1)^|x| times the product (B_y,k is the receivers'
+pieces' product on the group). A tilted y = 0...0 also collects the phase
+flip, of group means <P_k>, and both together, cos(theta_k)
+<S_k B_0,k P_k>. Each mean is a `bell._group_expectation` of the sources'
+stabilizing and logical operators. A cell of y, its rounds whose tallied
+outcomes are a (and b), has probability (1 + a m)/2, or
+(1 + a m + b f + a b g)/4 at a tilted y = 0...0, m, f and g the products
+of the means, and y is uniform: one multinomial draw over every (y, cell)
+gives the tallies, with no frame or statevector, so the statevector cap
+bounds only a record.
 
-Every observable arrives as pieces on the groups (see observables), so a
-group's frame reads only the pieces on that group. Its measured basis is
-the OR of the x and z bit masks of the pieces it measures (_basis), and
-each qubit whose x bit is set is rotated, in ascending order, by H where
-its z bit is clear and by H S^dag where it is set
-(`states.basis_probabilities`); tests/oracles.py works the same letters
-out one qubit at a time from the agents' local strings.
-A measured string's mask is its pieces' bits, one mask per group. The
-squared amplitudes of the rotated group state are the exact outcome
-distribution of the group.
+The record. Each group's frames are built on its own state (in `states`),
+once per source setting and receiver settings: V = exp(-(-1)^x (theta/2)
+ST) takes S to the agent's cos(theta) S + (-1)^x sin(theta) T, so V^dag
+turns the state, and the basis, the OR of the x and z masks of the pieces
+measured on the group (_basis), rotates each qubit whose x bit is set, in
+ascending order, by H, or by H S^dag where its z bit is set too
+(tests/oracles.py works the letters out one qubit at a time). A string's
+outcome is its sign times the parity of its bits in the groups' indices.
+At y, group k's joint frame runs over (x_k, outcome), x_k the bit above
+the group's qubits, half the outcome probabilities at each x_k. A round's
+residual is the parity of the tallied strings that the groups not yet
+drawn owe its cell: backward sums over the groups (a 2-state chain,
+4-state when tilted) give the frames' law of the cells, which must be the
+exact law within PROB_TOL, and each group's guide table (_Table) one row
+per y and residual, its frame weighted by the probability that the later
+groups owe the rest. Each chunk of _RECORD_CHUNK rounds takes its cells
+from the counts left, without replacement, shuffled, then one uniform per
+group and round, read at the row of the round's y and residual, which is
+0 after the last group; its lines are written as soon as it is drawn, so
+memory does not grow with the rounds.
 
-The settings are drawn per round, uniformly, each source agent's x_k
-together with its group's outcome: at receiver settings y, group k's
-joint frame runs over the index (x_k, outcome), x_k the bit above the
-group's qubits, with half the outcome probabilities at x_k = 0 followed
-by half those at x_k = 1. Each group stacks its 2^M joint frames into
-one guide table (see _Table), read at a start row per round; hence the
-bound of MAX_RECEIVER_SETTINGS. Every recorded outcome is the parity of
-a string's bits in the groups' indices, so the table keeps, per bin, one
-parity bit for each string read on the group: the product of all
-outcomes (whose mask at y = 1...1 also holds every x bit, so that it
-reads (-1)^|x| times the product), the phase-flip product when tilted,
-and each record column.
-
-The rounds are drawn in chunks of _RECORD_CHUNK rounds, one call to the
-generator per chunk. Each round takes K + 1 consecutive uniforms, so the
-draws do not depend on the chunk size: the first gives y = floor(u 2^M),
-exact since 2^M is a power of two, and the others each group's bin in its
-frame at y. A string's outcome is the XOR of its bins' parity bits
-across the groups, started from its sign. The round record is opened once
-every table is built and takes each chunk's lines as soon as it is drawn,
-so memory does not grow with the rounds, with a record or without.
-
-Two acquisition strategies are supported. "direct-observable" measures each
-agent's chosen observable as a whole (for tilted runs the receiver measures
-the commuting grafted triple and the plain B0 outcome is recovered as a
-product of its bits). "per-qubit-discard" measures every receiver qubit in
-a single-qubit basis (the repeated letter on idle qubits) and multiplies
-the relevant bits, discarding the rest. Both strategies share the same
-estimators; they differ in which qubits are measured and in what the
-per-round record contains. The record lists the rounds in the order they
-were drawn, formatted in numpy as one matrix of 4-byte words per chunk of
-rounds with a column per line (4-digit words of the index, the settings,
-one word per outcome cell, CRLF), whose pad bytes are deleted before the
-write.
+"direct-observable" measures each agent's observable whole (a tilted
+receiver the commuting grafted triple, and B0 as the product of its
+bits); "per-qubit-discard" measures every receiver qubit in a
+single-qubit basis (the repeated letter on idle qubits) and multiplies
+the relevant bits. Both tally the same strings, so they share the law and
+the estimators; they differ in the qubits measured and in the record,
+which lists the rounds in the order drawn, each chunk formatted in numpy
+as a matrix of 4-byte words with a column per line (4-digit words of the
+index, the settings, a word per outcome cell, CRLF), pad bytes deleted.
 
 The estimators pool the rounds of a receiver setting, unbiased under
 uniform settings: I is the mean product over the rounds with y = 0...0,
@@ -78,30 +65,29 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .bell import _group_expectation
 from .network import NetworkLayout
 from .observables import CrossCheckError, Synthesis
-from .pauli import _LETTER_OF_BITS
+from .pauli import _LETTER_OF_BITS, PauliString
 from .reports import atomic_write
 from .states import _parity, basis_probabilities, group_state, make_rng, setting_rotations
 
 MODES = ("direct-observable", "per-qubit-discard")
 
 PROB_TOL = 1e-9
-# A run holds one chunk of rounds at a time and writes the chunk's lines of
-# the round record before it draws the next, so its memory does not grow
-# with the rounds, with a record or without; a record's file does.
+# A round record holds one chunk of rounds at a time, so its memory does not
+# grow with the rounds; its file does.
 MAX_ROUNDS = 10**9
-# Each group stacks one frame per receiver setting into its guide table, and
-# each receiver setting is a tally: 2^M of them are built before any round
-# is drawn, so networks with more are refused first.
+# Each receiver setting is a tally, and each group's guide table stacks rows
+# per setting: 2^M of them are laid out first, so more are refused first.
 MAX_RECEIVER_SETTINGS = 2**12
 
-# Rounds per chunk of the sampling pass and per write of the round record:
-# bounds the uniforms, bins and text held at once.
+# Rounds per chunk of the round record's draw and write: bounds the cells,
+# uniforms, bins and text held at once.
 _RECORD_CHUNK = 8192
 # The round record is assembled from 4-byte words, padded with 0 bytes that
 # are deleted before the write. _DIGITS[v] spells v in four digits, and
@@ -147,22 +133,13 @@ class SettingTally:
     product_sum: int
     p_sum: int | None
 
-    @property
-    def product_mean(self) -> float:
-        return self.product_sum / self.rounds if self.rounds else 0.0
-
-    @property
-    def p_mean(self) -> float | None:
-        if self.p_sum is None:
-            return None
-        return self.p_sum / self.rounds if self.rounds else 0.0
-
     def as_dict(self) -> dict:
+        rounds = self.rounds or 1  # no rounds: sums 0, means 0.0
         return {
             "y": "".join(str(b) for b in self.y),
             "rounds": self.rounds,
-            "product_mean": self.product_mean,
-            "p_mean": self.p_mean,
+            "product_mean": self.product_sum / rounds,
+            "p_mean": None if self.p_sum is None else self.p_sum / rounds,
         }
 
 
@@ -188,24 +165,16 @@ class TallyReport:
     g_se: float | None
 
     def as_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "rounds": self.rounds,
-            "seed": self.seed,
-            "K": self.k,
-            "I": self.i_estimate,
-            "I_se": self.i_se,
-            "J": self.j_estimate,
-            "J_se": self.j_se,
-            "P": self.p_estimate,
-            "P_se": self.p_se,
-            "beta": self.beta,
-            "value": self.value_estimate,
-            "value_se": self.value_se,
-            "G": self.g_estimate,
-            "G_se": self.g_se,
-            "tallies": [t.as_dict() for t in self.tallies],
-        }
+        """The report's fields under their JSON keys, the tallies last."""
+        values = [getattr(self, field.name) for field in fields(self) if field.name != "tallies"]
+        return {**dict(zip(_REPORT_KEYS, values)), "tallies": [t.as_dict() for t in self.tallies]}
+
+
+# TallyReport's JSON keys, in its fields' order without the tallies.
+_REPORT_KEYS = (
+    "mode", "rounds", "seed", "K", "I", "I_se", "J", "J_se", "P", "P_se",
+    "beta", "value", "value_se", "G", "G_se",
+)
 
 
 # ----------------------------------------------------------------------
@@ -286,8 +255,8 @@ def _product(masks) -> _Mask:
 
 
 class _Frames:
-    """Each group's outcome distributions in its measurement frames, and
-    the masks that read every agent's outcome off the groups' indices.
+    """The masks that read every agent's outcome off the groups' indices,
+    the exact law of the tallies, and each group's frames and guide table.
 
     The distribution of group k depends only on its source agent's setting
     x_k and on the receivers' settings y, so each group's frames are built
@@ -297,7 +266,7 @@ class _Frames:
     """
 
     def __init__(self, synthesis: Synthesis, thetas: tuple[float, ...], mode: str):
-        layout = synthesis.layout
+        layout, tilt = synthesis.layout, synthesis.tilt
         # A source observable's group is its agent's, whatever its position.
         owner = {obs.agent: pos for pos, obs in enumerate(synthesis.sources)}
         if sorted(owner) != list(layout.source_agents):
@@ -305,9 +274,8 @@ class _Frames:
         self.synthesis, self.thetas, self.mode = synthesis, thetas, mode
         self.owners = [owner[k] for k in layout.source_agents]
         self.ys = list(itertools.product((0, 1), repeat=layout.M))
-        # Every basis is checked before any frame is built, y outermost,
-        # then by group, so a basis refused at several receiver settings or
-        # groups is reported at the first.
+        # Every basis is checked first, y outermost, then by group, so a
+        # basis refused at several settings or groups is reported at the first.
         for y in self.ys:
             for k in layout.source_agents:
                 _basis(synthesis, k, y, mode)
@@ -318,22 +286,62 @@ class _Frames:
             [_string_mask(layout, enumerate(rec.b_pieces(ym), start=1)) for ym in (0, 1)]
             for rec in synthesis.receivers
         ]
-        tilt = synthesis.tilt
         self.p_masks = None if tilt is None else [
             _string_mask(layout, enumerate(block.p_part_pieces, start=1))
             for block in tilt.receivers
         ]
+        # The tallied strings' masks at each y, None where not collected:
+        # the product of all outcomes (with every x bit at y = 1...1) and the
+        # phase flip at a tilted y = 0...0. Cell c of y holds the rounds where
+        # string t reads (-1)^(c >> t & 1).
+        self.tilted = [tilt is not None and not any(y) for y in self.ys]
+        x_bits = [_Mask(bits=tuple(1 << width for width in layout.group_widths), sign=1)]
+        self.tallied = [[
+            _product(self.source_masks + self.receiver_masks(y) + (x_bits if all(y) else []))
+            for y in self.ys
+        ]]
+        if tilt is not None:
+            flip = _product(self.p_masks)
+            self.tallied.append([flip if now else None for now in self.tilted])
+        self.cells = 2 ** len(self.tallied)
 
     def receiver_masks(self, y: tuple[int, ...]) -> list[_Mask]:
         return [masks[ym] for masks, ym in zip(self._receiver_masks, y)]
 
+    def law(self) -> np.ndarray:
+        """Each cell's exact probability (column) per receiver setting y (row)
+        from the group expectations: 0 where y has no such cell, and never
+        below 0, which round-off could give and the multinomial refuses."""
+        synthesis = self.synthesis
+        layout, receivers, tilt = synthesis.layout, synthesis.receivers, synthesis.tilt
+        a, b = 1 - 2 * (np.arange(self.cells) & 1), 1 - 2 * (np.arange(self.cells) >> 1)
+        law = np.zeros((len(self.ys), self.cells))
+        for v, (y, now) in enumerate(zip(self.ys, self.tilted)):
+            means = [1.0, 1.0, 1.0]  # the product, the phase flip, both
+            for k, pos in enumerate(self.owners, start=1):
+                obs, theta = synthesis.sources[pos], self.thetas[pos]
+                b_k = PauliString.product(rec.b_pieces(ym)[k - 1] for rec, ym in zip(receivers, y))
+                if all(y):
+                    factors = [(math.sin(theta), obs.t_piece * b_k)]
+                else:
+                    factors = [(math.cos(theta), obs.s_piece * b_k)]
+                if now:
+                    p_k = tilt.p_pieces[k - 1]
+                    factors += [(1.0, p_k), (math.cos(theta), obs.s_piece * b_k * p_k)]
+                for t, (c, op) in enumerate(factors):
+                    means[t] *= c * _group_expectation(layout.group_sources(k), op).real
+            if now:
+                law[v] = (1 + a * means[0] + b * means[1] + a * b * means[2]) / 4
+            else:
+                law[v, :2] = (1 + a[:2] * means[0]) / 2
+        return np.maximum(law, 0.0, out=law)
+
     def group_frames(self, k: int, codewords: dict):
         """Group k's joint frames, one per receiver setting y in product
-        order, each built as it is read: over the index (x_k, outcome), x_k
-        the bit above the group's qubits, the outcome probabilities at
-        x_k = 0 followed by those at x_k = 1, each half summing to 1. The
-        group's state takes its sources' codewords from codewords (see
-        states.group_state); only its two rotations are kept past them."""
+        order, each built as it is read, over the index (x_k, outcome): the
+        outcome probabilities at x_k = 0, then at x_k = 1. The group's state
+        takes its sources' codewords from codewords (see states.group_state);
+        only its two rotations are kept past them."""
         pos = self.owners[k - 1]
         obs = self.synthesis.sources[pos]
         state = group_state(self.synthesis.layout.group_sources(k), codewords)
@@ -341,104 +349,107 @@ class _Frames:
         del state
         for y in self.ys:
             x, z = _basis(self.synthesis, k, y, self.mode)
-            yield np.concatenate([_normalized(basis_probabilities(a, x, z), k) for a in rotated])
+            yield np.concatenate([basis_probabilities(a, x, z) for a in rotated])
 
-    def tables(self, reads) -> list[_Table]:
-        """Per group, in group order, its guide table stacked over its
-        joint frames (see group_frames; the table normalizes them, which
-        halves each exactly). reads[s][y] is string s's mask at y on that
-        index, or None where it is not collected. Each group's frames are
-        built as its table reads them, and each distinct codeword once."""
-        codewords: dict = {}
+    def tables(self, columns) -> tuple[list[_Table], np.ndarray]:
+        """Per group, its guide table over rows (y, r) in product order, r a
+        round's residual before the group is drawn, and the frames' law of
+        the cells; columns[s][y] is string s's mask at y, None where not
+        collected. Row (y, r) of group k weighs each bin of its frame at y
+        by the probability that groups k+1..K owe r XOR the bin's residual
+        (one bin where no round reaches it). A bin's codes are its residual,
+        then per column its parity of the bin's index, XORed with the
+        sign's on group 1 or 2 there where not collected, so the XOR over
+        the groups is the outcome code (0 for +1, 1 for -1, 2 for none).
+        Every group's frames are built first, and their nonzero bins kept."""
+        cells, tallied, codewords, kept = self.cells, len(self.tallied), {}, []
+        for k in self.synthesis.layout.source_agents:
+            kept.append([])
+            for v, frame in enumerate(self.group_frames(k, codewords)):
+                index = np.flatnonzero(frame)
+                codes = [
+                    np.full(index.size, 2 * (k == 1 and t >= tallied)) if mask is None
+                    else _parity(index & mask.bits[k - 1]) ^ (k == 1 and mask.sign < 0)
+                    for t, mask in enumerate(read[v] for read in self.tallied + columns)
+                ]
+                owed = sum(code << t for t, code in enumerate(codes[:tallied]))
+                codes = np.stack([owed, *codes[tallied:]], axis=1).astype(np.uint8)
+                kept[-1].append((index, frame[index] / 2, codes))
+        # tails[k][v, r]: the probability that groups k+1..K owe r at ys[v]
+        tails = [np.eye(1, cells).repeat(len(self.ys), axis=0)]
+        for per_y in reversed(kept):
+            spread = np.array([np.bincount(codes[:, 0], p, cells) for _, p, codes in per_y])
+            terms = [spread[:, [c]] * tails[0][:, np.arange(cells) ^ c] for c in range(cells)]
+            tails.insert(0, sum(terms))
         return [
-            _table(
-                self.group_frames(k, codewords),
-                [[0 if mask is None else mask.bits[k - 1] for mask in read] for read in reads],
-            )
-            for k in self.synthesis.layout.source_agents
-        ]
-
-
-def _normalized(probabilities: np.ndarray, k: int) -> np.ndarray:
-    """Group k's outcome probabilities over their sum, which must be 1."""
-    total = probabilities.sum()
-    if not abs(total - 1.0) < PROB_TOL:
-        raise CrossCheckError(f"group {k} frame probabilities sum to {total!r}")
-    return probabilities / total
+            _table([
+                (index, weights, codes) if (weights := p * tails[k + 1][v, r ^ codes[:, 0]]).any()
+                else (index[:1], np.ones(1), codes[:1])
+                for v, (index, p, codes) in enumerate(per_y) for r in range(cells)
+            ])
+            for k, per_y in enumerate(kept)
+        ], tails[0]
 
 
 @dataclass(frozen=True)
 class _Table:
-    """One group's guide table, stacked over the group's frames.
-
-    Each frame keeps only the distinct bins [low, upper) of its cumulative
-    sums, each with the outcome index that a searchsorted(side="right")
-    returns inside it: the last of a run of zero-probability outcomes,
-    which repeat an edge. The frames' bins follow one another in the
-    stacked arrays. start holds, for each frame in turn, one row of a
-    power-of-two number of equal buckets, each bucket's entry the bin
-    holding its left end (the indexed search of Chen and Asau, 1974; see
-    Devroye, Non-Uniform Random Variate Generation, III.2.4). A power of
-    two makes u * buckets exact, so u lies in bucket floor(u * buckets) and
-    its bin is at or past that bucket's start; steps is the most bins a
-    bucket of any frame spans past its start, so that many steps of
-    j += upper[j] <= u reach every u's bin, and stay there, since a frame's
-    last bin ends at 1. parities[s] holds string s's parity (its bits of
-    the bin's index) per bin, or None if the string has no bits on the
-    group.
-    """
+    """One group's guide table, stacked over rows of weighted bins: each
+    row's distinct bins [low, upper) of its normalized cumulative sums, one
+    after another, each with the outcome index a searchsorted(side="right")
+    returns in it (the last of a run of zero-weight outcomes) and its codes.
+    start holds, per row, a power-of-two number of equal buckets, each the
+    bin holding its left end (the indexed search of Chen and Asau, 1974;
+    Devroye, Non-Uniform Random Variate Generation, III.2.4): u * buckets
+    is exact, so u's bin is at or past its bucket's start, and steps steps
+    of j += upper[j] <= u, the most bins a bucket spans past its start,
+    reach it and stay, since a row's last bin ends at 1."""
 
     index: np.ndarray
+    codes: np.ndarray
     upper: np.ndarray
     start: np.ndarray
     buckets: int
     steps: int
-    parities: list[np.ndarray | None]
 
     def locate(self, u: np.ndarray, base) -> np.ndarray:
-        """The bin of each uniform u in [0, 1) in the frame whose start row
-        begins at base (frame * buckets; one for all, or one per u)."""
+        """The bin of each uniform u in [0, 1) in the row whose start row
+        begins at base (row * buckets; one for all, or one per u)."""
         j = self.start[base + (u * self.buckets).astype(np.intp)]
         for _ in range(self.steps):
             j += self.upper[j] <= u
         return j
 
 
-def _table(frames, reads: list[list[int]]) -> _Table:
-    """The guide table stacked over one group's frames, an iterable of
-    their probabilities read once, and the parities of the strings read
-    there: reads[s][f] is string s's bits on the group in frame f.
-
-    The edges are 0 followed by the normalized cumulative sums, as
-    Generator.choice forms them. The buckets are the smallest power of two
-    at least four times the most bins of a frame, so few buckets hold an
-    edge inside them and steps is at most 2 on every builtin.
-    """
-    def cut(probabilities):  # a frame's bins, holding no frame past its return
-        edges = np.zeros(probabilities.size + 1)
-        cdf = np.cumsum(probabilities, out=edges[1:])
+def _table(rows) -> _Table:
+    """The guide table stacked over one group's rows, each its ascending
+    outcome indices, their weights (nonnegative, not all 0) and codes. The
+    edges are 0 followed by the normalized cumulative sums, as
+    Generator.choice forms them; the buckets the smallest power of two from
+    four times the most bins of a row, up to sixteen, at which steps is at
+    most 2 (so it is on every builtin)."""
+    def cut(row):  # a row's bins
+        index, weights, codes = row
+        edges = np.zeros(weights.size + 1)
+        cdf = np.cumsum(weights, out=edges[1:])
         cdf /= cdf[-1]
-        index = np.flatnonzero(edges[:-1] < edges[1:])
-        return index, edges[index], edges[index + 1]
+        keep = np.flatnonzero(edges[:-1] < edges[1:])
+        return index[keep], edges[keep], edges[keep + 1], codes[keep]
 
-    cuts = list(map(cut, frames))
-    buckets = 1 << (4 * max(index.size for index, _, _ in cuts) - 1).bit_length()
-    bounds = np.arange(buckets + 1) / buckets
-    starts, ends, offset = [], [], 0
-    for index, low, _ in cuts:
-        starts.append(low.searchsorted(bounds[:-1], side="right") - 1 + offset)
-        # the last bin that a u below the next bucket's left end can lie in
-        ends.append(low.searchsorted(bounds[1:], side="left") - 1 + offset)
-        offset += index.size
-    start, end = np.concatenate(starts), np.concatenate(ends)
-    parities = [
-        np.concatenate([_parity(index & b) for (index, _, _), b in zip(cuts, bits)])
-        .astype(np.uint8) if any(bits) else None
-        for bits in reads
-    ]
-    index, _, upper = (np.concatenate(part) for part in zip(*cuts))
-    steps = int((end - start).max())
-    return _Table(index, upper, start, buckets, steps, parities)
+    cuts = list(map(cut, rows))
+    most = max(cut[0].size for cut in cuts)
+    buckets, steps = 1 << (4 * most - 1).bit_length(), 3
+    while steps > 2 and buckets <= 16 * most:
+        bounds = np.arange(buckets + 1) / buckets
+        starts, ends, offset = [], [], 0
+        for index, low, *_ in cuts:
+            starts.append(low.searchsorted(bounds[:-1], side="right") - 1 + offset)
+            # the last bin that a u below the next bucket's left end can lie in
+            ends.append(low.searchsorted(bounds[1:], side="left") - 1 + offset)
+            offset += index.size
+        start, end = np.concatenate(starts), np.concatenate(ends)
+        steps, buckets = int((end - start).max()), 2 * buckets
+    index, _, upper, codes = (np.concatenate(part) for part in zip(*cuts))
+    return _Table(index, codes, upper, start, buckets // 2, steps)
 
 
 # ----------------------------------------------------------------------
@@ -478,10 +489,11 @@ def _csv_header(mode, k, m, tilted, measured_qubits) -> list[str]:
     return header
 
 
-def _record_reads(synthesis: Synthesis, frames: _Frames, mode: str, ys, tilted):
+def _record_reads(frames: _Frames):
     """The round record's header and what each of its outcome columns
     reads: the column's mask at every receiver setting y, or None where it
     is not collected."""
+    synthesis, mode, ys = frames.synthesis, frames.mode, frames.ys
     layout, receivers = synthesis.layout, synthesis.receivers
     k, m = layout.K, layout.M
     columns = [[mask] * len(ys) for mask in frames.source_masks]
@@ -489,7 +501,7 @@ def _record_reads(synthesis: Synthesis, frames: _Frames, mode: str, ys, tilted):
     if mode == "direct-observable":
         columns += [[frames.receiver_masks(y)[r] for y in ys] for r in range(m)]
         if synthesis.tilt is not None:
-            columns += [[mask if now else None for now in tilted] for mask in frames.p_masks]
+            columns += [[mask if now else None for now in frames.tilted] for mask in frames.p_masks]
     else:
         # Per-qubit records cover the receiver-held qubits where g or h acts,
         # in (i, j) order: the qubits of the B0 and B1 pieces, which every
@@ -506,6 +518,16 @@ def _record_reads(synthesis: Synthesis, frames: _Frames, mode: str, ys, tilted):
                 bits = tuple(bit if g == group else 0 for g in layout.source_agents)
                 columns.append([_Mask(bits=bits, sign=1)] * len(ys))
     return _csv_header(mode, k, m, synthesis.tilt is not None, measured), columns
+
+
+def _take(rng: np.random.Generator, left: np.ndarray, size: int) -> np.ndarray:
+    """The next size rounds' cells, drawn without replacement from the counts
+    left by numpy's marginals method; it takes under 10^9, so more are halved."""
+    if left.sum() < 10**9:
+        return rng.multivariate_hypergeometric(left, size, method="marginals")
+    half = left.size // 2
+    first = int(rng.hypergeometric(left[:half].sum(), left[half:].sum(), size))
+    return np.concatenate([_take(rng, left[:half], first), _take(rng, left[half:], size - first)])
 
 
 def run(
@@ -529,11 +551,10 @@ def run(
     CRLF, and the same seed writes the same bytes. The file is written
     atomically, like the reports.
     """
-    layout, tilt = synthesis.layout, synthesis.tilt
     if beta is not None:
         synthesis.check_beta(beta)
     thetas = synthesis.angles(thetas)
-    k, m = layout.K, layout.M
+    m = synthesis.layout.M
     if 2**m > MAX_RECEIVER_SETTINGS:
         raise ValueError(
             f"sampling needs 2^{m} receiver settings (M={m}), "
@@ -541,89 +562,77 @@ def run(
         )
     frames = _Frames(synthesis, thetas, config.strategy)
     rng = make_rng(config.seed)
-
-    # Every string read, as its mask at each receiver setting y (or None
-    # where it is not collected): the product of all outcomes, with every
-    # x bit at y = 1...1, the phase-flip product when tilted, then the
-    # record's columns.
-    ys = frames.ys
-    tilted = [tilt is not None and not any(y) for y in ys]
-    x_bits = [_Mask(bits=tuple(1 << width for width in layout.group_widths), sign=1)]
-    reads = [[
-        _product(frames.source_masks + frames.receiver_masks(y) + (x_bits if all(y) else []))
-        for y in ys
-    ]]
-    if tilt is not None:
-        flip = _product(frames.p_masks)
-        reads.append([flip if now else None for now in tilted])
-    tallied = len(reads)
-    # Buffers reused by every chunk of rounds: a round's K + 1 uniforms in a
-    # row of draws, as the generator gives them, and in a column of
-    # uniforms, a row per use; with a record, its outcome codes and text.
-    draws = np.empty((min(_RECORD_CHUNK, config.rounds), k + 1))
-    uniforms = np.empty(draws.shape[::-1])
+    law = frames.law()
+    ys, cells = frames.ys, frames.cells
+    counts = rng.multinomial(config.rounds, law.ravel() / len(ys))
     if record_path is not None:
-        header, columns = _record_reads(synthesis, frames, config.strategy, ys, tilted)
-        reads += columns
-        outcomes = np.zeros((len(draws), -(-len(columns) // 4) * 4), dtype=np.uint8)
-        # each round's settings text: a comma, the x bits, "|", the y bits
-        settings = np.zeros((len(draws), -(-(k + m + 2) // 4) * 4), dtype=np.uint8)
-        settings[:, 0], settings[:, k + 1] = ord(","), ord("|")
-        y_text = np.array(ys, dtype=np.uint8) + ord("0")
-    tables = frames.tables(reads)
-    # Per string and receiver setting, the outcome code a read starts from:
-    # bit 0 the parity of the string's sign, bit 1 set where it is not
-    # collected.
-    initial = np.array(
-        [[2 if mask is None else int(mask.sign < 0) for mask in read] for read in reads],
-        dtype=np.uint8,
-    )
+        _record(record_path, frames, law, counts, rng, config.rounds)
+    per_y = counts.reshape(len(ys), cells)
+    signs = 1 - 2 * (np.arange(cells)[:, None] >> np.arange(len(frames.tallied)) & 1)
+    tallies = [
+        SettingTally(y, int(n), total[0], total[1] if now else None)
+        for y, n, total, now in zip(ys, per_y.sum(axis=1), (per_y @ signs).tolist(), frames.tilted)
+    ]
+    return _report(config, synthesis.layout.K, tallies, beta)
 
-    # per tallied string, its rounds by outcome code and receiver setting
-    codes = np.zeros((tallied, 3 * len(ys)), dtype=np.int64)
-    span = np.intp(len(ys))
+
+def law_gap(synthesis: Synthesis, thetas, mode: str) -> float:
+    """The largest gap between the tallies' law from mode's frames and the exact law."""
+    frames = _Frames(synthesis, synthesis.angles(thetas), mode)
+    return float(np.abs(frames.tables([])[1] - frames.law()).max())
+
+
+def _record(path, frames: _Frames, law: np.ndarray, counts: np.ndarray, rng, rounds: int) -> None:
+    """Write the record of rounds drawn from rng, counts[c] in flattened (y, cell) c."""
+    layout = frames.synthesis.layout
+    k, m, ys, cells = layout.K, layout.M, frames.ys, frames.cells
+    header, columns = _record_reads(frames)
+    tables, drawn = frames.tables(columns)
+    for cell in np.flatnonzero((counts > 0) & (drawn.ravel() == 0)):
+        raise CrossCheckError(
+            f"cell {cell % cells} at receiver settings {ys[cell // cells]} was drawn, "
+            "but its frame probability is 0"
+        )
+    gap = float(np.abs(drawn - law).max())
+    if not gap <= PROB_TOL:
+        raise CrossCheckError(
+            f"the frames' law of the tallied outcomes is {gap:.3g} from the group expectations'"
+        )
+    # Buffers for every chunk: its outcome codes and settings texts (",", x, "|", y)
+    size = min(_RECORD_CHUNK, rounds)
+    outcomes = np.zeros((size, -(-len(columns) // 4) * 4), dtype=np.uint8)
+    settings = np.zeros((size, -(-(k + m + 2) // 4) * 4), dtype=np.uint8)
+    settings[:, 0], settings[:, k + 1] = ord(","), ord("|")
+    y_text = np.array(ys, dtype=np.uint8) + ord("0")
+    left = counts.copy()
 
     def draw(handle) -> None:
-        """Tally each chunk of rounds, and write its lines to handle if given."""
-        if handle is not None:
-            csv.writer(handle).writerow(header)
-            handle.flush()  # the lines go to the binary layer below
-        for start in range(0, config.rounds, _RECORD_CHUNK):
-            size = min(_RECORD_CHUNK, config.rounds - start)
-            u = uniforms[:, :size]
-            np.copyto(u, rng.random(out=draws[:size]).T)
-            y = (u[0] * len(ys)).astype(np.intp)
-            bins = [table.locate(row, y * table.buckets) for table, row in zip(tables, u[1:])]
-            for s in range(len(reads)):
-                bits = initial[s][y]
-                for table, j in zip(tables, bins):
-                    if table.parities[s] is not None:
-                        bits ^= table.parities[s][j]
-                if s < tallied:
-                    codes[s] += np.bincount(bits * span + y, minlength=3 * len(ys))
-                else:
-                    outcomes[:size, s - tallied] = bits
-            if handle is not None:
-                # x_k is the bit above group k's qubits in its bin's index
-                for table, j, pos, width in zip(tables, bins, frames.owners, layout.group_widths):
-                    settings[:size, 1 + pos] = (table.index[j] >> width) + ord("0")
-                settings[:size, k + 2 : k + 2 + m] = y_text[y]
-                lines = _format_rounds(start, len(columns), settings[:size], outcomes[:size])
-                handle.buffer.write(lines)
+        csv.writer(handle).writerow(header)
+        handle.flush()  # the lines go to the binary layer below
+        for start in range(0, rounds, _RECORD_CHUNK):
+            size = min(_RECORD_CHUNK, rounds - start)
+            take = _take(rng, left, size)
+            left[:] -= take
+            row = np.repeat(np.arange(left.size), take)  # (y, cell) is the first row
+            rng.shuffle(row)
+            bins, codes = [], 0
+            for table, u in zip(tables, rng.random((k, size))):
+                bins.append(table.locate(u, row * table.buckets))
+                taken = np.take(table.codes, bins[-1], axis=0)  # faster than codes[j] here
+                row ^= taken[:, 0]
+                codes ^= taken
+            y, residual = np.divmod(row, cells)
+            if residual.any():
+                raise CrossCheckError("a drawn round's outcomes do not read its tallied cell")
+            outcomes[:size, : len(columns)] = codes[:, 1:]
+            # x_k is the bit above group k's qubits in its bin's index
+            for table, j, pos, width in zip(tables, bins, frames.owners, layout.group_widths):
+                settings[:size, 1 + pos] = (table.index[j] >> width) + ord("0")
+            settings[:size, k + 2 : k + 2 + m] = y_text[y]
+            lines = _format_rounds(start, len(columns), settings[:size], outcomes[:size])
+            handle.buffer.write(lines)
 
-    if record_path is None:
-        draw(None)
-    else:
-        atomic_write(record_path, draw)
-
-    codes = codes.reshape(tallied, 3, len(ys))
-    counts = codes[0].sum(axis=0)
-    sums = (counts - 2 * codes[:, 1]).tolist()
-    tallies = [
-        SettingTally(y, int(count), sums[0][v], sums[1][v] if tilted[v] else None)
-        for v, (y, count) in enumerate(zip(ys, counts))
-    ]
-    return _report(config, k, tallies, beta)
+    atomic_write(path, draw)
 
 
 def _report(config: RunConfig, k: int, tallies: list[SettingTally], beta) -> TallyReport:
@@ -653,22 +662,10 @@ def _report(config: RunConfig, k: int, tallies: list[SettingTally], beta) -> Tal
             g_se = math.sqrt(value_se**2 + (beta * p_root_se) ** 2)
 
     return TallyReport(
-        mode=config.strategy,
-        rounds=config.rounds,
-        seed=config.seed,
-        k=k,
-        tallies=tuple(tallies),
-        i_estimate=i_est,
-        i_se=i_se,
-        j_estimate=j_est,
-        j_se=j_se,
-        p_estimate=p_est,
-        p_se=p_se,
-        beta=beta,
-        value_estimate=value,
-        value_se=value_se,
-        g_estimate=g_est,
-        g_se=g_se,
+        mode=config.strategy, rounds=config.rounds, seed=config.seed, k=k,
+        tallies=tuple(tallies), i_estimate=i_est, i_se=i_se, j_estimate=j_est, j_se=j_se,
+        p_estimate=p_est, p_se=p_se, beta=beta, value_estimate=value, value_se=value_se,
+        g_estimate=g_est, g_se=g_se,
     )
 
 

@@ -424,12 +424,12 @@ def diagnose(scenario: Scenario) -> tuple[ValidationReport, Synthesis | None]:
     """Full validation report: selection structure, parity conditions, and
     observable synthesis; with the synthesis, or None where it failed.
     A group of sources past the statevector cap is a warning, not a
-    failure: only sample builds the group's state."""
+    failure: only sample's round record builds the group's state."""
     layout, selection = scenario.layout, scenario.selection
     checks: list[CheckResult] = list(check_selection(layout, selection).checks)
     warnings = tuple(
         f"agent {layout.agent_label(k)}'s group of sources holds {width} qubits, "
-        f"past the cap of {STATE_QUBIT_CAP}: sample will refuse it"
+        f"past the cap of {STATE_QUBIT_CAP}: sample will refuse its round record"
         for k, width in zip(layout.source_agents, layout.group_widths)
         if width > STATE_QUBIT_CAP
     )

@@ -1,7 +1,7 @@
-"""Dense amplitude arrays, the only ones the package builds: plain
-complex128 numpy arrays over the computational basis, qubit 0 the most
-significant bit of the index, as in PauliString's letter order. Only
-`sample` needs them, for its frames: a source's codeword, a group's
+"""Dense amplitude arrays, the only ones the package builds: plain complex128
+numpy arrays over the computational basis, qubit 0 the most significant
+bit of the index, as in PauliString's letter order. Only `sample`'s round
+records need them, for their frames: a source's codeword, a group's
 Kronecker product of codewords, their rotations into a measured basis and
 the squared amplitudes there. The exact engine reads each source from its
 stabilizing and logical operators (`codes.SourceState.expectation`) and
@@ -30,6 +30,8 @@ _S_DAG = np.array([[1.0, 0.0], [0.0, -1.0j]], dtype=complex)
 # The rotation onto Z of a measured qubit's letter, indexed by its z bit when
 # its x bit is set: H for X, H S^dag for Y. A Z letter needs none.
 _ROTATION = (_H, _H @ _S_DAG)
+# A qubit's signs under Z^z, indexed by z.
+_SIGNS = (np.ones(2), np.array([1.0, -1.0]))
 
 
 def make_rng(seed: int | None) -> np.random.Generator:
@@ -53,21 +55,28 @@ def _check_cap(n: int) -> None:
         raise ValueError(f"{n} qubits exceeds the cap of {STATE_QUBIT_CAP}")
 
 
+@functools.lru_cache(maxsize=8)
+def _indices(n: int) -> np.ndarray:
+    """The basis indices of n qubits, 0 to 2^n - 1, shared so read only."""
+    indices = np.arange(1 << n)
+    indices.setflags(write=False)
+    return indices
+
+
 def apply_pauli(amps: np.ndarray, p: PauliString) -> np.ndarray:
     """The amplitudes of P applied to amps, normalized or not, for a phased
     Pauli string P on as many qubits: exact, including its phase."""
     n = amps.shape[0].bit_length() - 1
     if p.n != n:
         raise ValueError(f"operator on {p.n} qubits applied to {n}-qubit state")
-    # The string's masks are the basis-index bit-flip and sign masks,
-    # since qubit j is bit (n-1-j) of both.
-    xmask, zmask = p.x, p.z
-    phase = (1j) ** ((p.phase_exponent + (xmask & zmask).bit_count()) % 4)
-    idx = np.arange(1 << n)
-    signs = 1.0 - 2.0 * _parity(idx & zmask)
-    out = np.empty(1 << n, dtype=complex)
-    out[idx ^ xmask] = phase * signs * amps
-    return out
+    # The string's masks are the basis-index bit-flip and sign masks, since
+    # qubit j is bit (n-1-j) of both; the signs are an outer product over
+    # the bits, the most significant outermost.
+    phase = (1j) ** ((p.phase_exponent + (p.x & p.z).bit_count()) % 4)
+    bits = [_SIGNS[p.z >> s & 1] for s in range(n)]
+    signs = functools.reduce(lambda low, bit: np.multiply.outer(bit, low).ravel(), bits)
+    values = phase * signs * amps
+    return values[_indices(n) ^ p.x] if p.x else values
 
 
 # ----------------------------------------------------------------------

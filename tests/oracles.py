@@ -52,15 +52,24 @@ command runs:
   the exact distribution of the sampler's group frames at one setting,
   read through `sampling._Frames.group_frames`, which sampled counts are
   compared against, read by `outcomes`;
-* `invert` finds a uniform's bin by binary search on a frame's
+* `residuals` reads each group index's residual (its parities of the
+  tallied strings) one mask at a time, `tails` sums the groups' frames
+  back from the last group into the probability that the later groups
+  owe each residual, with Python floats in index order, and `frame_law`
+  reads the cells' law off them, which `sampling._Frames.law` takes from
+  the group expectations instead and must match; `conditionals` weighs
+  each frame by its later groups' tails;
+* `invert` finds a uniform's bin by binary search on a row's
   cumulative sums (`cdf_edges`), which `sampling._Table` finds through
   guide tables instead and must match; `sample_rounds` is `sampling.run`
-  round by round on `invert` and `outcomes`: each round's receiver
-  settings, then each group's (x_k, outcome) index in its joint frame,
-  every agent's outcome read and multiplied, where run reads per-bin
-  parities in chunks of rounds; the two must give equal reports and
-  round records; `as_record` lays rounds' settings texts and outcome
-  rows out as whole-run matrices, which `write_matrices` writes through
+  round by round on `invert` and `outcomes`: the counts of the cells,
+  each chunk's cells from the counts left
+  (`marginal_hypergeometric`, numpy's marginals method one count at a
+  time), then each group's (x_k, outcome) index on its conditional
+  frame, where run reads guide tables and per-bin residuals in chunks of
+  rounds; the two must give equal reports and round records;
+  `as_record` lays rounds' settings texts and outcome rows out as
+  whole-run matrices, which `write_matrices` writes through
   `sampling._format_rounds`, chunk by chunk, where run formats each chunk
   as it is drawn;
 * `write_rounds` writes the round record one f-string per round, the
@@ -598,18 +607,118 @@ def outcomes(indices: list[np.ndarray], mask) -> np.ndarray:
     return out
 
 
+def cell_signs(frames) -> list[int]:
+    """Per receiver setting, the residual of its cell 0 from the measured
+    strings' signs: bit 0 the product of all outcomes' sign, bit 1 the
+    phase-flip product's where it is collected."""
+    out = []
+    for y, now in zip(frames.ys, frames.tilted):
+        signs = [mask.sign for mask in frames.source_masks + frames.receiver_masks(y)]
+        flip = [mask.sign for mask in frames.p_masks] if now else []
+        out.append(int(math.prod(signs) < 0) | int(math.prod(flip) < 0) << 1)
+    return out
+
+
+def residuals(frames, codewords) -> list:
+    """Per group, its frames at every receiver setting (as
+    `sampling._Frames.group_frames` builds them, halved so that each sums
+    to 1) and every index's residual, one letter of the tallied strings'
+    masks at a time: bit 0 the parity of the product of all outcomes'
+    bits, bit 1 the phase-flip product's where it is collected."""
+    out = []
+    for group in frames.synthesis.layout.source_agents:
+        per_y = []
+        for v, frame in enumerate(frames.group_frames(group, codewords)):
+            owed = np.zeros(frame.size, dtype=int)
+            for t, read in enumerate(frames.tallied):
+                if read[v] is not None:
+                    bits = read[v].bits[group - 1]
+                    signs = _signs(bits.bit_length())[np.arange(frame.size) & bits]
+                    owed |= (1 - signs) // 2 << t
+            per_y.append((frame / 2, owed))
+        out.append(per_y)
+    return out
+
+
+def tails(frames, groups) -> list:
+    """tails[g][v][r]: the probability that the groups after the g-th (of
+    `residuals`) owe residual r at receiver setting v, by recursion from
+    the last group back: each group's weight per residual summed in index
+    order."""
+    cells = frames.cells
+    out = [[[1.0] + [0.0] * (cells - 1) for _ in frames.ys]]
+    for per_y in reversed(groups):
+        spread = [[0.0] * cells for _ in frames.ys]
+        for v, (frame, owed) in enumerate(per_y):
+            for p, r in zip(frame.tolist(), owed.tolist()):
+                spread[v][r] += p
+        out.insert(0, [
+            [sum(spread[v][c] * out[0][v][r ^ c] for c in range(cells)) for r in range(cells)]
+            for v in range(len(frames.ys))
+        ])
+    return out
+
+
+def conditionals(frames, groups) -> dict:
+    """(g, v, r) -> the g-th group's frame at receiver setting v (of
+    `residuals`), each index weighted by the probability that the later
+    groups owe residual r XOR the index's, for every (g, v, r) that some
+    round can reach: those of positive weight."""
+    later = tails(frames, groups)[1:]
+    out = {}
+    for g, per_y in enumerate(groups):
+        for v, (frame, owed) in enumerate(per_y):
+            for r in range(frames.cells):
+                weights = frame * np.array(later[g][v])[r ^ owed]
+                if weights.any():
+                    out[g, v, r] = weights
+    return out
+
+
+def frame_law(synthesis: Synthesis, thetas, mode: str) -> np.ndarray:
+    """The law of the tallied cells at every receiver setting from the
+    sampler's group frames (`residuals` and `tails`), shaped as
+    `sampling._Frames.law`."""
+    frames = _Frames(synthesis, synthesis.angles(thetas), mode)
+    first = tails(frames, residuals(frames, {}))[0]
+    signs = cell_signs(frames)
+    return np.array([[first[v][c ^ signs[v]] for c in range(frames.cells)] for v in range(len(frames.ys))])
+
+
+def marginal_hypergeometric(rng, left: np.ndarray, size: int) -> np.ndarray:
+    """size draws without replacement from counts left, one count at a
+    time, as numpy's marginals method takes them: each count's share of
+    what remains is a hypergeometric draw against the counts after it, and
+    more than half of the total is drawn as the rest of its complement."""
+    total = int(left.sum())
+    flip = size > total // 2
+    want = total - size if flip else size
+    take, rest = np.zeros_like(left), total
+    for c, good in enumerate(left[:-1].tolist()):
+        if want == 0:
+            break
+        rest -= good
+        take[c] = rng.hypergeometric(good, rest, want)
+        want -= int(take[c])
+    take[-1] += want
+    return left - take if flip else take
+
+
 def sample_rounds(synthesis: Synthesis, thetas, config, *, beta=None, record_path=None):
     """`sampling.run` round by round, without guide tables or parities.
-    Round r reads the r-th K + 1 uniforms of one call: y = floor(u_0 2^M),
-    and group k's (x_k, outcome) index is the binary search (`invert`) of
-    u_k on the cumulative sums of its joint frame at y, half the outcome
-    probabilities at x_k = 0 followed by half those at x_k = 1. Every
-    agent's outcome is read by `outcomes`, the product of all outcomes
-    (times (-1)^|x| at y = 1...1) and the phase-flip product summed per
-    receiver setting, and the rounds' settings texts and outcome rows handed
-    to the record's writer (`as_record`). The frames are built in run's
-    order, so a refusal names the same frame. The report and record must
-    equal run's."""
+    The counts of the (receiver setting, cell) pairs are one multinomial
+    draw from `sampling._Frames.law`, and the tallies are read off them.
+    With a record, each chunk of `sampling._RECORD_CHUNK` rounds takes its
+    cells from the counts left (`marginal_hypergeometric`), shuffles them
+    and draws K uniforms per round, a row per group; each group's
+    (x_k, outcome) index is the binary search (`invert`) of its uniform on
+    the cumulative sums of its frame at y, each index weighted by the
+    probability that the later groups owe the rest of the round's residual
+    (`tails`), which is then updated by the index's residual. Every
+    agent's outcome is read by `outcomes` and the rounds' settings texts
+    and outcome rows handed to the record's writer (`as_record`). The
+    frames are built in run's order, so a refusal names the same frame.
+    The report and record must equal run's."""
     layout, receivers, tilt = synthesis.layout, synthesis.receivers, synthesis.tilt
     if beta is not None:
         synthesis.check_beta(beta)
@@ -617,73 +726,82 @@ def sample_rounds(synthesis: Synthesis, thetas, config, *, beta=None, record_pat
     k, m = layout.K, layout.M
     frames = _Frames(synthesis, thetas, config.strategy)
     rng = make_rng(config.seed)
-    ys, codewords = frames.ys, {}
-    edges = {
-        (group, y): cdf_edges(frame / 2)
-        for group in layout.source_agents
-        for y, frame in zip(ys, frames.group_frames(group, codewords))
-    }
-
-    u = rng.random((config.rounds, k + 1))
-    y_of = (u[:, 0] * len(ys)).astype(int)
-    joint = np.zeros((k, config.rounds), dtype=int)
+    ys, cells = frames.ys, frames.cells
+    law = frames.law()
+    counts = rng.multinomial(config.rounds, law.ravel() / len(ys))
+    tallies = []
     for v, y in enumerate(ys):
-        at = y_of == v
-        for group in layout.source_agents:
-            joint[group - 1, at] = invert(edges[group, y], u[at, group])
+        per_cell = counts[v * cells : (v + 1) * cells].tolist()
+        product = sum(n * (-1) ** (c & 1) for c, n in enumerate(per_cell))
+        flip = sum(n * (-1) ** (c >> 1) for c, n in enumerate(per_cell))
+        tallies.append(sampling.SettingTally(
+            y, sum(per_cell), product, flip if tilt is not None and not any(y) else None
+        ))
+    report = sampling._report(config, k, tallies, beta)
+    if record_path is None:
+        return report
+
+    groups = residuals(frames, {})
+    edges = {key: cdf_edges(weights) for key, weights in conditionals(frames, groups).items()}
+    signs = np.array(cell_signs(frames))
+    joint = np.zeros((k, config.rounds), dtype=int)
+    y_of = np.zeros(config.rounds, dtype=int)
+    left = counts.copy()
+    for start in range(0, config.rounds, sampling._RECORD_CHUNK):
+        size = min(sampling._RECORD_CHUNK, config.rounds - start)
+        take = marginal_hypergeometric(rng, left, size)
+        left -= take
+        cell = np.repeat(np.arange(left.size), take)
+        rng.shuffle(cell)
+        u = rng.random((k, size))
+        y, owed = cell // cells, cell % cells ^ signs[cell // cells]
+        for g, per_y in enumerate(groups):
+            index = np.zeros(size, dtype=int)
+            for v, r in set(zip(y.tolist(), owed.tolist())):
+                at = (y == v) & (owed == r)
+                index[at] = invert(edges[g, v, r], u[g, at])
+            owed ^= np.array([residual for _, residual in per_y])[y, index]
+            joint[g, start : start + size] = index
+        assert not owed.any()
+        y_of[start : start + size] = y
+
     widths = np.array(layout.group_widths)[:, None]
     indices = list(joint & ((1 << widths) - 1))
     x_of = joint >> widths  # by group
     x_pos = x_of[[frames.owners.index(pos) for pos in range(k)]]  # by source position
-
     a_cols = [outcomes(indices, mask) for mask in frames.source_masks]
     on_zero, on_one = (frames.receiver_masks((ym,) * m) for ym in (0, 1))
     b_cols = [
         np.where(y_of >> (m - 1 - r) & 1, outcomes(indices, one), outcomes(indices, zero))
         for r, (zero, one) in enumerate(zip(on_zero, on_one))
     ]
-    product = np.prod(a_cols + b_cols, axis=0)
-    product = np.where(y_of == len(ys) - 1, product * (-1) ** x_of.sum(axis=0), product)
     p_cols = []
     if tilt is not None:
         p_cols = [np.where(y_of == 0, outcomes(indices, mask), 0) for mask in frames.p_masks]
-        flip = np.prod(p_cols, axis=0)
-    tallies = [
-        sampling.SettingTally(
-            y,
-            int((y_of == v).sum()),
-            int(product[y_of == v].sum()),
-            int(flip[y_of == v].sum()) if tilt is not None and not any(y) else None,
-        )
-        for v, y in enumerate(ys)
-    ]
-    report = sampling._report(config, k, tallies, beta)
-
-    if record_path is not None:
-        if config.strategy == "direct-observable":
-            measured, columns = [], a_cols + b_cols + p_cols
-        else:
-            acts = [0] * k
-            for rec in receivers:
-                for group, (b0, b1) in enumerate(zip(rec.b0_pieces, rec.b1_pieces)):
-                    acts[group] |= b0.x | b0.z | b1.x | b1.z
-            measured, columns = [], list(a_cols)
-            for i, j in sorted(q for rec in receivers for q in rec.qubits):
-                group, position = layout.place(i, j)
-                bit = 1 << (layout.group_widths[group - 1] - 1 - position)
-                if acts[group - 1] & bit:
-                    measured.append((i, j))
-                    bits = tuple(bit if g == group else 0 for g in layout.source_agents)
-                    columns.append(outcomes(indices, sampling._Mask(bits=bits, sign=1)))
-        header = sampling._csv_header(config.strategy, k, m, tilt is not None, measured)
-        texts, settings = {}, []
-        for x, v in zip(map(tuple, x_pos.T.tolist()), y_of.tolist()):
-            if (x, v) not in texts:
-                texts[x, v] = "".join(map(str, x)) + "|" + "".join(map(str, ys[v]))
-            settings.append(texts[x, v])
-        # the writer's text is checked against write_rounds on its own
-        rows = np.array(columns, dtype=np.int8).T
-        write_matrices(record_path, header, *as_record(header, settings, rows))
+    if config.strategy == "direct-observable":
+        measured, columns = [], a_cols + b_cols + p_cols
+    else:
+        acts = [0] * k
+        for rec in receivers:
+            for group, (b0, b1) in enumerate(zip(rec.b0_pieces, rec.b1_pieces)):
+                acts[group] |= b0.x | b0.z | b1.x | b1.z
+        measured, columns = [], list(a_cols)
+        for i, j in sorted(q for rec in receivers for q in rec.qubits):
+            group, position = layout.place(i, j)
+            bit = 1 << (layout.group_widths[group - 1] - 1 - position)
+            if acts[group - 1] & bit:
+                measured.append((i, j))
+                bits = tuple(bit if g == group else 0 for g in layout.source_agents)
+                columns.append(outcomes(indices, sampling._Mask(bits=bits, sign=1)))
+    header = sampling._csv_header(config.strategy, k, m, tilt is not None, measured)
+    texts, settings = {}, []
+    for x, v in zip(map(tuple, x_pos.T.tolist()), y_of.tolist()):
+        if (x, v) not in texts:
+            texts[x, v] = "".join(map(str, x)) + "|" + "".join(map(str, ys[v]))
+        settings.append(texts[x, v])
+    # the writer's text is checked against write_rounds on its own
+    rows = np.array(columns, dtype=np.int8).T
+    write_matrices(record_path, header, *as_record(header, settings, rows))
     return report
 
 

@@ -70,7 +70,7 @@ CI_REFUSALS = (
     "evaluate chsh --theta nan",
     "maximize chsh --grid 100000000000",
     "sample chsh --rounds 1180591620717411303424",
-    "sample ghz-split(40,20)",
+    "sample ghz-split(40,20) --rounds-csv rounds.csv",
     "classical-bound chsh --mode full",
     "maximize chsh --grid abc",
     "evaluate star(3,7)",
@@ -837,23 +837,28 @@ class TestBuiltinStar:
         assert abs(payload["J"] - exact.j_value) < 4 * payload["J_se"]
 
     def test_sample_keeps_the_cap_on_one_group(self, out_dir, tmp_path, capsys):
-        path = tmp_path / "one-group.json"
+        # only a round record builds the group's state
+        path, record = tmp_path / "one-group.json", tmp_path / "rounds.csv"
         path.write_text(json.dumps(one_group_star5()))
-        assert main(["sample", str(path), "--rounds", "10"]) == EXIT_VALIDATION
+        argv = ["sample", str(path), "--rounds", "10", "--rounds-csv", str(record)]
+        assert main(argv) == EXIT_VALIDATION
         assert capsys.readouterr().err.splitlines() == [
             "error: 25 qubits exceeds the cap of 20"
         ]
+        assert not record.exists()
+        assert main(["sample", str(path), "--rounds", "10"]) == EXIT_OK
 
     def test_validate_warns_about_a_group_past_the_cap(self, out_dir, tmp_path, capsys):
-        # validate passes, since every command but sample runs the scenario
-        # without its group's statevector, and names the group sample refuses
+        # validate passes, since every command but sample's round record
+        # runs the scenario without its group's statevector, and names the
+        # group whose record sample refuses
         path = tmp_path / "one-group.json"
         path.write_text(json.dumps(one_group_star5()))
         assert main(["validate", str(path)]) == EXIT_OK
         lines = capsys.readouterr().out.splitlines()
         assert [line for line in lines if "[warn]" in line] == [
             "  [warn] agent S1's group of sources holds 25 qubits, past the cap of 20: "
-            "sample will refuse it"
+            "sample will refuse its round record"
         ]
         assert lines[-1] == "PASS"
         assert main(["classical-bound", str(path)]) == EXIT_OK
@@ -862,7 +867,8 @@ class TestBuiltinStar:
             payload = json.load(open(out_dir / f"star(5)-{command}.json"))
             assert payload["quantum_value"] == pytest.approx(math.sqrt(2.0), abs=1e-9)
         capsys.readouterr()
-        assert main(["sample", str(path), "--rounds", "10"]) == EXIT_VALIDATION
+        argv = ["sample", str(path), "--rounds", "10", "--rounds-csv", str(tmp_path / "r.csv")]
+        assert main(argv) == EXIT_VALIDATION
         assert capsys.readouterr().err == "error: 25 qubits exceeds the cap of 20\n"
         assert main(["validate", "star(5)"]) == EXIT_OK
         assert "[warn]" not in capsys.readouterr().out
@@ -886,6 +892,15 @@ class TestBuiltinStar:
         assert payload["K"] == 51
         assert [tally["y"] for tally in payload["tallies"]] == ["0", "1"]
         assert sum(tally["rounds"] for tally in payload["tallies"]) == payload["rounds"]
+
+    def test_sample_star201_draws_its_tallies_from_the_law(self, out_dir, monkeypatch):
+        # 1,005 qubits over 201 groups: no frame or statevector is built
+        monkeypatch.setattr(sampling._Frames, "group_frames", None)
+        assert main(["sample", "star(201)", "--rounds", "150000000"]) == EXIT_OK
+        payload = json.load(open(out_dir / "star(201)-sample.json"))
+        assert payload["K"] == 201 and payload["rounds"] == 150_000_000
+        assert sum(tally["rounds"] for tally in payload["tallies"]) == payload["rounds"]
+        assert abs(payload["I"]) < 4 * payload["I_se"]
 
     def test_sample_refuses_too_many_receiver_settings(self, out_dir, monkeypatch, capsys):
         # each group stacks a frame per receiver setting, so 2^M is bounded
@@ -1057,14 +1072,28 @@ class TestHugeCounts:
         assert not list(out_dir.glob("chsh-*"))
 
     @pytest.mark.parametrize("command", ["sample"])
-    def test_qubit_cap_refused_before_allocating(self, out_dir, capsys, command):
+    def test_qubit_cap_refused_before_allocating(self, out_dir, tmp_path, capsys, command):
         # 40 qubits hold 16 TiB of amplitudes: the cap is checked first, and
-        # only the sampler's frames need them
-        assert main([command, "ghz-split(40,20)"]) == EXIT_VALIDATION
+        # only the frames of a round record need them
+        record = tmp_path / "rounds.csv"
+        assert main([command, "ghz-split(40,20)", "--rounds-csv", str(record)]) == EXIT_VALIDATION
         assert capsys.readouterr().err.splitlines() == [
             "error: 40 qubits exceeds the cap of 20"
         ]
-        assert list(out_dir.iterdir()) == []
+        assert list(out_dir.iterdir()) == [] and not record.exists()
+
+    @pytest.mark.parametrize("strategy", sampling.MODES)
+    def test_sample_without_a_record_runs_past_the_cap(self, out_dir, strategy):
+        # the tallies come from the stabilizing and logical operators
+        argv = ["sample", "ghz-split(40,20)", "--strategy", strategy, "--seed", "3"]
+        assert main(argv) == EXIT_OK
+        payload = json.load(open(out_dir / "ghz-split(40,20)-sample.json"))
+        scenario = scenarios.builtin_scenario("ghz-split(40,20)")
+        synthesis = observables.synthesize(scenario.layout, scenario.selection)
+        exact = bell.evaluate(synthesis, scenario.thetas)
+        assert payload["rounds"] == scenario.rounds and payload["mode"] == strategy
+        assert abs(payload["I"] - exact.i_value) < 4 * payload["I_se"]
+        assert abs(payload["J"] - exact.j_value) < 4 * payload["J_se"]
 
     def test_one_qubit_past_the_cap_is_refused(self, tmp_path, capsys):
         # ghz-split(21,10) is one 21-qubit group: refused with one line,
@@ -1139,7 +1168,7 @@ PINNED_COMMANDS = [
     (["sample", "chsh", "--rounds", "2", "--seed", "4"], "chsh-sample", "sample-chsh-empty"),
     # a receiver setting left empty, and at K = 2 its zero correlator
     # leaves value_se null
-    (["sample", "example-a", "--rounds", "5", "--seed", "14"],
+    (["sample", "example-a", "--rounds", "5", "--seed", "3"],
      "example-a-sample", "sample-example-a-empty"),
     # seven groups
     (["sample", "star(7)", "--rounds", "3000", "--seed", "5"], "star(7)-sample", "sample-star7"),
@@ -1148,7 +1177,7 @@ PINNED_COMMANDS = [
 # SHA-256 of the round record of `sample chsh --rounds 40000 --seed 2`
 # (about 0.6 MB, so not kept as a file): its rounds fill four 8192-round
 # chunks and part of a fifth.
-CHSH_40000_RECORD_SHA256 = "6d4a2a5185d9f0dacd205b9fc3bc81ddbaf2a452a3b68059385d1d59c2dcc38d"
+CHSH_40000_RECORD_SHA256 = "2ddb05ed0ec898fb2f3a8c8045402d23c620125dc3656d10f1f2b236bed327c7"
 
 
 class TestPinnedReports:
@@ -1161,7 +1190,10 @@ class TestPinnedReports:
     moved only their stochastic_max and best_stochastic_strategy fields;
     the sample-* pins and round records when the sampler began to draw
     each round's settings with its outcomes, which moved every draw and
-    the tallies' schema."""
+    the tallies' schema, and again when it began to draw the tallies from
+    their exact law and each record's rounds conditioned on them, which
+    moved every draw (the five-round pins moved from seed 14 to seed 3,
+    whose five rounds still leave a receiver setting empty)."""
 
     @pytest.mark.parametrize(
         "argv,stem,pin", PINNED_COMMANDS, ids=[pin for _, _, pin in PINNED_COMMANDS]

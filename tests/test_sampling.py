@@ -43,16 +43,20 @@ from oracles import (
     as_record,
     basis_letters,
     cdf_edges,
+    conditionals,
     expectation_combo,
+    frame_law,
     invert,
     joint_frame,
     joint_oracle,
     joint_outcomes,
     joint_state,
     lift,
+    marginal_hypergeometric,
     outcome_distribution,
     outcomes,
     random_layouts,
+    residuals,
     sample_rounds,
     tilted_layouts,
     write_matrices,
@@ -80,7 +84,7 @@ PINNED_RECORDS = {
         dict(rounds=500, seed=1, strategy="per-qubit-discard"),
         0.7,
     ),
-    "example-a-five-rounds": ("example-a", dict(rounds=5, seed=14), None),
+    "example-a-five-rounds": ("example-a", dict(rounds=5, seed=3), None),
 }
 
 
@@ -150,9 +154,11 @@ def synth(layout, selection, thetas, *, allow=False):
 
 
 def stack(distributions):
-    """One group's stacked guide table over the given frames, reading no
-    strings."""
-    return sampling._table(list(distributions), [])
+    """One group's stacked guide table over rows of the given weights on
+    every index, reading no strings."""
+    return sampling._table(
+        [(np.arange(p.size), p, np.zeros((p.size, 1), dtype=np.uint8)) for p in distributions]
+    )
 
 
 def setting_cells(k, m):
@@ -162,6 +168,51 @@ def setting_cells(k, m):
         for x in itertools.product((0, 1), repeat=k)
         for y in itertools.product((0, 1), repeat=m)
     ]
+
+
+def record_tallies(path, synthesis):
+    """The tallies of a round record, read back from its lines: per
+    receiver setting, its rounds, the sum of the product of all outcomes
+    (times (-1)^|x| at y = 1...1) and of the phase-flip product where it is
+    collected. A per-qubit record's receiver outcomes are the products of
+    its qubits' columns over each receiver's pieces' letters, times their
+    sign."""
+    layout, receivers, tilt = synthesis.layout, synthesis.receivers, synthesis.tilt
+
+    def read(row, rec, pieces, column):
+        if column in row:
+            return int(row[column])
+        out = int(pieces[0].phase.real)
+        for i, j in rec.qubits:
+            group, position = layout.place(i, j)
+            bit = 1 << (layout.group_widths[group - 1] - 1 - position)
+            if (pieces[group - 1].x | pieces[group - 1].z) & bit:
+                out *= int(row[f"q({i},{j})"])
+        return out
+
+    sums = {}
+    with open(path, newline="") as handle:
+        for row in csv.DictReader(handle):
+            x, y = row["settings"].split("|")
+            product = np.prod([int(row[f"a{k}"]) for k in range(1, layout.K + 1)])
+            for r, (rec, ym) in enumerate(zip(receivers, map(int, y)), start=1):
+                product *= read(row, rec, rec.b_pieces(ym), f"b{r}")
+            if set(y) == {"1"}:
+                product *= (-1) ** x.count("1")
+            tally = sums.setdefault(tuple(map(int, y)), [0, 0, 0])
+            tally[0] += 1
+            tally[1] += product
+            if tilt is not None and set(y) == {"0"}:
+                tally[2] += np.prod([
+                    read(row, rec, block.p_part_pieces, f"p{r}")
+                    for r, (rec, block) in enumerate(zip(receivers, tilt.receivers), start=1)
+                ])
+    out = []
+    for y in itertools.product((0, 1), repeat=layout.M):
+        rounds, product, flip = sums.get(y, [0, 0, 0])
+        collected = synthesis.tilt is not None and not any(y)
+        out.append(sampling.SettingTally(y, rounds, product, flip if collected else None))
+    return tuple(out)
 
 
 def write_pinned_record(name, path):
@@ -417,9 +468,10 @@ class TestGroupFrames:
             assert np.array_equal(table.index[bins], choice.choice(32, 10000, p=probabilities))
             assert guided.bit_generator.state == choice.bit_generator.state
 
-    def test_frames_are_built_once_per_group_setting(self, monkeypatch):
-        # star(3)'s three groups share one codeword, built once per run;
-        # each group's state is built once, and each frame half once
+    def test_frames_are_built_once_per_group_setting(self, monkeypatch, tmp_path):
+        # star(3)'s three groups share one codeword, built once per run with
+        # a round record; each group's state is built once, and each frame
+        # half once
         synthesis, thetas = builtin_synthesis("star(3)")
         built, calls = [], []
         original = sampling._Frames.group_frames
@@ -439,7 +491,7 @@ class TestGroupFrames:
         for module, name in ((states, "codeword_state"), (sampling, "group_state"),
                              (sampling, "basis_probabilities")):
             monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
-        run(synthesis, thetas, RunConfig(rounds=2000, seed=1))
+        run(synthesis, thetas, RunConfig(rounds=2000, seed=1), record_path=tmp_path / "r.csv")
         assert sorted(built) == sorted(itertools.product((1, 2, 3), ((0,), (1,))))
         assert [calls.count(name) for name in ("codeword_state", "group_state")] == [1, 3]
         assert calls.count("basis_probabilities") == 3 * 2 * 2  # per group, x_k and y
@@ -453,11 +505,11 @@ class TestGroupFrames:
         frames = sampling._Frames(synthesis, thetas, mode)
         tracemalloc.start()
         try:
-            tables = frames.tables([])
+            tables, _ = frames.tables([])
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        kept = sum(t.index.nbytes + t.upper.nbytes + t.start.nbytes for t in tables)
+        kept = sum(t.index.nbytes + t.codes.nbytes + t.upper.nbytes + t.start.nbytes for t in tables)
         assert held - kept < 2**14 * 16, (held, kept)
 
     def test_source_observable_outside_its_group_is_refused(self):
@@ -470,7 +522,9 @@ class TestGroupFrames:
             t_piece=PauliString(obs.t_piece.letters + "IIIII"),
         )
         broken = replace(synthesis, sources=(stray, *synthesis.sources[1:]))
-        with pytest.raises(ValueError, match="operator on 10 qubits applied to 5-qubit state"):
+        # the law multiplies S by the receivers' piece on the group
+        text = "length mismatch: cannot multiply strings on 10 and 5 qubits"
+        with pytest.raises(ValueError, match=text):
             run(broken, thetas, RunConfig(rounds=100, seed=1))
 
     def test_too_many_receiver_settings_are_refused_before_sampling(self, monkeypatch):
@@ -594,7 +648,7 @@ class TestGuideTable:
         for name in GUIDE_SCENARIOS:
             synthesis, thetas = builtin_scenario_synthesis(name)
             for mode in sampling.MODES:
-                tables = sampling._Frames(synthesis, thetas, mode).tables([])
+                tables, _ = sampling._Frames(synthesis, thetas, mode).tables([])
                 assert all(table.steps <= 2 for table in tables), name
 
     @pytest.mark.parametrize("count", [0, 1, 10**4])
@@ -615,28 +669,25 @@ class TestGuideTable:
     @pytest.mark.parametrize("mode", sampling.MODES)
     @pytest.mark.parametrize("name", GUIDE_SCENARIOS)
     def test_every_setting_cell_of_the_builtins(self, name, mode):
-        # group k's frame at y runs over (x_k, outcome): half the outcome
-        # probabilities at x_k = 0, then half those at x_k = 1
+        # group k's row (y, r) runs over (x_k, outcome), its frame at y
+        # weighted by the later groups' tails at each residual
         synthesis, thetas = builtin_scenario_synthesis(name)
-        layout = synthesis.layout
         frames = sampling._Frames(synthesis, thetas, mode)
-        tables = frames.tables([])
-        ys, codewords = frames.ys, {}
-        joint = [
-            [frame / 2 for frame in frames.group_frames(k, codewords)]
-            for k in layout.source_agents
-        ]
-        for table, per_y in zip(tables, joint):
-            for v, probabilities in enumerate(per_y):
-                assert_same_inversion(table, v, probabilities, seed=v)
+        tables, _ = frames.tables([])
+        rows = conditionals(frames, residuals(frames, {}))
+        assert {g for g, _, _ in rows} == set(range(len(tables)))
+        for (g, v, r), weights in rows.items():
+            assert_same_inversion(tables[g], v * frames.cells + r, weights, seed=v)
         # a start row per round, as the pass reads them, against one binary
-        # search per receiver setting
+        # search per row
         u = np.random.default_rng(1).random(5000)
-        y = np.random.default_rng(2).integers(0, len(ys), 5000)
-        for table, per_y in zip(tables, joint):
-            got = table.index[table.locate(u, y * table.buckets)]
-            for v, probabilities in enumerate(per_y):
-                assert np.array_equal(got[y == v], invert(cdf_edges(probabilities), u[y == v]))
+        for g, table in enumerate(tables):
+            reached = [(v * frames.cells + r, w) for (h, v, r), w in rows.items() if h == g]
+            pick = np.random.default_rng(2).integers(0, len(reached), 5000)
+            starts = np.array([row for row, _ in reached])[pick]
+            got = table.index[table.locate(u, starts * table.buckets)]
+            for at, (_, weights) in enumerate(reached):
+                assert np.array_equal(got[pick == at], invert(cdf_edges(weights), u[pick == at]))
 
 
 class TestRun:
@@ -916,11 +967,17 @@ class TestRoundRecord:
         write_pinned_record(name, path)
         assert path.read_bytes() == (DATA / f"rounds-{name}.csv").read_bytes()
 
-    def test_chunk_size_does_not_change_the_record(self, tmp_path, monkeypatch):
+    def test_chunk_size_does_not_change_the_tallies(self, tmp_path, monkeypatch):
+        # each chunk draws its cells from the counts left, so the chunk size
+        # moves the rounds but neither the report nor the record's tallies
+        builtin, config, beta = PINNED_RECORDS["example-a-per-qubit"]
+        synthesis, thetas = builtin_scenario_synthesis(builtin)
+        want = run(synthesis, thetas, RunConfig(**config), beta=beta)
         monkeypatch.setattr(sampling, "_RECORD_CHUNK", 7)
         path = tmp_path / "rounds.csv"
-        write_pinned_record("example-a-per-qubit", path)
-        assert path.read_bytes() == (DATA / "rounds-example-a-per-qubit.csv").read_bytes()
+        assert run(synthesis, thetas, RunConfig(**config), beta=beta, record_path=path) == want
+        assert record_tallies(path, synthesis) == want.tallies
+        assert path.read_bytes() != (DATA / "rounds-example-a-per-qubit.csv").read_bytes()
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
@@ -1207,3 +1264,110 @@ class TestChunkedPass:
             path.unlink()
         assert max(peaks) < 2 * 2**20, peaks
         assert abs(peaks[1] - peaks[0]) < 2**19, peaks
+
+
+def assert_law_is_the_frames(synthesis, thetas, where):
+    """The exact law of the tallied cells, from the group expectations,
+    against the frames' law of tests/oracles.py and the one the guide
+    tables are built from, within 1e-12 in both strategies; both strategies
+    tally the same strings, so they share one law."""
+    law = sampling._Frames(synthesis, synthesis.angles(thetas), sampling.MODES[0]).law()
+    assert np.allclose(law.sum(axis=1), 1.0, rtol=0.0, atol=1e-12), where
+    for mode in sampling.MODES:
+        frames = sampling._Frames(synthesis, synthesis.angles(thetas), mode)
+        assert np.array_equal(frames.law(), law), (where, mode)
+        for route in (frame_law(synthesis, thetas, mode), frames.tables([])[1]):
+            assert np.max(np.abs(route - law)) <= 1e-12, (where, mode)
+
+
+class TestLaw:
+    """The tallies' exact law, from the group expectations, against the
+    sampler's dense group frames, and a round record drawn on its counts."""
+
+    @pytest.mark.parametrize("name", sorted(CELL_LOOP_FORMS))
+    def test_builtin_law_is_the_frames(self, name):
+        builtin, params = CELL_LOOP_FORMS[name]
+        assert_law_is_the_frames(*builtin_scenario_synthesis(builtin, **params), name)
+
+    @pytest.mark.parametrize("family", ["random", "tilted"])
+    def test_random_layout_law_is_the_frames(self, family):
+        layouts = random_layouts() if family == "random" else tilted_layouts()
+        assert len(layouts) == {"random": 200, "tilted": 155}[family]
+        rng = np.random.default_rng(29)
+        for index, (layout, selection) in enumerate(layouts):
+            synthesis = observables.synthesize(layout, selection)
+            thetas = tuple(rng.uniform(0.0, np.pi / 2, layout.K))
+            assert_law_is_the_frames(synthesis, thetas, f"{family} layout {index}")
+
+    @pytest.mark.parametrize("mode", sampling.MODES)
+    @pytest.mark.parametrize("name", ["chsh-tilted", "example-a", "star-tilted", "star(5)-tilt-2"])
+    def test_record_tallies_are_the_report(self, tmp_path, name, mode):
+        builtin, params = CELL_LOOP_FORMS[name]
+        scenario = scenarios.builtin_scenario(builtin, **params)
+        synthesis, thetas = builtin_scenario_synthesis(builtin, **params)
+        beta, _ = scenarios.resolve_beta(scenario)
+        path = tmp_path / "rounds.csv"
+        config = RunConfig(rounds=3000, seed=5, strategy=mode)
+        report = run(synthesis, thetas, config, beta=beta, record_path=path)
+        assert record_tallies(path, synthesis) == report.tallies
+
+    def test_drawn_cell_of_zero_frame_probability_is_refused(self, tmp_path, monkeypatch):
+        # the frames give 0 to a cell that the law gives its rounds to
+        synthesis, thetas = builtin_synthesis("chsh")
+        tables = sampling._Frames.tables
+
+        def emptied(self, columns):
+            built, law = tables(self, columns)
+            law[1, 1] = 0.0
+            return built, law
+
+        monkeypatch.setattr(sampling._Frames, "tables", emptied)
+        path = tmp_path / "rounds.csv"
+        text = r"^cell 1 at receiver settings \(1,\) was drawn, but its frame probability is 0$"
+        with pytest.raises(observables.CrossCheckError, match=text):
+            run(synthesis, thetas, RunConfig(rounds=1000, seed=1), record_path=path)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_law_far_from_the_frames_is_refused(self, tmp_path, monkeypatch):
+        synthesis, thetas = builtin_synthesis("chsh")
+        law = sampling._Frames.law
+        monkeypatch.setattr(sampling._Frames, "law", lambda self: law(self)[:, ::-1].copy())
+        run(synthesis, thetas, RunConfig(rounds=1000, seed=1))  # no frames to check it against
+        text = r"^the frames' law of the tallied outcomes is 0\.707 from the group expectations'$"
+        with pytest.raises(observables.CrossCheckError, match=text):
+            run(synthesis, thetas, RunConfig(rounds=1000, seed=1), record_path=tmp_path / "r.csv")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_round_off_its_cell_is_refused(self, tmp_path, monkeypatch):
+        # the last group's residuals read wrong: a round ends owing its cell
+        synthesis, thetas = builtin_synthesis("example-a")
+        tables = sampling._Frames.tables
+
+        def misread(self, columns):
+            built, law = tables(self, columns)
+            codes = built[-1].codes.copy()
+            codes[:, 0] ^= 1
+            return built[:-1] + [replace(built[-1], codes=codes)], law
+
+        monkeypatch.setattr(sampling._Frames, "tables", misread)
+        text = r"^a drawn round's outcomes do not read its tallied cell$"
+        with pytest.raises(observables.CrossCheckError, match=text):
+            run(synthesis, thetas, RunConfig(rounds=1000, seed=1), record_path=tmp_path / "r.csv")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_take_splits_counts_past_numpy_limit(self):
+        # numpy's marginals method refuses 10^9 rounds, which MAX_ROUNDS allows
+        left = np.array([3, 250_000_000, 249_999_997, 0, 300_000_000, 200_000_000])
+        assert left.sum() == sampling.MAX_ROUNDS
+        with pytest.raises(ValueError, match="must be less than"):
+            np.random.default_rng(1).multivariate_hypergeometric(left, 10, method="marginals")
+        for size in (1, sampling._RECORD_CHUNK):
+            take = sampling._take(np.random.default_rng(size), left, size)
+            assert take.sum() == size and np.all((0 <= take) & (take <= left))
+        small = left // 2
+        for route in (sampling._take, marginal_hypergeometric):
+            rng = np.random.default_rng(3)
+            assert np.array_equal(
+                route(rng, small, 8192),
+                np.random.default_rng(3).multivariate_hypergeometric(small, 8192, method="marginals"),
+            )

@@ -142,6 +142,26 @@ class TestApply:
         state = random_state(np.random.default_rng(seed), p.n)
         assert np.allclose(apply_pauli(state, p), dense(p) @ state, atol=1e-12)
 
+    @pytest.mark.parametrize("n", [1, 2, 5, 11, 14])
+    def test_bits_equal_the_index_scatter(self, n):
+        # the amplitudes scattered to index ^ x, each times the phase and
+        # (-1) to the parity of index & z: bit for bit, signed zeros too
+        rng = np.random.default_rng(n)
+        state = random_state(rng, n)
+        state[rng.integers(0, 1 << n, 1 << (n - 1))] = 0.0
+        index = np.arange(1 << n)
+        for text in ["I" * n, "Z" * n, "X" * n, "Y" * n] + [
+            "".join(rng.choice(list("IXYZ"), n)) for _ in range(6)
+        ]:
+            z = PauliString(text).z
+            signs = 1.0 - 2.0 * np.array([bin(i & z).count("1") & 1 for i in index])
+            for k in range(4):
+                p = PauliString(text, phase_exponent=k)
+                phase = (1j) ** ((k + (p.x & p.z).bit_count()) % 4)
+                want = np.empty(1 << n, dtype=complex)
+                want[index ^ p.x] = phase * signs * state
+                assert apply_pauli(state, p).tobytes() == want.tobytes(), (text, k)
+
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             apply_pauli(basis(2, 0), PauliString("X"))
