@@ -12,6 +12,8 @@ raises instead of reporting a number.
 Every expectation comes from `codes.SourceState.expectation`, which builds
 no amplitude array (no group meets the cap) and reduces each operator once
 per distinct codeword and command; the tests' oracle is `states`' arrays.
+The arithmetic, the grid check of `maximize` included, is on Python floats
+and lists, so the exact commands load no numpy.
 """
 
 from __future__ import annotations
@@ -20,8 +22,6 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Sequence
-
-import numpy as np
 
 from netbell.codes import SourceState
 from netbell.network import NetworkLayout
@@ -111,18 +111,17 @@ def _group_expectation(sources: Sequence[SourceState], op: PauliString) -> compl
     return op.phase * math.prod(src.expectation(op.window(lo, hi)) for src, lo, hi in windows)
 
 
-def _check(value, want, what: str, grid=None) -> None:
-    """Raise unless value is within CROSS_CHECK_TOL of want everywhere (NaN
-    never is); both are scalars, or arrays over the angles of grid."""
-    missed = np.flatnonzero(~(np.abs(np.asarray(value - want)) <= CROSS_CHECK_TOL))
-    if missed.size:
-        at = missed[0]
-        where = "" if grid is None else f" at grid angle {grid[at]:.6f}"
-        raise CrossCheckError(
-            f"{what} disagrees with the stabilizer closed forms "
-            f"({complex(np.ravel(value)[at]):+.12f} vs {np.ravel(want)[at]:+.12f}{where}); "
-            "the synthesized observables do not implement the selected operators"
-        )
+def _check(values, wants, what: str, grid=None) -> None:
+    """Raise unless each value is within CROSS_CHECK_TOL of its want (NaN
+    never is); both are lists, over the angles of grid when it is given."""
+    for at, (value, want) in enumerate(zip(values, wants)):
+        if not abs(value - want) <= CROSS_CHECK_TOL:
+            where = "" if grid is None else f" at grid angle {grid[at]:.6f}"
+            raise CrossCheckError(
+                f"{what} disagrees with the stabilizer closed forms "
+                f"({complex(value):+.12f} vs {want:+.12f}{where}); "
+                "the synthesized observables do not implement the selected operators"
+            )
 
 
 def _block_terms(synthesis: Synthesis, thetas) -> list[list[list]]:
@@ -163,8 +162,8 @@ def _source_values(layout: NetworkLayout, ops) -> tuple[list, list]:
 def _products(layout: NetworkLayout, blocks, grid=None) -> list:
     """I and J as products of their per-block halves <(A0_k +/- A1_k) B_y>/2.
 
-    blocks holds, for y = 0 and 1, pairs (half, closed form) per source
-    agent: scalars, or arrays over the angles of grid. Each block is
+    blocks holds, for y = 0 and 1, pairs (halves, closed forms) per source
+    agent: lists of one, or over the angles of grid. Each block is
     checked on its own, since the halves are of order one while I and J
     shrink like 2^(-K/2): at large K the absolute check of the products
     alone would pass a wrong sign or factor in one block.
@@ -174,11 +173,12 @@ def _products(layout: NetworkLayout, blocks, grid=None) -> list:
         total = closed = None
         for k, (value, want) in enumerate(pairs, start=1):
             _check(value, want, f"{name} block of agent {layout.agent_label(k)}", grid)
-            total = value if total is None else total * value
-            closed = want if closed is None else closed * want
-        _check(total.imag, 0.0, f"the imaginary part of {name}", grid)
-        _check(total.real, closed, name, grid)
-        out.append(total.real)
+            total = value if total is None else [t * v for t, v in zip(total, value)]
+            closed = want if closed is None else [c * w for c, w in zip(closed, want)]
+        _check([t.imag for t in total], [0.0] * len(total), f"the imaginary part of {name}", grid)
+        total = [t.real for t in total]
+        _check(total, closed, name, grid)
+        out.append(total)
     return out
 
 
@@ -187,12 +187,12 @@ def _report(synthesis: Synthesis, thetas: tuple[float, ...], terms) -> BellRepor
     k = layout.K
     c_values, c_groups = _source_values(layout, selection.h)
     g_groups = _source_values(layout, selection.g)[1]
-    halves = [[0.5 * sum(c * v for c, v in block) for block in by_y] for by_y in terms]
+    halves = [[[0.5 * sum(c * v for c, v in block)] for block in by_y] for by_y in terms]
     closed = [
-        [math.cos(t) * g for t, g in zip(thetas, g_groups)],
-        [math.sin(t) * c for t, c in zip(thetas, c_groups)],
+        [[math.cos(t) * g] for t, g in zip(thetas, g_groups)],
+        [[math.sin(t) * c] for t, c in zip(thetas, c_groups)],
     ]
-    i_value, j_value = _products(layout, [zip(h, c) for h, c in zip(halves, closed)])
+    (i_value,), (j_value,) = _products(layout, [zip(h, c) for h, c in zip(halves, closed)])
     big_c = abs(math.prod(c_values)) ** (1.0 / k)
     quantum_value = abs(i_value) ** (1.0 / k) + abs(j_value) ** (1.0 / k)
     return BellReport(
@@ -232,11 +232,11 @@ def evaluate_tilted(synthesis: Synthesis, thetas, beta: float) -> BellReport:
         plain = piece == PauliString.identity(piece.n)
         value = 1.0 if plain else _group_expectation(layout.group_sources(k), piece)
         want = math.prod(layout.sources[i - 1].expectation(p).real for i, p in primes)
-        _check(value, want, f"P block of agent {layout.agent_label(k)}")
+        _check([value], [want], f"P block of agent {layout.agent_label(k)}")
         p_value, closed = p_value * value, closed * want
-    _check(p_value.imag, 0.0, "the imaginary part of P")
+    _check([p_value.imag], [0.0], "the imaginary part of P")
     p_value = p_value.real
-    _check(p_value, closed, "P")
+    _check([p_value], [closed], "P")
     g_value = beta * abs(p_value) ** (1.0 / base.k) + base.quantum_value
     tilted = TiltResult(
         beta=beta,
@@ -281,20 +281,23 @@ def maximize(synthesis: Synthesis, *, grid_points: int = 181) -> BellReport:
     # At a common angle theta the halves are cos(theta) <S_k B_0> and
     # sin(theta) <T_k B_1>, the values of the first and second terms:
     # the grid is arithmetic on them, with no synthesis or expectation.
-    grid = np.linspace(0.0, math.pi / 2, grid_points)
-    cos_g, sin_g = np.cos(grid), np.sin(grid)
+    step = (math.pi / 2) / (grid_points - 1)
+    grid = [i * step for i in range(grid_points - 1)] + [math.pi / 2]
+    cos_g, sin_g = [math.cos(a) for a in grid], [math.sin(a) for a in grid]
     g_groups = _source_values(layout, selection.g)[1]
     i_grid, j_grid = _products(layout, [
-        ((cos_g * block[0][1], cos_g * g) for block, g in zip(terms[0], g_groups)),
-        ((sin_g * block[1][1], sin_g * c) for block, c in zip(terms[1], c_groups)),
+        (([c * block[0][1] for c in cos_g], [c * g for c in cos_g])
+         for block, g in zip(terms[0], g_groups)),
+        (([s * block[1][1] for s in sin_g], [s * c for s in sin_g])
+         for block, c in zip(terms[1], c_groups)),
     ], grid)
-    values = np.abs(i_grid) ** (1.0 / k) + np.abs(j_grid) ** (1.0 / k)
-    beaten = np.flatnonzero(~(values <= bound + GRID_MARGIN))
-    if beaten.size:
-        raise CrossCheckError(
-            f"grid angle {grid[beaten[0]]:.6f} beats the closed-form maximum "
-            f"({values[beaten[0]]:.12f} > {bound:.12f})"
-        )
+    for angle, i, j in zip(grid, i_grid, j_grid):
+        value = abs(i) ** (1.0 / k) + abs(j) ** (1.0 / k)
+        if not value <= bound + GRID_MARGIN:
+            raise CrossCheckError(
+                f"grid angle {angle:.6f} beats the closed-form maximum "
+                f"({value:.12f} > {bound:.12f})"
+            )
     return best
 
 

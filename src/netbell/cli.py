@@ -4,6 +4,10 @@ bundled reproduction table.
 
 Exit codes: 0 success, 1 validation failure, 2 acceptance failure
 (a bound violated or a reproduction row off target), 3 I/O failure.
+
+Only `classical-bound`, `sample` and `reproduce-paper` import the array
+engines, `classical` and `sampling`, and with them numpy; the exact
+commands load neither numpy nor OpenSSL.
 """
 
 from __future__ import annotations
@@ -17,8 +21,7 @@ import math
 import os
 import sys
 
-from . import bell, classical, reports, sampling, scenarios
-from .classical import BoundViolation, NetworkShape
+from . import bell, reports, scenarios
 from .observables import CrossCheckError, Synthesis
 from .scenarios import Scenario
 
@@ -119,7 +122,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sample.add_argument("--beta", help="tilt weight: number or 'auto'")
     sample.add_argument("--rounds", type=int, help="override round count")
     sample.add_argument("--seed", type=int, help="override seed")
-    sample.add_argument("--strategy", choices=sampling.MODES, help="acquisition strategy")
+    sample.add_argument("--strategy", choices=scenarios.MODES, help="acquisition strategy")
     sample.add_argument("--rounds-csv", help="also record every round to this CSV path")
 
     sub.add_parser(
@@ -323,16 +326,18 @@ def _emit_bell(args, scenario, command, report, parameters) -> int:
 
 
 def _cmd_classical_bound(args) -> int:
+    from . import classical  # numpy loads only for the commands that use it
+
     scenario = _load_scenario(args)
     _require_valid(scenario)
     beta, _ = scenarios.resolve_beta(scenario, _parse_beta(args.beta))
-    shape = NetworkShape.from_layout(scenario.layout)
+    shape = classical.NetworkShape.from_layout(scenario.layout)
     alphabet = None
     if args.alphabet is not None:
         alphabet = (args.alphabet,) * len(scenario.layout.sources)
     try:
         scan = classical.max_deterministic(shape, alphabet, beta=beta, seed=args.seed)
-    except BoundViolation as err:
+    except classical.BoundViolation as err:
         raise CliError(
             EXIT_ACCEPTANCE, f"classical bound violated for {_where(scenario)}: {err}"
         ) from err
@@ -364,6 +369,8 @@ def _cmd_classical_bound(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    from . import sampling  # numpy loads only for the commands that use it
+
     scenario = _load_scenario(args)
     synthesis = _require_valid(scenario)
     thetas = _parse_thetas(args.theta, scenario) or scenario.thetas
@@ -403,6 +410,8 @@ def _cmd_sample(args) -> int:
 def _reproduction_rows() -> list[dict]:
     """The table's rows.  A failed cross-check of the quantum engines or
     the sampler names the row's scenario; the classical engine has none."""
+    from . import classical, sampling  # numpy loads only for the commands that use it
+
     rows = []
 
     def add(label, got, want, tolerance):
@@ -474,11 +483,11 @@ def _reproduction_rows() -> list[dict]:
             rows[-1]["passed"] = False
 
     # Classical bounds: the pair network, and one source untilted and tilted.
-    shape = NetworkShape.from_layout(scenarios.builtin_scenario("example-a").layout)
+    shape = classical.NetworkShape.from_layout(scenarios.builtin_scenario("example-a").layout)
     scan = classical.max_deterministic(shape, (2, 2))
     add("example-a classical maximum", scan.value, 1.0, 0.0)
 
-    shape = NetworkShape.from_layout(scenarios.builtin_scenario("chsh").layout)
+    shape = classical.NetworkShape.from_layout(scenarios.builtin_scenario("chsh").layout)
     scan = classical.max_deterministic(shape)
     add("chsh classical maximum", scan.value, 1.0, 0.0)
 

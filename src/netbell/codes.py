@@ -8,22 +8,26 @@ GHZ chains (plain and split at a chosen cut).
 A codeword is kept as its 2^k logical amplitudes, and a layout keeps one
 per distinct codeword: each exact expectation is reduced once from the
 stabilizing and logical operators (`SourceState.expectation`); only
-`states` builds its amplitudes, for the sampler's frames and the tests.
+`states` builds its amplitudes, for the sampler's frames and the tests,
+and takes its constants from here: this module, like every one the exact
+commands load, imports no numpy.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from netbell.pauli import PauliString
-from netbell.states import NORM_TOL
+
+# The widest group of sources whose amplitudes `states` builds.
+STATE_QUBIT_CAP = 20
+NORM_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -155,12 +159,12 @@ class SourceState:
 def codeword(code: StabilizerCode, amplitudes: Sequence[complex]) -> SourceState:
     """sum_z a_z |z-bar> on the code's logical basis, normalized within
     NORM_TOL."""
-    amps = np.asarray(list(amplitudes), dtype=complex)
-    if amps.shape != (1 << code.k,):
-        raise ValueError(f"need {1 << code.k} logical amplitudes, got {amps.shape}")
-    if not abs(float(np.linalg.norm(amps)) - 1.0) <= NORM_TOL:
+    amps = tuple(complex(a) for a in amplitudes)
+    if len(amps) != 1 << code.k:
+        raise ValueError(f"need {1 << code.k} logical amplitudes, got {(len(amps),)}")
+    if not abs(math.hypot(*(part for a in amps for part in (a.real, a.imag))) - 1.0) <= NORM_TOL:
         raise ValueError("logical amplitudes must be normalized")
-    return SourceState(code=code, amplitudes=tuple(amps.tolist()))
+    return SourceState(code=code, amplitudes=amps)
 
 
 # ----------------------------------------------------------------------

@@ -74,14 +74,10 @@ from .network import NetworkLayout
 from .observables import CrossCheckError, Synthesis
 from .pauli import _LETTER_OF_BITS, PauliString
 from .reports import atomic_write
+from .scenarios import MAX_ROUNDS, MODES
 from .states import _parity, basis_probabilities, group_state, make_rng, setting_rotations
 
-MODES = ("direct-observable", "per-qubit-discard")
-
 PROB_TOL = 1e-9
-# A round record holds one chunk of rounds at a time, so its memory does not
-# grow with the rounds; its file does.
-MAX_ROUNDS = 10**9
 # Each receiver setting is a tally, and each group's guide table stacks rows
 # per setting: 2^M of them are laid out first, so more are refused first.
 MAX_RECEIVER_SETTINGS = 2**12

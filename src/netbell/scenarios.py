@@ -43,12 +43,19 @@ name such as star(3) fill its factory's positional parameters.
 
 from __future__ import annotations
 
-import hashlib
 import inspect
 import json
 import math
 import os
 from dataclasses import dataclass
+
+try:  # the interpreter's own SHA-256, as `random` does: hashlib loads OpenSSL
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 from . import codes as code_lib
 from .bell import MAX_GRID_POINTS, TiltParameters, tilt_parameters
@@ -56,11 +63,14 @@ from .codes import CheckResult, SourceState, StabilizerCode, ValidationReport, c
 from .network import NetworkLayout, OperatorSelection, check_parity, check_selection, classify
 from .observables import BETA_WITHOUT_TILT, Synthesis, synthesize
 from .pauli import PauliString
-from .sampling import MAX_ROUNDS, MODES
-from .states import STATE_QUBIT_CAP
 
+# The sampler's acquisition strategies, validated here with the rounds.
+MODES = ("direct-observable", "per-qubit-discard")
 DEFAULT_THETA = math.pi / 4
 DEFAULT_ROUNDS = 100000
+# A round record holds one chunk of rounds at a time, so its memory does not
+# grow with the rounds; its file does.
+MAX_ROUNDS = 10**9
 DEFAULT_GRID = 181
 ANGLE_TOL = 1e-12
 
@@ -368,7 +378,7 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 def fingerprint(scenario: Scenario) -> str:
     """Stable 12-hex-digit digest of the canonical scenario form."""
     text = json.dumps(scenario_to_dict(scenario), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode()).hexdigest()[:12]
+    return sha256(text.encode()).hexdigest()[:12]
 
 
 # ----------------------------------------------------------------------
@@ -429,9 +439,9 @@ def diagnose(scenario: Scenario) -> tuple[ValidationReport, Synthesis | None]:
     checks: list[CheckResult] = list(check_selection(layout, selection).checks)
     warnings = tuple(
         f"agent {layout.agent_label(k)}'s group of sources holds {width} qubits, "
-        f"past the cap of {STATE_QUBIT_CAP}: sample will refuse its round record"
+        f"past the cap of {code_lib.STATE_QUBIT_CAP}: sample will refuse its round record"
         for k, width in zip(layout.source_agents, layout.group_widths)
-        if width > STATE_QUBIT_CAP
+        if width > code_lib.STATE_QUBIT_CAP
     )
     try:
         synthesis = synthesize(

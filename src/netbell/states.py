@@ -12,17 +12,13 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
+from netbell.codes import NORM_TOL, STATE_QUBIT_CAP, SourceState, StabilizerCode
 from netbell.pauli import PauliString
 
-if TYPE_CHECKING:
-    from netbell.codes import SourceState, StabilizerCode
-
-STATE_QUBIT_CAP = 20
-NORM_TOL = 1e-12
 EXPECTATION_TOL = 1e-9
 
 _H = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)

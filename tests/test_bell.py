@@ -608,7 +608,7 @@ class TestBlockCrossCheck:
         with pytest.raises(RuntimeError, match="I block of agent S17 disagrees"):
             evaluate(synthesis, scenario.thetas)
 
-    @pytest.mark.parametrize("factor", [-1.0, 1.05, 1.04])
+    @pytest.mark.parametrize("factor", [-1.0, 1.05, 1.04, math.nan])
     def test_one_wrong_block_fails_the_grid(self, monkeypatch, factor):
         # the best angle passes; the tampered block only differs on the grid
         original = bell._products
@@ -618,7 +618,8 @@ class TestBlockCrossCheck:
             calls.append(grid)
             if grid is not None:
                 blocks = [
-                    ((factor * v if k == 16 else v, w) for k, (v, w) in enumerate(pairs))
+                    (([factor * x for x in v] if k == 16 else v, w)
+                     for k, (v, w) in enumerate(pairs))
                     for pairs in blocks
                 ]
             return original(layout, blocks, grid)

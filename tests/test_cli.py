@@ -555,7 +555,7 @@ class TestClassicalBound:
         def explode(*args, **kwargs):
             raise classical.BoundViolation("planted", None)
 
-        monkeypatch.setattr("netbell.cli.classical.max_deterministic", explode)
+        monkeypatch.setattr("netbell.classical.max_deterministic", explode)
         assert main(["classical-bound", "chsh"]) == EXIT_ACCEPTANCE
         assert "planted" in capsys.readouterr().err
 
@@ -1340,6 +1340,30 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert proc.stdout.strip().endswith("PASS")
+
+    def test_exact_commands_load_no_numpy(self, tmp_path):
+        # The exact engine reads only stabilizing and logical operators: numpy,
+        # and OpenSSL's _hashlib, load only where sample and classical-bound run.
+        script = "; ".join([
+            "import sys",
+            "from netbell.cli import main",
+            "codes = [main(argv.split()) for argv in sys.argv[1:]]",
+            "print(codes, sorted({'numpy', '_hashlib'} & set(sys.modules)))",
+        ])
+        commands = [
+            "validate example-a",
+            "evaluate star(3)",
+            "maximize star(3)",
+            "tilted star(3) --phibar 0.3927",
+        ]
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *commands],
+            capture_output=True,
+            text=True,
+            env={**os.environ, cli.OUT_ENV: str(tmp_path)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0] []"
 
     def test_optimized_invocation(self):
         # python -O strips assert statements; validation must not lean on them
