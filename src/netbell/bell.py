@@ -12,8 +12,8 @@ raises instead of reporting a number.
 Every expectation comes from `codes.SourceState.expectation`, which builds
 no amplitude array (no group meets the cap) and reduces each operator once
 per distinct codeword and command; the tests' oracle is `states`' arrays.
-The arithmetic, the grid check of `maximize` included, is on Python floats
-and lists, so the exact commands load no numpy.
+The arithmetic, the grid check of `maximize` included, is on Python
+floats, so the exact commands load no numpy.
 """
 
 from __future__ import annotations
@@ -111,17 +111,16 @@ def _group_expectation(sources: Sequence[SourceState], op: PauliString) -> compl
     return op.phase * math.prod(src.expectation(op.window(lo, hi)) for src, lo, hi in windows)
 
 
-def _check(values, wants, what: str, grid=None) -> None:
-    """Raise unless each value is within CROSS_CHECK_TOL of its want (NaN
-    never is); both are lists, over the angles of grid when it is given."""
-    for at, (value, want) in enumerate(zip(values, wants)):
-        if not abs(value - want) <= CROSS_CHECK_TOL:
-            where = "" if grid is None else f" at grid angle {grid[at]:.6f}"
-            raise CrossCheckError(
-                f"{what} disagrees with the stabilizer closed forms "
-                f"({complex(value):+.12f} vs {want:+.12f}{where}); "
-                "the synthesized observables do not implement the selected operators"
-            )
+def _check(value, want, what: str, angle=None) -> None:
+    """Raise unless value is within CROSS_CHECK_TOL of want (NaN never is);
+    angle names the grid angle in the message."""
+    if not abs(value - want) <= CROSS_CHECK_TOL:
+        where = "" if angle is None else f" at grid angle {angle:.6f}"
+        raise CrossCheckError(
+            f"{what} disagrees with the stabilizer closed forms "
+            f"({complex(value):+.12f} vs {want:+.12f}{where}); "
+            "the synthesized observables do not implement the selected operators"
+        )
 
 
 def _block_terms(synthesis: Synthesis, thetas) -> list[list[list]]:
@@ -159,11 +158,11 @@ def _source_values(layout: NetworkLayout, ops) -> tuple[list, list]:
     return values, [math.prod(values[lo:hi]) for lo, hi in cuts]
 
 
-def _products(layout: NetworkLayout, blocks, grid=None) -> list:
+def _products(layout: NetworkLayout, blocks, angle=None) -> list:
     """I and J as products of their per-block halves <(A0_k +/- A1_k) B_y>/2.
 
-    blocks holds, for y = 0 and 1, pairs (halves, closed forms) per source
-    agent: lists of one, or over the angles of grid. Each block is
+    blocks holds, for y = 0 and 1, pairs (half, closed form) per source
+    agent, at one angle (a grid angle when angle is given). Each block is
     checked on its own, since the halves are of order one while I and J
     shrink like 2^(-K/2): at large K the absolute check of the products
     alone would pass a wrong sign or factor in one block.
@@ -172,13 +171,13 @@ def _products(layout: NetworkLayout, blocks, grid=None) -> list:
     for name, pairs in zip("IJ", blocks):
         total = closed = None
         for k, (value, want) in enumerate(pairs, start=1):
-            _check(value, want, f"{name} block of agent {layout.agent_label(k)}", grid)
-            total = value if total is None else [t * v for t, v in zip(total, value)]
-            closed = want if closed is None else [c * w for c, w in zip(closed, want)]
-        _check([t.imag for t in total], [0.0] * len(total), f"the imaginary part of {name}", grid)
-        total = [t.real for t in total]
-        _check(total, closed, name, grid)
-        out.append(total)
+            if not abs(value - want) <= CROSS_CHECK_TOL:  # label only a failing block
+                _check(value, want, f"{name} block of agent {layout.agent_label(k)}", angle)
+            total = value if total is None else total * value
+            closed = want if closed is None else closed * want
+        _check(total.imag, 0.0, f"the imaginary part of {name}", angle)
+        _check(total.real, closed, name, angle)
+        out.append(total.real)
     return out
 
 
@@ -187,12 +186,12 @@ def _report(synthesis: Synthesis, thetas: tuple[float, ...], terms) -> BellRepor
     k = layout.K
     c_values, c_groups = _source_values(layout, selection.h)
     g_groups = _source_values(layout, selection.g)[1]
-    halves = [[[0.5 * sum(c * v for c, v in block)] for block in by_y] for by_y in terms]
+    halves = [[0.5 * sum(c * v for c, v in block) for block in by_y] for by_y in terms]
     closed = [
-        [[math.cos(t) * g] for t, g in zip(thetas, g_groups)],
-        [[math.sin(t) * c] for t, c in zip(thetas, c_groups)],
+        [math.cos(t) * g for t, g in zip(thetas, g_groups)],
+        [math.sin(t) * c for t, c in zip(thetas, c_groups)],
     ]
-    (i_value,), (j_value,) = _products(layout, [zip(h, c) for h, c in zip(halves, closed)])
+    i_value, j_value = _products(layout, [zip(h, c) for h, c in zip(halves, closed)])
     big_c = abs(math.prod(c_values)) ** (1.0 / k)
     quantum_value = abs(i_value) ** (1.0 / k) + abs(j_value) ** (1.0 / k)
     return BellReport(
@@ -232,11 +231,11 @@ def evaluate_tilted(synthesis: Synthesis, thetas, beta: float) -> BellReport:
         plain = piece == PauliString.identity(piece.n)
         value = 1.0 if plain else _group_expectation(layout.group_sources(k), piece)
         want = math.prod(layout.sources[i - 1].expectation(p).real for i, p in primes)
-        _check([value], [want], f"P block of agent {layout.agent_label(k)}")
+        _check(value, want, f"P block of agent {layout.agent_label(k)}")
         p_value, closed = p_value * value, closed * want
-    _check([p_value.imag], [0.0], "the imaginary part of P")
+    _check(p_value.imag, 0.0, "the imaginary part of P")
     p_value = p_value.real
-    _check([p_value], [closed], "P")
+    _check(p_value, closed, "P")
     g_value = beta * abs(p_value) ** (1.0 / base.k) + base.quantum_value
     tilted = TiltResult(
         beta=beta,
@@ -281,18 +280,17 @@ def maximize(synthesis: Synthesis, *, grid_points: int = 181) -> BellReport:
     # At a common angle theta the halves are cos(theta) <S_k B_0> and
     # sin(theta) <T_k B_1>, the values of the first and second terms:
     # the grid is arithmetic on them, with no synthesis or expectation.
-    step = (math.pi / 2) / (grid_points - 1)
-    grid = [i * step for i in range(grid_points - 1)] + [math.pi / 2]
-    cos_g, sin_g = [math.cos(a) for a in grid], [math.sin(a) for a in grid]
+    # Each angle is checked on its own, so the grid holds O(K) values.
     g_groups = _source_values(layout, selection.g)[1]
-    i_grid, j_grid = _products(layout, [
-        (([c * block[0][1] for c in cos_g], [c * g for c in cos_g])
-         for block, g in zip(terms[0], g_groups)),
-        (([s * block[1][1] for s in sin_g], [s * c for s in sin_g])
-         for block, c in zip(terms[1], c_groups)),
-    ], grid)
-    for angle, i, j in zip(grid, i_grid, j_grid):
-        value = abs(i) ** (1.0 / k) + abs(j) ** (1.0 / k)
+    step = (math.pi / 2) / (grid_points - 1)
+    for at in range(grid_points):
+        angle = math.pi / 2 if at == grid_points - 1 else at * step
+        cos_a, sin_a = math.cos(angle), math.sin(angle)
+        i_value, j_value = _products(layout, [
+            ((cos_a * block[0][1], cos_a * g) for block, g in zip(terms[0], g_groups)),
+            ((sin_a * block[1][1], sin_a * c) for block, c in zip(terms[1], c_groups)),
+        ], angle)
+        value = abs(i_value) ** (1.0 / k) + abs(j_value) ** (1.0 / k)
         if not value <= bound + GRID_MARGIN:
             raise CrossCheckError(
                 f"grid angle {angle:.6f} beats the closed-form maximum "

@@ -618,8 +618,7 @@ class TestBlockCrossCheck:
             calls.append(grid)
             if grid is not None:
                 blocks = [
-                    (([factor * x for x in v] if k == 16 else v, w)
-                     for k, (v, w) in enumerate(pairs))
+                    ((factor * v if k == 16 else v, w) for k, (v, w) in enumerate(pairs))
                     for pairs in blocks
                 ]
             return original(layout, blocks, grid)
