@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from netbell.codes import SourceState
 from netbell.network import NetworkLayout
@@ -39,8 +38,7 @@ STATIONARY_TOL = 1e-6
 VIOLATION_MARGIN = 1e-12
 
 
-@dataclass(frozen=True)
-class TiltResult:
+class TiltResult(NamedTuple):
     """Tilted extension of a report: the P product and the G value."""
 
     beta: float
@@ -51,8 +49,7 @@ class TiltResult:
     tilt_sources: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class TiltParameters:
+class TiltParameters(NamedTuple):
     """Best common mixing angle and tilt weight for the equal-angle family."""
 
     phibar: float
@@ -62,8 +59,7 @@ class TiltParameters:
     g_opt: float
 
 
-@dataclass(frozen=True)
-class BellReport:
+class BellReport(NamedTuple):
     """Evaluated Bell quantities for one scenario and angle choice."""
 
     k: int
@@ -245,7 +241,7 @@ def evaluate_tilted(synthesis: Synthesis, thetas, beta: float) -> BellReport:
         violation=g_value > beta + 1.0 + VIOLATION_MARGIN,
         tilt_sources=tilt.tilt_sources,
     )
-    return replace(base, tilt=tilted)
+    return base._replace(tilt=tilted)
 
 
 def maximize(synthesis: Synthesis, *, grid_points: int = 181) -> BellReport:

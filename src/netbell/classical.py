@@ -26,10 +26,11 @@ import functools
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
+from netbell.records import Record
 from netbell.states import make_rng
 
 # The deterministic maximum is exact, so comparing it with the bound
@@ -57,8 +58,7 @@ class BoundViolation(RuntimeError):
         self.strategy = strategy
 
 
-@dataclass(frozen=True)
-class NetworkShape:
+class NetworkShape(Record):
     """Who sees which source labels: the causal skeleton of a layout.
 
     partition follows the layout convention (source agent s serves
@@ -66,15 +66,11 @@ class NetworkShape:
     receiver, the sources whose qubits it holds.
     """
 
-    k: int
-    m: int
-    n: int
-    partition: tuple[int, ...]
-    reach: tuple[tuple[int, ...], ...]
+    _fields = ("k", "m", "n", "partition", "reach")
 
-    def __post_init__(self):
-        object.__setattr__(self, "partition", tuple(self.partition))
-        object.__setattr__(self, "reach", tuple(tuple(sorted(r)) for r in self.reach))
+    def __init__(self, k: int, m: int, n: int, partition, reach):
+        reach = tuple(tuple(sorted(r)) for r in reach)
+        self.__dict__.update(k=k, m=m, n=n, partition=tuple(partition), reach=reach)
         if self.k < 1 or self.m < 1 or self.n < 1:
             raise ValueError("k, m, n must all be at least 1")
         if (
@@ -127,8 +123,7 @@ def _normalize_alphabet(shape: NetworkShape, alphabet) -> tuple[int, ...]:
     return alphabet
 
 
-@dataclass(frozen=True)
-class HiddenStrategy:
+class HiddenStrategy(Record):
     """One hidden-variable strategy: label distributions plus response tables.
 
     a_tables[s][x][c] is source agent s's answer to setting x when its
@@ -138,23 +133,17 @@ class HiddenStrategy:
     table can only be indexed by the labels its agent can see.
     """
 
-    shape: NetworkShape
-    alphabet: tuple[int, ...]
-    weights: tuple[tuple[float, ...], ...]
-    a_tables: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
-    b_tables: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
-    p_tables: tuple[tuple[int, ...], ...] | None = None
+    _fields = ("shape", "alphabet", "weights", "a_tables", "b_tables", "p_tables")
 
-    def __post_init__(self):
-        shape = self.shape
-        object.__setattr__(self, "alphabet", _normalize_alphabet(shape, self.alphabet))
-        object.__setattr__(self, "weights", tuple(tuple(map(float, w)) for w in self.weights))
-        for name in ("a_tables", "b_tables"):
-            tables = tuple((tuple(t[0]), tuple(t[1])) for t in getattr(self, name))
-            object.__setattr__(self, name, tables)
-        if self.p_tables is not None:
-            object.__setattr__(self, "p_tables", tuple(tuple(t) for t in self.p_tables))
-
+    def __init__(self, shape: NetworkShape, alphabet, weights, a_tables, b_tables, p_tables=None):
+        self.__dict__.update(
+            shape=shape,
+            alphabet=_normalize_alphabet(shape, alphabet),
+            weights=tuple(tuple(map(float, w)) for w in weights),
+            a_tables=tuple((tuple(t[0]), tuple(t[1])) for t in a_tables),
+            b_tables=tuple((tuple(t[0]), tuple(t[1])) for t in b_tables),
+            p_tables=None if p_tables is None else tuple(tuple(t) for t in p_tables),
+        )
         if len(self.weights) != shape.n:
             raise ValueError("need one weight vector per source")
         for i, w in enumerate(self.weights, start=1):
@@ -420,8 +409,7 @@ def _refine(shape, alphabet, beta, value, rng, draws, steps):
     return value, None, scored
 
 
-@dataclass(frozen=True)
-class ScanReport:
+class ScanReport(NamedTuple):
     """The deterministic maximum plus the stochastic pass that checked it;
     scanned counts the strategies the pass scored."""
 

@@ -7,14 +7,14 @@ Exit codes: 0 success, 1 validation failure, 2 acceptance failure
 
 Only `classical-bound`, `sample` and `reproduce-paper` import the array
 engines, `classical` and `sampling`, and with them numpy; the exact
-commands load neither numpy nor OpenSSL.
+commands load neither numpy nor OpenSSL, nor `dataclasses` and `inspect`
+(see `netbell.records`).
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import functools
 import json
 import math
@@ -308,7 +308,7 @@ def _emit_bell(args, scenario, command, report, parameters) -> int:
     payload["name"] = scenario.name
     payload["seed"] = scenario.seed
     if parameters is not None:
-        payload["tilt_parameters"] = dataclasses.asdict(parameters)
+        payload["tilt_parameters"] = parameters._asdict()
     base = _write_reports(args, f"{scenario.name}-{command}", payload, reports.BELL_COLUMNS)
     if report.tilt is None:
         print(

@@ -19,19 +19,18 @@ import functools
 import itertools
 import math
 import re
-from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from netbell.pauli import PauliString
+from netbell.records import Record
 
 # The widest group of sources whose amplitudes `states` builds.
 STATE_QUBIT_CAP = 20
 NORM_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str = ""
@@ -42,12 +41,13 @@ class CheckResult:
         return f"[{mark}] {self.name}{suffix}"
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(Record):
     """Checks, and warnings that do not fail it."""
 
-    checks: tuple[CheckResult, ...]
-    warnings: tuple[str, ...] = ()
+    _fields = ("checks", "warnings")
+
+    def __init__(self, checks: tuple[CheckResult, ...], warnings: tuple[str, ...] = ()):
+        self.__dict__.update(checks=checks, warnings=warnings)
 
     @property
     def passed(self) -> bool:
@@ -62,22 +62,25 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class StabilizerCode:
+class StabilizerCode(Record):
     """[[n, k, d]] stabilizer code with chosen logical operator pairs."""
 
-    name: str
-    n: int
-    k: int
-    generators: tuple[PauliString, ...]
-    logical_x: tuple[PauliString, ...]
-    logical_z: tuple[PauliString, ...]
-    distance: int | None = None
+    _fields = ("name", "n", "k", "generators", "logical_x", "logical_z", "distance")
 
-    def __post_init__(self):
-        object.__setattr__(self, "generators", tuple(self.generators))
-        object.__setattr__(self, "logical_x", tuple(self.logical_x))
-        object.__setattr__(self, "logical_z", tuple(self.logical_z))
+    def __init__(
+        self,
+        name: str,
+        n: int,
+        k: int,
+        generators: Sequence[PauliString],
+        logical_x: Sequence[PauliString],
+        logical_z: Sequence[PauliString],
+        distance: int | None = None,
+    ):
+        self.__dict__.update(
+            name=name, n=n, k=k, generators=tuple(generators), logical_x=tuple(logical_x),
+            logical_z=tuple(logical_z), distance=distance,
+        )
 
     def to_json(self) -> dict:
         return {
@@ -106,13 +109,13 @@ class StabilizerCode:
         return _reduce_with_phases(self.generators)[0]
 
 
-@dataclass(frozen=True)
-class SourceState:
+class SourceState(Record):
     """A realized code state sum_z a_z |z-bar>, shared by equal sources."""
 
-    code: StabilizerCode
-    amplitudes: tuple[complex, ...]
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _fields = ("code", "amplitudes")
+
+    def __init__(self, code: StabilizerCode, amplitudes: tuple[complex, ...]):
+        self.__dict__.update(code=code, amplitudes=amplitudes, _memo={})
 
     def expectation(self, p: PauliString) -> complex:
         """<p> from the stabilizing and logical operators, with no amplitude

@@ -22,32 +22,37 @@ from __future__ import annotations
 
 import bisect
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple, Sequence
 
 from netbell.codes import CheckResult, SourceState, ValidationReport
 from netbell.pauli import PauliString
+from netbell.records import Record
 
 STABILIZER_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class NetworkLayout:
+class NetworkLayout(Record):
     """Immutable wiring of sources, agents, and qubit custody."""
 
-    sources: tuple[SourceState, ...]
-    K: int
-    M: int
-    partition: tuple[int, ...]
-    assignment: tuple[tuple[int, int, int], ...]
+    _fields = ("sources", "K", "M", "partition", "assignment")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        sources: Sequence[SourceState],
+        K: int,
+        M: int,
+        partition: Sequence[int],
+        assignment: Sequence[tuple[int, int, int]],
+    ):
         distinct = {}
-        sources = (distinct.setdefault((s.code, repr(s.amplitudes)), s) for s in self.sources)
-        object.__setattr__(self, "sources", tuple(sources))
-        object.__setattr__(self, "partition", tuple(int(e) for e in self.partition))
-        triples = tuple(sorted((int(i), int(j), int(a)) for i, j, a in self.assignment))
-        object.__setattr__(self, "assignment", triples)
+        self.__dict__.update(
+            sources=tuple(distinct.setdefault((s.code, repr(s.amplitudes)), s) for s in sources),
+            K=K,
+            M=M,
+            partition=tuple(int(e) for e in partition),
+            assignment=tuple(sorted((int(i), int(j), int(a)) for i, j, a in assignment)),
+        )
         self._validate()
 
     def _validate(self) -> None:
@@ -173,21 +178,22 @@ class NetworkLayout:
         return self.sources[self.partition[k - 1] : self.partition[k]]
 
 
-@dataclass(frozen=True)
-class OperatorSelection:
+class OperatorSelection(Record):
     """Per-source operator choices: stabilizing g, partner h, optional
     phase-flip representative h_prime for the tilted construction."""
 
-    g: tuple[PauliString, ...]
-    h: tuple[PauliString, ...]
-    h_prime: tuple[PauliString | None, ...] = ()
+    _fields = ("g", "h", "h_prime")
 
-    def __post_init__(self):
-        object.__setattr__(self, "g", tuple(self.g))
-        object.__setattr__(self, "h", tuple(self.h))
-        prime = tuple(self.h_prime) if self.h_prime else (None,) * len(self.g)
-        object.__setattr__(self, "h_prime", prime)
-        if len(self.h) != len(self.g) or len(self.h_prime) != len(self.g):
+    def __init__(
+        self,
+        g: Sequence[PauliString],
+        h: Sequence[PauliString],
+        h_prime: Sequence[PauliString | None] = (),
+    ):
+        g, h = tuple(g), tuple(h)
+        h_prime = tuple(h_prime) if h_prime else (None,) * len(g)
+        self.__dict__.update(g=g, h=h, h_prime=h_prime)
+        if len(h) != len(g) or len(h_prime) != len(g):
             raise ValueError("selection needs one g, h, h_prime slot per source")
 
     @property
@@ -203,8 +209,7 @@ class OperatorSelection:
         return tuple(i + 1 for i, p in enumerate(self.h_prime) if p is not None)
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     """Per source, masks over its qubits: d where the (g, h) letters
     anticommute, idle where a receiver holds a qubit they commute on, and
     o, the (x, z) masks of the letter g or h repeats on each idle qubit
@@ -246,7 +251,6 @@ def anticommuting_count(
     return count
 
 
-@dataclass(frozen=True)
 class ParityReport(ValidationReport):
     """Outcome of the anticommuting-count conditions, one fact per line.
 

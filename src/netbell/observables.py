@@ -29,7 +29,7 @@ group's h_primes, signs included.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from netbell.network import (
     Classification,
@@ -50,8 +50,7 @@ class CrossCheckError(RuntimeError):
     or one basis per measured qubit."""
 
 
-@dataclass(frozen=True)
-class SourceObservables:
+class SourceObservables(NamedTuple):
     """One source agent's measurement family A_x."""
 
     agent: int
@@ -76,8 +75,7 @@ class SourceObservables:
         ]
 
 
-@dataclass(frozen=True)
-class ReceiverObservables:
+class ReceiverObservables(NamedTuple):
     """One receiver's setting-indexed observables B0, B1."""
 
     agent: int
@@ -98,8 +96,7 @@ class ReceiverObservables:
         ]
 
 
-@dataclass(frozen=True)
-class TiltedReceiver:
+class TiltedReceiver(NamedTuple):
     """Per-receiver pieces of the tilted test.
 
     b0_bar replaces B0 in the measuring phase: B0 times the grafted
@@ -122,8 +119,7 @@ class TiltedReceiver:
         ]
 
 
-@dataclass(frozen=True)
-class TiltedBlock:
+class TiltedBlock(NamedTuple):
     """The tilted-test operators for the whole network."""
 
     tilt_sources: tuple[int, ...]
@@ -350,8 +346,7 @@ def build_tilted(
     )
 
 
-@dataclass(frozen=True)
-class Synthesis:
+class Synthesis(NamedTuple):
     """Every agent's observables for one layout and selection; the mixing
     angles are not part of it but are passed to each engine with it."""
 

@@ -65,7 +65,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -73,6 +73,7 @@ from .bell import _group_expectation
 from .network import NetworkLayout
 from .observables import CrossCheckError, Synthesis
 from .pauli import _LETTER_OF_BITS, PauliString
+from .records import Record
 from .reports import atomic_write
 from .scenarios import MAX_ROUNDS, MODES
 from .states import _parity, basis_probabilities, group_state, make_rng, setting_rotations
@@ -98,16 +99,14 @@ _OUTCOME[[0, 1, 2]] = np.frombuffer(b",1\0\0,-1\0,0\0\0", dtype=np.uint32)
 _EOL = np.frombuffer(b"\r\n\0\0", dtype=np.uint32)
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Record):
     """How many rounds to draw, from which seed, with which strategy; the
     setting combinations are drawn uniformly."""
 
-    rounds: int
-    seed: int | None = None
-    strategy: str = "direct-observable"
+    _fields = ("rounds", "seed", "strategy")
 
-    def __post_init__(self):
+    def __init__(self, rounds: int, seed: int | None = None, strategy: str = "direct-observable"):
+        self.__dict__.update(rounds=rounds, seed=seed, strategy=strategy)
         if self.rounds < 1:
             raise ValueError(f"rounds must be at least 1, got {self.rounds}")
         if self.rounds > MAX_ROUNDS:
@@ -118,8 +117,7 @@ class RunConfig:
             )
 
 
-@dataclass(frozen=True)
-class SettingTally:
+class SettingTally(NamedTuple):
     """Rounds and outcome sums at one receiver setting y: product_sum sums
     the product of all outcomes, times (-1)^|x| where every receiver is on
     setting 1, and p_sum the phase-flip product where it is collected."""
@@ -139,8 +137,7 @@ class SettingTally:
         }
 
 
-@dataclass(frozen=True)
-class TallyReport:
+class TallyReport(NamedTuple):
     """Estimates from one sampling run, with the seed echoed back."""
 
     mode: str
@@ -162,7 +159,7 @@ class TallyReport:
 
     def as_dict(self) -> dict:
         """The report's fields under their JSON keys, the tallies last."""
-        values = [getattr(self, field.name) for field in fields(self) if field.name != "tallies"]
+        values = [value for key, value in zip(self._fields, self) if key != "tallies"]
         return {**dict(zip(_REPORT_KEYS, values)), "tallies": [t.as_dict() for t in self.tallies]}
 
 
@@ -177,8 +174,7 @@ _REPORT_KEYS = (
 # measurement frames, one per group of sources
 
 
-@dataclass(frozen=True)
-class _Mask:
+class _Mask(NamedTuple):
     """A measured string's bit mask on each group's outcome index, in group
     order, plus the string's real sign."""
 
@@ -387,8 +383,7 @@ class _Frames:
         ], tails[0]
 
 
-@dataclass(frozen=True)
-class _Table:
+class _Table(NamedTuple):
     """One group's guide table, stacked over rows of weighted bins: each
     row's distinct bins [low, upper) of its normalized cumulative sums, one
     after another, each with the outcome index a searchsorted(side="right")

@@ -43,11 +43,10 @@ name such as star(3) fill its factory's positional parameters.
 
 from __future__ import annotations
 
-import inspect
 import json
 import math
 import os
-from dataclasses import dataclass
+from typing import NamedTuple
 
 try:  # the interpreter's own SHA-256, as `random` does: hashlib loads OpenSSL
     from _sha2 import sha256  # Python 3.12+
@@ -79,8 +78,7 @@ class ScenarioError(ValueError):
     """A scenario file that cannot be resolved into engine objects."""
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     """A resolved scenario: engine objects plus run options."""
 
     name: str
@@ -585,8 +583,9 @@ def builtin_scenario(name: str, **params) -> Scenario:
     except (ValueError, KeyError):
         known = ", ".join(sorted(BUILTIN_SCENARIOS))
         raise ScenarioError(f"unknown builtin scenario {name!r}; known: {known}") from None
-    accepted = inspect.signature(factory).parameters
-    positional = [key for key, p in accepted.items() if p.kind is p.POSITIONAL_OR_KEYWORD]
+    code = factory.__code__  # positional parameters first, then keyword-only
+    accepted = code.co_varnames[: code.co_argcount + code.co_kwonlyargcount]
+    positional = accepted[: code.co_argcount]
     if len(numbers) > len(positional):
         form = f"{head}({','.join(positional)})"
         takes = f"{form}, got {name.strip()!r}" if positional else "no (...) arguments"

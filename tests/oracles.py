@@ -104,7 +104,7 @@ import itertools
 import math
 import operator
 from collections import defaultdict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
@@ -1084,7 +1084,7 @@ def tilted_layouts(seed: int = 20261019) -> list:
             constraints = tilt_constraints(layout, selection, i)
             primes.append(logical_representative(code, base, constraints))
         if any(prime is not None for prime in primes):
-            out.append((layout, replace(selection, h_prime=tuple(primes))))
+            out.append((layout, OperatorSelection(selection.g, selection.h, tuple(primes))))
     return out
 
 

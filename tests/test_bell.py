@@ -6,7 +6,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from dataclasses import replace
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -110,20 +109,20 @@ class TestEvaluate:
     def test_wrong_source_count_raises(self):
         synthesis = synth(bilocal_layout(), selection_a(), allow=True)
         with pytest.raises(ValueError, match="source observables"):
-            evaluate(replace(synthesis, sources=synthesis.sources[:1]), [0.5, 0.5])
+            evaluate(synthesis._replace(sources=synthesis.sources[:1]), [0.5, 0.5])
 
     def test_selection_mismatch_is_caught(self):
         # observables synthesized for one selection, closed forms for another
         synthesis = synth(bilocal_layout(math.pi / 6), selection_a(), allow=True)
         with pytest.raises(RuntimeError, match="closed forms"):
-            evaluate(replace(synthesis, selection=selection_b()), [0.7, 0.7])
+            evaluate(synthesis._replace(selection=selection_b()), [0.7, 0.7])
 
     def test_tampered_observable_is_caught(self):
         synthesis = synth(bilocal_layout(math.pi / 6), selection_a(), allow=True)
         sources = synthesis.sources
-        broken = replace(sources[0], t_piece=sources[0].s_piece)
+        broken = sources[0]._replace(t_piece=sources[0].s_piece)
         with pytest.raises(RuntimeError, match="closed forms"):
-            evaluate(replace(synthesis, sources=(broken, sources[1])), [0.7, 0.7])
+            evaluate(synthesis._replace(sources=(broken, sources[1])), [0.7, 0.7])
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -339,7 +338,7 @@ class TestEvaluateTilted:
         synthesis = synth(chsh_layout(math.pi / 4), chsh_selection(tilted=False))
         layout, selection = synthesis.layout, synthesis.selection
         tilt = build_tilted(layout, synthesis.classification, selection)
-        report = evaluate_tilted(replace(synthesis, tilt=tilt), [math.pi / 4], 0.4)
+        report = evaluate_tilted(synthesis._replace(tilt=tilt), [math.pi / 4], 0.4)
         assert report.tilt.p_value == 1.0
         assert abs(report.tilt.g_value - (0.4 + math.sqrt(2))) < TOL
         assert report.tilt.classical_bound == 1.4
@@ -502,11 +501,14 @@ class TestStabilizerEngine:
         # a phase or sign lost in the reduction shows
         code = FOUR_TWO_TWO if name == "four-two-two" else builtin(name)
         if signed:
-            code = replace(
-                code,
+            code = StabilizerCode(
+                code.name,
+                code.n,
+                code.k,
                 generators=[-g if i % 2 == 0 else g for i, g in enumerate(code.generators)],
                 logical_x=[-p for p in code.logical_x],
                 logical_z=[-p for p in code.logical_z],
+                distance=code.distance,
             )
         assert validate(code).passed
         rng = np.random.default_rng(8)
@@ -634,17 +636,17 @@ class TestBlockCrossCheck:
         # one more letter on a qubit where source 2's h_prime is identity
         pieces = list(synthesis.tilt.p_pieces)
         pieces[1] = pieces[1] * PauliString("IZIII")
-        broken = replace(synthesis.tilt, p_pieces=tuple(pieces))
+        broken = synthesis.tilt._replace(p_pieces=tuple(pieces))
         with pytest.raises(RuntimeError, match="P block of agent S2 disagrees"):
-            evaluate_tilted(replace(synthesis, tilt=broken), scenario.thetas, 0.5)
+            evaluate_tilted(synthesis._replace(tilt=broken), scenario.thetas, 0.5)
 
     def test_split_sign_of_p_is_checked(self):
         # each group's P piece carries its own sign, checked block by block
         scenario, synthesis = star51(phibar=0.3927)
         pieces = synthesis.tilt.p_pieces
-        broken = replace(synthesis.tilt, p_pieces=(-pieces[0], *pieces[1:]))
+        broken = synthesis.tilt._replace(p_pieces=(-pieces[0], *pieces[1:]))
         with pytest.raises(RuntimeError, match="P block of agent S1 disagrees"):
-            evaluate_tilted(replace(synthesis, tilt=broken), scenario.thetas, 0.5)
+            evaluate_tilted(synthesis._replace(tilt=broken), scenario.thetas, 0.5)
 
     @pytest.mark.parametrize("theta", [0.0, 0.7, math.pi / 2])
     def test_zero_closed_forms_do_not_raise(self, theta):
@@ -665,6 +667,6 @@ class TestBlockCrossCheck:
         synthesis = synth(layout, star_selection(3, tilted=False))
         sources = synthesis.sources
         stray = PauliString(sources[0].s_piece.letters + "IZIII")
-        broken = replace(sources[0], s_piece=stray)
+        broken = sources[0]._replace(s_piece=stray)
         with pytest.raises(ValueError, match="strings on 10 and 5 qubits"):
-            evaluate(replace(synthesis, sources=(broken, *sources[1:])), [0.5] * 3)
+            evaluate(synthesis._replace(sources=(broken, *sources[1:])), [0.5] * 3)

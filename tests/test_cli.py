@@ -2,7 +2,6 @@
 
 import contextlib
 import csv
-import dataclasses
 import errno
 import hashlib
 import io
@@ -975,8 +974,8 @@ class TestCrossCheckErrors:
             synthesis = real(scenario)
             sources = list(synthesis.sources)
             fields = {field: change(sources[0]) for field, change in changes.items()}
-            sources[0] = dataclasses.replace(sources[0], **fields)
-            return dataclasses.replace(synthesis, sources=tuple(sources))
+            sources[0] = sources[0]._replace(**fields)
+            return synthesis._replace(sources=tuple(sources))
 
         monkeypatch.setattr(cli, "_require_valid", tampered)
         return scenarios.fingerprint(scenarios.builtin_scenario(name))
@@ -1316,8 +1315,8 @@ class TestReproduce:
             if scenario.name != "example-b":
                 return synthesis
             sources = list(synthesis.sources)
-            sources[0] = dataclasses.replace(sources[0], t_piece=sources[0].s_piece)
-            return dataclasses.replace(synthesis, sources=tuple(sources))
+            sources[0] = sources[0]._replace(t_piece=sources[0].s_piece)
+            return synthesis._replace(sources=tuple(sources))
 
         monkeypatch.setattr(cli, "_require_valid", tampered)
         assert main(["reproduce-paper"]) == EXIT_VALIDATION
@@ -1344,11 +1343,14 @@ class TestEntryPoint:
     def test_exact_commands_load_no_numpy(self, tmp_path):
         # The exact engine reads only stabilizing and logical operators: numpy,
         # and OpenSSL's _hashlib, load only where sample and classical-bound run.
+        # Records are NamedTuples or hand-written classes, so neither the
+        # import nor a command loads dataclasses or inspect.
         script = "; ".join([
             "import sys",
             "from netbell.cli import main",
             "codes = [main(argv.split()) for argv in sys.argv[1:]]",
-            "print(codes, sorted({'numpy', '_hashlib'} & set(sys.modules)))",
+            "loaded = {'numpy', '_hashlib', 'dataclasses', 'inspect'} & set(sys.modules)",
+            "print(codes, sorted(loaded))",
         ])
         commands = [
             "validate example-a",

@@ -13,7 +13,6 @@ import itertools
 import json
 import tempfile
 import tracemalloc
-from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -36,6 +35,7 @@ from conftest import (
     two_source_group_layout,
 )
 from netbell import bell, observables, sampling, scenarios, states
+from netbell.network import OperatorSelection
 from netbell.pauli import PauliString
 from netbell.reports import atomic_write
 from netbell.sampling import RunConfig, run
@@ -102,7 +102,8 @@ JOINT_SCENARIOS = {
 
 def _two_source_group_mixed_h():
     layout, selection = two_source_group_layout()
-    return layout, replace(selection, h=(H_FLIP, FIVE.generators[0], H_FLIP))
+    h = (H_FLIP, FIVE.generators[0], H_FLIP)
+    return layout, OperatorSelection(selection.g, h, selection.h_prime)
 
 
 # Layouts the builtins lack, on joint states within the cap: tilted
@@ -306,7 +307,7 @@ class TestFrames:
         x = (0, 1)
         forward = outcome_distribution(synthesis, thetas, x, (0,))
         swapped = outcome_distribution(
-            replace(synthesis, sources=tuple(reversed(synthesis.sources))),
+            synthesis._replace(sources=tuple(reversed(synthesis.sources))),
             tuple(reversed(thetas)),
             tuple(reversed(x)),
             (0,),
@@ -412,8 +413,8 @@ class TestBasis:
         refusals = []
         for q, letter in itertools.product(held, "XYZ"):
             extra = PauliString("I" * q + letter + "I" * (width - 1 - q))
-            tampered = replace(source, s_piece=source.s_piece * extra)
-            synthesis_q = replace(synthesis, sources=(tampered,) + synthesis.sources[1:])
+            tampered = source._replace(s_piece=source.s_piece * extra)
+            synthesis_q = synthesis._replace(sources=(tampered,) + synthesis.sources[1:])
             got = bases(sampling._basis, synthesis_q)
             assert got == bases(oracle_basis, synthesis_q), (q, letter)
             refusals += [
@@ -516,12 +517,11 @@ class TestGroupFrames:
         # pieces of the wrong width: S1's S and T with letters on source 2
         synthesis, thetas = builtin_synthesis("star(3)")
         obs = synthesis.sources[0]
-        stray = replace(
-            obs,
+        stray = obs._replace(
             s_piece=PauliString(obs.s_piece.letters + "IZIII"),
             t_piece=PauliString(obs.t_piece.letters + "IIIII"),
         )
-        broken = replace(synthesis, sources=(stray, *synthesis.sources[1:]))
+        broken = synthesis._replace(sources=(stray, *synthesis.sources[1:]))
         # the law multiplies S by the receivers' piece on the group
         text = "length mismatch: cannot multiply strings on 10 and 5 qubits"
         with pytest.raises(ValueError, match=text):
@@ -1057,8 +1057,8 @@ class TestRoundRecord:
         # every frame and table is built before the record is opened
         synthesis, thetas = builtin_scenario_synthesis("chsh")
         source = synthesis.sources[0]
-        tampered = replace(source, s_piece=source.s_piece * PauliString("IX"))
-        synthesis = replace(synthesis, sources=(tampered,) + synthesis.sources[1:])
+        tampered = source._replace(s_piece=source.s_piece * PauliString("IX"))
+        synthesis = synthesis._replace(sources=(tampered,) + synthesis.sources[1:])
         opened = []
         monkeypatch.setattr(
             sampling, "atomic_write", lambda *args: opened.append(args) or atomic_write(*args)
@@ -1215,8 +1215,8 @@ class TestChunkedPass:
         refused = 0
         for q, letter, mode in itertools.product(range(width), "XYZ", sampling.MODES):
             extra = PauliString("I" * q + letter + "I" * (width - 1 - q))
-            tampered = replace(source, s_piece=source.s_piece * extra)
-            synthesis_q = replace(synthesis, sources=(tampered,) + synthesis.sources[1:])
+            tampered = source._replace(s_piece=source.s_piece * extra)
+            synthesis_q = synthesis._replace(sources=(tampered,) + synthesis.sources[1:])
             config = RunConfig(rounds=50, seed=1, strategy=mode)
             texts = []
             for route in (run, sample_rounds):
@@ -1347,7 +1347,7 @@ class TestLaw:
             built, law = tables(self, columns)
             codes = built[-1].codes.copy()
             codes[:, 0] ^= 1
-            return built[:-1] + [replace(built[-1], codes=codes)], law
+            return built[:-1] + [built[-1]._replace(codes=codes)], law
 
         monkeypatch.setattr(sampling._Frames, "tables", misread)
         text = r"^a drawn round's outcomes do not read its tallied cell$"
