@@ -31,7 +31,7 @@ from netbell.pauli import PauliString
 # this is a synthesis bug, not noise.
 CROSS_CHECK_TOL = 1e-9
 GRID_MARGIN = 1e-9
-# Beyond this the grid arrays alone would need gigabytes.
+# The range `validate` and `--grid` accept; it bounds a command's time.
 MAX_GRID_POINTS = 10**6
 STATIONARY_TOL = 1e-6
 # Strictly-above-bound margin so boundary cases never count as wins.
@@ -107,14 +107,12 @@ def _group_expectation(sources: Sequence[SourceState], op: PauliString) -> compl
     return op.phase * math.prod(src.expectation(op.window(lo, hi)) for src, lo, hi in windows)
 
 
-def _check(value, want, what: str, angle=None) -> None:
-    """Raise unless value is within CROSS_CHECK_TOL of want (NaN never is);
-    angle names the grid angle in the message."""
+def _check(value, want, what: str) -> None:
+    """Raise unless value is within CROSS_CHECK_TOL of want (NaN never is)."""
     if not abs(value - want) <= CROSS_CHECK_TOL:
-        where = "" if angle is None else f" at grid angle {angle:.6f}"
         raise CrossCheckError(
             f"{what} disagrees with the stabilizer closed forms "
-            f"({complex(value):+.12f} vs {want:+.12f}{where}); "
+            f"({complex(value):+.12f} vs {want:+.12f}); "
             "the synthesized observables do not implement the selected operators"
         )
 
@@ -154,11 +152,11 @@ def _source_values(layout: NetworkLayout, ops) -> tuple[list, list]:
     return values, [math.prod(values[lo:hi]) for lo, hi in cuts]
 
 
-def _products(layout: NetworkLayout, blocks, angle=None) -> list:
+def _products(layout: NetworkLayout, blocks) -> list:
     """I and J as products of their per-block halves <(A0_k +/- A1_k) B_y>/2.
 
     blocks holds, for y = 0 and 1, pairs (half, closed form) per source
-    agent, at one angle (a grid angle when angle is given). Each block is
+    agent, or in `maximize` the halves' angle-free factors. Each block is
     checked on its own, since the halves are of order one while I and J
     shrink like 2^(-K/2): at large K the absolute check of the products
     alone would pass a wrong sign or factor in one block.
@@ -168,11 +166,11 @@ def _products(layout: NetworkLayout, blocks, angle=None) -> list:
         total = closed = None
         for k, (value, want) in enumerate(pairs, start=1):
             if not abs(value - want) <= CROSS_CHECK_TOL:  # label only a failing block
-                _check(value, want, f"{name} block of agent {layout.agent_label(k)}", angle)
+                _check(value, want, f"{name} block of agent {layout.agent_label(k)}")
             total = value if total is None else total * value
             closed = want if closed is None else closed * want
-        _check(total.imag, 0.0, f"the imaginary part of {name}", angle)
-        _check(total.real, closed, name, angle)
+        _check(total.imag, 0.0, f"the imaginary part of {name}")
+        _check(total.real, closed, name)
         out.append(total.real)
     return out
 
@@ -250,8 +248,9 @@ def maximize(synthesis: Synthesis, *, grid_points: int = 181) -> BellReport:
     With C = |prod_i <h_i>|^(1/K) the best common angle is arctan(C) and
     the value there is sqrt(1 + C^2).  Both facts are re-verified here:
     the report is evaluated from scratch at the best angle and compared
-    to the closed form, and a grid scan over common angles, with the
-    report's checks at every angle, confirms no grid point does better.
+    to the closed form, and a grid scan over common angles confirms no
+    grid point does better, each block checked once against its closed
+    form without the angle, which scales both alike.
     """
     if grid_points < 2:
         raise ValueError("grid_points must be at least 2")
@@ -273,20 +272,21 @@ def maximize(synthesis: Synthesis, *, grid_points: int = 181) -> BellReport:
             f"expected sqrt(1 + C^2) = {bound:.12f}"
         )
 
-    # At a common angle theta the halves are cos(theta) <S_k B_0> and
-    # sin(theta) <T_k B_1>, the values of the first and second terms:
-    # the grid is arithmetic on them, with no synthesis or expectation.
-    # Each angle is checked on its own, so the grid holds O(K) values.
+    # At a common angle a in [0, pi/2] the halves are cos(a) <S_k B_0> and
+    # sin(a) <T_k B_1>, the values of the first and second terms, against
+    # cos(a) and sin(a) times the groups' g and h values. The factors do
+    # not depend on a, so they are checked once: as cos(a), sin(a) <= 1,
+    # each block and product then passes at every angle. The grid is
+    # arithmetic on alpha and beta, the K-th roots of the two products.
     g_groups = _source_values(layout, selection.g)[1]
+    alpha, beta = (abs(v) ** (1.0 / k) for v in _products(layout, [
+        zip((block[0][1] for block in terms[0]), g_groups),
+        zip((block[1][1] for block in terms[1]), c_groups),
+    ]))
     step = (math.pi / 2) / (grid_points - 1)
     for at in range(grid_points):
         angle = math.pi / 2 if at == grid_points - 1 else at * step
-        cos_a, sin_a = math.cos(angle), math.sin(angle)
-        i_value, j_value = _products(layout, [
-            ((cos_a * block[0][1], cos_a * g) for block, g in zip(terms[0], g_groups)),
-            ((sin_a * block[1][1], sin_a * c) for block, c in zip(terms[1], c_groups)),
-        ], angle)
-        value = abs(i_value) ** (1.0 / k) + abs(j_value) ** (1.0 / k)
+        value = math.cos(angle) * alpha + math.sin(angle) * beta
         if not value <= bound + GRID_MARGIN:
             raise CrossCheckError(
                 f"grid angle {angle:.6f} beats the closed-form maximum "

@@ -31,7 +31,7 @@ from netbell.bell import (
     tilt_parameters,
 )
 from netbell.network import OperatorSelection, check_selection
-from netbell.observables import build_tilted, synthesize
+from netbell.observables import CrossCheckError, build_tilted, synthesize
 from netbell.pauli import PauliString
 from netbell.states import codeword_state, group_state
 from oracles import dense_expectation, joint_values, random_layouts, tilted_layouts
@@ -612,24 +612,55 @@ class TestBlockCrossCheck:
 
     @pytest.mark.parametrize("factor", [-1.0, 1.05, 1.04, math.nan])
     def test_one_wrong_block_fails_the_grid(self, monkeypatch, factor):
-        # the best angle passes; the tampered block only differs on the grid
+        # the best angle passes; the tampered block only differs in the
+        # grid's angle-free factors, which are checked once at full strength
         original = bell._products
         calls = []
 
-        def tampered(layout, blocks, grid=None):
-            calls.append(grid)
-            if grid is not None:
+        def tampered(layout, blocks):
+            calls.append(blocks)
+            if len(calls) == 2:
                 blocks = [
                     ((factor * v if k == 16 else v, w) for k, (v, w) in enumerate(pairs))
                     for pairs in blocks
                 ]
-            return original(layout, blocks, grid)
+            return original(layout, blocks)
 
         monkeypatch.setattr(bell, "_products", tampered)
         synthesis = star51()[1]
-        with pytest.raises(RuntimeError, match="I block of agent S17 .* at grid angle"):
+        with pytest.raises(RuntimeError, match="I block of agent S17 disagrees"):
             maximize(synthesis)
         assert len(calls) == 2
+
+    def test_grid_checks_its_blocks_once(self, monkeypatch):
+        # the best angle and the angle-free factors, at any grid size
+        original = bell._products
+        calls = []
+
+        def counted(layout, blocks):
+            calls.append(blocks)
+            return original(layout, blocks)
+
+        monkeypatch.setattr(bell, "_products", counted)
+        maximize(star51()[1], grid_points=10**4)
+        assert len(calls) == 2
+
+    def test_grid_refuses_a_point_above_the_maximum(self, monkeypatch):
+        # scaling the checked angle-free I by 1.1 makes the grid's value
+        # 1.1^(1/3) cos a + sin a on star(3), at most about 1.437; it first
+        # passes sqrt(2) at the 69th of 181 angles, 34 degrees
+        original = bell._products
+        calls = []
+
+        def scaled(layout, blocks):
+            calls.append(blocks)
+            i_value, j_value = original(layout, blocks)
+            return [1.1 * i_value if len(calls) == 2 else i_value, j_value]
+
+        monkeypatch.setattr(bell, "_products", scaled)
+        synthesis = synth(star_layout(3, math.pi / 4), star_selection(3, tilted=False))
+        with pytest.raises(CrossCheckError, match=r"grid angle 0\.593412 beats the closed-form"):
+            maximize(synthesis)
 
     def test_one_wrong_tilt_block_raises(self):
         scenario, synthesis = star51(phibar=0.3927)
