@@ -454,6 +454,13 @@ def max_deterministic(
     """
     if beta is not None and not beta >= 0:
         raise ValueError(f"beta must be nonnegative, got {beta}")
+    # The refine score of 1 + beta rounds up to 2 ulps above it, which
+    # must stay within REFINE_TOL: beta below 2**22 - 1.
+    if beta is not None and 2 * math.ulp(1.0 + beta) > REFINE_TOL:
+        raise ValueError(
+            f"beta {beta} is too large for the refine check: 2 ulps of 1 + beta "
+            f"exceed its tolerance {REFINE_TOL:g}"
+        )
     tilted = beta is not None
     if alphabet is None:
         alphabet = default_alphabet(shape, tilted=tilted)

@@ -2,6 +2,10 @@
 maximization, tilted runs, classical bounds, finite-round sampling, and the
 bundled reproduction table.
 
+One pipeline, `_run`, loads, validates, cross-checks, stamps the
+fingerprint, writes and prints for every scenario command; each command's
+body only computes its report fields and summary.
+
 Exit codes: 0 success, 1 validation failure, 2 acceptance failure
 (a bound violated or a reproduction row off target), 3 I/O failure.
 
@@ -218,13 +222,12 @@ def _parse_thetas(text: str | None, scenario: Scenario) -> tuple[float, ...] | N
         raise CliError(EXIT_VALIDATION, f"bad --theta value: {err}") from err
     if not all(math.isfinite(v) for v in values):
         raise CliError(EXIT_VALIDATION, f"--theta values must be finite, got {text!r}")
+    k = scenario.layout.K
     if len(values) == 1:
-        return values * scenario.layout.K
-    if len(values) != scenario.layout.K:
-        raise CliError(
-            EXIT_VALIDATION,
-            f"--theta needs 1 or {scenario.layout.K} values, got {len(values)}",
-        )
+        return values * k
+    if len(values) != k:
+        counts = "1 value" if k == 1 else f"1 or {k} values"
+        raise CliError(EXIT_VALIDATION, f"--theta needs {counts}, got {len(values)}")
     return values
 
 
@@ -244,7 +247,7 @@ def _parse_beta(text: str | None):
 def _cmd_validate(args) -> int:
     scenario = _load_scenario(args)
     report, synthesis = scenarios.diagnose(scenario)
-    print(f"scenario {scenario.name} [{scenarios.fingerprint(scenario)}]")
+    print(f"scenario {_where(scenario)}")
     for check in report.checks:
         print(f"  {check}")
     for warning in report.warnings:
@@ -256,35 +259,40 @@ def _cmd_validate(args) -> int:
     return EXIT_OK if report.passed else EXIT_VALIDATION
 
 
-def _cmd_evaluate(args) -> int:
+def _run(args, columns, body) -> int:
+    """The one pipeline of the scenario commands: load and validate the
+    scenario, run the body's engine work under the cross-check, stamp the
+    fingerprint between the body's head and tail fields, write the reports
+    and print the body's summary line."""
     scenario = _load_scenario(args)
     synthesis = _require_valid(scenario)
+    with _cross_checked(scenario):
+        head, tail, line = body(args, scenario, synthesis)
+    payload = {**head, "scenario_hash": scenarios.fingerprint(scenario), **tail}
+    base = _write_reports(args, f"{scenario.name}-{args.command}", payload, columns)
+    print(f"{scenario.name}: {line} -> {base}.json")
+    return EXIT_OK
+
+
+def _evaluate(args, scenario, synthesis):
     thetas = _parse_thetas(args.theta, scenario) or scenario.thetas
     beta, parameters = scenarios.resolve_beta(scenario, _parse_beta(args.beta))
-    with _cross_checked(scenario):
-        if beta is None:
-            report = bell.evaluate(synthesis, thetas)
-        else:
-            report = bell.evaluate_tilted(synthesis, thetas, beta)
-    return _emit_bell(args, scenario, "evaluate", report, parameters)
+    if beta is None:
+        report = bell.evaluate(synthesis, thetas)
+    else:
+        report = bell.evaluate_tilted(synthesis, thetas, beta)
+    return _bell_fields(scenario, report, parameters)
 
 
-def _cmd_maximize(args) -> int:
-    scenario = _load_scenario(args)
-    synthesis = _require_valid(scenario)
+def _maximize(args, scenario, synthesis):
     grid = args.grid if args.grid is not None else scenario.grid_points
-    with _cross_checked(scenario):
-        report = bell.maximize(synthesis, grid_points=grid)
-    return _emit_bell(args, scenario, "maximize", report, None)
+    return _bell_fields(scenario, bell.maximize(synthesis, grid_points=grid), None)
 
 
-def _cmd_tilted(args) -> int:
-    scenario = _load_scenario(args)
-    synthesis = _require_valid(scenario)
+def _tilted(args, scenario, synthesis):
     if not scenario.selection.tilt_sources:
         raise CliError(
-            EXIT_VALIDATION,
-            f"scenario {scenario.name!r} has no h_prime entries to tilt",
+            EXIT_VALIDATION, f"scenario {scenario.name!r} has no h_prime entries to tilt"
         )
     beta_text = _parse_beta(args.beta)
     if beta_text is None and scenario.beta is None:
@@ -293,57 +301,45 @@ def _cmd_tilted(args) -> int:
     thetas = _parse_thetas(args.theta, scenario)
     if thetas is None and parameters is not None:
         thetas = (parameters.theta_max,) * scenario.layout.K
-    with _cross_checked(scenario):
-        report = bell.evaluate_tilted(synthesis, thetas or scenario.thetas, beta)
-    return _emit_bell(args, scenario, "tilted", report, parameters)
+    report = bell.evaluate_tilted(synthesis, thetas or scenario.thetas, beta)
+    return _bell_fields(scenario, report, parameters)
 
 
-def _emit_bell(args, scenario, command, report, parameters) -> int:
-    payload = report.as_dict()
-    # The fingerprint sits between the violation flag and the tilt block.
-    tilt = payload.pop("tilt", None)
-    payload["scenario_hash"] = scenarios.fingerprint(scenario)
-    if tilt is not None:
-        payload["tilt"] = tilt
-    payload["name"] = scenario.name
-    payload["seed"] = scenario.seed
+def _bell_fields(scenario, report, parameters):
+    """A Bell report's fields up to the violation flag, those after the
+    fingerprint (the tilt block onward), and its summary."""
+    head = report.as_dict()
+    tail = {"tilt": head.pop("tilt")} if report.tilt is not None else {}
+    tail.update(name=scenario.name, seed=scenario.seed)
     if parameters is not None:
-        payload["tilt_parameters"] = parameters._asdict()
-    base = _write_reports(args, f"{scenario.name}-{command}", payload, reports.BELL_COLUMNS)
+        tail["tilt_parameters"] = parameters._asdict()
     if report.tilt is None:
-        print(
-            f"{scenario.name}: value {report.quantum_value:.9f} "
-            f"(bound {report.classical_bound:.0f}, "
-            f"{'violated' if report.violation else 'not violated'}) -> {base}.json"
+        line = (
+            f"value {report.quantum_value:.9f} (bound {report.classical_bound:.0f}, "
+            f"{'violated' if report.violation else 'not violated'})"
         )
     else:
-        print(
-            f"{scenario.name}: G {report.tilt.g_value:.9f} at beta {report.tilt.beta:.9f} "
+        line = (
+            f"G {report.tilt.g_value:.9f} at beta {report.tilt.beta:.9f} "
             f"(bound {report.tilt.classical_bound:.9f}, "
-            f"{'violated' if report.tilt.violation else 'not violated'}) -> {base}.json"
+            f"{'violated' if report.tilt.violation else 'not violated'})"
         )
-    return EXIT_OK
+    return head, tail, line
 
 
-def _cmd_classical_bound(args) -> int:
+def _classical_bound(args, scenario, synthesis):
     from . import classical  # numpy loads only for the commands that use it
 
-    scenario = _load_scenario(args)
-    _require_valid(scenario)
     beta, _ = scenarios.resolve_beta(scenario, _parse_beta(args.beta))
     shape = classical.NetworkShape.from_layout(scenario.layout)
-    alphabet = None
-    if args.alphabet is not None:
-        alphabet = (args.alphabet,) * len(scenario.layout.sources)
+    alphabet = None if args.alphabet is None else (args.alphabet,) * len(scenario.layout.sources)
     try:
         scan = classical.max_deterministic(shape, alphabet, beta=beta, seed=args.seed)
     except classical.BoundViolation as err:
         raise CliError(
             EXIT_ACCEPTANCE, f"classical bound violated for {_where(scenario)}: {err}"
         ) from err
-    payload = {
-        "name": scenario.name,
-        "scenario_hash": scenarios.fingerprint(scenario),
+    tail = {
         "K": shape.k,
         "M": shape.m,
         "alphabet": list(scan.alphabet),
@@ -357,22 +353,16 @@ def _cmd_classical_bound(args) -> int:
         "best_strategy": scan.strategy.to_json(),
         "best_stochastic_strategy": scan.stochastic_strategy.to_json(),
     }
-    base = _write_reports(
-        args, f"{scenario.name}-classical-bound", payload, reports.CLASSICAL_COLUMNS
+    line = (
+        f"deterministic max {scan.value:.12f} (bound {scan.value}, closed form; "
+        f"refine pass scored {scan.scanned} strategies)"
     )
-    print(
-        f"{scenario.name}: deterministic max {scan.value:.12f} "
-        f"(bound {scan.value}, closed form; refine pass scored "
-        f"{scan.scanned} strategies) -> {base}.json"
-    )
-    return EXIT_OK
+    return {"name": scenario.name}, tail, line
 
 
-def _cmd_sample(args) -> int:
+def _sample(args, scenario, synthesis):
     from . import sampling  # numpy loads only for the commands that use it
 
-    scenario = _load_scenario(args)
-    synthesis = _require_valid(scenario)
     thetas = _parse_thetas(args.theta, scenario) or scenario.thetas
     beta, _ = scenarios.resolve_beta(scenario, _parse_beta(args.beta))
     config = sampling.RunConfig(
@@ -383,24 +373,17 @@ def _cmd_sample(args) -> int:
     try:
         if args.rounds_csv is not None:
             reports.check_target(args.rounds_csv)  # before any round is drawn
-        with _cross_checked(scenario):
-            report = sampling.run(
-                synthesis, thetas, config, beta=beta, record_path=args.rounds_csv
-            )
+        report = sampling.run(synthesis, thetas, config, beta=beta, record_path=args.rounds_csv)
     except OSError as err:
         raise CliError(
             EXIT_IO, f"cannot write round record {args.rounds_csv}: {err.strerror or err}"
         ) from err
-    payload = report.as_dict()
-    payload["name"] = scenario.name
-    payload["scenario_hash"] = scenarios.fingerprint(scenario)
-    base = _write_reports(args, f"{scenario.name}-sample", payload, reports.SAMPLE_COLUMNS)
     se = "n/a" if report.value_se is None else f"{report.value_se:.6f}"
-    print(
-        f"{scenario.name}: value {report.value_estimate:.6f} +- {se} "
-        f"({report.rounds} rounds, seed {report.seed}) -> {base}.json"
+    line = (
+        f"value {report.value_estimate:.6f} +- {se} "
+        f"({report.rounds} rounds, seed {report.seed})"
     )
-    return EXIT_OK
+    return {**report.as_dict(), "name": scenario.name}, {}, line
 
 
 # ----------------------------------------------------------------------
@@ -532,20 +515,22 @@ def _cmd_reproduce(args) -> int:
 # ----------------------------------------------------------------------
 
 
-_COMMANDS = {
-    "validate": _cmd_validate,
-    "evaluate": _cmd_evaluate,
-    "maximize": _cmd_maximize,
-    "tilted": _cmd_tilted,
-    "classical-bound": _cmd_classical_bound,
-    "sample": _cmd_sample,
-    "reproduce-paper": _cmd_reproduce,
+_COMMANDS = {"validate": _cmd_validate, "reproduce-paper": _cmd_reproduce}
+# Each scenario command's CSV columns and body; `_run` does the rest.
+_REPORTS = {
+    "evaluate": (reports.BELL_COLUMNS, _evaluate),
+    "maximize": (reports.BELL_COLUMNS, _maximize),
+    "tilted": (reports.BELL_COLUMNS, _tilted),
+    "classical-bound": (reports.CLASSICAL_COLUMNS, _classical_bound),
+    "sample": (reports.SAMPLE_COLUMNS, _sample),
 }
 
 
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
+        if args.command in _REPORTS:
+            return _run(args, *_REPORTS[args.command])
         return _COMMANDS[args.command](args)
     except CliError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -900,6 +900,15 @@ class TestVerifyBound:
         report = max_deterministic(SINGLE, 2, beta=0.7)
         assert report.value == 1.7 == 0.7 + 1.0
 
+    def test_beta_cut_follows_refine_tol(self, monkeypatch):
+        # the refine score of 1 + beta rounds up to 2 ulps above it, which
+        # at 1 + beta = 2**22 (ulp 2**-30) first exceeds REFINE_TOL
+        monkeypatch.setattr(classical, "_REFINE_DRAWS", 10)
+        assert max_deterministic(SINGLE, 2, beta=2.0**22 - 2).value == 2.0**22 - 1
+        for beta in (2.0**22 - 1, 8e6, math.inf):
+            with pytest.raises(ValueError, match="too large for the refine check"):
+                max_deterministic(SINGLE, 2, beta=beta)
+
     def test_stochastic_excess_raises(self, monkeypatch):
         bad = constant_strategy(BILOCAL)
 

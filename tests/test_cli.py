@@ -74,6 +74,7 @@ CI_REFUSALS = (
     "maximize chsh --grid abc",
     "evaluate star(3,7)",
     "evaluate chsh --phibar 0.3",
+    "classical-bound chsh-tilted --beta 1e8",
 )
 
 
@@ -430,7 +431,11 @@ class TestEvaluate:
 
     def test_theta_list_length_checked(self, out_dir, capsys):
         assert main(["evaluate", "chsh", "--theta", "0.1,0.2"]) == EXIT_VALIDATION
-        assert "--theta needs 1" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "--theta needs 1" in err
+        assert err == "error: --theta needs 1 value, got 2\n"
+        assert main(["evaluate", "star(3)", "--theta", "0.1,0.2"]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == "error: --theta needs 1 or 3 values, got 2\n"
 
     def test_beta_on_untilted_scenario(self, out_dir, capsys):
         assert main(["evaluate", "chsh", "--beta", "0.5"]) == EXIT_VALIDATION
@@ -549,6 +554,21 @@ class TestClassicalBound:
         assert float(row["deterministic_max"]) == 1.0
         assert row["passed"] == "true"
         assert int(row["scanned"]) == 129641
+
+    @pytest.mark.parametrize(
+        "argv", [["chsh-tilted"], ["star", "--N", "5", "--phibar", "0.3927"]],
+        ids=["chsh-tilted", "star5-tilted"],
+    )
+    def test_beta_past_the_refine_check_is_refused(self, out_dir, capsys, argv):
+        # the refine score of 1 + beta rounds up to 2 ulps above it; at 8e6
+        # that is 1.86e-9, past REFINE_TOL, and once read as a violation
+        for beta in ("8e6", "1e8"):
+            assert main(["classical-bound", *argv, "--beta", beta]) == EXIT_VALIDATION
+            [line] = capsys.readouterr().err.splitlines()
+            assert line.startswith(f"error: beta {float(beta)} is too large for the refine check")
+        assert not list(out_dir.iterdir())
+        for beta in ("0.7", "4e6"):
+            assert main(["classical-bound", *argv, "--beta", beta]) == EXIT_OK
 
     def test_violation_exits_with_acceptance_code(self, out_dir, monkeypatch, capsys):
         def explode(*args, **kwargs):
@@ -1226,6 +1246,29 @@ class TestPinnedReports:
         argv = ["sample", "chsh", "--rounds", "40000", "--seed", "2", "--rounds-csv", str(record)]
         assert main(argv) == EXIT_OK
         assert hashlib.sha256(record.read_bytes()).hexdigest() == CHSH_40000_RECORD_SHA256
+
+
+# One run of each scenario command on a builtin, for the stamping test.
+STAMPED_COMMANDS = [
+    ["evaluate", "chsh"],
+    ["maximize", "example-a"],
+    ["tilted", "chsh-tilted"],
+    ["classical-bound", "chsh-tilted", "--beta", "0.7"],
+    ["sample", "star(3)", "--rounds", "100"],
+]
+
+
+@pytest.mark.parametrize("argv", STAMPED_COMMANDS, ids=[argv[0] for argv in STAMPED_COMMANDS])
+def test_reports_carry_the_scenario_fingerprint(out_dir, capsys, argv):
+    # the JSON, its CSV row and validate's header agree on the fingerprint
+    command, name = argv[:2]
+    fingerprint = scenarios.fingerprint(scenarios.builtin_scenario(name))
+    assert main(argv) == EXIT_OK
+    assert json.load(open(out_dir / f"{name}-{command}.json"))["scenario_hash"] == fingerprint
+    assert read_csv_row(out_dir / f"{name}-{command}.csv")["scenario_hash"] == fingerprint
+    capsys.readouterr()
+    assert main(["validate", name]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[0] == f"scenario {name} [{fingerprint}]"
 
 
 class TestOutputRouting:
