@@ -191,12 +191,19 @@ def _cross_checked(scenario: Scenario):
         ) from err
 
 
-def _write_reports(args, stem, payload, columns=None) -> str:
-    """The JSON report and, given columns, its CSV row, projected from the
-    same payload, under --out, $NETBELL_OUT or ./reports. The directory is
-    made only here, so a refused run leaves none behind."""
+def _report_base(args, scenario=None) -> str:
+    """The reports' path less its .json or .csv suffix: <scenario>-<command>,
+    or the command alone, under --out, $NETBELL_OUT or ./reports."""
     out_dir = args.out if args.out is not None else os.environ.get(OUT_ENV, DEFAULT_OUT)
-    base = os.path.join(out_dir, stem)
+    stem = args.command if scenario is None else f"{scenario.name}-{args.command}"
+    return os.path.join(out_dir, stem)
+
+
+def _write_reports(base, payload, columns=None) -> None:
+    """The JSON report and, given columns, its CSV row, projected from the
+    same payload, at base (see _report_base). The directory is made only
+    here, so a refused run leaves none behind."""
+    out_dir = os.path.dirname(base)
     row = None if columns is None else reports.csv_row(payload, columns)
     try:
         os.makedirs(out_dir, exist_ok=True)
@@ -208,7 +215,6 @@ def _write_reports(args, stem, payload, columns=None) -> str:
             reports.write_csv(base + ".csv", columns, [row])
     except OSError as err:
         raise CliError(EXIT_IO, f"cannot write reports under {out_dir}: {err}") from err
-    return base
 
 
 def _parse_thetas(text: str | None, scenario: Scenario) -> tuple[float, ...] | None:
@@ -269,7 +275,8 @@ def _run(args, columns, body) -> int:
     with _cross_checked(scenario):
         head, tail, line = body(args, scenario, synthesis)
     payload = {**head, "scenario_hash": scenarios.fingerprint(scenario), **tail}
-    base = _write_reports(args, f"{scenario.name}-{args.command}", payload, columns)
+    base = _report_base(args, scenario)
+    _write_reports(base, payload, columns)
     print(f"{scenario.name}: {line} -> {base}.json")
     return EXIT_OK
 
@@ -370,6 +377,15 @@ def _sample(args, scenario, synthesis):
         seed=args.seed if args.seed is not None else scenario.seed,
         strategy=args.strategy if args.strategy is not None else scenario.strategy,
     )
+    if args.rounds_csv is not None:
+        base = _report_base(args, scenario)
+        if os.path.realpath(args.rounds_csv) in {
+            os.path.realpath(base + suffix) for suffix in (".json", ".csv")
+        }:
+            raise CliError(
+                EXIT_VALIDATION,
+                f"round record {args.rounds_csv} is where this command writes its report",
+            )
     try:
         if args.rounds_csv is not None:
             reports.check_target(args.rounds_csv)  # before any round is drawn
@@ -508,7 +524,7 @@ def _cmd_reproduce(args) -> int:
             f"target {row['target']: .9f}  tol {row['tolerance']:.3g}"
         )
     print(f"{len(rows) - failures}/{len(rows)} reproduction rows pass")
-    _write_reports(args, "reproduce-paper", {"rows": rows, "passed": failures == 0})
+    _write_reports(_report_base(args), {"rows": rows, "passed": failures == 0})
     return EXIT_OK if failures == 0 else EXIT_ACCEPTANCE
 
 

@@ -126,7 +126,7 @@ def _check_count(value: int, low: int, high: int, name: str) -> None:
 
 
 def _parse_amplitude(entry) -> complex:
-    what = "source 'amplitudes' entry"
+    what = "'amplitudes' entry"
     if isinstance(entry, (int, float)):
         return complex(_number(entry, float, what), 0.0)
     if isinstance(entry, (list, tuple)) and len(entry) == 2:
@@ -144,7 +144,7 @@ def _shaped(value, kind, what: str):
 
 def _resolve_source(entry, custom) -> SourceState:
     if not isinstance(entry, dict) or "code" not in entry:
-        raise ScenarioError(f"source entries need a 'code' field, got {entry!r}")
+        raise ScenarioError(f"needs a 'code' field, got {entry!r}")
     name = str(entry["code"])
     try:
         code = custom[name] if name in custom else code_lib.builtin(name)
@@ -154,17 +154,17 @@ def _resolve_source(entry, custom) -> SourceState:
     has_amps = "amplitudes" in entry
     if has_phi == has_amps:
         raise ScenarioError(
-            f"source on code {code.name!r} needs exactly one of 'phi' or 'amplitudes'"
+            f"code {code.name!r} needs exactly one of 'phi' or 'amplitudes'"
         )
     if has_phi:
         if code.k != 1:
             raise ScenarioError(
                 f"'phi' shorthand needs a k=1 code, {code.name!r} has k={code.k}"
             )
-        phi = _number(entry["phi"], float, "source 'phi'")
+        phi = _number(entry["phi"], float, "'phi'")
         amplitudes = [math.cos(phi), math.sin(phi)]
     else:
-        entries = _shaped(entry["amplitudes"], list, "source 'amplitudes'")
+        entries = _shaped(entry["amplitudes"], list, "'amplitudes'")
         amplitudes = [_parse_amplitude(a) for a in entries]
         if len(amplitudes) != 2**code.k:
             raise ScenarioError(
@@ -173,14 +173,14 @@ def _resolve_source(entry, custom) -> SourceState:
         try:
             norm = math.sqrt(sum(abs(a) ** 2 for a in amplitudes))
         except OverflowError as err:
-            raise ScenarioError(f"source 'amplitudes' overflow: {err}") from err
+            raise ScenarioError(f"'amplitudes' overflow: {err}") from err
         if norm < ANGLE_TOL:
-            raise ScenarioError("source amplitudes must not all vanish")
+            raise ScenarioError("amplitudes must not all vanish")
         amplitudes = [a / norm for a in amplitudes]
     try:
         return codeword(code, amplitudes)
     except ValueError as err:
-        raise ScenarioError(f"source state on {code.name!r}: {err}") from err
+        raise ScenarioError(f"state on code {code.name!r}: {err}") from err
 
 
 def _parse_pauli(text, size: int, what: str) -> PauliString:
@@ -217,8 +217,12 @@ def scenario_from_dict(data: dict) -> Scenario:
             raise ScenarioError(f"custom code {code.name!r} fails validation: {failed}")
         custom[code.name] = code
 
-    entries = _shaped(data["sources"], list, "'sources'")
-    sources = tuple(_resolve_source(entry, custom) for entry in entries)
+    sources = []
+    for i, entry in enumerate(_shaped(data["sources"], list, "'sources'")):
+        try:
+            sources.append(_resolve_source(entry, custom))
+        except ScenarioError as err:  # named like the selection's g[1]
+            raise ScenarioError(f"sources[{i}]: {err}") from err
 
     net = data["network"]
     try:

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cli_checks
 from conftest import one_group_star5
 from netbell import bell, classical, cli, network, observables, sampling, scenarios
 from netbell.cli import EXIT_ACCEPTANCE, EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
@@ -59,23 +60,16 @@ def value_paths(node, path=()):
         yield from value_paths(child, path + (key,))
 
 
-# The refusals of the CI step's exit-1 loop: each exits 1 with one error line.
-CI_REFUSALS = (
-    "classical-bound star(11)",
-    "classical-bound star(51)",
-    "classical-bound chsh --alphabet 512",
-    "classical-bound chsh --alphabet 0",
-    "sample chsh --seed -1",
-    "evaluate chsh --theta nan",
-    "maximize chsh --grid 100000000000",
-    "sample chsh --rounds 1180591620717411303424",
-    "sample ghz-split(40,20) --rounds-csv rounds.csv",
-    "classical-bound chsh --mode full",
-    "maximize chsh --grid abc",
-    "evaluate star(3,7)",
-    "evaluate chsh --phibar 0.3",
-    "classical-bound chsh-tilted --beta 1e8",
-)
+def in_process(argv, out):
+    """main(argv) as cli_checks runs it, in out with NETBELL_OUT=.: exit
+    code, stdout, stderr."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.chdir(out)
+        patch.setenv("NETBELL_OUT", ".")
+        patch.setattr(sys, "stdout", io.StringIO())
+        patch.setattr(sys, "stderr", io.StringIO())
+        code = main(argv)
+        return code, sys.stdout.getvalue(), sys.stderr.getvalue()
 
 
 def refuse_constant(name):
@@ -339,11 +333,10 @@ class TestNonFiniteInput:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["evaluate", "chsh", "--theta", "nan"],
             ["tilted", "chsh-tilted", "--beta", "nan"],
             ["classical-bound", "chsh-tilted", "--beta", "nan"],
         ],
-        ids=["evaluate-theta", "tilted-beta", "classical-bound-beta"],
+        ids=["tilted-beta", "classical-bound-beta"],
     )
     def test_refused_with_one_error_line(self, out_dir, capsys, argv):
         assert main(argv) == EXIT_VALIDATION
@@ -357,12 +350,10 @@ class TestUsageErrors:
         "argv",
         [
             ["evaluate", "chsh", "--bogus"],
-            ["maximize", "chsh", "--grid", "abc"],
             ["sample", "chsh", "--strategy", "nope"],
             ["frobnicate", "chsh"],
-            ["classical-bound", "chsh", "--mode", "full"],
         ],
-        ids=["unknown-flag", "bad-int", "bad-choice", "unknown-command", "removed-mode"],
+        ids=["unknown-flag", "bad-choice", "unknown-command"],
     )
     def test_usage_error_is_one_error_line(self, out_dir, capsys, argv):
         assert main(argv) == EXIT_VALIDATION
@@ -1156,43 +1147,6 @@ class TestHugeCounts:
             assert payload["tilt"]["G"] == pytest.approx(optimum.g_opt, abs=1e-12)
 
 
-# Classical-bound and sample reports pinned as tests/data/<pin>.{json,csv},
-# written by the row builders that read the engines' report objects before
-# every CSV row was projected from its JSON report; each entry is
-# (argv, the report's file stem, pin).
-PINNED_COMMANDS = [
-    (["classical-bound", "example-a", "--seed", "1"],
-     "example-a-classical-bound", "classical-example-a"),
-    (["classical-bound", "chsh-tilted", "--beta", "0.7"],
-     "chsh-tilted-classical-bound", "classical-chsh-tilted-beta"),
-    (["classical-bound", "star(3)", "--tilt-count", "0"],
-     "star(3)-classical-bound", "classical-star3"),
-    # the first pins whose refine pass has 32 labels (the others have at most 8)
-    (["classical-bound", "star(5)", "--tilt-count", "0"],
-     "star(5)-classical-bound", "classical-star5"),
-    (["classical-bound", "star", "--N", "5", "--phibar", "0.3927"],
-     "star(5)-classical-bound", "classical-star5-tilted"),
-    # the largest star the refine budget admits, where a flip's readers
-    # differ most from the grid: one of 512 labels for each receiver entry
-    (["classical-bound", "star(9)"], "star(9)-classical-bound", "classical-star9"),
-    (["sample", "example-a", "--rounds", "1000", "--seed", "1",
-      "--strategy", "direct-observable"],
-     "example-a-sample", "sample-example-a-direct"),
-    (["sample", "example-a", "--rounds", "1000", "--seed", "1",
-      "--strategy", "per-qubit-discard"],
-     "example-a-sample", "sample-example-a-per-qubit"),
-    (["sample", "chsh-tilted", "--rounds", "1000", "--seed", "1"],
-     "chsh-tilted-sample", "sample-chsh-tilted"),
-    # a receiver setting left empty
-    (["sample", "chsh", "--rounds", "2", "--seed", "4"], "chsh-sample", "sample-chsh-empty"),
-    # a receiver setting left empty, and at K = 2 its zero correlator
-    # leaves value_se null
-    (["sample", "example-a", "--rounds", "5", "--seed", "3"],
-     "example-a-sample", "sample-example-a-empty"),
-    # seven groups
-    (["sample", "star(7)", "--rounds", "3000", "--seed", "5"], "star(7)-sample", "sample-star7"),
-]
-
 # SHA-256 of the round record of `sample chsh --rounds 40000 --seed 2`
 # (about 0.6 MB, so not kept as a file): its rounds fill four 8192-round
 # chunks and part of a fifth.
@@ -1214,14 +1168,9 @@ class TestPinnedReports:
     moved every draw (the five-round pins moved from seed 14 to seed 3,
     whose five rounds still leave a receiver setting empty)."""
 
-    @pytest.mark.parametrize(
-        "argv,stem,pin", PINNED_COMMANDS, ids=[pin for _, _, pin in PINNED_COMMANDS]
-    )
-    def test_report_is_pinned(self, out_dir, argv, stem, pin):
-        assert main(argv) == EXIT_OK
-        for ext in ("json", "csv"):
-            written = (out_dir / f"{stem}.{ext}").read_bytes()
-            assert written == (DATA / f"{pin}.{ext}").read_bytes()
+    @pytest.mark.parametrize("row", [r for r in cli_checks.ROWS if r.pins], ids=lambda r: r.id)
+    def test_report_is_pinned(self, tmp_path, row):
+        assert cli_checks.check(row, str(tmp_path), in_process) == (EXIT_OK, [])
 
     def test_maximize_commuting_pair_is_pinned(self, out_dir):
         # example-a allows a commuting receiver pair
@@ -1269,6 +1218,31 @@ def test_reports_carry_the_scenario_fingerprint(out_dir, capsys, argv):
     capsys.readouterr()
     assert main(["validate", name]) == EXIT_OK
     assert capsys.readouterr().out.splitlines()[0] == f"scenario {name} [{fingerprint}]"
+
+
+def test_cli_checks_reports_planted_wrong_rows(tmp_path, monkeypatch, capsys):
+    # each planted row is wrong in one way, and the control row holds
+    off = bytearray((DATA / "sample-chsh-empty.json").read_bytes())
+    off[-2] ^= 1
+    (tmp_path / "off.json").write_bytes(off)
+    monkeypatch.setattr(cli_checks, "DATA", tmp_path)
+    Row = cli_checks.Row
+    planted = [
+        Row("classical-bound star(11) --out refused", name="refusal expected to exit 0"),
+        Row("sample chsh --rounds 2 --seed 4", name="pin one byte off",
+            pins=(("chsh-sample.json", "off.json"),)),
+        Row("sample chsh --rounds 10 --rounds-csv r.csv", name="record line count off by one",
+            record=("r.csv", 12, "9,")),
+        Row("evaluate chsh", name="absent path exists", absent=("chsh-evaluate.json",)),
+    ]
+    control = Row("sample chsh --rounds 10 --rounds-csv r.csv", name="control",
+                  record=("r.csv", 11, "9,"), absent=("refused",))
+    assert cli_checks.drive([*planted, control], in_process) == 1
+    lines = capsys.readouterr().out.splitlines()
+    for row in planted:
+        assert sum(line.startswith("FAIL") and row.name in line for line in lines) == 1
+    assert [line for line in lines if "control" in line][0].startswith("ok")
+    assert lines[-1] == "4 of 5 rows failed: " + "; ".join(row.name for row in planted)
 
 
 class TestOutputRouting:
@@ -1321,13 +1295,9 @@ class TestOutputRouting:
             assert len(err) == 1 and "'name'" in err[0]
         assert [p.name for p in tmp_path.iterdir()] == ["s.json"]
 
-    @pytest.mark.parametrize("command", CI_REFUSALS)
-    def test_refusal_leaves_no_out_path(self, tmp_path, capsys, command):
-        # the directory is made only when a report is written
-        out = tmp_path / "d" / "deeper"
-        assert main([*command.split(), "--out", str(out)]) == EXIT_VALIDATION
-        assert len(capsys.readouterr().err.splitlines()) == 1
-        assert not (tmp_path / "d").exists()
+    @pytest.mark.parametrize("row", [r for r in cli_checks.ROWS if r.code], ids=lambda r: r.id)
+    def test_refusal_leaves_no_out_path(self, tmp_path, row):
+        assert cli_checks.check(row, str(tmp_path), in_process) == (row.code, [])
 
 
 class TestReproduce:

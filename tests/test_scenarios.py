@@ -3,6 +3,7 @@
 import copy
 import json
 import math
+import re
 
 import pytest
 
@@ -245,6 +246,21 @@ class TestSchemaErrors:
         data = minimal_chsh_dict()
         data["sources"] = [{"code": "two-one-two", "amplitudes": [1, 0, 0]}]
         with pytest.raises(ScenarioError, match="needs 2 amplitudes, got 3"):
+            scenario_from_dict(data)
+
+    @pytest.mark.parametrize(
+        "source, message",
+        [
+            ({"code": "five-one-three", "phi": math.nan}, "'phi' must be a finite number, got nan"),
+            ({"code": "five-one-three", "amplitudes": [1, 0, 0]},
+             "code 'five-one-three' needs 2 amplitudes, got 3"),
+        ],
+        ids=["phi-nan", "three-amplitudes"],
+    )
+    def test_bad_second_source_is_named(self, source, message):
+        data = scenario_to_dict(builtin_scenario("example-a"))
+        data["sources"][1] = source
+        with pytest.raises(ScenarioError, match=re.escape(f"sources[1]: {message}")):
             scenario_from_dict(data)
 
     def test_amplitudes_must_not_vanish(self):
