@@ -333,10 +333,11 @@ class TestNonFiniteInput:
     @pytest.mark.parametrize(
         "argv",
         [
+            ["evaluate", "chsh", "--theta", "nan"],
             ["tilted", "chsh-tilted", "--beta", "nan"],
             ["classical-bound", "chsh-tilted", "--beta", "nan"],
         ],
-        ids=["tilted-beta", "classical-bound-beta"],
+        ids=["evaluate-theta", "tilted-beta", "classical-bound-beta"],
     )
     def test_refused_with_one_error_line(self, out_dir, capsys, argv):
         assert main(argv) == EXIT_VALIDATION
@@ -350,10 +351,12 @@ class TestUsageErrors:
         "argv",
         [
             ["evaluate", "chsh", "--bogus"],
+            ["maximize", "chsh", "--grid", "abc"],
             ["sample", "chsh", "--strategy", "nope"],
             ["frobnicate", "chsh"],
+            ["classical-bound", "chsh", "--mode", "full"],
         ],
-        ids=["unknown-flag", "bad-choice", "unknown-command"],
+        ids=["unknown-flag", "bad-int", "bad-choice", "unknown-command", "removed-mode"],
     )
     def test_usage_error_is_one_error_line(self, out_dir, capsys, argv):
         assert main(argv) == EXIT_VALIDATION
